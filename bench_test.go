@@ -146,6 +146,32 @@ func BenchmarkFigure3PriorityCleaning(b *testing.B) {
 // ---- ablation benches: the design choices DESIGN.md calls out ----
 
 // benchDevice builds a small interleaved device for ablations.
+// rawClosedLoop keeps depth requests outstanding on the flash device
+// itself, drawing ops from gen until it returns false, then drains the
+// engine. Unlike core.ClosedLoop it submits with one shared *ssd.Request
+// callback, so it measures the raw write path with no per-op adapter
+// closure.
+func rawClosedLoop(d *ssd.Device, depth int, gen func(i int) (trace.Op, bool)) error {
+	var firstErr error
+	i := 0
+	var issue func(*ssd.Request)
+	issue = func(*ssd.Request) {
+		op, ok := gen(i)
+		if !ok {
+			return
+		}
+		i++
+		if err := d.Submit(op, issue); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	for k := 0; k < depth; k++ {
+		issue(nil)
+	}
+	d.Engine().Run()
+	return firstErr
+}
+
 func benchDevice(b *testing.B, mutate func(*ssd.Config)) *core.SSD {
 	b.Helper()
 	cfg := ssd.Config{
@@ -179,7 +205,7 @@ func churn(b *testing.B, d *core.SSD, seed int64) (spread int, moved int64) {
 	rng := sim.NewRNG(seed)
 	n := int(space / 4096 * 10)
 	i := 0
-	err := d.Raw.ClosedLoop(4, func(int) (trace.Op, bool) {
+	err := rawClosedLoop(d.Raw, 4, func(int) (trace.Op, bool) {
 		if i >= n {
 			return trace.Op{}, false
 		}
@@ -245,7 +271,7 @@ func BenchmarkAblationInformedFreeRatio(b *testing.B) {
 		rng := sim.NewRNG(11)
 		n := int(space / 4096 * 3)
 		i := 0
-		err := d.Raw.ClosedLoop(2, func(int) (trace.Op, bool) {
+		err := rawClosedLoop(d.Raw, 2, func(int) (trace.Op, bool) {
 			if i >= n {
 				return trace.Op{}, false
 			}
@@ -359,7 +385,7 @@ func BenchmarkOSDDeviceWritePath(b *testing.B) {
 	rng := sim.NewRNG(5)
 	b.ResetTimer()
 	i := 0
-	err = d.ClosedLoop(4, func(int) (trace.Op, bool) {
+	err = core.ClosedLoop(d, 4, func(int) (trace.Op, bool) {
 		if i >= b.N {
 			return trace.Op{}, false
 		}
@@ -478,7 +504,7 @@ func BenchmarkDeviceRandomWrites(b *testing.B) {
 	rng := sim.NewRNG(5)
 	b.ResetTimer()
 	i := 0
-	err := d.Raw.ClosedLoop(4, func(int) (trace.Op, bool) {
+	err := rawClosedLoop(d.Raw, 4, func(int) (trace.Op, bool) {
 		if i >= b.N {
 			return trace.Op{}, false
 		}

@@ -116,7 +116,16 @@ func main() {
 	mux := http.NewServeMux()
 	camp.Register(mux)
 	mux.Handle("/", mgr.Handler())
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	// Header and keep-alive idle timeouts bound slow or abandoned
+	// connections. There is no whole-request read or write timeout:
+	// ?wait=1 and /stream responses legitimately stay open for a job's
+	// lifetime.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           mux,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

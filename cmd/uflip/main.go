@@ -127,7 +127,7 @@ func alignment(p core.Profile, seed int64) error {
 		slots := d.LogicalBytes()/period - 1
 		rng := sim.NewRNG(seed)
 		i := 0
-		if err := sd.Raw.ClosedLoop(1, func(int) (trace.Op, bool) {
+		if err := core.ClosedLoop(d, 1, func(int) (trace.Op, bool) {
 			if i >= n {
 				return trace.Op{}, false
 			}
@@ -173,7 +173,7 @@ func locality(p core.Profile, seed int64) error {
 		n := int(total / 4096)
 		i := 0
 		start := d.Engine().Now()
-		if err := d.ClosedLoop(4, func(int) (trace.Op, bool) {
+		if err := core.ClosedLoop(d, 4, func(int) (trace.Op, bool) {
 			if i >= n {
 				return trace.Op{}, false
 			}
@@ -208,7 +208,7 @@ func mix(p core.Profile, seed int64) error {
 		space := int64(float64(d.LogicalBytes()) * 0.7)
 		n := 2000
 		i := 0
-		if err := d.ClosedLoop(1, func(int) (trace.Op, bool) {
+		if err := core.ClosedLoop(d, 1, func(int) (trace.Op, bool) {
 			if i >= n {
 				return trace.Op{}, false
 			}

@@ -239,6 +239,29 @@ func serveHTTP(t *testing.T, jobs *simsvc.Manager, m *Manager) *httptest.Server 
 	return srv
 }
 
+// TestCampaignOversizedBody pins the request-body cap: a 2 MiB spec
+// answers 413 and creates no campaign.
+func TestCampaignOversizedBody(t *testing.T) {
+	jobs, m := newService(t, 1, Options{})
+	srv := serveHTTP(t, jobs, m)
+	body := `{"template":{"profile":"` + strings.Repeat("x", 2<<20) + `"}}`
+	resp, err := http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST /campaigns with a 2 MiB body: %d: %s", resp.StatusCode, b)
+	}
+	if st := m.Stats(); st.Submitted != 0 || st.Retained != 0 {
+		t.Fatalf("oversized spec created a campaign: %+v", st)
+	}
+	if st := jobs.Stats(); st.JobsSubmitted != 0 {
+		t.Fatalf("oversized spec submitted %d jobs", st.JobsSubmitted)
+	}
+}
+
 // postCampaign POSTs a campaign spec and decodes its progress view.
 func postCampaign(t *testing.T, srv *httptest.Server, spec Spec) Progress {
 	t.Helper()

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+
+	"ossd/internal/simsvc"
 )
 
 // writeJSON serves v as a JSON response.
@@ -33,10 +35,10 @@ func writeError(w http.ResponseWriter, status int, err error) {
 func (m *Manager) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, simsvc.MaxBodyBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("campaign: bad spec: %w", err))
+			writeError(w, simsvc.BodyStatus(err), fmt.Errorf("campaign: bad spec: %w", err))
 			return
 		}
 		c, err := m.Submit(spec)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"ossd/internal/fault"
 	"ossd/internal/flash"
 	"ossd/internal/sched"
 	"ossd/internal/sim"
@@ -25,7 +27,7 @@ func smallSSDConfig() ssd.Config {
 }
 
 // TestDeviceConformance runs the same read/write/free/replay/closed-loop
-// checks against every Device implementation. Any new medium added to
+// checks against every Device implementation, the fault injector included. Any new medium added to
 // the facade must join this table.
 func TestDeviceConformance(t *testing.T) {
 	devices := []struct {
@@ -50,9 +52,26 @@ func TestDeviceConformance(t *testing.T) {
 			}
 			return p.NewDevice()
 		}},
-		{"MEMS", func() (Device, error) { return NewMEMS(DefaultMEMS()) }},
-		{"RAID", func() (Device, error) { return NewRAID(DefaultRAID()) }},
+		{"MEMS", func() (Device, error) { return Open("mems", WithMEMS(DefaultMEMS())) }},
+		{"RAID", func() (Device, error) { return Open("raid", WithRAID(DefaultRAID())) }},
 		{"OSD", func() (Device, error) { return NewOSD(smallSSDConfig()) }},
+		{"Fault", func() (Device, error) {
+			d, err := Open("hdd")
+			if err != nil {
+				return nil, err
+			}
+			// A death that never fires: the injector sits on every op's
+			// path without changing any outcome.
+			plan := &fault.Plan{Deaths: []fault.Death{{Element: 0, AfterOps: 1 << 40}}}
+			if err := plan.Validate(); err != nil {
+				return nil, err
+			}
+			fd, ok := WrapFault(d, plan).(*FaultDevice)
+			if !ok {
+				return nil, fmt.Errorf("WrapFault returned the device unwrapped")
+			}
+			return fd, nil
+		}},
 	}
 	for _, tc := range devices {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,7 +122,7 @@ func TestDeviceConformance(t *testing.T) {
 			// and counts it — Snapshot.Frees is uniform across media,
 			// whether or not the substrate acts on the free.
 			before := d.Metrics().Completed
-			if err := d.Free(0, 4096); err != nil {
+			if err := d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 4096}, nil); err != nil {
 				t.Fatal(err)
 			}
 			d.Engine().Run()
@@ -114,8 +133,9 @@ func TestDeviceConformance(t *testing.T) {
 				t.Fatalf("frees = %d, want 1 (uniform counting)", got)
 			}
 
-			// Play: a timestamped trace (including a free) drains fully.
-			d2, err := tc.mk()
+			// Drive: a timestamped trace (including a free), pulled one op
+			// at a time, drains fully.
+			d2b, err := tc.mk()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,22 +144,6 @@ func TestDeviceConformance(t *testing.T) {
 				{At: 1 * sim.Millisecond, Kind: trace.Write, Offset: 4096, Size: 4096},
 				{At: 2 * sim.Millisecond, Kind: trace.Read, Offset: 0, Size: 4096},
 				{At: 3 * sim.Millisecond, Kind: trace.Free, Offset: 4096, Size: 4096},
-			}
-			if err := d2.Play(ops); err != nil {
-				t.Fatal(err)
-			}
-			if m := d2.Metrics(); m.BytesWritten != 8192 || m.BytesRead != 4096 {
-				t.Fatalf("play moved read %d written %d", m.BytesRead, m.BytesWritten)
-			}
-			if d2.Engine().Pending() != 0 {
-				t.Fatalf("play left %d events pending", d2.Engine().Pending())
-			}
-
-			// Drive: the same trace as a stream produces the same motion,
-			// pulled one op at a time.
-			d2b, err := tc.mk()
-			if err != nil {
-				t.Fatal(err)
 			}
 			if err := d2b.Drive(trace.FromSlice(ops)); err != nil {
 				t.Fatal(err)
@@ -151,8 +155,8 @@ func TestDeviceConformance(t *testing.T) {
 				t.Fatalf("drive left %d events pending", d2b.Engine().Pending())
 			}
 
-			// SubmitBatch: a same-instant run moves the same bytes as
-			// per-op submission and fires the shared callback per op.
+			// A same-instant run submitted with one shared callback fires
+			// it once per op.
 			d2d, err := tc.mk()
 			if err != nil {
 				t.Fatal(err)
@@ -163,12 +167,15 @@ func TestDeviceConformance(t *testing.T) {
 				{Kind: trace.Write, Offset: 4096, Size: 4096},
 				{Kind: trace.Read, Offset: 0, Size: 4096},
 			}
-			if err := d2d.SubmitBatch(batch, func(r sim.Time, err error) {
+			onDone := func(r sim.Time, err error) {
 				if err == nil && r > 0 {
 					fired++
 				}
-			}); err != nil {
-				t.Fatal(err)
+			}
+			for _, op := range batch {
+				if err := d2d.Submit(op, onDone); err != nil {
+					t.Fatal(err)
+				}
 			}
 			d2d.Engine().Run()
 			if fired != len(batch) {
@@ -194,7 +201,7 @@ func TestDeviceConformance(t *testing.T) {
 			}
 			const n = 16
 			i := 0
-			if err := d3.ClosedLoop(4, func(int) (trace.Op, bool) {
+			if err := ClosedLoop(d3, 4, func(int) (trace.Op, bool) {
 				if i >= n {
 					return trace.Op{}, false
 				}
@@ -238,7 +245,7 @@ func TestOSDDeviceObjectPath(t *testing.T) {
 	if info.Size != d.LogicalBytes() {
 		t.Fatalf("volume spans %d, want %d", info.Size, d.LogicalBytes())
 	}
-	if err := d.Free(0, 16<<10); err != nil {
+	if err := d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 16 << 10}, nil); err != nil {
 		t.Fatal(err)
 	}
 	d.Engine().Run()

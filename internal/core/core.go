@@ -19,25 +19,19 @@ import (
 )
 
 // Device is the block-level view shared by all media models: submit timed
-// operations, send free (TRIM/delete) notifications, drive a workload
-// stream or a closed loop, and snapshot metrics, all on a simulated
-// clock. A Device owns its engine; device instances are independent
-// simulations and may run concurrently with each other (never
-// individually shared across goroutines).
+// operations (free — TRIM/delete — notifications included), drive a
+// workload stream, and snapshot metrics, all on a simulated clock.
+// Closed-loop replay is the package function ClosedLoop, written once
+// over Submit and the engine. A Device owns its engine; device instances
+// are independent simulations and may run concurrently with each other
+// (never individually shared across goroutines).
 type Device interface {
 	// Submit enqueues an operation at the current simulated time; onDone
-	// (optional) receives the response time when it completes.
+	// (optional) receives the response time when it completes. A
+	// trace.Free op tells the device a byte range no longer holds live
+	// data (the §3.5 signal); media without block management complete it
+	// as a metadata-only no-op.
 	Submit(op trace.Op, onDone func(resp sim.Time, err error)) error
-	// SubmitBatch enqueues a run of operations, all arriving at the
-	// current simulated time, equivalent to submitting them in order.
-	// Media with a batch fast path (the SSD) amortize their dispatch
-	// pump over the run; the rest fall back to per-op submission. It
-	// stops at the first submission error.
-	SubmitBatch(ops []trace.Op, onDone func(resp sim.Time, err error)) error
-	// Free tells the device a byte range no longer holds live data (the
-	// TRIM/OSD-delete signal of §3.5). Devices without block management
-	// complete it as a metadata-only no-op.
-	Free(off, size int64) error
 	// Drive replays a workload stream to completion, open loop: each
 	// operation arrives at its trace timestamp. Timestamps must be
 	// nondecreasing (every generator and the §3.4 aligner satisfy this);
@@ -52,13 +46,6 @@ type Device interface {
 	// are paced to completions instead of piling up unbounded queue
 	// state.
 	Drive(s trace.Stream) error
-	// Play replays a timestamped trace to completion. Equivalent to
-	// Drive(trace.FromSlice(ops)), including the nondecreasing-timestamp
-	// contract; kept as the slice-era adapter.
-	Play(ops []trace.Op) error
-	// ClosedLoop keeps depth ops outstanding, drawing from gen until it
-	// returns false, then runs to completion.
-	ClosedLoop(depth int, gen func(i int) (trace.Op, bool)) error
 	// Engine returns the simulation engine.
 	Engine() *sim.Engine
 	// LogicalBytes reports the usable capacity.
@@ -80,8 +67,8 @@ type Snapshot struct {
 	// BytesRead and BytesWritten count host data moved.
 	BytesRead    int64 `json:"bytes_read"`
 	BytesWritten int64 `json:"bytes_written"`
-	// Frees counts completed free notifications. Every wrapper counts
-	// them, whether or not the medium acts on them: on media without
+	// Frees counts completed free notifications. Every medium counts
+	// them, whether or not it acts on them: on media without
 	// block management a free completes as a metadata no-op but still
 	// increments this field.
 	Frees int64 `json:"frees"`
@@ -168,12 +155,27 @@ func tenantSnapshots(ts stats.TenantSet) []TenantSnapshot {
 	return out
 }
 
+// hostSnapshot converts the host accounting every substrate embeds in
+// its metrics (stats.Host) into a Snapshot — one conversion for all five
+// wrappers. The substrate-specific fields (errors, fault counters) are
+// left for the caller.
+func hostSnapshot(h stats.Host) Snapshot {
+	s := Snapshot{
+		Completed:    h.Completed,
+		BytesRead:    h.BytesRead,
+		BytesWritten: h.BytesWritten,
+		Frees:        h.Frees,
+		Tenants:      tenantSnapshots(h.Tenants),
+	}
+	s.fillLatency(h.ReadResp, h.WriteResp)
+	return s
+}
+
 // fillLatency populates the mean and percentile response-time fields
-// from the two response histograms every substrate keeps in its submit
-// path — one implementation of the latency view for all five wrappers.
-// Every field passes through latencyMs: a device that saw no reads (or
-// no writes) reports 0 for that side, never NaN or ±Inf — encoding/json
-// rejects both, and one poisoned field fails an entire simsvc payload.
+// from a pair of response histograms. Every field passes through
+// latencyMs: a device that saw no reads (or no writes) reports 0 for
+// that side, never NaN or ±Inf — encoding/json rejects both, and one
+// poisoned field fails an entire simsvc payload.
 func (s *Snapshot) fillLatency(read, write stats.Histogram) {
 	s.MeanReadMs = latencyMs(read.Mean())
 	s.MeanWriteMs = latencyMs(write.Mean())
@@ -194,28 +196,23 @@ func latencyMs(v float64) float64 {
 	return v
 }
 
-// freeOp builds the trace record for a Free notification.
-func freeOp(off, size int64) trace.Op {
-	return trace.Op{Kind: trace.Free, Offset: off, Size: size}
-}
-
-// submitEach is the SubmitBatch fallback for media without a batch fast
-// path: a plain loop over Submit, stopping at the first error.
-func submitEach(d Device, ops []trace.Op, onDone func(sim.Time, error)) error {
-	for _, op := range ops {
-		if err := d.Submit(op, onDone); err != nil {
-			return err
-		}
+// respond adapts a Device completion callback to a substrate's request
+// callback. Media other than flash never fail a request, so the error is
+// always nil; a nil onDone stays nil, keeping fire-and-forget submission
+// closure-free.
+func respond[R interface{ Response() sim.Time }](onDone func(sim.Time, error)) func(R) {
+	if onDone == nil {
+		return nil
 	}
-	return nil
+	return func(r R) { onDone(r.Response(), nil) }
 }
 
 // driveConfig carries the Drive-time knobs every wrapper embeds; the
 // shared setter is how Profile.NewDevice applies WithMaxPending to any
 // wrapper without per-type plumbing.
 type driveConfig struct {
-	// MaxPending bounds the requests outstanding during Drive/Play; 0
-	// means unbounded (see WithMaxPending).
+	// MaxPending bounds the requests outstanding during Drive; 0 means
+	// unbounded (see WithMaxPending).
 	MaxPending int
 }
 
@@ -223,9 +220,10 @@ func (c *driveConfig) setMaxPending(n int) { c.MaxPending = n }
 
 // ---- shared workload loops ----
 //
-// Every wrapper implements Drive, Play, and ClosedLoop through the three
-// functions below, in terms of nothing but Submit and the engine: one
-// replay implementation for all five substrates.
+// Open-loop replay (drive) and closed-loop replay (ClosedLoop) are
+// written once, in terms of nothing but Submit and the engine, for all
+// five substrates. The one per-device replay is the flash device's
+// sharded dataplane, which (*SSD).Drive selects when it applies.
 
 // driveLoop is the arrival pump behind drive and driveBounded. One
 // driveLoop is allocated per Drive call and then pumps the whole stream
@@ -368,9 +366,11 @@ func driveBounded(d Device, s trace.Stream, maxPending int) error {
 	return dl.finish()
 }
 
-// closedLoop keeps depth requests outstanding, drawing operations from
-// gen until it returns false; each op's At field is ignored.
-func closedLoop(d Device, depth int, gen func(i int) (trace.Op, bool)) error {
+// ClosedLoop keeps depth requests outstanding on d, drawing operations
+// from gen until it returns false, then runs the engine to completion.
+// Each op's At field is ignored: arrivals happen on completions. It
+// returns the first submission error.
+func ClosedLoop(d Device, depth int, gen func(i int) (trace.Op, bool)) error {
 	if depth <= 0 {
 		depth = 1
 	}
@@ -423,19 +423,6 @@ func (s *SSD) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 	return s.Raw.Submit(op, cb)
 }
 
-// SubmitBatch implements Device through the flash device's batch fast
-// path: one dispatch pump for the whole same-instant run.
-func (s *SSD) SubmitBatch(ops []trace.Op, onDone func(sim.Time, error)) error {
-	var cb func(*ssd.Request)
-	if onDone != nil {
-		cb = func(r *ssd.Request) { onDone(r.Response(), r.Err) }
-	}
-	return s.Raw.SubmitBatch(ops, cb)
-}
-
-// Free implements Device: the FTL drops the mapped pages.
-func (s *SSD) Free(off, size int64) error { return s.Raw.Submit(freeOp(off, size), nil) }
-
 // Drive implements Device. On a device built with shards (WithShards),
 // unbounded open-loop replay runs on the parallel dataplane — multiple
 // cores inside this one simulation, byte-identical to the single-engine
@@ -446,14 +433,6 @@ func (s *SSD) Drive(st trace.Stream) error {
 		return s.Raw.DriveStream(st)
 	}
 	return drive(s, st, s.MaxPending)
-}
-
-// Play implements Device.
-func (s *SSD) Play(ops []trace.Op) error { return s.Drive(trace.FromSlice(ops)) }
-
-// ClosedLoop implements Device.
-func (s *SSD) ClosedLoop(depth int, gen func(int) (trace.Op, bool)) error {
-	return closedLoop(s, depth, gen)
 }
 
 // Engine implements Device.
@@ -468,79 +447,32 @@ func (s *SSD) QueueDepth() int { return s.Raw.QueueDepth() }
 // ssdSnapshot converts the flash device's metrics; shared by the SSD
 // and OSD wrappers, which front the same model.
 func ssdSnapshot(m ssd.Metrics) Snapshot {
-	s := Snapshot{
-		Completed:      m.Completed,
-		BytesRead:      m.BytesRead,
-		BytesWritten:   m.BytesWritten,
-		Frees:          m.Frees,
-		Errors:         m.Errors,
-		FaultsInjected: m.FaultsInjected,
-		FaultRetries:   m.FaultRetries,
-		RetiredBlocks:  m.RetiredBlocks,
-		RemappedPages:  m.RemappedPages,
-		Tenants:        tenantSnapshots(m.Tenants),
-	}
-	s.fillLatency(m.ReadResp, m.WriteResp)
+	s := hostSnapshot(m.Host)
+	s.Errors = m.Errors
+	s.FaultsInjected = m.FaultsInjected
+	s.FaultRetries = m.FaultRetries
+	s.RetiredBlocks = m.RetiredBlocks
+	s.RemappedPages = m.RemappedPages
 	return s
 }
 
 // Metrics implements Device.
 func (s *SSD) Metrics() Snapshot { return ssdSnapshot(s.Raw.Metrics()) }
 
-// HDD wraps the disk model as a core.Device.
+// HDD wraps the disk model as a core.Device. Disks have no TRIM: a free
+// completes as a metadata no-op (still counted in Snapshot.Frees).
 type HDD struct {
 	Raw *hdd.Disk
 	driveConfig
-	// frees counts completed free notifications; the disk model itself
-	// has no TRIM, so the wrapper keeps the Snapshot field uniform.
-	frees int64
-}
-
-// NewHDD builds a disk on a fresh engine. Prefer Open or Build; this
-// remains for callers holding a raw hdd.Config.
-func NewHDD(cfg hdd.Config) (*HDD, error) {
-	d, err := hdd.New(sim.NewEngine(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &HDD{Raw: d}, nil
 }
 
 // Submit implements Device.
 func (h *HDD) Submit(op trace.Op, onDone func(sim.Time, error)) error {
-	var cb func(*hdd.Request)
-	if isFree := op.Kind == trace.Free; isFree || onDone != nil {
-		cb = func(r *hdd.Request) {
-			if isFree {
-				h.frees++
-			}
-			if onDone != nil {
-				onDone(r.Response(), nil)
-			}
-		}
-	}
-	return h.Raw.Submit(op, cb)
+	return h.Raw.Submit(op, respond[*hdd.Request](onDone))
 }
-
-// SubmitBatch implements Device (per-op fallback).
-func (h *HDD) SubmitBatch(ops []trace.Op, onDone func(sim.Time, error)) error {
-	return submitEach(h, ops, onDone)
-}
-
-// Free implements Device: disks have no TRIM; the request completes as a
-// metadata no-op (and is counted in Snapshot.Frees).
-func (h *HDD) Free(off, size int64) error { return h.Submit(freeOp(off, size), nil) }
 
 // Drive implements Device.
 func (h *HDD) Drive(st trace.Stream) error { return drive(h, st, h.MaxPending) }
-
-// Play implements Device.
-func (h *HDD) Play(ops []trace.Op) error { return drive(h, trace.FromSlice(ops), h.MaxPending) }
-
-// ClosedLoop implements Device.
-func (h *HDD) ClosedLoop(depth int, gen func(int) (trace.Op, bool)) error {
-	return closedLoop(h, depth, gen)
-}
 
 // Engine implements Device.
 func (h *HDD) Engine() *sim.Engine { return h.Raw.Engine() }
@@ -552,18 +484,7 @@ func (h *HDD) LogicalBytes() int64 { return h.Raw.LogicalBytes() }
 func (h *HDD) QueueDepth() int { return h.Raw.QueueDepth() }
 
 // Metrics implements Device.
-func (h *HDD) Metrics() Snapshot {
-	m := h.Raw.Metrics()
-	s := Snapshot{
-		Completed:    m.Completed,
-		BytesRead:    m.BytesRead,
-		BytesWritten: m.BytesWritten,
-		Frees:        h.frees,
-		Tenants:      tenantSnapshots(m.Tenants),
-	}
-	s.fillLatency(m.ReadResp, m.WriteResp)
-	return s
-}
+func (h *HDD) Metrics() Snapshot { return hostSnapshot(h.Raw.Metrics().Host) }
 
 // Compile-time interface checks.
 var (
@@ -593,7 +514,7 @@ func PreconditionFrac(d Device, chunk int64, frac float64) error {
 	}
 	space := int64(float64(d.LogicalBytes()) * frac)
 	var off int64
-	return d.ClosedLoop(1, func(int) (trace.Op, bool) {
+	return ClosedLoop(d, 1, func(int) (trace.Op, bool) {
 		if off >= space {
 			return trace.Op{}, false
 		}
@@ -649,7 +570,7 @@ func MeasureBandwidth(d Device, o BWOptions) (float64, error) {
 	start := d.Engine().Now()
 	var off int64
 	i := 0
-	err := d.ClosedLoop(o.Depth, func(int) (trace.Op, bool) {
+	err := ClosedLoop(d, o.Depth, func(int) (trace.Op, bool) {
 		if i >= n {
 			return trace.Op{}, false
 		}

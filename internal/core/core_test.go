@@ -46,7 +46,7 @@ func TestSSDWrapperRoundTrip(t *testing.T) {
 }
 
 func TestHDDWrapperRoundTrip(t *testing.T) {
-	d, err := NewHDD(hdd.Barracuda7200())
+	d, err := Open("hdd", WithHDD(hdd.Barracuda7200()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,21 +65,21 @@ func TestHDDWrapperRoundTrip(t *testing.T) {
 }
 
 func TestRAIDAndMEMSWrappers(t *testing.T) {
-	r, err := NewRAID(DefaultRAID())
+	r, err := Open("raid", WithRAID(DefaultRAID()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Play([]trace.Op{{Kind: trace.Write, Offset: 0, Size: 4096}}); err != nil {
+	if err := r.Drive(trace.FromSlice([]trace.Op{{Kind: trace.Write, Offset: 0, Size: 4096}})); err != nil {
 		t.Fatal(err)
 	}
 	if rm := r.Metrics(); rm.Completed != 1 || rm.BytesWritten != 4096 {
 		t.Fatalf("raid metrics: %d %d", rm.Completed, rm.BytesWritten)
 	}
-	m, err := NewMEMS(DefaultMEMS())
+	m, err := Open("mems", WithMEMS(DefaultMEMS()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Play([]trace.Op{{Kind: trace.Read, Offset: 0, Size: 4096}}); err != nil {
+	if err := m.Drive(trace.FromSlice([]trace.Op{{Kind: trace.Read, Offset: 0, Size: 4096}})); err != nil {
 		t.Fatal(err)
 	}
 	if mm := m.Metrics(); mm.Completed != 1 || mm.BytesRead != 4096 {
@@ -189,7 +189,7 @@ func TestSnapshotPercentiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var off int64
-	if err := d.ClosedLoop(2, func(i int) (trace.Op, bool) {
+	if err := ClosedLoop(d, 2, func(i int) (trace.Op, bool) {
 		if i >= 200 {
 			return trace.Op{}, false
 		}

@@ -9,60 +9,20 @@ import (
 )
 
 // RAID wraps the RAID-5 array model as a core.Device (Table 1's RAID
-// column).
+// column). The array has no TRIM: a free completes as a metadata no-op
+// (still counted in Snapshot.Frees).
 type RAID struct {
 	Raw *raid.Array
 	driveConfig
-	// frees counts completed free notifications (the array has no TRIM;
-	// the wrapper keeps the Snapshot field uniform).
-	frees int64
-}
-
-// NewRAID builds an array on a fresh engine. Prefer Open or Build; this
-// remains for callers holding a raw raid.Config.
-func NewRAID(cfg raid.Config) (*RAID, error) {
-	a, err := raid.New(sim.NewEngine(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &RAID{Raw: a}, nil
 }
 
 // Submit implements Device.
 func (r *RAID) Submit(op trace.Op, onDone func(sim.Time, error)) error {
-	var cb func(*raid.Request)
-	if isFree := op.Kind == trace.Free; isFree || onDone != nil {
-		cb = func(q *raid.Request) {
-			if isFree {
-				r.frees++
-			}
-			if onDone != nil {
-				onDone(q.Response(), nil)
-			}
-		}
-	}
-	return r.Raw.Submit(op, cb)
+	return r.Raw.Submit(op, respond[*raid.Request](onDone))
 }
-
-// SubmitBatch implements Device (per-op fallback).
-func (r *RAID) SubmitBatch(ops []trace.Op, onDone func(sim.Time, error)) error {
-	return submitEach(r, ops, onDone)
-}
-
-// Free implements Device: the array has no TRIM; the request completes as
-// a metadata no-op (and is counted in Snapshot.Frees).
-func (r *RAID) Free(off, size int64) error { return r.Submit(freeOp(off, size), nil) }
 
 // Drive implements Device.
 func (r *RAID) Drive(st trace.Stream) error { return drive(r, st, r.MaxPending) }
-
-// Play implements Device.
-func (r *RAID) Play(ops []trace.Op) error { return drive(r, trace.FromSlice(ops), r.MaxPending) }
-
-// ClosedLoop implements Device.
-func (r *RAID) ClosedLoop(depth int, gen func(int) (trace.Op, bool)) error {
-	return closedLoop(r, depth, gen)
-}
 
 // Engine implements Device.
 func (r *RAID) Engine() *sim.Engine { return r.Raw.Engine() }
@@ -74,74 +34,23 @@ func (r *RAID) LogicalBytes() int64 { return r.Raw.LogicalBytes() }
 func (r *RAID) QueueDepth() int { return r.Raw.QueueDepth() }
 
 // Metrics implements Device.
-func (r *RAID) Metrics() Snapshot {
-	m := r.Raw.Metrics()
-	s := Snapshot{
-		Completed:    m.Completed,
-		BytesRead:    m.BytesRead,
-		BytesWritten: m.BytesWritten,
-		Frees:        r.frees,
-		Tenants:      tenantSnapshots(m.Tenants),
-	}
-	s.fillLatency(m.ReadResp, m.WriteResp)
-	return s
-}
+func (r *RAID) Metrics() Snapshot { return hostSnapshot(r.Raw.Metrics().Host) }
 
 // MEMS wraps the MEMS-storage model as a core.Device (Table 1's MEMS
-// column).
+// column). MEMS media writes in place: a free completes as a metadata
+// no-op (still counted in Snapshot.Frees).
 type MEMS struct {
 	Raw *mems.Device
 	driveConfig
-	// frees counts completed free notifications (MEMS media writes in
-	// place; the wrapper keeps the Snapshot field uniform).
-	frees int64
-}
-
-// NewMEMS builds a device on a fresh engine. Prefer Open or Build; this
-// remains for callers holding a raw mems.Config.
-func NewMEMS(cfg mems.Config) (*MEMS, error) {
-	d, err := mems.New(sim.NewEngine(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &MEMS{Raw: d}, nil
 }
 
 // Submit implements Device.
 func (m *MEMS) Submit(op trace.Op, onDone func(sim.Time, error)) error {
-	var cb func(*mems.Request)
-	if isFree := op.Kind == trace.Free; isFree || onDone != nil {
-		cb = func(q *mems.Request) {
-			if isFree {
-				m.frees++
-			}
-			if onDone != nil {
-				onDone(q.Response(), nil)
-			}
-		}
-	}
-	return m.Raw.Submit(op, cb)
+	return m.Raw.Submit(op, respond[*mems.Request](onDone))
 }
-
-// SubmitBatch implements Device (per-op fallback).
-func (m *MEMS) SubmitBatch(ops []trace.Op, onDone func(sim.Time, error)) error {
-	return submitEach(m, ops, onDone)
-}
-
-// Free implements Device: MEMS media writes in place; the request
-// completes as a metadata no-op (and is counted in Snapshot.Frees).
-func (m *MEMS) Free(off, size int64) error { return m.Submit(freeOp(off, size), nil) }
 
 // Drive implements Device.
 func (m *MEMS) Drive(st trace.Stream) error { return drive(m, st, m.MaxPending) }
-
-// Play implements Device.
-func (m *MEMS) Play(ops []trace.Op) error { return drive(m, trace.FromSlice(ops), m.MaxPending) }
-
-// ClosedLoop implements Device.
-func (m *MEMS) ClosedLoop(depth int, gen func(int) (trace.Op, bool)) error {
-	return closedLoop(m, depth, gen)
-}
 
 // Engine implements Device.
 func (m *MEMS) Engine() *sim.Engine { return m.Raw.Engine() }
@@ -153,18 +62,7 @@ func (m *MEMS) LogicalBytes() int64 { return m.Raw.LogicalBytes() }
 func (m *MEMS) QueueDepth() int { return m.Raw.QueueDepth() }
 
 // Metrics implements Device.
-func (m *MEMS) Metrics() Snapshot {
-	mm := m.Raw.Metrics()
-	s := Snapshot{
-		Completed:    mm.Completed,
-		BytesRead:    mm.BytesRead,
-		BytesWritten: mm.BytesWritten,
-		Frees:        m.frees,
-		Tenants:      tenantSnapshots(mm.Tenants),
-	}
-	s.fillLatency(mm.ReadResp, mm.WriteResp)
-	return s
-}
+func (m *MEMS) Metrics() Snapshot { return hostSnapshot(m.Raw.Metrics().Host) }
 
 // DefaultRAID is the Table 1 array: five Barracuda-class spindles,
 // 64 KiB stripe units.

@@ -31,18 +31,13 @@ type FaultDevice struct {
 	// snapshot so host byte counters keep their meaning.
 	retryBytesRead    int64
 	retryBytesWritten int64
-	// The wrapper keeps its own response histograms: a retried op's true
-	// response spans both services plus the pause, which the inner
-	// device's histograms record as two separate ordinary ops.
-	readResp  stats.Histogram
-	writeResp stats.Histogram
-	// tenants is the wrapper-eye per-tenant view, kept for the same
-	// reason: the inner device's per-tenant accumulators double-count a
-	// retried op (two services, two records) and never see dead ops. The
-	// wrapper records each host op exactly once, so its set replaces the
-	// inner one in the snapshot and per-tenant entries always sum to the
-	// reconciled host totals.
-	tenants stats.TenantSet
+	// host is the wrapper-eye record of each host op, taken exactly once
+	// at completion. Its latency and per-tenant views replace the inner
+	// device's in the snapshot: a retried op's true response spans both
+	// services plus the pause, which the inner device records as two
+	// ordinary ops, and dead ops never reach the inner device at all. So
+	// per-tenant entries always sum to the reconciled host totals.
+	host stats.Host
 }
 
 // record logs one host-visible completion (a failed op completes with
@@ -50,17 +45,10 @@ type FaultDevice struct {
 // dead ops, which moved no media bytes: the op still counts for its
 // tenant, but contributes zero bytes, matching the top-level counters.
 func (f *FaultDevice) record(op trace.Op, resp sim.Time, serviced bool) {
-	ms := resp.Millis()
-	if op.Kind == trace.Read {
-		f.readResp.Add(ms)
-	} else {
-		f.writeResp.Add(ms)
-	}
-	size := op.Size
 	if !serviced {
-		size = 0
+		op.Size = 0
 	}
-	f.tenants.Record(op.Tenant, op.Kind != trace.Read, size, ms)
+	f.host.Record(op, resp.Millis())
 }
 
 // WrapFault applies a fault plan to an existing device. The plan must
@@ -86,7 +74,7 @@ func (f *FaultDevice) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 	if f.plan.DeadAt(0, seq) {
 		f.injected++
 		f.deadOps++
-		// Complete as an event, not synchronously: callers (closedLoop,
+		// Complete as an event, not synchronously: callers (ClosedLoop,
 		// driveBounded) resubmit from their completion callbacks.
 		f.inner.Engine().At(f.inner.Engine().Now(), func() {
 			f.record(op, 0, false)
@@ -132,27 +120,8 @@ func (f *FaultDevice) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 	})
 }
 
-// SubmitBatch implements Device (per-op fallback, so every op passes
-// through the injector).
-func (f *FaultDevice) SubmitBatch(ops []trace.Op, onDone func(sim.Time, error)) error {
-	return submitEach(f, ops, onDone)
-}
-
-// Free implements Device.
-func (f *FaultDevice) Free(off, size int64) error { return f.inner.Free(off, size) }
-
 // Drive implements Device.
 func (f *FaultDevice) Drive(st trace.Stream) error { return drive(f, st, f.MaxPending) }
-
-// Play implements Device.
-func (f *FaultDevice) Play(ops []trace.Op) error {
-	return drive(f, trace.FromSlice(ops), f.MaxPending)
-}
-
-// ClosedLoop implements Device.
-func (f *FaultDevice) ClosedLoop(depth int, gen func(int) (trace.Op, bool)) error {
-	return closedLoop(f, depth, gen)
-}
 
 // Engine implements Device.
 func (f *FaultDevice) Engine() *sim.Engine { return f.inner.Engine() }
@@ -183,8 +152,8 @@ func (f *FaultDevice) Metrics() Snapshot {
 	// counted every retry twice and never saw dead ops, while the
 	// wrapper's set records each host op exactly once, so per-tenant
 	// entries sum to the reconciled totals above.
-	s.Tenants = tenantSnapshots(f.tenants)
-	s.fillLatency(f.readResp, f.writeResp)
+	s.Tenants = tenantSnapshots(f.host.Tenants)
+	s.fillLatency(f.host.ReadResp, f.host.WriteResp)
 	return s
 }
 
@@ -207,7 +176,7 @@ func ReplayRecovery(d Device, frac float64) error {
 	}
 	const chunk = int64(1 << 20)
 	var off int64
-	return d.ClosedLoop(1, func(int) (trace.Op, bool) {
+	return ClosedLoop(d, 1, func(int) (trace.Op, bool) {
 		if off >= space {
 			return trace.Op{}, false
 		}

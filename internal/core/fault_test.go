@@ -72,7 +72,7 @@ func TestSnapshotUniformAcrossKinds(t *testing.T) {
 func faultLoopWrites(t *testing.T, d Device, n int) {
 	t.Helper()
 	i := 0
-	err := d.ClosedLoop(2, func(int) (trace.Op, bool) {
+	err := ClosedLoop(d, 2, func(int) (trace.Op, bool) {
 		if i >= n {
 			return trace.Op{}, false
 		}

@@ -82,26 +82,8 @@ func (o *OSD) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 	}
 }
 
-// SubmitBatch implements Device (per-op fallback: the object path does
-// per-extent mapping work the flash batch pump cannot amortize).
-func (o *OSD) SubmitBatch(ops []trace.Op, onDone func(sim.Time, error)) error {
-	return submitEach(o, ops, onDone)
-}
-
-// Free implements Device: the notification travels the object path and
-// the FTL drops the backing pages.
-func (o *OSD) Free(off, size int64) error { return o.Store.FreeRange(o.vol, off, size, nil) }
-
 // Drive implements Device.
 func (o *OSD) Drive(st trace.Stream) error { return drive(o, st, o.MaxPending) }
-
-// Play implements Device.
-func (o *OSD) Play(ops []trace.Op) error { return drive(o, trace.FromSlice(ops), o.MaxPending) }
-
-// ClosedLoop implements Device.
-func (o *OSD) ClosedLoop(depth int, gen func(int) (trace.Op, bool)) error {
-	return closedLoop(o, depth, gen)
-}
 
 // Engine implements Device.
 func (o *OSD) Engine() *sim.Engine { return o.Raw.Engine() }

@@ -77,11 +77,11 @@ type Profile struct {
 	// built-in profile sets one).
 	Seed int64
 	// MaxPending bounds the requests outstanding while the device is
-	// driven open loop (Drive/Play): admission control against arrival
+	// driven open loop (Drive): admission control against arrival
 	// storms. 0 means unbounded (see WithMaxPending).
 	MaxPending int
 	// Shards requests the parallel dataplane on flash devices: open-loop
-	// Drive/Play runs across this many engines, one per element group,
+	// Drive runs across this many engines, one per element group,
 	// byte-identical to the single-engine replay (see WithShards). 0
 	// falls back to the process default (SetDefaultShards); 1 forces
 	// single-engine. Configurations the dataplane cannot decompose
@@ -139,11 +139,17 @@ func (p *Profile) NewDevice() (Device, error) {
 	)
 	switch p.Kind {
 	case KindHDD:
-		d, err = NewHDD(p.HDD)
+		var raw *hdd.Disk
+		raw, err = hdd.New(sim.NewEngine(), p.HDD)
+		d = &HDD{Raw: raw}
 	case KindMEMS:
-		d, err = NewMEMS(p.MEMS)
+		var raw *mems.Device
+		raw, err = mems.New(sim.NewEngine(), p.MEMS)
+		d = &MEMS{Raw: raw}
 	case KindRAID:
-		d, err = NewRAID(p.RAID)
+		var raw *raid.Array
+		raw, err = raid.New(sim.NewEngine(), p.RAID)
+		d = &RAID{Raw: raw}
 	case KindOSD:
 		cfg := p.SSD
 		cfg.Fault = plan

@@ -94,8 +94,8 @@ func ExtendedProfiles() []Profile {
 type Option func(*Profile) error
 
 // Open builds the named profile's device with the options applied — the
-// single constructor replacing the per-substrate NewSSD/NewHDD/NewMEMS/
-// NewRAID/NewOSD call sites.
+// one constructor for every substrate (NewSSD and NewOSD remain for
+// callers holding a raw ssd.Config).
 func Open(name string, opts ...Option) (Device, error) {
 	p, err := ProfileByName(name)
 	if err != nil {
@@ -169,7 +169,7 @@ func WithQueueDepth(depth int) Option {
 }
 
 // WithMaxPending bounds the number of requests outstanding while the
-// device is driven open loop (Drive/Play): once n requests are in
+// device is driven open loop (Drive): once n requests are in
 // flight, further arrivals are paced to completions instead of piling
 // unbounded queue state — backpressure for arrival storms the device
 // cannot absorb. It applies to every media kind; 0 restores the

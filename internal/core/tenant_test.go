@@ -13,7 +13,7 @@ func tenantMixLoop(t *testing.T, d Device, n int) {
 	t.Helper()
 	tenants := []uint8{0, 1, 3}
 	i := 0
-	err := d.ClosedLoop(2, func(int) (trace.Op, bool) {
+	err := ClosedLoop(d, 2, func(int) (trace.Op, bool) {
 		if i >= n {
 			return trace.Op{}, false
 		}
@@ -32,7 +32,7 @@ func tenantMixLoop(t *testing.T, d Device, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Free(0, 4096); err != nil {
+	if err := d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 4096}, nil); err != nil {
 		t.Fatal(err)
 	}
 	d.Engine().Run()

@@ -150,7 +150,7 @@ func randomWrites(d core.Device, total int64, seed int64) error {
 	n := int(total / 4096)
 	space := d.LogicalBytes() / 4096
 	i := 0
-	return d.ClosedLoop(4, func(int) (trace.Op, bool) {
+	return core.ClosedLoop(d, 4, func(int) (trace.Op, bool) {
 		if i >= n {
 			return trace.Op{}, false
 		}
@@ -206,7 +206,7 @@ func measureClass(c deviceClass, seed int64) (classMeasurements, error) {
 		}
 		toggle := false
 		i := 0
-		err = d.ClosedLoop(1, func(int) (trace.Op, bool) {
+		err = core.ClosedLoop(d, 1, func(int) (trace.Op, bool) {
 			if i >= 40 {
 				return trace.Op{}, false
 			}
@@ -257,7 +257,7 @@ func measureClass(c deviceClass, seed int64) (classMeasurements, error) {
 		}
 		i := 0
 		start := d.Engine().Now()
-		err = d.ClosedLoop(1, func(int) (trace.Op, bool) {
+		err = core.ClosedLoop(d, 1, func(int) (trace.Op, bool) {
 			if i >= n {
 				return trace.Op{}, false
 			}

@@ -67,13 +67,9 @@ func (c *Config) Validate() error {
 
 // Metrics accumulates disk measurements.
 type Metrics struct {
-	Completed               int64
-	ReadResp, WriteResp     stats.Histogram // milliseconds
-	BytesRead, BytesWritten int64
-	CacheHits               int64
-	Seeks                   int64
-	// Tenants breaks completed host transfers down per tenant class.
-	Tenants stats.TenantSet
+	stats.Host
+	CacheHits int64
+	Seeks     int64
 }
 
 // cacheEntry is one dirty range in the write-back cache.
@@ -295,48 +291,6 @@ func (d *Disk) Submit(op trace.Op, onDone func(*Request)) error {
 // actuator is the element set of every disk access: the one arm.
 var actuator = []int{0}
 
-// Play replays a timestamped trace to completion.
-func (d *Disk) Play(ops []trace.Op) error {
-	var firstErr error
-	for _, op := range ops {
-		op := op
-		d.eng.At(op.At, func() {
-			if err := d.Submit(op, nil); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	d.eng.Run()
-	return firstErr
-}
-
-// ClosedLoop keeps depth requests outstanding from gen.
-func (d *Disk) ClosedLoop(depth int, gen func(i int) (trace.Op, bool)) error {
-	if depth <= 0 {
-		depth = 1
-	}
-	var firstErr error
-	i := 0
-	var issue func()
-	// One completion callback for the whole loop, not one per op.
-	reissue := func(*Request) { issue() }
-	issue = func() {
-		op, ok := gen(i)
-		if !ok {
-			return
-		}
-		i++
-		if err := d.Submit(op, reissue); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for k := 0; k < depth; k++ {
-		issue()
-	}
-	d.eng.Run()
-	return firstErr
-}
-
 // finishEvent is the pooled engine callback completing a request with no
 // further media work (cache hits and cache-absorbed writes).
 func finishEvent(a any) {
@@ -366,18 +320,7 @@ func drainDoneEvent(a any) {
 
 func (d *Disk) finish(req *Request) {
 	req.Done = d.eng.Now()
-	d.met.Completed++
-	ms := req.Response().Millis()
-	switch req.Op.Kind {
-	case trace.Read:
-		d.met.ReadResp.Add(ms)
-		d.met.BytesRead += req.Op.Size
-		d.met.Tenants.Record(req.Op.Tenant, false, req.Op.Size, ms)
-	case trace.Write:
-		d.met.WriteResp.Add(ms)
-		d.met.BytesWritten += req.Op.Size
-		d.met.Tenants.Record(req.Op.Tenant, true, req.Op.Size, ms)
-	}
+	d.met.Record(req.Op, req.Response().Millis())
 	if req.onDone != nil {
 		req.onDone(req)
 	}

@@ -85,7 +85,7 @@ func TestSequentialReadBandwidth(t *testing.T) {
 	const reqSize = 1 << 20
 	const n = 64
 	i := 0
-	err := d.ClosedLoop(1, func(int) (trace.Op, bool) {
+	err := closedLoop(d, 1, func(int) (trace.Op, bool) {
 		if i >= n {
 			return trace.Op{}, false
 		}
@@ -108,7 +108,7 @@ func TestRandomReadLatency(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 200
 	i := 0
-	err := d.ClosedLoop(1, func(int) (trace.Op, bool) {
+	err := closedLoop(d, 1, func(int) (trace.Op, bool) {
 		if i >= n {
 			return trace.Op{}, false
 		}
@@ -151,7 +151,7 @@ func TestRandomWriteFasterThanRandomRead(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		const n = 3000
 		i := 0
-		if err := d.ClosedLoop(4, func(int) (trace.Op, bool) {
+		if err := closedLoop(d, 4, func(int) (trace.Op, bool) {
 			if i >= n {
 				return trace.Op{}, false
 			}
@@ -207,6 +207,9 @@ func TestFreeIsNoop(t *testing.T) {
 	if r == nil || r.Response() != 0 {
 		t.Fatal("free not immediate")
 	}
+	if m := d.Metrics(); m.Frees != 1 || m.Completed != 1 {
+		t.Fatalf("frees = %d, completed = %d, want 1 and 1", m.Frees, m.Completed)
+	}
 }
 
 func TestSubmitValidation(t *testing.T) {
@@ -225,9 +228,7 @@ func TestPlayDrains(t *testing.T) {
 		{At: 0, Kind: trace.Write, Offset: 0, Size: 65536},
 		{At: sim.Millisecond, Kind: trace.Read, Offset: 1 << 30, Size: 65536},
 	}
-	if err := d.Play(ops); err != nil {
-		t.Fatal(err)
-	}
+	play(t, d, ops)
 	if d.Metrics().Completed != 2 {
 		t.Fatalf("completed = %d", d.Metrics().Completed)
 	}
@@ -293,4 +294,42 @@ func TestSequentialDetectionResetsOnSeek(t *testing.T) {
 	if jump <= cont {
 		t.Fatalf("seek after jump (%v) not dearer than continuation (%v)", jump, cont)
 	}
+}
+
+// closedLoop keeps depth requests outstanding on d, drawing ops from
+// gen until it returns false, then drains the engine. It returns the
+// first submission error.
+func closedLoop(d *Disk, depth int, gen func(i int) (trace.Op, bool)) error {
+	var firstErr error
+	i := 0
+	var issue func(*Request)
+	issue = func(*Request) {
+		op, ok := gen(i)
+		if !ok {
+			return
+		}
+		i++
+		if err := d.Submit(op, issue); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	for k := 0; k < depth; k++ {
+		issue(nil)
+	}
+	d.Engine().Run()
+	return firstErr
+}
+
+// play submits each op at its trace timestamp and drains the engine.
+func play(t *testing.T, d *Disk, ops []trace.Op) {
+	t.Helper()
+	eng := d.Engine()
+	for _, op := range ops {
+		eng.At(op.At, func() {
+			if err := d.Submit(op, nil); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	eng.Run()
 }

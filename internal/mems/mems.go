@@ -55,12 +55,8 @@ func (c *Config) Validate() error {
 
 // Metrics accumulates measurements.
 type Metrics struct {
-	Completed               int64
-	ReadResp, WriteResp     stats.Histogram // ms
-	BytesRead, BytesWritten int64
-	Seeks                   int64
-	// Tenants breaks completed host transfers down per tenant class.
-	Tenants stats.TenantSet
+	stats.Host
+	Seeks int64
 }
 
 // Request mirrors the device request lifecycle.
@@ -183,61 +179,8 @@ func (d *Device) serve(data any, now sim.Time) {
 
 func (d *Device) finish(req *Request) {
 	req.Done = d.eng.Now()
-	d.met.Completed++
-	ms := req.Response().Millis()
-	switch req.Op.Kind {
-	case trace.Read:
-		d.met.ReadResp.Add(ms)
-		d.met.BytesRead += req.Op.Size
-		d.met.Tenants.Record(req.Op.Tenant, false, req.Op.Size, ms)
-	case trace.Write:
-		d.met.WriteResp.Add(ms)
-		d.met.BytesWritten += req.Op.Size
-		d.met.Tenants.Record(req.Op.Tenant, true, req.Op.Size, ms)
-	}
+	d.met.Record(req.Op, req.Response().Millis())
 	if req.onDone != nil {
 		req.onDone(req)
 	}
-}
-
-// Play replays a timestamped trace.
-func (d *Device) Play(ops []trace.Op) error {
-	var firstErr error
-	for _, op := range ops {
-		op := op
-		d.eng.At(op.At, func() {
-			if err := d.Submit(op, nil); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	d.eng.Run()
-	return firstErr
-}
-
-// ClosedLoop keeps depth requests outstanding from gen.
-func (d *Device) ClosedLoop(depth int, gen func(i int) (trace.Op, bool)) error {
-	if depth <= 0 {
-		depth = 1
-	}
-	var firstErr error
-	i := 0
-	var issue func()
-	// One completion callback for the whole loop, not one per op.
-	reissue := func(*Request) { issue() }
-	issue = func() {
-		op, ok := gen(i)
-		if !ok {
-			return
-		}
-		i++
-		if err := d.Submit(op, reissue); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for k := 0; k < depth; k++ {
-		issue()
-	}
-	d.eng.Run()
-	return firstErr
 }

@@ -49,7 +49,7 @@ func TestSequentialStreamsAtMediaRate(t *testing.T) {
 	const req = 1 << 20
 	const n = 32
 	i := 0
-	err := d.ClosedLoop(1, func(int) (trace.Op, bool) {
+	err := closedLoop(d, 1, func(int) (trace.Op, bool) {
 		if i >= n {
 			return trace.Op{}, false
 		}
@@ -71,7 +71,7 @@ func TestRandomSlowerButNotDisklike(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 500
 	i := 0
-	err := d.ClosedLoop(1, func(int) (trace.Op, bool) {
+	err := closedLoop(d, 1, func(int) (trace.Op, bool) {
 		if i >= n {
 			return trace.Op{}, false
 		}
@@ -116,6 +116,9 @@ func TestWriteAndFree(t *testing.T) {
 	if f == nil || f.Response() != 0 {
 		t.Fatal("free not immediate no-op")
 	}
+	if m := d.Metrics(); m.Frees != 1 || m.Completed != 2 {
+		t.Fatalf("frees = %d, completed = %d, want 1 and 2", m.Frees, m.Completed)
+	}
 }
 
 func TestSubmitValidation(t *testing.T) {
@@ -130,12 +133,10 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestPlay(t *testing.T) {
 	_, d := newDevice(t)
-	if err := d.Play([]trace.Op{
+	play(t, d, []trace.Op{
 		{At: 0, Kind: trace.Write, Offset: 0, Size: 65536},
 		{At: sim.Millisecond, Kind: trace.Read, Offset: 1 << 28, Size: 65536},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if d.Metrics().Completed != 2 {
 		t.Fatalf("completed = %d", d.Metrics().Completed)
 	}
@@ -148,7 +149,7 @@ func TestUniformAddressSpace(t *testing.T) {
 		eng, d := newDevice(t)
 		const req = 1 << 20
 		i := 0
-		if err := d.ClosedLoop(1, func(int) (trace.Op, bool) {
+		if err := closedLoop(d, 1, func(int) (trace.Op, bool) {
 			if i >= 16 {
 				return trace.Op{}, false
 			}
@@ -165,4 +166,42 @@ func TestUniformAddressSpace(t *testing.T) {
 	if ratio := outer / inner; ratio > 1.05 || ratio < 0.95 {
 		t.Fatalf("address space not uniform: outer/inner = %.3f", ratio)
 	}
+}
+
+// closedLoop keeps depth requests outstanding on d, drawing ops from
+// gen until it returns false, then drains the engine. It returns the
+// first submission error.
+func closedLoop(d *Device, depth int, gen func(i int) (trace.Op, bool)) error {
+	var firstErr error
+	i := 0
+	var issue func(*Request)
+	issue = func(*Request) {
+		op, ok := gen(i)
+		if !ok {
+			return
+		}
+		i++
+		if err := d.Submit(op, issue); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	for k := 0; k < depth; k++ {
+		issue(nil)
+	}
+	d.Engine().Run()
+	return firstErr
+}
+
+// play submits each op at its trace timestamp and drains the engine.
+func play(t *testing.T, d *Device, ops []trace.Op) {
+	t.Helper()
+	eng := d.Engine()
+	for _, op := range ops {
+		eng.At(op.At, func() {
+			if err := d.Submit(op, nil); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	eng.Run()
 }

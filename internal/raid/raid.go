@@ -42,15 +42,11 @@ func (c *Config) Validate() error {
 
 // Metrics accumulates array-level measurements.
 type Metrics struct {
-	Completed               int64
-	ReadResp, WriteResp     stats.Histogram // milliseconds
-	BytesRead, BytesWritten int64           // host bytes
+	stats.Host
 	// DiskBytesRead/Written count spindle-level traffic, including parity
 	// and read-modify-write; DiskBytesWritten/BytesWritten is the array's
 	// write amplification.
 	DiskBytesRead, DiskBytesWritten int64
-	// Tenants breaks completed host transfers down per tenant class.
-	Tenants stats.TenantSet
 }
 
 // Request mirrors the device request lifecycle.
@@ -239,61 +235,10 @@ func (a *Array) Submit(op trace.Op, onDone func(*Request)) error {
 
 func (a *Array) finish(req *Request) {
 	req.Done = a.eng.Now()
-	a.met.Completed++
-	ms := req.Response().Millis()
-	switch req.Op.Kind {
-	case trace.Read:
-		a.met.ReadResp.Add(ms)
-		a.met.BytesRead += req.Op.Size
-		a.met.Tenants.Record(req.Op.Tenant, false, req.Op.Size, ms)
-	case trace.Write:
-		a.met.WriteResp.Add(ms)
-		a.met.BytesWritten += req.Op.Size
-		a.met.Tenants.Record(req.Op.Tenant, true, req.Op.Size, ms)
-	}
+	a.met.Record(req.Op, req.Response().Millis())
 	if req.onDone != nil {
 		req.onDone(req)
 	}
-}
-
-// Play replays a timestamped trace to completion.
-func (a *Array) Play(ops []trace.Op) error {
-	var firstErr error
-	for _, op := range ops {
-		op := op
-		a.eng.At(op.At, func() {
-			if err := a.Submit(op, nil); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	a.eng.Run()
-	return firstErr
-}
-
-// ClosedLoop keeps depth requests outstanding from gen.
-func (a *Array) ClosedLoop(depth int, gen func(i int) (trace.Op, bool)) error {
-	if depth <= 0 {
-		depth = 1
-	}
-	var firstErr error
-	i := 0
-	var issue func()
-	issue = func() {
-		op, ok := gen(i)
-		if !ok {
-			return
-		}
-		i++
-		if err := a.Submit(op, func(*Request) { issue() }); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for k := 0; k < depth; k++ {
-		issue()
-	}
-	a.eng.Run()
-	return firstErr
 }
 
 // WriteAmplification reports spindle write bytes per host write byte.

@@ -169,23 +169,24 @@ func TestFreeIsNoop(t *testing.T) {
 	if r == nil || r.Response() != 0 {
 		t.Fatal("free not immediate")
 	}
+	if m := a.Metrics(); m.Frees != 1 || m.Completed != 1 {
+		t.Fatalf("frees = %d, completed = %d, want 1 and 1", m.Frees, m.Completed)
+	}
 }
 
 func TestPlayAndClosedLoop(t *testing.T) {
 	_, a := newArray(t)
-	if err := a.Play([]trace.Op{
+	play(t, a, []trace.Op{
 		{At: 0, Kind: trace.Write, Offset: 0, Size: 8192},
 		{At: sim.Millisecond, Kind: trace.Read, Offset: 0, Size: 8192},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if a.Metrics().Completed != 2 {
 		t.Fatalf("completed = %d", a.Metrics().Completed)
 	}
 	eng2 := sim.NewEngine()
 	a2, _ := New(eng2, testConfig())
 	i := 0
-	if err := a2.ClosedLoop(2, func(int) (trace.Op, bool) {
+	if err := closedLoop(a2, 2, func(int) (trace.Op, bool) {
 		if i >= 10 {
 			return trace.Op{}, false
 		}
@@ -236,4 +237,42 @@ func TestPlanProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(51))}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// closedLoop keeps depth requests outstanding on a, drawing ops from
+// gen until it returns false, then drains the engine. It returns the
+// first submission error.
+func closedLoop(a *Array, depth int, gen func(i int) (trace.Op, bool)) error {
+	var firstErr error
+	i := 0
+	var issue func(*Request)
+	issue = func(*Request) {
+		op, ok := gen(i)
+		if !ok {
+			return
+		}
+		i++
+		if err := a.Submit(op, issue); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	for k := 0; k < depth; k++ {
+		issue(nil)
+	}
+	a.Engine().Run()
+	return firstErr
+}
+
+// play submits each op at its trace timestamp and drains the engine.
+func play(t *testing.T, a *Array, ops []trace.Op) {
+	t.Helper()
+	eng := a.Engine()
+	for _, op := range ops {
+		eng.At(op.At, func() {
+			if err := a.Submit(op, nil); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	eng.Run()
 }

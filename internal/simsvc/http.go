@@ -29,6 +29,22 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// MaxBodyBytes caps the JSON request body of every POST endpoint that
+// submits work (jobs, experiments, campaigns). Wrap the body with
+// http.MaxBytesReader(w, r.Body, MaxBodyBytes) and answer a decode error
+// with BodyStatus.
+const MaxBodyBytes = 1 << 20
+
+// BodyStatus maps a request-body decode error to its HTTP status: 413
+// when the body overran its MaxBytesReader limit, 400 otherwise.
+func BodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // profileInfo is one GET /profiles row.
 type profileInfo struct {
 	Name        string `json:"name"`
@@ -78,10 +94,10 @@ func (m *Manager) Handler() http.Handler {
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("simsvc: bad job spec: %w", err))
+			writeError(w, BodyStatus(err), fmt.Errorf("simsvc: bad job spec: %w", err))
 			return
 		}
 		job, err := m.Submit(spec)
@@ -185,8 +201,8 @@ func (m *Manager) Handler() http.Handler {
 		}
 		var req experimentRequest
 		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("simsvc: bad experiment request: %w", err))
+			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(&req); err != nil {
+				writeError(w, BodyStatus(err), fmt.Errorf("simsvc: bad experiment request: %w", err))
 				return
 			}
 		}

@@ -817,3 +817,37 @@ func TestJobTimestampsAndAggregates(t *testing.T) {
 		t.Fatalf("cache hit moved the aggregates: %+v", s)
 	}
 }
+
+// oversizedBody is a syntactically valid JSON object whose one string
+// field runs past MaxBodyBytes, so only the size cap can reject it.
+func oversizedBody(field string) *strings.Reader {
+	return strings.NewReader(`{"` + field + `":"` + strings.Repeat("x", 2<<20) + `"}`)
+}
+
+// TestOversizedBodiesRejected pins the request-body cap on the work
+// submitting endpoints: a 2 MiB body answers 413 and starts nothing.
+func TestOversizedBodiesRejected(t *testing.T) {
+	m := New(Options{Workers: 1})
+	defer m.Close()
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+
+	for _, tc := range []struct{ path, field string }{
+		{"/jobs", "profile"},
+		{"/experiments/swtf", "pad"},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", oversizedBody(tc.field))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a 2 MiB body: %d: %s", tc.path, resp.StatusCode, b)
+		}
+	}
+	st := m.Stats()
+	if st.JobsSubmitted != 0 || st.Cache.Entries != 0 || st.Cache.Misses != 0 {
+		t.Fatalf("oversized bodies reached the service: %d jobs submitted, cache %+v", st.JobsSubmitted, st.Cache)
+	}
+}

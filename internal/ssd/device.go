@@ -49,18 +49,15 @@ func (r *Request) Response() sim.Time { return r.Done - r.Arrive }
 
 // Metrics accumulates device-level measurements.
 type Metrics struct {
-	// Requests counts arrivals; Completed counts finished requests.
-	Requests, Completed int64
-	// ReadResp and WriteResp are response-time histograms in
-	// milliseconds, by operation type.
-	ReadResp, WriteResp stats.Histogram
+	// Host is the host-visible accounting shared with every media model.
+	// Completed counts finished requests, errors included; Frees counts
+	// free notifications processed successfully.
+	stats.Host
+	// Requests counts arrivals.
+	Requests int64
 	// PriResp and BgResp are response-time histograms in milliseconds for
 	// priority (foreground) and normal (background) requests (§3.6).
 	PriResp, BgResp stats.Histogram
-	// BytesRead and BytesWritten count host data moved.
-	BytesRead, BytesWritten int64
-	// Frees counts free (deallocation) notifications processed.
-	Frees int64
 	// Errors counts failed requests.
 	Errors int64
 	// BackgroundCleans counts cleaning passes initiated by the device
@@ -75,8 +72,6 @@ type Metrics struct {
 	// retirement activity. All four are computed fresh by Metrics().
 	FaultsInjected, FaultRetries int64
 	RetiredBlocks, RemappedPages int64
-	// Tenants breaks completed host transfers down per tenant class.
-	Tenants stats.TenantSet
 }
 
 // GCStats aggregates FTL cleaning counters across the gang.
@@ -343,28 +338,6 @@ func (d *Device) putReq(r *Request) {
 // The *Request passed to onDone is pooled: it must not be retained after
 // the callback returns.
 func (d *Device) Submit(op trace.Op, onDone func(*Request)) error {
-	return d.submit(op, onDone, true)
-}
-
-// SubmitBatch enqueues a run of operations all arriving now, pumping the
-// dispatch loop once at the end instead of per operation. Because the
-// batch is same-instant, deferring the pump reaches the identical
-// dispatch fixpoint the per-op pumps would: each pump dispatches the
-// lowest-eligible request and marks elements busy, and no simulated time
-// passes between the enqueues either way. It stops at the first
-// submission error.
-func (d *Device) SubmitBatch(ops []trace.Op, onDone func(*Request)) error {
-	for _, op := range ops {
-		if err := d.submit(op, onDone, false); err != nil {
-			d.drv.Pump()
-			return err
-		}
-	}
-	d.drv.Pump()
-	return nil
-}
-
-func (d *Device) submit(op trace.Op, onDone func(*Request), pump bool) error {
 	if err := d.admit(op); err != nil {
 		return err
 	}
@@ -397,17 +370,13 @@ func (d *Device) submit(op trace.Op, onDone func(*Request), pump bool) error {
 			// The host sees the buffer-insert latency only.
 			req.Start = req.Arrive
 			d.eng.Call(d.cfg.CtrlOverhead, completeEvent, req)
-			if pump {
-				d.drv.Pump()
-			}
+			d.drv.Pump()
 			return nil
 		}
 		d.met.BufferBypass++
 	}
 	d.enqueue(req)
-	if pump {
-		d.drv.Pump()
-	}
+	d.drv.Pump()
 	return nil
 }
 
@@ -419,53 +388,6 @@ func (d *Device) enqueue(req *Request) {
 		d.outstandingPri++
 	}
 	d.q.PushT(d.elemsFor(req.Op), req, req.Op.Tenant, req.Op.Size)
-}
-
-// Play schedules every operation at its trace timestamp and runs the
-// engine until the device drains. It returns the first submission error.
-func (d *Device) Play(ops []trace.Op) error {
-	var firstErr error
-	for _, op := range ops {
-		op := op
-		d.eng.At(op.At, func() {
-			if err := d.Submit(op, nil); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	d.eng.Run()
-	return firstErr
-}
-
-// ClosedLoop keeps depth requests outstanding, drawing operations from
-// gen until it returns false. Each op's At field is ignored; arrivals
-// happen on completion. Returns the first submission error.
-func (d *Device) ClosedLoop(depth int, gen func(i int) (trace.Op, bool)) error {
-	if depth <= 0 {
-		depth = 1
-	}
-	var firstErr error
-	i := 0
-	var issue func()
-	// One completion callback for the whole loop: reissuing through a
-	// shared func value keeps the closed loop from allocating a closure
-	// per operation.
-	reissue := func(*Request) { issue() }
-	issue = func() {
-		op, ok := gen(i)
-		if !ok {
-			return
-		}
-		i++
-		if err := d.Submit(op, reissue); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for k := 0; k < depth; k++ {
-		issue()
-	}
-	d.eng.Run()
-	return firstErr
 }
 
 // ---- internal machinery ----

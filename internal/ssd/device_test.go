@@ -268,7 +268,7 @@ func TestSustainedLoadTriggersDeviceCleaning(t *testing.T) {
 		i++
 		return trace.Op{Kind: trace.Write, Offset: off, Size: 4096}, true
 	}
-	if err := d.ClosedLoop(1, gen); err != nil {
+	if err := closedLoop(d, 1, gen); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -292,9 +292,7 @@ func TestPlayRespectsTimestamps(t *testing.T) {
 		{At: 0, Kind: trace.Write, Offset: 0, Size: 4096},
 		{At: 10 * sim.Millisecond, Kind: trace.Write, Offset: 4096, Size: 4096},
 	}
-	if err := d.Play(ops); err != nil {
-		t.Fatal(err)
-	}
+	play(t, d, ops)
 	if eng.Now() < 10*sim.Millisecond {
 		t.Fatalf("engine time %v, want >= 10ms", eng.Now())
 	}
@@ -369,7 +367,7 @@ func TestWearOutSurfacesAsRequestError(t *testing.T) {
 		i++
 		return trace.Op{Kind: trace.Write, Offset: int64(rng.Intn(n)) * 4096, Size: 4096}, true
 	}
-	d.ClosedLoop(1, func(k int) (trace.Op, bool) {
+	closedLoop(d, 1, func(k int) (trace.Op, bool) {
 		op, ok := gen(k)
 		return op, ok
 	})
@@ -377,4 +375,41 @@ func TestWearOutSurfacesAsRequestError(t *testing.T) {
 	if d.Metrics().Errors == 0 {
 		t.Skip("workload did not exhaust 2-cycle budget; acceptable for tiny device")
 	}
+}
+
+// closedLoop keeps depth requests outstanding on d, drawing ops from gen
+// until it returns false, then drains the engine. It returns the first
+// submission error.
+func closedLoop(d *Device, depth int, gen func(i int) (trace.Op, bool)) error {
+	var firstErr error
+	i := 0
+	var issue func(*Request)
+	issue = func(*Request) {
+		op, ok := gen(i)
+		if !ok {
+			return
+		}
+		i++
+		if err := d.Submit(op, issue); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	for k := 0; k < depth; k++ {
+		issue(nil)
+	}
+	d.eng.Run()
+	return firstErr
+}
+
+// play submits each op at its trace timestamp and drains the engine.
+func play(t *testing.T, d *Device, ops []trace.Op) {
+	t.Helper()
+	for _, op := range ops {
+		d.eng.At(op.At, func() {
+			if err := d.Submit(op, nil); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	d.eng.Run()
 }

@@ -25,7 +25,7 @@ func runGangFault(t *testing.T, shards int, plan *fault.Plan, ops []trace.Op) *D
 	}
 	var off int64
 	space := d.LogicalBytes() * 6 / 10
-	err = d.ClosedLoop(1, func(int) (trace.Op, bool) {
+	err = closedLoop(d, 1, func(int) (trace.Op, bool) {
 		if off >= space {
 			return trace.Op{}, false
 		}

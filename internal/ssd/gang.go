@@ -76,7 +76,7 @@ type arrivalNode struct {
 func shardArriveEvent(a any) {
 	n := a.(*arrivalNode)
 	n.dev.nextGseq = n.gseq
-	_ = n.dev.submit(n.op, nil, true)
+	_ = n.dev.Submit(n.op, nil)
 }
 
 // ShardableConfig reports whether a device built from cfg supports an
@@ -118,8 +118,8 @@ func ShardableConfig(cfg Config, n int) error {
 }
 
 // EnableSharding attaches an n-way parallel dataplane to a fresh device.
-// Open-loop Drive traffic (core's unbounded Drive/Play) then runs across
-// n engines; every other entry point — Submit, ClosedLoop, bounded
+// Open-loop Drive traffic (core's unbounded Drive) then runs across
+// n engines; every other entry point — Submit, core.ClosedLoop, bounded
 // Drive — keeps using the device's own engine unchanged. Reports built
 // from the device are byte-identical at every shard count.
 func (d *Device) EnableSharding(n int) error {

@@ -99,7 +99,7 @@ func runGang(t *testing.T, shards int, ops []trace.Op) *Device {
 	// does), so the parallel phase starts from a mapped, GC-active state.
 	var off int64
 	space := d.LogicalBytes() * 6 / 10
-	err = d.ClosedLoop(1, func(int) (trace.Op, bool) {
+	err = closedLoop(d, 1, func(int) (trace.Op, bool) {
 		if off >= space {
 			return trace.Op{}, false
 		}
@@ -235,44 +235,6 @@ func TestShardableConfigGate(t *testing.T) {
 	if err := ShardableConfig(base, 1); err == nil {
 		t.Error("1 shard must be rejected (use the plain device)")
 	}
-}
-
-// TestSubmitBatchEquivalence checks the batch fast path reaches the same
-// state as per-op submission: same-instant enqueues followed by one pump
-// dispatch identically to interleaved pumps.
-func TestSubmitBatchEquivalence(t *testing.T) {
-	mkOps := func() []trace.Op {
-		rng := sim.NewRNG(9)
-		ops := make([]trace.Op, 64)
-		for i := range ops {
-			kind := trace.Write
-			if rng.Int63n(3) == 0 {
-				kind = trace.Read
-			}
-			ops[i] = trace.Op{Kind: kind, Offset: rng.Int63n(200) * 4096, Size: 4096}
-		}
-		return ops
-	}
-	one, err := New(sim.NewEngine(), gangConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range mkOps() {
-		if err := one.Submit(op, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	one.eng.Run()
-
-	batch, err := New(sim.NewEngine(), gangConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := batch.SubmitBatch(mkOps(), nil); err != nil {
-		t.Fatal(err)
-	}
-	batch.eng.Run()
-	compareDevices(t, one, batch)
 }
 
 // TestRequestFreelistSteadyState pins the satellite allocation contract:
