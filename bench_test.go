@@ -589,9 +589,12 @@ func BenchmarkDriveStream1M(b *testing.B) {
 
 // ---- dispatch-path benchmarks: the indexed scheduler vs the scan ----
 
-// dispatchPayload stands in for the *ssd.Request payload a real queue
-// carries; pointers avoid interface boxing in the benchmark loop.
-type dispatchPayload struct{ elem int }
+// dispatchPayload stands in for the *ssd.Request a real queue carries:
+// the caller's record with the queue node embedded in it.
+type dispatchPayload struct {
+	qn   sched.Node[dispatchPayload]
+	elem int
+}
 
 // BenchmarkDispatchSWTF measures one steady-state SWTF dispatch decision
 // on the indexed sched.Queue — pop the winner, mark its element busy,
@@ -599,32 +602,129 @@ type dispatchPayload struct{ elem int }
 // the cost (heap operations are O(log n)) and the pick path must not
 // allocate: this is the tentpole contract of the indexed scheduler.
 func BenchmarkDispatchSWTF(b *testing.B) {
+	benchDispatch(b, nil)
+}
+
+// BenchmarkDispatchSWTFTenants is BenchmarkDispatchSWTF with the
+// weighted fair-share layer engaged: four tenant classes at unequal
+// weights, every push tagged and costed. The DRR pick path must hold
+// the same contract as the single-tenant one — no allocations at any
+// depth — so tenancy is free for runs that don't use it and O(tenants)
+// for runs that do.
+func BenchmarkDispatchSWTFTenants(b *testing.B) {
+	benchDispatch(b, []float64{1, 4, 2, 8})
+}
+
+// benchDispatch is the shared body of the two single-element dispatch
+// benchmarks: 64 elements, one request per element in rotation, and
+// 1-tick horizons. With weights, tenant t+1 gets weights[t] and pushes
+// rotate over the tenants, each request costing 4 KiB.
+func benchDispatch(b *testing.B, weights []float64) {
 	for _, depth := range []int{1024, 16384, 65536} {
 		name := map[int]string{1024: "1k", 16384: "16k", 65536: "64k"}[depth]
 		b.Run(name, func(b *testing.B) {
 			const elements = 64
-			q := sched.NewQueue(sched.SWTF, elements)
+			q := sched.NewQueue(sched.SWTF, elements, func(*dispatchPayload) int64 { return 4096 })
+			for t, w := range weights {
+				q.SetTenantWeight(uint8(t+1), w)
+			}
+			tenant := func(i int) uint8 {
+				if len(weights) == 0 {
+					return 0
+				}
+				return uint8(1 + i%len(weights))
+			}
 			elems := make([][]int, elements)
-			payloads := make([]*dispatchPayload, elements)
 			for e := 0; e < elements; e++ {
 				elems[e] = []int{e}
-				payloads[e] = &dispatchPayload{elem: e}
 			}
-			for i := 0; i < depth; i++ {
-				q.Push(elems[i%elements], payloads[i%elements])
+			reqs := make([]dispatchPayload, depth)
+			for i := range reqs {
+				r := &reqs[i]
+				r.elem = i % elements
+				q.Push(&r.qn, r, elems[r.elem], tenant(i))
 			}
 			now := sim.Time(0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				data, ok := q.Pop(now)
+				r, ok := q.Pop(now)
 				if !ok {
 					b.Fatal("steady-state pop failed")
 				}
-				e := data.(*dispatchPayload).elem
-				q.SetBusy(e, now+1)
-				q.Push(elems[i%elements], payloads[i%elements])
+				q.SetBusy(r.elem, now+1)
+				r.elem = i % elements
+				q.Push(&r.qn, r, elems[r.elem], tenant(i))
 				now++
+			}
+		})
+	}
+}
+
+// BenchmarkDispatchSWTFBacklog measures SWTF dispatch in the shape of a
+// deep postmark backlog on the 4-element interleaved gang: every request
+// covers a contiguous (wrapping) run of elements, as a 4–64 KiB file
+// access striped page by page does, and service takes many ticks, so
+// most of the backlog stays parked on busy elements and every element
+// release wakes a share of it. Each iteration dispatches one request —
+// jumping the clock to the next busy horizon when nothing is ready — and
+// pushes a replacement. Because parked requests are grouped by element
+// set, a release moves a handful of classes however deep the backlog
+// is: the cost must stay flat from 1k to 16k (CI gates 16k at most 3x
+// 1k) and the cycle must not allocate.
+func BenchmarkDispatchSWTFBacklog(b *testing.B) {
+	const elements = 4
+	// sets[i] is the element run of the i-th access: a start page and a
+	// length of 1..16 pages, as drawn for a 4-64 KiB access.
+	rng := sim.NewRNG(14)
+	sets := make([][]int, 4096)
+	for i := range sets {
+		start, pages := rng.Intn(elements), 1+rng.Intn(16)
+		for j := 0; j < min(pages, elements); j++ {
+			sets[i] = append(sets[i], (start+j)%elements)
+		}
+	}
+	for _, depth := range []int{1024, 16384} {
+		name := map[int]string{1024: "1k", 16384: "16k"}[depth]
+		b.Run(name, func(b *testing.B) {
+			q := sched.NewQueue[dispatchPayload](sched.SWTF, elements, nil)
+			reqs := make([]dispatchPayload, depth)
+			next := 0
+			push := func(r *dispatchPayload) {
+				r.elem = next % len(sets)
+				next++
+				q.Push(&r.qn, r, sets[r.elem], 0)
+			}
+			for i := range reqs {
+				push(&reqs[i])
+			}
+			now := sim.Time(0)
+			cycle := func() {
+				r, ok := q.Pop(now)
+				for !ok {
+					wake := sim.MaxTime
+					for e := 0; e < elements; e++ {
+						if t := q.Busy(e); t > now && t < wake {
+							wake = t
+						}
+					}
+					now = wake
+					r, ok = q.Pop(now)
+				}
+				for _, e := range sets[r.elem] {
+					q.SetBusy(e, now+sim.Time(20+r.elem%40))
+				}
+				push(r)
+			}
+			// Warm up until the class and wake heaps reach their steady
+			// capacity.
+			for i := 0; i < 2*depth; i++ {
+				cycle()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
 			}
 		})
 	}
@@ -664,48 +764,6 @@ func BenchmarkDispatchSWTFScan(b *testing.B) {
 				pending = append(pending[:idx], pending[idx+1:]...)
 				seq++
 				pending = append(pending, &sched.Entry{Elems: []int{i % elements}, Seq: seq})
-				now++
-			}
-		})
-	}
-}
-
-// BenchmarkDispatchSWTFTenants is BenchmarkDispatchSWTF with the
-// weighted fair-share layer engaged: four tenant classes at unequal
-// weights, every push tagged and costed. The DRR pick path must hold
-// the same contract as the single-tenant one — no allocations at any
-// depth — so tenancy is free for runs that don't use it and O(tenants)
-// for runs that do.
-func BenchmarkDispatchSWTFTenants(b *testing.B) {
-	for _, depth := range []int{1024, 16384, 65536} {
-		name := map[int]string{1024: "1k", 16384: "16k", 65536: "64k"}[depth]
-		b.Run(name, func(b *testing.B) {
-			const elements = 64
-			q := sched.NewQueue(sched.SWTF, elements)
-			q.SetTenantWeight(1, 1)
-			q.SetTenantWeight(2, 4)
-			q.SetTenantWeight(3, 2)
-			q.SetTenantWeight(4, 8)
-			elems := make([][]int, elements)
-			payloads := make([]*dispatchPayload, elements)
-			for e := 0; e < elements; e++ {
-				elems[e] = []int{e}
-				payloads[e] = &dispatchPayload{elem: e}
-			}
-			for i := 0; i < depth; i++ {
-				q.PushT(elems[i%elements], payloads[i%elements], uint8(1+i%4), 4096)
-			}
-			now := sim.Time(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				data, ok := q.Pop(now)
-				if !ok {
-					b.Fatal("steady-state pop failed")
-				}
-				e := data.(*dispatchPayload).elem
-				q.SetBusy(e, now+1)
-				q.PushT(elems[i%elements], payloads[i%elements], uint8(1+i%4), 4096)
 				now++
 			}
 		})

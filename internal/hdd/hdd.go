@@ -94,8 +94,8 @@ type Disk struct {
 	// q holds media accesses awaiting the (single) actuator in FCFS
 	// order; drv is the shared dispatch loop, with the write-cache drain
 	// as its post hook.
-	q         *sched.Queue
-	drv       *sched.Driver
+	q         *sched.Queue[Request]
+	drv       *sched.Driver[Request]
 	cache     []cacheEntry // sorted by offset
 	cacheUsed int64
 	waitWr    []*Request // writes blocked on cache space
@@ -118,10 +118,15 @@ type Request struct {
 	// disk lets the pooled engine callbacks reach the model without a
 	// closure per event.
 	disk *Disk
+	// qn is the request's dispatch-queue record while it waits.
+	qn sched.Node[Request]
 }
 
 // Response returns completion minus arrival.
 func (r *Request) Response() sim.Time { return r.Done - r.Arrive }
+
+// reqCost is a request's dispatch cost for the fair-share scheduler.
+func reqCost(r *Request) int64 { return r.Op.Size }
 
 // New builds a disk on the engine.
 func New(eng *sim.Engine, cfg Config) (*Disk, error) {
@@ -131,7 +136,7 @@ func New(eng *sim.Engine, cfg Config) (*Disk, error) {
 	d := &Disk{cfg: cfg, eng: eng}
 	// One parallel element — the actuator — dispatched FCFS through the
 	// same indexed queue the SSD gang uses.
-	d.q = sched.NewQueue(sched.FCFS, 1)
+	d.q = sched.NewQueue(sched.FCFS, 1, reqCost)
 	d.drv = sched.NewDriver(eng, d.q, d.serve)
 	d.drv.SetHooks(nil, d.drain)
 	d.revTime = sim.Time(60e9 / float64(cfg.RPM))
@@ -267,12 +272,12 @@ func (d *Disk) Submit(op trace.Op, onDone func(*Request)) error {
 			d.eng.Call(d.cfg.CacheLatency, finishEvent, req)
 			break
 		}
-		d.q.PushT(actuator, req, op.Tenant, op.Size)
+		d.q.Push(&req.qn, req, actuator, op.Tenant)
 		d.drv.Pump()
 	case trace.Write:
 		if d.cfg.CacheBytes == 0 {
 			// Write-through: treat like a read-path media access.
-			d.q.PushT(actuator, req, op.Tenant, op.Size)
+			d.q.Push(&req.qn, req, actuator, op.Tenant)
 			d.drv.Pump()
 			break
 		}
@@ -329,8 +334,7 @@ func (d *Disk) finish(req *Request) {
 // serve starts one queued media access (the driver dispatches reads and
 // write-through writes ahead of the drain hook, preserving read
 // priority over background cache flushes).
-func (d *Disk) serve(data any, now sim.Time) {
-	req := data.(*Request)
+func (d *Disk) serve(req *Request, now sim.Time) {
 	req.Start = now
 	dur := d.serviceTime(req.Op.Offset, req.Op.Size)
 	d.q.SetBusy(0, now+dur)

@@ -67,10 +67,15 @@ type Request struct {
 	// dev lets the pooled engine callback reach the model without a
 	// closure per event.
 	dev *Device
+	// qn is the request's dispatch-queue record while it waits.
+	qn sched.Node[Request]
 }
 
 // Response returns completion minus arrival.
 func (r *Request) Response() sim.Time { return r.Done - r.Arrive }
+
+// reqCost is a request's dispatch cost for the fair-share scheduler.
+func reqCost(r *Request) int64 { return r.Op.Size }
 
 // Device is the MEMS store. Single actuator: one request at a time,
 // FCFS, dispatched through the shared indexed queue.
@@ -80,8 +85,8 @@ type Device struct {
 
 	track   int   // sled X position
 	lastEnd int64 // for sequential detection
-	q       *sched.Queue
-	drv     *sched.Driver
+	q       *sched.Queue[Request]
+	drv     *sched.Driver[Request]
 	met     Metrics
 }
 
@@ -94,7 +99,7 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{cfg: cfg, eng: eng}
-	d.q = sched.NewQueue(sched.FCFS, 1)
+	d.q = sched.NewQueue(sched.FCFS, 1, reqCost)
 	d.drv = sched.NewDriver(eng, d.q, d.serve)
 	return d, nil
 }
@@ -152,7 +157,7 @@ func (d *Device) Submit(op trace.Op, onDone func(*Request)) error {
 		d.finish(req)
 		return nil
 	}
-	d.q.PushT(sled, req, op.Tenant, op.Size)
+	d.q.Push(&req.qn, req, sled, op.Tenant)
 	d.drv.Pump()
 	return nil
 }
@@ -169,8 +174,7 @@ func servedEvent(a any) {
 }
 
 // serve starts one access on the sled.
-func (d *Device) serve(data any, now sim.Time) {
-	req := data.(*Request)
+func (d *Device) serve(req *Request, now sim.Time) {
 	req.Start = now
 	dur := d.serviceTime(req.Op)
 	d.q.SetBusy(0, now+dur)

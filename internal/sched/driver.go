@@ -9,27 +9,27 @@ import "ossd/internal/sim"
 // its write-cache drain on the post hook, and MEMS uses the bare loop —
 // so all substrates queue and dispatch through this one code path.
 //
-// Serve is called once per dispatched request with its payload and the
+// Serve is called once per dispatched request with the request and the
 // current simulated time; it must start service (marking elements busy
 // via Queue.SetBusy) and arrange for Pump to run again on completion.
 // Pre and Post run before and after the dispatch pass of each round and
 // report whether they made progress; the loop repeats until a full round
 // makes none.
-type Driver struct {
+type Driver[T any] struct {
 	eng   *sim.Engine
-	q     *Queue
-	serve func(data any, now sim.Time)
+	q     *Queue[T]
+	serve func(req *T, now sim.Time)
 	pre   func(now sim.Time) bool
 	post  func(now sim.Time) bool
 }
 
 // NewDriver builds a driver pumping q on eng, dispatching through serve.
-func NewDriver(eng *sim.Engine, q *Queue, serve func(data any, now sim.Time)) *Driver {
-	return &Driver{eng: eng, q: q, serve: serve}
+func NewDriver[T any](eng *sim.Engine, q *Queue[T], serve func(req *T, now sim.Time)) *Driver[T] {
+	return &Driver[T]{eng: eng, q: q, serve: serve}
 }
 
 // SetHooks installs the pre- and post-dispatch hooks (either may be nil).
-func (d *Driver) SetHooks(pre, post func(now sim.Time) bool) {
+func (d *Driver[T]) SetHooks(pre, post func(now sim.Time) bool) {
 	d.pre, d.post = pre, post
 }
 
@@ -37,21 +37,21 @@ func (d *Driver) SetHooks(pre, post func(now sim.Time) bool) {
 // Keeping it a package-level function lets PumpAfter schedule through
 // the engine's pooled event path without allocating a closure (or a
 // method value) per completion.
-func pumpEvent(a any) { a.(*Driver).Pump() }
+func pumpEvent[T any](a any) { a.(*Driver[T]).Pump() }
 
 // PumpAfter schedules a Pump d from now through the engine's pooled
 // event path. Media models use it wherever device-initiated work (a
 // cleaning pass, a cache drain) ends at a known future time; it is the
 // allocation-free replacement for eng.After(d, drv.Pump).
-func (d *Driver) PumpAfter(delay sim.Time) {
-	d.eng.Call(delay, pumpEvent, d)
+func (d *Driver[T]) PumpAfter(delay sim.Time) {
+	d.eng.Call(delay, pumpEvent[T], d)
 }
 
 // Pump advances the device state machine: pre-dispatch work, then as many
 // dispatches as the queue allows, then post-dispatch work, repeating
 // until a whole round makes no progress. Call it on every arrival and on
 // every completion.
-func (d *Driver) Pump() {
+func (d *Driver[T]) Pump() {
 	now := d.eng.Now()
 	for {
 		progress := false
@@ -59,11 +59,11 @@ func (d *Driver) Pump() {
 			progress = true
 		}
 		for {
-			data, ok := d.q.Pop(now)
+			req, ok := d.q.Pop(now)
 			if !ok {
 				break
 			}
-			d.serve(data, now)
+			d.serve(req, now)
 			progress = true
 		}
 		if d.post != nil && d.post(now) {

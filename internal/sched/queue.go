@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sort"
 
 	"ossd/internal/sim"
@@ -8,105 +10,154 @@ import (
 
 // Queue is the stateful, indexed successor of the stateless Pick scan: a
 // dispatch queue that knows each parallel element's busy horizon and
-// answers "what dispatches now?" in O(log n) instead of rescanning (and
-// reallocating) the whole pending set on every decision.
+// answers "what dispatches now?" without rescanning (or reallocating)
+// the whole pending set on every decision.
 //
 // The legacy Pick contract is preserved exactly — the equivalence test in
 // queue_test.go pins the dispatch sequence op-for-op against Pick on
 // randomized workloads:
 //
 //   - FCFS dispatches strictly in arrival order; if the head's elements
-//     are busy nothing dispatches (head-of-line blocking). The index is an
-//     intrusive FIFO: Pop inspects only the head.
+//     are busy nothing dispatches (head-of-line blocking).
 //   - SWTF dispatches the request with the shortest wait, tie-broken by
 //     arrival Seq, and only when that wait is zero. Since ties break by
 //     Seq and dispatch happens only at wait zero, the winner is always
-//     the lowest-Seq request whose elements are all idle; the index is a
-//     Seq-keyed min-heap of dispatch candidates plus, per element, a list
-//     of requests parked until that element's busy horizon passes. Pop
-//     lazily re-parks stale candidates, so each request moves between
-//     index structures O(1) times per element-release that concerns it.
+//     the lowest-Seq request whose elements are all idle.
+//
+// The index groups requests by element set. Requests with the same set
+// share one interned class, which holds them in an arrival-order FIFO;
+// within a class they are dispatchable together or not at all, so the
+// class's head is the only one that can win. Classes sit in a min-heap
+// keyed by their head's Seq, whose top holds the oldest request: FCFS
+// dispatches it or nothing. Under SWTF, Pop lazily parks a stale top
+// class on the element it must wait longest for, and the wake record for
+// that element's horizon brings it back. An element release therefore
+// costs O(distinct element sets parked on it) — at most 2^E-1 and, for
+// interleaved striping over E elements, far fewer — instead of
+// O(requests parked on it).
 //
 // A Queue owns the busy horizons of its elements (the busyUntil vector
 // the scan-era device kept by hand): media models mark elements busy with
-// SetBusy and the queue wakes parked requests as the clock passes their
-// horizons. Items are pooled and their payload slots cleared on Pop, so
-// the queue neither allocates on the dispatch path nor pins completed
+// SetBusy and the queue wakes parked classes as the clock passes their
+// horizons. Each request's queue record is a Node embedded in the
+// caller's own request, linked back to it by a typed pointer, so the
+// queue neither allocates on the dispatch path nor pins completed
 // requests for the garbage collector.
 //
 // A Queue optionally layers weighted fair-share dispatch across tenant
 // classes on top of either policy: SetTenantWeight switches it into
-// deficit-round-robin mode, where each tenant keeps its own sub-queue
-// (arrival list or candidate heap plus parked lists) ordered by the base
-// policy, and a DRR pointer with per-tenant byte-deficit counters picks
-// which tenant's dispatchable head goes next. Until SetTenantWeight is
-// called the fair-share layer does not exist — every code path is the
-// single-tenant one, so legacy runs are byte-identical to the
-// pre-tenancy queue.
+// deficit-round-robin mode, where each tenant keeps its own lane (its
+// own class index) ordered by the base policy, and a DRR pointer
+// with per-tenant byte-deficit counters picks which tenant's
+// dispatchable head goes next. Until SetTenantWeight is called the
+// fair-share layer does not exist — every request rides the single
+// lane, so legacy runs are byte-identical to the pre-tenancy queue.
 //
 // Queues are not safe for concurrent use; like the sim.Engine that drives
 // them, a queue belongs to a single simulation.
-type Queue struct {
+type Queue[T any] struct {
 	policy    Policy
 	busyUntil []sim.Time
 	seq       uint64
 	length    int
+	// cost reports a request's DRR dispatch cost in bytes; nil (or a
+	// cost <= 0) charges 1.
+	cost func(*T) int64
 
-	// FCFS: intrusive doubly-linked arrival-order list.
-	head, tail *item
-
-	// SWTF: Seq-keyed min-heap of dispatch candidates, per-element parked
-	// lists, and a min-heap of (horizon, element) wake records.
-	ready   []*item
-	blocked []*item // head of each element's parked list
-	wakes   []wake
+	// lane is the single-tenant sub-queue; it stays empty in fair mode.
+	lane lane[T]
+	// wakes is a min-heap of (horizon, element) records (SWTF only).
+	wakes []wake
 
 	// Weighted fair-share (DRR) state; engaged by SetTenantWeight. tens
 	// is the tenant ring, sorted by tenant ID; rr is the round-robin
 	// pointer into it.
 	fair bool
-	tens []*tenantQ
+	tens []*tenantQ[T]
 	rr   int
 
-	// free is the item pool (singly linked through next).
-	free *item
+	// words and key are scratch for interning element sets on queues
+	// wider than 64 elements.
+	words []uint64
+	key   []byte
+}
+
+// Node is one request's queue record. Callers embed it in their own
+// request type and hand the queue both; the node is in use from Push
+// until the request is popped or drained, and must not be reused before
+// then. While the request is idle its node can link it into a Pool.
+type Node[T any] struct {
+	owner *T
+	next  *Node[T] // class FIFO, or Pool link
+	seq   uint64
+}
+
+// Pool is a LIFO of idle records linked through their embedded nodes: a
+// record is queued, in service, or pooled, never two at once, so the
+// node doubles as its free-list link.
+type Pool[T any] struct{ head *Node[T] }
+
+// Put pools owner, whose embedded node is n.
+func (p *Pool[T]) Put(n *Node[T], owner *T) {
+	*n = Node[T]{owner: owner, next: p.head}
+	p.head = n
+}
+
+// Get unpools the most recently pooled record, or returns nil when the
+// pool is empty.
+func (p *Pool[T]) Get() *T {
+	n := p.head
+	if n == nil {
+		return nil
+	}
+	p.head = n.next
+	owner := n.owner
+	*n = Node[T]{}
+	return owner
+}
+
+// class is one interned element set within a lane: the set itself, the
+// lane's queued requests targeting exactly that set in arrival order,
+// and the class's place in the index — in the candidate heap (heapIdx
+// >= 0), on an SWTF parked list (linked through nextParked), or neither
+// when empty. Classes are never freed: a lane holds one per distinct
+// element set it has seen.
+type class[T any] struct {
+	elems      []int // ascending
+	head, tail *Node[T]
+	seq        uint64 // head's Seq: the heap key
+	heapIdx    int
+	nextParked *class[T]
+}
+
+// lane is one dispatch sub-queue: the whole queue in single-tenant mode,
+// one tenant's share in fair mode. It is a Seq-keyed candidate heap of
+// classes plus, under SWTF, per-element parked lists, and it interns its
+// own classes, keyed by element bitmask (or by the bitset's bytes past
+// 64 elements).
+type lane[T any] struct {
+	ready   []*class[T] // candidate heap
+	blocked []*class[T] // SWTF per-element parked lists
+	byMask  map[uint64]*class[T]
+	byKey   map[string]*class[T]
 }
 
 // drrQuantum is the base deficit refill in bytes; a tenant's refill is
 // drrQuantum times its weight.
 const drrQuantum = 64 << 10
 
-// tenantQ is one tenant's sub-queue in weighted fair-share mode. It
-// mirrors the single-tenant index structures: an arrival-order FIFO
-// under FCFS, a Seq-keyed candidate heap plus per-element parked lists
-// under SWTF.
-type tenantQ struct {
+// tenantQ is one tenant's lane in weighted fair-share mode, with its DRR
+// state.
+type tenantQ[T any] struct {
+	lane[T]
 	id      uint8
 	weight  float64
 	deficit float64
 	length  int
-
-	head, tail *item   // FCFS arrival list
-	ready      []*item // SWTF candidate heap
-	blocked    []*item // SWTF per-element parked lists
-}
-
-// item is one queued request: its element set, arrival sequence number,
-// and the caller's payload, plus the intrusive index links.
-type item struct {
-	elems []int
-	seq   uint64
-	data  any
-	cost  float64  // DRR dispatch cost (bytes); 1 when untracked
-	tq    *tenantQ // owning tenant sub-queue; nil in single-tenant mode
-
-	prev, next *item // FIFO list (FCFS) or parked list (SWTF)
-	heapIdx    int   // position in the ready heap; -1 when not in it
-	parkedOn   int   // element this item waits on; -1 when a candidate
 }
 
 // wake records that an element's busy horizon ends at `at`; processing it
-// then releases the element's parked requests. Horizons only move while
+// then releases the element's parked classes. Horizons only move while
 // an element is idle, so the record matching the current horizon is
 // always present (stale records are skipped, never trusted).
 type wake struct {
@@ -115,32 +166,45 @@ type wake struct {
 }
 
 // NewQueue returns an empty queue dispatching under policy over the given
-// number of parallel elements, all idle.
-func NewQueue(policy Policy, elements int) *Queue {
-	return &Queue{
+// number of parallel elements, all idle. cost, consulted only in
+// weighted fair-share mode, reports a request's dispatch cost in bytes
+// (a cost <= 0, or a nil cost, counts as 1).
+func NewQueue[T any](policy Policy, elements int, cost func(*T) int64) *Queue[T] {
+	q := &Queue[T]{
 		policy:    policy,
 		busyUntil: make([]sim.Time, elements),
-		blocked:   make([]*item, elements),
+		cost:      cost,
+	}
+	q.initLane(&q.lane)
+	if elements > 64 {
+		q.words = make([]uint64, (elements+63)/64)
+	}
+	return q
+}
+
+func (q *Queue[T]) initLane(l *lane[T]) {
+	l.blocked = make([]*class[T], len(q.busyUntil))
+	if len(q.busyUntil) <= 64 {
+		l.byMask = map[uint64]*class[T]{}
+	} else {
+		l.byKey = map[string]*class[T]{}
 	}
 }
 
-// Policy reports the dispatch discipline.
-func (q *Queue) Policy() Policy { return q.policy }
-
 // Len reports the number of queued (not yet dispatched) requests.
-func (q *Queue) Len() int { return q.length }
+func (q *Queue[T]) Len() int { return q.length }
 
 // Busy reports element e's busy horizon: the time at which it becomes
 // available again (in the past or present when idle).
-func (q *Queue) Busy(e int) sim.Time { return q.busyUntil[e] }
+func (q *Queue[T]) Busy(e int) sim.Time { return q.busyUntil[e] }
 
 // Idle reports whether element e is available at now.
-func (q *Queue) Idle(e int, now sim.Time) bool { return q.busyUntil[e] <= now }
+func (q *Queue[T]) Idle(e int, now sim.Time) bool { return q.busyUntil[e] <= now }
 
 // SetBusy marks element e busy until the given horizon. Horizons only
 // grow: marking an element busy until a time before its current horizon
 // is a no-op.
-func (q *Queue) SetBusy(e int, until sim.Time) {
+func (q *Queue[T]) SetBusy(e int, until sim.Time) {
 	if until <= q.busyUntil[e] {
 		return
 	}
@@ -156,7 +220,7 @@ func (q *Queue) SetBusy(e int, until sim.Time) {
 // seen later without an explicit weight default to 1. Without any call,
 // the fair-share layer is absent and dispatch is exactly the legacy
 // single-tenant policy.
-func (q *Queue) SetTenantWeight(tenant uint8, weight float64) {
+func (q *Queue[T]) SetTenantWeight(tenant uint8, weight float64) {
 	if weight <= 0 {
 		weight = 1
 	}
@@ -164,12 +228,9 @@ func (q *Queue) SetTenantWeight(tenant uint8, weight float64) {
 	q.tenantFor(tenant).weight = weight
 }
 
-// Fair reports whether weighted fair-share dispatch is engaged.
-func (q *Queue) Fair() bool { return q.fair }
-
-// tenantFor returns tenant t's sub-queue, inserting it into the ring in
+// tenantFor returns tenant t's lane, inserting it into the ring in
 // sorted position on first sight.
-func (q *Queue) tenantFor(t uint8) *tenantQ {
+func (q *Queue[T]) tenantFor(t uint8) *tenantQ[T] {
 	i := 0
 	for i < len(q.tens) && q.tens[i].id < t {
 		i++
@@ -177,7 +238,8 @@ func (q *Queue) tenantFor(t uint8) *tenantQ {
 	if i < len(q.tens) && q.tens[i].id == t {
 		return q.tens[i]
 	}
-	tq := &tenantQ{id: t, weight: 1, blocked: make([]*item, len(q.busyUntil))}
+	tq := &tenantQ[T]{id: t, weight: 1}
+	q.initLane(&tq.lane)
 	q.tens = append(q.tens, nil)
 	copy(q.tens[i+1:], q.tens[i:])
 	q.tens[i] = tq
@@ -187,68 +249,81 @@ func (q *Queue) tenantFor(t uint8) *tenantQ {
 	return tq
 }
 
-// Push enqueues a request occupying the given elements and returns its
-// arrival sequence number. The element slice is copied into a pooled
-// item; the caller may reuse it. Ops pushed this way are untagged
-// (tenant 0, unit cost); media models that know the op use PushT.
-func (q *Queue) Push(elems []int, data any) uint64 {
-	return q.PushT(elems, data, 0, 1)
-}
-
-// PushT is Push with the op's tenant class and dispatch cost (bytes; 0
-// is treated as 1). In single-tenant mode both are ignored and the push
-// is exactly the legacy one; in weighted mode the request joins its
-// tenant's sub-queue.
-func (q *Queue) PushT(elems []int, data any, tenant uint8, cost int64) uint64 {
-	it := q.take()
-	it.elems = append(it.elems[:0], elems...)
-	q.seq++
-	it.seq = q.seq
-	it.data = data
-	if cost <= 0 {
-		cost = 1
-	}
-	it.cost = float64(cost)
-	q.length++
+// Push enqueues owner, whose embedded node is n, as a request occupying
+// the given elements (in any order; the caller may reuse the slice), and
+// returns its arrival sequence number. In fair-share mode the request
+// joins tenant's lane; in single-tenant mode tenant is ignored and the
+// push is exactly the legacy one.
+func (q *Queue[T]) Push(n *Node[T], owner *T, elems []int, tenant uint8) uint64 {
+	l := &q.lane
 	if q.fair {
 		tq := q.tenantFor(tenant)
-		it.tq = tq
 		tq.length++
-		switch q.policy {
-		case SWTF:
-			heapPushTo(&tq.ready, it)
-		default:
-			it.prev = tq.tail
-			if tq.tail != nil {
-				tq.tail.next = it
-			} else {
-				tq.head = it
-			}
-			tq.tail = it
-		}
-		return it.seq
+		l = &tq.lane
 	}
-	switch q.policy {
-	case SWTF:
-		// New arrivals enter as candidates; Pop demotes them lazily if
-		// their elements turn out busy.
-		q.heapPush(it)
-	default: // FCFS: append to the arrival-order list.
-		it.prev = q.tail
-		if q.tail != nil {
-			q.tail.next = it
-		} else {
-			q.head = it
-		}
-		q.tail = it
+	q.seq++
+	*n = Node[T]{owner: owner, seq: q.seq}
+	q.length++
+	// Pushes arrive in Seq order, so appending keeps the class FIFO
+	// sorted. A class that was empty enters as a candidate; under SWTF,
+	// Pop parks it lazily if its elements turn out busy.
+	c := q.classFor(l, elems)
+	if c.tail != nil {
+		c.tail.next = n
+		c.tail = n
+		return n.seq
 	}
-	return it.seq
+	c.head, c.tail, c.seq = n, n, n.seq
+	heapPush(&l.ready, c)
+	return n.seq
+}
+
+// classFor returns l's class for the element set, interning it on first
+// sight. Sets are keyed by bitmask, so element order and duplicates do
+// not matter.
+func (q *Queue[T]) classFor(l *lane[T], elems []int) *class[T] {
+	if l.byMask != nil {
+		var m uint64
+		for _, e := range elems {
+			m |= 1 << uint(e)
+		}
+		c := l.byMask[m]
+		if c == nil {
+			c = newClass[T]([]uint64{m})
+			l.byMask[m] = c
+		}
+		return c
+	}
+	clear(q.words)
+	for _, e := range elems {
+		q.words[e/64] |= 1 << uint(e%64)
+	}
+	q.key = q.key[:0]
+	for _, w := range q.words {
+		q.key = binary.LittleEndian.AppendUint64(q.key, w)
+	}
+	c := l.byKey[string(q.key)]
+	if c == nil {
+		c = newClass[T](q.words)
+		l.byKey[string(q.key)] = c
+	}
+	return c
+}
+
+func newClass[T any](set []uint64) *class[T] {
+	c := &class[T]{heapIdx: -1}
+	for i, w := range set {
+		for ; w != 0; w &= w - 1 {
+			c.elems = append(c.elems, i*64+bits.TrailingZeros64(w))
+		}
+	}
+	return c
 }
 
 // wait is the legacy Entry.Wait over the queue's own busy horizons.
-func (q *Queue) wait(it *item, now sim.Time) sim.Time {
+func (q *Queue[T]) wait(elems []int, now sim.Time) sim.Time {
 	var w sim.Time
-	for _, e := range it.elems {
+	for _, e := range elems {
 		if b := q.busyUntil[e] - now; b > w {
 			w = b
 		}
@@ -256,26 +331,20 @@ func (q *Queue) wait(it *item, now sim.Time) sim.Time {
 	return w
 }
 
-// Pop removes and returns the payload of the next dispatchable request,
-// or (nil, false) if nothing may dispatch at now. It never allocates.
-func (q *Queue) Pop(now sim.Time) (any, bool) {
+// Pop removes and returns the next dispatchable request, or (nil, false)
+// if nothing may dispatch at now. It never allocates.
+func (q *Queue[T]) Pop(now sim.Time) (*T, bool) {
+	if q.policy == SWTF {
+		q.release(now)
+	}
 	if q.fair {
 		return q.popFair(now)
 	}
-	if q.policy == SWTF {
-		return q.popSWTF(now)
-	}
-	it := q.head
-	if it == nil || q.wait(it, now) != 0 {
+	c := q.peek(&q.lane, now)
+	if c == nil {
 		return nil, false
 	}
-	q.head = it.next
-	if q.head != nil {
-		q.head.prev = nil
-	} else {
-		q.tail = nil
-	}
-	return q.finishPop(it)
+	return q.take(&q.lane, c), true
 }
 
 // popFair is the weighted deficit-round-robin dispatch: visit tenants in
@@ -285,14 +354,8 @@ func (q *Queue) Pop(now sim.Time) (any, bool) {
 // quantum x weight and rescan. The refill loop terminates because
 // weights are positive, and it returns false only when no tenant has a
 // dispatchable head — the Driver contract. Never allocates.
-func (q *Queue) popFair(now sim.Time) (any, bool) {
-	if q.policy == SWTF {
-		q.releaseFair(now)
-	}
+func (q *Queue[T]) popFair(now sim.Time) (*T, bool) {
 	n := len(q.tens)
-	if n == 0 {
-		return nil, false
-	}
 	for {
 		blockedOnDeficit := false
 		for i := 0; i < n; i++ {
@@ -301,18 +364,18 @@ func (q *Queue) popFair(now sim.Time) (any, bool) {
 				idx -= n
 			}
 			tq := q.tens[idx]
-			it := q.headFair(tq, now)
-			if it == nil {
+			c := q.peek(&tq.lane, now)
+			if c == nil {
 				continue
 			}
-			if tq.deficit >= it.cost {
-				tq.deficit -= it.cost
+			if cost := q.costOf(c.head); tq.deficit >= cost {
+				tq.deficit -= cost
 				q.rr = idx // keep serving this tenant while its deficit lasts
-				q.removeFair(tq, it)
+				tq.length--
 				if tq.length == 0 {
 					tq.deficit = 0 // classic DRR: no credit hoarding while idle
 				}
-				return q.finishPop(it)
+				return q.take(&tq.lane, c), true
 			}
 			blockedOnDeficit = true
 		}
@@ -320,139 +383,76 @@ func (q *Queue) popFair(now sim.Time) (any, bool) {
 			return nil, false
 		}
 		for _, tq := range q.tens {
-			if q.headFair(tq, now) != nil {
+			if q.peek(&tq.lane, now) != nil {
 				tq.deficit += drrQuantum * tq.weight
 			}
 		}
 	}
 }
 
-// headFair returns tenant tq's dispatchable head at now, or nil. Under
-// SWTF it lazily re-parks stale candidates exactly like popSWTF; under
-// FCFS the tenant's arrival head blocks only its own tenant.
-func (q *Queue) headFair(tq *tenantQ, now sim.Time) *item {
-	if q.policy == SWTF {
-		for len(tq.ready) > 0 {
-			it := tq.ready[0]
-			if q.wait(it, now) == 0 {
-				return it
-			}
-			heapRemoveFrom(&tq.ready, it)
-			q.parkFair(tq, it, now)
-		}
-		return nil
+// costOf is n's DRR dispatch cost.
+func (q *Queue[T]) costOf(n *Node[T]) float64 {
+	if q.cost == nil {
+		return 1
 	}
-	if it := tq.head; it != nil && q.wait(it, now) == 0 {
-		return it
+	return float64(max(q.cost(n.owner), 1))
+}
+
+// peek returns the class whose head dispatches next from l at now, or
+// nil. Under SWTF it parks stale candidate classes until the top one is
+// dispatchable; under FCFS the top class holds the lane's oldest
+// request, which blocks only its own lane.
+func (q *Queue[T]) peek(l *lane[T], now sim.Time) *class[T] {
+	for len(l.ready) > 0 {
+		c := l.ready[0]
+		if q.wait(c.elems, now) == 0 {
+			return c
+		}
+		if q.policy != SWTF {
+			return nil
+		}
+		heapRemove(&l.ready, c)
+		q.park(l, c, now)
 	}
 	return nil
 }
 
-// removeFair detaches a dispatched item from its tenant's index.
-func (q *Queue) removeFair(tq *tenantQ, it *item) {
-	tq.length--
-	if q.policy == SWTF {
-		heapRemoveFrom(&tq.ready, it)
-		return
-	}
-	if it.prev != nil {
-		it.prev.next = it.next
+// take detaches the head of c, the class peek just returned, from l and
+// returns its owner.
+func (q *Queue[T]) take(l *lane[T], c *class[T]) *T {
+	n := c.head
+	if n.next == nil {
+		c.head, c.tail = nil, nil
+		heapRemove(&l.ready, c)
 	} else {
-		tq.head = it.next
+		// The new head arrived later: the class's key only grows.
+		c.head, c.seq = n.next, n.next.seq
+		siftDown(l.ready, c.heapIdx)
 	}
-	if it.next != nil {
-		it.next.prev = it.prev
-	} else {
-		tq.tail = it.prev
-	}
-}
-
-// parkFair parks a non-dispatchable item on its tenant's parked list for
-// the busy element it must wait longest for.
-func (q *Queue) parkFair(tq *tenantQ, it *item, now sim.Time) {
-	worst, horizon := -1, sim.Time(0)
-	for _, e := range it.elems {
-		if b := q.busyUntil[e]; b > now && b > horizon {
-			worst, horizon = e, b
-		}
-	}
-	it.parkedOn = worst
-	it.prev = nil
-	it.next = tq.blocked[worst]
-	if it.next != nil {
-		it.next.prev = it
-	}
-	tq.blocked[worst] = it
-}
-
-// releaseFair processes due wake records across every tenant's parked
-// lists.
-func (q *Queue) releaseFair(now sim.Time) {
-	for len(q.wakes) > 0 && q.wakes[0].at <= now {
-		w := q.popWake()
-		if q.busyUntil[w.elem] > now {
-			continue
-		}
-		for _, tq := range q.tens {
-			for it := tq.blocked[w.elem]; it != nil; {
-				next := it.next
-				it.prev, it.next = nil, nil
-				it.parkedOn = -1
-				heapPushTo(&tq.ready, it)
-				it = next
-			}
-			tq.blocked[w.elem] = nil
-		}
-	}
-}
-
-func (q *Queue) popSWTF(now sim.Time) (any, bool) {
-	q.release(now)
-	for len(q.ready) > 0 {
-		it := q.ready[0]
-		w := q.wait(it, now)
-		if w == 0 {
-			q.heapRemove(it)
-			return q.finishPop(it)
-		}
-		// Stale candidate: park it on its latest-busy element; the wake
-		// record for that element's horizon brings it back.
-		q.heapRemove(it)
-		q.park(it, now)
-	}
-	return nil, false
-}
-
-// finishPop detaches the payload and recycles the item.
-func (q *Queue) finishPop(it *item) (any, bool) {
-	data := it.data
+	owner := n.owner
+	*n = Node[T]{} // release the links to the collector
 	q.length--
-	q.put(it)
-	return data, true
+	return owner
 }
 
-// park attaches a non-dispatchable item to the busy element it must wait
+// park attaches a non-dispatchable class to the busy element it must wait
 // longest for.
-func (q *Queue) park(it *item, now sim.Time) {
+func (q *Queue[T]) park(l *lane[T], c *class[T], now sim.Time) {
 	worst, horizon := -1, sim.Time(0)
-	for _, e := range it.elems {
+	for _, e := range c.elems {
 		if b := q.busyUntil[e]; b > now && b > horizon {
 			worst, horizon = e, b
 		}
 	}
 	// wait > 0 guaranteed a busy element exists.
-	it.parkedOn = worst
-	it.prev = nil
-	it.next = q.blocked[worst]
-	if it.next != nil {
-		it.next.prev = it
-	}
-	q.blocked[worst] = it
+	c.nextParked = l.blocked[worst]
+	l.blocked[worst] = c
 }
 
 // release processes due wake records: every element whose horizon has
-// passed gets its parked requests promoted back to candidates.
-func (q *Queue) release(now sim.Time) {
+// passed gets its parked classes, in every lane, promoted back to
+// candidates.
+func (q *Queue[T]) release(now sim.Time) {
 	for len(q.wakes) > 0 && q.wakes[0].at <= now {
 		w := q.popWake()
 		if q.busyUntil[w.elem] > now {
@@ -460,15 +460,21 @@ func (q *Queue) release(now sim.Time) {
 			// record carries its current horizon.
 			continue
 		}
-		for it := q.blocked[w.elem]; it != nil; {
-			next := it.next
-			it.prev, it.next = nil, nil
-			it.parkedOn = -1
-			q.heapPush(it)
-			it = next
+		q.unpark(&q.lane, w.elem)
+		for _, tq := range q.tens {
+			q.unpark(&tq.lane, w.elem)
 		}
-		q.blocked[w.elem] = nil
 	}
+}
+
+func (q *Queue[T]) unpark(l *lane[T], e int) {
+	for c := l.blocked[e]; c != nil; {
+		next := c.nextParked
+		c.nextParked = nil
+		heapPush(&l.ready, c)
+		c = next
+	}
+	l.blocked[e] = nil
 }
 
 // Drain removes every queued request — dispatchable or not — and visits
@@ -477,90 +483,55 @@ func (q *Queue) release(now sim.Time) {
 // merge transition: a shard queue's contents are re-enqueued onto the
 // gang-wide queue in global arrival order, so Drain is a rare-path
 // operation and may allocate.
-func (q *Queue) Drain(visit func(seq uint64, elems []int, data any)) {
-	var items []*item
-	for it := q.head; it != nil; it = it.next {
-		items = append(items, it)
-	}
-	q.head, q.tail = nil, nil
-	items = append(items, q.ready...)
-	for i := range q.ready {
-		q.ready[i] = nil
-	}
-	q.ready = q.ready[:0]
-	for e, it := range q.blocked {
-		for ; it != nil; it = it.next {
-			items = append(items, it)
-		}
-		q.blocked[e] = nil
-	}
-	for _, tq := range q.tens {
-		for it := tq.head; it != nil; it = it.next {
-			items = append(items, it)
-		}
-		tq.head, tq.tail = nil, nil
-		items = append(items, tq.ready...)
-		for i := range tq.ready {
-			tq.ready[i] = nil
-		}
-		tq.ready = tq.ready[:0]
-		for e, it := range tq.blocked {
-			for ; it != nil; it = it.next {
-				items = append(items, it)
+func (q *Queue[T]) Drain(visit func(seq uint64, owner *T)) {
+	var nodes []*Node[T]
+	drainLane := func(l *lane[T]) {
+		drainClass := func(c *class[T]) {
+			for n := c.head; n != nil; n = n.next {
+				nodes = append(nodes, n)
 			}
-			tq.blocked[e] = nil
+			c.head, c.tail, c.heapIdx, c.nextParked = nil, nil, -1, nil
 		}
+		for _, c := range l.ready {
+			drainClass(c)
+		}
+		clear(l.ready)
+		l.ready = l.ready[:0]
+		for e, c := range l.blocked {
+			for c != nil {
+				next := c.nextParked
+				drainClass(c)
+				c = next
+			}
+			l.blocked[e] = nil
+		}
+	}
+	drainLane(&q.lane)
+	for _, tq := range q.tens {
+		drainLane(&tq.lane)
 		tq.length = 0
 		tq.deficit = 0
 	}
-	q.wakes = q.wakes[:0]
-	sort.Slice(items, func(i, j int) bool { return items[i].seq < items[j].seq })
-	for _, it := range items {
-		visit(it.seq, it.elems, it.data)
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].seq < nodes[j].seq })
+	for _, n := range nodes {
+		seq, owner := n.seq, n.owner
+		*n = Node[T]{}
 		q.length--
-		q.put(it)
+		visit(seq, owner)
 	}
 }
 
-// ---- item pool ----
+// ---- Seq-keyed candidate heap of classes ----
 
-func (q *Queue) take() *item {
-	if it := q.free; it != nil {
-		q.free = it.next
-		it.next = nil
-		return it
-	}
-	return &item{heapIdx: -1, parkedOn: -1}
+func heapPush[T any](h *[]*class[T], c *class[T]) {
+	c.heapIdx = len(*h)
+	*h = append(*h, c)
+	siftUp(*h, c.heapIdx)
 }
 
-func (q *Queue) put(it *item) {
-	it.data = nil // release the payload to the collector
-	it.tq = nil
-	it.cost = 0
-	it.prev = nil
-	it.heapIdx = -1
-	it.parkedOn = -1
-	it.next = q.free
-	q.free = it
-}
-
-// ---- Seq-keyed candidate heap ----
-//
-// The heap functions operate on any candidate slice so the single-tenant
-// queue and every tenant sub-queue share one implementation.
-
-func (q *Queue) heapPush(it *item)   { heapPushTo(&q.ready, it) }
-func (q *Queue) heapRemove(it *item) { heapRemoveFrom(&q.ready, it) }
-
-func heapPushTo(h *[]*item, it *item) {
-	it.heapIdx = len(*h)
-	*h = append(*h, it)
-	siftUp(*h, it.heapIdx)
-}
-
-func heapRemoveFrom(h *[]*item, it *item) {
+func heapRemove[T any](h *[]*class[T], c *class[T]) {
 	ready := *h
-	i := it.heapIdx
+	i := c.heapIdx
 	last := len(ready) - 1
 	ready[i] = ready[last]
 	ready[i].heapIdx = i
@@ -570,10 +541,10 @@ func heapRemoveFrom(h *[]*item, it *item) {
 		siftDown(ready[:last], i)
 		siftUp(ready[:last], i)
 	}
-	it.heapIdx = -1
+	c.heapIdx = -1
 }
 
-func siftUp(ready []*item, i int) {
+func siftUp[T any](ready []*class[T], i int) {
 	for i > 0 {
 		p := (i - 1) / 2
 		if ready[p].seq <= ready[i].seq {
@@ -585,7 +556,7 @@ func siftUp(ready []*item, i int) {
 	}
 }
 
-func siftDown(ready []*item, i int) {
+func siftDown[T any](ready []*class[T], i int) {
 	n := len(ready)
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -607,7 +578,7 @@ func siftDown(ready []*item, i int) {
 
 // ---- (horizon, element) wake heap ----
 
-func (q *Queue) pushWake(w wake) {
+func (q *Queue[T]) pushWake(w wake) {
 	q.wakes = append(q.wakes, w)
 	i := len(q.wakes) - 1
 	for i > 0 {
@@ -620,7 +591,7 @@ func (q *Queue) pushWake(w wake) {
 	}
 }
 
-func (q *Queue) popWake() wake {
+func (q *Queue[T]) popWake() wake {
 	w := q.wakes[0]
 	last := len(q.wakes) - 1
 	q.wakes[0] = q.wakes[last]

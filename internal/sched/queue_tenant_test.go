@@ -20,9 +20,9 @@ func TestQueueFairSingleTenantEquivalence(t *testing.T) {
 			t.Run(policy.String(), func(t *testing.T) {
 				for trial := 0; trial < 10; trial++ {
 					rng := rand.New(rand.NewSource(int64(trial)*100 + int64(policy) + int64(tenant)))
-					fair := NewQueue(policy, elements)
+					fair := newQueue(policy, elements)
 					fair.SetTenantWeight(tenant, 2.5)
-					plain := NewQueue(policy, elements)
+					plain := newQueue(policy, elements)
 					elemsOf := map[int][]int{}
 					now := sim.Time(0)
 					id := 0
@@ -31,24 +31,24 @@ func TestQueueFairSingleTenantEquivalence(t *testing.T) {
 							k := 1 + rng.Intn(3)
 							perm := rng.Perm(elements)[:k]
 							elemsOf[id] = perm
-							fair.PushT(perm, id, tenant, int64(4096*(1+id%8)))
-							plain.Push(perm, id)
+							push(fair, perm, id, tenant, int64(4096*(1+id%8)))
+							push(plain, perm, id, 0, 1)
 							id++
 						}
 						for {
-							got, ok := fair.Pop(now)
-							want, wok := plain.Pop(now)
+							got, ok := popID(fair, now)
+							want, wok := popID(plain, now)
 							if ok != wok {
 								t.Fatalf("trial %d step %d: fair ok=%v plain ok=%v", trial, step, ok, wok)
 							}
 							if !ok {
 								break
 							}
-							if got.(int) != want.(int) {
+							if got != want {
 								t.Fatalf("trial %d step %d: fair dispatched %v, plain %v", trial, step, got, want)
 							}
-							for _, e := range elemsOf[got.(int)] {
-								until := now + serviceTime(got.(int), e)
+							for _, e := range elemsOf[got] {
+								until := now + serviceTime(got, e)
 								fair.SetBusy(e, until)
 								plain.SetBusy(e, until)
 							}
@@ -70,14 +70,14 @@ func TestQueueFairSingleTenantEquivalence(t *testing.T) {
 func TestQueueFairShareBytes(t *testing.T) {
 	for _, policy := range []Policy{FCFS, SWTF} {
 		t.Run(policy.String(), func(t *testing.T) {
-			q := NewQueue(policy, 1)
+			q := newQueue(policy, 1)
 			q.SetTenantWeight(1, 1)
 			q.SetTenantWeight(2, 3)
 			const opBytes = 8 << 10
 			elems := []int{0}
 			backlog := func(tenant uint8, n int) {
 				for i := 0; i < n; i++ {
-					q.PushT(elems, int(tenant), tenant, opBytes)
+					push(q, elems, int(tenant), tenant, opBytes)
 				}
 			}
 			backlog(1, 4096)
@@ -85,11 +85,11 @@ func TestQueueFairShareBytes(t *testing.T) {
 			bytesOf := map[int]int64{}
 			now := sim.Time(0)
 			for i := 0; i < 4000; i++ {
-				data, ok := q.Pop(now)
+				id, ok := popID(q, now)
 				if !ok {
 					t.Fatalf("pop %d: backlogged queue stalled", i)
 				}
-				bytesOf[data.(int)] += opBytes
+				bytesOf[id] += opBytes
 				q.SetBusy(0, now+1)
 				now++
 			}
@@ -106,20 +106,21 @@ func TestQueueFairShareBytes(t *testing.T) {
 // honor a share — when one tenant's head is blocked on a busy element,
 // another tenant's dispatchable work proceeds regardless of deficits.
 func TestQueueFairWorkConserving(t *testing.T) {
-	q := NewQueue(SWTF, 2)
+	const heavy, light = 1, 2
+	q := newQueue(SWTF, 2)
 	q.SetTenantWeight(1, 100) // heavy tenant, but blocked below
 	q.SetTenantWeight(2, 1)
 	q.SetBusy(0, 1000)
-	q.PushT([]int{0}, "heavy", 1, 4096)
-	q.PushT([]int{1}, "light", 2, 4096)
-	if data, ok := q.Pop(0); !ok || data != "light" {
-		t.Fatalf("Pop = %v, %v, want light (work conservation)", data, ok)
+	push(q, []int{0}, heavy, 1, 4096)
+	push(q, []int{1}, light, 2, 4096)
+	if id, ok := popID(q, 0); !ok || id != light {
+		t.Fatalf("Pop = %d, %v, want light (work conservation)", id, ok)
 	}
 	if _, ok := q.Pop(0); ok {
 		t.Fatal("dispatched onto a busy element")
 	}
-	if data, ok := q.Pop(1000); !ok || data != "heavy" {
-		t.Fatalf("Pop = %v, %v, want heavy after horizon", data, ok)
+	if id, ok := popID(q, 1000); !ok || id != heavy {
+		t.Fatalf("Pop = %d, %v, want heavy after horizon", id, ok)
 	}
 }
 
@@ -128,21 +129,21 @@ func TestQueueFairWorkConserving(t *testing.T) {
 func TestQueueFairDrain(t *testing.T) {
 	for _, policy := range []Policy{FCFS, SWTF} {
 		t.Run(policy.String(), func(t *testing.T) {
-			q := NewQueue(policy, 2)
+			q := newQueue(policy, 2)
 			q.SetTenantWeight(1, 1)
 			q.SetTenantWeight(2, 2)
 			q.SetBusy(1, 100)
 			for i := 0; i < 8; i++ {
-				q.PushT([]int{i % 2}, i, uint8(1+i%2), 4096)
+				push(q, []int{i % 2}, i, uint8(1+i%2), 4096)
 			}
 			if policy == SWTF {
 				q.Pop(0) // move some items through the ready/parked indexes
 			}
 			for q.Len() < 8 {
-				q.PushT([]int{1}, 100+q.Len(), 1, 4096)
+				push(q, []int{1}, 100+q.Len(), 1, 4096)
 			}
 			var seqs []uint64
-			q.Drain(func(seq uint64, elems []int, data any) { seqs = append(seqs, seq) })
+			q.Drain(func(seq uint64, _ *treq) { seqs = append(seqs, seq) })
 			if q.Len() != 0 {
 				t.Fatalf("queue holds %d items after Drain", q.Len())
 			}
@@ -154,8 +155,8 @@ func TestQueueFairDrain(t *testing.T) {
 					t.Fatalf("Drain out of order: %v", seqs)
 				}
 			}
-			q.PushT([]int{0}, "post", 1, 4096)
-			if data, ok := q.Pop(1000); !ok || data != "post" {
+			push(q, []int{0}, 7, 1, 4096)
+			if id, ok := popID(q, 1000); !ok || id != 7 {
 				t.Fatal("post-drain push/pop broken")
 			}
 		})
@@ -167,31 +168,28 @@ func TestQueueFairDrain(t *testing.T) {
 // tenants allocates nothing.
 func TestQueuePopAllocFreeFair(t *testing.T) {
 	const elements = 8
-	type req struct{ elem int }
-	q := NewQueue(SWTF, elements)
+	q := newQueue(SWTF, elements)
 	q.SetTenantWeight(1, 1)
 	q.SetTenantWeight(2, 4)
 	q.SetTenantWeight(3, 2)
 	elems := make([][]int, elements)
-	reqs := make([]*req, elements)
 	for e := 0; e < elements; e++ {
 		elems[e] = []int{e}
-		reqs[e] = &req{elem: e}
 	}
-	for i := 0; i < 1024; i++ {
-		q.PushT(elems[i%elements], reqs[i%elements], uint8(1+i%3), 4096)
+	reqs := make([]*treq, 1024)
+	for i := range reqs {
+		reqs[i] = &treq{id: i, cost: 4096}
+		q.Push(&reqs[i].qn, reqs[i], elems[i%elements], uint8(1+i%3))
 	}
 	now := sim.Time(0)
-	i := 1024
 	allocs := testing.AllocsPerRun(10000, func() {
-		data, ok := q.Pop(now)
+		r, ok := q.Pop(now)
 		if !ok {
 			t.Fatal("steady-state pop failed")
 		}
-		e := data.(*req).elem
+		e := r.id % elements
 		q.SetBusy(e, now+1)
-		q.PushT(elems[i%elements], reqs[i%elements], uint8(1+i%3), 4096)
-		i++
+		q.Push(&r.qn, r, elems[e], uint8(1+r.id%3))
 		now++
 	})
 	if allocs > 0 {

@@ -2,15 +2,45 @@ package sched
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ossd/internal/sim"
 )
 
+// treq is the tests' queued request: an ID and a fair-share cost, plus
+// the embedded queue node.
+type treq struct {
+	qn   Node[treq]
+	id   int
+	cost int64
+}
+
+// newQueue builds a test queue charging each request its cost field.
+func newQueue(policy Policy, elements int) *Queue[treq] {
+	return NewQueue(policy, elements, func(r *treq) int64 { return r.cost })
+}
+
+// push enqueues a fresh request with the given ID; tenant and cost feed
+// the fair-share layer.
+func push(q *Queue[treq], elems []int, id int, tenant uint8, cost int64) uint64 {
+	r := &treq{id: id, cost: cost}
+	return q.Push(&r.qn, r, elems, tenant)
+}
+
+// popID pops the next request and returns its ID.
+func popID(q *Queue[treq], now sim.Time) (int, bool) {
+	r, ok := q.Pop(now)
+	if !ok {
+		return 0, false
+	}
+	return r.id, true
+}
+
 func TestQueueFCFSOrderAndBlocking(t *testing.T) {
-	q := NewQueue(FCFS, 2)
-	a := q.Push([]int{0}, "a")
-	b := q.Push([]int{1}, "b")
+	q := newQueue(FCFS, 2)
+	a := push(q, []int{0}, 'a', 0, 1)
+	b := push(q, []int{1}, 'b', 0, 1)
 	if a != 1 || b != 2 {
 		t.Fatalf("seqs = %d, %d, want 1, 2", a, b)
 	}
@@ -20,15 +50,15 @@ func TestQueueFCFSOrderAndBlocking(t *testing.T) {
 	// Head targets a busy element: FCFS must stall even though the
 	// second request's element is idle.
 	q.SetBusy(0, 100)
-	if data, ok := q.Pop(10); ok {
-		t.Fatalf("FCFS dispatched %v past a blocked head", data)
+	if id, ok := popID(q, 10); ok {
+		t.Fatalf("FCFS dispatched %c past a blocked head", id)
 	}
 	// Head clears: both dispatch, in arrival order.
-	if data, ok := q.Pop(100); !ok || data != "a" {
-		t.Fatalf("Pop = %v, %v, want a", data, ok)
+	if id, ok := popID(q, 100); !ok || id != 'a' {
+		t.Fatalf("Pop = %c, %v, want a", id, ok)
 	}
-	if data, ok := q.Pop(100); !ok || data != "b" {
-		t.Fatalf("Pop = %v, %v, want b", data, ok)
+	if id, ok := popID(q, 100); !ok || id != 'b' {
+		t.Fatalf("Pop = %c, %v, want b", id, ok)
 	}
 	if _, ok := q.Pop(100); ok || q.Len() != 0 {
 		t.Fatal("queue not empty after draining")
@@ -36,33 +66,35 @@ func TestQueueFCFSOrderAndBlocking(t *testing.T) {
 }
 
 func TestQueueSWTFBypassAndTieBreak(t *testing.T) {
-	q := NewQueue(SWTF, 2)
+	const blocked, bypass = 1, 2
+	q := newQueue(SWTF, 2)
 	q.SetBusy(0, 100)
-	q.Push([]int{0}, "blocked")
-	q.Push([]int{1}, "bypass")
+	push(q, []int{0}, blocked, 0, 1)
+	push(q, []int{1}, bypass, 0, 1)
 	// SWTF bypasses the blocked head to the idle element.
-	if data, ok := q.Pop(10); !ok || data != "bypass" {
-		t.Fatalf("Pop = %v, %v, want bypass", data, ok)
+	if id, ok := popID(q, 10); !ok || id != bypass {
+		t.Fatalf("Pop = %d, %v, want bypass", id, ok)
 	}
 	if _, ok := q.Pop(10); ok {
 		t.Fatal("dispatched onto a busy element")
 	}
 	// Element 0 clears; the parked request dispatches.
-	if data, ok := q.Pop(100); !ok || data != "blocked" {
-		t.Fatalf("Pop = %v, %v, want blocked", data, ok)
+	if id, ok := popID(q, 100); !ok || id != blocked {
+		t.Fatalf("Pop = %d, %v, want blocked", id, ok)
 	}
 
 	// Equal waits tie-break by arrival order.
-	q2 := NewQueue(SWTF, 2)
-	q2.Push([]int{1}, "first")
-	q2.Push([]int{0}, "second")
-	if data, ok := q2.Pop(0); !ok || data != "first" {
-		t.Fatalf("tie Pop = %v, %v, want first", data, ok)
+	const first, second = 1, 2
+	q2 := newQueue(SWTF, 2)
+	push(q2, []int{1}, first, 0, 1)
+	push(q2, []int{0}, second, 0, 1)
+	if id, ok := popID(q2, 0); !ok || id != first {
+		t.Fatalf("tie Pop = %d, %v, want first", id, ok)
 	}
 }
 
 func TestQueueSetBusyMonotone(t *testing.T) {
-	q := NewQueue(SWTF, 1)
+	q := newQueue(SWTF, 1)
 	q.SetBusy(0, 50)
 	q.SetBusy(0, 30) // horizons only grow
 	if got := q.Busy(0); got != 50 {
@@ -74,57 +106,150 @@ func TestQueueSetBusyMonotone(t *testing.T) {
 }
 
 func TestQueueMultiElementParking(t *testing.T) {
-	q := NewQueue(SWTF, 3)
+	const striped, single = 1, 2
+	q := newQueue(SWTF, 3)
 	q.SetBusy(1, 30)
-	q.Push([]int{0, 1, 2}, "striped")
-	q.Push([]int{2}, "single")
+	push(q, []int{0, 1, 2}, striped, 0, 1)
+	push(q, []int{2}, single, 0, 1)
 	// The striped request waits on element 1; the single dispatches.
-	if data, ok := q.Pop(0); !ok || data != "single" {
-		t.Fatalf("Pop = %v, %v, want single", data, ok)
+	if id, ok := popID(q, 0); !ok || id != single {
+		t.Fatalf("Pop = %d, %v, want single", id, ok)
 	}
-	// Element 2 now busy from... no, Pop does not mark busy; mark it.
+	// Pop does not mark elements busy; serve the single on element 2.
 	q.SetBusy(2, 60)
 	// At 30 element 1 clears but 2 is busy: striped re-parks.
 	if _, ok := q.Pop(30); ok {
 		t.Fatal("striped dispatched with element 2 busy")
 	}
-	if data, ok := q.Pop(60); !ok || data != "striped" {
-		t.Fatalf("Pop = %v, %v, want striped", data, ok)
+	if id, ok := popID(q, 60); !ok || id != striped {
+		t.Fatalf("Pop = %d, %v, want striped", id, ok)
 	}
 }
 
 // legacyQueue replays the scan-era dispatch machinery exactly: a pending
 // slice re-scanned with Pick and compacted by index on every dispatch.
+// With tenants registered it layers the same weighted deficit round
+// robin the Queue documents over one such scan per tenant, so the fair
+// path has an oracle that shares none of the index.
 type legacyQueue struct {
 	policy    Policy
 	pending   []*Entry
 	data      map[uint64]int // seq -> pushed id
+	cost      map[uint64]float64
 	busyUntil []sim.Time
 	seq       uint64
+	tens      []*legacyTenant // ascending ID; empty in single-tenant mode
+	rr        int
+}
+
+type legacyTenant struct {
+	id              uint8
+	weight, deficit float64
+	pending         []*Entry
 }
 
 func newLegacy(policy Policy, elements int) *legacyQueue {
 	return &legacyQueue{
 		policy:    policy,
 		data:      map[uint64]int{},
+		cost:      map[uint64]float64{},
 		busyUntil: make([]sim.Time, elements),
 	}
 }
 
-func (l *legacyQueue) push(elems []int, id int) {
+// addTenant registers a tenant; call in ascending ID order.
+func (l *legacyQueue) addTenant(id uint8, weight float64) {
+	l.tens = append(l.tens, &legacyTenant{id: id, weight: weight})
+}
+
+func (l *legacyQueue) push(elems []int, id int, tenant uint8, cost int64) {
 	l.seq++
-	l.pending = append(l.pending, &Entry{Elems: append([]int(nil), elems...), Seq: l.seq})
+	e := &Entry{Elems: append([]int(nil), elems...), Seq: l.seq}
 	l.data[l.seq] = id
+	l.cost[l.seq] = float64(max(cost, 1))
+	if len(l.tens) == 0 {
+		l.pending = append(l.pending, e)
+		return
+	}
+	for _, tn := range l.tens {
+		if tn.id == tenant {
+			tn.pending = append(tn.pending, e)
+			return
+		}
+	}
+	panic("unregistered tenant")
+}
+
+func (l *legacyQueue) len() int {
+	n := len(l.pending)
+	for _, tn := range l.tens {
+		n += len(tn.pending)
+	}
+	return n
+}
+
+// take removes pending[idx] and returns its pushed ID.
+func (l *legacyQueue) take(pending *[]*Entry, idx int) int {
+	e := (*pending)[idx]
+	*pending = append((*pending)[:idx], (*pending)[idx+1:]...)
+	return l.data[e.Seq]
 }
 
 func (l *legacyQueue) pop(now sim.Time) (int, bool) {
-	idx := Pick(l.policy, l.pending, l.busyUntil, now)
-	if idx < 0 {
-		return 0, false
+	if len(l.tens) == 0 {
+		idx := Pick(l.policy, l.pending, l.busyUntil, now)
+		if idx < 0 {
+			return 0, false
+		}
+		return l.take(&l.pending, idx), true
 	}
-	e := l.pending[idx]
-	l.pending = append(l.pending[:idx], l.pending[idx+1:]...)
-	return l.data[e.Seq], true
+	n := len(l.tens)
+	for {
+		blockedOnDeficit := false
+		for i := 0; i < n; i++ {
+			idx := (l.rr + i) % n
+			tn := l.tens[idx]
+			pi := Pick(l.policy, tn.pending, l.busyUntil, now)
+			if pi < 0 {
+				continue
+			}
+			c := l.cost[tn.pending[pi].Seq]
+			if tn.deficit >= c {
+				tn.deficit -= c
+				l.rr = idx
+				id := l.take(&tn.pending, pi)
+				if len(tn.pending) == 0 {
+					tn.deficit = 0
+				}
+				return id, true
+			}
+			blockedOnDeficit = true
+		}
+		if !blockedOnDeficit {
+			return 0, false
+		}
+		for _, tn := range l.tens {
+			if Pick(l.policy, tn.pending, l.busyUntil, now) >= 0 {
+				tn.deficit += drrQuantum * tn.weight
+			}
+		}
+	}
+}
+
+// queued lists the oracle's pending (seq, id) pairs in arrival order.
+func (l *legacyQueue) queued() [][2]uint64 {
+	var out [][2]uint64
+	add := func(p []*Entry) {
+		for _, e := range p {
+			out = append(out, [2]uint64{e.Seq, uint64(l.data[e.Seq])})
+		}
+	}
+	add(l.pending)
+	for _, tn := range l.tens {
+		add(tn.pending)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
 }
 
 // serviceTime is the deterministic per-(request, element) busy duration
@@ -133,108 +258,208 @@ func serviceTime(id, elem int) sim.Time {
 	return sim.Time(1 + (id*31+elem*7)%53)
 }
 
+// equivCase is one randomized workload for TestQueueEquivalence.
+type equivCase struct {
+	name     string
+	policy   Policy
+	elements int
+	tenants  int // 0: single-tenant; else tenants 1..N at weights 1..N
+	trials   int
+	steps    int
+	// arrivals returns the element sets arriving this step.
+	arrivals func(rng *rand.Rand) [][]int
+	// service is the busy duration of request id on one element.
+	service func(id, elem int) sim.Time
+	// jump lets time skip straight to the next busy horizon one step in
+	// three, as well as advancing by a small random step.
+	jump bool
+	// minDepth is the backlog the run must reach; when set, the run ends
+	// by draining that backlog and checking the drain against the oracle.
+	minDepth int
+}
+
+// randomSets is the legacy mix: 0..3 arrivals of 1..3 distinct random
+// elements each.
+func randomSets(elements int) func(*rand.Rand) [][]int {
+	return func(rng *rand.Rand) [][]int {
+		var sets [][]int
+		for n := rng.Intn(4); n > 0; n-- {
+			sets = append(sets, rng.Perm(elements)[:1+rng.Intn(3)])
+		}
+		return sets
+	}
+}
+
+// stripedSets is the interleaved-striping shape of a deep postmark
+// backlog: 2..6 arrivals per step, each a contiguous run of 1..elements
+// elements (wrapping), listed in a random order so one set arrives in
+// several element orders.
+func stripedSets(elements int) func(*rand.Rand) [][]int {
+	return func(rng *rand.Rand) [][]int {
+		var sets [][]int
+		for n := 2 + rng.Intn(5); n > 0; n-- {
+			start, k := rng.Intn(elements), 1+rng.Intn(elements)
+			set := make([]int, k)
+			for i, j := range rng.Perm(k) {
+				set[i] = (start + j) % elements
+			}
+			sets = append(sets, set)
+		}
+		return sets
+	}
+}
+
 // TestQueueEquivalence drives the indexed Queue and the legacy Pick scan
-// through identical randomized workloads — both policies, a mix of
-// single- and multi-element requests over several elements, interleaved
-// arrivals, dispatches, and time advances — and requires the dispatch
-// sequences to match op-for-op. This is the refactor's determinism
-// contract: the index may change the complexity, never the schedule.
+// through identical randomized workloads and requires the dispatch
+// sequences to match op-for-op. This is the index's determinism
+// contract: it may change the complexity, never the schedule. The cases
+// cover both policies on the legacy random mix; saturated backlogs of
+// 1000+ requests on 4 elements with contiguous striped sets pushed in
+// shuffled element orders, where service time dwarfs the interarrival
+// gap and classes stay parked; and fair-share dispatch over three
+// tenants against a per-tenant-scan DRR oracle. Saturated runs end by
+// draining the backlog mid-flight.
 func TestQueueEquivalence(t *testing.T) {
-	const elements = 4
+	slow := func(id, elem int) sim.Time { return sim.Time(20 + (id*31+elem*7)%40) }
+	var cases []equivCase
 	for _, policy := range []Policy{FCFS, SWTF} {
-		t.Run(policy.String(), func(t *testing.T) {
-			for trial := 0; trial < 20; trial++ {
-				rng := rand.New(rand.NewSource(int64(trial)*100 + int64(policy)))
-				q := NewQueue(policy, elements)
-				l := newLegacy(policy, elements)
-				elemsOf := map[int][]int{} // id -> element set
-				now := sim.Time(0)
-				id := 0
-				for step := 0; step < 400; step++ {
-					// Arrivals: 0..3 requests with 1..3 distinct elements.
-					for n := rng.Intn(4); n > 0; n-- {
-						k := 1 + rng.Intn(3)
-						perm := rng.Perm(elements)[:k]
-						elemsOf[id] = perm
-						q.Push(perm, id)
-						l.push(perm, id)
-						id++
-					}
-					// Dispatch everything dispatchable, applying identical
-					// busy horizons on both sides after each dispatch.
-					for {
-						got, ok := q.Pop(now)
-						wid, wok := l.pop(now)
-						if ok != wok {
-							t.Fatalf("trial %d step %d: queue ok=%v legacy ok=%v", trial, step, ok, wok)
-						}
-						if !ok {
-							break
-						}
-						if got.(int) != wid {
-							t.Fatalf("trial %d step %d: queue dispatched %v, legacy %d", trial, step, got, wid)
-						}
-						for _, e := range elemsOf[got.(int)] {
-							until := now + serviceTime(got.(int), e)
-							q.SetBusy(e, until)
-							if until > l.busyUntil[e] {
-								l.busyUntil[e] = until
-							}
-						}
-					}
-					// Advance time: small step or jump to the next horizon.
-					if rng.Intn(3) == 0 {
-						var next sim.Time
-						for e := 0; e < elements; e++ {
-							if b := l.busyUntil[e]; b > now && (next == 0 || b < next) {
-								next = b
-							}
-						}
-						if next > now {
-							now = next
-							continue
-						}
-					}
-					now += sim.Time(1 + rng.Intn(20))
-				}
-				if q.Len() != len(l.pending) {
-					t.Fatalf("trial %d: queue len %d, legacy %d", trial, q.Len(), len(l.pending))
-				}
+		cases = append(cases,
+			equivCase{name: policy.String(), policy: policy, elements: 4, trials: 20, steps: 400,
+				arrivals: randomSets(4), service: serviceTime, jump: true},
+			equivCase{name: policy.String() + "-saturated", policy: policy, elements: 4, trials: 3, steps: 500,
+				arrivals: stripedSets(4), service: slow, minDepth: 1000},
+			equivCase{name: policy.String() + "-fair3", policy: policy, elements: 4, tenants: 3, trials: 10, steps: 300,
+				arrivals: randomSets(4), service: serviceTime, jump: true},
+			equivCase{name: policy.String() + "-fair3-saturated", policy: policy, elements: 4, tenants: 3, trials: 2, steps: 400,
+				arrivals: stripedSets(4), service: slow, minDepth: 1000},
+		)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for trial := 0; trial < c.trials; trial++ {
+				runEquivalence(t, c, int64(trial)*100+int64(c.policy))
 			}
 		})
 	}
 }
 
-// TestQueuePopAllocFree pins the tentpole's allocation contract: a
-// steady-state dispatch cycle (pop one, mark busy, push a replacement)
-// allocates nothing once the item pool is warm.
+func runEquivalence(t *testing.T, c equivCase, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	q := newQueue(c.policy, c.elements)
+	l := newLegacy(c.policy, c.elements)
+	for tn := 1; tn <= c.tenants; tn++ {
+		q.SetTenantWeight(uint8(tn), float64(tn))
+		l.addTenant(uint8(tn), float64(tn))
+	}
+	elemsOf := map[int][]int{} // id -> element set
+	now := sim.Time(0)
+	id, depth := 0, 0
+	for step := 0; step < c.steps; step++ {
+		for _, set := range c.arrivals(rng) {
+			var tenant uint8
+			if c.tenants > 0 {
+				tenant = uint8(1 + rng.Intn(c.tenants))
+			}
+			cost := int64(4096 * (1 + rng.Intn(8)))
+			elemsOf[id] = set
+			push(q, set, id, tenant, cost)
+			l.push(set, id, tenant, cost)
+			id++
+		}
+		depth = max(depth, q.Len())
+		// Dispatch everything dispatchable, applying identical busy
+		// horizons on both sides after each dispatch.
+		for {
+			got, ok := popID(q, now)
+			want, wok := l.pop(now)
+			if ok != wok {
+				t.Fatalf("seed %d step %d: queue ok=%v legacy ok=%v", seed, step, ok, wok)
+			}
+			if !ok {
+				break
+			}
+			if got != want {
+				t.Fatalf("seed %d step %d: queue dispatched %d, legacy %d", seed, step, got, want)
+			}
+			for _, e := range elemsOf[got] {
+				until := now + c.service(got, e)
+				q.SetBusy(e, until)
+				if until > l.busyUntil[e] {
+					l.busyUntil[e] = until
+				}
+			}
+		}
+		// Advance time: small step or jump to the next horizon.
+		if c.jump && rng.Intn(3) == 0 {
+			var next sim.Time
+			for e := 0; e < c.elements; e++ {
+				if b := l.busyUntil[e]; b > now && (next == 0 || b < next) {
+					next = b
+				}
+			}
+			if next > now {
+				now = next
+				continue
+			}
+		}
+		now += sim.Time(1 + rng.Intn(20))
+	}
+	if q.Len() != l.len() {
+		t.Fatalf("seed %d: queue len %d, legacy %d", seed, q.Len(), l.len())
+	}
+	if c.minDepth == 0 {
+		return
+	}
+	if depth < c.minDepth || q.Len() < c.minDepth/2 {
+		t.Fatalf("seed %d: backlog peaked at %d and ended at %d, want >= %d", seed, depth, q.Len(), c.minDepth)
+	}
+	want := l.queued()
+	var got [][2]uint64
+	q.Drain(func(seq uint64, r *treq) { got = append(got, [2]uint64{seq, uint64(r.id)}) })
+	if len(got) != len(want) {
+		t.Fatalf("seed %d: Drain visited %d requests, legacy holds %d", seed, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: Drain visit %d = (seq %d, id %d), want (seq %d, id %d)",
+				seed, i, got[i][0], got[i][1], want[i][0], want[i][1])
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("seed %d: queue holds %d requests after Drain", seed, q.Len())
+	}
+	if _, ok := q.Pop(sim.MaxTime); ok {
+		t.Fatalf("seed %d: drained queue still dispatches", seed)
+	}
+}
+
+// TestQueuePopAllocFree pins the allocation contract: a steady-state
+// dispatch cycle (pop one, mark busy, push a replacement) allocates
+// nothing once the classes are interned.
 func TestQueuePopAllocFree(t *testing.T) {
 	const elements = 8
-	type req struct{ elem int }
-	q := NewQueue(SWTF, elements)
+	q := newQueue(SWTF, elements)
 	elems := make([][]int, elements)
-	reqs := make([]*req, elements)
+	reqs := make([]*treq, 1024)
 	for e := 0; e < elements; e++ {
 		elems[e] = []int{e}
-		reqs[e] = &req{elem: e}
 	}
-	for i := 0; i < 1024; i++ {
-		q.Push(elems[i%elements], reqs[i%elements])
+	for i := range reqs {
+		reqs[i] = &treq{id: i % elements}
+		q.Push(&reqs[i].qn, reqs[i], elems[i%elements], 0)
 	}
 	now := sim.Time(0)
-	i := 1024
 	allocs := testing.AllocsPerRun(10000, func() {
-		data, ok := q.Pop(now)
+		r, ok := q.Pop(now)
 		if !ok {
 			t.Fatal("steady-state pop failed")
 		}
-		e := data.(*req).elem
-		q.SetBusy(e, now+1)
-		q.Push(elems[i%elements], reqs[i%elements])
-		i++
+		q.SetBusy(r.id, now+1)
+		q.Push(&r.qn, r, elems[r.id], 0)
 		now++
 	})
-	// The candidate heap and wake heap reach a steady size during warmup;
+	// The class heap and wake heap reach a steady size during warmup;
 	// after that the cycle must be allocation-free.
 	if allocs > 0 {
 		t.Fatalf("dispatch cycle allocates %.1f times per op, want 0", allocs)
@@ -247,31 +472,27 @@ func TestQueuePopAllocFree(t *testing.T) {
 func TestQueueDrain(t *testing.T) {
 	for _, policy := range []Policy{FCFS, SWTF} {
 		t.Run(policy.String(), func(t *testing.T) {
-			q := NewQueue(policy, 4)
+			q := newQueue(policy, 4)
 			q.SetBusy(1, 100) // park/block some of the requests below
-			type req struct{ id int }
-			var seqs []uint64
 			for i := 0; i < 6; i++ {
-				seqs = append(seqs, q.Push([]int{i % 4}, &req{id: i}))
+				push(q, []int{(i + 1) % 4}, i, 0, 1)
 			}
 			if policy == SWTF {
-				// Force parking: pops at time 0 dispatch the idle-element
-				// requests' predecessors... actually just exercise the
-				// index so items land in ready/blocked lists.
+				// The oldest request waits on element 1: parking its
+				// class, SWTF dispatches the next one.
 				q.Pop(0)
 			}
 			// Re-fill what the exercise popped.
 			for q.Len() < 6 {
-				seqs = append(seqs, q.Push([]int{1}, &req{id: 100 + q.Len()}))
+				push(q, []int{1}, 100+q.Len(), 0, 1)
 			}
 			var got []uint64
-			var ids []int
-			q.Drain(func(seq uint64, elems []int, data any) {
-				got = append(got, seq)
-				ids = append(ids, data.(*req).id)
-			})
+			q.Drain(func(seq uint64, r *treq) { got = append(got, seq) })
 			if q.Len() != 0 {
 				t.Fatalf("queue holds %d items after Drain", q.Len())
+			}
+			if len(got) != 6 {
+				t.Fatalf("Drain visited %d items, want 6", len(got))
 			}
 			for i := 1; i < len(got); i++ {
 				if got[i] <= got[i-1] {
@@ -285,10 +506,36 @@ func TestQueueDrain(t *testing.T) {
 				t.Fatal("drained queue still dispatches")
 			}
 			// The queue must remain usable after a drain.
-			q.Push([]int{0}, &req{id: 7})
-			if data, ok := q.Pop(1000); !ok || data.(*req).id != 7 {
+			push(q, []int{0}, 7, 0, 1)
+			if id, ok := popID(q, 1000); !ok || id != 7 {
 				t.Fatal("post-drain push/pop broken")
 			}
 		})
+	}
+}
+
+// TestQueueWideClasses covers element sets on a queue wider than 64
+// elements, which intern by bitset bytes instead of a uint64 mask: one
+// set listed in two orders is one class, and elements past 64 park and
+// wake like any other.
+func TestQueueWideClasses(t *testing.T) {
+	q := newQueue(SWTF, 130)
+	q.SetBusy(129, 50)
+	push(q, []int{129, 3, 70}, 1, 0, 1)
+	push(q, []int{70}, 2, 0, 1)
+	push(q, []int{3, 70, 129}, 3, 0, 1)
+	if id, ok := popID(q, 0); !ok || id != 2 {
+		t.Fatalf("Pop = %d, %v, want 2", id, ok)
+	}
+	if _, ok := q.Pop(49); ok {
+		t.Fatal("dispatched onto busy element 129")
+	}
+	for _, want := range []int{1, 3} {
+		if id, ok := popID(q, 50); !ok || id != want {
+			t.Fatalf("Pop = %d, %v, want %d", id, ok, want)
+		}
+	}
+	if n := len(q.lane.byKey); n != 2 {
+		t.Fatalf("interned %d classes, want 2", n)
 	}
 }

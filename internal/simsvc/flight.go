@@ -84,29 +84,44 @@ func (m *Manager) completeCached(job *Job, payload []byte, source string) {
 	job.result = payload
 	job.status = StatusDone
 	job.finished = time.Now()
+	m.countDone(job)
 	job.cond.Broadcast()
 	job.mu.Unlock()
-	m.completed.Add(1)
-	m.tenantAdd(job.Spec.Tenant, func(c *tenantCounter) { c.completed++ })
 }
 
 // failWaiter fails a coalesced waiter with its primary's error (no-op
 // if the waiter is already terminal, e.g. individually cancelled).
 func (m *Manager) failWaiter(job *Job, err error) {
-	job.mu.Lock()
-	if job.status.terminal() {
-		job.mu.Unlock()
-		return
-	}
-	job.status = StatusFailed
+	msg := "simsvc: single-flight primary failed"
 	if err != nil {
-		job.errMsg = err.Error()
-	} else {
-		job.errMsg = "simsvc: single-flight primary failed"
+		msg = err.Error()
 	}
-	job.finished = time.Now()
-	job.cond.Broadcast()
+	m.failJob(job, msg)
+}
+
+// failJob fails a job that is not yet terminal (a no-op otherwise).
+func (m *Manager) failJob(job *Job, msg string) {
+	job.mu.Lock()
+	if !job.status.terminal() {
+		m.failLocked(job, msg)
+	}
 	job.mu.Unlock()
+}
+
+// failLocked (job.mu held) marks the job failed and counts it before
+// waking its waiters, so a Wait caller never reads Stats() a count
+// behind the job it just saw fail.
+func (m *Manager) failLocked(job *Job, msg string) {
+	job.status = StatusFailed
+	job.errMsg = msg
+	job.finished = time.Now()
 	m.failed.Add(1)
 	m.tenantAdd(job.Spec.Tenant, func(c *tenantCounter) { c.failed++ })
+	job.cond.Broadcast()
+}
+
+// countDone (job.mu held) counts a job that just completed.
+func (m *Manager) countDone(job *Job) {
+	m.completed.Add(1)
+	m.tenantAdd(job.Spec.Tenant, func(c *tenantCounter) { c.completed++ })
 }

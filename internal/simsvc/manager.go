@@ -137,16 +137,6 @@ func (j *Job) View() JobView {
 	return v
 }
 
-// fail marks the job failed with the given cause.
-func (j *Job) fail(err error) {
-	j.mu.Lock()
-	j.status = StatusFailed
-	j.errMsg = err.Error()
-	j.finished = time.Now()
-	j.cond.Broadcast()
-	j.mu.Unlock()
-}
-
 // addSample appends one telemetry observation.
 func (j *Job) addSample(s Sample) {
 	j.mu.Lock()
@@ -451,18 +441,12 @@ func (m *Manager) run(ctx context.Context, job *Job) {
 	}
 
 	res, err := m.simulate(ctx, job)
-	if err != nil {
-		job.fail(err)
-		m.failed.Add(1)
-		m.tenantAdd(job.Spec.Tenant, func(c *tenantCounter) { c.failed++ })
-		m.resolveFlight(job.key, nil, err)
-		return
+	var payload []byte
+	if err == nil {
+		payload, err = json.Marshal(res)
 	}
-	payload, err := json.Marshal(res)
 	if err != nil {
-		job.fail(err)
-		m.failed.Add(1)
-		m.tenantAdd(job.Spec.Tenant, func(c *tenantCounter) { c.failed++ })
+		m.failJob(job, err.Error())
 		m.resolveFlight(job.key, nil, err)
 		return
 	}
@@ -474,18 +458,18 @@ func (m *Manager) run(ctx context.Context, job *Job) {
 		// owner-holds-the-entry. Best-effort and off the worker.
 		go push(m.tier, owner, job.key, job.identity, payload)
 	}
+	// Account the completion before waking waiters, so a Wait caller
+	// never reads Stats() a count behind the job it just saw finish.
 	job.mu.Lock()
 	job.result = payload
 	job.status = StatusDone
 	job.finished = time.Now()
-	run := job.finished.Sub(job.started)
+	m.aggMu.Lock()
+	m.runDur.Add(float64(job.finished.Sub(job.started)) / float64(time.Millisecond))
+	m.aggMu.Unlock()
+	m.countDone(job)
 	job.cond.Broadcast()
 	job.mu.Unlock()
-	m.aggMu.Lock()
-	m.runDur.Add(float64(run) / float64(time.Millisecond))
-	m.aggMu.Unlock()
-	m.completed.Add(1)
-	m.tenantAdd(job.Spec.Tenant, func(c *tenantCounter) { c.completed++ })
 }
 
 // simulate is the deterministic part of run: everything that feeds the
@@ -591,12 +575,7 @@ func (m *Manager) Cancel(id string) (bool, error) {
 	cancel := job.cancel
 	live := !job.status.terminal()
 	if live && job.status == StatusQueued {
-		job.status = StatusFailed
-		job.errMsg = context.Canceled.Error()
-		job.finished = time.Now()
-		job.cond.Broadcast()
-		m.failed.Add(1)
-		m.tenantAdd(job.Spec.Tenant, func(c *tenantCounter) { c.failed++ })
+		m.failLocked(job, context.Canceled.Error())
 	}
 	job.mu.Unlock()
 	if !live {

@@ -26,23 +26,27 @@ type Request struct {
 	// Err records a device error (wear-out, capacity); nil on success.
 	Err error
 
-	// internal marks buffer-drain requests: they do the media work for an
-	// already-acknowledged buffered write and stay out of host metrics.
-	internal bool
-	onDone   func(*Request)
+	onDone func(*Request)
 	// dev and remaining carry the completion state through the engine's
 	// pooled events: remaining counts the busy elements (plus the host
 	// link) still owed to this request, and dev lets the package-level
 	// event callbacks reach the device without a closure per event.
 	dev       *Device
-	remaining int
+	remaining int32
+	// internal marks buffer-drain requests: they do the media work for an
+	// already-acknowledged buffered write and stay out of host metrics.
+	internal bool
 	// gseq is the request's index in the global arrival stream, stamped
 	// by the sharded router so that a merge transition can re-interleave
 	// shard queues in arrival order. Zero on unsharded devices.
 	gseq uint64
-	// nextFree links the device freelist.
-	nextFree *Request
+	// qn is the request's dispatch-queue record while it waits, and its
+	// freelist link while it is pooled.
+	qn sched.Node[Request]
 }
+
+// reqCost is a request's dispatch cost for the fair-share scheduler.
+func reqCost(r *Request) int64 { return r.Op.Size }
 
 // Response returns the request's response time (completion - arrival).
 func (r *Request) Response() sim.Time { return r.Done - r.Arrive }
@@ -98,8 +102,8 @@ type Device struct {
 	// q indexes the pending requests and owns the per-element busy
 	// horizons; drv runs the shared dispatch loop with the cleaning
 	// passes as its pre/post hooks.
-	q        *sched.Queue
-	drv      *sched.Driver
+	q        *sched.Queue[Request]
+	drv      *sched.Driver[Request]
 	linkBusy sim.Time // host-interface link occupancy (InterfaceMBps)
 	// touched/elemScratch are reused by elemsFor, and durScratch by
 	// exec, so neither enqueueing nor dispatching allocates per request.
@@ -112,10 +116,10 @@ type Device struct {
 	// bufOccupancy tracks undrained bytes in the write buffer.
 	bufOccupancy int64
 
-	// freeReq heads the request freelist; see the Request lifetime
+	// freeReqs is the request freelist; see the Request lifetime
 	// contract. Steady-state submission reuses completed requests, so the
 	// host path allocates nothing.
-	freeReq *Request
+	freeReqs sched.Pool[Request]
 
 	// elemLo/elemHi bound the elements this device instance cleans. A
 	// standalone device owns [0, Elements); a shard sub-device owns only
@@ -192,7 +196,7 @@ func newWithBackends(eng *sim.Engine, cfg Config, elems []ftl.Backend, lo, hi in
 		elemLo:     lo,
 		elemHi:     hi,
 	}
-	d.q = sched.NewQueue(cfg.Scheduler, cfg.Elements)
+	d.q = sched.NewQueue(cfg.Scheduler, cfg.Elements, reqCost)
 	// Map iteration order is irrelevant here: the queue keeps its tenant
 	// ring sorted by ID, so any insertion order yields the same ring.
 	for t, w := range cfg.TenantWeights {
@@ -313,8 +317,7 @@ func (d *Device) admit(op trace.Op) error {
 // takeReq pops a pooled request (or allocates the pool's next one) and
 // resets it.
 func (d *Device) takeReq() *Request {
-	if r := d.freeReq; r != nil {
-		d.freeReq = r.nextFree
+	if r := d.freeReqs.Get(); r != nil {
 		*r = Request{}
 		return r
 	}
@@ -326,8 +329,7 @@ func (d *Device) takeReq() *Request {
 // on take, which keeps stale pointers readable for debugging.
 func (d *Device) putReq(r *Request) {
 	r.onDone = nil
-	r.nextFree = d.freeReq
-	d.freeReq = r
+	d.freeReqs.Put(&r.qn, r)
 }
 
 // Submit enqueues an operation at the current simulated time. onDone, if
@@ -387,7 +389,7 @@ func (d *Device) enqueue(req *Request) {
 	if req.Op.Priority {
 		d.outstandingPri++
 	}
-	d.q.PushT(d.elemsFor(req.Op), req, req.Op.Tenant, req.Op.Size)
+	d.q.Push(&req.qn, req, d.elemsFor(req.Op), req.Op.Tenant)
 }
 
 // ---- internal machinery ----
@@ -488,8 +490,7 @@ func completeEvent(a any) {
 // request against the FTLs, marks the touched elements busy, models the
 // host link, and schedules the completion events — all through the
 // engine's pooled event path, so dispatching allocates nothing.
-func (d *Device) serve(data any, now sim.Time) {
-	req := data.(*Request)
+func (d *Device) serve(req *Request, now sim.Time) {
 	req.Start = now
 	durs := d.exec(req)
 	req.remaining = 0

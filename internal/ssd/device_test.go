@@ -3,6 +3,7 @@ package ssd
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"ossd/internal/flash"
 	"ossd/internal/sched"
@@ -412,4 +413,14 @@ func play(t *testing.T, d *Device, ops []trace.Op) {
 		})
 	}
 	d.eng.Run()
+}
+
+// TestRequestSizeClass pins the slim request record: with the queue node
+// that also links it into the freelist, a Request fits Go's 128-byte
+// allocation size class on 64-bit platforms, so a deep backlog's live
+// heap is one small record per queued request.
+func TestRequestSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Request{}); n > 128 {
+		t.Fatalf("Request is %d bytes, want <= 128", n)
+	}
 }

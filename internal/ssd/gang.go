@@ -372,8 +372,8 @@ func (d *Device) merge(s trace.Stream, op trace.Op, at sim.Time) error {
 	for _, sd := range g.subs {
 		d.outstandingPri += sd.outstandingPri
 		sd.outstandingPri = 0
-		sd.q.Drain(func(_ uint64, _ []int, data any) {
-			queued = append(queued, data.(*Request))
+		sd.q.Drain(func(_ uint64, req *Request) {
+			queued = append(queued, req)
 		})
 	}
 	// Busy horizons live in each element's owning shard queue.
@@ -385,14 +385,14 @@ func (d *Device) merge(s trace.Stream, op trace.Op, at sim.Time) error {
 	sort.Slice(queued, func(i, j int) bool { return queued[i].gseq < queued[j].gseq })
 	for _, req := range queued {
 		req.dev = d
-		d.q.PushT(d.elemsFor(req.Op), req, req.Op.Tenant, req.Op.Size)
+		d.q.Push(&req.qn, req, d.elemsFor(req.Op), req.Op.Tenant)
 	}
 	g.group.Transfer(d.eng, func(arg any) any {
 		switch v := arg.(type) {
 		case *Request:
 			v.dev = d
 			return v
-		case *sched.Driver:
+		case *sched.Driver[Request]:
 			return d.drv
 		}
 		return arg

@@ -15,7 +15,7 @@ import (
 // used by the dispatch scheduler. It is conservative with respect to
 // mapping state (which may change while the request queues): it depends
 // only on the byte range. The returned slice is device-owned scratch,
-// valid until the next call — sched.Queue.Push copies it.
+// valid until the next call — sched.Queue.Push interns the set.
 func (d *Device) elemsFor(op trace.Op) []int {
 	touched := d.touched
 	for e := range touched {

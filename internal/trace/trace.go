@@ -53,10 +53,10 @@ type Op struct {
 	// per-tenant streams 1..N. The scheduler's fair-share layer and the
 	// per-tenant metrics key on it.
 	Tenant uint8
-	// Offset and Size delimit the byte range.
-	Offset, Size int64
 	// Priority marks a foreground (high-priority) request (§3.6).
 	Priority bool
+	// Offset and Size delimit the byte range.
+	Offset, Size int64
 }
 
 // Class is the op's scheduling class: the tenant ID shifted left one
