@@ -516,6 +516,36 @@ func BenchmarkDeviceRandomWrites(b *testing.B) {
 	}
 }
 
+// BenchmarkCleanTrigger runs the BenchmarkDeviceRandomWrites shape at two
+// gang widths. The cleaning hooks run on every dispatch round and visit
+// only elements below the low watermark, so the per-write cost should
+// grow far slower than the element count.
+func BenchmarkCleanTrigger(b *testing.B) {
+	for _, elems := range []int{8, 64} {
+		b.Run(fmt.Sprintf("elements=%d", elems), func(b *testing.B) {
+			d := benchDevice(b, func(c *ssd.Config) { c.Elements = elems })
+			if err := core.PreconditionFrac(d, 1<<20, 0.6); err != nil {
+				b.Fatal(err)
+			}
+			space := int64(float64(d.LogicalBytes()) * 0.6)
+			rng := sim.NewRNG(5)
+			b.ReportAllocs()
+			b.ResetTimer()
+			i := 0
+			err := rawClosedLoop(d.Raw, 4, func(int) (trace.Op, bool) {
+				if i >= b.N {
+					return trace.Op{}, false
+				}
+				i++
+				return trace.Op{Kind: trace.Write, Offset: rng.Int63n(space/4096) * 4096, Size: 4096}, true
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // BenchmarkAlignerThroughput measures the merge/align pass itself.
 func BenchmarkAlignerThroughput(b *testing.B) {
 	ops, err := workload.SyntheticOps(workload.SyntheticConfig{

@@ -133,6 +133,9 @@ type Element struct {
 	// retiredPages counts pages stranded in retired blocks; they shrink
 	// the live physical pool that FreeFraction is measured against.
 	retiredPages int
+	// reclaimable counts used blocks holding at least one invalid page:
+	// the blocks a cleaning pass could pick, so CanClean is O(1).
+	reclaimable int
 
 	// opSeq is a logical clock (one tick per host write) used by
 	// cost-benefit victim selection; blockTouch records each block's last
@@ -253,6 +256,9 @@ func (el *Element) invalidate(ppn int32) {
 	b := int(ppn) / el.ppb
 	el.validCnt[b]--
 	el.invalCnt[b]++
+	if el.invalCnt[b] == 1 && el.blkState[b] == blockUsed {
+		el.reclaimable++
+	}
 	el.blockTouch[b] = el.opSeq
 	el.p2l[ppn] = unmapped
 }
@@ -271,6 +277,9 @@ func (el *Element) advanceActive() error {
 	// FIFO reuse rotates allocation across the whole free pool; LIFO would
 	// concentrate wear on recently-erased blocks and strand the rest.
 	el.blkState[el.active] = blockUsed
+	if el.invalCnt[el.active] > 0 {
+		el.reclaimable++
+	}
 	el.active = el.freeBlocks[0]
 	el.freeBlocks = el.freeBlocks[1:]
 	el.blkState[el.active] = blockActive
@@ -307,7 +316,7 @@ func (el *Element) WritePage(lpn int) (sim.Time, error) {
 	// block implies a whole free block (non-active blocks are either full
 	// or erased), so this bound guarantees relocation always has a
 	// destination.
-	for el.freePages <= 2*el.ppb && el.canClean() {
+	for el.freePages <= 2*el.ppb && el.reclaimable > 0 {
 		d, err := el.CleanOnce()
 		if err != nil {
 			return total, err
@@ -370,17 +379,7 @@ func (el *Element) Free(lpn int) error {
 // used block holds at least one invalid page. The device layer checks
 // this before starting background cleaning so a fragmentation-free
 // element does not spin.
-func (el *Element) CanClean() bool { return el.canClean() }
-
-// canClean reports whether a cleaning pass could reclaim anything.
-func (el *Element) canClean() bool {
-	for b, st := range el.blkState {
-		if st == blockUsed && el.invalCnt[b] > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (el *Element) CanClean() bool { return el.reclaimable > 0 }
 
 // pickVictim selects the cleaning victim. Greedy takes the used block
 // with the most invalid pages; cost-benefit maximizes age*(1-u)/(1+u),
@@ -486,6 +485,9 @@ func (el *Element) reclaim(b int) (sim.Time, error) {
 		el.p2l[base+p] = unmapped
 	}
 	el.freePages += reclaimed
+	if el.invalCnt[b] > 0 {
+		el.reclaimable--
+	}
 	el.invalCnt[b] = 0
 	el.blkState[b] = blockFree
 	el.freeBlocks = append(el.freeBlocks, b)
@@ -504,6 +506,9 @@ func (el *Element) retire(b int, moved int) sim.Time {
 	// zero in practice.)
 	el.freePages -= el.ppb - el.pkg.WritePointer(b)
 	el.retiredPages += el.ppb
+	if el.invalCnt[b] > 0 {
+		el.reclaimable--
+	}
 	el.blkState[b] = blockRetired
 	el.stats.RetiredBlocks++
 	el.stats.RemappedPages += int64(moved)
@@ -635,7 +640,7 @@ func (el *Element) maybeMigrate() (sim.Time, bool, error) {
 // randomized operation sequences. It returns a descriptive error on the
 // first violation found.
 func (el *Element) CheckInvariants() error {
-	free := 0
+	free, reclaimable, validTotal := 0, 0, 0
 	for b := 0; b < el.cfg.Geom.BlocksPerPackage; b++ {
 		var valid, invalid int32
 		base := b * el.ppb
@@ -668,6 +673,10 @@ func (el *Element) CheckInvariants() error {
 		if valid != el.validCnt[b] || invalid != el.invalCnt[b] {
 			return fmt.Errorf("block %d: counts valid %d/%d invalid %d/%d", b, valid, el.validCnt[b], invalid, el.invalCnt[b])
 		}
+		validTotal += int(valid)
+		if el.blkState[b] == blockUsed && invalid > 0 {
+			reclaimable++
+		}
 		if el.blkState[b] == blockFree && wp != 0 {
 			return fmt.Errorf("free block %d has write pointer %d", b, wp)
 		}
@@ -678,6 +687,9 @@ func (el *Element) CheckInvariants() error {
 	if free != el.freePages {
 		return fmt.Errorf("freePages %d, counted %d", el.freePages, free)
 	}
+	if reclaimable != el.reclaimable {
+		return fmt.Errorf("reclaimable %d, counted %d", el.reclaimable, reclaimable)
+	}
 	mapped := 0
 	for lpn, ppn := range el.l2p {
 		if ppn == unmapped {
@@ -687,6 +699,9 @@ func (el *Element) CheckInvariants() error {
 		if el.p2l[ppn] != int32(lpn) {
 			return fmt.Errorf("lpn %d: p2l mismatch", lpn)
 		}
+	}
+	if mapped != validTotal {
+		return fmt.Errorf("%d logical pages mapped, %d physical pages valid", mapped, validTotal)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package ftl
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -357,16 +358,34 @@ func TestFreeFractionDecreasesWithWrites(t *testing.T) {
 	}
 }
 
-// Property test: arbitrary interleavings of writes, frees, and cleans
-// preserve all structural invariants, in both informed and default modes.
+// Property test: arbitrary interleavings of writes, frees, and reads
+// preserve all structural invariants after every operation, in both
+// informed and default modes, with wear-leveling migrations and
+// wear-ceiling retirements in the mix. Sequences run long enough to
+// cycle the tiny element's capacity several times, and the test checks
+// that each transition actually happened somewhere in the run.
 func TestElementInvariantProperty(t *testing.T) {
-	for _, informed := range []bool{false, true} {
-		informed := informed
+	cases := []struct {
+		name      string
+		informed  bool
+		mutate    func(*Config)
+		mustCover func(Stats) bool
+	}{
+		{"default", false, func(*Config) {}, func(s Stats) bool { return s.Cleans > 0 }},
+		{"informed", true, func(*Config) {}, func(s Stats) bool { return s.FreesApplied > 0 && s.Cleans > 0 }},
+		{"wear-aware", false, func(c *Config) { c.WearAware, c.WearDelta = true, 2 },
+			func(s Stats) bool { return s.Migrations > 0 }},
+		{"wear-aware-informed", true, func(c *Config) { c.WearAware, c.WearDelta = true, 2 },
+			func(s Stats) bool { return s.Migrations > 0 }},
+		{"wear-ceiling", true, func(c *Config) { c.WearCeiling = 3 },
+			func(s Stats) bool { return s.RetiredBlocks > 0 }},
+	}
+	for _, tc := range cases {
+		covered := false
 		prop := func(ops []uint16) bool {
 			cfg := smallConfig()
-			cfg.Informed = informed
-			cfg.WearAware = true
-			cfg.WearDelta = 4
+			cfg.Informed = tc.informed
+			tc.mutate(&cfg)
 			el, err := NewElement(cfg)
 			if err != nil {
 				return false
@@ -376,23 +395,42 @@ func TestElementInvariantProperty(t *testing.T) {
 				lpn := int(op>>2) % n
 				switch op % 4 {
 				case 0, 1:
-					if _, err := el.WritePage(lpn); err != nil {
-						return false
-					}
+					_, err = el.WritePage(lpn)
 				case 2:
-					if err := el.Free(lpn); err != nil {
-						return false
-					}
+					err = el.Free(lpn)
 				case 3:
-					if _, err := el.ReadPage(lpn); err != nil {
-						return false
-					}
+					_, err = el.ReadPage(lpn)
+				}
+				if ierr := el.CheckInvariants(); ierr != nil {
+					t.Logf("%s: %v", tc.name, ierr)
+					return false
+				}
+				if cfg.WearCeiling > 0 && errors.Is(err, ErrNoSpace) {
+					break // the wear-out cliff ends the run
+				}
+				if err != nil {
+					t.Logf("%s: %v", tc.name, err)
+					return false
 				}
 			}
-			return el.CheckInvariants() == nil
+			covered = covered || tc.mustCover(el.Stats())
+			return true
 		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(11))}); err != nil {
-			t.Fatalf("informed=%v: %v", informed, err)
+		// Long sequences: the default generator's ~50 ops never fill the
+		// 128-page element, so no cleaning would run.
+		gen := func(args []reflect.Value, r *rand.Rand) {
+			ops := make([]uint16, 600+r.Intn(1200))
+			for i := range ops {
+				ops[i] = uint16(r.Intn(1 << 16))
+			}
+			args[0] = reflect.ValueOf(ops)
+		}
+		cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(11)), Values: gen}
+		if err := quick.Check(prop, cfg); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !covered {
+			t.Fatalf("%s: no run reached the transition under test", tc.name)
 		}
 	}
 }

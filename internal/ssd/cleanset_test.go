@@ -1,0 +1,305 @@
+package ssd_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"ossd/internal/core"
+	"ossd/internal/fault"
+	"ossd/internal/flash"
+	"ossd/internal/sched"
+	"ossd/internal/sim"
+	"ossd/internal/ssd"
+	"ossd/internal/trace"
+)
+
+// The cleaning hooks visit only the elements in the device's cleaning
+// set, which is maintained incrementally. These tests are its oracle:
+// randomized runs recompute the cleaning predicate over every element
+// at each completion (or arrival, on the sharded dataplane) and require
+// the set to match it exactly.
+
+// oracleConfig is a 4-element interleaved SWTF device whose tiny
+// geometry cycles its capacity quickly, with watermarks above the FTL's
+// forced-clean slack so the device itself cleans. It is informed, so
+// frees change FTL state too.
+func oracleConfig() ssd.Config {
+	return ssd.Config{
+		Elements:      4,
+		Geom:          flash.Geometry{PageSize: 4096, PagesPerBlock: 8, BlocksPerPackage: 32},
+		Overprovision: 0.15,
+		Informed:      true,
+		Layout:        ssd.Interleaved,
+		Scheduler:     sched.SWTF,
+		CtrlOverhead:  20 * sim.Microsecond,
+		GCLow:         0.12,
+		GCCritical:    0.03,
+	}
+}
+
+// oracleOps fills the device sequentially, then issues n random ops:
+// mostly multi-page writes (some unaligned, so read-modify-write runs),
+// reads, multi-page frees, and a share of priority requests.
+func oracleOps(seed int64, space int64, n int) func(int) (trace.Op, bool) {
+	rng := rand.New(rand.NewSource(seed))
+	var off int64
+	done := 0
+	return func(int) (trace.Op, bool) {
+		if off < space {
+			op := trace.Op{Kind: trace.Write, Offset: off, Size: min(64<<10, space-off)}
+			off += op.Size
+			return op, true
+		}
+		if done >= n {
+			return trace.Op{}, false
+		}
+		done++
+		op := trace.Op{Kind: trace.Write, Size: int64(1+rng.Intn(4)) * 4096, Priority: rng.Intn(10) < 3}
+		switch r := rng.Intn(20); {
+		case r < 3:
+			op.Kind = trace.Free
+			op.Size *= 2
+		case r < 7:
+			op.Kind = trace.Read
+		}
+		op.Offset = rng.Int63n((space-op.Size)/4096+1) * 4096
+		if op.Kind == trace.Write && rng.Intn(4) == 0 && op.Offset+op.Size+512 <= space {
+			op.Offset += 512
+		}
+		return op, true
+	}
+}
+
+func checkElements(t *testing.T, d *ssd.Device) {
+	t.Helper()
+	for e, el := range d.Elements() {
+		if err := el.CheckInvariants(); err != nil {
+			t.Fatalf("element %d: %v", e, err)
+		}
+	}
+}
+
+func TestCleanSetOracle(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*ssd.Config)
+	}{
+		{"interleaved", func(*ssd.Config) {}},
+		{"full-stripe", func(c *ssd.Config) {
+			c.Layout, c.StripeBytes = ssd.FullStripe, 4*4096
+		}},
+		{"priority-aware", func(c *ssd.Config) { c.PriorityAware = true }},
+		{"write-buffer", func(c *ssd.Config) { c.WriteBufferBytes = 64 << 10 }},
+		{"mlc", func(c *ssd.Config) { c.MLCElements = 2 }},
+		{"fault-death", func(c *ssd.Config) {
+			c.Fault = &fault.Plan{
+				Seed:      3,
+				Transient: &fault.Transient{Rate: 0.05},
+				Deaths:    []fault.Death{{Element: 1, AfterOps: 400}},
+			}
+		}},
+		// Three bitset words: membership must not leak across words.
+		{"130-elements", func(c *ssd.Config) { c.Elements = 130 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := oracleConfig()
+			tc.mutate(&cfg)
+			d, err := ssd.New(sim.NewEngine(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			space := d.LogicalBytes()
+			gen := oracleOps(7, space, int(space/4096))
+			var issue func(*ssd.Request)
+			issue = func(*ssd.Request) {
+				if err := ssd.CleanSetErr(d); err != nil {
+					t.Fatal(err)
+				}
+				if op, ok := gen(0); ok {
+					if err := d.Submit(op, issue); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for k := 0; k < 4; k++ {
+				issue(nil)
+			}
+			d.Engine().Run()
+			if err := ssd.CleanSetErr(d); err != nil {
+				t.Fatal(err)
+			}
+			m := d.Metrics()
+			if m.BackgroundCleans == 0 {
+				t.Fatal("the device never cleaned: the set was never exercised")
+			}
+			if cfg.Fault != nil && m.Errors == 0 {
+				t.Fatal("the dead element never failed a request")
+			}
+			checkElements(t, d)
+		})
+	}
+}
+
+// checkedStream runs check before every pull, with the number of ops
+// already returned. On the sharded dataplane the router pulls between
+// windows, when every shard is idle; after a merge the pulls come from
+// the gang's own engine.
+type checkedStream struct {
+	s     trace.Stream
+	check func(pulled int)
+	n     int
+}
+
+func (c *checkedStream) Next() (trace.Op, bool) {
+	c.check(c.n)
+	op, ok := c.s.Next()
+	if ok {
+		c.n++
+	}
+	return op, ok
+}
+
+// Cleaning-set ownership moves between a gang and its shards: the gang
+// preconditions through core.ClosedLoop, the shards take their groups
+// over for the sharded Drive, the gang takes everything back at a merge
+// (span) or after the drain, and a further closed loop runs on the gang.
+// Each owner's set must match the predicate throughout.
+func TestCleanSetOracleSharded(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		for _, span := range []bool{false, true} {
+			cfg := oracleConfig()
+			cfg.Elements = 8
+			// Dead elements keep their membership at quiescence (the
+			// hooks skip them), so every hand-over moves a non-empty set:
+			// elements 2 and 5 die during preconditioning, element 6
+			// during the sharded Drive.
+			cfg.Fault = &fault.Plan{Deaths: []fault.Death{
+				{Element: 2, AfterOps: 190}, {Element: 5, AfterOps: 205}, {Element: 6, AfterOps: 400},
+			}}
+			dev, err := core.NewSSD(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.Raw.EnableSharding(shards); err != nil {
+				t.Fatal(err)
+			}
+			d := dev.Raw
+			space := d.LogicalBytes()
+			checkGang := func() {
+				if err := ssd.CleanSetErr(d); err != nil {
+					t.Fatalf("shards=%d span=%v: gang: %v", shards, span, err)
+				}
+			}
+			writes := func(seed int64, n int) func(int) (trace.Op, bool) {
+				rng := rand.New(rand.NewSource(seed))
+				return func(i int) (trace.Op, bool) {
+					checkGang()
+					if i >= n {
+						return trace.Op{}, false
+					}
+					return trace.Op{Kind: trace.Write, Offset: rng.Int63n(space/4096) * 4096, Size: 4096}, true
+				}
+			}
+			if err := core.PreconditionFrac(dev, 64<<10, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := core.ClosedLoop(dev, 4, writes(1, int(space/4096/2))); err != nil {
+				t.Fatal(err)
+			}
+			members := 0
+			for _, el := range d.Elements() {
+				if el.FreeFraction() < cfg.GCLow && el.CanClean() {
+					members++
+				}
+			}
+			if members == 0 {
+				t.Fatalf("shards=%d span=%v: empty cleaning set at hand-over", shards, span)
+			}
+
+			const n = 4000
+			spanAt := -1
+			if span {
+				spanAt = n * 7 / 10
+			}
+			rng := rand.New(rand.NewSource(2))
+			var at sim.Time
+			ops := make([]trace.Op, n)
+			for i := range ops {
+				if rng.Intn(4) != 0 {
+					at += sim.Time(rng.Int63n(200)) * sim.Microsecond
+				}
+				ops[i] = trace.Op{At: at, Kind: trace.Write, Offset: rng.Int63n(space/4096) * 4096, Size: 4096}
+				switch rng.Intn(10) {
+				case 0:
+					ops[i].Kind = trace.Free
+				case 1, 2, 3:
+					ops[i].Kind = trace.Read
+				}
+				if i == spanAt {
+					// Every element, so it spans groups at any shard count.
+					ops[i] = trace.Op{At: at, Kind: trace.Write, Offset: 0, Size: 8 * 4096}
+				}
+			}
+			st := &checkedStream{s: trace.FromSlice(ops), check: func(pulled int) {
+				if span && pulled > spanAt {
+					checkGang()
+					return
+				}
+				if err := ssd.ShardCleanSetErr(d); err != nil {
+					t.Fatalf("shards=%d span=%v after %d ops: %v", shards, span, pulled, err)
+				}
+			}}
+			if err := dev.Drive(st); err != nil {
+				t.Fatal(err)
+			}
+			checkGang()
+			if err := core.ClosedLoop(dev, 4, writes(3, 1000)); err != nil {
+				t.Fatal(err)
+			}
+			if d.Metrics().BackgroundCleans == 0 {
+				t.Fatalf("shards=%d span=%v: the device never cleaned", shards, span)
+			}
+			checkElements(t, d)
+		}
+	}
+}
+
+// A free changes no free-page count, but on an informed device it can
+// give a below-watermark element its first reclaimable block: the
+// element must join the cleaning set and be cleaned at once.
+func TestFreeJoinsCleaningSet(t *testing.T) {
+	cfg := oracleConfig()
+	cfg.Elements = 1
+	cfg.GCLow = 0.2 // above the overprovisioned 15%: full is below low
+	d, err := ssd.New(sim.NewEngine(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := oracleOps(1, d.LogicalBytes(), 0)
+	var issue func(*ssd.Request)
+	issue = func(*ssd.Request) {
+		if op, ok := gen(0); ok {
+			if err := d.Submit(op, issue); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	issue(nil)
+	d.Engine().Run()
+	el := d.Elements()[0]
+	if el.FreeFraction() >= cfg.GCLow || el.CanClean() || d.Metrics().BackgroundCleans != 0 {
+		t.Fatalf("after the fill: free %.3f, can clean %v, cleans %d; want below low, nothing reclaimable, none",
+			el.FreeFraction(), el.CanClean(), d.Metrics().BackgroundCleans)
+	}
+	if err := d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 4096}, nil); err != nil {
+		t.Fatal(err)
+	}
+	d.Engine().Run()
+	if err := ssd.CleanSetErr(d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Metrics().BackgroundCleans == 0 {
+		t.Fatal("the freed element was never cleaned")
+	}
+}

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ossd/internal/ftl"
 	"ossd/internal/sched"
@@ -127,6 +128,13 @@ type Device struct {
 	// backends. The dispatch path needs no such bound: requests are
 	// routed to shards by element group before submission.
 	elemLo, elemHi int
+	// cleanSet is a bitset over element numbers: bit e is set iff e is
+	// owned ([elemLo, elemHi)) and its FTL is below the low watermark with
+	// something to reclaim. The predicate depends only on e's FTL state,
+	// so it is refreshed where that state changes (serve, startClean) and
+	// resynced wholesale where FTL ownership moves between a gang and its
+	// shards; the cleaning hooks visit only set elements.
+	cleanSet []uint64
 
 	// recording diverts response-time samples into samples[] instead of
 	// the metric histograms. Shard sub-devices record; the gang merges
@@ -195,6 +203,7 @@ func newWithBackends(eng *sim.Engine, cfg Config, elems []ftl.Backend, lo, hi in
 		durScratch: make([]sim.Time, cfg.Elements),
 		elemLo:     lo,
 		elemHi:     hi,
+		cleanSet:   make([]uint64, (cfg.Elements+63)/64),
 	}
 	d.q = sched.NewQueue(cfg.Scheduler, cfg.Elements, reqCost)
 	// Map iteration order is irrelevant here: the queue keeps its tenant
@@ -218,6 +227,7 @@ func newWithBackends(eng *sim.Engine, cfg Config, elems []ftl.Backend, lo, hi in
 	if d.logicalBytes <= 0 {
 		return nil, fmt.Errorf("ssd: configuration exports no capacity")
 	}
+	d.resyncCleanSet()
 	return d, nil
 }
 
@@ -403,29 +413,36 @@ func (d *Device) enqueue(req *Request) {
 // priority-agnostic ("cleaning starts at the low threshold irrespective
 // of the outstanding requests").
 func (d *Device) mandatoryClean(now sim.Time) bool {
-	progress := false
-	for e := d.elemLo; e < d.elemHi; e++ {
-		if d.q.Busy(e) > now || d.faultDead(e) {
-			continue
-		}
-		if d.mustClean(e) && d.startClean(e) {
-			progress = true
-		}
-	}
-	return progress
+	return d.cleanPass(now, d.mustClean)
 }
 
 // opportunisticClean is the driver's post-dispatch hook (priority-aware
 // only): clean at the low watermark when no priority request is
 // outstanding.
 func (d *Device) opportunisticClean(now sim.Time) bool {
+	if !d.cfg.PriorityAware || d.cfg.GCLow == 0 {
+		return false
+	}
+	return d.cleanPass(now, d.wantClean)
+}
+
+// cleanPass starts a cleaning pass on every idle, live element of the
+// cleaning set that passes should, in ascending element order. A pass
+// changes only its own element's membership, and each set word is
+// copied before its bits are visited, so the walk sees every element
+// that was a member when it began.
+func (d *Device) cleanPass(now sim.Time, should func(e int) bool) bool {
 	progress := false
-	for e := d.elemLo; e < d.elemHi; e++ {
-		if d.q.Busy(e) > now || d.faultDead(e) {
-			continue
-		}
-		if d.wantClean(e) && d.startClean(e) {
-			progress = true
+	for w, word := range d.cleanSet {
+		for word != 0 {
+			e := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if d.q.Busy(e) > now || d.faultDead(e) {
+				continue
+			}
+			if should(e) && d.startClean(e) {
+				progress = true
+			}
 		}
 	}
 	return progress
@@ -433,29 +450,23 @@ func (d *Device) opportunisticClean(now sim.Time) bool {
 
 func (d *Device) mustClean(e int) bool {
 	el := d.elems[e]
-	if !el.CanClean() {
-		return false
-	}
 	f := el.FreeFraction()
-	if d.cfg.GCCritical > 0 && f < d.cfg.GCCritical {
-		return true
-	}
-	if !d.cfg.PriorityAware && d.cfg.GCLow > 0 && f < d.cfg.GCLow {
-		return true
-	}
-	return false
+	critical := d.cfg.GCCritical > 0 && f < d.cfg.GCCritical
+	low := !d.cfg.PriorityAware && d.cfg.GCLow > 0 && f < d.cfg.GCLow
+	return (critical || low) && el.CanClean()
 }
 
 func (d *Device) wantClean(e int) bool {
-	if !d.cfg.PriorityAware || d.cfg.GCLow == 0 {
+	if d.outstandingPri != 0 {
 		return false
 	}
 	el := d.elems[e]
-	return el.CanClean() && el.FreeFraction() < d.cfg.GCLow && d.outstandingPri == 0
+	return el.FreeFraction() < d.cfg.GCLow && el.CanClean()
 }
 
 func (d *Device) startClean(e int) bool {
 	dur, err := d.elems[e].CleanOnce()
+	d.syncCleanSet(e)
 	if err != nil {
 		return false
 	}
@@ -463,6 +474,29 @@ func (d *Device) startClean(e int) bool {
 	d.q.SetBusy(e, d.eng.Now()+dur)
 	d.drv.PumpAfter(dur)
 	return true
+}
+
+// syncCleanSet recomputes element e's cleaning-set membership from its
+// FTL state: below the low watermark (the critical one sits at or under
+// it) with a block worth reclaiming.
+func (d *Device) syncCleanSet(e int) {
+	el := d.elems[e]
+	bit := uint64(1) << (e & 63)
+	if d.cfg.GCLow > 0 && el.FreeFraction() < d.cfg.GCLow && el.CanClean() {
+		d.cleanSet[e>>6] |= bit
+	} else {
+		d.cleanSet[e>>6] &^= bit
+	}
+}
+
+// resyncCleanSet recomputes the whole cleaning set for the owned
+// elements. It runs wherever another device instance may have changed
+// them: at construction, and where FTL ownership moves between a gang
+// and its shard sub-devices.
+func (d *Device) resyncCleanSet() {
+	for e := d.elemLo; e < d.elemHi; e++ {
+		d.syncCleanSet(e)
+	}
 }
 
 // partDoneEvent is the pooled completion callback for one part (an
@@ -493,6 +527,19 @@ func completeEvent(a any) {
 func (d *Device) serve(req *Request, now sim.Time) {
 	req.Start = now
 	durs := d.exec(req)
+	switch {
+	case req.Err != nil || req.Op.Kind == trace.Free:
+		// A failed request may have stopped anywhere, and a free's
+		// durations are all zero: resync every owned element.
+		d.resyncCleanSet()
+	case req.Op.Kind == trace.Write:
+		// Reads change no mapping state.
+		for e, dur := range durs {
+			if dur != 0 {
+				d.syncCleanSet(e)
+			}
+		}
+	}
 	req.remaining = 0
 	for e, dur := range durs {
 		if dur == 0 {

@@ -274,6 +274,11 @@ func (d *Device) DriveStream(s trace.Stream) error {
 	if g == nil {
 		return fmt.Errorf("ssd: DriveStream requires sharding")
 	}
+	// The shards take their element groups over from the gang, whose
+	// own traffic may have changed them since the shards last ran.
+	for _, sd := range g.subs {
+		sd.resyncCleanSet()
+	}
 	g.group.Start()
 	defer g.group.Stop()
 	// The clamp seed is the device clock, exactly as the single-engine
@@ -321,6 +326,7 @@ func (d *Device) drainShards() {
 	g.group.RunWindow(sim.MaxTime)
 	g.nodeUsed = 0
 	d.flushShardStats()
+	d.resyncCleanSet()
 	if t := g.group.MaxNow(); t > d.eng.Now() {
 		d.eng.RunUntil(t)
 	}
@@ -366,6 +372,7 @@ func (d *Device) merge(s trace.Stream, op trace.Op, at sim.Time) error {
 	// are strictly later than at.
 	d.window(at)
 	g.group.Stop()
+	d.resyncCleanSet()
 	// In-service priority counts move wholesale: the in-flight requests'
 	// completions will decrement the gang-level count from now on.
 	var queued []*Request
