@@ -186,11 +186,17 @@ func benchDevice(b *testing.B, mutate func(*ssd.Config)) *core.SSD {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	d, err := core.NewSSD(cfg)
+	return buildSSD(b, cfg)
+}
+
+// buildSSD builds a flash device from a raw config through core.Build.
+func buildSSD(b *testing.B, cfg ssd.Config) *core.SSD {
+	b.Helper()
+	d, err := core.Build(core.Profile{Kind: core.KindSSD, SSD: cfg})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return d
+	return d.(*core.SSD)
 }
 
 // churn drives a device through skewed random overwrites and returns the
@@ -369,7 +375,7 @@ func BenchmarkRunnerParallel(b *testing.B) { benchTable2(b, runner.DefaultWorker
 // BenchmarkOSDDeviceWritePath measures block writes traveling the object
 // path (extent lookup + store bookkeeping) against the raw device.
 func BenchmarkOSDDeviceWritePath(b *testing.B) {
-	d, err := core.NewOSD(ssd.Config{
+	d, err := core.Build(core.Profile{Kind: core.KindOSD, SSD: ssd.Config{
 		Elements:      8,
 		Geom:          flash.Geometry{PageSize: 4096, PagesPerBlock: 64, BlocksPerPackage: 64},
 		Overprovision: 0.10,
@@ -377,7 +383,7 @@ func BenchmarkOSDDeviceWritePath(b *testing.B) {
 		Scheduler:     sched.SWTF,
 		CtrlOverhead:  10 * sim.Microsecond,
 		GCLow:         0.05, GCCritical: 0.02,
-	})
+	}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -397,13 +403,15 @@ func BenchmarkOSDDeviceWritePath(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineThroughput measures the raw event engine through the
-// legacy closure API (After); the pooled path is BenchmarkEngineChurn.
+// BenchmarkEngineThroughput measures the raw event engine scheduling a
+// plain closure through a one-line adapter onto the (call, arg) form;
+// the pointer-payload path is BenchmarkEngineChurn.
 func BenchmarkEngineThroughput(b *testing.B) {
 	eng := sim.NewEngine()
+	run := func(a any) { a.(func())() }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.After(1, func() {})
+		eng.Call(1, run, func() {})
 		eng.Step()
 	}
 }
@@ -556,9 +564,11 @@ func BenchmarkAlignerThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := trace.Align(ops, 32<<10); err != nil {
+		s, err := trace.AlignStream(trace.FromSlice(ops), 32<<10, trace.AlignOptions{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		trace.Collect(s)
 	}
 }
 
@@ -856,10 +866,7 @@ func BenchmarkGangShards(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				d, err := core.NewSSD(gangBenchConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
+				d := buildSSD(b, gangBenchConfig())
 				if shards > 1 {
 					if err := d.Raw.EnableSharding(shards); err != nil {
 						b.Fatal(err)

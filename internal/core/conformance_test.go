@@ -34,9 +34,9 @@ func TestDeviceConformance(t *testing.T) {
 		name string
 		mk   func() (Device, error)
 	}{
-		{"SSD", func() (Device, error) { return NewSSD(smallSSDConfig()) }},
+		{"SSD", func() (Device, error) { return Build(Profile{Kind: KindSSD, SSD: smallSSDConfig()}) }},
 		{"SSD-sharded", func() (Device, error) {
-			s, err := NewSSD(smallSSDConfig())
+			s, err := newSSD(smallSSDConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -52,9 +52,9 @@ func TestDeviceConformance(t *testing.T) {
 			}
 			return p.NewDevice()
 		}},
-		{"MEMS", func() (Device, error) { return Open("mems", WithMEMS(DefaultMEMS())) }},
-		{"RAID", func() (Device, error) { return Open("raid", WithRAID(DefaultRAID())) }},
-		{"OSD", func() (Device, error) { return NewOSD(smallSSDConfig()) }},
+		{"MEMS", func() (Device, error) { return Build(Profile{Kind: KindMEMS, MEMS: DefaultMEMS()}) }},
+		{"RAID", func() (Device, error) { return Build(Profile{Kind: KindRAID, RAID: DefaultRAID()}) }},
+		{"OSD", func() (Device, error) { return Build(Profile{Kind: KindOSD, SSD: smallSSDConfig()}) }},
 		{"Fault", func() (Device, error) {
 			d, err := Open("hdd")
 			if err != nil {
@@ -219,6 +219,19 @@ func TestDeviceConformance(t *testing.T) {
 			if err := d.Submit(trace.Op{Kind: trace.Read, Offset: d.LogicalBytes(), Size: 4096}, nil); err == nil {
 				t.Fatal("accepted read beyond capacity")
 			}
+			// A range whose end overflows int64 is out of range too: its
+			// End is negative, so only Validate can catch it.
+			huge := trace.Op{Kind: trace.Write, Offset: 6917529027641081856, Size: 6917529027641081856}
+			if err := d.Submit(huge, nil); err == nil {
+				t.Fatal("accepted a write whose end overflows")
+			}
+			d4, err := tc.mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d4.Drive(trace.FromSlice([]trace.Op{huge})); err == nil {
+				t.Fatal("drove a write whose end overflows")
+			}
 		})
 	}
 }
@@ -226,7 +239,7 @@ func TestDeviceConformance(t *testing.T) {
 // TestOSDDeviceObjectPath checks the OSD-specific plumbing: block ops
 // land in the store's volume object and frees reach the informed FTL.
 func TestOSDDeviceObjectPath(t *testing.T) {
-	d, err := NewOSD(smallSSDConfig())
+	d, err := newOSD(smallSSDConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +251,12 @@ func TestOSDDeviceObjectPath(t *testing.T) {
 	if st.BytesWritten != 32<<10 {
 		t.Fatalf("store saw %d bytes, want %d", st.BytesWritten, 32<<10)
 	}
-	info, err := d.Store.Stat(d.Volume())
+	size, err := d.Store.Size(d.vol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Size != d.LogicalBytes() {
-		t.Fatalf("volume spans %d, want %d", info.Size, d.LogicalBytes())
+	if size != d.LogicalBytes() {
+		t.Fatalf("volume spans %d, want %d", size, d.LogicalBytes())
 	}
 	if err := d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 16 << 10}, nil); err != nil {
 		t.Fatal(err)

@@ -404,9 +404,8 @@ type SSD struct {
 	driveConfig
 }
 
-// NewSSD builds a flash device on a fresh engine. Prefer Open or Build;
-// this remains for callers holding a raw ssd.Config.
-func NewSSD(cfg ssd.Config) (*SSD, error) {
+// newSSD builds a flash device on a fresh engine.
+func newSSD(cfg ssd.Config) (*SSD, error) {
 	dev, err := ssd.New(sim.NewEngine(), cfg)
 	if err != nil {
 		return nil, err

@@ -12,7 +12,7 @@ import (
 
 func smallSSD(t *testing.T) *SSD {
 	t.Helper()
-	d, err := NewSSD(ssd.Config{
+	d, err := newSSD(ssd.Config{
 		Elements:      2,
 		Geom:          flash.Geometry{PageSize: 4096, PagesPerBlock: 8, BlocksPerPackage: 32},
 		Overprovision: 0.15,
@@ -46,7 +46,7 @@ func TestSSDWrapperRoundTrip(t *testing.T) {
 }
 
 func TestHDDWrapperRoundTrip(t *testing.T) {
-	d, err := Open("hdd", WithHDD(hdd.Barracuda7200()))
+	d, err := Build(Profile{Kind: KindHDD, HDD: hdd.Barracuda7200()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestHDDWrapperRoundTrip(t *testing.T) {
 }
 
 func TestRAIDAndMEMSWrappers(t *testing.T) {
-	r, err := Open("raid", WithRAID(DefaultRAID()))
+	r, err := Build(Profile{Kind: KindRAID, RAID: DefaultRAID()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRAIDAndMEMSWrappers(t *testing.T) {
 	if rm := r.Metrics(); rm.Completed != 1 || rm.BytesWritten != 4096 {
 		t.Fatalf("raid metrics: %d %d", rm.Completed, rm.BytesWritten)
 	}
-	m, err := Open("mems", WithMEMS(DefaultMEMS()))
+	m, err := Build(Profile{Kind: KindMEMS, MEMS: DefaultMEMS()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,12 +76,8 @@ func (f *FaultDevice) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 		f.deadOps++
 		// Complete as an event, not synchronously: callers (ClosedLoop,
 		// driveBounded) resubmit from their completion callbacks.
-		f.inner.Engine().At(f.inner.Engine().Now(), func() {
-			f.record(op, 0, false)
-			if onDone != nil {
-				onDone(0, fault.ErrElementDead)
-			}
-		})
+		eng := f.inner.Engine()
+		eng.CallAt(eng.Now(), faultDead, &faultOp{f: f, op: op, onDone: onDone})
 		return nil
 	}
 	if f.plan.TransientAt(0, seq, op.Kind == trace.Write) {
@@ -94,22 +90,12 @@ func (f *FaultDevice) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 			f.retryBytesWritten += op.Size
 		}
 		eng := f.inner.Engine()
-		start := eng.Now()
+		fo := &faultOp{f: f, op: op, onDone: onDone, start: eng.Now()}
 		return f.inner.Submit(op, func(sim.Time, error) {
 			// First service hit the fault: pause for the retry window,
 			// then reissue. The caller sees one completion spanning both
 			// services plus the pause.
-			eng.At(eng.Now()+f.plan.RetryCost(), func() {
-				err := f.inner.Submit(op, func(sim.Time, error) {
-					f.record(op, eng.Now()-start, true)
-					if onDone != nil {
-						onDone(eng.Now()-start, nil)
-					}
-				})
-				if err != nil && onDone != nil {
-					onDone(eng.Now()-start, err)
-				}
-			})
+			eng.CallAt(eng.Now()+f.plan.RetryCost(), faultRetry, fo)
 		})
 	}
 	return f.inner.Submit(op, func(resp sim.Time, err error) {
@@ -118,6 +104,39 @@ func (f *FaultDevice) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 			onDone(resp, err)
 		}
 	})
+}
+
+// faultOp is the payload of a dead op's completion event and of a
+// transient fault's retry event.
+type faultOp struct {
+	f      *FaultDevice
+	op     trace.Op
+	onDone func(sim.Time, error)
+	start  sim.Time // first submission, for the retried op's response
+}
+
+// faultDead completes an op on a dead device with zero media time.
+func faultDead(a any) {
+	fo := a.(*faultOp)
+	fo.f.record(fo.op, 0, false)
+	if fo.onDone != nil {
+		fo.onDone(0, fault.ErrElementDead)
+	}
+}
+
+// faultRetry reissues an op after its retry pause.
+func faultRetry(a any) {
+	fo := a.(*faultOp)
+	f, eng := fo.f, fo.f.inner.Engine()
+	err := f.inner.Submit(fo.op, func(sim.Time, error) {
+		f.record(fo.op, eng.Now()-fo.start, true)
+		if fo.onDone != nil {
+			fo.onDone(eng.Now()-fo.start, nil)
+		}
+	})
+	if err != nil && fo.onDone != nil {
+		fo.onDone(eng.Now()-fo.start, err)
+	}
 }
 
 // Drive implements Device.

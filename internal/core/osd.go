@@ -24,11 +24,11 @@ type OSD struct {
 	bytes int64
 }
 
-// NewOSD builds a flash device on a fresh engine, fronts it with an
+// newOSD builds a flash device on a fresh engine, fronts it with an
 // object store, and reserves one volume object spanning the store's
 // first region (the whole device on homogeneous media, the SLC region on
 // heterogeneous ones).
-func NewOSD(cfg ssd.Config) (*OSD, error) {
+func newOSD(cfg ssd.Config) (*OSD, error) {
 	dev, err := ssd.New(sim.NewEngine(), cfg)
 	if err != nil {
 		return nil, err
@@ -53,9 +53,6 @@ func NewOSD(cfg ssd.Config) (*OSD, error) {
 	}
 	return &OSD{Raw: dev, Store: st, vol: vol, bytes: space}, nil
 }
-
-// Volume returns the backing volume object's ID.
-func (o *OSD) Volume() osd.ObjectID { return o.vol }
 
 // Submit implements Device: reads, writes, and frees all go through the
 // object store's extent mapping, so frees land on exactly the device

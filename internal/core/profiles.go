@@ -72,10 +72,6 @@ type Profile struct {
 	// their firmware is designed for (e.g. deep NCQ write queues on
 	// high-end parts).
 	SeqReadDepth, RandReadDepth, SeqWriteDepth, RandWriteDepth int
-	// Seed is the profile's default measurement seed: metadata for
-	// callers that look it up via ProfileByName (zero means unset; no
-	// built-in profile sets one).
-	Seed int64
 	// MaxPending bounds the requests outstanding while the device is
 	// driven open loop (Drive): admission control against arrival
 	// storms. 0 means unbounded (see WithMaxPending).
@@ -153,11 +149,11 @@ func (p *Profile) NewDevice() (Device, error) {
 	case KindOSD:
 		cfg := p.SSD
 		cfg.Fault = plan
-		d, err = NewOSD(cfg)
+		d, err = newOSD(cfg)
 	default:
 		cfg := p.SSD
 		cfg.Fault = plan
-		d, err = NewSSD(cfg)
+		d, err = newSSD(cfg)
 	}
 	if err != nil {
 		return nil, err

@@ -7,9 +7,6 @@ import (
 
 	"ossd/internal/fault"
 	"ossd/internal/ftl"
-	"ossd/internal/hdd"
-	"ossd/internal/mems"
-	"ossd/internal/raid"
 	"ossd/internal/sched"
 	"ossd/internal/ssd"
 )
@@ -94,8 +91,8 @@ func ExtendedProfiles() []Profile {
 type Option func(*Profile) error
 
 // Open builds the named profile's device with the options applied — the
-// one constructor for every substrate (NewSSD and NewOSD remain for
-// callers holding a raw ssd.Config).
+// one constructor for every substrate. Callers holding a raw ssd.Config
+// pass it with WithSSD, or to Build in an explicit Profile.
 func Open(name string, opts ...Option) (Device, error) {
 	p, err := ProfileByName(name)
 	if err != nil {
@@ -216,17 +213,6 @@ func WithFault(plan *fault.Plan) Option {
 	}
 }
 
-// WithSeed sets the profile's default measurement seed. The seed is
-// metadata carried on the Profile for callers that read it back via
-// ProfileByName (no built-in profile sets one; the devices themselves
-// are deterministic and take no seed).
-func WithSeed(seed int64) Option {
-	return func(p *Profile) error {
-		p.Seed = seed
-		return nil
-	}
-}
-
 // WithScheme selects the FTL mapping scheme (page, block, hybrid) on
 // flash-backed profiles.
 func WithScheme(s ftl.Scheme) Option {
@@ -334,39 +320,6 @@ func WithSSD(cfg ssd.Config) Option {
 			return err
 		}
 		p.SSD = cfg
-		return nil
-	}
-}
-
-// WithHDD replaces the disk configuration wholesale.
-func WithHDD(cfg hdd.Config) Option {
-	return func(p *Profile) error {
-		if p.Kind != KindHDD {
-			return fmt.Errorf("core: hdd config on %s profile", p.Kind)
-		}
-		p.HDD = cfg
-		return nil
-	}
-}
-
-// WithMEMS replaces the MEMS configuration wholesale.
-func WithMEMS(cfg mems.Config) Option {
-	return func(p *Profile) error {
-		if p.Kind != KindMEMS {
-			return fmt.Errorf("core: mems config on %s profile", p.Kind)
-		}
-		p.MEMS = cfg
-		return nil
-	}
-}
-
-// WithRAID replaces the array configuration wholesale.
-func WithRAID(cfg raid.Config) Option {
-	return func(p *Profile) error {
-		if p.Kind != KindRAID {
-			return fmt.Errorf("core: raid config on %s profile", p.Kind)
-		}
-		p.RAID = cfg
 		return nil
 	}
 }

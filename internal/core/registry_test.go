@@ -181,18 +181,19 @@ func TestOptionsRejectWrongKind(t *testing.T) {
 	}
 }
 
-func TestWithQueueDepthAndSeed(t *testing.T) {
+func TestWithQueueDepth(t *testing.T) {
 	p, err := ProfileByName("ssd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range []Option{WithQueueDepth(8), WithSeed(99)} {
-		if err := opt(&p); err != nil {
-			t.Fatal(err)
-		}
+	if err := WithQueueDepth(8)(&p); err != nil {
+		t.Fatal(err)
 	}
-	if p.SeqReadDepth != 8 || p.RandWriteDepth != 8 || p.Seed != 99 {
-		t.Fatalf("depth/seed options: %+v", p)
+	if p.SeqReadDepth != 8 || p.RandReadDepth != 8 || p.SeqWriteDepth != 8 || p.RandWriteDepth != 8 {
+		t.Fatalf("queue depth option: %+v", p)
+	}
+	if err := WithQueueDepth(0)(&p); err == nil {
+		t.Fatal("queue depth 0 accepted")
 	}
 }
 

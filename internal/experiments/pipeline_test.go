@@ -24,7 +24,7 @@ func TestPipelinePostmarkInformedDevice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration suite skipped in -short mode")
 	}
-	dev, err := core.NewSSD(ssd.Config{
+	dev, err := core.Build(core.Profile{Kind: core.KindSSD, SSD: ssd.Config{
 		Elements:      4,
 		Geom:          flash.Geometry{PageSize: 4096, PagesPerBlock: 64, BlocksPerPackage: 64},
 		Overprovision: 0.12,
@@ -37,7 +37,7 @@ func TestPipelinePostmarkInformedDevice(t *testing.T) {
 		CtrlOverhead: 10 * sim.Microsecond,
 		GCLow:        0.05, GCCritical: 0.02,
 		Informed: true,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,15 +60,16 @@ func TestPipelinePostmarkInformedDevice(t *testing.T) {
 	if err := dev.Drive(aligned); err != nil {
 		t.Fatal(err)
 	}
-	m := dev.Raw.Metrics()
-	g := dev.Raw.GCStats()
+	raw := dev.(*core.SSD).Raw
+	m := raw.Metrics()
+	g := raw.GCStats()
 	if m.Completed == 0 || m.Errors != 0 {
 		t.Fatalf("replay: %+v", m)
 	}
 	if g.FreesApplied == 0 {
 		t.Fatal("informed device never applied a free")
 	}
-	for _, el := range dev.Raw.Elements() {
+	for _, el := range raw.Elements() {
 		if err := el.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}

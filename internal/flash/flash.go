@@ -96,16 +96,6 @@ func (g Geometry) Validate() error {
 	return nil
 }
 
-// BlockBytes returns the bytes in one erase block.
-func (g Geometry) BlockBytes() int64 {
-	return int64(g.PageSize) * int64(g.PagesPerBlock)
-}
-
-// PackageBytes returns the raw capacity of one package.
-func (g Geometry) PackageBytes() int64 {
-	return g.BlockBytes() * int64(g.BlocksPerPackage)
-}
-
 // Pages returns the total number of physical pages in a package.
 func (g Geometry) Pages() int { return g.PagesPerBlock * g.BlocksPerPackage }
 
@@ -136,10 +126,6 @@ type Package struct {
 	// longer participate in wear statistics.
 	retired    []bool
 	retiredCnt int
-
-	reads    int64
-	programs int64
-	eraseOps int64
 }
 
 // NewPackage builds a fully-erased package.
@@ -198,7 +184,6 @@ func (p *Package) ReadPage(block, page int) (sim.Time, error) {
 	if int32(page) >= p.writePtr[block] {
 		return 0, fmt.Errorf("%w: block %d page %d", ErrReadUnwritten, block, page)
 	}
-	p.reads++
 	return p.timing.PageRead + p.busTime(p.geom.PageSize), nil
 }
 
@@ -217,7 +202,6 @@ func (p *Package) ProgramPage(block, page int) (sim.Time, error) {
 		return 0, fmt.Errorf("%w: block %d page %d, expected %d", ErrOutOfOrder, block, page, wp)
 	}
 	p.writePtr[block] = wp + 1
-	p.programs++
 	return p.timing.PageProgram + p.busTime(p.geom.PageSize), nil
 }
 
@@ -233,7 +217,6 @@ func (p *Package) EraseBlock(block int) (sim.Time, error) {
 	}
 	p.erases[block]++
 	p.writePtr[block] = 0
-	p.eraseOps++
 	return p.timing.BlockErase, nil
 }
 
@@ -262,11 +245,6 @@ func (p *Package) EraseCount(block int) int { return int(p.erases[block]) }
 
 // EraseBudget reports the per-block endurance limit.
 func (p *Package) EraseBudget() int { return p.eraseBudget }
-
-// Counters reports cumulative operation counts (reads, programs, erases).
-func (p *Package) Counters() (reads, programs, erases int64) {
-	return p.reads, p.programs, p.eraseOps
-}
 
 // WearStats summarizes wear across blocks: min/max/total erase counts.
 type WearStats struct {

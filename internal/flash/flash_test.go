@@ -24,12 +24,6 @@ func newTestPackage(t *testing.T) *Package {
 
 func TestGeometryDerived(t *testing.T) {
 	g := testGeom()
-	if g.BlockBytes() != 4096*64 {
-		t.Fatalf("BlockBytes = %d", g.BlockBytes())
-	}
-	if g.PackageBytes() != 4096*64*32 {
-		t.Fatalf("PackageBytes = %d", g.PackageBytes())
-	}
 	if g.Pages() != 64*32 {
 		t.Fatalf("Pages = %d", g.Pages())
 	}
@@ -186,22 +180,6 @@ func TestOutOfRange(t *testing.T) {
 		if err := f(); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("case %d: err = %v, want ErrOutOfRange", i, err)
 		}
-	}
-}
-
-func TestCounters(t *testing.T) {
-	p := newTestPackage(t)
-	mustProgram(t, p, 0, 0)
-	mustProgram(t, p, 0, 1)
-	if _, err := p.ReadPage(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.EraseBlock(1); err != nil {
-		t.Fatal(err)
-	}
-	r, w, e := p.Counters()
-	if r != 1 || w != 2 || e != 1 {
-		t.Fatalf("counters = %d %d %d, want 1 2 1", r, w, e)
 	}
 }
 

@@ -63,15 +63,6 @@ func New(capacity, blockSize int64) (*FS, error) {
 // BlockSize returns the block size in bytes.
 func (fs *FS) BlockSize() int64 { return fs.blockSize }
 
-// Blocks returns the total block count.
-func (fs *FS) Blocks() int64 { return fs.nblocks }
-
-// FreeBlocks returns the number of unallocated blocks.
-func (fs *FS) FreeBlocks() int64 { return fs.free }
-
-// Files returns the number of live files.
-func (fs *FS) Files() int { return len(fs.files) }
-
 func (fs *FS) isSet(b int64) bool { return fs.bitmap[b/64]&(1<<(uint(b)%64)) != 0 }
 func (fs *FS) set(b int64)        { fs.bitmap[b/64] |= 1 << (uint(b) % 64) }
 func (fs *FS) clear(b int64)      { fs.bitmap[b/64] &^= 1 << (uint(b) % 64) }
@@ -83,12 +74,6 @@ func (fs *FS) Create() FileID {
 	return fs.nextID
 }
 
-// Exists reports whether a file is live.
-func (fs *FS) Exists(id FileID) bool {
-	_, ok := fs.files[id]
-	return ok
-}
-
 // Extents returns a copy of a file's extent list.
 func (fs *FS) Extents(id FileID) ([]Extent, error) {
 	ex, ok := fs.files[id]
@@ -96,19 +81,6 @@ func (fs *FS) Extents(id FileID) ([]Extent, error) {
 		return nil, ErrNotFound
 	}
 	return append([]Extent(nil), ex...), nil
-}
-
-// SizeBlocks returns a file's length in blocks.
-func (fs *FS) SizeBlocks(id FileID) (int64, error) {
-	ex, ok := fs.files[id]
-	if !ok {
-		return 0, ErrNotFound
-	}
-	var n int64
-	for _, e := range ex {
-		n += e.Count
-	}
-	return n, nil
 }
 
 // Append allocates n blocks to a file with next-fit placement and

@@ -25,16 +25,16 @@ func TestNewValidation(t *testing.T) {
 		t.Error("accepted zero block size")
 	}
 	fs := newFS(t, 100)
-	if fs.Blocks() != 100 || fs.FreeBlocks() != 100 || fs.BlockSize() != 4096 {
-		t.Fatalf("geometry: %d %d %d", fs.Blocks(), fs.FreeBlocks(), fs.BlockSize())
+	if fs.nblocks != 100 || fs.free != 100 || fs.BlockSize() != 4096 {
+		t.Fatalf("geometry: %d %d %d", fs.nblocks, fs.free, fs.BlockSize())
 	}
 }
 
 func TestCreateAppendDelete(t *testing.T) {
 	fs := newFS(t, 100)
 	id := fs.Create()
-	if !fs.Exists(id) {
-		t.Fatal("created file missing")
+	if _, err := fs.Extents(id); err != nil {
+		t.Fatalf("created file missing: %v", err)
 	}
 	got, err := fs.Append(id, 10)
 	if err != nil {
@@ -43,12 +43,12 @@ func TestCreateAppendDelete(t *testing.T) {
 	if len(got) != 1 || got[0].Count != 10 {
 		t.Fatalf("fresh FS should allocate one extent: %v", got)
 	}
-	if fs.FreeBlocks() != 90 {
-		t.Fatalf("free = %d", fs.FreeBlocks())
+	if fs.free != 90 {
+		t.Fatalf("free = %d", fs.free)
 	}
-	sz, err := fs.SizeBlocks(id)
-	if err != nil || sz != 10 {
-		t.Fatalf("size = %d, %v", sz, err)
+	ex, err := fs.Extents(id)
+	if err != nil || len(ex) != 1 || ex[0].Count != 10 {
+		t.Fatalf("extents = %v, %v", ex, err)
 	}
 	freed, err := fs.Delete(id)
 	if err != nil {
@@ -57,7 +57,7 @@ func TestCreateAppendDelete(t *testing.T) {
 	if len(freed) != 1 || freed[0].Count != 10 {
 		t.Fatalf("freed extents: %v", freed)
 	}
-	if fs.FreeBlocks() != 100 || fs.Exists(id) {
+	if _, err := fs.Extents(id); fs.free != 100 || !errors.Is(err, ErrNotFound) {
 		t.Fatal("delete did not reclaim")
 	}
 	if err := fs.CheckInvariants(); err != nil {
@@ -82,9 +82,6 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := fs.Extents(999); !errors.Is(err, ErrNotFound) {
 		t.Errorf("extents missing file: %v", err)
-	}
-	if _, err := fs.SizeBlocks(999); !errors.Is(err, ErrNotFound) {
-		t.Errorf("size missing file: %v", err)
 	}
 }
 

@@ -209,9 +209,6 @@ func NewElement(cfg Config) (*Element, error) {
 // LogicalPages reports the exported logical capacity in pages.
 func (el *Element) LogicalPages() int { return el.logical }
 
-// PhysicalPages reports the raw capacity in pages.
-func (el *Element) PhysicalPages() int { return el.physPage }
-
 // PageSize reports the page size in bytes.
 func (el *Element) PageSize() int { return el.cfg.Geom.PageSize }
 
@@ -225,9 +222,6 @@ func (el *Element) FreeFraction() float64 {
 	}
 	return float64(el.freePages) / float64(live)
 }
-
-// FreePages reports the count of erased, writable pages.
-func (el *Element) FreePages() int { return el.freePages }
 
 // Mapped reports whether a logical page currently has a physical copy.
 func (el *Element) Mapped(lpn int) bool {

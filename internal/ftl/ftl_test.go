@@ -57,8 +57,8 @@ func TestLogicalCapacity(t *testing.T) {
 	if el.LogicalPages() != want {
 		t.Fatalf("LogicalPages = %d, want %d", el.LogicalPages(), want)
 	}
-	if el.PhysicalPages() != phys {
-		t.Fatalf("PhysicalPages = %d, want %d", el.PhysicalPages(), phys)
+	if el.physPage != phys {
+		t.Fatalf("physical pages = %d, want %d", el.physPage, phys)
 	}
 	if el.FreeFraction() != 1.0 {
 		t.Fatalf("fresh element FreeFraction = %v, want 1", el.FreeFraction())
@@ -71,7 +71,7 @@ func TestLogicalCapacityClamped(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Overprovision = 0
 	el := newElement(t, cfg)
-	if el.LogicalPages() > el.PhysicalPages()-2*8 {
+	if el.LogicalPages() > el.physPage-2*8 {
 		t.Fatalf("LogicalPages = %d leaves less than 2 blocks slack", el.LogicalPages())
 	}
 }
@@ -183,7 +183,7 @@ func TestSustainedOverwriteTriggersCleaning(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The element must never run below its two-block slack after a write.
-	if el.FreePages() < 0 {
+	if el.freePages < 0 {
 		t.Fatal("negative free pages")
 	}
 }

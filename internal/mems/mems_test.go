@@ -197,11 +197,11 @@ func play(t *testing.T, d *Device, ops []trace.Op) {
 	t.Helper()
 	eng := d.Engine()
 	for _, op := range ops {
-		eng.At(op.At, func() {
+		eng.CallAt(op.At, func(any) {
 			if err := d.Submit(op, nil); err != nil {
 				t.Error(err)
 			}
-		})
+		}, nil)
 	}
 	eng.Run()
 }

@@ -163,33 +163,6 @@ func (s *Store) Region(id ObjectID) (int, error) {
 	return o.region, nil
 }
 
-// Info is the OSD attribute page of one object: its identity, logical
-// and allocated sizes, placement, and attributes.
-type Info struct {
-	ID             ObjectID
-	Size           int64
-	AllocatedBytes int64
-	Extents        int
-	Region         int
-	Attrs          Attributes
-}
-
-// Stat returns the object's attribute page.
-func (s *Store) Stat(id ObjectID) (Info, error) {
-	o, ok := s.objs[id]
-	if !ok {
-		return Info{}, ErrNotFound
-	}
-	return Info{
-		ID:             o.id,
-		Size:           o.size,
-		AllocatedBytes: o.allocatedBytes(s.unit),
-		Extents:        len(o.extents),
-		Region:         o.region,
-		Attrs:          o.attrs,
-	}, nil
-}
-
 // Attributes returns an object's attributes.
 func (s *Store) Attributes(id ObjectID) (Attributes, error) {
 	o, ok := s.objs[id]

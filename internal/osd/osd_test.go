@@ -419,21 +419,26 @@ func TestStat(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	info, err := st.Stat(id)
+	if sz, err := st.Size(id); err != nil || sz != 10000 {
+		t.Fatalf("size = %d, %v; want 10000", sz, err)
+	}
+	o := st.objs[id]
+	if got := o.allocatedBytes(st.AllocationUnit()); got < 10000 || got%st.AllocationUnit() != 0 {
+		t.Fatalf("allocated = %d", got)
+	}
+	attrs, err := st.Attributes(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.ID != id || info.Size != 10000 {
-		t.Fatalf("info identity: %+v", info)
+	region, err := st.Region(id)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if info.AllocatedBytes < 10000 || info.AllocatedBytes%st.AllocationUnit() != 0 {
-		t.Fatalf("allocated = %d", info.AllocatedBytes)
+	if len(o.extents) < 1 || !attrs.Priority || region != 0 {
+		t.Fatalf("object details: extents %d, attrs %+v, region %d", len(o.extents), attrs, region)
 	}
-	if info.Extents < 1 || !info.Attrs.Priority || info.Region != 0 {
-		t.Fatalf("info details: %+v", info)
-	}
-	if _, err := st.Stat(999); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing object stat: %v", err)
+	if _, err := st.Size(999); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing object size: %v", err)
 	}
 }
 
@@ -449,12 +454,8 @@ func TestReserveAllocatesWithoutIO(t *testing.T) {
 	if sz, _ := st.Size(id); sz != 64<<10 {
 		t.Fatalf("size = %d, want %d", sz, 64<<10)
 	}
-	info, err := st.Stat(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.AllocatedBytes < 64<<10 {
-		t.Fatalf("allocated %d, want >= %d", info.AllocatedBytes, 64<<10)
+	if got := st.objs[id].allocatedBytes(st.AllocationUnit()); got < 64<<10 {
+		t.Fatalf("allocated %d, want >= %d", got, 64<<10)
 	}
 	// Reserved ranges are immediately readable, and a smaller reserve
 	// never shrinks the object.

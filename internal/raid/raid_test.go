@@ -268,11 +268,11 @@ func play(t *testing.T, a *Array, ops []trace.Op) {
 	t.Helper()
 	eng := a.Engine()
 	for _, op := range ops {
-		eng.At(op.At, func() {
+		eng.CallAt(op.At, func(any) {
 			if err := a.Submit(op, nil); err != nil {
 				t.Error(err)
 			}
-		})
+		}, nil)
 	}
 	eng.Run()
 }

@@ -99,6 +99,3 @@ func (r *Ring) Owner(key uint64) string {
 	}
 	return r.points[i].member
 }
-
-// IsSelf reports whether this instance owns key.
-func (r *Ring) IsSelf(key uint64) bool { return r.Owner(key) == r.self }

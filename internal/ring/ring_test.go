@@ -31,7 +31,7 @@ func TestDeterministicAcrossInputOrder(t *testing.T) {
 func TestSingleMemberOwnsEverything(t *testing.T) {
 	r := New("http://only:8080", nil, 0)
 	for i := 0; i < 1000; i++ {
-		if !r.IsSelf(testKey(i)) {
+		if r.Owner(testKey(i)) != r.Self() {
 			t.Fatalf("single-member ring does not own key %d", i)
 		}
 	}

@@ -54,21 +54,9 @@ type Options struct {
 	OnStart func(name string)
 }
 
-// defaultWorkers overrides the GOMAXPROCS default when positive.
-var defaultWorkers atomic.Int32
-
 // DefaultWorkers reports the worker count used when Options.Workers is
-// unset: SetDefaultWorkers' value if positive, else GOMAXPROCS.
-func DefaultWorkers() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetDefaultWorkers sets the process-wide default worker count; n <= 0
-// restores the GOMAXPROCS default.
-func SetDefaultWorkers(n int) { defaultWorkers.Store(int32(n)) }
+// unset: GOMAXPROCS.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // RunAll executes every spec and returns one Outcome per spec, index-
 // aligned with the input. Specs are claimed in order but may finish in

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -123,11 +124,11 @@ func TestDefaultWorkersOverride(t *testing.T) {
 	if orig < 1 {
 		t.Fatalf("default workers %d", orig)
 	}
-	SetDefaultWorkers(3)
-	if DefaultWorkers() != 3 {
-		t.Fatalf("override ignored: %d", DefaultWorkers())
+	runtime.GOMAXPROCS(orig + 2)
+	if DefaultWorkers() != orig+2 {
+		t.Fatalf("GOMAXPROCS override ignored: %d", DefaultWorkers())
 	}
-	SetDefaultWorkers(0)
+	runtime.GOMAXPROCS(orig)
 	if DefaultWorkers() != orig {
 		t.Fatalf("reset ignored: %d", DefaultWorkers())
 	}

@@ -41,8 +41,7 @@ func pumpEvent[T any](a any) { a.(*Driver[T]).Pump() }
 
 // PumpAfter schedules a Pump d from now through the engine's pooled
 // event path. Media models use it wherever device-initiated work (a
-// cleaning pass, a cache drain) ends at a known future time; it is the
-// allocation-free replacement for eng.After(d, drv.Pump).
+// cleaning pass, a cache drain) ends at a known future time.
 func (d *Driver[T]) PumpAfter(delay sim.Time) {
 	d.eng.Call(delay, pumpEvent[T], d)
 }

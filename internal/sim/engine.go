@@ -44,14 +44,12 @@ func (t Time) String() string {
 }
 
 // event is a scheduled callback. seq breaks ties so that events scheduled
-// earlier run earlier, giving a stable, deterministic order. An event
-// carries either a plain closure (fn) or a pooled (call, arg) pair; the
-// latter lets hot paths schedule package-level functions with a pointer
-// payload and pay zero allocations per event.
+// earlier run earlier, giving a stable, deterministic order. The callback
+// is a (call, arg) pair, so a package-level function with a pointer
+// payload schedules with zero allocations per event.
 type event struct {
 	at   Time
 	seq  uint64
-	fn   func()
 	call func(any)
 	arg  any
 }
@@ -93,30 +91,11 @@ func (e *Engine) Pending() int { return len(e.events) }
 // Processed reports the total number of events run so far.
 func (e *Engine) Processed() uint64 { return e.ran }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
-// panics: it indicates a model bug, and silently reordering time would
-// corrupt every statistic downstream.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	e.At(e.now+d, fn)
-}
-
-// CallAt schedules fn(arg) at absolute time t. Unlike At, the callback
-// and its payload travel as plain values in the event node, so a caller
-// passing a package-level function and a pointer payload schedules with
-// zero allocations — the form every hot scheduler in this repository
-// uses. Scheduling in the past panics, as with At.
+// CallAt schedules fn(arg) at absolute time t. The callback and its
+// payload travel as plain values in the event node, so a caller passing
+// a package-level function and a pointer payload schedules with zero
+// allocations. Scheduling in the past panics: it indicates a model bug,
+// and silently reordering time would corrupt every statistic downstream.
 func (e *Engine) CallAt(t Time, fn func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
@@ -125,8 +104,7 @@ func (e *Engine) CallAt(t Time, fn func(any), arg any) {
 	e.push(event{at: t, seq: e.seq, call: fn, arg: arg})
 }
 
-// Call schedules fn(arg) to run d after the current time. It is the
-// pooled, allocation-free analogue of After; see CallAt.
+// Call schedules fn(arg) to run d after the current time; see CallAt.
 func (e *Engine) Call(d Time, fn func(any), arg any) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -143,11 +121,7 @@ func (e *Engine) Step() bool {
 	ev := e.pop()
 	e.now = ev.at
 	e.ran++
-	if ev.call != nil {
-		ev.call(ev.arg)
-	} else {
-		ev.fn()
-	}
+	ev.call(ev.arg)
 	return true
 }
 
@@ -168,20 +142,10 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// RunFor processes events within the next d of simulated time and leaves
-// the clock exactly d past where it started. Events scheduled later
-// remain pending.
-func (e *Engine) RunFor(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative duration %v", d))
-	}
-	e.RunUntil(e.now + d)
-}
-
 // ---- four-ary event heap ----
 
 // arity is the heap fan-out. Four keeps siblings in one or two cache
-// lines (an event is 48 bytes) and halves the depth of a binary heap.
+// lines (an event is 40 bytes) and halves the depth of a binary heap.
 const arity = 4
 
 // push appends ev and restores the heap order with a hole-based sift-up:

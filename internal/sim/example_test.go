@@ -7,15 +7,13 @@ import (
 )
 
 // ExampleEngine shows the discrete-event pattern every device model in
-// this repository uses: schedule, run, observe the virtual clock.
+// this repository uses: schedule a callback with its payload, run,
+// observe the virtual clock.
 func ExampleEngine() {
 	eng := sim.NewEngine()
-	eng.After(2*sim.Millisecond, func() {
-		fmt.Println("erase done at", eng.Now())
-	})
-	eng.After(200*sim.Microsecond, func() {
-		fmt.Println("program done at", eng.Now())
-	})
+	done := func(op any) { fmt.Println(op, "done at", eng.Now()) }
+	eng.Call(2*sim.Millisecond, done, "erase")
+	eng.Call(200*sim.Microsecond, done, "program")
 	eng.Run()
 	fmt.Println("clock:", eng.Now())
 	// Output:

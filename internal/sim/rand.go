@@ -14,12 +14,6 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
-// Fork derives an independent generator, keyed so that adding a consumer
-// does not perturb the streams of existing consumers.
-func (g *RNG) Fork(key int64) *RNG {
-	return NewRNG(g.r.Int63() ^ key*0x61c8864680b583eb)
-}
-
 // Float64 returns a uniform float in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
@@ -55,9 +49,3 @@ func (g *RNG) Exponential(mean Time) Time {
 func (g *RNG) Zipf(s float64, n uint64) *rand.Zipf {
 	return rand.NewZipf(g.r, s, 1, n-1)
 }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements via swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

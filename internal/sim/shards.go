@@ -167,16 +167,6 @@ func (g *ShardGroup) RunWindow(h Time) {
 	}
 }
 
-// SyncTo advances every shard clock to at least t, processing any
-// events at or before it. Coordinator-side (inline).
-func (g *ShardGroup) SyncTo(t Time) {
-	for _, eng := range g.engines {
-		if t > eng.now {
-			eng.RunUntil(t)
-		}
-	}
-}
-
 // MaxNow reports the latest shard clock.
 func (g *ShardGroup) MaxNow() Time {
 	var max Time
@@ -198,17 +188,9 @@ func (g *ShardGroup) Pending() int {
 	return n
 }
 
-// transferEv is one event pulled off a shard heap during Transfer.
-type transferEv struct {
-	at   Time
-	fn   func()
-	call func(any)
-	arg  any
-}
-
 // Transfer drains every pending event from every shard, in (at, shard,
 // scheduling-order) order, and reschedules them onto dst, preserving
-// that order. rewrite (optional) maps each pooled-callback payload to
+// that order. rewrite (optional) maps each callback payload to
 // its replacement, which is how a caller retargets per-shard state
 // pointers at the merge. Returns the number of events moved.
 //
@@ -218,26 +200,20 @@ type transferEv struct {
 // pending event. Transfer is the one-way door from parallel windows back
 // to single-engine execution: after it the shard heaps are empty.
 func (g *ShardGroup) Transfer(dst *Engine, rewrite func(arg any) any) int {
-	var evs []transferEv
+	var evs []event
 	for _, eng := range g.engines {
 		for len(eng.events) > 0 {
-			ev := eng.pop()
-			evs = append(evs, transferEv{at: ev.at, fn: ev.fn, call: ev.call, arg: ev.arg})
+			evs = append(evs, eng.pop())
 		}
 	}
 	// Shard-major concatenation + stable sort by time = (at, shard,
 	// original order) merge order.
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
 	for _, ev := range evs {
-		if ev.call != nil {
-			arg := ev.arg
-			if rewrite != nil {
-				arg = rewrite(arg)
-			}
-			dst.CallAt(ev.at, ev.call, arg)
-		} else {
-			dst.At(ev.at, ev.fn)
+		if rewrite != nil {
+			ev.arg = rewrite(ev.arg)
 		}
+		dst.CallAt(ev.at, ev.call, ev.arg)
 	}
 	return len(evs)
 }

@@ -177,10 +177,11 @@ func TestCleanSetOracleSharded(t *testing.T) {
 			cfg.Fault = &fault.Plan{Deaths: []fault.Death{
 				{Element: 2, AfterOps: 190}, {Element: 5, AfterOps: 205}, {Element: 6, AfterOps: 400},
 			}}
-			dev, err := core.NewSSD(cfg)
+			built, err := core.Build(core.Profile{Kind: core.KindSSD, SSD: cfg, Fault: cfg.Fault})
 			if err != nil {
 				t.Fatal(err)
 			}
+			dev := built.(*core.SSD)
 			if err := dev.Raw.EnableSharding(shards); err != nil {
 				t.Fatal(err)
 			}

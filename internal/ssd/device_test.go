@@ -406,11 +406,11 @@ func closedLoop(d *Device, depth int, gen func(i int) (trace.Op, bool)) error {
 func play(t *testing.T, d *Device, ops []trace.Op) {
 	t.Helper()
 	for _, op := range ops {
-		d.eng.At(op.At, func() {
+		d.eng.CallAt(op.At, func(any) {
 			if err := d.Submit(op, nil); err != nil {
 				t.Error(err)
 			}
-		})
+		}, nil)
 	}
 	d.eng.Run()
 }

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -150,9 +151,6 @@ func compareDevices(t *testing.T, single, sharded *Device) {
 		a, b interface {
 			N() uint64
 			Mean() float64
-			Min() float64
-			Max() float64
-			Std() float64
 			Percentile(float64) float64
 		}
 	}{
@@ -165,10 +163,9 @@ func compareDevices(t *testing.T, single, sharded *Device) {
 			continue
 		}
 		sameFloat(t, h.name+" mean", h.a.Mean(), h.b.Mean())
-		sameFloat(t, h.name+" std", h.a.Std(), h.b.Std())
-		sameFloat(t, h.name+" min", h.a.Min(), h.b.Min())
-		sameFloat(t, h.name+" max", h.a.Max(), h.b.Max())
-		sameFloat(t, h.name+" p99", h.a.Percentile(99), h.b.Percentile(99))
+		for _, p := range []float64{0, 50, 99, 100} {
+			sameFloat(t, fmt.Sprintf("%s p%v", h.name, p), h.a.Percentile(p), h.b.Percentile(p))
+		}
 	}
 	ga, gb := single.GCStats(), sharded.GCStats()
 	if ga != gb {

@@ -1,5 +1,5 @@
 // Package stats provides the measurement primitives shared by every
-// experiment: streaming mean/variance, log-bucketed latency histograms
+// experiment: streaming means, log-bucketed latency histograms
 // with percentile estimation, bandwidth accounting, and plain-text table
 // rendering in the style of the paper's tables.
 package stats
@@ -10,12 +10,11 @@ import (
 	"sort"
 )
 
-// Mean accumulates a streaming mean and variance (Welford's algorithm).
-// The zero value is an empty accumulator.
+// Mean accumulates a streaming mean with the sample range. The zero
+// value is an empty accumulator.
 type Mean struct {
 	n    uint64
 	mean float64
-	m2   float64
 	min  float64
 	max  float64
 }
@@ -33,9 +32,7 @@ func (m *Mean) Add(x float64) {
 			m.max = x
 		}
 	}
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
+	m.mean += (x - m.mean) / float64(m.n)
 }
 
 // N reports the number of samples.
@@ -49,17 +46,6 @@ func (m Mean) Min() float64 { return m.min }
 
 // Max reports the largest sample (0 if empty).
 func (m Mean) Max() float64 { return m.max }
-
-// Var reports the sample variance (0 with fewer than two samples).
-func (m Mean) Var() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// Std reports the sample standard deviation.
-func (m Mean) Std() float64 { return math.Sqrt(m.Var()) }
 
 // Histogram is a log-bucketed histogram for positive values. Buckets grow
 // geometrically, giving ~4% relative error on percentile estimates with
@@ -75,15 +61,6 @@ func (h Histogram) N() uint64 { return h.acc.N() }
 
 // Mean reports the sample mean.
 func (h Histogram) Mean() float64 { return h.acc.Mean() }
-
-// Min reports the smallest sample.
-func (h Histogram) Min() float64 { return h.acc.Min() }
-
-// Max reports the largest sample.
-func (h Histogram) Max() float64 { return h.acc.Max() }
-
-// Std reports the sample standard deviation.
-func (h Histogram) Std() float64 { return h.acc.Std() }
 
 // bucketFor maps a positive value to a bucket index. Values are bucketed
 // by log base 2^(1/8): 8 sub-buckets per octave.
@@ -143,9 +120,6 @@ func (h Histogram) Percentile(p float64) float64 {
 	}
 	return h.acc.max
 }
-
-// Median is Percentile(50).
-func (h Histogram) Median() float64 { return h.Percentile(50) }
 
 // Bandwidth converts bytes moved over a duration (seconds) to MB/s, using
 // the paper's decimal-megabyte convention.

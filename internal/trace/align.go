@@ -6,7 +6,7 @@ import (
 	"ossd/internal/sim"
 )
 
-// Aligner implements the write merging-and-alignment scheme of §3.4: it
+// aligner implements the write merging-and-alignment scheme of §3.4: it
 // buffers contiguous writes and re-issues them split on stripe (logical
 // page) boundaries, so that full stripes reach the device as single
 // aligned writes and never trigger read-modify-write amplification.
@@ -15,7 +15,7 @@ import (
 // (because the file system cannot know the stripe size); implementing it
 // as a trace transformation lets the experiments compare "issue writes as
 // they arrive" against "merge and align" on identical workloads.
-type Aligner struct {
+type aligner struct {
 	stripe int64
 	opts   AlignOptions
 
@@ -44,42 +44,19 @@ type AlignOptions struct {
 	ReadBarrier bool
 }
 
-// NewAligner creates an aligner for the given stripe size in bytes.
-func NewAligner(stripe int64) (*Aligner, error) {
-	return NewAlignerOpts(stripe, AlignOptions{})
-}
-
-// NewAlignerOpts creates an aligner with merge bounds.
-func NewAlignerOpts(stripe int64, opts AlignOptions) (*Aligner, error) {
+// newAligner creates an aligner for the given stripe size in bytes with
+// merge bounds.
+func newAligner(stripe int64, opts AlignOptions) (*aligner, error) {
 	if stripe <= 0 {
 		return nil, fmt.Errorf("trace: stripe must be positive, got %d", stripe)
 	}
-	return &Aligner{stripe: stripe, opts: opts}, nil
+	return &aligner{stripe: stripe, opts: opts}, nil
 }
 
-// Align transforms a whole trace: writes are merged and split on stripe
-// boundaries; reads and frees flush any overlapping buffered write first
-// and pass through unchanged.
-func Align(ops []Op, stripe int64) ([]Op, error) {
-	return AlignWith(ops, stripe, AlignOptions{})
-}
-
-// AlignWith is Align with explicit merge bounds.
-func AlignWith(ops []Op, stripe int64, opts AlignOptions) ([]Op, error) {
-	a, err := NewAlignerOpts(stripe, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range ops {
-		if err := a.Push(o); err != nil {
-			return nil, err
-		}
-	}
-	return a.Finish(), nil
-}
-
-// Push feeds one operation through the aligner.
-func (a *Aligner) Push(o Op) error {
+// push feeds one operation through the aligner: writes are merged and
+// split on stripe boundaries; reads and frees flush any overlapping
+// buffered write first and pass through unchanged.
+func (a *aligner) push(o Op) error {
 	if err := o.Validate(); err != nil {
 		return err
 	}
@@ -98,7 +75,7 @@ func (a *Aligner) Push(o Op) error {
 	return nil
 }
 
-func (a *Aligner) pushWrite(o Op) {
+func (a *aligner) pushWrite(o Op) {
 	if a.pendingValid && a.opts.MaxGap > 0 && int64(o.At)-a.pendingLast > int64(a.opts.MaxGap) {
 		// Buffer hold timeout expired before this write arrived.
 		a.flush()
@@ -124,7 +101,7 @@ func (a *Aligner) pushWrite(o Op) {
 	a.drainFullStripes()
 }
 
-func (a *Aligner) open(o Op) {
+func (a *aligner) open(o Op) {
 	a.pendingValid = true
 	a.pendingLast = int64(o.At)
 	a.pendingPri = o.Priority
@@ -134,7 +111,7 @@ func (a *Aligner) open(o Op) {
 
 // drainFullStripes emits every fully-covered, stripe-aligned chunk of the
 // pending range as one aligned write each.
-func (a *Aligner) drainFullStripes() {
+func (a *aligner) drainFullStripes() {
 	if !a.pendingValid {
 		return
 	}
@@ -155,7 +132,7 @@ func (a *Aligner) drainFullStripes() {
 	}
 }
 
-func (a *Aligner) emit(off, size int64) {
+func (a *aligner) emit(off, size int64) {
 	a.out = append(a.out, Op{
 		At:       sim.Time(a.pendingLast),
 		Kind:     Write,
@@ -167,7 +144,7 @@ func (a *Aligner) emit(off, size int64) {
 
 // flush emits whatever remains in the buffer, split at stripe boundaries
 // (the head and tail may be partial).
-func (a *Aligner) flush() {
+func (a *aligner) flush() {
 	if !a.pendingValid {
 		return
 	}
@@ -183,26 +160,26 @@ func (a *Aligner) flush() {
 	a.pendingValid = false
 }
 
-// Finish flushes the buffer and returns the transformed trace. The
+// finish flushes the buffer and returns the transformed trace. The
 // aligner is reusable afterwards.
-func (a *Aligner) Finish() []Op {
+func (a *aligner) finish() []Op {
 	a.flush()
 	return a.take()
 }
 
 // take hands the accumulated output to the caller and resets it.
-func (a *Aligner) take() []Op {
+func (a *aligner) take() []Op {
 	out := a.out
 	a.out = nil
 	return out
 }
 
-// alignStream runs an Aligner incrementally over a source stream. The
+// alignStream runs an aligner incrementally over a source stream. The
 // only state beyond the source is the aligner's single pending range and
 // the handful of ops the last push emitted.
 type alignStream struct {
 	src  Stream
-	a    *Aligner
+	a    *aligner
 	buf  []Op
 	pos  int
 	err  error
@@ -236,10 +213,10 @@ func (s *alignStream) Next() (Op, bool) {
 				s.buf = nil
 				return Op{}, false
 			}
-			s.buf = s.a.Finish()
+			s.buf = s.a.finish()
 			continue
 		}
-		if err := s.a.Push(op); err != nil {
+		if err := s.a.push(op); err != nil {
 			s.err = err
 			s.done = true
 			s.buf = nil
@@ -253,7 +230,7 @@ func (s *alignStream) Next() (Op, bool) {
 // transformed operations as soon as the buffer releases them — the
 // paper's in-device write buffer as a stream combinator.
 func AlignStream(s Stream, stripe int64, opts AlignOptions) (Stream, error) {
-	a, err := NewAlignerOpts(stripe, opts)
+	a, err := newAligner(stripe, opts)
 	if err != nil {
 		return nil, err
 	}

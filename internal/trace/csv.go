@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -149,7 +150,11 @@ func (d *csvDecoder) parse(text string) (Op, bool, error) {
 		d.first = false
 		d.base = ts
 	}
-	op.At = sim.Time(ts-d.base) * d.layout.TimestampUnit
+	at, ok := d.elapsed(ts)
+	if !ok {
+		return Op{}, false, fmt.Errorf("trace: csv line %d: timestamp %d is out of range from the first row's %d", d.line, ts, d.base)
+	}
+	op.At = at
 	if op.At < d.prevAt {
 		op.At = d.prevAt
 	}
@@ -158,4 +163,19 @@ func (d *csvDecoder) parse(text string) (Op, bool, error) {
 		return Op{}, false, fmt.Errorf("trace: csv line %d: %v", d.line, err)
 	}
 	return op, true, nil
+}
+
+// elapsed converts a tick count to simulated time since the first row.
+// It reports false when the tick difference or its product with the
+// tick unit overflows int64.
+func (d *csvDecoder) elapsed(ts int64) (sim.Time, bool) {
+	delta := ts - d.base
+	if (delta < ts) != (d.base > 0) {
+		return 0, false
+	}
+	unit := int64(d.layout.TimestampUnit)
+	if delta > math.MaxInt64/unit || delta < math.MinInt64/unit {
+		return 0, false
+	}
+	return sim.Time(delta * unit), true
 }

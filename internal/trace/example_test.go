@@ -14,11 +14,12 @@ func ExampleAlign() {
 	for i := int64(0); i < 8; i++ {
 		ops = append(ops, trace.Op{At: 0, Kind: trace.Write, Offset: i * 4096, Size: 4096})
 	}
-	aligned, err := trace.Align(ops, 32<<10)
+	s, err := trace.AlignStream(trace.FromSlice(ops), 32<<10, trace.AlignOptions{})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
+	aligned := trace.Collect(s)
 	fmt.Printf("%d ops in, %d out: %v bytes at offset %d\n",
 		len(ops), len(aligned), aligned[0].Size, aligned[0].Offset)
 	// Output: 8 ops in, 1 out: 32768 bytes at offset 0
@@ -52,9 +53,11 @@ func ExampleEncode() {
 		{At: 1000, Kind: trace.Write, Offset: 4096, Size: 8192},
 		{At: 2000, Kind: trace.Free, Offset: 4096, Size: 8192, Priority: true},
 	}
-	if err := trace.Encode(os.Stdout, ops); err != nil {
+	enc := trace.NewEncoder(os.Stdout)
+	if _, err := enc.Copy(trace.FromSlice(ops)); err != nil {
 		fmt.Println(err)
 	}
+	enc.Flush()
 	// Output:
 	// 1000 W 4096 8192
 	// 2000 F 4096 8192 P

@@ -426,6 +426,6 @@ func (t *tallyStream) Next() (Op, bool) {
 func (t *tallyStream) Err() error { return Err(t.src) }
 
 // Tally returns a pass-through stream that accumulates summary statistics
-// into st as operations flow by — Summarize for pipelines that never
-// materialize the trace. st is complete once the stream is drained.
+// into st as operations flow by, without materializing the trace. st is
+// complete once the stream is drained.
 func Tally(s Stream, st *Stats) Stream { return &tallyStream{src: s, st: st} }

@@ -140,7 +140,11 @@ func TestErrPropagation(t *testing.T) {
 func TestDecoderStreamRoundTrip(t *testing.T) {
 	ops := sampleOps()
 	var buf bytes.Buffer
-	n, err := Copy(&buf, FromSlice(ops))
+	enc := NewEncoder(&buf)
+	n, err := enc.Copy(FromSlice(ops))
+	if err == nil {
+		err = enc.Flush()
+	}
 	if err != nil || n != len(ops) {
 		t.Fatalf("copy: n=%d err=%v", n, err)
 	}
@@ -188,7 +192,7 @@ func TestCodecRoundTripFreeAndPriority(t *testing.T) {
 func TestCopyReportsStreamError(t *testing.T) {
 	d := NewDecoder(strings.NewReader("1 W 0 4096\nnot an op\n"))
 	var buf bytes.Buffer
-	if _, err := Copy(&buf, d); err == nil {
+	if _, err := NewEncoder(&buf).Copy(d); err == nil {
 		t.Fatal("copy swallowed decoder error")
 	}
 }
@@ -196,7 +200,7 @@ func TestCopyReportsStreamError(t *testing.T) {
 func TestCopyRejectsInvalidOp(t *testing.T) {
 	var buf bytes.Buffer
 	bad := FromSlice([]Op{{Kind: Write, Offset: 0, Size: 0}})
-	if _, err := Copy(&buf, bad); err == nil {
+	if _, err := NewEncoder(&buf).Copy(bad); err == nil {
 		t.Fatal("encoded invalid op")
 	}
 }

@@ -206,3 +206,19 @@ func TestDecodeCSVErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeCSVTimestampOverflow pins that a row whose offset from the
+// first row overflows int64 nanoseconds fails with its line number. Both
+// rows used to wrap silently: the first to 0 ns, the second to 100 ns.
+func TestDecodeCSVTimestampOverflow(t *testing.T) {
+	for _, tick := range []string{"100000000000000000", "-9223372036854775807"} {
+		src := "0,h,0,Read,0,4096,1\n" + tick + ",h,0,Read,0,4096,1\n"
+		st := DecodeCSV(strings.NewReader(src), MSRLayout())
+		if got := Collect(st); len(got) != 1 {
+			t.Errorf("tick %s: decoded %d ops, want only the first row", tick, len(got))
+		}
+		if err := Err(st); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("tick %s: error %v, want one naming line 2", tick, err)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -59,18 +60,6 @@ type Op struct {
 	Offset, Size int64
 }
 
-// Class is the op's scheduling class: the tenant ID shifted left one
-// with the priority flag folded into the low bit, so a single small
-// integer distinguishes every (tenant, priority) combination. Tenant-0
-// non-priority ops — the legacy default — are class 0.
-func (o Op) Class() int {
-	c := int(o.Tenant) << 1
-	if o.Priority {
-		c |= 1
-	}
-	return c
-}
-
 // End returns the first byte past the operation's range.
 func (o Op) End() int64 { return o.Offset + o.Size }
 
@@ -79,9 +68,10 @@ func (o Op) overlaps(off, size int64) bool {
 	return o.Offset < off+size && off < o.End()
 }
 
-// Validate reports structural problems with an op.
+// Validate reports structural problems with an op. A range whose end
+// would overflow int64 is rejected, so End is always positive.
 func (o Op) Validate() error {
-	if o.Offset < 0 || o.Size <= 0 {
+	if o.Offset < 0 || o.Size <= 0 || o.Size > math.MaxInt64-o.Offset {
 		return fmt.Errorf("trace: bad range [%d, +%d)", o.Offset, o.Size)
 	}
 	if o.At < 0 {
@@ -175,15 +165,6 @@ func (s *Stats) add(o Op) {
 	}
 }
 
-// Summarize scans a trace.
-func Summarize(ops []Op) Stats {
-	var s Stats
-	for _, o := range ops {
-		s.add(o)
-	}
-	return s
-}
-
 // Encoder writes operations incrementally in the text format (v2), one
 // per line:
 //
@@ -241,23 +222,6 @@ func (e *Encoder) Copy(s Stream) (int, error) {
 		n++
 	}
 	return n, Err(s)
-}
-
-// Encode writes ops in the text format.
-func Encode(w io.Writer, ops []Op) error {
-	_, err := Copy(w, FromSlice(ops))
-	return err
-}
-
-// Copy drains a stream into w in the text format, at constant memory,
-// and returns the number of operations written.
-func Copy(w io.Writer, s Stream) (int, error) {
-	enc := NewEncoder(w)
-	n, err := enc.Copy(s)
-	if err != nil {
-		return n, err
-	}
-	return n, enc.Flush()
 }
 
 // Decoder reads the text format incrementally: a Stream over a trace
@@ -353,14 +317,4 @@ func (d *Decoder) parse(text string) (Op, error) {
 		return Op{}, fmt.Errorf("trace: line %d: %v", d.line, err)
 	}
 	return op, nil
-}
-
-// Decode parses the text format produced by Encode.
-func Decode(r io.Reader) ([]Op, error) {
-	d := NewDecoder(r)
-	ops := Collect(d)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return ops, nil
 }

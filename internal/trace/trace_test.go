@@ -27,6 +27,7 @@ func TestOpValidate(t *testing.T) {
 		{Kind: Write, Offset: 0, Size: 0},
 		{At: -1, Kind: Write, Offset: 0, Size: 1},
 		{Kind: Kind(9), Offset: 0, Size: 1},
+		{Kind: Write, Offset: 6917529027641081856, Size: 6917529027641081856}, // End overflows
 	}
 	for i, o := range bad {
 		if o.Validate() == nil {

@@ -51,7 +51,7 @@ func TestSyntheticShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := trace.Summarize(ops)
+	s := summarize(ops)
 	if s.Ops != 5000 {
 		t.Fatalf("ops = %d", s.Ops)
 	}
@@ -127,7 +127,7 @@ func TestPostmarkTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := trace.Summarize(ops)
+	s := summarize(ops)
 	if s.Writes == 0 || s.Reads == 0 {
 		t.Fatalf("missing op kinds: %+v", s)
 	}
@@ -193,7 +193,7 @@ func TestTPCCTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := trace.Summarize(ops)
+	s := summarize(ops)
 	if s.Ops < 3000 {
 		t.Fatalf("ops = %d, want >= 3000 (data + log)", s.Ops)
 	}
@@ -247,7 +247,7 @@ func TestExchangeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := trace.Summarize(ops)
+	s := summarize(ops)
 	if s.Reads == 0 || s.Writes == 0 {
 		t.Fatal("missing kinds")
 	}
@@ -283,7 +283,7 @@ func TestIOzoneTrace(t *testing.T) {
 	if len(ops) != 4*recs {
 		t.Fatalf("ops = %d, want %d", len(ops), 4*recs)
 	}
-	s := trace.Summarize(ops)
+	s := summarize(ops)
 	if s.Writes != 2*recs || s.Reads != 2*recs {
 		t.Fatalf("phase mix: %+v", s)
 	}
@@ -409,4 +409,11 @@ func TestGeneratorRegistry(t *testing.T) {
 	if !reflect.DeepEqual(trace.Collect(dpm), trace.Collect(npm)) {
 		t.Fatal("registry postmark diverged from direct constructor")
 	}
+}
+
+// summarize tallies a materialized trace.
+func summarize(ops []trace.Op) trace.Stats {
+	var st trace.Stats
+	trace.Collect(trace.Tally(trace.FromSlice(ops), &st))
+	return st
 }
