@@ -146,32 +146,6 @@ func BenchmarkFigure3PriorityCleaning(b *testing.B) {
 // ---- ablation benches: the design choices DESIGN.md calls out ----
 
 // benchDevice builds a small interleaved device for ablations.
-// rawClosedLoop keeps depth requests outstanding on the flash device
-// itself, drawing ops from gen until it returns false, then drains the
-// engine. Unlike core.ClosedLoop it submits with one shared *ssd.Request
-// callback, so it measures the raw write path with no per-op adapter
-// closure.
-func rawClosedLoop(d *ssd.Device, depth int, gen func(i int) (trace.Op, bool)) error {
-	var firstErr error
-	i := 0
-	var issue func(*ssd.Request)
-	issue = func(*ssd.Request) {
-		op, ok := gen(i)
-		if !ok {
-			return
-		}
-		i++
-		if err := d.Submit(op, issue); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for k := 0; k < depth; k++ {
-		issue(nil)
-	}
-	d.Engine().Run()
-	return firstErr
-}
-
 func benchDevice(b *testing.B, mutate func(*ssd.Config)) *core.SSD {
 	b.Helper()
 	cfg := ssd.Config{
@@ -211,7 +185,7 @@ func churn(b *testing.B, d *core.SSD, seed int64) (spread int, moved int64) {
 	rng := sim.NewRNG(seed)
 	n := int(space / 4096 * 10)
 	i := 0
-	err := rawClosedLoop(d.Raw, 4, func(int) (trace.Op, bool) {
+	err := core.ClosedLoop(d, 4, func(int) (trace.Op, bool) {
 		if i >= n {
 			return trace.Op{}, false
 		}
@@ -277,7 +251,7 @@ func BenchmarkAblationInformedFreeRatio(b *testing.B) {
 		rng := sim.NewRNG(11)
 		n := int(space / 4096 * 3)
 		i := 0
-		err := rawClosedLoop(d.Raw, 2, func(int) (trace.Op, bool) {
+		err := core.ClosedLoop(d, 2, func(int) (trace.Op, bool) {
 			if i >= n {
 				return trace.Op{}, false
 			}
@@ -316,8 +290,8 @@ func BenchmarkAblationWriteBuffer(b *testing.B) {
 		}
 		// Single isolated write: latency.
 		var resp sim.Time
-		d.Raw.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096},
-			func(r *ssd.Request) { resp = r.Response() })
+		d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096},
+			func(r sim.Time, _ error) { resp = r })
 		d.Engine().Run()
 		// Sustained random writes: bandwidth.
 		bw, err := core.MeasureBandwidth(d, core.BWOptions{
@@ -512,7 +486,7 @@ func BenchmarkDeviceRandomWrites(b *testing.B) {
 	rng := sim.NewRNG(5)
 	b.ResetTimer()
 	i := 0
-	err := rawClosedLoop(d.Raw, 4, func(int) (trace.Op, bool) {
+	err := core.ClosedLoop(d, 4, func(int) (trace.Op, bool) {
 		if i >= b.N {
 			return trace.Op{}, false
 		}
@@ -540,7 +514,7 @@ func BenchmarkCleanTrigger(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			i := 0
-			err := rawClosedLoop(d.Raw, 4, func(int) (trace.Op, bool) {
+			err := core.ClosedLoop(d, 4, func(int) (trace.Op, bool) {
 				if i >= b.N {
 					return trace.Op{}, false
 				}
@@ -629,7 +603,7 @@ func BenchmarkDriveStream1M(b *testing.B) {
 
 // ---- dispatch-path benchmarks: the indexed scheduler vs the scan ----
 
-// dispatchPayload stands in for the *ssd.Request a real queue carries:
+// dispatchPayload stands in for the ssd request a real queue carries:
 // the caller's record with the queue node embedded in it.
 type dispatchPayload struct {
 	qn   sched.Node[dispatchPayload]

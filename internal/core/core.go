@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"ossd/internal/hdd"
 	"ossd/internal/sim"
 	"ossd/internal/ssd"
 	"ossd/internal/stats"
@@ -194,17 +193,6 @@ func latencyMs(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// respond adapts a Device completion callback to a substrate's request
-// callback. Media other than flash never fail a request, so the error is
-// always nil; a nil onDone stays nil, keeping fire-and-forget submission
-// closure-free.
-func respond[R interface{ Response() sim.Time }](onDone func(sim.Time, error)) func(R) {
-	if onDone == nil {
-		return nil
-	}
-	return func(r R) { onDone(r.Response(), nil) }
 }
 
 // driveConfig carries the Drive-time knobs every wrapper embeds; the
@@ -415,11 +403,7 @@ func newSSD(cfg ssd.Config) (*SSD, error) {
 
 // Submit implements Device.
 func (s *SSD) Submit(op trace.Op, onDone func(sim.Time, error)) error {
-	var cb func(*ssd.Request)
-	if onDone != nil {
-		cb = func(r *ssd.Request) { onDone(r.Response(), r.Err) }
-	}
-	return s.Raw.Submit(op, cb)
+	return s.Raw.Submit(op, onDone)
 }
 
 // Drive implements Device. On a device built with shards (WithShards),
@@ -458,38 +442,7 @@ func ssdSnapshot(m ssd.Metrics) Snapshot {
 // Metrics implements Device.
 func (s *SSD) Metrics() Snapshot { return ssdSnapshot(s.Raw.Metrics()) }
 
-// HDD wraps the disk model as a core.Device. Disks have no TRIM: a free
-// completes as a metadata no-op (still counted in Snapshot.Frees).
-type HDD struct {
-	Raw *hdd.Disk
-	driveConfig
-}
-
-// Submit implements Device.
-func (h *HDD) Submit(op trace.Op, onDone func(sim.Time, error)) error {
-	return h.Raw.Submit(op, respond[*hdd.Request](onDone))
-}
-
-// Drive implements Device.
-func (h *HDD) Drive(st trace.Stream) error { return drive(h, st, h.MaxPending) }
-
-// Engine implements Device.
-func (h *HDD) Engine() *sim.Engine { return h.Raw.Engine() }
-
-// LogicalBytes implements Device.
-func (h *HDD) LogicalBytes() int64 { return h.Raw.LogicalBytes() }
-
-// QueueDepth implements Device.
-func (h *HDD) QueueDepth() int { return h.Raw.QueueDepth() }
-
-// Metrics implements Device.
-func (h *HDD) Metrics() Snapshot { return hostSnapshot(h.Raw.Metrics().Host) }
-
-// Compile-time interface checks.
-var (
-	_ Device = (*SSD)(nil)
-	_ Device = (*HDD)(nil)
-)
+var _ Device = (*SSD)(nil)
 
 // Precondition sequentially writes the whole device once so that every
 // logical page is mapped: reads hit real media and overwrites trigger

@@ -5,64 +5,56 @@ import (
 	"ossd/internal/mems"
 	"ossd/internal/raid"
 	"ossd/internal/sim"
+	"ossd/internal/stats"
 	"ossd/internal/trace"
 )
 
-// RAID wraps the RAID-5 array model as a core.Device (Table 1's RAID
-// column). The array has no TRIM: a free completes as a metadata no-op
-// (still counted in Snapshot.Frees).
-type RAID struct {
-	Raw *raid.Array
+// medium is what Media needs of a model: the Device methods it forwards
+// unchanged, plus the host accounting its metrics embed.
+type medium interface {
+	Submit(op trace.Op, onDone func(resp sim.Time, err error)) error
+	Engine() *sim.Engine
+	LogicalBytes() int64
+	QueueDepth() int
+	HostMetrics() stats.Host
+}
+
+// Media wraps a model without block management — the disk, MEMS and
+// RAID columns of Table 1 — as a core.Device, keeping the model
+// reachable via Raw. None of them has TRIM: a free completes as a
+// metadata no-op (still counted in Snapshot.Frees).
+type Media[M medium] struct {
+	Raw M
 	driveConfig
 }
 
+// The three media wrappers, named for type assertions such as
+// dev.(*core.HDD).Raw.
+type (
+	HDD  = Media[*hdd.Disk]
+	MEMS = Media[*mems.Device]
+	RAID = Media[*raid.Array]
+)
+
 // Submit implements Device.
-func (r *RAID) Submit(op trace.Op, onDone func(sim.Time, error)) error {
-	return r.Raw.Submit(op, respond[*raid.Request](onDone))
+func (m *Media[M]) Submit(op trace.Op, onDone func(sim.Time, error)) error {
+	return m.Raw.Submit(op, onDone)
 }
 
 // Drive implements Device.
-func (r *RAID) Drive(st trace.Stream) error { return drive(r, st, r.MaxPending) }
+func (m *Media[M]) Drive(st trace.Stream) error { return drive(m, st, m.MaxPending) }
 
 // Engine implements Device.
-func (r *RAID) Engine() *sim.Engine { return r.Raw.Engine() }
+func (m *Media[M]) Engine() *sim.Engine { return m.Raw.Engine() }
 
 // LogicalBytes implements Device.
-func (r *RAID) LogicalBytes() int64 { return r.Raw.LogicalBytes() }
+func (m *Media[M]) LogicalBytes() int64 { return m.Raw.LogicalBytes() }
 
 // QueueDepth implements Device.
-func (r *RAID) QueueDepth() int { return r.Raw.QueueDepth() }
+func (m *Media[M]) QueueDepth() int { return m.Raw.QueueDepth() }
 
 // Metrics implements Device.
-func (r *RAID) Metrics() Snapshot { return hostSnapshot(r.Raw.Metrics().Host) }
-
-// MEMS wraps the MEMS-storage model as a core.Device (Table 1's MEMS
-// column). MEMS media writes in place: a free completes as a metadata
-// no-op (still counted in Snapshot.Frees).
-type MEMS struct {
-	Raw *mems.Device
-	driveConfig
-}
-
-// Submit implements Device.
-func (m *MEMS) Submit(op trace.Op, onDone func(sim.Time, error)) error {
-	return m.Raw.Submit(op, respond[*mems.Request](onDone))
-}
-
-// Drive implements Device.
-func (m *MEMS) Drive(st trace.Stream) error { return drive(m, st, m.MaxPending) }
-
-// Engine implements Device.
-func (m *MEMS) Engine() *sim.Engine { return m.Raw.Engine() }
-
-// LogicalBytes implements Device.
-func (m *MEMS) LogicalBytes() int64 { return m.Raw.LogicalBytes() }
-
-// QueueDepth implements Device.
-func (m *MEMS) QueueDepth() int { return m.Raw.QueueDepth() }
-
-// Metrics implements Device.
-func (m *MEMS) Metrics() Snapshot { return hostSnapshot(m.Raw.Metrics().Host) }
+func (m *Media[M]) Metrics() Snapshot { return hostSnapshot(m.Raw.HostMetrics()) }
 
 // DefaultRAID is the Table 1 array: five Barracuda-class spindles,
 // 64 KiB stripe units.
@@ -75,6 +67,7 @@ func DefaultMEMS() mems.Config { return mems.G2() }
 
 // Compile-time interface checks.
 var (
-	_ Device = (*RAID)(nil)
+	_ Device = (*HDD)(nil)
 	_ Device = (*MEMS)(nil)
+	_ Device = (*RAID)(nil)
 )

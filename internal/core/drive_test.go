@@ -290,3 +290,41 @@ func TestDriveUnboundedUnchanged(t *testing.T) {
 		t.Fatalf("engine finished at %v, before the last arrival", now)
 	}
 }
+
+// TestClosedLoopAllocs pins what closed-loop replay allocates per op on
+// each kind. Every medium completes in Submit's own (resp, err) shape,
+// so no kind pays an adapter per op: the SSD pools its requests (0);
+// disk and MEMS allocate one request record; the OSD its range list,
+// join record and join callback; RAID its request, one spindle callback,
+// its sub-op plan (three slice growths for a 4-op parity update) and
+// four disk requests.
+func TestClosedLoopAllocs(t *testing.T) {
+	const ops = 2000
+	want := map[string]float64{"ssd": 0, "hdd": 1, "mems": 1, "raid": 9, "osd": 3}
+	for _, kind := range []string{"ssd", "hdd", "mems", "raid", "osd"} {
+		d, err := Open(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewRNG(1)
+		pages := d.LogicalBytes() / 2 / 4096
+		perRun := testing.AllocsPerRun(5, func() {
+			n := 0
+			err := ClosedLoop(d, 4, func(int) (trace.Op, bool) {
+				if n == ops {
+					return trace.Op{}, false
+				}
+				n++
+				return trace.Op{Kind: trace.Write, Offset: rng.Int63n(pages) * 4096, Size: 4096}, true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The loop's own closures are a fixed cost per run, far below one
+		// per op, so flooring leaves the per-op cost.
+		if got := math.Floor(perRun / ops); got != want[kind] {
+			t.Errorf("%s: %v allocs/op (%.0f per %d-op run), want %v", kind, got, perRun, ops, want[kind])
+		}
+	}
+}

@@ -212,3 +212,37 @@ func TestReplayRecovery(t *testing.T) {
 		t.Fatal("recovery reads took no simulated time")
 	}
 }
+
+// The costliest plan Validate accepts — nearly every op retried at the
+// largest retry cost, blocks retiring at the largest remap cost — runs
+// on disk and flash without overflowing the simulated clock: the run
+// finishes, every retry shows up as a full retry's worth of latency,
+// and on flash the retirement path charges its remap cost too.
+func TestFaultMaximalCostPlan(t *testing.T) {
+	plan := &fault.Plan{
+		Seed:        5,
+		Transient:   &fault.Transient{Rate: 0.99, RetryUs: fault.MaxCostUs},
+		WearCeiling: 2,
+		RemapCostUs: fault.MaxCostUs,
+	}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"hdd", "ssd"} {
+		d, err := Open(kind, WithFault(plan), WithCapacity(1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		faultLoopWrites(t, d, 8000)
+		m := d.Metrics()
+		if m.FaultRetries == 0 {
+			t.Fatalf("%s: plan was inert: %+v", kind, m)
+		}
+		if m.MeanWriteMs < 0.9*fault.MaxCostUs/1000 {
+			t.Fatalf("%s: mean write %.1f ms, want about a %d us retry per op", kind, m.MeanWriteMs, fault.MaxCostUs)
+		}
+		if kind == "ssd" && m.RemappedPages == 0 {
+			t.Fatalf("ssd: no block retired under wear ceiling 2: %+v", m)
+		}
+	}
+}

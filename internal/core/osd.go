@@ -64,18 +64,13 @@ func (o *OSD) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 	if op.End() > o.bytes {
 		return fmt.Errorf("core: osd request [%d, +%d) beyond %d-byte volume", op.Offset, op.Size, o.bytes)
 	}
-	start := o.Raw.Engine().Now()
-	var done func(error)
-	if onDone != nil {
-		done = func(err error) { onDone(o.Raw.Engine().Now()-start, err) }
-	}
 	switch op.Kind {
 	case trace.Read:
-		return o.Store.ReadAs(o.vol, op.Offset, op.Size, op.Tenant, done)
+		return o.Store.ReadAs(o.vol, op.Offset, op.Size, op.Tenant, onDone)
 	case trace.Free:
-		return o.Store.FreeRange(o.vol, op.Offset, op.Size, done)
+		return o.Store.FreeRange(o.vol, op.Offset, op.Size, onDone)
 	default:
-		return o.Store.WriteAs(o.vol, op.Offset, op.Size, op.Tenant, done)
+		return o.Store.WriteAs(o.vol, op.Offset, op.Size, op.Tenant, onDone)
 	}
 }
 

@@ -177,9 +177,6 @@ func measureClass(c deviceClass, seed int64) (classMeasurements, error) {
 	if err != nil {
 		return m, err
 	}
-	if _, ok := d.(*core.SSD); !ok {
-		// Non-SSD devices need no preconditioning but profit from warmup.
-	}
 	seq, err := core.MeasureBandwidth(d, core.BWOptions{
 		Kind: trace.Read, Pattern: core.Sequential,
 		ReqBytes: c.seqReq, TotalBytes: 16 << 20, Depth: 1, Seed: seed,

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"errors"
-
 	"ossd/internal/core"
 	"ossd/internal/flash"
 	"ossd/internal/runner"
@@ -85,12 +83,8 @@ func writeUntilWearOut(d *core.SSD, seed int64) (float64, int, error) {
 			region = space
 		}
 		op := trace.Op{Kind: trace.Write, Offset: rng.Int63n(region/4096) * 4096, Size: 4096}
-		err := d.Raw.Submit(op, func(r *ssd.Request) {
-			if r.Err != nil {
-				if errors.Is(r.Err, flash.ErrWornOut) {
-					dead = true
-					return
-				}
+		err := d.Raw.Submit(op, func(_ sim.Time, err error) {
+			if err != nil {
 				dead = true
 				return
 			}

@@ -32,6 +32,13 @@ var ErrInjected = errors.New("fault: injected transient error")
 // an element past its death point.
 var ErrElementDead = errors.New("fault: element dead")
 
+// MaxCostUs bounds the per-event latencies a plan may charge
+// (Transient.RetryUs and Plan.RemapCostUs): one simulated second.
+// Devices add these costs to the simulated clock, an int64 count of
+// nanoseconds, and multiply the remap cost by the pages a retirement
+// moves; the bound keeps every such sum far from overflow.
+const MaxCostUs = 1_000_000
+
 // Plan is one fault scenario. The zero value injects nothing; every
 // field is optional so partial plans compose naturally with campaign
 // axis substitution (e.g. an axis sweeping fault.transient.rate).
@@ -49,7 +56,8 @@ type Plan struct {
 	// retire until the device hits its wear-out cliff.
 	WearCeiling int `json:"wear_ceiling,omitempty"`
 	// RemapCostUs is the per-relocated-page latency charged when a
-	// retirement pass rebuilds the remap table (default 200us).
+	// retirement pass rebuilds the remap table (default 200us, at most
+	// MaxCostUs).
 	RemapCostUs int64 `json:"remap_cost_us,omitempty"`
 	// PowerLoss truncates the run at an op count and replays recovery.
 	PowerLoss *PowerLoss `json:"power_loss,omitempty"`
@@ -65,7 +73,7 @@ type Transient struct {
 	// (default 1: independent per-op draws).
 	Burst int `json:"burst,omitempty"`
 	// RetryUs is the recovery latency charged per injected fault
-	// (default 500us).
+	// (default 500us, at most MaxCostUs).
 	RetryUs int64 `json:"retry_us,omitempty"`
 	// Kinds selects which op kinds fault: "r", "w", or "rw" (default).
 	Kinds string `json:"kinds,omitempty"`
@@ -98,8 +106,8 @@ func (p *Plan) Validate() error {
 		if t.Burst < 0 {
 			return fmt.Errorf("fault: transient burst %d must be >= 0", t.Burst)
 		}
-		if t.RetryUs < 0 {
-			return fmt.Errorf("fault: transient retry_us %d must be >= 0", t.RetryUs)
+		if t.RetryUs < 0 || t.RetryUs > MaxCostUs {
+			return fmt.Errorf("fault: transient retry_us %d outside [0, %d]", t.RetryUs, MaxCostUs)
 		}
 		switch t.Kinds {
 		case "", "r", "w", "rw":
@@ -118,8 +126,8 @@ func (p *Plan) Validate() error {
 	if p.WearCeiling < 0 {
 		return fmt.Errorf("fault: wear_ceiling %d must be >= 0", p.WearCeiling)
 	}
-	if p.RemapCostUs < 0 {
-		return fmt.Errorf("fault: remap_cost_us %d must be >= 0", p.RemapCostUs)
+	if p.RemapCostUs < 0 || p.RemapCostUs > MaxCostUs {
+		return fmt.Errorf("fault: remap_cost_us %d outside [0, %d]", p.RemapCostUs, MaxCostUs)
 	}
 	if pl := p.PowerLoss; pl != nil {
 		if pl.AtOps <= 0 {

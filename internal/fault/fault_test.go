@@ -111,6 +111,8 @@ func TestValidate(t *testing.T) {
 		{Deaths: []Death{{Element: -1}}},
 		{WearCeiling: -1},
 		{RemapCostUs: -1},
+		{RemapCostUs: MaxCostUs + 1},
+		{Transient: &Transient{Rate: 0.1, RetryUs: MaxCostUs + 1}},
 		{PowerLoss: &PowerLoss{AtOps: 0}},
 		{PowerLoss: &PowerLoss{AtOps: 10, ReplayFrac: 2}},
 	}
@@ -153,6 +155,12 @@ func TestParseAndLoad(t *testing.T) {
 	}
 	if _, err := Parse([]byte(`{"transient":{"rate":2}}`)); err == nil {
 		t.Fatalf("invalid plan accepted")
+	}
+	// Costs that overflow the simulated clock once scaled to nanoseconds.
+	for _, body := range overflowPlans {
+		if _, err := Parse([]byte(body)); err == nil {
+			t.Fatalf("overflowing plan accepted: %s", body)
+		}
 	}
 	path := filepath.Join(t.TempDir(), "plan.json")
 	body := []byte(`{"seed":9,"wear_ceiling":8,"transient":{"rate":0.002,"burst":4,"retry_us":400}}`)

@@ -146,12 +146,6 @@ func NewPackage(geom Geometry, timing Timing, eraseBudget int) (*Package, error)
 	}, nil
 }
 
-// Geometry returns the package geometry.
-func (p *Package) Geometry() Geometry { return p.geom }
-
-// Timing returns the package timing parameters.
-func (p *Package) Timing() Timing { return p.timing }
-
 func (p *Package) checkBlock(block int) error {
 	if block < 0 || block >= p.geom.BlocksPerPackage {
 		return fmt.Errorf("%w: block %d of %d", ErrOutOfRange, block, p.geom.BlocksPerPackage)
@@ -242,9 +236,6 @@ func (p *Package) WritePointer(block int) int { return int(p.writePtr[block]) }
 
 // EraseCount reports the erase cycles consumed by a block.
 func (p *Package) EraseCount(block int) int { return int(p.erases[block]) }
-
-// EraseBudget reports the per-block endurance limit.
-func (p *Package) EraseBudget() int { return p.eraseBudget }
 
 // WearStats summarizes wear across blocks: min/max/total erase counts.
 type WearStats struct {

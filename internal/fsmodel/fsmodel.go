@@ -60,9 +60,6 @@ func New(capacity, blockSize int64) (*FS, error) {
 	}, nil
 }
 
-// BlockSize returns the block size in bytes.
-func (fs *FS) BlockSize() int64 { return fs.blockSize }
-
 func (fs *FS) isSet(b int64) bool { return fs.bitmap[b/64]&(1<<(uint(b)%64)) != 0 }
 func (fs *FS) set(b int64)        { fs.bitmap[b/64] |= 1 << (uint(b) % 64) }
 func (fs *FS) clear(b int64)      { fs.bitmap[b/64] &^= 1 << (uint(b) % 64) }

@@ -25,8 +25,8 @@ func TestNewValidation(t *testing.T) {
 		t.Error("accepted zero block size")
 	}
 	fs := newFS(t, 100)
-	if fs.nblocks != 100 || fs.free != 100 || fs.BlockSize() != 4096 {
-		t.Fatalf("geometry: %d %d %d", fs.nblocks, fs.free, fs.BlockSize())
+	if fs.nblocks != 100 || fs.free != 100 || fs.blockSize != 4096 {
+		t.Fatalf("geometry: %d %d %d", fs.nblocks, fs.free, fs.blockSize)
 	}
 }
 

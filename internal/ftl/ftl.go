@@ -234,10 +234,6 @@ func (el *Element) Stats() Stats { return el.stats }
 // Wear returns the wear summary of the underlying package.
 func (el *Element) Wear() flash.WearStats { return el.pkg.Wear() }
 
-// Package exposes the underlying flash package for inspection in tests
-// and ablation benches.
-func (el *Element) Package() *flash.Package { return el.pkg }
-
 func (el *Element) ppn(block, page int) int32 { return int32(block*el.ppb + page) }
 
 // invalidate marks a physical page dead and unlinks it from its logical

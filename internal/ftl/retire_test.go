@@ -54,8 +54,8 @@ func TestWearCeilingRetiresBlocks(t *testing.T) {
 	if st.RetiredBlocks == 0 {
 		t.Fatalf("cliff without any retirement")
 	}
-	if el.Package().Retired() != int(st.RetiredBlocks) {
-		t.Fatalf("package retired %d, stats %d", el.Package().Retired(), st.RetiredBlocks)
+	if el.pkg.Retired() != int(st.RetiredBlocks) {
+		t.Fatalf("package retired %d, stats %d", el.pkg.Retired(), st.RetiredBlocks)
 	}
 	if err := el.CheckInvariants(); err != nil {
 		t.Fatal(err)

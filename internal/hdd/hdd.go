@@ -94,11 +94,11 @@ type Disk struct {
 	// q holds media accesses awaiting the (single) actuator in FCFS
 	// order; drv is the shared dispatch loop, with the write-cache drain
 	// as its post hook.
-	q         *sched.Queue[Request]
-	drv       *sched.Driver[Request]
+	q         *sched.Queue[request]
+	drv       *sched.Driver[request]
 	cache     []cacheEntry // sorted by offset
 	cacheUsed int64
-	waitWr    []*Request // writes blocked on cache space
+	waitWr    []*request // writes blocked on cache space
 	// draining carries in-flight cache flushes to their pooled
 	// completion events, in start order. Drains are serialized by the
 	// busy actuator, but at the exact tick one ends an earlier-scheduled
@@ -110,23 +110,20 @@ type Disk struct {
 	met Metrics
 }
 
-// Request mirrors the ssd request lifecycle for the disk.
-type Request struct {
-	Op                  trace.Op
-	Arrive, Start, Done sim.Time
-	onDone              func(*Request)
+// request is one host request in flight on the disk.
+type request struct {
+	Op     trace.Op
+	Arrive sim.Time
+	onDone func(resp sim.Time, err error)
 	// disk lets the pooled engine callbacks reach the model without a
 	// closure per event.
 	disk *Disk
 	// qn is the request's dispatch-queue record while it waits.
-	qn sched.Node[Request]
+	qn sched.Node[request]
 }
 
-// Response returns completion minus arrival.
-func (r *Request) Response() sim.Time { return r.Done - r.Arrive }
-
 // reqCost is a request's dispatch cost for the fair-share scheduler.
-func reqCost(r *Request) int64 { return r.Op.Size }
+func reqCost(r *request) int64 { return r.Op.Size }
 
 // New builds a disk on the engine.
 func New(eng *sim.Engine, cfg Config) (*Disk, error) {
@@ -176,6 +173,9 @@ func (d *Disk) LogicalBytes() int64 { return d.cfg.CapacityBytes }
 
 // Metrics returns a snapshot.
 func (d *Disk) Metrics() Metrics { return d.met }
+
+// HostMetrics returns the host-visible part of Metrics.
+func (d *Disk) HostMetrics() stats.Host { return d.met.Host }
 
 // QueueDepth reports host requests waiting for the actuator: queued
 // media accesses plus writes blocked on cache space.
@@ -253,16 +253,18 @@ func (d *Disk) serviceTime(off, size int64) sim.Time {
 	return seek + rot + d.xferTime(off, size)
 }
 
-// Submit enqueues an operation at the current simulated time. Frees are
-// ignored by disks (no TRIM on this model) but complete successfully.
-func (d *Disk) Submit(op trace.Op, onDone func(*Request)) error {
+// Submit enqueues an operation at the current simulated time; onDone
+// (optional) receives the response time and a nil error at completion
+// (the disk never fails a request). Frees are ignored by disks (no TRIM
+// on this model) but complete successfully.
+func (d *Disk) Submit(op trace.Op, onDone func(resp sim.Time, err error)) error {
 	if err := op.Validate(); err != nil {
 		return err
 	}
 	if op.End() > d.cfg.CapacityBytes {
 		return fmt.Errorf("hdd: request [%d, +%d) beyond capacity", op.Offset, op.Size)
 	}
-	req := &Request{Op: op, Arrive: d.eng.Now(), onDone: onDone, disk: d}
+	req := &request{Op: op, Arrive: d.eng.Now(), onDone: onDone, disk: d}
 	switch op.Kind {
 	case trace.Free:
 		d.finish(req)
@@ -299,14 +301,14 @@ var actuator = []int{0}
 // finishEvent is the pooled engine callback completing a request with no
 // further media work (cache hits and cache-absorbed writes).
 func finishEvent(a any) {
-	req := a.(*Request)
+	req := a.(*request)
 	req.disk.finish(req)
 }
 
 // servedEvent is the pooled engine callback for a finished media access:
 // complete the request and pump the dispatch loop.
 func servedEvent(a any) {
-	req := a.(*Request)
+	req := a.(*request)
 	req.disk.finish(req)
 	req.disk.drv.Pump()
 }
@@ -323,19 +325,18 @@ func drainDoneEvent(a any) {
 	d.drv.Pump()
 }
 
-func (d *Disk) finish(req *Request) {
-	req.Done = d.eng.Now()
-	d.met.Record(req.Op, req.Response().Millis())
+func (d *Disk) finish(req *request) {
+	resp := d.eng.Now() - req.Arrive
+	d.met.Record(req.Op, resp.Millis())
 	if req.onDone != nil {
-		req.onDone(req)
+		req.onDone(resp, nil)
 	}
 }
 
 // serve starts one queued media access (the driver dispatches reads and
 // write-through writes ahead of the drain hook, preserving read
 // priority over background cache flushes).
-func (d *Disk) serve(req *Request, now sim.Time) {
-	req.Start = now
+func (d *Disk) serve(req *request, now sim.Time) {
 	dur := d.serviceTime(req.Op.Offset, req.Op.Size)
 	d.q.SetBusy(0, now+dur)
 	d.eng.Call(dur, servedEvent, req)

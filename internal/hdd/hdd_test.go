@@ -132,14 +132,14 @@ func TestRandomReadLatency(t *testing.T) {
 
 func TestWriteCacheAbsorbsBurst(t *testing.T) {
 	eng, d := newDisk(t, Barracuda7200())
-	var r *Request
-	d.Submit(trace.Op{Kind: trace.Write, Offset: 123 * 4096, Size: 4096}, func(x *Request) { r = x })
+	resp := sim.Time(-1)
+	d.Submit(trace.Op{Kind: trace.Write, Offset: 123 * 4096, Size: 4096}, func(r sim.Time, _ error) { resp = r })
 	eng.Run()
-	if r == nil {
+	if resp < 0 {
 		t.Fatal("write never completed")
 	}
-	if r.Response() > sim.Millisecond {
-		t.Fatalf("cached write response = %v, want ~cache latency", r.Response())
+	if resp > sim.Millisecond {
+		t.Fatalf("cached write response = %v, want ~cache latency", resp)
 	}
 }
 
@@ -176,10 +176,10 @@ func TestRandomWriteFasterThanRandomRead(t *testing.T) {
 func TestCacheReadHit(t *testing.T) {
 	eng, d := newDisk(t, Barracuda7200())
 	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096}, nil)
-	var r *Request
-	d.Submit(trace.Op{Kind: trace.Read, Offset: 0, Size: 4096}, func(x *Request) { r = x })
+	done := false
+	d.Submit(trace.Op{Kind: trace.Read, Offset: 0, Size: 4096}, func(sim.Time, error) { done = true })
 	eng.RunUntil(sim.Millisecond)
-	if r == nil {
+	if !done {
 		t.Fatal("read did not complete")
 	}
 	if d.Metrics().CacheHits != 1 {
@@ -191,20 +191,20 @@ func TestWriteThroughWithoutCache(t *testing.T) {
 	cfg := Barracuda7200()
 	cfg.CacheBytes = 0
 	eng, d := newDisk(t, cfg)
-	var r *Request
-	d.Submit(trace.Op{Kind: trace.Write, Offset: 12345 * 4096, Size: 4096}, func(x *Request) { r = x })
+	var resp sim.Time
+	d.Submit(trace.Op{Kind: trace.Write, Offset: 12345 * 4096, Size: 4096}, func(r sim.Time, _ error) { resp = r })
 	eng.Run()
-	if r.Response() < sim.Millisecond {
-		t.Fatalf("write-through response = %v, want mechanical latency", r.Response())
+	if resp < sim.Millisecond {
+		t.Fatalf("write-through response = %v, want mechanical latency", resp)
 	}
 }
 
 func TestFreeIsNoop(t *testing.T) {
 	eng, d := newDisk(t, Barracuda7200())
-	var r *Request
-	d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 4096}, func(x *Request) { r = x })
+	resp := sim.Time(-1)
+	d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 4096}, func(r sim.Time, _ error) { resp = r })
 	eng.Run()
-	if r == nil || r.Response() != 0 {
+	if resp != 0 {
 		t.Fatal("free not immediate")
 	}
 	if m := d.Metrics(); m.Frees != 1 || m.Completed != 1 {
@@ -264,7 +264,7 @@ func TestWaitingWritesAdmittedInOrder(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		off := i * 1 << 20
 		d.Submit(trace.Op{Kind: trace.Write, Offset: off, Size: 4096},
-			func(r *Request) { order = append(order, r.Op.Offset) })
+			func(sim.Time, error) { order = append(order, off) })
 	}
 	eng.Run()
 	if len(order) != 4 {
@@ -302,8 +302,8 @@ func TestSequentialDetectionResetsOnSeek(t *testing.T) {
 func closedLoop(d *Disk, depth int, gen func(i int) (trace.Op, bool)) error {
 	var firstErr error
 	i := 0
-	var issue func(*Request)
-	issue = func(*Request) {
+	var issue func(sim.Time, error)
+	issue = func(sim.Time, error) {
 		op, ok := gen(i)
 		if !ok {
 			return
@@ -314,7 +314,7 @@ func closedLoop(d *Disk, depth int, gen func(i int) (trace.Op, bool)) error {
 		}
 	}
 	for k := 0; k < depth; k++ {
-		issue(nil)
+		issue(0, nil)
 	}
 	d.Engine().Run()
 	return firstErr

@@ -59,23 +59,20 @@ type Metrics struct {
 	Seeks int64
 }
 
-// Request mirrors the device request lifecycle.
-type Request struct {
-	Op                  trace.Op
-	Arrive, Start, Done sim.Time
-	onDone              func(*Request)
+// request is one host request in flight on the device.
+type request struct {
+	Op     trace.Op
+	Arrive sim.Time
+	onDone func(resp sim.Time, err error)
 	// dev lets the pooled engine callback reach the model without a
 	// closure per event.
 	dev *Device
 	// qn is the request's dispatch-queue record while it waits.
-	qn sched.Node[Request]
+	qn sched.Node[request]
 }
 
-// Response returns completion minus arrival.
-func (r *Request) Response() sim.Time { return r.Done - r.Arrive }
-
 // reqCost is a request's dispatch cost for the fair-share scheduler.
-func reqCost(r *Request) int64 { return r.Op.Size }
+func reqCost(r *request) int64 { return r.Op.Size }
 
 // Device is the MEMS store. Single actuator: one request at a time,
 // FCFS, dispatched through the shared indexed queue.
@@ -85,8 +82,8 @@ type Device struct {
 
 	track   int   // sled X position
 	lastEnd int64 // for sequential detection
-	q       *sched.Queue[Request]
-	drv     *sched.Driver[Request]
+	q       *sched.Queue[request]
+	drv     *sched.Driver[request]
 	met     Metrics
 }
 
@@ -112,6 +109,9 @@ func (d *Device) LogicalBytes() int64 { return d.cfg.CapacityBytes }
 
 // Metrics returns a snapshot.
 func (d *Device) Metrics() Metrics { return d.met }
+
+// HostMetrics returns the host-visible part of Metrics.
+func (d *Device) HostMetrics() stats.Host { return d.met.Host }
 
 // trackOf maps an offset to its sweep column.
 func (d *Device) trackOf(off int64) int {
@@ -144,15 +144,17 @@ func (d *Device) serviceTime(op trace.Op) sim.Time {
 	return seek + xfer
 }
 
-// Submit enqueues a request; the single actuator serves FIFO.
-func (d *Device) Submit(op trace.Op, onDone func(*Request)) error {
+// Submit enqueues a request; the single actuator serves FIFO. onDone
+// (optional) receives the response time and a nil error at completion
+// (MEMS media never fails a request).
+func (d *Device) Submit(op trace.Op, onDone func(resp sim.Time, err error)) error {
 	if err := op.Validate(); err != nil {
 		return err
 	}
 	if op.End() > d.cfg.CapacityBytes {
 		return fmt.Errorf("mems: request [%d, +%d) beyond capacity", op.Offset, op.Size)
 	}
-	req := &Request{Op: op, Arrive: d.eng.Now(), onDone: onDone, dev: d}
+	req := &request{Op: op, Arrive: d.eng.Now(), onDone: onDone, dev: d}
 	if op.Kind == trace.Free {
 		d.finish(req)
 		return nil
@@ -168,23 +170,22 @@ func (d *Device) QueueDepth() int { return d.q.Len() }
 // servedEvent is the pooled engine callback for a finished sled access:
 // complete the request and pump the dispatch loop.
 func servedEvent(a any) {
-	req := a.(*Request)
+	req := a.(*request)
 	req.dev.finish(req)
 	req.dev.drv.Pump()
 }
 
 // serve starts one access on the sled.
-func (d *Device) serve(req *Request, now sim.Time) {
-	req.Start = now
+func (d *Device) serve(req *request, now sim.Time) {
 	dur := d.serviceTime(req.Op)
 	d.q.SetBusy(0, now+dur)
 	d.eng.Call(dur, servedEvent, req)
 }
 
-func (d *Device) finish(req *Request) {
-	req.Done = d.eng.Now()
-	d.met.Record(req.Op, req.Response().Millis())
+func (d *Device) finish(req *request) {
+	resp := d.eng.Now() - req.Arrive
+	d.met.Record(req.Op, resp.Millis())
 	if req.onDone != nil {
-		req.onDone(req)
+		req.onDone(resp, nil)
 	}
 }

@@ -95,25 +95,28 @@ func TestRandomSlowerButNotDisklike(t *testing.T) {
 
 func TestSingleActuatorSerializes(t *testing.T) {
 	eng, d := newDevice(t)
-	var r1, r2 *Request
-	d.Submit(trace.Op{Kind: trace.Read, Offset: 0, Size: 1 << 20}, func(r *Request) { r1 = r })
-	d.Submit(trace.Op{Kind: trace.Read, Offset: 1 << 30, Size: 1 << 20}, func(r *Request) { r2 = r })
+	// When the first request completes, the second must still be queued
+	// for the sled: it cannot have started before the first finished.
+	queuedAtFirst := -1
+	d.Submit(trace.Op{Kind: trace.Read, Offset: 0, Size: 1 << 20}, func(sim.Time, error) { queuedAtFirst = d.QueueDepth() })
+	d.Submit(trace.Op{Kind: trace.Read, Offset: 1 << 30, Size: 1 << 20}, nil)
 	eng.Run()
-	if r2.Start < r1.Done {
-		t.Fatal("second request started before first finished")
+	if queuedAtFirst != 1 {
+		t.Fatalf("second request started before first finished (queue depth %d at first completion)", queuedAtFirst)
 	}
 }
 
 func TestWriteAndFree(t *testing.T) {
 	eng, d := newDevice(t)
-	var w, f *Request
-	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 8192}, func(r *Request) { w = r })
-	d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 8192}, func(r *Request) { f = r })
+	wrote := false
+	freeResp := sim.Time(-1)
+	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 8192}, func(sim.Time, error) { wrote = true })
+	d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 8192}, func(r sim.Time, _ error) { freeResp = r })
 	eng.Run()
-	if w == nil || d.Metrics().BytesWritten != 8192 {
+	if !wrote || d.Metrics().BytesWritten != 8192 {
 		t.Fatal("write not accounted")
 	}
-	if f == nil || f.Response() != 0 {
+	if freeResp != 0 {
 		t.Fatal("free not immediate no-op")
 	}
 	if m := d.Metrics(); m.Frees != 1 || m.Completed != 2 {
@@ -174,8 +177,8 @@ func TestUniformAddressSpace(t *testing.T) {
 func closedLoop(d *Device, depth int, gen func(i int) (trace.Op, bool)) error {
 	var firstErr error
 	i := 0
-	var issue func(*Request)
-	issue = func(*Request) {
+	var issue func(sim.Time, error)
+	issue = func(sim.Time, error) {
 		op, ok := gen(i)
 		if !ok {
 			return
@@ -186,7 +189,7 @@ func closedLoop(d *Device, depth int, gen func(i int) (trace.Op, bool)) error {
 		}
 	}
 	for k := 0; k < depth; k++ {
-		issue(nil)
+		issue(0, nil)
 	}
 	d.Engine().Run()
 	return firstErr

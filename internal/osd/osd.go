@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"ossd/internal/fsmodel"
+	"ossd/internal/sim"
 	"ossd/internal/ssd"
 	"ossd/internal/trace"
 )
@@ -264,36 +265,44 @@ func (o *object) ranges(base, unit, off, size int64) ([][2]int64, error) {
 }
 
 // submitRanges issues one device op per contiguous device range and
-// calls done with the first error once all complete.
-func (s *Store) submitRanges(kind trace.Kind, ranges [][2]int64, pri bool, tenant uint8, done func(error)) {
+// calls done once all complete, with the time since the call and the
+// first error.
+func (s *Store) submitRanges(kind trace.Kind, ranges [][2]int64, pri bool, tenant uint8, done func(resp sim.Time, err error)) {
 	if len(ranges) == 0 {
 		if done != nil {
-			done(nil)
+			done(0, nil)
 		}
 		return
 	}
-	left := len(ranges)
-	var firstErr error
+	eng := s.dev.Engine()
+	p := &pendingRanges{eng: eng, start: eng.Now(), left: len(ranges), done: done}
+	part := p.part // one callback for every range
 	for _, r := range ranges {
 		op := trace.Op{Kind: kind, Offset: r[0], Size: r[1], Priority: pri, Tenant: tenant}
-		err := s.dev.Submit(op, func(req *ssd.Request) {
-			if req.Err != nil && firstErr == nil {
-				firstErr = req.Err
-			}
-			left--
-			if left == 0 && done != nil {
-				done(firstErr)
-			}
-		})
-		if err != nil {
-			left--
-			if firstErr == nil {
-				firstErr = err
-			}
-			if left == 0 && done != nil {
-				done(firstErr)
-			}
+		if err := s.dev.Submit(op, part); err != nil {
+			p.part(0, err)
 		}
+	}
+}
+
+// pendingRanges joins the device completions of one multi-range store
+// call into the caller's single completion.
+type pendingRanges struct {
+	eng   *sim.Engine
+	start sim.Time
+	left  int
+	err   error
+	done  func(resp sim.Time, err error)
+}
+
+// part records one range's completion; the last one fires done.
+func (p *pendingRanges) part(_ sim.Time, err error) {
+	if err != nil && p.err == nil {
+		p.err = err
+	}
+	p.left--
+	if p.left == 0 && p.done != nil {
+		p.done(p.eng.Now()-p.start, p.err)
 	}
 }
 
@@ -323,9 +332,10 @@ func (s *Store) Reserve(id ObjectID, size int64) error {
 }
 
 // Write stores size bytes at object offset off, growing the object as
-// needed. done (optional) fires when the device completes all parts; run
-// the device's engine to make progress.
-func (s *Store) Write(id ObjectID, off, size int64, done func(error)) error {
+// needed. done (optional) fires when the device completes all parts,
+// with the response time measured from this call and the first device
+// error; run the device's engine to make progress.
+func (s *Store) Write(id ObjectID, off, size int64, done func(resp sim.Time, err error)) error {
 	o, ok := s.objs[id]
 	if !ok {
 		return ErrNotFound
@@ -336,7 +346,7 @@ func (s *Store) Write(id ObjectID, off, size int64, done func(error)) error {
 // WriteAs is Write with the device I/O tagged for an explicit tenant
 // instead of the object's owner — the block volume front's hook, where
 // one shared volume carries every tenant's I/O.
-func (s *Store) WriteAs(id ObjectID, off, size int64, tenant uint8, done func(error)) error {
+func (s *Store) WriteAs(id ObjectID, off, size int64, tenant uint8, done func(resp sim.Time, err error)) error {
 	o, ok := s.objs[id]
 	if !ok {
 		return ErrNotFound
@@ -362,8 +372,9 @@ func (s *Store) WriteAs(id ObjectID, off, size int64, tenant uint8, done func(er
 	return nil
 }
 
-// Read fetches size bytes at object offset off.
-func (s *Store) Read(id ObjectID, off, size int64, done func(error)) error {
+// Read fetches size bytes at object offset off; done (optional) fires
+// as for Write.
+func (s *Store) Read(id ObjectID, off, size int64, done func(resp sim.Time, err error)) error {
 	o, ok := s.objs[id]
 	if !ok {
 		return ErrNotFound
@@ -373,7 +384,7 @@ func (s *Store) Read(id ObjectID, off, size int64, done func(error)) error {
 
 // ReadAs is Read with the device I/O tagged for an explicit tenant (see
 // WriteAs).
-func (s *Store) ReadAs(id ObjectID, off, size int64, tenant uint8, done func(error)) error {
+func (s *Store) ReadAs(id ObjectID, off, size int64, tenant uint8, done func(resp sim.Time, err error)) error {
 	o, ok := s.objs[id]
 	if !ok {
 		return ErrNotFound
@@ -394,8 +405,8 @@ func (s *Store) ReadAs(id ObjectID, off, size int64, tenant uint8, done func(err
 // live data, without deallocating the extents — TRIM within an object.
 // The range is translated through the object's extent map, so the
 // notifications land on exactly the device pages backing those bytes.
-// done (optional) fires when the device completes all parts.
-func (s *Store) FreeRange(id ObjectID, off, size int64, done func(error)) error {
+// done (optional) fires as for Write.
+func (s *Store) FreeRange(id ObjectID, off, size int64, done func(resp sim.Time, err error)) error {
 	o, ok := s.objs[id]
 	if !ok {
 		return ErrNotFound

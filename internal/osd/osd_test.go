@@ -53,18 +53,24 @@ func TestCreateWriteReadDelete(t *testing.T) {
 	id := st.Create(Attributes{})
 	var werr, rerr error
 	wdone, rdone := false, false
-	if err := st.Write(id, 0, 10000, func(e error) { werr, wdone = e, true }); err != nil {
+	start := eng.Now()
+	var wresp, wat sim.Time
+	if err := st.Write(id, 0, 10000, func(resp sim.Time, e error) { werr, wdone, wresp, wat = e, true, resp, eng.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
 	if !wdone || werr != nil {
 		t.Fatalf("write: done=%v err=%v", wdone, werr)
 	}
+	// The response spans every device part, measured from the store call.
+	if wresp <= 0 || wresp != wat-start {
+		t.Fatalf("write response %v, want completion %v - call %v", wresp, wat, start)
+	}
 	sz, err := st.Size(id)
 	if err != nil || sz != 10000 {
 		t.Fatalf("size = %d, %v", sz, err)
 	}
-	if err := st.Read(id, 0, 10000, func(e error) { rerr, rdone = e, true }); err != nil {
+	if err := st.Read(id, 0, 10000, func(_ sim.Time, e error) { rerr, rdone = e, true }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -494,7 +500,7 @@ func TestFreeRangeTrimsThroughExtents(t *testing.T) {
 	before := st.Device().Metrics().Frees
 	var freeErr error
 	fired := false
-	if err := st.FreeRange(id, 4096, 8192, func(err error) { fired, freeErr = true, err }); err != nil {
+	if err := st.FreeRange(id, 4096, 8192, func(_ sim.Time, err error) { fired, freeErr = true, err }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()

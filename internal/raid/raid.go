@@ -49,15 +49,24 @@ type Metrics struct {
 	DiskBytesRead, DiskBytesWritten int64
 }
 
-// Request mirrors the device request lifecycle.
-type Request struct {
-	Op                  trace.Op
-	Arrive, Start, Done sim.Time
-	onDone              func(*Request)
+// request is one host request in flight: left counts the spindle
+// operations it still waits for.
+type request struct {
+	Op     trace.Op
+	Arrive sim.Time
+	onDone func(resp sim.Time, err error)
+	array  *Array
+	left   int
 }
 
-// Response returns completion minus arrival.
-func (r *Request) Response() sim.Time { return r.Done - r.Arrive }
+// subDone is the completion callback of every spindle operation of the
+// request; the last one completes the host request.
+func (r *request) subDone(sim.Time, error) {
+	r.left--
+	if r.left == 0 {
+		r.array.finish(r)
+	}
+}
 
 // Array is the RAID-5 device.
 type Array struct {
@@ -94,6 +103,9 @@ func (a *Array) LogicalBytes() int64 {
 
 // Metrics returns a snapshot.
 func (a *Array) Metrics() Metrics { return a.met }
+
+// HostMetrics returns the host-visible part of Metrics.
+func (a *Array) HostMetrics() stats.Host { return a.met.Host }
 
 // QueueDepth reports spindle-level operations waiting for dispatch,
 // summed over the array (the array itself holds no queue: decomposed
@@ -187,16 +199,18 @@ func (a *Array) plan(op trace.Op) []subOp {
 	return subs
 }
 
-// Submit enqueues a host request; onDone fires when every spindle
-// operation completes. Frees are no-ops (disks have no TRIM here).
-func (a *Array) Submit(op trace.Op, onDone func(*Request)) error {
+// Submit enqueues a host request; onDone (optional) receives the
+// response time and a nil error when every spindle operation completes
+// (the array never fails a request). Frees are no-ops (disks have no
+// TRIM here).
+func (a *Array) Submit(op trace.Op, onDone func(resp sim.Time, err error)) error {
 	if err := op.Validate(); err != nil {
 		return err
 	}
 	if op.End() > a.LogicalBytes() {
 		return fmt.Errorf("raid: request [%d, +%d) beyond capacity", op.Offset, op.Size)
 	}
-	req := &Request{Op: op, Arrive: a.eng.Now(), onDone: onDone}
+	req := &request{Op: op, Arrive: a.eng.Now(), onDone: onDone, array: a}
 	if op.Kind == trace.Free {
 		a.finish(req)
 		return nil
@@ -212,7 +226,8 @@ func (a *Array) Submit(op trace.Op, onDone func(*Request)) error {
 	for i := range subs {
 		subs[i].op.Tenant = op.Tenant
 	}
-	left := len(subs)
+	req.left = len(subs)
+	subDone := req.subDone // one callback for every spindle operation
 	for _, s := range subs {
 		switch s.op.Kind {
 		case trace.Read:
@@ -220,24 +235,18 @@ func (a *Array) Submit(op trace.Op, onDone func(*Request)) error {
 		case trace.Write:
 			a.met.DiskBytesWritten += s.op.Size
 		}
-		err := a.disks[s.disk].Submit(s.op, func(*hdd.Request) {
-			left--
-			if left == 0 {
-				a.finish(req)
-			}
-		})
-		if err != nil {
+		if err := a.disks[s.disk].Submit(s.op, subDone); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (a *Array) finish(req *Request) {
-	req.Done = a.eng.Now()
-	a.met.Record(req.Op, req.Response().Millis())
+func (a *Array) finish(req *request) {
+	resp := a.eng.Now() - req.Arrive
+	a.met.Record(req.Op, resp.Millis())
 	if req.onDone != nil {
-		req.onDone(req)
+		req.onDone(resp, nil)
 	}
 }
 

@@ -133,7 +133,7 @@ func TestStripingSpreadsSequentialLoad(t *testing.T) {
 	var done int
 	for i := int64(0); i < 8; i++ {
 		a.Submit(trace.Op{Kind: trace.Read, Offset: i * a.cfg.StripeUnitBytes, Size: a.cfg.StripeUnitBytes},
-			func(*Request) { done++ })
+			func(sim.Time, error) { done++ })
 	}
 	eng.Run()
 	if done != 8 {
@@ -162,11 +162,11 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestFreeIsNoop(t *testing.T) {
 	_, a := newArray(t)
-	var r *Request
-	if err := a.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 4096}, func(x *Request) { r = x }); err != nil {
+	resp := sim.Time(-1)
+	if err := a.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 4096}, func(r sim.Time, _ error) { resp = r }); err != nil {
 		t.Fatal(err)
 	}
-	if r == nil || r.Response() != 0 {
+	if resp != 0 {
 		t.Fatal("free not immediate")
 	}
 	if m := a.Metrics(); m.Frees != 1 || m.Completed != 1 {
@@ -245,8 +245,8 @@ func TestPlanProperty(t *testing.T) {
 func closedLoop(a *Array, depth int, gen func(i int) (trace.Op, bool)) error {
 	var firstErr error
 	i := 0
-	var issue func(*Request)
-	issue = func(*Request) {
+	var issue func(sim.Time, error)
+	issue = func(sim.Time, error) {
 		op, ok := gen(i)
 		if !ok {
 			return
@@ -257,7 +257,7 @@ func closedLoop(a *Array, depth int, gen func(i int) (trace.Op, bool)) error {
 		}
 	}
 	for k := 0; k < depth; k++ {
-		issue(nil)
+		issue(0, nil)
 	}
 	a.Engine().Run()
 	return firstErr

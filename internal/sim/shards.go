@@ -178,16 +178,6 @@ func (g *ShardGroup) MaxNow() Time {
 	return max
 }
 
-// Pending reports the total number of events still scheduled across the
-// shards (inboxes not included).
-func (g *ShardGroup) Pending() int {
-	n := 0
-	for _, eng := range g.engines {
-		n += eng.Pending()
-	}
-	return n
-}
-
 // Transfer drains every pending event from every shard, in (at, shard,
 // scheduling-order) order, and reschedules them onto dst, preserving
 // that order. rewrite (optional) maps each callback payload to

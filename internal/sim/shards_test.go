@@ -95,8 +95,10 @@ func TestShardGroupTransfer(t *testing.T) {
 	if n != 6 || rewrote != 6 {
 		t.Fatalf("transferred %d events, rewrote %d, want 6/6", n, rewrote)
 	}
-	if g.Pending() != 0 {
-		t.Fatalf("shards still hold %d events after transfer", g.Pending())
+	for i := 0; i < g.N(); i++ {
+		if n := g.Engine(i).Pending(); n != 0 {
+			t.Fatalf("shard %d still holds %d events after transfer", i, n)
+		}
 	}
 	dst.Run()
 	want := []int{0, 1, 2, 0, 1, 2} // times 50,51,52 then the 100s in shard order

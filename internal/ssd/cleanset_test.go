@@ -111,8 +111,8 @@ func TestCleanSetOracle(t *testing.T) {
 			}
 			space := d.LogicalBytes()
 			gen := oracleOps(7, space, int(space/4096))
-			var issue func(*ssd.Request)
-			issue = func(*ssd.Request) {
+			var issue func(sim.Time, error)
+			issue = func(sim.Time, error) {
 				if err := ssd.CleanSetErr(d); err != nil {
 					t.Fatal(err)
 				}
@@ -123,7 +123,7 @@ func TestCleanSetOracle(t *testing.T) {
 				}
 			}
 			for k := 0; k < 4; k++ {
-				issue(nil)
+				issue(0, nil)
 			}
 			d.Engine().Run()
 			if err := ssd.CleanSetErr(d); err != nil {
@@ -278,15 +278,15 @@ func TestFreeJoinsCleaningSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := oracleOps(1, d.LogicalBytes(), 0)
-	var issue func(*ssd.Request)
-	issue = func(*ssd.Request) {
+	var issue func(sim.Time, error)
+	issue = func(sim.Time, error) {
 		if op, ok := gen(0); ok {
 			if err := d.Submit(op, issue); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	issue(nil)
+	issue(0, nil)
 	d.Engine().Run()
 	el := d.Elements()[0]
 	if el.FreeFraction() >= cfg.GCLow || el.CanClean() || d.Metrics().BackgroundCleans != 0 {

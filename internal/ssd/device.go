@@ -11,14 +11,10 @@ import (
 	"ossd/internal/trace"
 )
 
-// Request is one I/O in flight through the device, with its lifecycle
-// timestamps filled in as it progresses.
-//
-// Lifetime contract: requests are pooled. A *Request handed to an onDone
-// callback is valid only until that callback returns; afterwards the
-// device may recycle it for a later submission. Callers that need any
-// field past completion must copy it inside the callback.
-type Request struct {
+// request is one I/O in flight through the device, with its lifecycle
+// timestamps filled in as it progresses. Requests are pooled: complete
+// recycles one as soon as its completion callback returns.
+type request struct {
 	// Op is the originating trace operation.
 	Op trace.Op
 	// Arrive, Start, Done are the queue-entry, dispatch, and completion
@@ -27,7 +23,7 @@ type Request struct {
 	// Err records a device error (wear-out, capacity); nil on success.
 	Err error
 
-	onDone func(*Request)
+	onDone func(resp sim.Time, err error)
 	// dev and remaining carry the completion state through the engine's
 	// pooled events: remaining counts the busy elements (plus the host
 	// link) still owed to this request, and dev lets the package-level
@@ -43,14 +39,11 @@ type Request struct {
 	gseq uint64
 	// qn is the request's dispatch-queue record while it waits, and its
 	// freelist link while it is pooled.
-	qn sched.Node[Request]
+	qn sched.Node[request]
 }
 
 // reqCost is a request's dispatch cost for the fair-share scheduler.
-func reqCost(r *Request) int64 { return r.Op.Size }
-
-// Response returns the request's response time (completion - arrival).
-func (r *Request) Response() sim.Time { return r.Done - r.Arrive }
+func reqCost(r *request) int64 { return r.Op.Size }
 
 // Metrics accumulates device-level measurements.
 type Metrics struct {
@@ -103,8 +96,8 @@ type Device struct {
 	// q indexes the pending requests and owns the per-element busy
 	// horizons; drv runs the shared dispatch loop with the cleaning
 	// passes as its pre/post hooks.
-	q        *sched.Queue[Request]
-	drv      *sched.Driver[Request]
+	q        *sched.Queue[request]
+	drv      *sched.Driver[request]
 	linkBusy sim.Time // host-interface link occupancy (InterfaceMBps)
 	// touched/elemScratch are reused by elemsFor, and durScratch by
 	// exec, so neither enqueueing nor dispatching allocates per request.
@@ -117,10 +110,9 @@ type Device struct {
 	// bufOccupancy tracks undrained bytes in the write buffer.
 	bufOccupancy int64
 
-	// freeReqs is the request freelist; see the Request lifetime
-	// contract. Steady-state submission reuses completed requests, so the
-	// host path allocates nothing.
-	freeReqs sched.Pool[Request]
+	// freeReqs is the request freelist. Steady-state submission reuses
+	// completed requests, so the host path allocates nothing.
+	freeReqs sched.Pool[request]
 
 	// elemLo/elemHi bound the elements this device instance cleans. A
 	// standalone device owns [0, Elements); a shard sub-device owns only
@@ -142,7 +134,7 @@ type Device struct {
 	// histograms see samples in the same order a single engine would.
 	recording bool
 	samples   []completionSample
-	// nextGseq stamps Request.gseq at submission; the sharded router
+	// nextGseq stamps request.gseq at submission; the sharded router
 	// sets it per arrival.
 	nextGseq uint64
 
@@ -326,30 +318,28 @@ func (d *Device) admit(op trace.Op) error {
 
 // takeReq pops a pooled request (or allocates the pool's next one) and
 // resets it.
-func (d *Device) takeReq() *Request {
+func (d *Device) takeReq() *request {
 	if r := d.freeReqs.Get(); r != nil {
-		*r = Request{}
+		*r = request{}
 		return r
 	}
-	return &Request{}
+	return &request{}
 }
 
 // putReq recycles a completed request. Only the callback reference is
 // dropped eagerly (for the collector); the remaining fields are cleared
 // on take, which keeps stale pointers readable for debugging.
-func (d *Device) putReq(r *Request) {
+func (d *Device) putReq(r *request) {
 	r.onDone = nil
 	d.freeReqs.Put(&r.qn, r)
 }
 
 // Submit enqueues an operation at the current simulated time. onDone, if
-// non-nil, runs at completion. Frees are metadata-only (zero service
-// time) but still flow through the dispatch queue so they order behind
-// earlier writes to the same elements.
-//
-// The *Request passed to onDone is pooled: it must not be retained after
-// the callback returns.
-func (d *Device) Submit(op trace.Op, onDone func(*Request)) error {
+// non-nil, receives the response time and the request's error (wear-out,
+// an injected element death; nil on success) at completion. Frees are
+// metadata-only (zero service time) but still flow through the dispatch
+// queue so they order behind earlier writes to the same elements.
+func (d *Device) Submit(op trace.Op, onDone func(resp sim.Time, err error)) error {
 	if err := d.admit(op); err != nil {
 		return err
 	}
@@ -395,7 +385,7 @@ func (d *Device) Submit(op trace.Op, onDone func(*Request)) error {
 // enqueue adds a request to the dispatch queue, carrying the op's tenant
 // class and byte cost for the fair-share layer (ignored — and the push
 // byte-identical to the legacy one — unless tenant weights are set).
-func (d *Device) enqueue(req *Request) {
+func (d *Device) enqueue(req *request) {
 	if req.Op.Priority {
 		d.outstandingPri++
 	}
@@ -504,7 +494,7 @@ func (d *Device) resyncCleanSet() {
 // finish completes the request, and every finish frees capacity, so the
 // dispatch loop pumps either way.
 func partDoneEvent(a any) {
-	req := a.(*Request)
+	req := a.(*request)
 	d := req.dev
 	req.remaining--
 	if req.remaining == 0 {
@@ -516,7 +506,7 @@ func partDoneEvent(a any) {
 // completeEvent is the pooled callback for completions with no media
 // part, e.g. the host-visible acknowledgement of a buffered write.
 func completeEvent(a any) {
-	req := a.(*Request)
+	req := a.(*request)
 	req.dev.complete(req)
 }
 
@@ -524,7 +514,7 @@ func completeEvent(a any) {
 // request against the FTLs, marks the touched elements busy, models the
 // host link, and schedules the completion events — all through the
 // engine's pooled event path, so dispatching allocates nothing.
-func (d *Device) serve(req *Request, now sim.Time) {
+func (d *Device) serve(req *request, now sim.Time) {
 	req.Start = now
 	durs := d.exec(req)
 	switch {
@@ -572,7 +562,7 @@ func (d *Device) serve(req *Request, now sim.Time) {
 	}
 }
 
-func (d *Device) addClassResp(req *Request, ms float64) {
+func (d *Device) addClassResp(req *request, ms float64) {
 	if req.Op.Priority {
 		d.met.PriResp.Add(ms)
 	} else {
@@ -580,7 +570,7 @@ func (d *Device) addClassResp(req *Request, ms float64) {
 	}
 }
 
-func (d *Device) complete(req *Request) {
+func (d *Device) complete(req *request) {
 	req.Done = d.eng.Now()
 	if req.internal {
 		// A buffered write finished its media work: release the buffer
@@ -593,10 +583,11 @@ func (d *Device) complete(req *Request) {
 	if req.Op.Priority {
 		d.outstandingPri--
 	}
+	resp := req.Done - req.Arrive
 	if req.Err != nil {
 		d.met.Errors++
 	} else {
-		ms := req.Response().Millis()
+		ms := resp.Millis()
 		switch req.Op.Kind {
 		case trace.Read:
 			d.met.BytesRead += req.Op.Size
@@ -609,7 +600,7 @@ func (d *Device) complete(req *Request) {
 		}
 	}
 	if req.onDone != nil {
-		req.onDone(req)
+		req.onDone(resp, req.Err)
 	}
 	d.putReq(req)
 }
@@ -618,7 +609,7 @@ func (d *Device) complete(req *Request) {
 // or, on a recording shard sub-device, into the sample log the gang
 // replays in global completion order (Welford accumulation is
 // order-sensitive, so shards must not fold their own).
-func (d *Device) recordResp(req *Request, ms float64) {
+func (d *Device) recordResp(req *request, ms float64) {
 	if d.recording {
 		d.samples = append(d.samples, completionSample{
 			done:   req.Done,

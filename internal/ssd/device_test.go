@@ -103,21 +103,21 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestSingleWriteCompletes(t *testing.T) {
 	eng, d := newDevice(t, testConfig())
-	var done *Request
-	if err := d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096}, func(r *Request) { done = r }); err != nil {
+	var done completion
+	if err := d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096}, capture(eng, &done)); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if done == nil {
+	if !done.fired {
 		t.Fatal("write never completed")
 	}
-	if done.Err != nil {
-		t.Fatal(done.Err)
+	if done.err != nil {
+		t.Fatal(done.err)
 	}
 	// One page program: 200us + 102.4us bus.
 	want := 200*sim.Microsecond + 4096*25*sim.Nanosecond
-	if done.Response() != want {
-		t.Fatalf("response = %v, want %v", done.Response(), want)
+	if done.resp != want {
+		t.Fatalf("response = %v, want %v", done.resp, want)
 	}
 	m := d.Metrics()
 	if m.Completed != 1 || m.BytesWritten != 4096 {
@@ -129,18 +129,18 @@ func TestParallelElementsOverlap(t *testing.T) {
 	// Two single-page writes to different elements must overlap in time;
 	// two writes to the same element must serialize.
 	eng, d := newDevice(t, testConfig())
-	var r1, r2, r3 *Request
+	var r1, r2, r3 completion
 	// Pages 0 and 1 land on elements 0 and 1 (interleaved).
-	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096}, func(r *Request) { r1 = r })
-	d.Submit(trace.Op{Kind: trace.Write, Offset: 4096, Size: 4096}, func(r *Request) { r2 = r })
+	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096}, capture(eng, &r1))
+	d.Submit(trace.Op{Kind: trace.Write, Offset: 4096, Size: 4096}, capture(eng, &r2))
 	// Page 4 is element 0 again.
-	d.Submit(trace.Op{Kind: trace.Write, Offset: 4 * 4096, Size: 4096}, func(r *Request) { r3 = r })
+	d.Submit(trace.Op{Kind: trace.Write, Offset: 4 * 4096, Size: 4096}, capture(eng, &r3))
 	eng.Run()
-	if r1.Done != r2.Done {
-		t.Fatalf("parallel writes did not overlap: %v vs %v", r1.Done, r2.Done)
+	if r1.at != r2.at {
+		t.Fatalf("parallel writes did not overlap: %v vs %v", r1.at, r2.at)
 	}
-	if r3.Done <= r1.Done {
-		t.Fatalf("same-element write did not serialize: %v vs %v", r3.Done, r1.Done)
+	if r3.at <= r1.at {
+		t.Fatalf("same-element write did not serialize: %v vs %v", r3.at, r1.at)
 	}
 }
 
@@ -148,22 +148,22 @@ func TestMultiPageRequestSpansElements(t *testing.T) {
 	// A 16 KB write over 4 elements takes one page time (plus overhead),
 	// not four.
 	eng, d := newDevice(t, testConfig())
-	var r *Request
-	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4 * 4096}, func(x *Request) { r = x })
+	var r completion
+	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4 * 4096}, capture(eng, &r))
 	eng.Run()
 	onePage := 200*sim.Microsecond + 4096*25*sim.Nanosecond
-	if r.Response() != onePage {
-		t.Fatalf("striped write response = %v, want %v", r.Response(), onePage)
+	if r.resp != onePage {
+		t.Fatalf("striped write response = %v, want %v", r.resp, onePage)
 	}
 }
 
 func TestReadAfterWrite(t *testing.T) {
 	eng, d := newDevice(t, testConfig())
 	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 8192}, nil)
-	var rd *Request
-	d.Submit(trace.Op{Kind: trace.Read, Offset: 0, Size: 8192}, func(r *Request) { rd = r })
+	var rd completion
+	d.Submit(trace.Op{Kind: trace.Read, Offset: 0, Size: 8192}, capture(eng, &rd))
 	eng.Run()
-	if rd == nil || rd.Err != nil {
+	if !rd.fired || rd.err != nil {
 		t.Fatalf("read failed: %+v", rd)
 	}
 	m := d.Metrics()
@@ -224,9 +224,9 @@ func TestFreeAppliesImmediately(t *testing.T) {
 	eng, d := newDevice(t, cfg)
 	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 16 * 4096}, nil)
 	eng.Run()
-	var fr *Request
-	d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 16 * 4096}, func(r *Request) { fr = r })
-	if fr == nil || fr.Response() != 0 {
+	var fr completion
+	d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 16 * 4096}, capture(eng, &fr))
+	if !fr.fired || fr.resp != 0 {
 		t.Fatal("free not applied immediately")
 	}
 	g := d.GCStats()
@@ -315,10 +315,10 @@ func TestFCFSHeadOfLineVsSWTF(t *testing.T) {
 		for _, p := range []int64{0, 4, 8} {
 			d.Submit(trace.Op{Kind: trace.Write, Offset: p * 4096, Size: 4096}, nil)
 		}
-		var last *Request
-		d.Submit(trace.Op{Kind: trace.Write, Offset: 1 * 4096, Size: 4096}, func(r *Request) { last = r })
+		var last completion
+		d.Submit(trace.Op{Kind: trace.Write, Offset: 1 * 4096, Size: 4096}, capture(eng, &last))
 		eng.Run()
-		return last.Response()
+		return last.resp
 	}
 	fcfs := run(sched.FCFS)
 	swtf := run(sched.SWTF)
@@ -378,14 +378,27 @@ func TestWearOutSurfacesAsRequestError(t *testing.T) {
 	}
 }
 
+// completion is one request's outcome as its callback saw it.
+type completion struct {
+	fired bool
+	resp  sim.Time
+	at    sim.Time // simulated completion time
+	err   error
+}
+
+// capture returns a completion callback that records into c.
+func capture(eng *sim.Engine, c *completion) func(sim.Time, error) {
+	return func(resp sim.Time, err error) { *c = completion{true, resp, eng.Now(), err} }
+}
+
 // closedLoop keeps depth requests outstanding on d, drawing ops from gen
 // until it returns false, then drains the engine. It returns the first
 // submission error.
 func closedLoop(d *Device, depth int, gen func(i int) (trace.Op, bool)) error {
 	var firstErr error
 	i := 0
-	var issue func(*Request)
-	issue = func(*Request) {
+	var issue func(sim.Time, error)
+	issue = func(sim.Time, error) {
 		op, ok := gen(i)
 		if !ok {
 			return
@@ -396,7 +409,7 @@ func closedLoop(d *Device, depth int, gen func(i int) (trace.Op, bool)) error {
 		}
 	}
 	for k := 0; k < depth; k++ {
-		issue(nil)
+		issue(0, nil)
 	}
 	d.eng.Run()
 	return firstErr
@@ -416,11 +429,11 @@ func play(t *testing.T, d *Device, ops []trace.Op) {
 }
 
 // TestRequestSizeClass pins the slim request record: with the queue node
-// that also links it into the freelist, a Request fits Go's 128-byte
+// that also links it into the freelist, a request fits Go's 128-byte
 // allocation size class on 64-bit platforms, so a deep backlog's live
 // heap is one small record per queued request.
 func TestRequestSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Request{}); n > 128 {
-		t.Fatalf("Request is %d bytes, want <= 128", n)
+	if n := unsafe.Sizeof(request{}); n > 128 {
+		t.Fatalf("request is %d bytes, want <= 128", n)
 	}
 }

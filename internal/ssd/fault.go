@@ -33,7 +33,7 @@ func newFaultState(plan *fault.Plan, elements int) *faultState {
 // request touches and applies the plan: any dead element fails the whole
 // request with no media work; a transient fault charges the element an
 // in-device retry. Reports whether the request failed.
-func (d *Device) injectFaults(req *Request, durs []sim.Time) bool {
+func (d *Device) injectFaults(req *request, durs []sim.Time) bool {
 	f := d.flt
 	elems := d.elemsFor(req.Op)
 	failed := false

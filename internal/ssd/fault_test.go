@@ -107,8 +107,8 @@ func TestElementDeathFailsRequests(t *testing.T) {
 	}
 	var gotErr error
 	// Page 3 lives on element 3 (interleaved: l mod 8).
-	err = d.Submit(trace.Op{Kind: trace.Write, Offset: 3 * 4096, Size: 4096}, func(r *Request) {
-		gotErr = r.Err
+	err = d.Submit(trace.Op{Kind: trace.Write, Offset: 3 * 4096, Size: 4096}, func(_ sim.Time, err error) {
+		gotErr = err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +123,8 @@ func TestElementDeathFailsRequests(t *testing.T) {
 	}
 	// A healthy element still serves.
 	gotErr = errors.New("callback never ran")
-	err = d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096}, func(r *Request) {
-		gotErr = r.Err
+	err = d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096}, func(_ sim.Time, err error) {
+		gotErr = err
 	})
 	if err != nil {
 		t.Fatal(err)

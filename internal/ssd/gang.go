@@ -375,11 +375,11 @@ func (d *Device) merge(s trace.Stream, op trace.Op, at sim.Time) error {
 	d.resyncCleanSet()
 	// In-service priority counts move wholesale: the in-flight requests'
 	// completions will decrement the gang-level count from now on.
-	var queued []*Request
+	var queued []*request
 	for _, sd := range g.subs {
 		d.outstandingPri += sd.outstandingPri
 		sd.outstandingPri = 0
-		sd.q.Drain(func(_ uint64, req *Request) {
+		sd.q.Drain(func(_ uint64, req *request) {
 			queued = append(queued, req)
 		})
 	}
@@ -396,10 +396,10 @@ func (d *Device) merge(s trace.Stream, op trace.Op, at sim.Time) error {
 	}
 	g.group.Transfer(d.eng, func(arg any) any {
 		switch v := arg.(type) {
-		case *Request:
+		case *request:
 			v.dev = d
 			return v
-		case *sched.Driver[Request]:
+		case *sched.Driver[request]:
 			return d.drv
 		}
 		return arg

@@ -85,17 +85,17 @@ func TestPageHomeBijective(t *testing.T) {
 
 func TestMLCRegionSlower(t *testing.T) {
 	eng, d := newDevice(t, hetConfig())
-	var slc, mlc *Request
+	var slc, mlc completion
 	// One 4 KB write in each region.
-	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096}, func(r *Request) { slc = r })
-	d.Submit(trace.Op{Kind: trace.Write, Offset: d.RegionBoundary(), Size: 4096}, func(r *Request) { mlc = r })
+	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096}, capture(eng, &slc))
+	d.Submit(trace.Op{Kind: trace.Write, Offset: d.RegionBoundary(), Size: 4096}, capture(eng, &mlc))
 	eng.Run()
-	if slc == nil || mlc == nil {
+	if !slc.fired || !mlc.fired {
 		t.Fatal("writes did not complete")
 	}
 	// MLC program is 4x the SLC program time.
-	if mlc.Response() <= 2*slc.Response() {
-		t.Fatalf("mlc write %v not much slower than slc %v", mlc.Response(), slc.Response())
+	if mlc.resp <= 2*slc.resp {
+		t.Fatalf("mlc write %v not much slower than slc %v", mlc.resp, slc.resp)
 	}
 }
 
@@ -105,13 +105,13 @@ func TestHetViolatesInterchangeability(t *testing.T) {
 	measure := func(base int64) sim.Time {
 		eng, d := newDevice(t, hetConfig())
 		n := 64
-		var last *Request
+		var last completion
 		for i := 0; i < n; i++ {
 			d.Submit(trace.Op{Kind: trace.Write, Offset: base + int64(i)*4096, Size: 4096},
-				func(r *Request) { last = r })
+				capture(eng, &last))
 		}
 		eng.Run()
-		return last.Done
+		return last.at
 	}
 	slcTime := measure(0)
 	mlcTime := measure(measureBoundary(t))
@@ -137,16 +137,16 @@ func bufConfig(buf int64) Config {
 
 func TestWriteBufferMasksLatency(t *testing.T) {
 	eng, d := newDevice(t, bufConfig(1<<20))
-	var r *Request
-	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096}, func(x *Request) { r = x })
+	var r completion
+	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096}, capture(eng, &r))
 	eng.Run()
-	if r == nil {
+	if !r.fired {
 		t.Fatal("write never completed")
 	}
 	// Host sees only the buffer-insert latency, far below the ~300us
 	// program time.
-	if r.Response() > 50*sim.Microsecond {
-		t.Fatalf("buffered write response = %v, want ~ctrl overhead", r.Response())
+	if r.resp > 50*sim.Microsecond {
+		t.Fatalf("buffered write response = %v, want ~ctrl overhead", r.resp)
 	}
 	m := d.Metrics()
 	if m.BufferedWrites != 1 || m.BufferBypass != 0 {
@@ -167,7 +167,7 @@ func TestWriteBufferFullBypasses(t *testing.T) {
 	var resp []sim.Time
 	for i := 0; i < 3; i++ {
 		d.Submit(trace.Op{Kind: trace.Write, Offset: int64(i) * 4096, Size: 4096},
-			func(r *Request) { resp = append(resp, r.Response()) })
+			func(r sim.Time, _ error) { resp = append(resp, r) })
 	}
 	eng.Run()
 	m := d.Metrics()

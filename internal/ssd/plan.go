@@ -111,7 +111,7 @@ func (d *Device) forEachStripePage(off, size int64, fn func(e, elpn int, covered
 // zero duration were not touched. The returned slice is device-owned
 // scratch, valid until the next dispatch — serve consumes it before any
 // reentrant dispatch can run.
-func (d *Device) exec(req *Request) []sim.Time {
+func (d *Device) exec(req *request) []sim.Time {
 	durs := d.durScratch
 	for e := range durs {
 		durs[e] = 0

@@ -35,6 +35,7 @@ var allowedMethods = map[string]string{
 // base name.
 var allowedFuncs = map[string]string{
 	"sched.Pick":                   "stateless reference scan the indexed Queue is checked and benchmarked against",
+	"sim.Engine.Pending":           "drain oracle: core, osd and root tests check a run leaves no event scheduled",
 	"workload.PostmarkOps":         "slice form the workload golden tests pin against the legacy generator",
 	"workload.TPCCOps":             "slice form the workload golden tests pin against the legacy generator",
 	"workload.ExchangeOps":         "slice form the workload golden tests pin against the legacy generator",
