@@ -32,8 +32,6 @@ type Backend interface {
 	Mapped(lpn int) bool
 	// LogicalPages is the exported capacity in pages.
 	LogicalPages() int
-	// PageSize is the page size in bytes.
-	PageSize() int
 	// FreeFraction reports erased, writable pages / physical pages.
 	FreeFraction() float64
 	// CanClean reports whether a cleaning pass could reclaim space.
@@ -83,6 +81,59 @@ func NewBackend(scheme Scheme, cfg Config) (Backend, error) {
 	default:
 		return nil, fmt.Errorf("ftl: unknown scheme %d", scheme)
 	}
+}
+
+// core is what every scheme shares: its configuration, its package, the
+// exported capacity and the counters.
+type core struct {
+	cfg Config
+	pkg *flash.Package
+
+	ppb     int // pages per block
+	logical int // exported logical pages
+
+	stats Stats
+}
+
+// newCore validates the geometry, defaults the erase budget, and builds
+// a fresh package of at least minBlocks blocks.
+func newCore(cfg Config, minBlocks int) (core, error) {
+	if err := cfg.Geom.Validate(); err != nil {
+		return core{}, err
+	}
+	if cfg.EraseBudget == 0 {
+		cfg.EraseBudget = flash.EraseBudgetFor(flash.SLC)
+	}
+	if cfg.Geom.BlocksPerPackage < minBlocks {
+		return core{}, fmt.Errorf("ftl: need at least %d blocks, got %d", minBlocks, cfg.Geom.BlocksPerPackage)
+	}
+	pkg, err := flash.NewPackage(cfg.Geom, cfg.Timing, cfg.EraseBudget)
+	if err != nil {
+		return core{}, err
+	}
+	return core{cfg: cfg, pkg: pkg, ppb: cfg.Geom.PagesPerBlock}, nil
+}
+
+// LogicalPages implements Backend.
+func (c *core) LogicalPages() int { return c.logical }
+
+// Stats implements Backend.
+func (c *core) Stats() Stats { return c.stats }
+
+// Wear implements Backend.
+func (c *core) Wear() flash.WearStats { return c.pkg.Wear() }
+
+func (c *core) checkLPN(lpn int) error {
+	if lpn < 0 || lpn >= c.logical {
+		return fmt.Errorf("%w: lpn %d of %d", ErrOutOfRange, lpn, c.logical)
+	}
+	return nil
+}
+
+// zeroRead is the cost of reading a page with no live copy: the
+// controller synthesizes zeros and pays only the bus transfer.
+func (c *core) zeroRead() sim.Time {
+	return sim.Time(c.cfg.Geom.PageSize) * c.cfg.Timing.BusPerByte
 }
 
 // Compile-time interface checks.

@@ -3,7 +3,6 @@ package ftl
 import (
 	"fmt"
 
-	"ossd/internal/flash"
 	"ossd/internal/sim"
 )
 
@@ -14,17 +13,7 @@ import (
 // extend the block sequentially rewrites the whole block into a fresh
 // erase unit.
 type Block struct {
-	cfg Config
-	pkg *flash.Package
-
-	ppb     int
-	logical int // logical pages
-
-	blockMap []int32 // lbn -> physical block, -1 unmapped
-	// written marks logical pages the host has stored (merges program
-	// padding pages to satisfy in-order constraints; those must not read
-	// back as live data). dead marks informed-freed pages.
-	written, dead []bool
+	blockCore
 
 	// repl holds open replacement blocks: a sequential overwrite starting
 	// at page 0 appends to a fresh block, and a "switch merge" retires
@@ -32,9 +21,6 @@ type Block struct {
 	// is what keeps sequential overwrites cheap on block-mapped FTLs.
 	repl      map[int]int32 // lbn -> physical block
 	replOrder []int         // open order, for bounded-pool eviction
-
-	freeBlocks []int
-	stats      Stats
 }
 
 // maxReplacementBlocks bounds concurrently open replacement blocks, like
@@ -43,48 +29,19 @@ const maxReplacementBlocks = 4
 
 // NewBlock builds a block-mapped FTL over a fresh package.
 func NewBlock(cfg Config) (*Block, error) {
-	if err := cfg.Geom.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.EraseBudget == 0 {
-		cfg.EraseBudget = flash.EraseBudgetFor(flash.SLC)
-	}
-	if cfg.Geom.BlocksPerPackage < 3 {
-		return nil, fmt.Errorf("ftl: need at least 3 blocks, got %d", cfg.Geom.BlocksPerPackage)
-	}
-	pkg, err := flash.NewPackage(cfg.Geom, cfg.Timing, cfg.EraseBudget)
-	if err != nil {
-		return nil, err
-	}
 	// One spare block for the merge destination; the rest are logical.
 	logicalBlocks := cfg.Geom.BlocksPerPackage - 1
 	if op := int(float64(cfg.Geom.BlocksPerPackage) * cfg.Overprovision); op > 1 {
 		logicalBlocks = cfg.Geom.BlocksPerPackage - op
 	}
-	b := &Block{
-		cfg:      cfg,
-		pkg:      pkg,
-		ppb:      cfg.Geom.PagesPerBlock,
-		logical:  logicalBlocks * cfg.Geom.PagesPerBlock,
-		blockMap: make([]int32, logicalBlocks),
-		written:  make([]bool, logicalBlocks*cfg.Geom.PagesPerBlock),
-		dead:     make([]bool, logicalBlocks*cfg.Geom.PagesPerBlock),
-		repl:     make(map[int]int32),
+	bc, err := newBlockCore(cfg, 3, logicalBlocks)
+	if err != nil {
+		return nil, err
 	}
-	for i := range b.blockMap {
-		b.blockMap[i] = -1
-	}
-	for pb := cfg.Geom.BlocksPerPackage - 1; pb >= 0; pb-- {
-		b.freeBlocks = append(b.freeBlocks, pb)
-	}
+	b := &Block{blockCore: bc, repl: make(map[int]int32)}
+	b.locate, b.refill = b.newest, b.closeOldest
 	return b, nil
 }
-
-// LogicalPages implements Backend.
-func (b *Block) LogicalPages() int { return b.logical }
-
-// PageSize implements Backend.
-func (b *Block) PageSize() int { return b.cfg.Geom.PageSize }
 
 // FreeFraction implements Backend.
 func (b *Block) FreeFraction() float64 {
@@ -95,17 +52,6 @@ func (b *Block) FreeFraction() float64 {
 	return float64(free) / float64(b.cfg.Geom.Pages())
 }
 
-// Mapped implements Backend.
-func (b *Block) Mapped(lpn int) bool {
-	return lpn >= 0 && lpn < b.logical && b.written[lpn] && !b.dead[lpn]
-}
-
-// Stats implements Backend.
-func (b *Block) Stats() Stats { return b.stats }
-
-// Wear implements Backend.
-func (b *Block) Wear() flash.WearStats { return b.pkg.Wear() }
-
 // CanClean implements Backend: block mapping merges inline, there is no
 // deferred garbage.
 func (b *Block) CanClean() bool { return false }
@@ -113,49 +59,23 @@ func (b *Block) CanClean() bool { return false }
 // CleanOnce implements Backend.
 func (b *Block) CleanOnce() (sim.Time, error) { return 0, ErrNoSpace }
 
-func (b *Block) checkLPN(lpn int) error {
-	if lpn < 0 || lpn >= b.logical {
-		return fmt.Errorf("%w: lpn %d of %d", ErrOutOfRange, lpn, b.logical)
-	}
-	return nil
-}
-
-func (b *Block) allocBlock() (int, error) {
-	if len(b.freeBlocks) == 0 {
-		return 0, ErrNoSpace
-	}
-	pb := b.freeBlocks[0]
-	b.freeBlocks = b.freeBlocks[1:]
-	return pb, nil
-}
-
-// ReadPage implements Backend.
-func (b *Block) ReadPage(lpn int) (sim.Time, error) {
-	if err := b.checkLPN(lpn); err != nil {
-		return 0, err
-	}
-	b.stats.HostReads++
-	if !b.Mapped(lpn) {
-		return sim.Time(b.cfg.Geom.PageSize) * b.cfg.Timing.BusPerByte, nil
-	}
+// newest locates lpn's newest copy: the replacement block holds the
+// newest copies of its prefix, the data block the rest.
+func (b *Block) newest(lpn int) (int, int) {
 	lbn, off := lpn/b.ppb, lpn%b.ppb
-	// The replacement block holds the newest copies of its prefix.
 	if rp, ok := b.repl[lbn]; ok && off < b.pkg.WritePointer(int(rp)) {
-		return b.pkg.ReadPage(int(rp), off)
+		return int(rp), off
 	}
-	return b.pkg.ReadPage(int(b.blockMap[lbn]), off)
+	return int(b.dataMap[lbn]), off
 }
 
 // WritePage implements Backend. Sequential extension programs in place;
 // anything else is a full-block read-merge-write into a fresh block.
 func (b *Block) WritePage(lpn int) (sim.Time, error) {
-	if err := b.checkLPN(lpn); err != nil {
+	lbn, off, err := b.hostWrite(lpn)
+	if err != nil {
 		return 0, err
 	}
-	b.stats.HostWrites++
-	b.written[lpn] = true
-	b.dead[lpn] = false
-	lbn, off := lpn/b.ppb, lpn%b.ppb
 	// Append to an open replacement block when the write continues it.
 	if rp, ok := b.repl[lbn]; ok {
 		if b.pkg.WritePointer(int(rp)) == off {
@@ -179,7 +99,7 @@ func (b *Block) WritePage(lpn int) (sim.Time, error) {
 		d2, err := b.WritePage(lpn)
 		return d + d2, err
 	}
-	pb := b.blockMap[lbn]
+	pb := b.dataMap[lbn]
 	if pb != -1 && b.pkg.WritePointer(int(pb)) == off {
 		return b.pkg.ProgramPage(int(pb), off)
 	}
@@ -190,49 +110,33 @@ func (b *Block) WritePage(lpn int) (sim.Time, error) {
 		if err != nil {
 			return d, err
 		}
-		d2, err := b.pkg.ProgramPage(int(b.repl[lbn]), 0)
+		if rp, ok := b.repl[lbn]; ok {
+			d2, err := b.pkg.ProgramPage(int(rp), 0)
+			return d + d2, err
+		}
+		// No block to spare for a replacement: merge instead.
+		d2, err := b.merge(lbn, 0)
 		return d + d2, err
 	}
 	if pb == -1 {
-		if off == 0 {
-			npb, err := b.allocBlock()
-			if err != nil {
-				return 0, err
-			}
-			d, err := b.pkg.ProgramPage(npb, 0)
-			if err != nil {
-				return d, err
-			}
-			b.blockMap[lbn] = int32(npb)
-			return d, nil
-		}
-		// First write lands mid-block: allocate and fill the gap with
-		// padding programs (the controller writes zeros to satisfy
-		// in-order programming).
-		npb, err := b.allocBlock()
+		// First write: a fresh block, with any gap before off padded
+		// (the controller writes zeros to satisfy in-order programming).
+		npb, d0, err := b.allocBlock()
 		if err != nil {
-			return 0, err
+			return d0, err
 		}
-		var total sim.Time
-		for k := 0; k <= off; k++ {
-			d, err := b.pkg.ProgramPage(npb, k)
-			total += d
-			if err != nil {
-				return total, err
-			}
-		}
-		b.blockMap[lbn] = int32(npb)
-		return total, nil
+		d, err := b.rebuild(lbn, npb, 0, off+1, noCopy)
+		return d0 + d, err
 	}
 	return b.merge(lbn, off)
 }
 
-// openReplacement allocates a replacement block for lbn, evicting the
-// oldest open replacement when the pool is full.
+// openReplacement allocates a replacement block for lbn, closing the
+// oldest open replacements while the pool is full or the free list is
+// down to the merge spare. When that leaves no block to spare it opens
+// nothing, and the caller merges instead.
 func (b *Block) openReplacement(lbn int) (sim.Time, error) {
 	var total sim.Time
-	// Keep the pool bounded AND leave at least one free block as the
-	// merge spare; otherwise a random write could find no destination.
 	for len(b.replOrder) > 0 && (len(b.replOrder) >= maxReplacementBlocks || len(b.freeBlocks) < 2) {
 		d, err := b.closeReplacement(b.replOrder[0])
 		total += d
@@ -241,9 +145,9 @@ func (b *Block) openReplacement(lbn int) (sim.Time, error) {
 		}
 	}
 	if len(b.freeBlocks) < 2 {
-		return total, ErrNoSpace
+		return total, nil
 	}
-	npb, err := b.allocBlock()
+	npb, _, err := b.allocBlock()
 	if err != nil {
 		return total, err
 	}
@@ -252,14 +156,11 @@ func (b *Block) openReplacement(lbn int) (sim.Time, error) {
 	return total, nil
 }
 
-// closeReplacement finalizes lbn's replacement block: pages beyond its
-// write pointer are copied from the old block (a partial merge; a full
-// replacement is a free "switch merge"), the old block is erased, and
-// the replacement becomes the data block.
-func (b *Block) closeReplacement(lbn int) (sim.Time, error) {
+// dropReplacement forgets lbn's open replacement block and returns it.
+func (b *Block) dropReplacement(lbn int) (int32, bool) {
 	rp, ok := b.repl[lbn]
 	if !ok {
-		return 0, nil
+		return 0, false
 	}
 	delete(b.repl, lbn)
 	for i, l := range b.replOrder {
@@ -268,46 +169,35 @@ func (b *Block) closeReplacement(lbn int) (sim.Time, error) {
 			break
 		}
 	}
-	old := b.blockMap[lbn]
-	wp := b.pkg.WritePointer(int(rp))
-	oldWP := 0
-	if old != -1 {
-		oldWP = b.pkg.WritePointer(int(old))
+	return rp, true
+}
+
+// closeOldest closes the oldest open replacement, which releases its
+// old data block; it is the core's refill step.
+func (b *Block) closeOldest() (sim.Time, error) {
+	if len(b.replOrder) == 0 {
+		return 0, ErrNoSpace
 	}
-	var total sim.Time
-	copied := false
-	for k := wp; k < oldWP; k++ {
-		lpn := lbn*b.ppb + k
-		if b.written[lpn] && !b.dead[lpn] {
-			d, err := b.pkg.ReadPage(int(old), k)
-			total += d
-			if err != nil {
-				return total, err
-			}
-			b.stats.PagesMoved++
-			copied = true
-		}
-		// Program regardless to keep the block in-order up to oldWP.
-		d, err := b.pkg.ProgramPage(int(rp), k)
-		total += d
-		if err != nil {
-			return total, err
-		}
+	return b.closeReplacement(b.replOrder[0])
+}
+
+// closeReplacement finalizes lbn's replacement block: pages beyond its
+// write pointer are copied from the old block (a partial merge; a full
+// replacement is a free "switch merge"), the old block is erased, and
+// the replacement becomes the data block.
+func (b *Block) closeReplacement(lbn int) (sim.Time, error) {
+	rp, ok := b.dropReplacement(lbn)
+	if !ok {
+		return 0, nil
 	}
-	if old != -1 {
-		d, err := b.pkg.EraseBlock(int(old))
-		total += d
-		if err != nil {
-			return total, err
-		}
-		b.freeBlocks = append(b.freeBlocks, int(old))
-		b.stats.GCErases++
+	old := int(b.dataMap[lbn])
+	total, err := b.rebuild(lbn, int(rp), b.pkg.WritePointer(int(rp)), b.pkg.WritePointer(old),
+		func(k int) (int, int) { return old, k })
+	if err != nil {
+		return total, err
 	}
-	b.blockMap[lbn] = rp
-	if copied || old != -1 {
-		b.stats.Cleans++
-		b.stats.CleanTime += total
-	}
+	b.stats.Cleans++
+	b.stats.CleanTime += total
 	return total, nil
 }
 
@@ -315,62 +205,34 @@ func (b *Block) closeReplacement(lbn int) (sim.Time, error) {
 // `off` replaced by new data, then erases the old block. The extra page
 // copies and the erase are charged as cleaning work.
 func (b *Block) merge(lbn, off int) (sim.Time, error) {
-	old := int(b.blockMap[lbn])
+	old := int(b.dataMap[lbn])
 	oldWP := b.pkg.WritePointer(old)
-	top := oldWP
-	if off+1 > top {
-		top = off + 1
-	}
-	npb, err := b.allocBlock()
+	top := max(oldWP, off+1)
+	npb, d0, err := b.allocBlock()
 	if err != nil {
-		return 0, err
+		return d0, err
 	}
-	var total sim.Time
-	for k := 0; k < top; k++ {
-		lpn := lbn*b.ppb + k
-		if k != off && k < oldWP && b.written[lpn] && !b.dead[lpn] {
-			d, err := b.pkg.ReadPage(old, k)
-			total += d
-			if err != nil {
-				return total, err
-			}
-			b.stats.PagesMoved++
+	total, err := b.rebuild(lbn, npb, 0, top, func(k int) (int, int) {
+		if k == off || k >= oldWP {
+			return -1, 0
 		}
-		d, err := b.pkg.ProgramPage(npb, k)
-		total += d
-		if err != nil {
-			return total, err
-		}
-	}
-	d, err := b.pkg.EraseBlock(old)
-	total += d
+		return old, k
+	})
 	if err != nil {
-		return total, err
+		return d0 + total, err
 	}
-	b.freeBlocks = append(b.freeBlocks, old)
-	b.blockMap[lbn] = int32(npb)
 	b.stats.Cleans++
-	b.stats.GCErases++
 	// The host page itself is not cleaning work; the rest of the merge is.
 	b.stats.CleanTime += total - b.cfg.Timing.PageProgram
-	return total, nil
+	return d0 + total, nil
 }
 
 // Free implements Backend. Informed mode marks pages dead so merges skip
 // them; whole-dead blocks are reclaimed immediately.
 func (b *Block) Free(lpn int) error {
-	if err := b.checkLPN(lpn); err != nil {
+	if died, err := b.kill(lpn); !died {
 		return err
 	}
-	b.stats.FreesSeen++
-	if !b.cfg.Informed {
-		return nil
-	}
-	if !b.Mapped(lpn) {
-		return nil
-	}
-	b.dead[lpn] = true
-	b.stats.FreesApplied++
 	lbn := lpn / b.ppb
 	for k := 0; k < b.ppb; k++ {
 		if b.Mapped(lbn*b.ppb + k) {
@@ -379,27 +241,16 @@ func (b *Block) Free(lpn int) error {
 	}
 	// Every live page of the block is dead: release the data block and
 	// any open replacement.
-	if rp, ok := b.repl[lbn]; ok {
-		delete(b.repl, lbn)
-		for i, l := range b.replOrder {
-			if l == lbn {
-				b.replOrder = append(b.replOrder[:i], b.replOrder[i+1:]...)
-				break
-			}
-		}
-		if _, err := b.pkg.EraseBlock(int(rp)); err != nil {
+	if rp, ok := b.dropReplacement(lbn); ok {
+		if _, err := b.release(int(rp)); err != nil {
 			return err
 		}
-		b.freeBlocks = append(b.freeBlocks, int(rp))
-		b.stats.GCErases++
 	}
-	if old := b.blockMap[lbn]; old != -1 {
-		if _, err := b.pkg.EraseBlock(int(old)); err != nil {
+	if old := b.dataMap[lbn]; old != -1 {
+		if _, err := b.release(int(old)); err != nil {
 			return err
 		}
-		b.freeBlocks = append(b.freeBlocks, int(old))
-		b.blockMap[lbn] = -1
-		b.stats.GCErases++
+		b.dataMap[lbn] = -1
 		for k := 0; k < b.ppb; k++ {
 			b.written[lbn*b.ppb+k] = false
 			b.dead[lbn*b.ppb+k] = false
@@ -410,39 +261,16 @@ func (b *Block) Free(lpn int) error {
 
 // CheckInvariants implements Backend.
 func (b *Block) CheckInvariants() error {
-	seen := make(map[int]bool)
-	if len(b.repl) != len(b.replOrder) {
-		return fmt.Errorf("replacement map/order out of sync: %d vs %d", len(b.repl), len(b.replOrder))
+	pool := make([]int, 0, len(b.replOrder))
+	for _, lbn := range b.replOrder {
+		rp, ok := b.repl[lbn]
+		if !ok || b.dataMap[lbn] == -1 {
+			return fmt.Errorf("lbn %d: replacement open without one or without a data block", lbn)
+		}
+		pool = append(pool, int(rp))
 	}
-	for lbn, rp := range b.repl {
-		if seen[int(rp)] {
-			return fmt.Errorf("replacement block %d claimed twice", rp)
-		}
-		seen[int(rp)] = true
-		if b.blockMap[lbn] == rp {
-			return fmt.Errorf("lbn %d: replacement equals data block", lbn)
-		}
+	if len(pool) != len(b.repl) {
+		return fmt.Errorf("replacement map/order out of sync: %d vs %d", len(b.repl), len(pool))
 	}
-	for lbn, pb := range b.blockMap {
-		if pb == -1 {
-			continue
-		}
-		if seen[int(pb)] {
-			return fmt.Errorf("physical block %d mapped twice", pb)
-		}
-		seen[int(pb)] = true
-		if int(pb) < 0 || int(pb) >= b.cfg.Geom.BlocksPerPackage {
-			return fmt.Errorf("lbn %d maps out of range: %d", lbn, pb)
-		}
-	}
-	for _, pb := range b.freeBlocks {
-		if seen[pb] {
-			return fmt.Errorf("block %d both mapped and free", pb)
-		}
-		if b.pkg.WritePointer(pb) != 0 {
-			return fmt.Errorf("free block %d not erased", pb)
-		}
-		seen[pb] = true
-	}
-	return nil
+	return b.checkBlocks(pool)
 }

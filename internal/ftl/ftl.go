@@ -113,12 +113,9 @@ const unmapped = int32(-1)
 // Element is the FTL for one flash package. It is single-threaded by
 // design: the device model serializes each element on the simulated clock.
 type Element struct {
-	cfg Config
-	pkg *flash.Package
+	core
 
-	ppb      int // pages per block
 	physPage int // total physical pages
-	logical  int // exported logical pages
 
 	l2p       []int32 // logical -> physical page, unmapped if -1
 	p2l       []int32 // physical -> logical page, unmapped if -1
@@ -142,28 +139,17 @@ type Element struct {
 	// invalidation tick, so old garbage-heavy blocks look cheap.
 	opSeq      int64
 	blockTouch []int64
-
-	stats Stats
 }
 
 // NewElement builds an element with a fully-erased package.
 func NewElement(cfg Config) (*Element, error) {
-	if err := cfg.Geom.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Overprovision < 0 || cfg.Overprovision >= 0.9 {
 		return nil, fmt.Errorf("ftl: overprovision %v out of range [0, 0.9)", cfg.Overprovision)
-	}
-	if cfg.EraseBudget == 0 {
-		cfg.EraseBudget = flash.EraseBudgetFor(flash.SLC)
 	}
 	if cfg.WearDelta == 0 {
 		cfg.WearDelta = 32
 	}
-	if cfg.Geom.BlocksPerPackage < 3 {
-		return nil, fmt.Errorf("ftl: need at least 3 blocks, got %d", cfg.Geom.BlocksPerPackage)
-	}
-	pkg, err := flash.NewPackage(cfg.Geom, cfg.Timing, cfg.EraseBudget)
+	c, err := newCore(cfg, 3)
 	if err != nil {
 		return nil, err
 	}
@@ -177,12 +163,10 @@ func NewElement(cfg Config) (*Element, error) {
 	if logical <= 0 {
 		return nil, fmt.Errorf("ftl: geometry too small for overprovisioning")
 	}
+	c.logical = logical
 	el := &Element{
-		cfg:        cfg,
-		pkg:        pkg,
-		ppb:        cfg.Geom.PagesPerBlock,
+		core:       c,
 		physPage:   phys,
-		logical:    logical,
 		l2p:        make([]int32, logical),
 		p2l:        make([]int32, phys),
 		pageState:  make([]byte, phys),
@@ -206,12 +190,6 @@ func NewElement(cfg Config) (*Element, error) {
 	return el, nil
 }
 
-// LogicalPages reports the exported logical capacity in pages.
-func (el *Element) LogicalPages() int { return el.logical }
-
-// PageSize reports the page size in bytes.
-func (el *Element) PageSize() int { return el.cfg.Geom.PageSize }
-
 // FreeFraction reports free (erased, unwritten) pages as a fraction of
 // the live physical pages (retired blocks no longer count). The device
 // layer compares this against its cleaning watermarks.
@@ -227,12 +205,6 @@ func (el *Element) FreeFraction() float64 {
 func (el *Element) Mapped(lpn int) bool {
 	return lpn >= 0 && lpn < el.logical && el.l2p[lpn] != unmapped
 }
-
-// Stats returns a copy of the accumulated counters.
-func (el *Element) Stats() Stats { return el.stats }
-
-// Wear returns the wear summary of the underlying package.
-func (el *Element) Wear() flash.WearStats { return el.pkg.Wear() }
 
 func (el *Element) ppn(block, page int) int32 { return int32(block*el.ppb + page) }
 
@@ -297,8 +269,8 @@ func (el *Element) appendPage() (int32, sim.Time, error) {
 // layer normally cleans at its watermarks before this point). The
 // returned duration includes any such forced cleaning.
 func (el *Element) WritePage(lpn int) (sim.Time, error) {
-	if lpn < 0 || lpn >= el.logical {
-		return 0, fmt.Errorf("%w: lpn %d of %d", ErrOutOfRange, lpn, el.logical)
+	if err := el.checkLPN(lpn); err != nil {
+		return 0, err
 	}
 	var total sim.Time
 	// Forced cleaning: keep two blocks of slack. A cleaning pass moves at
@@ -334,13 +306,13 @@ func (el *Element) WritePage(lpn int) (sim.Time, error) {
 // was never written (or was freed) costs only the bus transfer: the
 // controller synthesizes zeros without touching the medium.
 func (el *Element) ReadPage(lpn int) (sim.Time, error) {
-	if lpn < 0 || lpn >= el.logical {
-		return 0, fmt.Errorf("%w: lpn %d of %d", ErrOutOfRange, lpn, el.logical)
+	if err := el.checkLPN(lpn); err != nil {
+		return 0, err
 	}
 	el.stats.HostReads++
 	ppn := el.l2p[lpn]
 	if ppn == unmapped {
-		return sim.Time(el.cfg.Geom.PageSize) * el.cfg.Timing.BusPerByte, nil
+		return el.zeroRead(), nil
 	}
 	return el.pkg.ReadPage(int(ppn)/el.ppb, int(ppn)%el.ppb)
 }
@@ -350,8 +322,8 @@ func (el *Element) ReadPage(lpn int) (sim.Time, error) {
 // the page; otherwise it is deliberately ignored (the paper's default
 // device, which cannot see allocation status).
 func (el *Element) Free(lpn int) error {
-	if lpn < 0 || lpn >= el.logical {
-		return fmt.Errorf("%w: lpn %d of %d", ErrOutOfRange, lpn, el.logical)
+	if err := el.checkLPN(lpn); err != nil {
+		return err
 	}
 	el.stats.FreesSeen++
 	if !el.cfg.Informed {

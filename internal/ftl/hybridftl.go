@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ossd/internal/flash"
 	"ossd/internal/sim"
 )
 
@@ -16,13 +15,8 @@ import (
 // sit between the page-mapped and block-mapped extremes on random-write
 // cost, which is exactly where most 2009-era consumer SSDs lived.
 type Hybrid struct {
-	cfg Config
-	pkg *flash.Package
+	blockCore
 
-	ppb     int
-	logical int
-
-	dataMap []int32 // lbn -> physical data block, -1
 	// logMap holds the newest out-of-place copy per lpn.
 	logMap map[int]logLoc
 	// logBlocks is the allocation order of live log blocks (oldest
@@ -30,13 +24,7 @@ type Hybrid struct {
 	logBlocks []int
 	owners    map[int][]int32
 
-	// written marks host-stored logical pages (merge padding must not
-	// read back as data); dead marks informed-freed pages.
-	written, dead []bool
-
-	maxLog     int
-	freeBlocks []int
-	stats      Stats
+	maxLog int
 }
 
 type logLoc struct {
@@ -47,53 +35,23 @@ type logLoc struct {
 // NewHybrid builds a hybrid log-block FTL. The log pool is the
 // over-provisioned share of blocks (minimum 2, plus one merge spare).
 func NewHybrid(cfg Config) (*Hybrid, error) {
-	if err := cfg.Geom.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.EraseBudget == 0 {
-		cfg.EraseBudget = flash.EraseBudgetFor(flash.SLC)
-	}
-	if cfg.Geom.BlocksPerPackage < 6 {
-		return nil, fmt.Errorf("ftl: hybrid needs at least 6 blocks, got %d", cfg.Geom.BlocksPerPackage)
-	}
-	pkg, err := flash.NewPackage(cfg.Geom, cfg.Timing, cfg.EraseBudget)
+	maxLog := max(int(float64(cfg.Geom.BlocksPerPackage)*cfg.Overprovision), 2)
+	bc, err := newBlockCore(cfg, 6, cfg.Geom.BlocksPerPackage-maxLog-1) // one merge spare
 	if err != nil {
 		return nil, err
 	}
-	maxLog := int(float64(cfg.Geom.BlocksPerPackage) * cfg.Overprovision)
-	if maxLog < 2 {
-		maxLog = 2
-	}
-	logicalBlocks := cfg.Geom.BlocksPerPackage - maxLog - 1 // one merge spare
-	if logicalBlocks < 1 {
-		return nil, fmt.Errorf("ftl: hybrid geometry too small")
-	}
 	h := &Hybrid{
-		cfg:     cfg,
-		pkg:     pkg,
-		ppb:     cfg.Geom.PagesPerBlock,
-		logical: logicalBlocks * cfg.Geom.PagesPerBlock,
-		dataMap: make([]int32, logicalBlocks),
-		logMap:  make(map[int]logLoc),
-		owners:  make(map[int][]int32),
-		written: make([]bool, logicalBlocks*cfg.Geom.PagesPerBlock),
-		dead:    make([]bool, logicalBlocks*cfg.Geom.PagesPerBlock),
-		maxLog:  maxLog,
+		blockCore: bc,
+		logMap:    make(map[int]logLoc),
+		owners:    make(map[int][]int32),
+		maxLog:    maxLog,
 	}
-	for i := range h.dataMap {
-		h.dataMap[i] = -1
-	}
-	for pb := cfg.Geom.BlocksPerPackage - 1; pb >= 0; pb-- {
-		h.freeBlocks = append(h.freeBlocks, pb)
-	}
+	h.locate = h.newest
+	// The pool sizes leave a merge spare at every allocation, so the
+	// free list never runs dry mid-operation.
+	h.refill = func() (sim.Time, error) { return 0, ErrNoSpace }
 	return h, nil
 }
-
-// LogicalPages implements Backend.
-func (h *Hybrid) LogicalPages() int { return h.logical }
-
-// PageSize implements Backend.
-func (h *Hybrid) PageSize() int { return h.cfg.Geom.PageSize }
 
 // FreeFraction implements Backend.
 func (h *Hybrid) FreeFraction() float64 {
@@ -104,17 +62,6 @@ func (h *Hybrid) FreeFraction() float64 {
 	}
 	return float64(free) / float64(h.cfg.Geom.Pages())
 }
-
-// Mapped implements Backend.
-func (h *Hybrid) Mapped(lpn int) bool {
-	return lpn >= 0 && lpn < h.logical && h.written[lpn] && !h.dead[lpn]
-}
-
-// Stats implements Backend.
-func (h *Hybrid) Stats() Stats { return h.stats }
-
-// Wear implements Backend.
-func (h *Hybrid) Wear() flash.WearStats { return h.pkg.Wear() }
 
 // CanClean reports whether evicting a log block could reclaim space.
 func (h *Hybrid) CanClean() bool { return len(h.logBlocks) > 1 }
@@ -127,51 +74,20 @@ func (h *Hybrid) CleanOnce() (sim.Time, error) {
 	return h.evictOldest()
 }
 
-func (h *Hybrid) checkLPN(lpn int) error {
-	if lpn < 0 || lpn >= h.logical {
-		return fmt.Errorf("%w: lpn %d of %d", ErrOutOfRange, lpn, h.logical)
-	}
-	return nil
-}
-
-func (h *Hybrid) allocBlock() (int, error) {
-	if len(h.freeBlocks) == 0 {
-		return 0, ErrNoSpace
-	}
-	pb := h.freeBlocks[0]
-	h.freeBlocks = h.freeBlocks[1:]
-	return pb, nil
-}
-
-// ReadPage implements Backend: the newest copy wins (log over data).
-func (h *Hybrid) ReadPage(lpn int) (sim.Time, error) {
-	if err := h.checkLPN(lpn); err != nil {
-		return 0, err
-	}
-	h.stats.HostReads++
-	if !h.Mapped(lpn) {
-		return sim.Time(h.cfg.Geom.PageSize) * h.cfg.Timing.BusPerByte, nil
-	}
+// newest locates lpn's newest copy: a log copy wins over the data block.
+func (h *Hybrid) newest(lpn int) (int, int) {
 	if loc, ok := h.logMap[lpn]; ok {
-		return h.pkg.ReadPage(loc.block, loc.page)
+		return loc.block, loc.page
 	}
-	lbn, off := lpn/h.ppb, lpn%h.ppb
-	pb := h.dataMap[lbn]
-	if pb == -1 || off >= h.pkg.WritePointer(int(pb)) {
-		return sim.Time(h.cfg.Geom.PageSize) * h.cfg.Timing.BusPerByte, nil
-	}
-	return h.pkg.ReadPage(int(pb), off)
+	return int(h.dataMap[lpn/h.ppb]), lpn % h.ppb
 }
 
 // WritePage implements Backend.
 func (h *Hybrid) WritePage(lpn int) (sim.Time, error) {
-	if err := h.checkLPN(lpn); err != nil {
+	lbn, off, err := h.hostWrite(lpn)
+	if err != nil {
 		return 0, err
 	}
-	h.stats.HostWrites++
-	h.written[lpn] = true
-	h.dead[lpn] = false
-	lbn, off := lpn/h.ppb, lpn%h.ppb
 	pb := h.dataMap[lbn]
 	// In-place sequential extension of the data block, but only when no
 	// newer log copy would be shadowed.
@@ -180,16 +96,12 @@ func (h *Hybrid) WritePage(lpn int) (sim.Time, error) {
 			return h.pkg.ProgramPage(int(pb), off)
 		}
 		if pb == -1 && off == 0 {
-			npb, err := h.allocBlock()
+			npb, d0, err := h.allocBlock()
 			if err != nil {
-				return 0, err
+				return d0, err
 			}
-			d, err := h.pkg.ProgramPage(npb, 0)
-			if err != nil {
-				return d, err
-			}
-			h.dataMap[lbn] = int32(npb)
-			return d, nil
+			d, err := h.rebuild(lbn, npb, 0, 1, noCopy)
+			return d0 + d, err
 		}
 	}
 	return h.logWrite(lpn)
@@ -213,7 +125,8 @@ func (h *Hybrid) logWrite(lpn int) (sim.Time, error) {
 				return total, err
 			}
 		}
-		npb, err := h.allocBlock()
+		npb, d, err := h.allocBlock()
+		total += d
 		if err != nil {
 			return total, err
 		}
@@ -267,16 +180,14 @@ func (h *Hybrid) evictOldest() (sim.Time, error) {
 			return total, err
 		}
 	}
-	d, err := h.pkg.EraseBlock(victim)
+	d, err := h.release(victim)
 	total += d
 	if err != nil {
 		return total, err
 	}
 	delete(h.owners, victim)
 	h.logBlocks = h.logBlocks[1:]
-	h.freeBlocks = append(h.freeBlocks, victim)
 	h.stats.Cleans++
-	h.stats.GCErases++
 	h.stats.CleanTime += total
 	return total, nil
 }
@@ -284,7 +195,6 @@ func (h *Hybrid) evictOldest() (sim.Time, error) {
 // mergeLBN rebuilds one logical block from its data block and all log
 // copies into a fresh physical block.
 func (h *Hybrid) mergeLBN(lbn int) (sim.Time, error) {
-	var total sim.Time
 	old := h.dataMap[lbn]
 	oldWP := 0
 	if old != -1 {
@@ -300,97 +210,40 @@ func (h *Hybrid) mergeLBN(lbn int) (sim.Time, error) {
 	if top == 0 {
 		return 0, nil
 	}
-	npb, err := h.allocBlock()
+	npb, total, err := h.allocBlock()
 	if err != nil {
-		return 0, err
+		return total, err
 	}
+	d, err := h.rebuild(lbn, npb, 0, top, func(k int) (int, int) {
+		if loc, ok := h.logMap[lbn*h.ppb+k]; ok {
+			return loc.block, loc.page
+		}
+		if k < oldWP {
+			return int(old), k
+		}
+		return -1, 0
+	})
 	for k := 0; k < top; k++ {
-		lpn := lbn*h.ppb + k
-		src := logLoc{block: -1}
-		if loc, ok := h.logMap[lpn]; ok {
-			src = loc
-		} else if old != -1 && k < oldWP {
-			src = logLoc{block: int(old), page: k}
-		}
-		if src.block != -1 && h.written[lpn] && !h.dead[lpn] {
-			d, err := h.pkg.ReadPage(src.block, src.page)
-			total += d
-			if err != nil {
-				return total, err
-			}
-			h.stats.PagesMoved++
-		}
-		d, err := h.pkg.ProgramPage(npb, k)
-		total += d
-		if err != nil {
-			return total, err
-		}
-		delete(h.logMap, lpn)
+		delete(h.logMap, lbn*h.ppb+k)
 	}
-	if old != -1 {
-		d, err := h.pkg.EraseBlock(int(old))
-		total += d
-		if err != nil {
-			return total, err
-		}
-		h.freeBlocks = append(h.freeBlocks, int(old))
-		h.stats.GCErases++
-	}
-	h.dataMap[lbn] = int32(npb)
-	return total, nil
+	return total + d, err
 }
 
 // Free implements Backend: informed mode drops log copies and marks data
 // pages dead so merges skip them.
 func (h *Hybrid) Free(lpn int) error {
-	if err := h.checkLPN(lpn); err != nil {
-		return err
+	died, err := h.kill(lpn)
+	if died {
+		delete(h.logMap, lpn)
 	}
-	h.stats.FreesSeen++
-	if !h.cfg.Informed {
-		return nil
-	}
-	if !h.Mapped(lpn) {
-		return nil
-	}
-	h.dead[lpn] = true
-	delete(h.logMap, lpn)
-	h.stats.FreesApplied++
-	return nil
+	return err
 }
 
 // CheckInvariants implements Backend.
 func (h *Hybrid) CheckInvariants() error {
-	used := map[int]string{}
-	claim := func(pb int, role string) error {
-		if prev, ok := used[pb]; ok {
-			return fmt.Errorf("block %d is both %s and %s", pb, prev, role)
-		}
-		used[pb] = role
-		return nil
-	}
-	for lbn, pb := range h.dataMap {
-		if pb == -1 {
-			continue
-		}
-		if err := claim(int(pb), fmt.Sprintf("data(%d)", lbn)); err != nil {
-			return err
-		}
-	}
 	for _, pb := range h.logBlocks {
-		if err := claim(pb, "log"); err != nil {
-			return err
-		}
 		if h.owners[pb] == nil {
 			return fmt.Errorf("log block %d has no owner table", pb)
-		}
-	}
-	for _, pb := range h.freeBlocks {
-		if err := claim(pb, "free"); err != nil {
-			return err
-		}
-		if h.pkg.WritePointer(pb) != 0 {
-			return fmt.Errorf("free block %d not erased", pb)
 		}
 	}
 	if len(h.logBlocks) > h.maxLog {
@@ -408,5 +261,5 @@ func (h *Hybrid) CheckInvariants() error {
 			return fmt.Errorf("lpn %d log copy beyond write pointer", lpn)
 		}
 	}
-	return nil
+	return h.checkBlocks(h.logBlocks)
 }

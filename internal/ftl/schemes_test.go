@@ -41,9 +41,6 @@ func TestBackendConstruction(t *testing.T) {
 		if b.LogicalPages() <= 0 {
 			t.Fatalf("%v: no capacity", s)
 		}
-		if b.PageSize() != 4096 {
-			t.Fatalf("%v: page size %d", s, b.PageSize())
-		}
 		if b.FreeFraction() <= 0 || b.FreeFraction() > 1 {
 			t.Fatalf("%v: free fraction %v", s, b.FreeFraction())
 		}
@@ -467,4 +464,57 @@ func TestHybridInvariantProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(43))}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The block-mapped FTL must not report ErrNoSpace while it holds
+// replacement blocks it could close, nor demand a second spare to
+// rewrite page 0 of a full block.
+func TestBlockNoSpuriousNoSpace(t *testing.T) {
+	cfg := Config{
+		Geom:   flash.Geometry{PageSize: 4096, PagesPerBlock: 4, BlocksPerPackage: 8},
+		Timing: flash.TimingFor(flash.SLC),
+	}
+	cases := []struct {
+		name   string
+		writes []int
+	}{
+		// Every logical block full, one spare: a page-0 rewrite must
+		// fall back to a merge instead of opening a replacement.
+		{"one-spare-page0-rewrite", append(seqLPNs(0, 28), 0, 8, 9)},
+		// Two open replacements hold the spares, then first writes to
+		// unmapped blocks and a merge need blocks back.
+		{"first-write-behind-replacements", append(seqLPNs(0, 20), 0, 4, 20, 24, 13)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := NewBlock(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.LogicalPages() != 28 {
+				t.Fatalf("%d logical pages, want 7 blocks of 4", b.LogicalPages())
+			}
+			for i, lpn := range tc.writes {
+				if _, err := b.WritePage(lpn); err != nil {
+					t.Fatalf("write %d (lpn %d): %v", i, lpn, err)
+				}
+				if err := b.CheckInvariants(); err != nil {
+					t.Fatalf("after write %d: %v", i, err)
+				}
+			}
+			for _, lpn := range tc.writes {
+				if _, err := b.ReadPage(lpn); err != nil || !b.Mapped(lpn) {
+					t.Fatalf("lpn %d lost: mapped %v, read %v", lpn, b.Mapped(lpn), err)
+				}
+			}
+		})
+	}
+}
+
+func seqLPNs(from, to int) []int {
+	var s []int
+	for lpn := from; lpn < to; lpn++ {
+		s = append(s, lpn)
+	}
+	return s
 }

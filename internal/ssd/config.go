@@ -184,19 +184,3 @@ func (c *Config) ftlConfig(e int) ftl.Config {
 	}
 	return cfg
 }
-
-// LogicalBytes returns the exported capacity of a device built from this
-// configuration.
-func (c *Config) LogicalBytes() int64 {
-	el, err := ftl.NewBackend(c.Scheme, c.ftlConfig(0))
-	if err != nil {
-		return 0
-	}
-	perElem := int64(el.LogicalPages()) * int64(c.Geom.PageSize)
-	total := perElem * int64(c.Elements)
-	if c.Layout == FullStripe {
-		// Round down to whole stripes.
-		total = total / c.StripeBytes * c.StripeBytes
-	}
-	return total
-}
