@@ -173,6 +173,33 @@ func TestCampaignShardsDedup(t *testing.T) {
 	}
 }
 
+// TestCampaignDupsKeepPoolBusy: duplicate cells do not hold up the
+// feeder. In a seeds {1,2} x shards {1,2} campaign on two workers, the
+// two simulated cells run at the same time, and each shard duplicate
+// still completes as a cache hit.
+func TestCampaignDupsKeepPoolBusy(t *testing.T) {
+	jobs, m := newService(t, 2, Options{})
+	spec := Spec{
+		Template: template(100000),
+		Axes: []Axis{
+			{Name: "params.seed", Values: vals("1", "2")},
+			{Name: "options.shards", Values: vals("1", "2")},
+		},
+	}
+	c, p := waitDone(t, m, spec)
+	if p.CacheHits != 2 || jobs.Stats().Run.N != 2 {
+		t.Fatalf("progress %+v after %d simulations, want 2 simulations and 2 cache hits", p, jobs.Stats().Run.N)
+	}
+	a, b := c.cells[0].job.View(), c.cells[2].job.View()
+	if a.Cached || b.Cached {
+		t.Fatalf("cells 0 and 2 should be the simulated ones: cached %v, %v", a.Cached, b.Cached)
+	}
+	if !a.StartedAt.Before(b.FinishedAt) || !b.StartedAt.Before(a.FinishedAt) {
+		t.Fatalf("simulated cells did not overlap: [%v, %v] and [%v, %v]",
+			a.StartedAt, a.FinishedAt, b.StartedAt, b.FinishedAt)
+	}
+}
+
 // TestCampaignStatsInStatsz: campaign counters surface through the job
 // service's /statsz hook.
 func TestCampaignStatsInStatsz(t *testing.T) {
@@ -194,7 +221,8 @@ func TestCampaignStatsInStatsz(t *testing.T) {
 // TestCampaignCancel: DELETE stops the remainder — every cell settles,
 // none are left queued, and the campaign reports cancelled.
 func TestCampaignCancel(t *testing.T) {
-	_, m := newService(t, 1, Options{MaxInFlight: 1})
+	_, m := newService(t, 1, Options{})
+	m.inFlight = 1
 	// Enough slow cells that cancellation lands mid-campaign.
 	spec := Spec{
 		Template: template(200000),
@@ -448,7 +476,8 @@ func TestCampaignConcurrentPosts(t *testing.T) {
 // once the table exceeds its bound, and an attached stream tail
 // terminates with ErrCampaignEvicted instead of hanging.
 func TestCampaignRetention(t *testing.T) {
-	_, m := newService(t, 2, Options{Retain: 2})
+	_, m := newService(t, 2, Options{})
+	m.campaigns = simsvc.NewHandles("campaign", 2, (*Campaign).evict)
 	var ids []string
 	for i := 0; i < 3; i++ {
 		c, _ := waitDone(t, m, Spec{Template: template(5000 + i)})
@@ -469,7 +498,8 @@ func TestCampaignRetention(t *testing.T) {
 // TestCampaignETA: once a simulated cell completes mid-campaign, the
 // progress view extrapolates a nonzero ETA for the remainder.
 func TestCampaignETA(t *testing.T) {
-	_, m := newService(t, 1, Options{MaxInFlight: 1})
+	_, m := newService(t, 1, Options{})
+	m.inFlight = 1
 	spec := Spec{
 		Template: template(100000),
 		Axes:     []Axis{{Name: "params.seed", Range: &Range{From: 1, To: 6}}},

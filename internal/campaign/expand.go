@@ -27,6 +27,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -50,23 +51,37 @@ type Range struct {
 	Step int64 `json:"step,omitempty"`
 }
 
-// values materializes the range as JSON values.
-func (r *Range) values() ([]json.RawMessage, error) {
-	step := r.Step
-	if step == 0 {
-		step = 1
+// step is the range's stride (default 1).
+func (r *Range) step() int64 {
+	if r.Step == 0 {
+		return 1
 	}
-	if step < 0 {
-		return nil, fmt.Errorf("campaign: range step %d must be positive", step)
+	return r.Step
+}
+
+// count is how many values the range enumerates. It is computed in
+// uint64, where To-From cannot overflow, and saturates rather than
+// wrapping, so a range ending at math.MaxInt64 or spanning all of int64
+// is counted in O(1), never looped over.
+func (r *Range) count() (uint64, error) {
+	if r.step() < 0 {
+		return 0, fmt.Errorf("campaign: range step %d must be positive", r.Step)
 	}
 	if r.To < r.From {
-		return nil, fmt.Errorf("campaign: empty range [%d, %d]", r.From, r.To)
+		return 0, fmt.Errorf("campaign: empty range [%d, %d]", r.From, r.To)
 	}
-	var vals []json.RawMessage
-	for v := r.From; v <= r.To; v += step {
-		vals = append(vals, json.RawMessage(fmt.Sprintf("%d", v)))
+	return min((uint64(r.To)-uint64(r.From))/uint64(r.step()), math.MaxUint64-1) + 1, nil
+}
+
+// values materializes the first n values as JSON. Each is computed as
+// From + k·Step, which is exact for any in-range value even where the
+// product alone overflows.
+func (r *Range) values(n int) []json.RawMessage {
+	vals := make([]json.RawMessage, n)
+	for k := range vals {
+		vals[k] = strconv.AppendInt(nil, r.From+int64(k)*r.step(), 10)
 	}
-	return vals, nil
+	return vals
 }
 
 // Spec is a campaign request: a job template plus the axes to sweep.
@@ -87,16 +102,12 @@ type AxisValue struct {
 }
 
 // Cell is one expanded grid point: the fully substituted job spec and
-// its coordinates. Key is the spec's cache identity; DupOf is the index
-// of the earliest cell with the same Key (-1 if this cell is first) —
-// duplicate cells are guaranteed cache hits once their primary has run,
-// which is how an options.shards axis dedups to one simulation.
+// its coordinates. Cells whose specs share a cache identity (an
+// options.shards axis) dedup in the job manager, not here.
 type Cell struct {
 	Index  int
 	Spec   simsvc.JobSpec
 	Coords []AxisValue
-	Key    uint64
-	DupOf  int
 }
 
 // label renders an axis value for coordinates and table headers:
@@ -176,8 +187,9 @@ func decodeNumeric(raw []byte, into any) error {
 // axes iterate in spec order with the last axis varying fastest, like
 // nested loops — cell index is the row-major rank of its coordinate
 // vector. maxCells guards the expansion (spec.MaxCells lowers it when
-// set); every cell's spec is validated before any cell is returned, so
-// a bad axis value rejects the whole campaign.
+// set) and is checked against each axis's value count before that axis
+// is materialized; every cell's spec is validated before any cell is
+// returned, so a bad axis value rejects the whole campaign.
 func Expand(spec Spec, maxCells int) ([]*Cell, error) {
 	if spec.MaxCells > 0 && spec.MaxCells < maxCells {
 		maxCells = spec.MaxCells
@@ -193,24 +205,26 @@ func Expand(spec Spec, maxCells int) ([]*Cell, error) {
 			return nil, fmt.Errorf("campaign: duplicate axis %q", ax.Name)
 		}
 		seen[ax.Name] = true
+		n := uint64(len(ax.Values))
 		switch {
-		case len(ax.Values) > 0 && ax.Range != nil:
+		case n > 0 && ax.Range != nil:
 			return nil, fmt.Errorf("campaign: axis %q sets both values and range", ax.Name)
-		case len(ax.Values) > 0:
-			axes[i] = ax.Values
 		case ax.Range != nil:
-			vals, err := ax.Range.values()
-			if err != nil {
+			var err error
+			if n, err = ax.Range.count(); err != nil {
 				return nil, err
 			}
-			axes[i] = vals
-		default:
+		case n == 0:
 			return nil, fmt.Errorf("campaign: axis %q has no values", ax.Name)
 		}
-		total *= len(axes[i])
-		if total > maxCells {
+		if n > uint64(max(maxCells/total, 0)) {
 			return nil, fmt.Errorf("campaign: expansion exceeds %d cells", maxCells)
 		}
+		axes[i] = ax.Values
+		if ax.Range != nil {
+			axes[i] = ax.Range.values(int(n))
+		}
+		total *= int(n)
 	}
 
 	template, err := json.Marshal(spec.Template)
@@ -219,14 +233,13 @@ func Expand(spec Spec, maxCells int) ([]*Cell, error) {
 	}
 
 	cells := make([]*Cell, 0, total)
-	primary := map[uint64]int{}
 	idx := make([]int, len(spec.Axes))
 	for n := 0; n < total; n++ {
 		var tree map[string]any
 		if err := decodeNumeric(template, &tree); err != nil {
 			return nil, fmt.Errorf("campaign: decode template: %w", err)
 		}
-		cell := &Cell{Index: n, DupOf: -1, Coords: make([]AxisValue, len(spec.Axes))}
+		cell := &Cell{Index: n, Coords: make([]AxisValue, len(spec.Axes))}
 		for a, ax := range spec.Axes {
 			raw := axes[a][idx[a]]
 			var v any
@@ -242,19 +255,11 @@ func Expand(spec Spec, maxCells int) ([]*Cell, error) {
 		if err != nil {
 			return nil, fmt.Errorf("campaign: marshal cell %d: %w", n, err)
 		}
-		dec := json.NewDecoder(bytes.NewReader(substituted))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&cell.Spec); err != nil {
+		if cell.Spec, err = simsvc.DecodeJSON[simsvc.JobSpec](bytes.NewReader(substituted)); err != nil {
 			return nil, fmt.Errorf("campaign: cell %d (%s): %w", n, coordString(cell.Coords), err)
 		}
 		if err := cell.Spec.Validate(); err != nil {
 			return nil, fmt.Errorf("campaign: cell %d (%s): %w", n, coordString(cell.Coords), err)
-		}
-		cell.Key = cell.Spec.Key()
-		if p, ok := primary[cell.Key]; ok {
-			cell.DupOf = p
-		} else {
-			primary[cell.Key] = n
 		}
 		cells = append(cells, cell)
 

@@ -1,11 +1,15 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ossd/internal/simsvc"
 	"ossd/internal/workload"
@@ -71,9 +75,6 @@ func TestExpandCanonicalOrder(t *testing.T) {
 		if c.Spec.Params.Ops != 100 || c.Spec.Profile != "ssd" {
 			t.Errorf("cell %d lost template fields: %+v", i, c.Spec)
 		}
-		if c.DupOf != -1 {
-			t.Errorf("cell %d: unexpected dup of %d", i, c.DupOf)
-		}
 	}
 }
 
@@ -96,6 +97,71 @@ func TestExpandRange(t *testing.T) {
 	}
 }
 
+// TestExpandRangeBounded pins that a range is counted, not walked,
+// before the cell guard sees it. An oversized range is rejected without
+// materializing its values, and ranges that end at math.MaxInt64
+// terminate instead of wrapping. Expand runs under a deadline so a
+// regression fails fast instead of hanging.
+func TestExpandRangeBounded(t *testing.T) {
+	spec := func(r Range) Spec {
+		return Spec{Template: template(100), Axes: []Axis{{Name: "params.seed", Range: &r}}}
+	}
+	expand := func(r Range) ([]*Cell, error) {
+		type result struct {
+			cells []*Cell
+			err   error
+		}
+		done := make(chan result, 1)
+		go func() {
+			cells, err := Expand(spec(r), 4096)
+			done <- result{cells, err}
+		}()
+		select {
+		case res := <-done:
+			return res.cells, res.err
+		case <-time.After(time.Second):
+			// The runaway expansion keeps allocating in its goroutine:
+			// stop the test binary rather than let it run on.
+			panic(fmt.Sprintf("Expand of range %+v did not return within 1s", r))
+		}
+	}
+
+	for _, r := range []Range{
+		{From: 1, To: 10_000_000},
+		{From: math.MinInt64, To: math.MaxInt64},
+	} {
+		if _, err := expand(r); err == nil || !strings.Contains(err.Error(), "exceeds 4096 cells") {
+			t.Errorf("range %+v: err = %v, want the 4096-cell guard", r, err)
+		}
+	}
+	for _, tc := range []struct {
+		r    Range
+		want []int64
+	}{
+		{Range{From: math.MaxInt64 - 1, To: math.MaxInt64}, []int64{math.MaxInt64 - 1, math.MaxInt64}},
+		{Range{From: 0, To: math.MaxInt64, Step: math.MaxInt64}, []int64{0, math.MaxInt64}},
+		{Range{From: math.MinInt64, To: math.MaxInt64, Step: math.MaxInt64}, []int64{math.MinInt64, -1, math.MaxInt64 - 1}},
+	} {
+		cells, err := expand(tc.r)
+		if err != nil {
+			t.Fatalf("range %+v: %v", tc.r, err)
+		}
+		var got []int64
+		for _, c := range cells {
+			got = append(got, c.Spec.Params.Seed)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("range %+v expanded to %v, want %v", tc.r, got, tc.want)
+		}
+	}
+
+	// Rejection costs the same for any range: nothing is built per value.
+	huge := spec(Range{From: 1, To: 10_000_000})
+	if allocs := testing.AllocsPerRun(3, func() { _, _ = Expand(huge, 4096) }); allocs > 20 {
+		t.Errorf("rejecting a 1e7-value range made %v allocations", allocs)
+	}
+}
+
 // TestExpandZeroAxes: a campaign with no axes is the one-cell campaign.
 func TestExpandZeroAxes(t *testing.T) {
 	cells, err := Expand(Spec{Template: template(100)}, 4096)
@@ -108,8 +174,8 @@ func TestExpandZeroAxes(t *testing.T) {
 }
 
 // TestExpandDupKeys: an options.shards axis produces identical cache
-// keys (shards are excluded from the identity), marked as duplicates of
-// the first cell.
+// identities (shards are excluded from them); the job manager dedups
+// them (TestCampaignShardsDedup).
 func TestExpandDupKeys(t *testing.T) {
 	spec := Spec{
 		Template: template(100),
@@ -122,11 +188,9 @@ func TestExpandDupKeys(t *testing.T) {
 	if len(cells) != 3 {
 		t.Fatalf("got %d cells", len(cells))
 	}
-	if cells[0].DupOf != -1 || cells[1].DupOf != 0 || cells[2].DupOf != 0 {
-		t.Fatalf("dup marks: %d %d %d", cells[0].DupOf, cells[1].DupOf, cells[2].DupOf)
-	}
-	if cells[0].Key != cells[1].Key || cells[1].Key != cells[2].Key {
-		t.Fatalf("keys differ: %x %x %x", cells[0].Key, cells[1].Key, cells[2].Key)
+	i0, i1, i2 := cells[0].Spec.Canonical(), cells[1].Spec.Canonical(), cells[2].Spec.Canonical()
+	if !bytes.Equal(i0, i1) || !bytes.Equal(i1, i2) {
+		t.Fatalf("identities differ:\n%s\n%s\n%s", i0, i1, i2)
 	}
 }
 
@@ -217,7 +281,7 @@ func TestExpandFaultAxis(t *testing.T) {
 		t.Fatalf("got %d cells, want 3", len(cells))
 	}
 	wantRate := []float64{0, 0.01, 0.05}
-	keys := map[uint64]bool{}
+	keys := map[string]bool{}
 	for i, c := range cells {
 		if c.Spec.Fault == nil || c.Spec.Fault.Transient == nil {
 			t.Fatalf("cell %d: axis did not create the fault plan: %+v", i, c.Spec)
@@ -225,7 +289,7 @@ func TestExpandFaultAxis(t *testing.T) {
 		if c.Spec.Fault.Transient.Rate != wantRate[i] {
 			t.Errorf("cell %d: rate %v, want %v", i, c.Spec.Fault.Transient.Rate, wantRate[i])
 		}
-		keys[c.Spec.Key()] = true
+		keys[string(c.Spec.Canonical())] = true
 	}
 	if len(keys) != 3 {
 		t.Errorf("fault rates collapsed to %d cache identities, want 3", len(keys))
@@ -260,7 +324,7 @@ func TestExpandTenantWeightAxis(t *testing.T) {
 		t.Fatalf("got %d cells, want 3", len(cells))
 	}
 	wantW := []float64{1, 4, 16}
-	keys := map[uint64]bool{}
+	keys := map[string]bool{}
 	for i, c := range cells {
 		if len(c.Spec.Tenants) != 2 || c.Spec.Tenants[0].Weight != 1 {
 			t.Fatalf("cell %d: tenants mangled: %+v", i, c.Spec.Tenants)
@@ -268,7 +332,7 @@ func TestExpandTenantWeightAxis(t *testing.T) {
 		if c.Spec.Tenants[1].Weight != wantW[i] {
 			t.Errorf("cell %d: weight %v, want %v", i, c.Spec.Tenants[1].Weight, wantW[i])
 		}
-		keys[c.Spec.Key()] = true
+		keys[string(c.Spec.Canonical())] = true
 	}
 	if len(keys) != 3 {
 		t.Errorf("tenant weights collapsed to %d cache identities, want 3", len(keys))

@@ -19,15 +19,18 @@ type Options struct {
 	// MaxCells guards expansion (<= 0: 4096). A Spec.MaxCells can lower
 	// it per campaign but never raise it.
 	MaxCells int
-	// MaxInFlight bounds how many of one campaign's cells are
-	// outstanding in the job manager at once (<= 0: 32), so a large
-	// campaign feeds the shared pool instead of flooding its backlog.
-	MaxInFlight int
-	// Retain bounds the campaign table (<= 0: 64): once full, each
-	// submit evicts the oldest terminal campaigns. Cell results live on
-	// in the job manager's cache; only the campaign handle expires.
-	Retain int
 }
+
+const (
+	// maxInFlight bounds how many of one campaign's cells are
+	// outstanding in the job manager at once, so a large campaign feeds
+	// the shared pool instead of flooding its backlog.
+	maxInFlight = 32
+	// retainCampaigns bounds the campaign table: once full, each submit
+	// evicts the oldest terminal campaigns. Cell results live on in the
+	// job manager's cache; only the campaign handle expires.
+	retainCampaigns = 64
+)
 
 // CellResult is one cell's observable outcome, the per-cell payload of
 // GET /campaigns/{id}/stream. Result holds the job's payload verbatim
@@ -47,10 +50,7 @@ type cellState struct {
 	*Cell
 	job     *simsvc.Job // nil until submitted
 	settled bool
-	status  simsvc.Status
-	cached  bool
-	errMsg  string
-	result  []byte
+	view    simsvc.JobView // the terminal outcome, once settled
 }
 
 // result snapshots the cell as a CellResult (campaign lock held).
@@ -58,10 +58,10 @@ func (c *cellState) resultView() CellResult {
 	r := CellResult{
 		Index:  c.Index,
 		Coords: c.Coords,
-		Status: c.status,
-		Cached: c.cached,
-		Error:  c.errMsg,
-		Result: json.RawMessage(c.result),
+		Status: c.view.Status,
+		Cached: c.view.Cached,
+		Error:  c.view.Error,
+		Result: c.view.Result,
 	}
 	if c.job != nil {
 		r.JobID = c.job.ID
@@ -70,19 +70,17 @@ func (c *cellState) resultView() CellResult {
 }
 
 // Campaign is one submitted sweep. All mutable state is guarded by mu;
-// cond broadcasts whenever a cell settles, the campaign is cancelled,
-// or the handle is evicted, so progress waiters and stream tails wake
+// cond broadcasts whenever a cell settles, the campaign finishes, or
+// the handle is evicted, so progress waiters and stream tails wake
 // without spinning.
 type Campaign struct {
 	ID      string
-	spec    Spec
 	axes    []string
 	created time.Time
 
 	mu        sync.Mutex
 	cond      *sync.Cond
 	cells     []*cellState
-	settled   int
 	done      int
 	failed    int
 	cacheHits int
@@ -104,10 +102,18 @@ type Campaign struct {
 // state (mu held).
 func (c *Campaign) terminalLocked() bool { return !c.finished.IsZero() }
 
-// allSettledLocked reports whether every cell has settled (mu held).
-// True slightly before terminalLocked: the feeder stamps finished after
-// the last settle.
-func (c *Campaign) allSettledLocked() bool { return c.settled == len(c.cells) }
+// evict marks a terminal campaign's handle evicted and wakes its stream
+// tails; a running campaign is left alone and reports false.
+func (c *Campaign) evict() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.terminalLocked() {
+		return false
+	}
+	c.evicted = true
+	c.cond.Broadcast()
+	return true
+}
 
 // isCancelled reports whether cancellation was requested.
 func (c *Campaign) isCancelled() bool {
@@ -139,13 +145,11 @@ type Progress struct {
 // Manager owns the campaign table and feeds cells through the job
 // manager.
 type Manager struct {
-	jobs *simsvc.Manager
-	opts Options
-
-	mu        sync.Mutex
-	campaigns map[string]*Campaign
-	order     []string // campaign IDs in submission order, for eviction
-	seq       int64
+	jobs      *simsvc.Manager
+	opts      Options
+	campaigns *simsvc.Handles[*Campaign]
+	// inFlight is the feeder window, maxInFlight outside tests.
+	inFlight int
 
 	submitted   atomic.Int64
 	completed   atomic.Int64
@@ -163,13 +167,12 @@ func New(jobs *simsvc.Manager, opts Options) *Manager {
 	if opts.MaxCells <= 0 {
 		opts.MaxCells = 4096
 	}
-	if opts.MaxInFlight <= 0 {
-		opts.MaxInFlight = 32
+	m := &Manager{
+		jobs:      jobs,
+		opts:      opts,
+		campaigns: simsvc.NewHandles("campaign", retainCampaigns, (*Campaign).evict),
+		inFlight:  maxInFlight,
 	}
-	if opts.Retain <= 0 {
-		opts.Retain = 64
-	}
-	m := &Manager{opts: opts, jobs: jobs, campaigns: map[string]*Campaign{}}
 	jobs.SetCampaignStats(func() any { return m.Stats() })
 	return m
 }
@@ -182,22 +185,16 @@ func (m *Manager) Submit(spec Spec) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Campaign{spec: spec, created: time.Now(), cells: make([]*cellState, len(cells))}
+	c := &Campaign{created: time.Now(), cells: make([]*cellState, len(cells))}
 	c.cond = sync.NewCond(&c.mu)
 	for _, ax := range spec.Axes {
 		c.axes = append(c.axes, ax.Name)
 	}
 	for i, cell := range cells {
-		c.cells[i] = &cellState{Cell: cell, status: simsvc.StatusQueued}
+		c.cells[i] = &cellState{Cell: cell}
 	}
 
-	m.mu.Lock()
-	m.seq++
-	c.ID = fmt.Sprintf("campaign-%d", m.seq)
-	m.campaigns[c.ID] = c
-	m.order = append(m.order, c.ID)
-	m.evictLocked()
-	m.mu.Unlock()
+	m.campaigns.Add(c, &c.ID)
 	m.submitted.Add(1)
 	m.cellsTotal.Add(int64(len(cells)))
 
@@ -205,55 +202,22 @@ func (m *Manager) Submit(spec Spec) (*Campaign, error) {
 	return c, nil
 }
 
-// evictLocked (m.mu held) drops the oldest terminal campaigns while the
-// table exceeds its bound, waking their stream tails.
-func (m *Manager) evictLocked() {
-	excess := len(m.campaigns) - m.opts.Retain
-	if excess <= 0 {
-		return
-	}
-	kept := m.order[:0]
-	for _, id := range m.order {
-		c, ok := m.campaigns[id]
-		if !ok {
-			continue
-		}
-		evict := false
-		if excess > 0 {
-			c.mu.Lock()
-			evict = c.terminalLocked()
-			c.mu.Unlock()
-		}
-		if evict {
-			delete(m.campaigns, id)
-			excess--
-			c.mu.Lock()
-			c.evicted = true
-			c.cond.Broadcast()
-			c.mu.Unlock()
-			continue
-		}
-		kept = append(kept, id)
-	}
-	m.order = kept
-}
-
 // run is the campaign's feeder: submit cells in canonical order under
-// the in-flight window, settling each as its job terminates. A cell
-// whose Key duplicates an earlier cell waits for that primary to settle
-// first, so its submission is a guaranteed cache hit — one simulation
-// per distinct cell no matter how the duplicated axis (e.g.
-// options.shards) is ordered.
+// the in-flight window, settling each as its job terminates. Cells that
+// repeat an earlier cell's identity (an options.shards axis) need no
+// ordering here: the job manager coalesces each onto its primary's
+// in-flight run, or serves it from the cache once that run settled, so
+// there is one simulation per distinct cell while the feeder keeps the
+// pool busy.
 func (m *Manager) run(c *Campaign) {
-	sem := make(chan struct{}, m.opts.MaxInFlight)
+	sem := make(chan struct{}, m.inFlight)
 	var wg sync.WaitGroup
-	for i := range c.cells {
-		cell := c.cells[i]
-		if cell.DupOf >= 0 {
-			c.waitSettled(cell.DupOf)
-		}
+	for i, cell := range c.cells {
 		if c.isCancelled() {
-			m.failFrom(c, i, "campaign cancelled")
+			// Cells the feeder never reached settle as failed.
+			for ; i < len(c.cells); i++ {
+				m.settle(c, i, simsvc.JobView{Status: simsvc.StatusFailed, Error: "campaign cancelled"})
+			}
 			break
 		}
 		sem <- struct{}{}
@@ -277,10 +241,6 @@ func (m *Manager) run(c *Campaign) {
 		if err != nil {
 			<-sem
 			m.settle(c, i, simsvc.JobView{Status: simsvc.StatusFailed, Error: err.Error()})
-			if c.isCancelled() {
-				m.failFrom(c, i+1, "campaign cancelled")
-				break
-			}
 			continue
 		}
 		c.mu.Lock()
@@ -312,11 +272,7 @@ func (m *Manager) settle(c *Campaign, i int, view simsvc.JobView) {
 		return
 	}
 	cell.settled = true
-	cell.status = view.Status
-	cell.cached = view.Cached
-	cell.errMsg = view.Error
-	cell.result = []byte(view.Result)
-	c.settled++
+	cell.view = view
 	switch {
 	case view.Status == simsvc.StatusDone && view.Cached:
 		c.done++
@@ -337,28 +293,6 @@ func (m *Manager) settle(c *Campaign, i int, view simsvc.JobView) {
 	c.mu.Unlock()
 }
 
-// failFrom settles every not-yet-submitted cell from index i on as
-// failed with the given cause (used on cancellation).
-func (m *Manager) failFrom(c *Campaign, i int, cause string) {
-	for ; i < len(c.cells); i++ {
-		c.mu.Lock()
-		pending := c.cells[i].job == nil && !c.cells[i].settled
-		c.mu.Unlock()
-		if pending {
-			m.settle(c, i, simsvc.JobView{Status: simsvc.StatusFailed, Error: cause})
-		}
-	}
-}
-
-// waitSettled blocks until cell p settles or the campaign is cancelled.
-func (c *Campaign) waitSettled(p int) {
-	c.mu.Lock()
-	for !c.cells[p].settled && !c.cancelled {
-		c.cond.Wait()
-	}
-	c.mu.Unlock()
-}
-
 // finish marks the campaign terminal.
 func (m *Manager) finish(c *Campaign) {
 	c.mu.Lock()
@@ -374,12 +308,7 @@ func (m *Manager) finish(c *Campaign) {
 }
 
 // Campaign looks a campaign up by ID.
-func (m *Manager) Campaign(id string) (*Campaign, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.campaigns[id]
-	return c, ok
-}
+func (m *Manager) Campaign(id string) (*Campaign, bool) { return m.campaigns.Get(id) }
 
 // Progress snapshots the campaign's aggregate state. Unsettled cells
 // with a submitted job report that job's live status; cells the feeder
@@ -410,24 +339,19 @@ func (m *Manager) Progress(c *Campaign) Progress {
 			p.Queued++
 		}
 	}
+	end := c.finished
 	switch {
 	case !c.terminalLocked():
-		p.Status = "running"
-		p.ElapsedSeconds = time.Since(c.created).Seconds()
-		if remaining := p.Total - c.settled; c.runDur.N() > 0 && remaining > 0 {
-			workers := m.jobs.Workers()
-			if workers < 1 {
-				workers = 1
-			}
-			p.ETASeconds = float64(remaining) * c.runDur.Mean() / 1000 / float64(workers)
+		p.Status, end = "running", time.Now()
+		if remaining := p.Total - c.done - c.failed; c.runDur.N() > 0 && remaining > 0 {
+			p.ETASeconds = float64(remaining) * c.runDur.Mean() / 1000 / float64(m.jobs.Workers())
 		}
 	case c.cancelled:
 		p.Status = "cancelled"
-		p.ElapsedSeconds = c.finished.Sub(c.created).Seconds()
 	default:
 		p.Status = "done"
-		p.ElapsedSeconds = c.finished.Sub(c.created).Seconds()
 	}
+	p.ElapsedSeconds = end.Sub(c.created).Seconds()
 	return p
 }
 
@@ -441,7 +365,7 @@ func (m *Manager) Cancel(id string) (bool, error) {
 		return false, fmt.Errorf("campaign: no campaign %q", id)
 	}
 	c.mu.Lock()
-	if c.allSettledLocked() {
+	if c.done+c.failed == len(c.cells) { // every cell settled: nothing to cancel
 		c.mu.Unlock()
 		return false, nil
 	}
@@ -452,7 +376,6 @@ func (m *Manager) Cancel(id string) (bool, error) {
 			jobIDs = append(jobIDs, cell.job.ID)
 		}
 	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	for _, id := range jobIDs {
 		_, _ = m.jobs.Cancel(id) // terminal or evicted jobs: no-op
@@ -462,11 +385,8 @@ func (m *Manager) Cancel(id string) (bool, error) {
 
 // CancelAll cancels every live campaign (graceful shutdown).
 func (m *Manager) CancelAll() {
-	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	m.mu.Unlock()
-	for _, id := range ids {
-		_, _ = m.Cancel(id)
+	for _, c := range m.campaigns.All() {
+		_, _ = m.Cancel(c.ID)
 	}
 }
 
@@ -477,18 +397,10 @@ func (m *Manager) Wait(ctx context.Context, id string) (Progress, error) {
 	if !ok {
 		return Progress{}, fmt.Errorf("campaign: no campaign %q", id)
 	}
-	stop := context.AfterFunc(ctx, func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	defer stop()
 	c.mu.Lock()
-	for !c.terminalLocked() && ctx.Err() == nil {
-		c.cond.Wait()
-	}
+	err := simsvc.WaitUntil(ctx, c.cond, c.terminalLocked)
 	c.mu.Unlock()
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return Progress{}, err
 	}
 	return m.Progress(c), nil
@@ -508,28 +420,15 @@ func (m *Manager) StreamResults(ctx context.Context, id string, fn func(CellResu
 	if !ok {
 		return fmt.Errorf("campaign: no campaign %q", id)
 	}
-	stop := context.AfterFunc(ctx, func() {
+	for _, cell := range c.cells {
 		c.mu.Lock()
-		c.cond.Broadcast()
+		err := simsvc.WaitUntil(ctx, c.cond, func() bool { return cell.settled || c.evicted })
+		settled, res := cell.settled, cell.resultView()
 		c.mu.Unlock()
-	})
-	defer stop()
-	for i := 0; i < len(c.cells); i++ {
-		c.mu.Lock()
-		for !c.cells[i].settled && !c.evicted && ctx.Err() == nil {
-			c.cond.Wait()
-		}
-		settled := c.cells[i].settled
-		evicted := c.evicted
-		var res CellResult
-		if settled {
-			res = c.cells[i].resultView()
-		}
-		c.mu.Unlock()
-		if err := ctx.Err(); err != nil {
+		if err != nil {
 			return err
 		}
-		if !settled && evicted {
+		if !settled { // woken by the eviction alone
 			return ErrCampaignEvicted
 		}
 		if err := fn(res); err != nil {
@@ -571,9 +470,7 @@ type Stats struct {
 
 // Stats reports the manager's counters.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	retained := len(m.campaigns)
-	m.mu.Unlock()
+	retained := len(m.campaigns.All())
 	return Stats{
 		Submitted:   m.submitted.Load(),
 		Completed:   m.completed.Load(),

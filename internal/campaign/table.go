@@ -52,16 +52,14 @@ func coord(cr CellResult, axis string) (string, bool) {
 // first-seen order over cells in deterministic cell order, which is
 // exactly the axes' declared value order. The same function backs
 // GET /campaigns/{id}/table and cmd/repro's client-side rendering, so
-// both surfaces share one implementation.
+// both surfaces share one implementation; both default rows, cols and
+// metric through ResolveTableAxes first.
 func Table(title string, cells []CellResult, rows, cols, metric string) (*stats.Grid, error) {
 	if rows == "" || cols == "" {
 		return nil, fmt.Errorf("campaign: table needs rows and cols axes")
 	}
 	if rows == cols {
 		return nil, fmt.Errorf("campaign: rows and cols are both %q", rows)
-	}
-	if metric == "" {
-		metric = "write_mbps"
 	}
 	g := stats.NewGrid(title, rows+` \ `+cols)
 	var pending, failed int

@@ -26,29 +26,30 @@ type flight struct {
 //
 // It reports whether the job became the primary (the caller must
 // guarantee resolveFlight runs on every terminal path).
-func (m *Manager) joinOrStartFlight(job *Job) (primary, settled bool) {
+func (m *Manager) joinOrStartFlight(job *Job) (primary bool) {
 	m.flightMu.Lock()
 	if payload, ok := m.cache.get(job.key, job.identity); ok {
 		m.flightMu.Unlock()
 		m.completeCached(job, payload, "local")
-		return false, true
+		return false
 	}
 	if f, ok := m.flights[job.key]; ok {
 		f.waiters = append(f.waiters, job)
 		m.flightMu.Unlock()
 		m.coalesced.Add(1)
-		return false, false
+		return false
 	}
 	m.flights[job.key] = &flight{}
 	m.flightMu.Unlock()
-	return true, false
+	return true
 }
 
-// resolveFlight settles a key's flight: the payload (nil on failure) is
-// delivered to every waiter. The caller has already stored a successful
-// payload in the cache, so the unregister-then-deliver order closes the
-// race with joinOrStartFlight — a submit that misses the flight map
-// afterwards finds the cache populated instead.
+// resolveFlight settles a key's flight: the payload, or on failure
+// (payload nil) the primary's error, is delivered to every waiter. The
+// caller has already stored a successful payload in the cache, so the
+// unregister-then-deliver order closes the race with joinOrStartFlight
+// — a submit that misses the flight map afterwards finds the cache
+// populated instead.
 func (m *Manager) resolveFlight(key uint64, payload []byte, err error) {
 	m.flightMu.Lock()
 	f, ok := m.flights[key]
@@ -63,7 +64,7 @@ func (m *Manager) resolveFlight(key uint64, payload []byte, err error) {
 		if payload != nil {
 			m.completeCached(w, payload, "coalesced")
 		} else {
-			m.failWaiter(w, err)
+			m.failJob(w, err.Error())
 		}
 	}
 }
@@ -87,16 +88,6 @@ func (m *Manager) completeCached(job *Job, payload []byte, source string) {
 	m.countDone(job)
 	job.cond.Broadcast()
 	job.mu.Unlock()
-}
-
-// failWaiter fails a coalesced waiter with its primary's error (no-op
-// if the waiter is already terminal, e.g. individually cancelled).
-func (m *Manager) failWaiter(job *Job, err error) {
-	msg := "simsvc: single-flight primary failed"
-	if err != nil {
-		msg = err.Error()
-	}
-	m.failJob(job, msg)
 }
 
 // failJob fails a job that is not yet terminal (a no-op otherwise).

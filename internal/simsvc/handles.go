@@ -1,0 +1,97 @@
+package simsvc
+
+import (
+	"context"
+	"fmt"
+	"sync"
+)
+
+// Handles is the table of retained handles behind both /jobs and
+// /campaigns. It names each handle ("job-1", "campaign-1", …), keeps
+// them in submission order, and bounds itself: every Add evicts the
+// oldest terminal handles while the table holds more than its bound.
+// Live handles are never evicted, so the table can exceed the bound by
+// the number of live ones. An evicted handle stays valid for whoever
+// still holds it; only its ID stops resolving.
+type Handles[H any] struct {
+	prefix string
+	bound  int
+	// evict reports whether h is terminal and, if it is, marks h evicted
+	// and wakes every tail attached to it, under h's own lock. It runs
+	// with mu held (table before handle is the lock order), so it must
+	// not call back into the table.
+	evict func(H) bool
+
+	mu    sync.Mutex
+	seq   int64
+	byID  map[string]H
+	order []string // IDs in submission order
+}
+
+// NewHandles builds a table that names its handles prefix-1, prefix-2,
+// … and keeps at most bound of them, evicting only terminal ones.
+func NewHandles[H any](prefix string, bound int, evict func(H) bool) *Handles[H] {
+	return &Handles[H]{prefix: prefix, bound: bound, evict: evict, byID: map[string]H{}}
+}
+
+// Add names h, storing its ID through id before h becomes visible to
+// any other caller, inserts it, and evicts past the bound.
+func (t *Handles[H]) Add(h H, id *string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.seq++
+	*id = fmt.Sprintf("%s-%d", t.prefix, t.seq)
+	t.byID[*id] = h
+	t.order = append(t.order, *id)
+	excess := len(t.byID) - t.bound
+	if excess <= 0 {
+		return
+	}
+	kept := t.order[:0]
+	for _, old := range t.order {
+		if excess > 0 && t.evict(t.byID[old]) {
+			delete(t.byID, old)
+			excess--
+			continue
+		}
+		kept = append(kept, old)
+	}
+	t.order = kept
+}
+
+// Get looks a handle up by ID.
+func (t *Handles[H]) Get(id string) (H, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	h, ok := t.byID[id]
+	return h, ok
+}
+
+// All snapshots the retained handles in submission order.
+func (t *Handles[H]) All() []H {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]H, len(t.order))
+	for i, id := range t.order {
+		out[i] = t.byID[id]
+	}
+	return out
+}
+
+// WaitUntil blocks until done holds or ctx ends, and returns ctx's
+// error in the latter case. The caller holds c.L, as for c.Wait, and
+// done is evaluated under it. The wait wakes on every c.Broadcast and
+// once more when ctx ends, so a waiter neither spins nor outlives its
+// request.
+func WaitUntil(ctx context.Context, c *sync.Cond, done func() bool) error {
+	stop := context.AfterFunc(ctx, func() {
+		c.L.Lock()
+		c.Broadcast()
+		c.L.Unlock()
+	})
+	defer stop()
+	for !done() && ctx.Err() == nil {
+		c.Wait()
+	}
+	return ctx.Err()
+}

@@ -2,6 +2,7 @@ package simsvc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,8 +16,8 @@ import (
 	"ossd/internal/workload"
 )
 
-// writeJSON serves v as a JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON serves v as a JSON response.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -24,9 +25,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError serves an error as {"error": ...}.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// WriteError serves an error as {"error": ...}.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // MaxBodyBytes caps the JSON request body of every POST endpoint that
@@ -41,6 +42,68 @@ func BodyStatus(err error) int {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// StreamHandler serves a GET …/{id}/stream route from stream, which
+// delivers the handle's items in order (Manager.StreamSamples, a
+// campaign's results). Each item goes out as one flushed NDJSON line.
+// Nothing is streamed yet iff the ID was unknown, so only that lookup
+// error can still become a 404. A stream that ends on the handle's
+// eviction (the evicted sentinel) or a departed client just closes the
+// body: items may already be on the wire, and the terminated
+// connection is the signal.
+func StreamHandler[T any](stream func(ctx context.Context, id string, fn func(T) error) error, evicted error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		flusher, _ := w.(http.Flusher)
+		enc := json.NewEncoder(w)
+		err := stream(r.Context(), r.PathValue("id"), func(item T) error {
+			if err := enc.Encode(item); err != nil {
+				return err
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+			return nil
+		})
+		if err != nil && r.Context().Err() == nil && !errors.Is(err, evicted) {
+			WriteError(w, http.StatusNotFound, err)
+		}
+	}
+}
+
+// DecodeJSON reads one T, refusing fields T does not have: the one
+// strict decode behind every spec the service accepts, whether posted
+// as a job or a campaign, expanded from a campaign cell, or recomputed
+// from a peer's identity bytes.
+func DecodeJSON[T any](r io.Reader) (T, error) {
+	var v T
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&v)
+	return v, err
+}
+
+// maxPushBytes caps a PUT /cache/{key} body. A push carries one job's
+// identity, which submit caps at MaxBodyBytes, and its payload: that
+// spec again plus a snapshot and workload summary of at most 256
+// tenant rows each. A third MaxBodyBytes covers those rows and the
+// envelope, so every push a valid job produces fits, and a hostile
+// push cannot pin more than a local run could.
+const maxPushBytes = 3 * MaxBodyBytes
+
+// submitStatus maps a Submit error to its HTTP status: 429 for an
+// explicit rejection (shed mode, a tenant over quota), since a clear
+// "go away" beats queueing the caller behind the overload; 503 for a
+// saturated or closed pool; 400 for a spec that failed validation.
+func submitStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrShed), errors.Is(err, ErrTenantQuota):
+		return http.StatusTooManyRequests
+	case errors.Is(err, runner.ErrPoolSaturated), errors.Is(err, runner.ErrPoolClosed):
+		return http.StatusServiceUnavailable
 	}
 	return http.StatusBadRequest
 }
@@ -93,28 +156,17 @@ func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeError(w, BodyStatus(err), fmt.Errorf("simsvc: bad job spec: %w", err))
+		spec, err := DecodeJSON[JobSpec](http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+		if err != nil {
+			WriteError(w, BodyStatus(err), fmt.Errorf("simsvc: bad job spec: %w", err))
 			return
 		}
 		job, err := m.Submit(spec)
 		if err != nil {
-			status := http.StatusBadRequest
-			switch {
-			case errors.Is(err, ErrShed), errors.Is(err, ErrTenantQuota):
-				// Shed mode and tenant quotas: an explicit "go away"
-				// beats queueing the caller behind the overload.
-				status = http.StatusTooManyRequests
-			case errors.Is(err, runner.ErrPoolSaturated), errors.Is(err, runner.ErrPoolClosed):
-				status = http.StatusServiceUnavailable
-			}
-			writeError(w, status, err)
+			WriteError(w, submitStatus(err), err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, job.View())
+		WriteJSON(w, http.StatusAccepted, job.View())
 	})
 
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -122,51 +174,30 @@ func (m *Manager) Handler() http.Handler {
 		if r.URL.Query().Get("wait") != "" {
 			view, err := m.Wait(r.Context(), id)
 			if err != nil {
-				writeError(w, http.StatusNotFound, err)
+				WriteError(w, http.StatusNotFound, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, view)
+			WriteJSON(w, http.StatusOK, view)
 			return
 		}
 		job, ok := m.Job(id)
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("simsvc: no job %q", id))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("simsvc: no job %q", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, job.View())
+		WriteJSON(w, http.StatusOK, job.View())
 	})
 
 	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		cancelled, err := m.Cancel(r.PathValue("id"))
 		if err != nil {
-			writeError(w, http.StatusNotFound, err)
+			WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]bool{"cancelled": cancelled})
+		WriteJSON(w, http.StatusOK, map[string]bool{"cancelled": cancelled})
 	})
 
-	mux.HandleFunc("GET /jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
-		err := m.StreamSamples(r.Context(), r.PathValue("id"), func(s Sample) error {
-			if err := enc.Encode(s); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		})
-		if err != nil && r.Context().Err() == nil && !errors.Is(err, ErrJobEvicted) {
-			// Nothing streamed yet iff the job ID was unknown; headers may
-			// already be out otherwise, so only the lookup error is usable.
-			// An eviction mid-tail just ends the NDJSON stream: samples may
-			// already be on the wire, and the terminated connection is the
-			// signal.
-			writeError(w, http.StatusNotFound, err)
-		}
-	})
+	mux.HandleFunc("GET /jobs/{id}/stream", StreamHandler(m.StreamSamples, ErrJobEvicted))
 
 	mux.HandleFunc("GET /profiles", func(w http.ResponseWriter, r *http.Request) {
 		var infos []profileInfo
@@ -177,11 +208,11 @@ func (m *Manager) Handler() http.Handler {
 			}
 			infos = append(infos, profileInfo{Name: p.Name, Kind: p.Kind.String(), Description: p.Description})
 		}
-		writeJSON(w, http.StatusOK, infos)
+		WriteJSON(w, http.StatusOK, infos)
 	})
 
 	mux.HandleFunc("GET /workloads", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, workload.Generators())
+		WriteJSON(w, http.StatusOK, workload.Generators())
 	})
 
 	mux.HandleFunc("GET /experiments", func(w http.ResponseWriter, r *http.Request) {
@@ -189,20 +220,20 @@ func (m *Manager) Handler() http.Handler {
 		for _, e := range experiments.Catalog() {
 			infos = append(infos, experimentInfo{Name: e.ID, Description: e.Description})
 		}
-		writeJSON(w, http.StatusOK, infos)
+		WriteJSON(w, http.StatusOK, infos)
 	})
 
 	mux.HandleFunc("POST /experiments/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
 		entry, ok := experiments.CatalogEntryByID(name)
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("simsvc: unknown experiment %q", name))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("simsvc: unknown experiment %q", name))
 			return
 		}
 		var req experimentRequest
 		if r.ContentLength != 0 {
 			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(&req); err != nil {
-				writeError(w, BodyStatus(err), fmt.Errorf("simsvc: bad experiment request: %w", err))
+				WriteError(w, BodyStatus(err), fmt.Errorf("simsvc: bad experiment request: %w", err))
 				return
 			}
 		}
@@ -228,7 +259,7 @@ func (m *Manager) Handler() http.Handler {
 		case m.expSem <- struct{}{}:
 			defer func() { <-m.expSem }()
 		default:
-			writeError(w, http.StatusServiceUnavailable,
+			WriteError(w, http.StatusServiceUnavailable,
 				fmt.Errorf("simsvc: an experiment is already running; retry later"))
 			return
 		}
@@ -237,13 +268,13 @@ func (m *Manager) Handler() http.Handler {
 		value, err := entry.Run(seed, req.Workers)
 		if err != nil {
 			res.Error = err.Error()
-			writeJSON(w, http.StatusInternalServerError, res)
+			WriteJSON(w, http.StatusInternalServerError, res)
 			return
 		}
 		res.Report = value.String()
 		payload, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		payload = append(payload, '\n')
@@ -264,16 +295,16 @@ func (m *Manager) Handler() http.Handler {
 	mux.HandleFunc("GET /cache/{key}", func(w http.ResponseWriter, r *http.Request) {
 		key, err := strconv.ParseUint(r.PathValue("key"), 16, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("simsvc: bad cache key: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("simsvc: bad cache key: %w", err))
 			return
 		}
-		identity, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+		identity, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 		if err != nil || len(identity) == 0 {
-			writeError(w, http.StatusBadRequest, errors.New("simsvc: cache fetch needs identity bytes in the body"))
+			WriteError(w, http.StatusBadRequest, errors.New("simsvc: cache fetch needs identity bytes in the body"))
 			return
 		}
 		if identityKey(identity) != key {
-			writeError(w, http.StatusConflict, errors.New("simsvc: identity does not hash to the requested key"))
+			WriteError(w, http.StatusConflict, errors.New("simsvc: identity does not hash to the requested key"))
 			return
 		}
 		if payload, ok := m.cache.get(key, identity); ok {
@@ -285,16 +316,14 @@ func (m *Manager) Handler() http.Handler {
 			return
 		}
 		if r.URL.Query().Get("wait") == "" {
-			writeError(w, http.StatusNotFound, errors.New("simsvc: no cache entry"))
+			WriteError(w, http.StatusNotFound, errors.New("simsvc: no cache entry"))
 			return
 		}
-		var spec JobSpec
-		dec := json.NewDecoder(bytes.NewReader(identity))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		spec, err := DecodeJSON[JobSpec](bytes.NewReader(identity))
+		if err != nil {
 			// Not a job-spec identity (e.g. an experiment entry):
 			// nothing to recompute from.
-			writeError(w, http.StatusNotFound, errors.New("simsvc: no cache entry and identity is not a job spec"))
+			WriteError(w, http.StatusNotFound, errors.New("simsvc: no cache entry and identity is not a job spec"))
 			return
 		}
 		// SubmitLocal rides the normal single-flight path: an in-flight
@@ -303,26 +332,19 @@ func (m *Manager) Handler() http.Handler {
 		// requester computes locally.
 		job, err := m.SubmitLocal(spec)
 		if err != nil {
-			status := http.StatusBadRequest
-			switch {
-			case errors.Is(err, ErrShed), errors.Is(err, ErrTenantQuota):
-				status = http.StatusTooManyRequests
-			case errors.Is(err, runner.ErrPoolSaturated), errors.Is(err, runner.ErrPoolClosed):
-				status = http.StatusServiceUnavailable
-			}
-			writeError(w, status, err)
+			WriteError(w, submitStatus(err), err)
 			return
 		}
 		view, err := job.Wait(r.Context())
 		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, err)
+			WriteError(w, http.StatusServiceUnavailable, err)
 			return
 		}
 		if view.Status != StatusDone {
 			// The recompute failed (cancelled at shutdown, bad device
 			// state): an alive 404 lets the requester run — and observe
 			// the failure — itself, without tripping its breaker.
-			writeError(w, http.StatusNotFound, fmt.Errorf("simsvc: recompute failed: %s", view.Error))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("simsvc: recompute failed: %s", view.Error))
 			return
 		}
 		if m.tier != nil {
@@ -338,20 +360,20 @@ func (m *Manager) Handler() http.Handler {
 	mux.HandleFunc("PUT /cache/{key}", func(w http.ResponseWriter, r *http.Request) {
 		key, err := strconv.ParseUint(r.PathValue("key"), 16, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("simsvc: bad cache key: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("simsvc: bad cache key: %w", err))
 			return
 		}
 		var env pushEnvelope
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&env); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("simsvc: bad cache push: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPushBytes)).Decode(&env); err != nil {
+			WriteError(w, BodyStatus(err), fmt.Errorf("simsvc: bad cache push: %w", err))
 			return
 		}
 		if len(env.Identity) == 0 || len(env.Payload) == 0 {
-			writeError(w, http.StatusBadRequest, errors.New("simsvc: cache push needs identity and payload"))
+			WriteError(w, http.StatusBadRequest, errors.New("simsvc: cache push needs identity and payload"))
 			return
 		}
 		if identityKey(env.Identity) != key {
-			writeError(w, http.StatusConflict, errors.New("simsvc: identity does not hash to the pushed key"))
+			WriteError(w, http.StatusConflict, errors.New("simsvc: identity does not hash to the pushed key"))
 			return
 		}
 		m.cache.put(key, env.Identity, env.Payload)
@@ -362,11 +384,11 @@ func (m *Manager) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 
 	mux.HandleFunc("GET /statsz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Stats())
+		WriteJSON(w, http.StatusOK, m.Stats())
 	})
 
 	return mux

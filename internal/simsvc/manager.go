@@ -27,10 +27,6 @@ type Options struct {
 	CacheEntries int
 	// SampleEvery sets the telemetry cadence in operations (<= 0: 1000).
 	SampleEvery int
-	// RetainJobs bounds the job table (<= 0: 1024): once it is full,
-	// each submit evicts the oldest terminal job (and its telemetry).
-	// Results live on in the cache; only the job-ID handle expires.
-	RetainJobs int
 	// Shed switches full-backlog submits from ErrPoolSaturated (HTTP
 	// 503, clients typically retry) to a counted ErrShed (HTTP 429):
 	// under overload the service sheds explicitly instead of letting
@@ -85,10 +81,28 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	// evicted is set when the job's handle leaves the table (RetainJobs
-	// eviction). Attached stream tails terminate on it instead of
-	// outliving the job they can no longer be looked up by.
+	// evicted is set when the job's handle leaves the table. Attached
+	// stream tails terminate on it instead of outliving the job they can
+	// no longer be looked up by.
 	evicted bool
+}
+
+// retainJobs bounds the job table: once it is full, each submit evicts
+// the oldest terminal job (and its telemetry). Results live on in the
+// cache; only the job-ID handle expires.
+const retainJobs = 1024
+
+// evict marks a terminal job's handle evicted and wakes its stream
+// tails; a live job is left alone and reports false.
+func (j *Job) evict() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.status.terminal() {
+		return false
+	}
+	j.evicted = true
+	j.cond.Broadcast()
+	return true
 }
 
 // JobView is a job's serialized state (GET /jobs/{id}). Result holds the
@@ -154,10 +168,7 @@ type Manager struct {
 	cache *cache
 	tier  *tier // nil outside a fleet
 
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	order []string // job IDs in submission order, for eviction
-	seq   int64
+	jobs *Handles[*Job]
 
 	// flightMu guards flights, the single-flight table: one entry per
 	// cache key currently being computed (see flight.go).
@@ -190,9 +201,10 @@ type Manager struct {
 	queueWait stats.Mean
 	runDur    stats.Mean
 
-	// campaignStats, when set, is folded into Stats under "campaigns" —
-	// the hook the campaign subsystem uses to surface its counters in
-	// /statsz without simsvc importing it.
+	// campaignStats (guarded by mu), when set, is folded into Stats
+	// under "campaigns" — the hook the campaign subsystem uses to
+	// surface its counters in /statsz without simsvc importing it.
+	mu            sync.Mutex
 	campaignStats func() any
 }
 
@@ -204,14 +216,11 @@ func New(opts Options) *Manager {
 	if opts.Workers <= 0 {
 		opts.Workers = runner.DefaultWorkers()
 	}
-	if opts.RetainJobs <= 0 {
-		opts.RetainJobs = 1024
-	}
 	m := &Manager{
 		opts:     opts,
 		pool:     runner.NewPool(opts.Workers, opts.Backlog),
 		cache:    newCache(opts.CacheEntries),
-		jobs:     map[string]*Job{},
+		jobs:     NewHandles("job", retainJobs, (*Job).evict),
 		flights:  map[uint64]*flight{},
 		expSem:   make(chan struct{}, 1),
 		tenantCt: map[uint8]*tenantCounter{},
@@ -257,10 +266,8 @@ func (m *Manager) tenantAdd(t uint8, f func(*tenantCounter)) {
 // and not yet terminal. Cached completions are terminal at submit and
 // never counted.
 func (m *Manager) tenantInFlight(t uint8) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	n := 0
-	for _, job := range m.jobs {
+	for _, job := range m.jobs.All() {
 		if job.Spec.Tenant != t {
 			continue
 		}
@@ -301,6 +308,12 @@ func (m *Manager) submit(spec JobSpec, allowPeer bool) (*Job, error) {
 		}
 	}
 	identity := spec.Canonical()
+	if len(identity) > MaxBodyBytes {
+		// Canonical JSON spells out every field, so a small body can
+		// canonicalize past the cap the fleet's fetch and push paths
+		// size themselves by.
+		return nil, fmt.Errorf("simsvc: spec identity is %d bytes, over the %d-byte cap", len(identity), MaxBodyBytes)
+	}
 	job := &Job{
 		Spec:      spec,
 		key:       identityKey(identity),
@@ -310,90 +323,32 @@ func (m *Manager) submit(spec JobSpec, allowPeer bool) (*Job, error) {
 		submitted: time.Now(),
 	}
 	job.cond = sync.NewCond(&job.mu)
-
-	m.mu.Lock()
-	m.seq++
-	job.ID = fmt.Sprintf("job-%d", m.seq)
-	m.jobs[job.ID] = job
-	m.order = append(m.order, job.ID)
-	m.evictLocked()
-	m.mu.Unlock()
 	m.submitted.Add(1)
 	m.tenantAdd(spec.Tenant, func(c *tenantCounter) { c.submitted++ })
 
-	primary, settled := m.joinOrStartFlight(job)
-	if settled || !primary {
-		// A cache hit completed the job; a coalesced waiter completes
-		// when its primary resolves. Neither needs a worker.
-		return job, nil
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	job.mu.Lock()
-	job.cancel = cancel
-	job.mu.Unlock()
-	if err := m.pool.Submit(func() { m.run(ctx, job) }); err != nil {
-		if errors.Is(err, runner.ErrPoolSaturated) && m.opts.Shed {
-			m.shedCt.Add(1)
-			err = ErrShed
-		}
-		// Shed: the caller never learns this job's ID, so drop the
-		// record too — a rejection must not grow the job table. Any
-		// waiter that coalesced onto us in the window above fails with
-		// the same error.
-		cancel()
-		m.resolveFlight(job.key, nil, err)
-		m.mu.Lock()
-		delete(m.jobs, job.ID)
-		for i := len(m.order) - 1; i >= 0; i-- { // ours is at or near the end
-			if m.order[i] == job.ID {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
+	// A cache hit completes the job here and a coalesced waiter when its
+	// primary resolves; neither needs a worker. Only the primary runs.
+	if m.joinOrStartFlight(job) {
+		ctx, cancel := context.WithCancel(context.Background())
+		job.cancel = cancel // the job is not yet visible to Cancel
+		if err := m.pool.Submit(func() { m.run(ctx, job) }); err != nil {
+			if errors.Is(err, runner.ErrPoolSaturated) && m.opts.Shed {
+				m.shedCt.Add(1)
+				err = ErrShed
 			}
+			// Any waiter that coalesced onto the rejected primary fails
+			// with the same error.
+			cancel()
+			m.resolveFlight(job.key, nil, err)
+			m.failed.Add(1)
+			m.tenantAdd(spec.Tenant, func(c *tenantCounter) { c.failed++ })
+			return nil, err
 		}
-		m.mu.Unlock()
-		m.failed.Add(1)
-		m.tenantAdd(spec.Tenant, func(c *tenantCounter) { c.failed++ })
-		return nil, err
 	}
+	// Only an accepted job enters the table: the caller of a rejected
+	// submit never learns an ID, so a rejection must not grow it.
+	m.jobs.Add(job, &job.ID)
 	return job, nil
-}
-
-// evictLocked (m.mu held) drops the oldest terminal jobs while the
-// table exceeds its bound. Live jobs are never evicted, so the table
-// can exceed the bound transiently by the number of in-flight jobs
-// (itself bounded by workers + backlog).
-func (m *Manager) evictLocked() {
-	excess := len(m.jobs) - m.opts.RetainJobs
-	if excess <= 0 {
-		return
-	}
-	kept := m.order[:0]
-	for _, id := range m.order {
-		job, ok := m.jobs[id]
-		if !ok {
-			continue
-		}
-		evict := false
-		if excess > 0 {
-			job.mu.Lock()
-			evict = job.status.terminal()
-			job.mu.Unlock()
-		}
-		if evict {
-			delete(m.jobs, id)
-			excess--
-			// Wake any attached stream tails: the handle is gone, so
-			// they must terminate instead of tailing an unreachable job.
-			job.mu.Lock()
-			job.evicted = true
-			job.cond.Broadcast()
-			job.mu.Unlock()
-			continue
-		}
-		kept = append(kept, id)
-	}
-	m.order = kept
 }
 
 // run executes one job on a worker. In a fleet, a key owned by another
@@ -552,12 +507,7 @@ func (m *Manager) simulate(ctx context.Context, job *Job) (Result, error) {
 }
 
 // Job looks a job up by ID.
-func (m *Manager) Job(id string) (*Job, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
-}
+func (m *Manager) Job(id string) (*Job, bool) { return m.jobs.Get(id) }
 
 // Cancel requests cancellation of a queued or running job. A running
 // job transitions to failed (context.Canceled) at its next op boundary;
@@ -591,18 +541,10 @@ func (m *Manager) Cancel(id string) (bool, error) {
 // returns its view. Holding the *Job keeps Wait valid even after the
 // job's handle is evicted from the manager's table.
 func (j *Job) Wait(ctx context.Context) (JobView, error) {
-	stop := context.AfterFunc(ctx, func() {
-		j.mu.Lock()
-		j.cond.Broadcast()
-		j.mu.Unlock()
-	})
-	defer stop()
 	j.mu.Lock()
-	for !j.status.terminal() && ctx.Err() == nil {
-		j.cond.Wait()
-	}
+	err := WaitUntil(ctx, j.cond, func() bool { return j.status.terminal() })
 	j.mu.Unlock()
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return JobView{}, err
 	}
 	return j.View(), nil
@@ -633,23 +575,17 @@ func (m *Manager) StreamSamples(ctx context.Context, id string, fn func(Sample) 
 	if !ok {
 		return fmt.Errorf("simsvc: no job %q", id)
 	}
-	stop := context.AfterFunc(ctx, func() {
-		job.mu.Lock()
-		job.cond.Broadcast()
-		job.mu.Unlock()
-	})
-	defer stop()
 	i := 0
 	for {
 		job.mu.Lock()
-		for i >= len(job.samples) && !job.status.terminal() && !job.evicted && ctx.Err() == nil {
-			job.cond.Wait()
-		}
+		err := WaitUntil(ctx, job.cond, func() bool {
+			return i < len(job.samples) || job.status.terminal() || job.evicted
+		})
 		pending := job.samples[i:]
 		done := job.status.terminal()
 		evicted := job.evicted
 		job.mu.Unlock()
-		if err := ctx.Err(); err != nil {
+		if err != nil {
 			return err
 		}
 		// Retained samples are never discarded: deliver what was
@@ -811,9 +747,7 @@ func (m *Manager) SetCampaignStats(fn func() any) {
 // subscribers. Called ahead of HTTP shutdown so blocked ?wait=1 and
 // /stream handlers complete with responses instead of being cut off.
 func (m *Manager) CancelAll() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, job := range m.jobs {
+	for _, job := range m.jobs.All() {
 		job.mu.Lock()
 		if cancel := job.cancel; cancel != nil && !job.status.terminal() {
 			cancel()

@@ -20,7 +20,6 @@ package simsvc
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 
 	"ossd/internal/core"
 	"ossd/internal/fault"
@@ -317,15 +316,6 @@ func (s JobSpec) Canonical() []byte {
 		panic(fmt.Sprintf("simsvc: marshal spec: %v", err))
 	}
 	return canonical
-}
-
-// Key is the spec's content address: FNV-1a over Canonical, matching
-// the fingerprint style of the golden workload tests. The key indexes;
-// Canonical identifies (see cache.get).
-func (s JobSpec) Key() uint64 {
-	h := fnv.New64a()
-	h.Write(s.Canonical())
-	return h.Sum64()
 }
 
 // Result is a completed job's payload: the spec it answers, the final

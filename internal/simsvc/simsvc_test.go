@@ -283,12 +283,13 @@ func TestStreamLiveTail(t *testing.T) {
 
 // TestStreamTerminatesOnEviction holds a stream tail open on a finished
 // job (the delivery callback blocks, as a slow client would) while new
-// submissions evict that job under RetainJobs. The tail must terminate
+// submissions evict that job from a one-entry table. The tail must terminate
 // promptly — delivering every retained sample and then returning —
 // instead of outliving the handle indefinitely.
 func TestStreamTerminatesOnEviction(t *testing.T) {
-	m := New(Options{Workers: 1, RetainJobs: 1, SampleEvery: 500})
+	m := New(Options{Workers: 1, SampleEvery: 500})
 	defer m.Close()
+	m.jobs.bound = 1
 
 	job, err := m.Submit(smallSpec(2_000, 201))
 	if err != nil {
@@ -315,7 +316,7 @@ func TestStreamTerminatesOnEviction(t *testing.T) {
 	}()
 	<-first
 
-	// A new submission pushes the table past RetainJobs and evicts the
+	// A new submission pushes the table past its bound and evicts the
 	// finished job while its tail is still attached.
 	next, err := m.Submit(smallSpec(2_000, 202))
 	if err != nil {
@@ -352,19 +353,19 @@ func TestStreamTerminatesOnEviction(t *testing.T) {
 // internal states directly so the tail is genuinely parked on the cond
 // when the eviction lands.
 func TestStreamEvictionReleasesWaiter(t *testing.T) {
-	m := New(Options{Workers: 1, RetainJobs: 1})
+	m := New(Options{Workers: 1})
 	defer m.Close()
-	job := &Job{ID: "job-x", status: StatusRunning}
-	job.cond = sync.NewCond(&job.mu)
-	// A second live job keeps the table over RetainJobs so evictLocked
+	m.jobs.bound = 1
+	live := func() *Job {
+		j := &Job{status: StatusRunning}
+		j.cond = sync.NewCond(&j.mu)
+		return j
+	}
+	// A second live job keeps the table over its bound, so the next Add
 	// has an excess to shed.
-	other := &Job{ID: "job-y", status: StatusRunning}
-	other.cond = sync.NewCond(&other.mu)
-	m.mu.Lock()
-	m.jobs[job.ID] = job
-	m.jobs[other.ID] = other
-	m.order = append(m.order, job.ID, other.ID)
-	m.mu.Unlock()
+	job, other := live(), live()
+	m.jobs.Add(job, &job.ID)
+	m.jobs.Add(other, &other.ID)
 
 	streamErr := make(chan error, 1)
 	go func() {
@@ -376,9 +377,8 @@ func TestStreamEvictionReleasesWaiter(t *testing.T) {
 	job.mu.Lock()
 	job.status = StatusFailed // terminal, so eviction may take it
 	job.mu.Unlock()
-	m.mu.Lock()
-	m.evictLocked()
-	m.mu.Unlock()
+	third := live()
+	m.jobs.Add(third, &third.ID)
 	if _, ok := m.Job(job.ID); ok {
 		t.Fatal("job not evicted")
 	}
@@ -502,10 +502,11 @@ func TestReadOnlyJobJSON(t *testing.T) {
 }
 
 // TestJobRetention pins the job-table bound: terminal jobs past
-// RetainJobs are evicted oldest-first, live ones survive.
+// the table's bound are evicted oldest-first, live ones survive.
 func TestJobRetention(t *testing.T) {
-	m := New(Options{Workers: 1, RetainJobs: 2})
+	m := New(Options{Workers: 1})
 	defer m.Close()
+	m.jobs.bound = 2
 
 	var ids []string
 	for i := 0; i < 3; i++ {
@@ -520,7 +521,7 @@ func TestJobRetention(t *testing.T) {
 		ids = append(ids, job.ID)
 	}
 	if _, ok := m.Job(ids[0]); ok {
-		t.Fatalf("oldest job %s survived past RetainJobs=2", ids[0])
+		t.Fatalf("oldest job %s survived past a bound of 2", ids[0])
 	}
 	for _, id := range ids[1:] {
 		if _, ok := m.Job(id); !ok {
@@ -528,9 +529,9 @@ func TestJobRetention(t *testing.T) {
 		}
 	}
 
-	m.mu.Lock()
-	n, o := len(m.jobs), len(m.order)
-	m.mu.Unlock()
+	m.jobs.mu.Lock()
+	n, o := len(m.jobs.byID), len(m.jobs.order)
+	m.jobs.mu.Unlock()
 	if n != 2 || o != 2 {
 		t.Fatalf("job table %d entries, order %d, want 2", n, o)
 	}

@@ -6,12 +6,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"ossd/internal/fault"
 )
 
 // fleetNode is one peered manager with its HTTP server — the in-test
@@ -413,6 +418,91 @@ func TestCacheEndpoint(t *testing.T) {
 	presp.Body.Close()
 	if presp.StatusCode != http.StatusConflict {
 		t.Fatalf("mismatched push: %d, want 409", presp.StatusCode)
+	}
+}
+
+// widest sets every number reachable from v to its longest JSON
+// spelling and grows every slice to 256 such elements, one per possible
+// tenant row, so the value marshals as large as a real one can.
+func widest(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			widest(v.Field(i))
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 256, 256))
+		for i := 0; i < v.Len(); i++ {
+			widest(v.Index(i))
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(-1 << (v.Type().Bits() - 1))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(math.MaxUint64 >> (64 - v.Type().Bits()))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(-math.MaxFloat64)
+	}
+}
+
+// TestCachePushCap pins the PUT /cache/{key} body cap. The largest push
+// a valid job can produce is stored: an identity at the submit cap, and
+// a payload repeating that spec beside a snapshot and workload summary
+// of 256 widest-value tenant rows. A body one byte over maxPushBytes
+// answers 413 and stores nothing.
+func TestCachePushCap(t *testing.T) {
+	m := New(Options{Workers: 1})
+	defer m.Close()
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	put := func(key uint64, body []byte) int {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPut, fmt.Sprintf("%s/cache/%016x", srv.URL, key), bytes.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// Empty fault deaths canonicalize to 28 bytes each
+	// (`,{"element":0,"after_ops":0}`): pad the identity up to the cap.
+	spec := smallSpec(1000, 1)
+	spec.Fault = &fault.Plan{Deaths: make([]fault.Death, 1)}
+	spec.Fault.Deaths = make([]fault.Death, 1+(MaxBodyBytes-len(spec.Canonical()))/28)
+	identity := spec.Canonical()
+	if len(identity) > MaxBodyBytes || len(identity) <= MaxBodyBytes-28 || spec.Validate() != nil {
+		t.Fatalf("padded identity is %d bytes (cap %d), valid: %v", len(identity), MaxBodyBytes, spec.Validate())
+	}
+	res := Result{Spec: spec}
+	res.Spec.Options.Shards, res.Spec.Tenant = math.MaxInt, math.MaxUint8 // outside the identity
+	widest(reflect.ValueOf(&res.Snapshot).Elem())
+	widest(reflect.ValueOf(&res.Workload).Elem())
+	res.SimulatedSeconds, res.ReadMBps, res.WriteMBps = -math.MaxFloat64, -math.MaxFloat64, -math.MaxFloat64
+	payload, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest, err := json.Marshal(pushEnvelope{Identity: identity, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := put(spec.Key(), largest); code != http.StatusNoContent {
+		t.Fatalf("largest legitimate push (%d bytes): %d, want 204", len(largest), code)
+	}
+	if _, ok := m.cache.get(spec.Key(), identity); !ok {
+		t.Fatal("largest legitimate push was not stored")
+	}
+
+	small := smallSpec(1000, 2)
+	head := fmt.Sprintf(`{"identity":%s,"payload":"`, small.Canonical())
+	over := head + strings.Repeat("x", maxPushBytes+1-len(head)-len(`"}`)) + `"}`
+	if code := put(small.Key(), []byte(over)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("push of %d bytes: %d, want 413", len(over), code)
+	}
+	if _, ok := m.cache.get(small.Key(), small.Canonical()); ok {
+		t.Fatal("over-cap push was stored")
 	}
 }
 
