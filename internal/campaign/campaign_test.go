@@ -141,15 +141,15 @@ func TestCampaignIncrementalRerun(t *testing.T) {
 	}
 }
 
-// TestCampaignShardsDedup: a campaign sweeping options.shards dedups to
-// ONE simulation — shards are an execution knob excluded from the cache
-// key, so the shard-differing cells must cache-hit — and every cell
-// returns a byte-identical payload.
-func TestCampaignShardsDedup(t *testing.T) {
+// TestCampaignTenantDedup: a campaign sweeping the submitting tenant
+// dedups to ONE simulation — the tenant is an admission-control identity
+// excluded from the cache key, so the tenant-differing cells must
+// cache-hit — and every cell returns a byte-identical payload.
+func TestCampaignTenantDedup(t *testing.T) {
 	jobs, m := newService(t, 4, Options{})
 	spec := Spec{
 		Template: template(20000),
-		Axes:     []Axis{{Name: "options.shards", Values: vals("1", "2", "4")}},
+		Axes:     []Axis{{Name: "tenant", Values: vals("1", "2", "4")}},
 	}
 	c, p := waitDone(t, m, spec)
 	if p.Total != 3 || p.CacheHits != 2 {
@@ -174,8 +174,8 @@ func TestCampaignShardsDedup(t *testing.T) {
 }
 
 // TestCampaignDupsKeepPoolBusy: duplicate cells do not hold up the
-// feeder. In a seeds {1,2} x shards {1,2} campaign on two workers, the
-// two simulated cells run at the same time, and each shard duplicate
+// feeder. In a seeds {1,2} x tenants {1,2} campaign on two workers, the
+// two simulated cells run at the same time, and each tenant duplicate
 // still completes as a cache hit.
 func TestCampaignDupsKeepPoolBusy(t *testing.T) {
 	jobs, m := newService(t, 2, Options{})
@@ -183,7 +183,7 @@ func TestCampaignDupsKeepPoolBusy(t *testing.T) {
 		Template: template(100000),
 		Axes: []Axis{
 			{Name: "params.seed", Values: vals("1", "2")},
-			{Name: "options.shards", Values: vals("1", "2")},
+			{Name: "tenant", Values: vals("1", "2")},
 		},
 	}
 	c, p := waitDone(t, m, spec)

@@ -8,8 +8,8 @@
 // cell one job submitted through the existing manager. Because jobs are
 // deduplicated by the content-addressed result cache, re-running a
 // campaign after one axis changes only simulates the new cells, and
-// cells that differ only in execution knobs (options.shards) collapse
-// to one simulation.
+// cells that differ only in the submitting tenant collapse to one
+// simulation.
 //
 // Three parts compose the package:
 //
@@ -35,7 +35,7 @@ import (
 )
 
 // Axis is one swept parameter: a dotted path into the JobSpec JSON
-// ("params.seed", "options.shards", "profile", …) and the values it
+// ("params.seed", "options.scheduler", "profile", …) and the values it
 // takes. Exactly one of Values and Range must be set; Range is the
 // integer convenience for seed-style sweeps.
 type Axis struct {
@@ -102,8 +102,8 @@ type AxisValue struct {
 }
 
 // Cell is one expanded grid point: the fully substituted job spec and
-// its coordinates. Cells whose specs share a cache identity (an
-// options.shards axis) dedup in the job manager, not here.
+// its coordinates. Cells whose specs share a cache identity (a tenant
+// axis) dedup in the job manager, not here.
 type Cell struct {
 	Index  int
 	Spec   simsvc.JobSpec

@@ -173,13 +173,13 @@ func TestExpandZeroAxes(t *testing.T) {
 	}
 }
 
-// TestExpandDupKeys: an options.shards axis produces identical cache
-// identities (shards are excluded from them); the job manager dedups
-// them (TestCampaignShardsDedup).
+// TestExpandDupKeys: a tenant axis produces identical cache identities
+// (the submitting tenant is excluded from them); the job manager dedups
+// them (TestCampaignTenantDedup).
 func TestExpandDupKeys(t *testing.T) {
 	spec := Spec{
 		Template: template(100),
-		Axes:     []Axis{{Name: "options.shards", Values: vals("1", "2", "4")}},
+		Axes:     []Axis{{Name: "tenant", Values: vals("1", "2", "4")}},
 	}
 	cells, err := Expand(spec, 4096)
 	if err != nil {

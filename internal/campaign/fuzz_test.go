@@ -12,7 +12,7 @@ import (
 // job manager would accept.
 func FuzzExpand(f *testing.F) {
 	for _, seed := range []string{
-		`{"template":{"profile":"ssd","workload":"synthetic","params":{"ops":100,"capacity_bytes":4194304}},"axes":[{"name":"params.seed","range":{"from":1,"to":3}},{"name":"options.shards","values":[1,2]}]}`,
+		`{"template":{"profile":"ssd","workload":"synthetic","params":{"ops":100,"capacity_bytes":4194304}},"axes":[{"name":"params.seed","range":{"from":1,"to":3}},{"name":"tenant","values":[1,2]}]}`,
 		`{"template":{"profile":"ssd","workload":"synthetic","tenants":[{"tenant":1},{"tenant":2}]},"axes":[{"name":"tenants.1.weight","values":[1,4]},{"name":"fault.transient.rate","values":[0,0.5]}]}`,
 		`{"template":{"profile":"ssd","workload":"synthetic"},"max_cells":2,"axes":[{"name":"options.scheduler","values":["fcfs","swtf","bogus"]}]}`,
 		// The two shapes of the unbounded-range bug: a range far past

@@ -204,7 +204,7 @@ func (m *Manager) Submit(spec Spec) (*Campaign, error) {
 
 // run is the campaign's feeder: submit cells in canonical order under
 // the in-flight window, settling each as its job terminates. Cells that
-// repeat an earlier cell's identity (an options.shards axis) need no
+// repeat an earlier cell's identity (a tenant axis) need no
 // ordering here: the job manager coalesces each onto its primary's
 // in-flight run, or serves it from the cache once that run settled, so
 // there is one simulation per distinct cell while the feeder keeps the

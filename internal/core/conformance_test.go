@@ -35,16 +35,6 @@ func TestDeviceConformance(t *testing.T) {
 		mk   func() (Device, error)
 	}{
 		{"SSD", func() (Device, error) { return Build(Profile{Kind: KindSSD, SSD: smallSSDConfig()}) }},
-		{"SSD-sharded", func() (Device, error) {
-			s, err := newSSD(smallSSDConfig())
-			if err != nil {
-				return nil, err
-			}
-			if err := s.Raw.EnableSharding(2); err != nil {
-				return nil, err
-			}
-			return s, nil
-		}},
 		{"HDD", func() (Device, error) {
 			p, err := ProfileByName("HDD")
 			if err != nil {

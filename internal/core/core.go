@@ -210,8 +210,7 @@ func (c *driveConfig) setMaxPending(n int) { c.MaxPending = n }
 //
 // Open-loop replay (drive) and closed-loop replay (ClosedLoop) are
 // written once, in terms of nothing but Submit and the engine, for all
-// five substrates. The one per-device replay is the flash device's
-// sharded dataplane, which (*SSD).Drive selects when it applies.
+// five substrates.
 
 // driveLoop is the arrival pump behind drive and driveBounded. One
 // driveLoop is allocated per Drive call and then pumps the whole stream
@@ -406,17 +405,8 @@ func (s *SSD) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 	return s.Raw.Submit(op, onDone)
 }
 
-// Drive implements Device. On a device built with shards (WithShards),
-// unbounded open-loop replay runs on the parallel dataplane — multiple
-// cores inside this one simulation, byte-identical to the single-engine
-// replay. Admission-controlled replay (WithMaxPending) paces arrivals to
-// completions, a feedback loop that belongs on one engine.
-func (s *SSD) Drive(st trace.Stream) error {
-	if s.MaxPending == 0 && s.Raw.Sharded() {
-		return s.Raw.DriveStream(st)
-	}
-	return drive(s, st, s.MaxPending)
-}
+// Drive implements Device.
+func (s *SSD) Drive(st trace.Stream) error { return drive(s, st, s.MaxPending) }
 
 // Engine implements Device.
 func (s *SSD) Engine() *sim.Engine { return s.Raw.Engine() }

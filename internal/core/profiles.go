@@ -76,15 +76,6 @@ type Profile struct {
 	// driven open loop (Drive): admission control against arrival
 	// storms. 0 means unbounded (see WithMaxPending).
 	MaxPending int
-	// Shards requests the parallel dataplane on flash devices: open-loop
-	// Drive runs across this many engines, one per element group,
-	// byte-identical to the single-engine replay (see WithShards). 0
-	// falls back to the process default (SetDefaultShards); 1 forces
-	// single-engine. Configurations the dataplane cannot decompose
-	// (non-interleaved layouts, FCFS, host-link caps, write buffers,
-	// heterogeneous media, priority-aware cleaning, non-flash kinds) run
-	// single-engine silently, so a shard count can be applied suite-wide.
-	Shards int
 	// Fault is the device's fault plan (see internal/fault): deterministic
 	// transient errors, element deaths, and wear ceilings, applied to any
 	// media kind. Flash devices inject per-element inside their dispatch
@@ -92,19 +83,6 @@ type Profile struct {
 	// falls back to the process default (SetDefaultFault); leaving both
 	// unset runs fault-free.
 	Fault *fault.Plan
-}
-
-// defaultShards is the process-wide shard-count fallback for profiles
-// that do not set one (see SetDefaultShards).
-var defaultShards atomic.Int64
-
-// SetDefaultShards sets the process-wide shard count applied to every
-// flash device built without an explicit Profile.Shards — the hook the
-// command-line -shards flags use, since experiments construct their
-// devices internally. n <= 1 restores single-engine execution. It
-// returns the previous default.
-func SetDefaultShards(n int) int {
-	return int(defaultShards.Swap(int64(n)))
 }
 
 // defaultFault is the process-wide fault-plan fallback for profiles that
@@ -173,19 +151,6 @@ func (p *Profile) NewDevice() (Device, error) {
 			return nil, fmt.Errorf("core: %s device does not support MaxPending", p.Kind)
 		}
 		mp.setMaxPending(p.MaxPending)
-	}
-	// Attach the parallel dataplane where the configuration decomposes;
-	// everything else keeps the single engine (same reports either way).
-	shards := p.Shards
-	if shards == 0 {
-		shards = int(defaultShards.Load())
-	}
-	if shards > 1 && p.Kind == KindSSD {
-		if s, ok := d.(*SSD); ok && ssd.ShardableConfig(s.Raw.Config(), shards) == nil {
-			if err := s.Raw.EnableSharding(shards); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return d, nil
 }

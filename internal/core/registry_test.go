@@ -225,59 +225,3 @@ func TestOpenThenDrive(t *testing.T) {
 		t.Fatal("drive left events pending")
 	}
 }
-
-// TestWithShards pins the suite-wide shard option contract: shardable
-// flash profiles gain the parallel dataplane, everything else — coupled
-// SSD configurations and non-flash kinds alike — silently stays
-// single-engine, and the process default fills in when the profile does
-// not choose.
-func TestWithShards(t *testing.T) {
-	d, err := Open("ssd", WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := d.(*SSD); !s.Raw.Sharded() || s.Raw.Shards() != 2 {
-		t.Fatalf("ssd not sharded: sharded=%v shards=%d", s.Raw.Sharded(), s.Raw.Shards())
-	}
-
-	// S1slc models its host link, which serializes all elements: the
-	// gate refuses and the build falls back silently.
-	d, err = Open("S1slc", WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.(*SSD).Raw.Sharded() {
-		t.Fatal("link-limited profile must stay single-engine")
-	}
-
-	// Non-flash kinds accept the option as a no-op, so one -shards flag
-	// can cover a whole suite.
-	for _, name := range []string{"hdd", "mems", "raid", "osd"} {
-		if _, err := Open(name, WithShards(4)); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-
-	if _, err := Open("ssd", WithShards(-1)); err == nil {
-		t.Fatal("negative shard count accepted")
-	}
-
-	// The process default applies when the profile leaves Shards zero,
-	// and an explicit WithShards(1) overrides it back to single-engine.
-	prev := SetDefaultShards(2)
-	defer SetDefaultShards(prev)
-	d, err = Open("ssd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.(*SSD).Raw.Sharded() {
-		t.Fatal("process default did not shard")
-	}
-	d, err = Open("ssd", WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.(*SSD).Raw.Sharded() {
-		t.Fatal("WithShards(1) must force single-engine")
-	}
-}

@@ -56,10 +56,10 @@ func (r FaultLifeResult) String() string {
 	return t.String()
 }
 
-// faultLifeDevice builds the sweep's device: small, interleaved, and
-// shard-decomposable, with the configuration's wear ceiling carried on a
-// fault plan (low-rate transient faults included, so the plan exercises
-// both injection paths at once).
+// faultLifeDevice builds the sweep's device: small and interleaved, with
+// the configuration's wear ceiling carried on a fault plan (low-rate
+// transient faults included, so the plan exercises both injection paths
+// at once).
 func faultLifeDevice(seed int64, ceiling int) (core.Device, error) {
 	cfg := ssd.Config{
 		Elements:      4,
@@ -81,8 +81,8 @@ func faultLifeDevice(seed int64, ceiling int) (core.Device, error) {
 
 // faultLifeRun preconditions the device, then drives segments splits of
 // a skewed single-page overwrite workload, checkpointing after each.
-// Segment boundaries are Drive-call boundaries — the engine is drained
-// there, so the checkpoints are identical at any shard count.
+// Segment boundaries are Drive-call boundaries: the engine is drained
+// there before each checkpoint.
 func faultLifeRun(d core.Device, seed int64, segments, opsPerSegment int) ([]FaultLifePoint, error) {
 	if err := core.PreconditionFrac(d, 1<<20, 0.8); err != nil {
 		return nil, err

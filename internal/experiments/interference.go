@@ -19,9 +19,7 @@ import (
 // queue ahead of the victim and its read tail collapses; weighted
 // deficit-round-robin dispatch restores it, bounded below by the
 // victim's solo tail. Every configuration is deterministic for a fixed
-// seed at any worker or shard count — the unweighted mix runs on the
-// sharded dataplane, the weighted ones single-engine, and both report
-// identical bytes either way.
+// seed at any worker count.
 
 // InterferenceRow is one fairness configuration's outcome.
 type InterferenceRow struct {
@@ -53,7 +51,7 @@ func (r InterferenceResult) String() string {
 }
 
 // interferenceDevice builds the shared device: the faultlife geometry
-// (small, interleaved, shard-decomposable) minus the fault plan, with
+// (small, interleaved) minus the fault plan, with
 // the configuration's fair-share weights engaged when present.
 func interferenceDevice(weights map[uint8]float64) (core.Device, error) {
 	cfg := ssd.Config{

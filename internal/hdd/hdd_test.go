@@ -176,11 +176,11 @@ func TestRandomWriteFasterThanRandomRead(t *testing.T) {
 func TestCacheReadHit(t *testing.T) {
 	eng, d := newDisk(t, Barracuda7200())
 	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096}, nil)
-	done := false
-	d.Submit(trace.Op{Kind: trace.Read, Offset: 0, Size: 4096}, func(sim.Time, error) { done = true })
-	eng.RunUntil(sim.Millisecond)
-	if !done {
-		t.Fatal("read did not complete")
+	resp := sim.Time(-1)
+	d.Submit(trace.Op{Kind: trace.Read, Offset: 0, Size: 4096}, func(r sim.Time, _ error) { resp = r })
+	eng.Run()
+	if resp < 0 || resp >= sim.Millisecond {
+		t.Fatalf("read response = %v, want a sub-millisecond cache hit", resp)
 	}
 	if d.Metrics().CacheHits != 1 {
 		t.Fatalf("cache hits = %d, want 1", d.Metrics().CacheHits)

@@ -3,7 +3,6 @@ package sched
 import (
 	"encoding/binary"
 	"math/bits"
-	"sort"
 
 	"ossd/internal/sim"
 )
@@ -475,50 +474,6 @@ func (q *Queue[T]) unpark(l *lane[T], e int) {
 		c = next
 	}
 	l.blocked[e] = nil
-}
-
-// Drain removes every queued request — dispatchable or not — and visits
-// each in arrival (Seq) order, ignoring busy horizons. The horizons
-// themselves are left untouched. It exists for the sharded device's
-// merge transition: a shard queue's contents are re-enqueued onto the
-// gang-wide queue in global arrival order, so Drain is a rare-path
-// operation and may allocate.
-func (q *Queue[T]) Drain(visit func(seq uint64, owner *T)) {
-	var nodes []*Node[T]
-	drainLane := func(l *lane[T]) {
-		drainClass := func(c *class[T]) {
-			for n := c.head; n != nil; n = n.next {
-				nodes = append(nodes, n)
-			}
-			c.head, c.tail, c.heapIdx, c.nextParked = nil, nil, -1, nil
-		}
-		for _, c := range l.ready {
-			drainClass(c)
-		}
-		clear(l.ready)
-		l.ready = l.ready[:0]
-		for e, c := range l.blocked {
-			for c != nil {
-				next := c.nextParked
-				drainClass(c)
-				c = next
-			}
-			l.blocked[e] = nil
-		}
-	}
-	drainLane(&q.lane)
-	for _, tq := range q.tens {
-		drainLane(&tq.lane)
-		tq.length = 0
-		tq.deficit = 0
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].seq < nodes[j].seq })
-	for _, n := range nodes {
-		seq, owner := n.seq, n.owner
-		*n = Node[T]{}
-		q.length--
-		visit(seq, owner)
-	}
 }
 
 // ---- Seq-keyed candidate heap of classes ----

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"ossd/internal/sim"
@@ -236,22 +235,6 @@ func (l *legacyQueue) pop(now sim.Time) (int, bool) {
 	}
 }
 
-// queued lists the oracle's pending (seq, id) pairs in arrival order.
-func (l *legacyQueue) queued() [][2]uint64 {
-	var out [][2]uint64
-	add := func(p []*Entry) {
-		for _, e := range p {
-			out = append(out, [2]uint64{e.Seq, uint64(l.data[e.Seq])})
-		}
-	}
-	add(l.pending)
-	for _, tn := range l.tens {
-		add(tn.pending)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
 // serviceTime is the deterministic per-(request, element) busy duration
 // both models apply on dispatch.
 func serviceTime(id, elem int) sim.Time {
@@ -274,7 +257,7 @@ type equivCase struct {
 	// three, as well as advancing by a small random step.
 	jump bool
 	// minDepth is the backlog the run must reach; when set, the run ends
-	// by draining that backlog and checking the drain against the oracle.
+	// by serving that backlog dry against the oracle.
 	minDepth int
 }
 
@@ -318,7 +301,7 @@ func stripedSets(elements int) func(*rand.Rand) [][]int {
 // shuffled element orders, where service time dwarfs the interarrival
 // gap and classes stay parked; and fair-share dispatch over three
 // tenants against a per-tenant-scan DRR oracle. Saturated runs end by
-// draining the backlog mid-flight.
+// serving the backlog dry against the oracle.
 func TestQueueEquivalence(t *testing.T) {
 	slow := func(id, elem int) sim.Time { return sim.Time(20 + (id*31+elem*7)%40) }
 	var cases []equivCase
@@ -354,6 +337,40 @@ func runEquivalence(t *testing.T, c equivCase, seed int64) {
 	}
 	elemsOf := map[int][]int{} // id -> element set
 	now := sim.Time(0)
+	// dispatch dispatches everything dispatchable at now, applying
+	// identical busy horizons on both sides after each dispatch.
+	dispatch := func(step int) {
+		for {
+			got, ok := popID(q, now)
+			want, wok := l.pop(now)
+			if ok != wok {
+				t.Fatalf("seed %d step %d: queue ok=%v legacy ok=%v", seed, step, ok, wok)
+			}
+			if !ok {
+				return
+			}
+			if got != want {
+				t.Fatalf("seed %d step %d: queue dispatched %d, legacy %d", seed, step, got, want)
+			}
+			for _, e := range elemsOf[got] {
+				until := now + c.service(got, e)
+				q.SetBusy(e, until)
+				if until > l.busyUntil[e] {
+					l.busyUntil[e] = until
+				}
+			}
+		}
+	}
+	// nextHorizon is the earliest busy horizon after now, or now.
+	nextHorizon := func() sim.Time {
+		next := now
+		for e := 0; e < c.elements; e++ {
+			if b := l.busyUntil[e]; b > now && (next == now || b < next) {
+				next = b
+			}
+		}
+		return next
+	}
 	id, depth := 0, 0
 	for step := 0; step < c.steps; step++ {
 		for _, set := range c.arrivals(rng) {
@@ -368,37 +385,10 @@ func runEquivalence(t *testing.T, c equivCase, seed int64) {
 			id++
 		}
 		depth = max(depth, q.Len())
-		// Dispatch everything dispatchable, applying identical busy
-		// horizons on both sides after each dispatch.
-		for {
-			got, ok := popID(q, now)
-			want, wok := l.pop(now)
-			if ok != wok {
-				t.Fatalf("seed %d step %d: queue ok=%v legacy ok=%v", seed, step, ok, wok)
-			}
-			if !ok {
-				break
-			}
-			if got != want {
-				t.Fatalf("seed %d step %d: queue dispatched %d, legacy %d", seed, step, got, want)
-			}
-			for _, e := range elemsOf[got] {
-				until := now + c.service(got, e)
-				q.SetBusy(e, until)
-				if until > l.busyUntil[e] {
-					l.busyUntil[e] = until
-				}
-			}
-		}
+		dispatch(step)
 		// Advance time: small step or jump to the next horizon.
 		if c.jump && rng.Intn(3) == 0 {
-			var next sim.Time
-			for e := 0; e < c.elements; e++ {
-				if b := l.busyUntil[e]; b > now && (next == 0 || b < next) {
-					next = b
-				}
-			}
-			if next > now {
+			if next := nextHorizon(); next > now {
 				now = next
 				continue
 			}
@@ -414,23 +404,18 @@ func runEquivalence(t *testing.T, c equivCase, seed int64) {
 	if depth < c.minDepth || q.Len() < c.minDepth/2 {
 		t.Fatalf("seed %d: backlog peaked at %d and ended at %d, want >= %d", seed, depth, q.Len(), c.minDepth)
 	}
-	want := l.queued()
-	var got [][2]uint64
-	q.Drain(func(seq uint64, r *treq) { got = append(got, [2]uint64{seq, uint64(r.id)}) })
-	if len(got) != len(want) {
-		t.Fatalf("seed %d: Drain visited %d requests, legacy holds %d", seed, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("seed %d: Drain visit %d = (seq %d, id %d), want (seq %d, id %d)",
-				seed, i, got[i][0], got[i][1], want[i][0], want[i][1])
+	// Serve the backlog dry with no further arrivals: every parked
+	// request must still dispatch in the oracle's order.
+	for step := c.steps; q.Len() > 0; step++ {
+		next := nextHorizon()
+		if next == now {
+			t.Fatalf("seed %d: %d requests queued on an idle device", seed, q.Len())
 		}
+		now = next
+		dispatch(step)
 	}
-	if q.Len() != 0 {
-		t.Fatalf("seed %d: queue holds %d requests after Drain", seed, q.Len())
-	}
-	if _, ok := q.Pop(sim.MaxTime); ok {
-		t.Fatalf("seed %d: drained queue still dispatches", seed)
+	if l.len() != 0 {
+		t.Fatalf("seed %d: legacy holds %d requests after the queue drained", seed, l.len())
 	}
 }
 
@@ -463,54 +448,6 @@ func TestQueuePopAllocFree(t *testing.T) {
 	// after that the cycle must be allocation-free.
 	if allocs > 0 {
 		t.Fatalf("dispatch cycle allocates %.1f times per op, want 0", allocs)
-	}
-}
-
-// TestQueueDrain checks that Drain visits every queued request — ready,
-// parked, and head-of-line blocked alike — in arrival order, empties the
-// queue, and leaves busy horizons intact for the successor queue to copy.
-func TestQueueDrain(t *testing.T) {
-	for _, policy := range []Policy{FCFS, SWTF} {
-		t.Run(policy.String(), func(t *testing.T) {
-			q := newQueue(policy, 4)
-			q.SetBusy(1, 100) // park/block some of the requests below
-			for i := 0; i < 6; i++ {
-				push(q, []int{(i + 1) % 4}, i, 0, 1)
-			}
-			if policy == SWTF {
-				// The oldest request waits on element 1: parking its
-				// class, SWTF dispatches the next one.
-				q.Pop(0)
-			}
-			// Re-fill what the exercise popped.
-			for q.Len() < 6 {
-				push(q, []int{1}, 100+q.Len(), 0, 1)
-			}
-			var got []uint64
-			q.Drain(func(seq uint64, r *treq) { got = append(got, seq) })
-			if q.Len() != 0 {
-				t.Fatalf("queue holds %d items after Drain", q.Len())
-			}
-			if len(got) != 6 {
-				t.Fatalf("Drain visited %d items, want 6", len(got))
-			}
-			for i := 1; i < len(got); i++ {
-				if got[i] <= got[i-1] {
-					t.Fatalf("Drain out of order: seqs %v", got)
-				}
-			}
-			if q.Busy(1) != 100 {
-				t.Fatalf("Drain disturbed busy horizon: %v", q.Busy(1))
-			}
-			if _, ok := q.Pop(1000); ok {
-				t.Fatal("drained queue still dispatches")
-			}
-			// The queue must remain usable after a drain.
-			push(q, []int{0}, 7, 0, 1)
-			if id, ok := popID(q, 1000); !ok || id != 7 {
-				t.Fatal("post-drain push/pop broken")
-			}
-		})
 	}
 }
 

@@ -131,17 +131,6 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil processes events with timestamps <= t, then advances the clock
-// to exactly t. Events scheduled after t remain pending.
-func (e *Engine) RunUntil(t Time) {
-	for len(e.events) > 0 && e.events[0].at <= t {
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
-	}
-}
-
 // ---- four-ary event heap ----
 
 // arity is the heap fan-out. Four keeps siblings in one or two cache

@@ -81,29 +81,6 @@ func TestEngineAfterNesting(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	atFn(e, 10, func() { ran++ })
-	atFn(e, 20, func() { ran++ })
-	atFn(e, 30, func() { ran++ })
-	e.RunUntil(20)
-	if ran != 2 {
-		t.Fatalf("RunUntil(20) ran %d events, want 2", ran)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("Now = %v, want 20", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-	// RunUntil past the end advances the clock even with no events.
-	e.RunUntil(100)
-	if e.Now() != 100 || e.Pending() != 0 {
-		t.Fatalf("after RunUntil(100): now=%v pending=%d", e.Now(), e.Pending())
-	}
-}
-
 func TestEnginePanicsOnPastSchedule(t *testing.T) {
 	e := NewEngine()
 	atFn(e, 10, func() {})
@@ -256,36 +233,20 @@ func TestEngineEquivalenceWithBinaryHeap(t *testing.T) {
 }
 
 // TestEngineEdgeCases covers the boundary behaviors of the run loop:
-// RunUntil at the current time, events scheduled exactly at the
-// boundary, and scheduling in the past or with a negative delay.
+// scheduling at the current time, in the past, or with a negative delay.
 func TestEngineEdgeCases(t *testing.T) {
-	t.Run("RunUntilNow", func(t *testing.T) {
+	t.Run("ScheduleAtNow", func(t *testing.T) {
 		e := NewEngine()
 		atFn(e, 10, func() {})
 		e.Run()
 		ran := 0
 		atFn(e, e.Now(), func() { ran++ }) // scheduling at now is legal
-		e.RunUntil(e.Now())                // a zero-width window still runs due events
+		e.Run()
 		if ran != 1 {
-			t.Fatalf("RunUntil(Now()) ran %d events, want 1", ran)
+			t.Fatalf("event at Now() ran %d times, want 1", ran)
 		}
 		if e.Now() != 10 {
 			t.Fatalf("clock moved to %v, want 10", e.Now())
-		}
-	})
-	t.Run("BoundaryInclusive", func(t *testing.T) {
-		e := NewEngine()
-		var fired []Time
-		for _, at := range []Time{19, 20, 20, 21} {
-			at := at
-			atFn(e, at, func() { fired = append(fired, at) })
-		}
-		e.RunUntil(20)
-		if len(fired) != 3 || fired[0] != 19 || fired[1] != 20 || fired[2] != 20 {
-			t.Fatalf("RunUntil(20) fired %v, want [19 20 20]", fired)
-		}
-		if e.Pending() != 1 {
-			t.Fatalf("pending %d, want the event past the boundary", e.Pending())
 		}
 	})
 	t.Run("AtPanicsOnPast", func(t *testing.T) {
@@ -438,29 +399,5 @@ func TestRNGZipfSkew(t *testing.T) {
 	// Rank 0 must dominate a mid-rank value under Zipf.
 	if counts[0] <= counts[100] {
 		t.Fatalf("zipf not skewed: rank0=%d rank100=%d", counts[0], counts[100])
-	}
-}
-
-func TestEngineRunFor(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	atFn(e, 10, func() { ran++ })
-	atFn(e, 25, func() { ran++ })
-	e.RunUntil(e.Now() + 15)
-	if ran != 1 {
-		t.Fatalf("a 15ns window ran %d events, want 1", ran)
-	}
-	if e.Now() != 15 {
-		t.Fatalf("Now = %v, want 15", e.Now())
-	}
-	// A second window picks up where the first left off.
-	e.RunUntil(e.Now() + 15)
-	if ran != 2 || e.Now() != 30 {
-		t.Fatalf("after second window: ran=%d now=%v", ran, e.Now())
-	}
-	// A window ending in the past runs nothing and leaves the clock.
-	e.RunUntil(e.Now() - 1)
-	if e.Now() != 30 {
-		t.Fatalf("window into the past moved the clock to %v", e.Now())
 	}
 }

@@ -46,10 +46,26 @@ const (
 // terminal reports whether a job in this state will never change again.
 func (s Status) terminal() bool { return s == StatusDone || s == StatusFailed }
 
+// maxCapacityBytes caps options.capacity_bytes and every
+// params.capacity_bytes of a spec. A flash device's FTL arrays and the
+// postmark file-system bitmap grow with capacity, and an allocation
+// that exhausts memory kills the whole process, not just one job. At
+// the cap the largest flash build takes about 43 MB of heap.
+const maxCapacityBytes = 16 << 30
+
+// checkCapacity rejects a capacity_bytes field above maxCapacityBytes.
+func checkCapacity(field string, bytes int64) error {
+	if bytes > maxCapacityBytes {
+		return fmt.Errorf("simsvc: %s.capacity_bytes %d exceeds the %d-byte cap", field, bytes, int64(maxCapacityBytes))
+	}
+	return nil
+}
+
 // ProfileOptions is the JSON-friendly subset of the registry's
 // functional options a job may apply to its device profile.
 type ProfileOptions struct {
-	// CapacityBytes scales the device (core.WithCapacity).
+	// CapacityBytes scales the device (core.WithCapacity), up to
+	// maxCapacityBytes.
 	CapacityBytes int64 `json:"capacity_bytes,omitempty"`
 	// QueueDepth sets all four benchmark depths (core.WithQueueDepth).
 	QueueDepth int `json:"queue_depth,omitempty"`
@@ -68,17 +84,14 @@ type ProfileOptions struct {
 	// arrival storm paces to the device instead of accumulating
 	// unbounded queue state on a worker.
 	MaxPending int `json:"max_pending,omitempty"`
-	// Shards runs shardable flash profiles across this many engines
-	// (core.WithShards): same result bytes, less worker wall clock.
-	// Because sharding never changes a result, it is excluded from the
-	// cache identity — specs differing only in Shards share one cache
-	// entry.
-	Shards int `json:"shards,omitempty"`
 }
 
 // build translates the JSON options into registry options.
 func (o ProfileOptions) build() ([]core.Option, error) {
 	var opts []core.Option
+	if err := checkCapacity("options", o.CapacityBytes); err != nil {
+		return nil, err
+	}
 	if o.CapacityBytes > 0 {
 		opts = append(opts, core.WithCapacity(o.CapacityBytes))
 	}
@@ -120,12 +133,6 @@ func (o ProfileOptions) build() ([]core.Option, error) {
 	if o.MaxPending > 0 {
 		opts = append(opts, core.WithMaxPending(o.MaxPending))
 	}
-	if o.Shards < 0 {
-		return nil, fmt.Errorf("simsvc: negative shard count %d", o.Shards)
-	}
-	if o.Shards > 0 {
-		opts = append(opts, core.WithShards(o.Shards))
-	}
 	return opts, nil
 }
 
@@ -164,9 +171,9 @@ type JobSpec struct {
 	Params workload.GenParams `json:"params"`
 	// Tenant is the submitting tenant class (0 = untenanted): the service
 	// counts this tenant's jobs in /statsz and enforces its in-flight
-	// quota (Options.TenantQuotas) at submit. Like Shards, it is an
-	// execution knob, not a simulation parameter, so it is excluded from
-	// the cache identity — tenants share byte-identical cached results.
+	// quota (Options.TenantQuotas) at submit. It is an admission-control
+	// identity, not a simulation parameter, so it is excluded from the
+	// cache identity — tenants share byte-identical cached results.
 	Tenant uint8 `json:"tenant,omitempty"`
 	// Tenants, when non-empty, makes the simulated workload multi-tenant:
 	// each entry's stream is tagged with its tenant ID, shaped by its
@@ -204,6 +211,9 @@ func (s *JobSpec) Validate() error {
 	if _, err := s.Options.build(); err != nil {
 		return err
 	}
+	if err := checkCapacity("params", s.Params.CapacityBytes); err != nil {
+		return err
+	}
 	seen := map[uint8]bool{}
 	weighted := false
 	for i, ts := range s.Tenants {
@@ -216,6 +226,11 @@ func (s *JobSpec) Validate() error {
 		seen[ts.Tenant] = true
 		if ts.Workload != "" && !knownWorkload(ts.Workload) {
 			return fmt.Errorf("simsvc: tenant %d: unknown workload %q", ts.Tenant, ts.Workload)
+		}
+		if ts.Params != nil {
+			if err := checkCapacity(fmt.Sprintf("tenants[%d].params", i), ts.Params.CapacityBytes); err != nil {
+				return err
+			}
 		}
 		if ts.Weight < 0 {
 			return fmt.Errorf("simsvc: tenant %d: negative weight %v", ts.Tenant, ts.Weight)
@@ -302,13 +317,8 @@ func (s JobSpec) tenantStream() (trace.Stream, error) {
 // each entry, compared on every hit, and shipped to peers so the owner
 // of a key can verify (or recompute) exactly the spec being asked for.
 func (s JobSpec) Canonical() []byte {
-	// Sharding is an execution knob, not a simulation parameter: the
-	// parallel dataplane is byte-identical to the single engine, so a
-	// spec's identity must not depend on it (a sharded run warms the
-	// cache for single-engine requests and vice versa). The submitting
-	// tenant is likewise an admission-control identity, not a simulation
-	// parameter, so tenants share cached results. s is a copy.
-	s.Options.Shards = 0
+	// The submitting tenant is an admission-control identity, not a
+	// simulation parameter, so tenants share cached results. s is a copy.
 	s.Tenant = 0
 	canonical, err := json.Marshal(s)
 	if err != nil {

@@ -710,61 +710,6 @@ func TestDiscoveryEndpoints(t *testing.T) {
 	}
 }
 
-// TestShardsCacheIdentity pins the satellite contract for the shards
-// option: it is an execution knob, not a simulation parameter. A spec
-// differing only in Options.Shards shares the cache entry, and a
-// sharded run produces the same result fields as the single-engine run.
-func TestShardsCacheIdentity(t *testing.T) {
-	spec := smallSpec(20_000, 3)
-	shardedSpec := spec
-	shardedSpec.Options.Shards = 2
-	if spec.Key() != shardedSpec.Key() {
-		t.Fatal("specs differing only in shards must share a content address")
-	}
-
-	m := New(Options{Workers: 1})
-	defer m.Close()
-	srv := httptest.NewServer(m.Handler())
-	defer srv.Close()
-
-	first := postJob(t, srv, shardedSpec)
-	firstDone := waitJob(t, srv, first.ID)
-	if firstDone.Status != StatusDone {
-		t.Fatalf("sharded run: %+v", firstDone)
-	}
-	// The single-engine resubmission is served from the sharded run's
-	// cache entry.
-	second := postJob(t, srv, spec)
-	if !second.Cached {
-		t.Fatal("single-engine spec missed the sharded run's cache entry")
-	}
-
-	// And the cached claim is honest: a single-engine run on a fresh
-	// service produces the same result, field for field, once the
-	// execution knob itself is masked out of the payload.
-	m2 := New(Options{Workers: 1})
-	defer m2.Close()
-	srv2 := httptest.NewServer(m2.Handler())
-	defer srv2.Close()
-	soloDone := waitJob(t, srv2, postJob(t, srv2, spec).ID)
-	if soloDone.Status != StatusDone {
-		t.Fatalf("single-engine run: %+v", soloDone)
-	}
-	var sharded, solo Result
-	if err := json.Unmarshal(firstDone.Result, &sharded); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(soloDone.Result, &solo); err != nil {
-		t.Fatal(err)
-	}
-	sharded.Spec.Options.Shards = 0
-	a, _ := json.Marshal(sharded)
-	b, _ := json.Marshal(solo)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("sharded result diverges from single-engine:\n%s\nvs\n%s", a, b)
-	}
-}
-
 // TestJobTimestampsAndAggregates pins the lifecycle timestamps on
 // JobView and the queue-wait / run-duration aggregates in Stats: a
 // simulated job orders submitted <= started <= finished and feeds both
@@ -850,5 +795,53 @@ func TestOversizedBodiesRejected(t *testing.T) {
 	st := m.Stats()
 	if st.JobsSubmitted != 0 || st.Cache.Entries != 0 || st.Cache.Misses != 0 {
 		t.Fatalf("oversized bodies reached the service: %d jobs submitted, cache %+v", st.JobsSubmitted, st.Cache)
+	}
+}
+
+// TestCapacityCap: a spec asking for more than maxCapacityBytes of
+// device or workload capacity is rejected at submit. Uncapped, each of
+// these bodies builds a 1 PiB FTL or file-system bitmap on a worker and
+// kills the process with an unrecoverable out-of-memory error, so the
+// test checks Validate before it posts anything.
+func TestCapacityCap(t *testing.T) {
+	const pib = 1 << 50
+	over := []string{
+		fmt.Sprintf(`{"profile":"ssd","workload":"synthetic","params":{"ops":10},"options":{"capacity_bytes":%d}}`, int64(pib)),
+		fmt.Sprintf(`{"profile":"osd","workload":"synthetic","params":{"ops":10},"options":{"capacity_bytes":%d}}`, int64(pib)),
+		fmt.Sprintf(`{"profile":"S4slc_sim","workload":"synthetic","params":{"ops":10},"options":{"capacity_bytes":%d}}`, int64(pib)),
+		fmt.Sprintf(`{"profile":"hdd","workload":"postmark","params":{"transactions":10,"capacity_bytes":%d}}`, int64(pib)),
+		fmt.Sprintf(`{"profile":"ssd","workload":"postmark","params":{"transactions":10,"capacity_bytes":4194304},"tenants":[{"tenant":1,"params":{"transactions":10,"capacity_bytes":%d}}]}`, int64(maxCapacityBytes+1)),
+	}
+	for _, body := range over {
+		spec, err := DecodeJSON[JobSpec](strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", body, err)
+		}
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Fatalf("%s: Validate = %v, want the capacity cap", body, err)
+		}
+	}
+	atCap := fmt.Sprintf(`{"profile":"ssd","workload":"postmark","params":{"transactions":10,"capacity_bytes":%d},"options":{"capacity_bytes":%d}}`,
+		int64(maxCapacityBytes), int64(maxCapacityBytes))
+	if spec, err := DecodeJSON[JobSpec](strings.NewReader(atCap)); err != nil || spec.Validate() != nil {
+		t.Fatalf("a spec at the cap must be accepted: decode %v, validate %v", err, spec.Validate())
+	}
+
+	m := New(Options{Workers: 1})
+	defer m.Close()
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	for _, body := range over {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: POST /jobs = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if s := m.Stats(); s.Run.N != 0 {
+		t.Fatalf("%d jobs ran; rejected specs must never reach a worker", s.Run.N)
 	}
 }

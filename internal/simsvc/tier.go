@@ -29,15 +29,10 @@ type TierConfig struct {
 	Self string
 	// Peers are the other instances' base URLs.
 	Peers []string
-	// VirtualNodes per member (<= 0: ring.DefaultVirtualNodes).
-	VirtualNodes int
 	// FetchTimeout bounds one owner fetch, including the time spent
 	// coalesced behind the owner's in-flight simulation of the same key
 	// (<= 0: 2m). On timeout the requester computes locally.
 	FetchTimeout time.Duration
-	// BreakerFailures is the consecutive-failure count that opens a
-	// peer's circuit breaker (<= 0: 3).
-	BreakerFailures int
 	// BreakerCooldown is how long an open breaker skips a peer before
 	// probing it again (<= 0: 5s).
 	BreakerCooldown time.Duration
@@ -46,9 +41,6 @@ type TierConfig struct {
 func (c TierConfig) withDefaults() TierConfig {
 	if c.FetchTimeout <= 0 {
 		c.FetchTimeout = 2 * time.Minute
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 3
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
@@ -66,11 +58,15 @@ type breaker struct {
 	openUntil time.Time
 }
 
+// breakerFailures is the consecutive-failure count that opens a peer's
+// circuit breaker.
+const breakerFailures = 3
+
 // allow reports whether a fetch may be attempted now.
-func (b *breaker) allow(now time.Time, threshold int) bool {
+func (b *breaker) allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.failures < threshold || !now.Before(b.openUntil)
+	return b.failures < breakerFailures || !now.Before(b.openUntil)
 }
 
 // observe records a fetch outcome.
@@ -106,7 +102,7 @@ func newTier(cfg TierConfig) *tier {
 	cfg = cfg.withDefaults()
 	return &tier{
 		cfg:      cfg,
-		ring:     ring.New(cfg.Self, cfg.Peers, cfg.VirtualNodes),
+		ring:     ring.New(cfg.Self, cfg.Peers, ring.DefaultVirtualNodes),
 		client:   &http.Client{Timeout: cfg.FetchTimeout},
 		breakers: map[string]*breaker{},
 	}
@@ -148,7 +144,7 @@ func cacheURL(peer string, key uint64) string {
 // degradation to local compute, never an error.
 func fetch(ctx context.Context, t *tier, owner string, key uint64, identity []byte) ([]byte, bool) {
 	br := t.breakerFor(owner)
-	if !br.allow(time.Now(), t.cfg.BreakerFailures) {
+	if !br.allow(time.Now()) {
 		return nil, false
 	}
 	ctx, cancel := context.WithTimeout(ctx, t.cfg.FetchTimeout)
@@ -205,7 +201,7 @@ type pushEnvelope struct {
 // completion so the next node asking the owner hits.
 func push(t *tier, owner string, key uint64, identity, payload []byte) {
 	br := t.breakerFor(owner)
-	if !br.allow(time.Now(), t.cfg.BreakerFailures) {
+	if !br.allow(time.Now()) {
 		return
 	}
 	body, err := json.Marshal(pushEnvelope{Identity: identity, Payload: payload})
@@ -257,7 +253,7 @@ func (t *tier) stats() TierStats {
 	now := time.Now()
 	t.mu.Lock()
 	for peer, b := range t.breakers {
-		if !b.allow(now, t.cfg.BreakerFailures) {
+		if !b.allow(now) {
 			s.BreakersOpen = append(s.BreakersOpen, peer)
 		}
 	}

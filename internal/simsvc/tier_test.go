@@ -476,7 +476,7 @@ func TestCachePushCap(t *testing.T) {
 		t.Fatalf("padded identity is %d bytes (cap %d), valid: %v", len(identity), MaxBodyBytes, spec.Validate())
 	}
 	res := Result{Spec: spec}
-	res.Spec.Options.Shards, res.Spec.Tenant = math.MaxInt, math.MaxUint8 // outside the identity
+	res.Spec.Tenant = math.MaxUint8 // outside the identity
 	widest(reflect.ValueOf(&res.Snapshot).Elem())
 	widest(reflect.ValueOf(&res.Workload).Elem())
 	res.SimulatedSeconds, res.ReadMBps, res.WriteMBps = -math.MaxFloat64, -math.MaxFloat64, -math.MaxFloat64

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ossd/internal/core"
 	"ossd/internal/fault"
 	"ossd/internal/flash"
 	"ossd/internal/sched"
@@ -16,8 +15,7 @@ import (
 // The cleaning hooks visit only the elements in the device's cleaning
 // set, which is maintained incrementally. These tests are its oracle:
 // randomized runs recompute the cleaning predicate over every element
-// at each completion (or arrival, on the sharded dataplane) and require
-// the set to match it exactly.
+// at each completion and require the set to match it exactly.
 
 // oracleConfig is a 4-element interleaved SWTF device whose tiny
 // geometry cycles its capacity quickly, with watermarks above the FTL's
@@ -138,131 +136,6 @@ func TestCleanSetOracle(t *testing.T) {
 			}
 			checkElements(t, d)
 		})
-	}
-}
-
-// checkedStream runs check before every pull, with the number of ops
-// already returned. On the sharded dataplane the router pulls between
-// windows, when every shard is idle; after a merge the pulls come from
-// the gang's own engine.
-type checkedStream struct {
-	s     trace.Stream
-	check func(pulled int)
-	n     int
-}
-
-func (c *checkedStream) Next() (trace.Op, bool) {
-	c.check(c.n)
-	op, ok := c.s.Next()
-	if ok {
-		c.n++
-	}
-	return op, ok
-}
-
-// Cleaning-set ownership moves between a gang and its shards: the gang
-// preconditions through core.ClosedLoop, the shards take their groups
-// over for the sharded Drive, the gang takes everything back at a merge
-// (span) or after the drain, and a further closed loop runs on the gang.
-// Each owner's set must match the predicate throughout.
-func TestCleanSetOracleSharded(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		for _, span := range []bool{false, true} {
-			cfg := oracleConfig()
-			cfg.Elements = 8
-			// Dead elements keep their membership at quiescence (the
-			// hooks skip them), so every hand-over moves a non-empty set:
-			// elements 2 and 5 die during preconditioning, element 6
-			// during the sharded Drive.
-			cfg.Fault = &fault.Plan{Deaths: []fault.Death{
-				{Element: 2, AfterOps: 190}, {Element: 5, AfterOps: 205}, {Element: 6, AfterOps: 400},
-			}}
-			built, err := core.Build(core.Profile{Kind: core.KindSSD, SSD: cfg, Fault: cfg.Fault})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dev := built.(*core.SSD)
-			if err := dev.Raw.EnableSharding(shards); err != nil {
-				t.Fatal(err)
-			}
-			d := dev.Raw
-			space := d.LogicalBytes()
-			checkGang := func() {
-				if err := ssd.CleanSetErr(d); err != nil {
-					t.Fatalf("shards=%d span=%v: gang: %v", shards, span, err)
-				}
-			}
-			writes := func(seed int64, n int) func(int) (trace.Op, bool) {
-				rng := rand.New(rand.NewSource(seed))
-				return func(i int) (trace.Op, bool) {
-					checkGang()
-					if i >= n {
-						return trace.Op{}, false
-					}
-					return trace.Op{Kind: trace.Write, Offset: rng.Int63n(space/4096) * 4096, Size: 4096}, true
-				}
-			}
-			if err := core.PreconditionFrac(dev, 64<<10, 1); err != nil {
-				t.Fatal(err)
-			}
-			if err := core.ClosedLoop(dev, 4, writes(1, int(space/4096/2))); err != nil {
-				t.Fatal(err)
-			}
-			members := 0
-			for _, el := range d.Elements() {
-				if el.FreeFraction() < cfg.GCLow && el.CanClean() {
-					members++
-				}
-			}
-			if members == 0 {
-				t.Fatalf("shards=%d span=%v: empty cleaning set at hand-over", shards, span)
-			}
-
-			const n = 4000
-			spanAt := -1
-			if span {
-				spanAt = n * 7 / 10
-			}
-			rng := rand.New(rand.NewSource(2))
-			var at sim.Time
-			ops := make([]trace.Op, n)
-			for i := range ops {
-				if rng.Intn(4) != 0 {
-					at += sim.Time(rng.Int63n(200)) * sim.Microsecond
-				}
-				ops[i] = trace.Op{At: at, Kind: trace.Write, Offset: rng.Int63n(space/4096) * 4096, Size: 4096}
-				switch rng.Intn(10) {
-				case 0:
-					ops[i].Kind = trace.Free
-				case 1, 2, 3:
-					ops[i].Kind = trace.Read
-				}
-				if i == spanAt {
-					// Every element, so it spans groups at any shard count.
-					ops[i] = trace.Op{At: at, Kind: trace.Write, Offset: 0, Size: 8 * 4096}
-				}
-			}
-			st := &checkedStream{s: trace.FromSlice(ops), check: func(pulled int) {
-				if span && pulled > spanAt {
-					checkGang()
-					return
-				}
-				if err := ssd.ShardCleanSetErr(d); err != nil {
-					t.Fatalf("shards=%d span=%v after %d ops: %v", shards, span, pulled, err)
-				}
-			}}
-			if err := dev.Drive(st); err != nil {
-				t.Fatal(err)
-			}
-			checkGang()
-			if err := core.ClosedLoop(dev, 4, writes(3, 1000)); err != nil {
-				t.Fatal(err)
-			}
-			if d.Metrics().BackgroundCleans == 0 {
-				t.Fatalf("shards=%d span=%v: the device never cleaned", shards, span)
-			}
-			checkElements(t, d)
-		}
 	}
 }
 

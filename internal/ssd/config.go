@@ -71,9 +71,7 @@ type Config struct {
 	// dispatch: the queue deficit-round-robins across tenant classes
 	// with these scheduler weights (tenants absent from the map weigh
 	// 1). Empty leaves the queue in legacy single-tenant mode, where
-	// tenant tags affect only the per-tenant metrics. Tenant-weighted
-	// devices are not shardable (see ShardableConfig): cross-tenant
-	// arbitration is global by nature.
+	// tenant tags affect only the per-tenant metrics.
 	TenantWeights map[uint8]float64
 	// CtrlOverhead is the per-element command overhead charged to every
 	// element task of a request (interface decode, ECC, firmware).

@@ -33,10 +33,6 @@ type request struct {
 	// internal marks buffer-drain requests: they do the media work for an
 	// already-acknowledged buffered write and stay out of host metrics.
 	internal bool
-	// gseq is the request's index in the global arrival stream, stamped
-	// by the sharded router so that a merge transition can re-interleave
-	// shard queues in arrival order. Zero on unsharded devices.
-	gseq uint64
 	// qn is the request's dispatch-queue record while it waits, and its
 	// freelist link while it is pooled.
 	qn sched.Node[request]
@@ -114,50 +110,17 @@ type Device struct {
 	// completed requests, so the host path allocates nothing.
 	freeReqs sched.Pool[request]
 
-	// elemLo/elemHi bound the elements this device instance cleans. A
-	// standalone device owns [0, Elements); a shard sub-device owns only
-	// its element group, so concurrent shards never clean each other's
-	// backends. The dispatch path needs no such bound: requests are
-	// routed to shards by element group before submission.
-	elemLo, elemHi int
-	// cleanSet is a bitset over element numbers: bit e is set iff e is
-	// owned ([elemLo, elemHi)) and its FTL is below the low watermark with
-	// something to reclaim. The predicate depends only on e's FTL state,
-	// so it is refreshed where that state changes (serve, startClean) and
-	// resynced wholesale where FTL ownership moves between a gang and its
-	// shards; the cleaning hooks visit only set elements.
+	// cleanSet is a bitset over element numbers: bit e is set iff e's FTL
+	// is below the low watermark with something to reclaim. The
+	// predicate depends only on e's FTL state, so it is refreshed where
+	// that state changes (serve, startClean); the cleaning hooks visit
+	// only set elements.
 	cleanSet []uint64
 
-	// recording diverts response-time samples into samples[] instead of
-	// the metric histograms. Shard sub-devices record; the gang merges
-	// the logs in global completion order at window barriers so the
-	// histograms see samples in the same order a single engine would.
-	recording bool
-	samples   []completionSample
-	// nextGseq stamps request.gseq at submission; the sharded router
-	// sets it per arrival.
-	nextGseq uint64
-
-	// shard, when non-nil, is the parallel dataplane: per-element-group
-	// sub-devices on private engines, driven by DriveStream. See gang.go.
-	shard *gang
-
 	// flt, when non-nil, injects the config's fault plan at dispatch.
-	// Shard sub-devices alias the gang's state; see faultState.
 	flt *faultState
 
 	met Metrics
-}
-
-// completionSample is one recorded host completion: enough to replay the
-// histogram updates of complete() in globally merged order.
-type completionSample struct {
-	done, start sim.Time
-	ms          float64
-	size        int64
-	kind        trace.Kind
-	pri         bool
-	tenant      uint8
 }
 
 // New builds a device on the given engine.
@@ -165,37 +128,22 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var elems []ftl.Backend
+	d := &Device{
+		cfg:        cfg,
+		eng:        eng,
+		touched:    make([]bool, cfg.Elements),
+		durScratch: make([]sim.Time, cfg.Elements),
+		cleanSet:   make([]uint64, (cfg.Elements+63)/64),
+	}
 	for i := 0; i < cfg.Elements; i++ {
 		el, err := ftl.NewBackend(cfg.Scheme, cfg.ftlConfig(i))
 		if err != nil {
 			return nil, err
 		}
-		elems = append(elems, el)
-	}
-	d, err := newWithBackends(eng, cfg, elems, 0, cfg.Elements)
-	if err != nil {
-		return nil, err
+		d.elems = append(d.elems, el)
 	}
 	if cfg.Fault.Injects() {
 		d.flt = newFaultState(cfg.Fault, cfg.Elements)
-	}
-	return d, nil
-}
-
-// newWithBackends builds a device over existing FTL backends, cleaning
-// only elements in [lo, hi). It is how shard sub-devices alias the gang's
-// backends while owning a private engine, queue, and metrics.
-func newWithBackends(eng *sim.Engine, cfg Config, elems []ftl.Backend, lo, hi int) (*Device, error) {
-	d := &Device{
-		cfg:        cfg,
-		eng:        eng,
-		elems:      elems,
-		touched:    make([]bool, cfg.Elements),
-		durScratch: make([]sim.Time, cfg.Elements),
-		elemLo:     lo,
-		elemHi:     hi,
-		cleanSet:   make([]uint64, (cfg.Elements+63)/64),
 	}
 	d.q = sched.NewQueue(cfg.Scheduler, cfg.Elements, reqCost)
 	// Map iteration order is irrelevant here: the queue keeps its tenant
@@ -234,8 +182,7 @@ func (d *Device) Config() Config { return d.cfg }
 
 // Metrics returns a snapshot of the accumulated metrics. The fault and
 // retirement counters are computed fresh from the fault state and the
-// per-element FTL stats, which a sharded gang shares with its
-// sub-devices, so they need no folding at window barriers.
+// per-element FTL stats.
 func (d *Device) Metrics() Metrics {
 	m := d.met
 	if d.flt != nil {
@@ -302,20 +249,6 @@ func (d *Device) WriteAmplification() float64 {
 	return float64(g.HostPageWrites+g.PagesMoved) / hostPages
 }
 
-// admit validates an operation against the device without mutating any
-// state. It is the complete set of Submit's error paths, which lets the
-// sharded router pre-validate a batch and inject it knowing no mid-batch
-// submission can fail.
-func (d *Device) admit(op trace.Op) error {
-	if err := op.Validate(); err != nil {
-		return err
-	}
-	if op.End() > d.logicalBytes {
-		return fmt.Errorf("ssd: request [%d, +%d) beyond capacity %d", op.Offset, op.Size, d.logicalBytes)
-	}
-	return nil
-}
-
 // takeReq pops a pooled request (or allocates the pool's next one) and
 // resets it.
 func (d *Device) takeReq() *request {
@@ -340,8 +273,11 @@ func (d *Device) putReq(r *request) {
 // metadata-only (zero service time) but still flow through the dispatch
 // queue so they order behind earlier writes to the same elements.
 func (d *Device) Submit(op trace.Op, onDone func(resp sim.Time, err error)) error {
-	if err := d.admit(op); err != nil {
+	if err := op.Validate(); err != nil {
 		return err
+	}
+	if op.End() > d.logicalBytes {
+		return fmt.Errorf("ssd: request [%d, +%d) beyond capacity %d", op.Offset, op.Size, d.logicalBytes)
 	}
 	now := d.eng.Now()
 	req := d.takeReq()
@@ -349,7 +285,6 @@ func (d *Device) Submit(op trace.Op, onDone func(resp sim.Time, err error)) erro
 	req.Arrive = now
 	req.onDone = onDone
 	req.dev = d
-	req.gseq = d.nextGseq
 	d.met.Requests++
 	// Write-back buffer: absorb the write at RAM speed and let an
 	// internal request do the media work. A full buffer bypasses.
@@ -479,12 +414,10 @@ func (d *Device) syncCleanSet(e int) {
 	}
 }
 
-// resyncCleanSet recomputes the whole cleaning set for the owned
-// elements. It runs wherever another device instance may have changed
-// them: at construction, and where FTL ownership moves between a gang
-// and its shard sub-devices.
+// resyncCleanSet recomputes the whole cleaning set, at construction and
+// wherever a request may have changed any element's FTL state.
 func (d *Device) resyncCleanSet() {
-	for e := d.elemLo; e < d.elemHi; e++ {
+	for e := range d.elems {
 		d.syncCleanSet(e)
 	}
 }
@@ -520,7 +453,7 @@ func (d *Device) serve(req *request, now sim.Time) {
 	switch {
 	case req.Err != nil || req.Op.Kind == trace.Free:
 		// A failed request may have stopped anywhere, and a free's
-		// durations are all zero: resync every owned element.
+		// durations are all zero: resync every element.
 		d.resyncCleanSet()
 	case req.Op.Kind == trace.Write:
 		// Reads change no mapping state.
@@ -605,23 +538,8 @@ func (d *Device) complete(req *request) {
 	d.putReq(req)
 }
 
-// recordResp folds a host completion into the response-time histograms —
-// or, on a recording shard sub-device, into the sample log the gang
-// replays in global completion order (Welford accumulation is
-// order-sensitive, so shards must not fold their own).
+// recordResp folds a host completion into the response-time histograms.
 func (d *Device) recordResp(req *request, ms float64) {
-	if d.recording {
-		d.samples = append(d.samples, completionSample{
-			done:   req.Done,
-			start:  req.Start,
-			ms:     ms,
-			size:   req.Op.Size,
-			kind:   req.Op.Kind,
-			pri:    req.Op.Priority,
-			tenant: req.Op.Tenant,
-		})
-		return
-	}
 	switch req.Op.Kind {
 	case trace.Read:
 		d.met.ReadResp.Add(ms)

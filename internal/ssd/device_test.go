@@ -37,6 +37,21 @@ func stripeConfig() Config {
 	return c
 }
 
+// gangConfig builds an 8-element interleaved SWTF device with
+// watermarks low enough that randomized workloads trigger cleaning.
+func gangConfig() Config {
+	return Config{
+		Elements:      8,
+		Geom:          flash.Geometry{PageSize: 4096, PagesPerBlock: 8, BlocksPerPackage: 32},
+		Overprovision: 0.15,
+		Layout:        Interleaved,
+		Scheduler:     sched.SWTF,
+		CtrlOverhead:  20 * sim.Microsecond,
+		GCLow:         0.12,
+		GCCritical:    0.03,
+	}
+}
+
 func newDevice(t *testing.T, cfg Config) (*sim.Engine, *Device) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -435,5 +450,33 @@ func play(t *testing.T, d *Device, ops []trace.Op) {
 func TestRequestSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(request{}); n > 128 {
 		t.Fatalf("request is %d bytes, want <= 128", n)
+	}
+}
+
+// TestRequestFreelistSteadyState pins the satellite allocation contract:
+// once warm, the submit/complete cycle reuses pooled requests.
+func TestRequestFreelistSteadyState(t *testing.T) {
+	d, err := New(sim.NewEngine(), gangConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var off int64
+	// Warm the pool and the FTL mappings.
+	for i := 0; i < 64; i++ {
+		if err := d.Submit(trace.Op{Kind: trace.Write, Offset: off, Size: 4096}, nil); err != nil {
+			t.Fatal(err)
+		}
+		off += 4096
+		d.eng.Run()
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := d.Submit(trace.Op{Kind: trace.Write, Offset: off % (1 << 20), Size: 4096}, nil); err != nil {
+			t.Fatal(err)
+		}
+		off += 4096
+		d.eng.Run()
+	})
+	if allocs > 0 {
+		t.Fatalf("submit/complete cycle allocates %.1f per op, want 0", allocs)
 	}
 }

@@ -9,93 +9,6 @@ import (
 	"ossd/internal/trace"
 )
 
-// runGangFault mirrors runGang with a fault plan attached to the config.
-func runGangFault(t *testing.T, shards int, plan *fault.Plan, ops []trace.Op) *Device {
-	t.Helper()
-	cfg := gangConfig()
-	cfg.Fault = plan
-	d, err := New(sim.NewEngine(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shards >= 2 {
-		if err := d.EnableSharding(shards); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var off int64
-	space := d.LogicalBytes() * 6 / 10
-	err = closedLoop(d, 1, func(int) (trace.Op, bool) {
-		if off >= space {
-			return trace.Op{}, false
-		}
-		op := trace.Op{Kind: trace.Write, Offset: off, Size: 1 << 16}
-		off += 1 << 16
-		return op, true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shards >= 2 {
-		err = d.DriveStream(trace.FromSlice(ops))
-	} else {
-		err = driveOps(d, ops)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
-// Injections are keyed by (seed, element, op-seq), never iteration
-// order, so a fault-plan replay — transient errors, a mid-run element
-// death, and wear-ceiling retirement all active — must match the single
-// engine exactly at every shard count, including the fault counters.
-func TestFaultShardEquivalence(t *testing.T) {
-	logical := func() int64 {
-		d, err := New(sim.NewEngine(), gangConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d.LogicalBytes()
-	}()
-	plan := &fault.Plan{
-		Seed:        99,
-		Transient:   &fault.Transient{Rate: 0.01, Burst: 4, RetryUs: 400},
-		Deaths:      []fault.Death{{Element: 5, AfterOps: 200}},
-		WearCeiling: 1,
-		RemapCostUs: 300,
-	}
-	for _, seed := range []int64{1, 7} {
-		ops := gangWorkload(seed, 3000, logical, false)
-		single := runGangFault(t, 1, plan, ops)
-		sm := single.Metrics()
-		if sm.FaultsInjected == 0 {
-			t.Fatalf("seed %d: plan injected nothing", seed)
-		}
-		if sm.Errors == 0 {
-			t.Fatalf("seed %d: element death produced no errors", seed)
-		}
-		if sm.RetiredBlocks == 0 {
-			t.Fatalf("seed %d: wear ceiling retired nothing", seed)
-		}
-		for _, shards := range []int{2, 4, 8} {
-			sharded := runGangFault(t, shards, plan, ops)
-			t.Logf("seed %d shards %d", seed, shards)
-			compareDevices(t, single, sharded)
-			bm := sharded.Metrics()
-			if sm.FaultsInjected != bm.FaultsInjected || sm.FaultRetries != bm.FaultRetries {
-				t.Errorf("fault counters diverge: single %d/%d sharded %d/%d",
-					sm.FaultsInjected, sm.FaultRetries, bm.FaultsInjected, bm.FaultRetries)
-			}
-			if sm.RetiredBlocks != bm.RetiredBlocks || sm.RemappedPages != bm.RemappedPages {
-				t.Errorf("retirement counters diverge: single %d/%d sharded %d/%d",
-					sm.RetiredBlocks, sm.RemappedPages, bm.RetiredBlocks, bm.RemappedPages)
-			}
-		}
-	}
-}
-
 // A dead element fails every request that touches it, immediately and
 // deterministically, while the rest of the gang keeps serving.
 func TestElementDeathFailsRequests(t *testing.T) {
