@@ -2,26 +2,14 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"ossd/internal/experiments"
 	"ossd/internal/runner"
 )
-
-// reportGoldens pins the SHA-256 of the full text report for fixed
-// seeds. They must survive any refactor that claims behavioral
-// equivalence; a PR that deliberately changes simulated behavior or
-// report formatting updates them alongside the change (last updated
-// when the interference experiment joined the catalog — the tenancy
-// refactor itself left the previous goldens byte-identical, verified
-// before the catalog grew).
-var reportGoldens = map[int64]string{
-	1: "3cde8864c72567141ecd5f3e8052e714a1b126ec3e4ad34c44c9650d2160bca5",
-	7: "16f2bac08afd8f9b731ca1586bc194159ead731cb5a993ed96e6bf9796b568c9",
-}
 
 // reportBytes regenerates the full text report exactly as `repro -seed
 // N` writes it to its output, with each experiment's internal fan-out
@@ -46,22 +34,88 @@ func reportBytes(t *testing.T, seed int64, workers int) []byte {
 	return buf.Bytes()
 }
 
-// TestReportByteIdentity regenerates the whole evaluation for seeds 1
-// and 7 and requires the report bytes to hash to the recorded goldens.
-// The full suite takes about a minute per seed, so the test only runs
-// when REPRO_GOLDEN is set (CI sets it; see .github/workflows/ci.yml).
-// It runs the suite at worker counts 1 and 4 against the same pinned
-// hashes: the worker pools may never change a report byte.
-func TestReportByteIdentity(t *testing.T) {
-	if os.Getenv("REPRO_GOLDEN") == "" {
-		t.Skip("set REPRO_GOLDEN=1 to run the full-report byte-identity check (~2 min)")
+// maxDiffLines bounds how many differing lines reportDiff prints.
+const maxDiffLines = 5
+
+// reportDiff describes where got first departs from want: the "== id"
+// header of the experiment section the first differing line falls in,
+// then up to maxDiffLines differing lines from there on. It returns ""
+// when the reports are byte-identical.
+func reportDiff(want, got []byte) string {
+	if bytes.Equal(want, got) {
+		return ""
 	}
-	for _, workers := range []int{1, 4} {
-		for seed, want := range reportGoldens {
-			sum := sha256.Sum256(reportBytes(t, seed, workers))
-			if got := hex.EncodeToString(sum[:]); got != want {
-				t.Errorf("seed %d workers %d: report sha256 = %s, want %s (the simulation's observable behavior changed)", seed, workers, got, want)
-			}
+	wl := strings.SplitAfter(string(want), "\n")
+	gl := strings.SplitAfter(string(got), "\n")
+	line := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
 		}
+		return "<end of report>"
+	}
+	first := 0
+	for line(wl, first) == line(gl, first) {
+		first++
+	}
+	section := "report header"
+	for i := min(first, len(wl)-1); i >= 0; i-- {
+		if strings.HasPrefix(wl[i], "== ") {
+			section = strings.TrimSpace(wl[i])
+			break
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "first difference in section %q:\n", section)
+	for i, shown := first, 0; shown < maxDiffLines && i < max(len(wl), len(gl)); i++ {
+		if w, g := line(wl, i), line(gl, i); w != g {
+			fmt.Fprintf(&b, "  line %d\n    want: %q\n     got: %q\n", i+1, w, g)
+			shown++
+		}
+	}
+	return b.String()
+}
+
+// TestReportByteIdentity regenerates the whole evaluation for seeds 1
+// and 7 at worker counts 1 and 4 and requires every byte to match the
+// committed testdata/report-seed{1,7}.txt: a refactor that claims
+// behavioral equivalence must leave them untouched, and the worker
+// pools may never change a report byte. A change that deliberately
+// alters simulated behavior or report formatting regenerates them with
+// `go run ./cmd/repro -seed N -o cmd/repro/testdata/report-seedN.txt`,
+// so the new bytes show up as a reviewed diff.
+func TestReportByteIdentity(t *testing.T) {
+	for _, seed := range []int64{1, 7} {
+		want, err := os.ReadFile(fmt.Sprintf("testdata/report-seed%d.txt", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("seed%d/workers%d", seed, workers), func(t *testing.T) {
+				t.Parallel()
+				if diff := reportDiff(want, reportBytes(t, seed, workers)); diff != "" {
+					t.Errorf("report changed (the simulation's observable behavior changed); %s", diff)
+				}
+			})
+		}
+	}
+}
+
+// TestReportDiffNamesSection pins the failure message: a one-byte
+// change is reported under the "== id" header of its experiment.
+func TestReportDiffNamesSection(t *testing.T) {
+	want := []byte("title\nseed=1\n\n== a (first)\nx 1\n\n== b (second)\ny 2\nz 3\n")
+	if d := reportDiff(want, want); d != "" {
+		t.Fatalf("identical reports: %q", d)
+	}
+	got := bytes.Replace(want, []byte("z 3"), []byte("z 4"), 1)
+	d := reportDiff(want, got)
+	if !strings.Contains(d, `"== b (second)"`) || !strings.Contains(d, "line 9") {
+		t.Fatalf("diff does not name section b and line 9:\n%s", d)
+	}
+	if d := reportDiff(want, want[:len(want)-1]); !strings.Contains(d, `"== b (second)"`) {
+		t.Fatalf("missing trailing newline not placed in section b:\n%s", d)
+	}
+	if d := reportDiff(want, []byte("title\nseed=7\n")); !strings.Contains(d, `"report header"`) {
+		t.Fatalf("header change not named:\n%s", d)
 	}
 }

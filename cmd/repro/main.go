@@ -198,9 +198,10 @@ func main() {
 }
 
 // writeText renders the report in the paper's text format. It reports
-// whether any experiment failed. The byte-identity golden test hashes
-// this writer's output, so the bytes for a fixed seed are a compatibility
-// surface: change them deliberately, updating the goldens.
+// whether any experiment failed. The byte-identity golden test compares
+// this writer's output with testdata/report-seed{1,7}.txt, so the bytes
+// for a fixed seed are a compatibility surface: change them
+// deliberately, regenerating the goldens.
 func writeText(out io.Writer, seed int64, selected []experiments.CatalogEntry, outcomes []runner.Outcome[experiments.Result]) bool {
 	failed := false
 	fmt.Fprintf(out, "Block Management in Solid-State Devices — reproduction report\n")

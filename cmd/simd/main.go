@@ -4,13 +4,10 @@
 // parameter grids as campaigns, and rerun any of the paper's
 // experiments remotely. Identical jobs are served from a
 // content-addressed result cache — sound because every simulation is
-// deterministic from its spec. Peered instances (-self/-peers) share
-// one logical cache: keys are consistent-hashed across the fleet,
-// misses fetch from (and coalesce on) the key's owner, and identical
-// concurrent requests collapse to one simulation fleet-wide.
+// deterministic from its spec — and identical concurrent requests
+// collapse onto one in-flight simulation.
 //
-//	simd -addr :8080
-//	simd -addr :8080 -self http://a:8080 -peers http://b:8080,http://c:8080
+//	simd -addr :8080 -workers 4 -cache 4096
 //	curl -s localhost:8080/profiles
 //	curl -s -X POST -d '{"profile":"ssd","workload":"synthetic",
 //	    "params":{"ops":100000,"capacity_bytes":8388608,"seed":1}}' localhost:8080/jobs
@@ -75,9 +72,6 @@ func main() {
 		maxCells = flag.Int("max-cells", 0, "campaign expansion guard in cells (0 = 4096)")
 		shed     = flag.Bool("shed", false, "reject full-backlog submits with HTTP 429 (counted in /statsz) instead of 503")
 		quotas   = flag.String("tenant-quota", "", "per-tenant in-flight job caps as tenant=max pairs, e.g. 7=2,9=1 (unlisted tenants are uncapped)")
-		self     = flag.String("self", "", "this instance's base URL in the fleet (e.g. http://a:8080); required with -peers")
-		peers    = flag.String("peers", "", "comma-separated peer base URLs forming the cache tier's consistent-hash ring")
-		peerWait = flag.Duration("peer-timeout", 0, "bound on one owner fetch, including coalescing behind the owner's in-flight run (0 = 2m)")
 	)
 	flag.Parse()
 
@@ -87,29 +81,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var tierCfg *simsvc.TierConfig
-	if *peers != "" {
-		if *self == "" {
-			fmt.Fprintln(os.Stderr, "simd: -peers requires -self (every instance must know its own ring address)")
-			os.Exit(2)
-		}
-		var peerList []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-		tierCfg = &simsvc.TierConfig{Self: *self, Peers: peerList, FetchTimeout: *peerWait}
-		fmt.Fprintf(os.Stderr, "simd: cache tier: self=%s peers=%s\n", *self, strings.Join(peerList, ","))
-	}
-
 	mgr := simsvc.New(simsvc.Options{
 		Workers:      *workers,
 		Backlog:      *backlog,
 		CacheEntries: *cacheN,
 		SampleEvery:  *sample,
 		Shed:         *shed,
-		Tier:         tierCfg,
 		TenantQuotas: tenantQuotas,
 	})
 	camp := campaign.New(mgr, campaign.Options{MaxCells: *maxCells})

@@ -89,7 +89,7 @@ type Campaign struct {
 	finished  time.Time
 	// shed counts submit attempts the job manager rejected in shed
 	// mode; the feeder retried them, so cells still complete, but the
-	// count is the campaign's view of fleet overload.
+	// count is the campaign's view of service overload.
 	shed int
 	// runDur accumulates observed wall-clock run durations of the
 	// campaign's simulated (non-cached) cells, feeding the ETA.

@@ -83,11 +83,10 @@ type Disk struct {
 	cfg Config
 	eng *sim.Engine
 
-	revTime     sim.Time
-	bytesPerCyl float64 // average, used for LBA->cylinder mapping per zone
-	zoneRate    []float64
-	zoneStart   []int64 // starting byte of each zone
-	zoneCyls    int
+	revTime   sim.Time
+	zoneRate  []float64
+	zoneStart []int64 // starting byte of each zone
+	zoneCyls  int
 
 	headCyl int
 	lastEnd int64 // end offset of the previous media access (for sequential detection)

@@ -39,8 +39,8 @@ type cacheEntry struct {
 
 // identityKey is the one hash everything content-addressed goes
 // through: FNV-1a over the identity bytes. The invariant "key ==
-// identityKey(identity)" holds for every cache entry, so peers can
-// verify a pushed entry and owners can verify a requested one.
+// identityKey(identity)" holds for every cache entry; get still checks
+// the identity itself, since distinct identities can share a key.
 func identityKey(identity []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(identity)

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// BenchmarkCacheLocalGetPut is the hot local path a warm fleet rides:
-// a verified get plus a put that lands on the existing entry. CI gates
-// this at 0 allocs/op — the tier must not tax the local fast path.
+// BenchmarkCacheLocalGetPut is the hot path every repeated submit
+// rides: a verified get plus a put that lands on the existing entry. CI
+// gates this at 0 allocs/op.
 func BenchmarkCacheLocalGetPut(b *testing.B) {
 	c := newCache(16)
 	identity := []byte(`{"profile":"ssd","workload":"synthetic","bench":"get-put"}`)

@@ -8,11 +8,10 @@ import (
 // job to miss the cache for a key becomes the flight's primary and runs
 // the simulation; every identical spec submitted while it is in flight
 // — a concurrent POST from another client, an overlapping campaign
-// cell, a peer's GET /cache/{key}?wait=1 landing as a SubmitLocal —
-// attaches as a waiter instead of burning a worker. When the primary
-// resolves, every waiter receives the byte-identical payload and counts
-// as a cache hit: within one node and across the fleet, N concurrent
-// identical requests cost exactly one simulation.
+// cell — attaches as a waiter instead of burning a worker. When the
+// primary resolves, every waiter receives the byte-identical payload
+// and counts as a cache hit: N concurrent identical requests cost
+// exactly one simulation.
 type flight struct {
 	waiters []*Job
 }
@@ -69,8 +68,8 @@ func (m *Manager) resolveFlight(key uint64, payload []byte, err error) {
 	}
 }
 
-// completeCached finishes a job with a memoized payload — a local cache
-// hit at submit, a coalesced single-flight waiter, or a peer fetch.
+// completeCached finishes a job with a memoized payload — a cache hit
+// at submit or a coalesced single-flight waiter.
 // Cached completions are terminal without ever simulating, so they
 // never feed the run-duration aggregate. Jobs already terminal (a
 // cancelled waiter) are left alone.

@@ -8,9 +8,9 @@ import (
 // FuzzJobSpec feeds POST /jobs bodies through the submit-time checks.
 // Decoding and Validate never panic, an accepted spec never asks for
 // more than maxCapacityBytes of device or workload capacity, and its
-// identity decodes back to a spec with the same cache key, so an owner
-// that recomputes from identity bytes (GET /cache/{key}?wait=1) runs
-// exactly the spec it was asked for.
+// identity decodes back to a spec with the same cache key: the identity
+// bytes a cache entry stores are a lossless spelling of the spec whose
+// result it holds.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"profile":"ssd","workload":"synthetic","params":{"ops":1000,"capacity_bytes":4194304,"read_frac":0.5,"seed":3}}`,

@@ -1,14 +1,12 @@
 package simsvc
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"ossd/internal/core"
 	"ossd/internal/experiments"
@@ -76,8 +74,7 @@ func StreamHandler[T any](stream func(ctx context.Context, id string, fn func(T)
 
 // DecodeJSON reads one T, refusing fields T does not have: the one
 // strict decode behind every spec the service accepts, whether posted
-// as a job or a campaign, expanded from a campaign cell, or recomputed
-// from a peer's identity bytes.
+// as a job or a campaign, or expanded from a campaign cell.
 func DecodeJSON[T any](r io.Reader) (T, error) {
 	var v T
 	dec := json.NewDecoder(r)
@@ -85,14 +82,6 @@ func DecodeJSON[T any](r io.Reader) (T, error) {
 	err := dec.Decode(&v)
 	return v, err
 }
-
-// maxPushBytes caps a PUT /cache/{key} body. A push carries one job's
-// identity, which submit caps at MaxBodyBytes, and its payload: that
-// spec again plus a snapshot and workload summary of at most 256
-// tenant rows each. A third MaxBodyBytes covers those rows and the
-// envelope, so every push a valid job produces fits, and a hostile
-// push cannot pin more than a local run could.
-const maxPushBytes = 3 * MaxBodyBytes
 
 // submitStatus maps a Submit error to its HTTP status: 429 for an
 // explicit rejection (shed mode, a tenant over quota), since a clear
@@ -148,10 +137,8 @@ func expIdentity(name string, seed int64) []byte {
 //	GET    /workloads           registered workload generators
 //	GET    /experiments         the paper's experiment catalog
 //	POST   /experiments/{name}  run one experiment (body: {seed, workers})
-//	GET    /cache/{key}         internal fleet fetch (+ ?wait=1 coalesce/recompute)
-//	PUT    /cache/{key}         internal fleet push from a non-owner
 //	GET    /healthz             liveness
-//	GET    /statsz              job/cache/tier counters
+//	GET    /statsz              job, cache, tenant and campaign counters
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -281,106 +268,6 @@ func (m *Manager) Handler() http.Handler {
 		m.cache.put(key, identity, payload)
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(payload)
-	})
-
-	// GET /cache/{key} is the fleet's internal fetch path: a peer that
-	// missed locally on a key this node owns asks here. The body is the
-	// entry's identity bytes (the canonical spec JSON), verified against
-	// both the path key and the stored entry — a colliding key answers
-	// 409, never another spec's payload. With ?wait=1 a miss does not
-	// 404-loop: the request coalesces onto this node's in-flight
-	// computation of the same identity, or — if the entry was evicted or
-	// never computed — recomputes it locally, so the requester always
-	// gets the byte-identical payload one simulation produces.
-	mux.HandleFunc("GET /cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		key, err := strconv.ParseUint(r.PathValue("key"), 16, 64)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("simsvc: bad cache key: %w", err))
-			return
-		}
-		identity, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-		if err != nil || len(identity) == 0 {
-			WriteError(w, http.StatusBadRequest, errors.New("simsvc: cache fetch needs identity bytes in the body"))
-			return
-		}
-		if identityKey(identity) != key {
-			WriteError(w, http.StatusConflict, errors.New("simsvc: identity does not hash to the requested key"))
-			return
-		}
-		if payload, ok := m.cache.get(key, identity); ok {
-			if m.tier != nil {
-				m.tier.peerServes.Add(1)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(payload)
-			return
-		}
-		if r.URL.Query().Get("wait") == "" {
-			WriteError(w, http.StatusNotFound, errors.New("simsvc: no cache entry"))
-			return
-		}
-		spec, err := DecodeJSON[JobSpec](bytes.NewReader(identity))
-		if err != nil {
-			// Not a job-spec identity (e.g. an experiment entry):
-			// nothing to recompute from.
-			WriteError(w, http.StatusNotFound, errors.New("simsvc: no cache entry and identity is not a job spec"))
-			return
-		}
-		// SubmitLocal rides the normal single-flight path: an in-flight
-		// identical spec absorbs this request as a waiter; otherwise the
-		// owner recomputes. Shed/saturation answer 429/503 and the
-		// requester computes locally.
-		job, err := m.SubmitLocal(spec)
-		if err != nil {
-			WriteError(w, submitStatus(err), err)
-			return
-		}
-		view, err := job.Wait(r.Context())
-		if err != nil {
-			WriteError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		if view.Status != StatusDone {
-			// The recompute failed (cancelled at shutdown, bad device
-			// state): an alive 404 lets the requester run — and observe
-			// the failure — itself, without tripping its breaker.
-			WriteError(w, http.StatusNotFound, fmt.Errorf("simsvc: recompute failed: %s", view.Error))
-			return
-		}
-		if m.tier != nil {
-			m.tier.peerServes.Add(1)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(view.Result))
-	})
-
-	// PUT /cache/{key} accepts an entry from a non-owner that had to
-	// compute locally (this node was shedding or briefly unreachable),
-	// so the tier converges back to owner-holds-the-entry.
-	mux.HandleFunc("PUT /cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		key, err := strconv.ParseUint(r.PathValue("key"), 16, 64)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("simsvc: bad cache key: %w", err))
-			return
-		}
-		var env pushEnvelope
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPushBytes)).Decode(&env); err != nil {
-			WriteError(w, BodyStatus(err), fmt.Errorf("simsvc: bad cache push: %w", err))
-			return
-		}
-		if len(env.Identity) == 0 || len(env.Payload) == 0 {
-			WriteError(w, http.StatusBadRequest, errors.New("simsvc: cache push needs identity and payload"))
-			return
-		}
-		if identityKey(env.Identity) != key {
-			WriteError(w, http.StatusConflict, errors.New("simsvc: identity does not hash to the pushed key"))
-			return
-		}
-		m.cache.put(key, env.Identity, env.Payload)
-		if m.tier != nil {
-			m.tier.peerStores.Add(1)
-		}
-		w.WriteHeader(http.StatusNoContent)
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -32,12 +32,6 @@ type Options struct {
 	// under overload the service sheds explicitly instead of letting
 	// callers trade latency for a slot.
 	Shed bool
-	// Tier, when set, joins this manager to a fleet-wide cache tier:
-	// cache keys are consistent-hashed across the configured peers, a
-	// miss on a key another node owns is fetched (and coalesced) from
-	// that owner, and payloads stay byte-identical no matter which node
-	// answers. Nil runs the cache single-process as before.
-	Tier *TierConfig
 	// TenantQuotas caps how many jobs each submitting tenant class
 	// (JobSpec.Tenant) may have occupying the worker pool — queued or
 	// running — at once. A submit past the tenant's quota is rejected
@@ -58,18 +52,13 @@ type Job struct {
 	// submit: identity is the canonical spec JSON, key its FNV-1a hash.
 	key      uint64
 	identity []byte
-	// noPeer pins the job to local compute (SubmitLocal): set for jobs
-	// the /cache handler recomputes on an owner, so a misconfigured
-	// ring can never forward a request in a loop.
-	noPeer bool
 
 	mu     sync.Mutex
 	cond   *sync.Cond
 	status Status
 	cached bool
-	// cacheSource says where a cached payload came from: "local" (this
-	// node's cache at submit), "coalesced" (a single-flight waiter), or
-	// "peer" (fetched from the key's owner).
+	// cacheSource says where a cached payload came from: "local" (the
+	// cache at submit) or "coalesced" (a single-flight waiter).
 	cacheSource string
 	errMsg      string
 	result      []byte // marshaled Result, set when status == StatusDone
@@ -159,14 +148,11 @@ func (j *Job) addSample(s Sample) {
 	j.mu.Unlock()
 }
 
-// Manager owns the job table, the worker pool, and the result cache —
-// and, when a TierConfig is set, this node's membership in the fleet's
-// sharded cache tier.
+// Manager owns the job table, the worker pool, and the result cache.
 type Manager struct {
 	opts  Options
 	pool  *runner.Pool
 	cache *cache
-	tier  *tier // nil outside a fleet
 
 	jobs *Handles[*Job]
 
@@ -216,7 +202,7 @@ func New(opts Options) *Manager {
 	if opts.Workers <= 0 {
 		opts.Workers = runner.DefaultWorkers()
 	}
-	m := &Manager{
+	return &Manager{
 		opts:     opts,
 		pool:     runner.NewPool(opts.Workers, opts.Backlog),
 		cache:    newCache(opts.CacheEntries),
@@ -225,10 +211,6 @@ func New(opts Options) *Manager {
 		expSem:   make(chan struct{}, 1),
 		tenantCt: map[uint8]*tenantCounter{},
 	}
-	if opts.Tier != nil {
-		m.tier = newTier(*opts.Tier)
-	}
-	return m
 }
 
 // ErrShed is returned by Submit in shed mode when the pool backlog is
@@ -283,20 +265,8 @@ func (m *Manager) tenantInFlight(t uint8) int {
 // Submit validates a spec and enqueues it, returning the job record. A
 // cache hit completes the job immediately — no worker, no simulation —
 // with the memoized payload; a spec identical to one already in flight
-// (here or, via the tier, on the key's owner) coalesces onto that
-// computation instead of repeating it.
+// coalesces onto that computation instead of repeating it.
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
-	return m.submit(spec, true)
-}
-
-// SubmitLocal is Submit pinned to this node: the job never consults the
-// peer tier. The /cache handler uses it to recompute owned keys, so a
-// misconfigured ring can never bounce a request between nodes.
-func (m *Manager) SubmitLocal(spec JobSpec) (*Job, error) {
-	return m.submit(spec, false)
-}
-
-func (m *Manager) submit(spec JobSpec, allowPeer bool) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -310,15 +280,14 @@ func (m *Manager) submit(spec JobSpec, allowPeer bool) (*Job, error) {
 	identity := spec.Canonical()
 	if len(identity) > MaxBodyBytes {
 		// Canonical JSON spells out every field, so a small body can
-		// canonicalize past the cap the fleet's fetch and push paths
-		// size themselves by.
+		// canonicalize past the body cap. The identity is pinned in its
+		// cache entry, so this bounds what one entry can hold.
 		return nil, fmt.Errorf("simsvc: spec identity is %d bytes, over the %d-byte cap", len(identity), MaxBodyBytes)
 	}
 	job := &Job{
 		Spec:      spec,
 		key:       identityKey(identity),
 		identity:  identity,
-		noPeer:    !allowPeer,
 		status:    StatusQueued,
 		submitted: time.Now(),
 	}
@@ -351,13 +320,9 @@ func (m *Manager) submit(spec JobSpec, allowPeer bool) (*Job, error) {
 	return job, nil
 }
 
-// run executes one job on a worker. In a fleet, a key owned by another
-// node is first fetched from that owner (coalescing onto the owner's
-// in-flight computation if one exists); only if the owner has nothing
-// — or is down, timing out, or shedding — does this worker build the
-// device, precondition, and drive the sampled workload itself. Either
-// way the payload lands in the local cache and resolves this node's
-// single-flight waiters.
+// run executes one job on a worker: it builds the device,
+// preconditions it, and drives the sampled workload. The payload lands
+// in the cache and resolves the job's single-flight waiters.
 func (m *Manager) run(ctx context.Context, job *Job) {
 	job.mu.Lock()
 	if job.status.terminal() {
@@ -379,22 +344,6 @@ func (m *Manager) run(ctx context.Context, job *Job) {
 	m.running.Add(1)
 	defer m.running.Add(-1)
 
-	var owner string
-	if !job.noPeer && m.tier != nil {
-		owner = m.tier.owner(job.key)
-	}
-	if owner != "" {
-		if payload, ok := fetch(ctx, m.tier, owner, job.key, job.identity); ok {
-			// Fleet hit: keep an L1 copy so repeats are local, settle
-			// waiters, and finish the job as a cached completion —
-			// byte-identical to what the owner (or any node) serves.
-			m.cache.put(job.key, job.identity, payload)
-			m.resolveFlight(job.key, payload, nil)
-			m.completeCached(job, payload, "peer")
-			return
-		}
-	}
-
 	res, err := m.simulate(ctx, job)
 	var payload []byte
 	if err == nil {
@@ -407,12 +356,6 @@ func (m *Manager) run(ctx context.Context, job *Job) {
 	}
 	m.cache.put(job.key, job.identity, payload)
 	m.resolveFlight(job.key, payload, nil)
-	if owner != "" {
-		// Computed locally for a key someone else owns (the owner was
-		// down or shedding): push the payload so the tier converges on
-		// owner-holds-the-entry. Best-effort and off the worker.
-		go push(m.tier, owner, job.key, job.identity, payload)
-	}
 	// Account the completion before waking waiters, so a Wait caller
 	// never reads Stats() a count behind the job it just saw finish.
 	job.mu.Lock()
@@ -640,9 +583,6 @@ type Stats struct {
 	QueueWait DurationAgg `json:"queue_wait"`
 	Run       DurationAgg `json:"run"`
 	Cache     CacheStats  `json:"cache"`
-	// Tier is the fleet cache tier's counters when this node is peered
-	// (Options.Tier), absent otherwise.
-	Tier *TierStats `json:"tier,omitempty"`
 	// Campaigns is the campaign subsystem's counters when one is
 	// attached (SetCampaignStats), absent otherwise.
 	Campaigns any `json:"campaigns,omitempty"`
@@ -685,10 +625,6 @@ func (m *Manager) Stats() Stats {
 		QueueWait:     durationAgg(queueWait),
 		Run:           durationAgg(runDur),
 		Cache:         m.cache.stats(),
-	}
-	if m.tier != nil {
-		tierStats := m.tier.stats()
-		s.Tier = &tierStats
 	}
 	m.mu.Lock()
 	campaigns := m.campaignStats

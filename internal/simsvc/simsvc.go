@@ -314,8 +314,8 @@ func (s JobSpec) tenantStream() (trace.Stream, error) {
 // (struct fields marshal in declaration order, so equal specs encode
 // equally). The identity bytes — not the 64-bit hash of them — are what
 // two specs must share to share a cache entry; they are stored with
-// each entry, compared on every hit, and shipped to peers so the owner
-// of a key can verify (or recompute) exactly the spec being asked for.
+// each entry and compared on every hit, so a colliding key is a miss,
+// never another spec's payload.
 func (s JobSpec) Canonical() []byte {
 	// The submitting tenant is an admission-control identity, not a
 	// simulation parameter, so tenants share cached results. s is a copy.

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -843,5 +844,170 @@ func TestCapacityCap(t *testing.T) {
 	}
 	if s := m.Stats(); s.Run.N != 0 {
 		t.Fatalf("%d jobs ran; rejected specs must never reach a worker", s.Run.N)
+	}
+}
+
+// waitRunning polls until the job's worker has actually picked it up,
+// closing submit-vs-dispatch races in tests that need a job in flight.
+func waitRunning(t *testing.T, job *Job) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		switch job.View().Status {
+		case StatusRunning:
+			return
+		case StatusDone, StatusFailed:
+			t.Fatalf("job settled as %s before it could be raced", job.View().Status)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("job never started running")
+}
+
+// TestSingleFlightCoalesce pins node-local single-flight: identical
+// specs submitted while the primary is still queued collapse onto one
+// simulation and settle as byte-identical cached completions.
+func TestSingleFlightCoalesce(t *testing.T) {
+	m := New(Options{Workers: 1})
+	defer m.Close()
+
+	// One worker, occupied: the primary below cannot start (let alone
+	// finish) until the blocker completes, so every duplicate submit
+	// deterministically coalesces instead of racing a cache hit.
+	blocker, err := m.Submit(smallSpec(200_000, 99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := smallSpec(30_000, 1)
+	const dups = 8
+	jobs := make([]*Job, 0, dups)
+	for i := 0; i < dups; i++ {
+		j, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	if _, err := blocker.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var primaryPayload []byte
+	for i, j := range jobs {
+		v, err := j.Wait(context.Background())
+		if err != nil || v.Status != StatusDone {
+			t.Fatalf("dup %d: %v %+v", i, err, v)
+		}
+		if i == 0 {
+			if v.Cached {
+				t.Fatalf("primary reported cached: %+v", v)
+			}
+			primaryPayload = []byte(v.Result)
+			continue
+		}
+		if !v.Cached || v.CacheSource != "coalesced" {
+			t.Fatalf("dup %d not coalesced: cached=%v source=%q", i, v.Cached, v.CacheSource)
+		}
+		if !bytes.Equal(primaryPayload, []byte(v.Result)) {
+			t.Fatalf("dup %d payload differs from primary", i)
+		}
+	}
+	st := m.Stats()
+	if st.Run.N != 2 { // blocker + primary
+		t.Fatalf("ran %d simulations, want 2", st.Run.N)
+	}
+	if st.Coalesced != dups-1 {
+		t.Fatalf("coalesced %d, want %d", st.Coalesced, dups-1)
+	}
+}
+
+// TestShedMode pins the shed satellite: with Options.Shed, a full
+// backlog rejects with a counted ErrShed (HTTP 429) instead of 503.
+func TestShedMode(t *testing.T) {
+	m := New(Options{Workers: 1, Backlog: 1, Shed: true})
+	defer m.Close()
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+
+	// Occupy the worker and the single backlog slot with long distinct
+	// specs; the third submit must shed. Distinct seeds so none
+	// coalesce, and the first must be running (drained from the backlog
+	// channel) before the second fills the only slot.
+	first, err := m.Submit(smallSpec(300_000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, first)
+	second, err := m.Submit(smallSpec(300_000, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []*Job{first, second}
+	body, _ := json.Marshal(smallSpec(300_000, 3))
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("saturated submit in shed mode: %d %s, want 429", resp.StatusCode, b)
+	}
+	if got := m.Stats().JobsShed; got != 1 {
+		t.Fatalf("jobs_shed = %d, want 1", got)
+	}
+	for _, j := range jobs {
+		if v, err := j.Wait(context.Background()); err != nil || v.Status != StatusDone {
+			t.Fatalf("accepted job: %v %+v", err, v)
+		}
+	}
+}
+
+// TestNoCacheRoutes pins the service's input surface: results enter the
+// cache only from this process's own runs. A PUT to cache/{key} carrying
+// a well-formed {identity, payload} envelope is refused and stores
+// nothing, and a GET of cache/{key}?wait=1 carrying a job spec starts no
+// simulation.
+func TestNoCacheRoutes(t *testing.T) {
+	m := New(Options{Workers: 1})
+	defer m.Close()
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	do := func(method, target string, body []byte) int {
+		t.Helper()
+		req, err := http.NewRequest(method, target, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	spec := smallSpec(1000, 8)
+	target, err := url.JoinPath(srv.URL, "cache", fmt.Sprintf("%016x", spec.Key()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := fmt.Sprintf(`{"identity":%s,"payload":{"fake":"payload"}}`, spec.Canonical())
+	if code := do(http.MethodPut, target, []byte(env)); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+		t.Fatalf("PUT cache/{key}: %d, want 404 or 405", code)
+	}
+	if _, ok := m.cache.get(spec.Key(), spec.Canonical()); ok {
+		t.Fatal("a pushed entry was stored")
+	}
+	if n := m.Stats().Cache.Entries; n != 0 {
+		t.Fatalf("cache holds %d entries, want 0", n)
+	}
+
+	runs := m.Stats().Run.N
+	if code := do(http.MethodGet, target+"?wait=1", spec.Canonical()); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+		t.Fatalf("GET cache/{key}?wait=1: %d, want 404 or 405", code)
+	}
+	if st := m.Stats(); st.Run.N != runs || st.JobsSubmitted != 0 {
+		t.Fatalf("GET cache/{key}?wait=1 started work: runs %d→%d, submitted %d", runs, st.Run.N, st.JobsSubmitted)
 	}
 }
