@@ -1,10 +1,11 @@
 // Package ossd's root benchmarks regenerate each table and figure of the
-// paper at reduced scale, one benchmark per artifact, and report the
-// headline number of each result as a custom metric. Run everything with:
+// paper at the size cmd/repro reports, one benchmark per artifact, and
+// report the headline number of each result as a custom metric. Run
+// everything with:
 //
 //	go test -bench=. -benchmem
 //
-// cmd/repro produces the full-size report; these benches exist so the
+// cmd/repro produces the report itself; these benches exist so the
 // whole evaluation is reachable through the standard Go tooling and so
 // regressions in the reproduced shapes show up as metric drift.
 package ossd
@@ -46,11 +47,7 @@ func BenchmarkTable1Contract(b *testing.B) {
 // BenchmarkTable2SeqRand regenerates the bandwidth table.
 func BenchmarkTable2SeqRand(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table2(experiments.Table2Options{
-			BytesPerTest:     8 << 20,
-			RandBytesPerTest: 2 << 20,
-			Seed:             1,
-		})
+		r, err := experiments.Table2(1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +65,7 @@ func BenchmarkTable2SeqRand(b *testing.B) {
 // BenchmarkSWTFvsFCFS regenerates the §3.2 scheduling comparison.
 func BenchmarkSWTFvsFCFS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.SWTF(experiments.SWTFOptions{Ops: 15000, Seed: 1})
+		r, err := experiments.SWTF(1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,9 +76,7 @@ func BenchmarkSWTFvsFCFS(b *testing.B) {
 // BenchmarkFigure2WriteAmplification regenerates the saw-tooth sweep.
 func BenchmarkFigure2WriteAmplification(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure2(experiments.Figure2Options{
-			MaxBytes: 3 << 20, StepBytes: 256 << 10, BytesPerPoint: 8 << 20,
-		})
+		r, err := experiments.Figure2(1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +88,7 @@ func BenchmarkFigure2WriteAmplification(b *testing.B) {
 // BenchmarkTable3Alignment regenerates the alignment-vs-sequentiality table.
 func BenchmarkTable3Alignment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table3(experiments.Table3Options{Ops: 6000, Seed: 1})
+		r, err := experiments.Table3(1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +101,7 @@ func BenchmarkTable3Alignment(b *testing.B) {
 // BenchmarkTable4Macro regenerates the macro-benchmark table.
 func BenchmarkTable4Macro(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table4(experiments.Table4Options{Scale: 0.4, Seed: 1})
+		r, err := experiments.Table4(1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,10 +113,11 @@ func BenchmarkTable4Macro(b *testing.B) {
 	}
 }
 
-// BenchmarkTable5InformedCleaning regenerates the informed-cleaning table.
+// BenchmarkTable5InformedCleaning regenerates the informed-cleaning table
+// and reports its 5,000-transaction row.
 func BenchmarkTable5InformedCleaning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table5(experiments.Table5Options{Transactions: []int{4000}, Seed: 1})
+		r, err := experiments.Table5(1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,13 +130,11 @@ func BenchmarkTable5InformedCleaning(b *testing.B) {
 // (and Table 6, which is derived from the same run).
 func BenchmarkFigure3PriorityCleaning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure3(experiments.Figure3Options{
-			Ops: 60000, Seed: 1, WritePcts: []int{50, 80},
-		})
+		r, err := experiments.Figure3(1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.ImprovementPct[0], "fg-improvement-50w-%")
+		b.ReportMetric(r.ImprovementPct[2], "fg-improvement-50w-%")
 	}
 }
 
@@ -327,18 +321,13 @@ func BenchmarkAblationGCPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkRunnerSerial and BenchmarkRunnerParallel run the same reduced
+// BenchmarkRunnerSerial and BenchmarkRunnerParallel run the same
 // Table 2 through the experiment runner at one worker and at the
 // GOMAXPROCS default; their ratio is the evaluation's fan-out speedup on
 // this machine (1.0 on a single-core host).
 func benchTable2(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table2(experiments.Table2Options{
-			BytesPerTest:     4 << 20,
-			RandBytesPerTest: 1 << 20,
-			Seed:             1,
-			Workers:          workers,
-		}); err != nil {
+		if _, err := experiments.Table2(1, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -531,20 +520,30 @@ func BenchmarkCleanTrigger(b *testing.B) {
 
 // BenchmarkAlignerThroughput measures the merge/align pass itself.
 func BenchmarkAlignerThroughput(b *testing.B) {
-	ops, err := workload.SyntheticOps(workload.SyntheticConfig{
+	stream, err := workload.Synthetic(workload.SyntheticConfig{
 		Ops: 10000, AddressSpace: 1 << 28, ReqSize: 4096, SeqProb: 0.6, Seed: 2,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	ops := drain(stream)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := trace.AlignStream(trace.FromSlice(ops), 32<<10, trace.AlignOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		trace.Collect(s)
+		drain(s)
 	}
+}
+
+// drain materializes a stream.
+func drain(s trace.Stream) []trace.Op {
+	var ops []trace.Op
+	for op, ok := s.Next(); ok; op, ok = s.Next() {
+		ops = append(ops, op)
+	}
+	return ops
 }
 
 // BenchmarkDriveStream1M drives a one-million-op synthetic stream

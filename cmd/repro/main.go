@@ -152,7 +152,6 @@ func main() {
 	var mu sync.Mutex
 	specs := make([]runner.Spec[experiments.Result], len(selected))
 	for i, e := range selected {
-		e := e
 		specs[i] = runner.Spec[experiments.Result]{
 			Name: e.ID,
 			Seed: *seed,

@@ -75,16 +75,12 @@ func main() {
 		}
 		opts = append(opts, core.WithFault(plan))
 	}
-	switch *scheme {
-	case "":
-	case "page":
-		opts = append(opts, core.WithScheme(ftl.PageMapped))
-	case "block":
-		opts = append(opts, core.WithScheme(ftl.BlockMapped))
-	case "hybrid":
-		opts = append(opts, core.WithScheme(ftl.HybridLog))
-	default:
-		fail(fmt.Errorf("unknown scheme %q", *scheme))
+	if *scheme != "" {
+		s, err := ftl.ParseScheme(*scheme)
+		if err != nil {
+			fail(err)
+		}
+		opts = append(opts, core.WithScheme(s))
 	}
 	dev, err := core.Open(*profile, opts...)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package core is the public facade of the library: one Device interface
 // spanning every simulated substrate — SSD, HDD, MEMS, RAID, and the
-// object-fronted SSD — plus the device registry (Open, Build, Register),
+// object-fronted SSD — plus the device registry (Open, Build),
 // the bandwidth-measurement harness used by the paper's Table 2, and the
 // named device profiles the experiments run against. Examples,
 // command-line tools, and benchmarks consume this package; the internal

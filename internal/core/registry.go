@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"ossd/internal/fault"
 	"ossd/internal/ftl"
@@ -12,77 +11,37 @@ import (
 )
 
 // The device registry maps profile names to Profiles, so every substrate
-// is constructed through one door: Open(name, opts...). The built-in
-// entries are the Table 2 device set, the extended Table 1 classes
-// (MEMS, RAID, OSD), and one generic base profile per media kind
-// ("ssd", "hdd", "mems", "raid", "osd"); Register adds more.
-var registry = struct {
-	sync.RWMutex
-	order  []string
-	byName map[string]Profile
-}{byName: map[string]Profile{}}
-
-// Register adds a named profile to the registry. Registering a name
-// twice is an error: profiles are identities, not settings.
-func Register(p Profile) error {
-	if p.Name == "" {
-		return fmt.Errorf("core: profile needs a name")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.byName[p.Name]; dup {
-		return fmt.Errorf("core: profile %q already registered", p.Name)
-	}
-	registry.order = append(registry.order, p.Name)
-	registry.byName[p.Name] = p
-	return nil
-}
-
-// mustRegister is Register for the built-in set.
-func mustRegister(p Profile) {
-	if err := Register(p); err != nil {
-		panic(err)
-	}
-}
+// is constructed through one door: Open(name, opts...). Its contents are
+// fixed (builtinProfiles) and built once; ad hoc profiles go through
+// Build instead.
+var registry = builtinProfiles()
 
 // ProfileByName looks a profile up in the registry.
 func ProfileByName(name string) (Profile, error) {
-	registry.RLock()
-	defer registry.RUnlock()
-	p, ok := registry.byName[name]
-	if !ok {
-		names := make([]string, len(registry.order))
-		copy(names, registry.order)
-		sort.Strings(names)
-		return Profile{}, fmt.Errorf("core: unknown profile %q (have %v)", name, names)
+	for i := range registry {
+		if registry[i].Name == name {
+			return registry[i], nil
+		}
 	}
-	return p, nil
+	return Profile{}, fmt.Errorf("core: unknown profile %q (have %v)", name, ProfileNames())
 }
 
 // ProfileNames returns every registered profile name, sorted — the
-// enumeration API behind ssdsim -list and the service's GET /profiles.
+// enumeration API behind the service's GET /profiles.
 func ProfileNames() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	names := make([]string, len(registry.order))
-	copy(names, registry.order)
+	names := make([]string, len(registry))
+	for i, p := range registry {
+		names[i] = p.Name
+	}
 	sort.Strings(names)
 	return names
 }
 
 // ExtendedProfiles returns every registered profile in registration
 // order: the Table 2 set, the other Table 1 device classes (MEMS, RAID),
-// the object-fronted SSD, the generic per-kind base profiles, and
-// anything added with Register. Table 2 itself keeps using Profiles():
-// the paper characterizes only the disk and the SSDs there.
+// the object-fronted SSD, and the generic per-kind base profiles.
 func ExtendedProfiles() []Profile {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]Profile, 0, len(registry.order))
-	for _, name := range registry.order {
-		out = append(out, registry.byName[name])
-	}
-	return out
+	return append([]Profile(nil), registry...)
 }
 
 // Option is a functional option applied to a Profile before its device
@@ -148,19 +107,6 @@ func WithCapacity(bytes int64) Option {
 			}
 			p.SSD.Geom.BlocksPerPackage = int(blocks)
 		}
-		return nil
-	}
-}
-
-// WithQueueDepth sets the profile's benchmark queue depth for all four
-// measurement classes.
-func WithQueueDepth(depth int) Option {
-	return func(p *Profile) error {
-		if depth <= 0 {
-			return fmt.Errorf("core: queue depth %d must be positive", depth)
-		}
-		p.SeqReadDepth, p.RandReadDepth = depth, depth
-		p.SeqWriteDepth, p.RandWriteDepth = depth, depth
 		return nil
 	}
 }

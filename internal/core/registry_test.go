@@ -69,45 +69,30 @@ func TestOpenKindBases(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsDuplicatesAndAnonymous(t *testing.T) {
-	if err := Register(Profile{}); err == nil {
-		t.Fatal("registered a nameless profile")
-	}
-	if err := Register(Profile{Name: "ssd"}); err == nil {
-		t.Fatal("registered a duplicate name")
+// Every built-in profile has a name, and no two share one: the names
+// are the registry's keys.
+func TestBuiltinProfileNames(t *testing.T) {
+	seen := map[string]bool{}
+	for _, p := range ExtendedProfiles() {
+		if p.Name == "" {
+			t.Fatalf("built-in profile without a name: %+v", p)
+		}
+		if seen[p.Name] {
+			t.Fatalf("duplicate built-in profile %q", p.Name)
+		}
+		seen[p.Name] = true
 	}
 }
 
-func TestRegisterCustomProfile(t *testing.T) {
+func TestBuildCustomProfile(t *testing.T) {
 	cfg := BaseSSDConfig()
 	cfg.Elements = 2
-	p := Profile{
-		Name:        "test-custom-ssd",
-		Description: "registered by the test suite",
-		Kind:        KindSSD,
-		SSD:         cfg,
-		SeqReqBytes: 4096, RandReqBytes: 4096,
-		SeqReadDepth: 1, RandReadDepth: 1, SeqWriteDepth: 1, RandWriteDepth: 1,
-	}
-	if err := Register(p); err != nil {
-		t.Fatal(err)
-	}
-	d, err := Open("test-custom-ssd")
+	d, err := Build(Profile{Name: "test-custom-ssd", Kind: KindSSD, SSD: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sd, ok := d.(*SSD); !ok || sd.Raw.Config().Elements != 2 {
 		t.Fatalf("custom profile built %T", d)
-	}
-	// And the registry lists it.
-	found := false
-	for _, q := range ExtendedProfiles() {
-		if q.Name == p.Name {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered profile missing from listing")
 	}
 }
 
@@ -178,22 +163,6 @@ func TestOptionsRejectWrongKind(t *testing.T) {
 	}
 	if _, err := Open("raid", WithInformed(true)); err == nil {
 		t.Fatal("raid accepted informed cleaning")
-	}
-}
-
-func TestWithQueueDepth(t *testing.T) {
-	p, err := ProfileByName("ssd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WithQueueDepth(8)(&p); err != nil {
-		t.Fatal(err)
-	}
-	if p.SeqReadDepth != 8 || p.RandReadDepth != 8 || p.SeqWriteDepth != 8 || p.RandWriteDepth != 8 {
-		t.Fatalf("queue depth option: %+v", p)
-	}
-	if err := WithQueueDepth(0)(&p); err == nil {
-		t.Fatal("queue depth 0 accepted")
 	}
 }
 

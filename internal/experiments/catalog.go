@@ -13,43 +13,26 @@ type CatalogEntry struct {
 // behind cmd/repro and the service's /experiments endpoints.
 func Catalog() []CatalogEntry {
 	return []CatalogEntry{
-		{"contract", "Table 1: unwritten-contract terms probed on disk, RAID, MEMS, and SSD", func(seed int64, workers int) (Result, error) {
-			return Contract(seed, workers)
-		}},
-		{"table2", "Table 2: sequential vs random bandwidth across device profiles", func(seed int64, workers int) (Result, error) {
-			return Table2(Table2Options{Seed: seed, Workers: workers})
-		}},
-		{"swtf", "Section 3.2: SWTF vs FCFS scheduling", func(seed int64, workers int) (Result, error) {
-			return SWTF(SWTFOptions{Seed: seed, Workers: workers})
-		}},
-		{"figure2", "Figure 2: write-amplification saw-tooth (bandwidth vs write size)", func(seed int64, workers int) (Result, error) {
-			return Figure2(Figure2Options{MaxBytes: 9 << 20, Workers: workers})
-		}},
-		{"table3", "Table 3: aligned vs unaligned writes across sequentiality", func(seed int64, workers int) (Result, error) {
-			return Table3(Table3Options{Seed: seed, Workers: workers})
-		}},
-		{"table4", "Table 4: alignment improvement on macro workloads", func(seed int64, workers int) (Result, error) {
-			return Table4(Table4Options{Seed: seed, Workers: workers})
-		}},
-		{"table5", "Table 5: informed cleaning with free-page information", func(seed int64, workers int) (Result, error) {
-			return Table5(Table5Options{Seed: seed, Workers: workers})
-		}},
-		{"figure3", "Figure 3 + Table 6: priority-aware cleaning", func(seed int64, workers int) (Result, error) {
-			return Figure3(Figure3Options{Seed: seed, Workers: workers})
-		}},
-		{"schemes", "Extension: page/hybrid/block FTL mapping schemes compared", func(seed int64, workers int) (Result, error) {
-			return Schemes(seed, workers)
-		}},
-		{"lifetime", "Extension: endurance under skewed writes (wear-leveling, SLC vs MLC)", func(seed int64, workers int) (Result, error) {
-			return Lifetime(seed, workers)
-		}},
-		{"faultlife", "Extension: accelerated lifetime under wear ceilings (fault plans)", func(seed int64, workers int) (Result, error) {
-			return FaultLife(FaultLifeOptions{Seed: seed, Workers: workers})
-		}},
-		{"interference", "Extension: multi-tenant interference and fair-share isolation", func(seed int64, workers int) (Result, error) {
-			return Interference(InterferenceOptions{Seed: seed, Workers: workers})
-		}},
+		entry("contract", "Table 1: unwritten-contract terms probed on disk, RAID, MEMS, and SSD", Contract),
+		entry("table2", "Table 2: sequential vs random bandwidth across device profiles", Table2),
+		entry("swtf", "Section 3.2: SWTF vs FCFS scheduling", SWTF),
+		entry("figure2", "Figure 2: write-amplification saw-tooth (bandwidth vs write size)", Figure2),
+		entry("table3", "Table 3: aligned vs unaligned writes across sequentiality", Table3),
+		entry("table4", "Table 4: alignment improvement on macro workloads", Table4),
+		entry("table5", "Table 5: informed cleaning with free-page information", Table5),
+		entry("figure3", "Figure 3 + Table 6: priority-aware cleaning", Figure3),
+		entry("schemes", "Extension: page/hybrid/block FTL mapping schemes compared", Schemes),
+		entry("lifetime", "Extension: endurance under skewed writes (wear-leveling, SLC vs MLC)", Lifetime),
+		entry("faultlife", "Extension: accelerated lifetime under wear ceilings (fault plans)", FaultLife),
+		entry("interference", "Extension: multi-tenant interference and fair-share isolation", Interference),
 	}
+}
+
+// entry adapts an experiment's typed runner to the catalog's Result form.
+func entry[R Result](id, description string, run func(seed int64, workers int) (R, error)) CatalogEntry {
+	return CatalogEntry{id, description, func(seed int64, workers int) (Result, error) {
+		return run(seed, workers)
+	}}
 }
 
 // CatalogEntryByID looks an experiment up by its artifact ID.

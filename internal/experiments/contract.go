@@ -308,7 +308,6 @@ func Contract(seed int64, workers int) (ContractResult, error) {
 	classes := contractClasses()
 	specs := make([]runner.Spec[classMeasurements], len(classes))
 	for i, c := range classes {
-		c := c
 		specs[i] = runner.Spec[classMeasurements]{
 			Name:    "contract/" + c.name,
 			Profile: c.name,

@@ -7,22 +7,19 @@ import (
 
 // The runner must never let worker count leak into results: every spec
 // is an isolated simulation and assembly is ordered by spec. These tests
-// pin that property on real experiments at reduced scale, comparing a
-// serial run against a heavily oversubscribed one.
+// pin that property on real experiments, comparing a serial run against
+// a heavily oversubscribed one.
 func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
 	t.Run("table2", func(t *testing.T) {
 		t.Parallel()
-		opts := Table2Options{BytesPerTest: 4 << 20, RandBytesPerTest: 1 << 20, Seed: 5}
-		opts.Workers = 1
-		serial, err := Table2(opts)
+		serial, err := Table2(5, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Workers = 16
-		parallel, err := Table2(opts)
+		parallel, err := Table2(5, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,11 +29,11 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	})
 	t.Run("swtf", func(t *testing.T) {
 		t.Parallel()
-		serial, err := SWTF(SWTFOptions{Ops: 4000, Seed: 5, Workers: 1})
+		serial, err := SWTF(5, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := SWTF(SWTFOptions{Ops: 4000, Seed: 5, Workers: 8})
+		parallel, err := SWTF(5, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,11 +43,11 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	})
 	t.Run("table5", func(t *testing.T) {
 		t.Parallel()
-		serial, err := Table5(Table5Options{Transactions: []int{2500}, Seed: 5, Workers: 1})
+		serial, err := Table5(5, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := Table5(Table5Options{Transactions: []int{2500}, Seed: 5, Workers: 8})
+		parallel, err := Table5(5, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

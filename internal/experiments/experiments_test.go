@@ -8,19 +8,15 @@ import (
 	"ossd/internal/sim"
 )
 
-// The experiment tests run reduced workloads and assert the *shape* of
-// each result — who wins, monotonicity, crossover locations — which is
-// the reproduction target. cmd/repro runs the full-size versions.
+// The experiment tests run each experiment at the size cmd/repro
+// reports and assert the *shape* of each result — who wins,
+// monotonicity, crossover locations — which is the reproduction target.
 
 func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
-	r, err := Table2(Table2Options{
-		BytesPerTest:     8 << 20,
-		RandBytesPerTest: 2 << 20,
-		Seed:             1,
-	})
+	r, err := Table2(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +65,14 @@ func TestSWTFBeatFCFS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
-	r, err := SWTF(SWTFOptions{Ops: 15000, Seed: 1})
+	r, err := SWTF(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.SWTFMeanMs >= r.FCFSMeanMs {
 		t.Fatalf("SWTF %.3f ms not better than FCFS %.3f ms", r.SWTFMeanMs, r.FCFSMeanMs)
 	}
-	// Paper: ~8%. Accept a broad band around it for the reduced run.
+	// Paper: ~8%. Accept a broad band around it.
 	if r.ImprovementPct < 2 || r.ImprovementPct > 30 {
 		t.Fatalf("improvement %.1f%%, want ~8%%", r.ImprovementPct)
 	}
@@ -89,7 +85,7 @@ func TestFigure2SawTooth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
-	r, err := Figure2(Figure2Options{MaxBytes: 3 << 20, StepBytes: 256 << 10, BytesPerPoint: 8 << 20})
+	r, err := Figure2(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +122,7 @@ func TestTable3AlignmentImproves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
-	r, err := Table3(Table3Options{Ops: 6000, Seed: 1})
+	r, err := Table3(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +149,7 @@ func TestTable4Ordering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
-	r, err := Table4(Table4Options{Scale: 0.4, Seed: 1})
+	r, err := Table4(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,23 +174,25 @@ func TestTable5InformedCleaning(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
-	r, err := Table5(Table5Options{Transactions: []int{4000}, Seed: 1})
+	r, err := Table5(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.RelPagesMoved) != 1 {
-		t.Fatal("missing row")
+	if len(r.RelPagesMoved) != 4 {
+		t.Fatalf("want 4 rows, got %d", len(r.RelPagesMoved))
 	}
-	if r.DefaultPagesMoved[0] == 0 {
-		t.Fatal("default FTL never cleaned; workload too small")
-	}
-	// Informed cleaning moves strictly fewer pages and spends less time,
-	// in the paper's band (rel pages 0.25-0.5, rel time < 1).
-	if r.RelPagesMoved[0] >= 0.9 {
-		t.Errorf("relative pages moved %.2f, want well below 1", r.RelPagesMoved[0])
-	}
-	if r.RelCleanTime[0] >= 0.9 {
-		t.Errorf("relative cleaning time %.2f, want well below 1", r.RelCleanTime[0])
+	for i, tx := range r.Transactions {
+		if r.DefaultPagesMoved[i] == 0 {
+			t.Fatalf("tx %d: default FTL never cleaned; workload too small", tx)
+		}
+		// Informed cleaning moves strictly fewer pages and spends less
+		// time, in the paper's band (rel pages 0.25-0.5, rel time < 1).
+		if r.RelPagesMoved[i] >= 0.9 {
+			t.Errorf("tx %d: relative pages moved %.2f, want well below 1", tx, r.RelPagesMoved[i])
+		}
+		if r.RelCleanTime[i] >= 0.9 {
+			t.Errorf("tx %d: relative cleaning time %.2f, want well below 1", tx, r.RelCleanTime[i])
+		}
 	}
 }
 
@@ -202,23 +200,24 @@ func TestFigure3PriorityAware(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
-	r, err := Figure3(Figure3Options{Ops: 60000, Seed: 1, WritePcts: []int{20, 50, 80}})
+	r, err := Figure3(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Rows are the write percentages 20, 40, 50, 60, 80.
 	// At 20% writes cleaning is rare: no meaningful improvement.
 	if r.ImprovementPct[0] > 5 {
 		t.Errorf("improvement at 20%% writes = %.1f%%, want ~0", r.ImprovementPct[0])
 	}
 	// At 50%+ writes the aware scheme helps the foreground.
-	if r.ImprovementPct[1] < 2 {
-		t.Errorf("improvement at 50%% writes = %.1f%%, want noticeable", r.ImprovementPct[1])
+	if r.ImprovementPct[2] < 2 {
+		t.Errorf("improvement at 50%% writes = %.1f%%, want noticeable", r.ImprovementPct[2])
 	}
-	if r.ImprovementPct[2] < 5 {
-		t.Errorf("improvement at 80%% writes = %.1f%%, want ~10%%", r.ImprovementPct[2])
+	if r.ImprovementPct[4] < 5 {
+		t.Errorf("improvement at 80%% writes = %.1f%%, want ~10%%", r.ImprovementPct[4])
 	}
 	// Foreground responses rise with write share under both policies.
-	if r.FgAgnostic[2] <= r.FgAgnostic[0] {
+	if r.FgAgnostic[4] <= r.FgAgnostic[0] {
 		t.Errorf("agnostic foreground response not increasing with writes: %v", r.FgAgnostic)
 	}
 }
@@ -257,13 +256,21 @@ func TestContractVerdicts(t *testing.T) {
 }
 
 func TestProfilesInstantiable(t *testing.T) {
-	for _, p := range core.Profiles() {
-		d, err := p.NewDevice()
+	for _, dev := range table2Devices {
+		if dev.seqReq <= 0 || dev.randReq <= 0 {
+			t.Fatalf("%s: bad request sizes", dev.profile)
+		}
+		for _, depth := range dev.depth {
+			if depth <= 0 {
+				t.Fatalf("%s: missing depths", dev.profile)
+			}
+		}
+		d, err := core.Open(dev.profile)
 		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
+			t.Fatalf("%s: %v", dev.profile, err)
 		}
 		if d.LogicalBytes() <= 0 {
-			t.Fatalf("%s: no capacity", p.Name)
+			t.Fatalf("%s: no capacity", dev.profile)
 		}
 	}
 	if _, err := core.ProfileByName("nope"); err == nil {

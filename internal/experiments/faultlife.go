@@ -79,11 +79,12 @@ func faultLifeDevice(seed int64, ceiling int) (core.Device, error) {
 	return core.Open("ssd", core.WithSSD(cfg), core.WithFault(plan))
 }
 
-// faultLifeRun preconditions the device, then drives segments splits of
-// a skewed single-page overwrite workload, checkpointing after each.
-// Segment boundaries are Drive-call boundaries: the engine is drained
-// there before each checkpoint.
-func faultLifeRun(d core.Device, seed int64, segments, opsPerSegment int) ([]FaultLifePoint, error) {
+// faultLifeRun preconditions the device, then drives a skewed
+// single-page overwrite workload in six segments of 4,000 writes,
+// checkpointing after each. Segment boundaries are Drive-call
+// boundaries: the engine is drained there before each checkpoint.
+func faultLifeRun(d core.Device, seed int64) ([]FaultLifePoint, error) {
+	const segments, opsPerSegment = 6, 4000
 	if err := core.PreconditionFrac(d, 1<<20, 0.8); err != nil {
 		return nil, err
 	}
@@ -117,31 +118,12 @@ func faultLifeRun(d core.Device, seed int64, segments, opsPerSegment int) ([]Fau
 	return points, nil
 }
 
-// FaultLifeOptions sizes the sweep.
-type FaultLifeOptions struct {
-	// Seed keys the workload and the fault plans.
-	Seed int64
-	// Segments is the checkpoint count (default 6).
-	Segments int
-	// OpsPerSegment is the host writes per segment (default 4000).
-	OpsPerSegment int
-	// Workers caps the pool (0 = runner default).
-	Workers int
-}
-
 // FaultLife runs the accelerated-lifetime sweep, one spec per ceiling.
-func FaultLife(o FaultLifeOptions) (FaultLifeResult, error) {
-	if o.Segments <= 0 {
-		o.Segments = 6
-	}
-	if o.OpsPerSegment <= 0 {
-		o.OpsPerSegment = 4000
-	}
+func FaultLife(seed int64, workers int) (FaultLifeResult, error) {
 	ceilings := []int{0, 6, 4, 2}
 	var res FaultLifeResult
 	specs := make([]runner.Spec[[]FaultLifePoint], len(ceilings))
 	for i, c := range ceilings {
-		c := c
 		name := fmt.Sprintf("ceiling %d", c)
 		if c == 0 {
 			name = "no ceiling"
@@ -149,17 +131,17 @@ func FaultLife(o FaultLifeOptions) (FaultLifeResult, error) {
 		res.Configs = append(res.Configs, name)
 		specs[i] = runner.Spec[[]FaultLifePoint]{
 			Name: "faultlife/" + name,
-			Seed: o.Seed,
+			Seed: seed,
 			Run: func() ([]FaultLifePoint, error) {
-				d, err := faultLifeDevice(o.Seed, c)
+				d, err := faultLifeDevice(seed, c)
 				if err != nil {
 					return nil, err
 				}
-				return faultLifeRun(d, o.Seed, o.Segments, o.OpsPerSegment)
+				return faultLifeRun(d, seed)
 			},
 		}
 	}
-	pts, err := runner.Run(specs, runner.Options{Workers: o.Workers})
+	pts, err := runner.Run(specs, runner.Options{Workers: workers})
 	if err != nil {
 		return res, err
 	}

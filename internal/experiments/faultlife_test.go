@@ -13,7 +13,7 @@ func TestFaultLifeWearOutCliff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
-	r, err := FaultLife(FaultLifeOptions{Seed: 1})
+	r, err := FaultLife(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +68,11 @@ func TestFaultLifeDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
-	opts := FaultLifeOptions{Seed: 5, Segments: 3, OpsPerSegment: 2000}
-	opts.Workers = 1
-	serial, err := FaultLife(opts)
+	serial, err := FaultLife(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Workers = 8
-	parallel, err := FaultLife(opts)
+	parallel, err := FaultLife(5, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,37 +33,13 @@ func (r Figure2Result) String() string {
 	return out + t.String()
 }
 
-// Figure2Options tunes the sweep.
-type Figure2Options struct {
-	// MaxBytes is the largest write size (default 4 MB; the paper sweeps
-	// to 9 MB — pass 9<<20 for the full axis).
-	MaxBytes int64
-	// StepBytes is the sweep step (default 256 KB).
-	StepBytes int64
-	// BytesPerPoint bounds each measurement (default 24 MB).
-	BytesPerPoint int64
-	// Workers caps the worker pool (0 = runner default).
-	Workers int
-}
-
-func (o *Figure2Options) defaults() {
-	if o.MaxBytes == 0 {
-		o.MaxBytes = 4 << 20
-	}
-	if o.StepBytes == 0 {
-		o.StepBytes = 256 << 10
-	}
-	if o.BytesPerPoint == 0 {
-		o.BytesPerPoint = 24 << 20
-	}
-}
-
 // Figure2 runs the sweep, measuring sustained sequential-write bandwidth
-// at each request size. Every point is one spec on its own fresh,
-// preconditioned S2slc device, so all points start from the identical
-// fully-mapped steady state and sweep order cannot leak between them.
-func Figure2(opts Figure2Options) (Figure2Result, error) {
-	opts.defaults()
+// at each request size from 256 KB to 9 MB (the paper's axis) in 256 KB
+// steps, writing 24 MB per point. Every point is one spec on its own
+// fresh, preconditioned S2slc device, so all points start from the
+// identical fully-mapped steady state and sweep order cannot leak
+// between them. The sweep is deterministic, so it takes no seed.
+func Figure2(_ int64, workers int) (Figure2Result, error) {
 	var res Figure2Result
 	res.Series.Name = "write-size(MB) bandwidth(MB/s)"
 	p, err := core.ProfileByName("S2slc")
@@ -73,8 +49,7 @@ func Figure2(opts Figure2Options) (Figure2Result, error) {
 	stripe := p.SSD.StripeBytes
 	var sizes []int64
 	var specs []runner.Spec[float64]
-	for size := opts.StepBytes; size <= opts.MaxBytes; size += opts.StepBytes {
-		size := size
+	for size := int64(256 << 10); size <= 9<<20; size += 256 << 10 {
 		sizes = append(sizes, size)
 		specs = append(specs, runner.Spec[float64]{
 			Name:    fmt.Sprintf("figure2/%dKiB", size>>10),
@@ -88,13 +63,13 @@ func Figure2(opts Figure2Options) (Figure2Result, error) {
 					Kind:       trace.Write,
 					Pattern:    core.Sequential,
 					ReqBytes:   size,
-					TotalBytes: opts.BytesPerPoint,
+					TotalBytes: 24 << 20,
 					Depth:      1,
 				})
 			},
 		})
 	}
-	bws, err := runner.Run(specs, runner.Options{Workers: opts.Workers})
+	bws, err := runner.Run(specs, runner.Options{Workers: workers})
 	if err != nil {
 		return res, err
 	}

@@ -44,32 +44,6 @@ func (r Figure3Result) String() string {
 	return t.String() + "\n" + t6.String()
 }
 
-// Figure3Options tunes the experiment.
-type Figure3Options struct {
-	// Ops per point (default 120000).
-	Ops int
-	// PriorityFrac is the foreground fraction (default 0.10, the paper's).
-	PriorityFrac float64
-	// WritePcts lists the sweep points (default 20..80, the paper's).
-	WritePcts []int
-	// Seed drives the workloads.
-	Seed int64
-	// Workers caps the worker pool (0 = runner default).
-	Workers int
-}
-
-func (o *Figure3Options) defaults() {
-	if o.Ops == 0 {
-		o.Ops = 120000
-	}
-	if o.PriorityFrac == 0 {
-		o.PriorityFrac = 0.10
-	}
-	if len(o.WritePcts) == 0 {
-		o.WritePcts = []int{20, 40, 50, 60, 80}
-	}
-}
-
 // figure3Device builds the scaled 32 GB-class device with the paper's
 // watermarks (low 5%, critical 2%).
 func figure3Device(aware bool) (*core.SSD, error) {
@@ -96,12 +70,14 @@ type figure3Point struct {
 	fg, bg float64
 }
 
+// figure3WritePcts are the sweep points: the paper's write percentages.
+var figure3WritePcts = []int{20, 40, 50, 60, 80}
+
 // Figure3 runs both cleaning policies at each write percentage, one spec
-// per (write percentage, policy) pair. Requests arrive with
-// inter-arrival times uniform in [0, 0.1 ms] and 10% are priority, per
-// the paper.
-func Figure3(opts Figure3Options) (Figure3Result, error) {
-	opts.defaults()
+// per (write percentage, policy) pair. Each point drives 120,000
+// requests whose inter-arrival times are uniform in [0, 0.1 ms] and 10%
+// of which are priority, per the paper.
+func Figure3(seed int64, workers int) (Figure3Result, error) {
 	var res Figure3Result
 	run := func(wp int, aware bool) (figure3Point, error) {
 		var pt figure3Point
@@ -120,42 +96,41 @@ func Figure3(opts Figure3Options) (Figure3Result, error) {
 			}
 		}
 		stream, err := workload.Synthetic(workload.SyntheticConfig{
-			Ops:            opts.Ops,
+			Ops:            120000,
 			AddressSpace:   int64(float64(d.LogicalBytes()) * 0.75),
 			ReadFrac:       1 - float64(wp)/100,
 			ReqSize:        4096,
 			InterarrivalLo: 0,
 			InterarrivalHi: 100 * sim.Microsecond,
-			PriorityFrac:   opts.PriorityFrac,
-			Seed:           opts.Seed + int64(wp),
+			PriorityFrac:   0.10,
+			Seed:           seed + int64(wp),
 		})
 		if err != nil {
 			return pt, err
 		}
-		base := d.Engine().Now()
-		if err := d.Drive(trace.Shift(stream, base)); err != nil {
+		if err := d.Drive(trace.Shift(stream, d.Engine().Now())); err != nil {
 			return pt, err
 		}
+		// The background mean includes the preconditioning writes: they
+		// are non-priority, but few and sequential next to the trace.
 		m := d.Raw.Metrics()
-		return figure3Point{fg: m.PriResp.Mean(), bg: bgMeanExcludingPrecondition(m, base)}, nil
+		return figure3Point{fg: m.PriResp.Mean(), bg: m.BgResp.Mean()}, nil
 	}
 	var specs []runner.Spec[figure3Point]
-	for _, wp := range opts.WritePcts {
-		wp := wp
+	for _, wp := range figure3WritePcts {
 		for _, aware := range []bool{false, true} {
-			aware := aware
 			specs = append(specs, runner.Spec[figure3Point]{
 				Name: fmt.Sprintf("figure3/w%d/aware=%v", wp, aware),
-				Seed: opts.Seed,
+				Seed: seed,
 				Run:  func() (figure3Point, error) { return run(wp, aware) },
 			})
 		}
 	}
-	pts, err := runner.Run(specs, runner.Options{Workers: opts.Workers})
+	pts, err := runner.Run(specs, runner.Options{Workers: workers})
 	if err != nil {
 		return res, err
 	}
-	for i, wp := range opts.WritePcts {
+	for i, wp := range figure3WritePcts {
 		agn, aw := pts[i*2], pts[i*2+1]
 		res.WritePcts = append(res.WritePcts, wp)
 		res.FgAgnostic = append(res.FgAgnostic, agn.fg)
@@ -165,13 +140,4 @@ func Figure3(opts Figure3Options) (Figure3Result, error) {
 		res.ImprovementPct = append(res.ImprovementPct, stats.Improvement(agn.fg, aw.fg))
 	}
 	return res, nil
-}
-
-// bgMeanExcludingPrecondition approximates the background-request mean.
-// Preconditioning writes are non-priority and land in BgResp; they are
-// sequential 1 MB writes, few in number relative to the trace, so the
-// histogram mean is dominated by the trace. Kept as a helper so a future
-// refactor can snapshot-and-subtract exactly like Table 3 does.
-func bgMeanExcludingPrecondition(m ssd.Metrics, _ sim.Time) float64 {
-	return m.BgResp.Mean()
 }

@@ -133,16 +133,8 @@ func interferenceRun(seed int64, weights map[uint8]float64) (InterferenceRow, er
 	return row, nil
 }
 
-// InterferenceOptions sizes the sweep.
-type InterferenceOptions struct {
-	// Seed keys both tenants' workloads.
-	Seed int64
-	// Workers caps the pool (0 = runner default).
-	Workers int
-}
-
 // Interference runs the fairness sweep, one spec per configuration.
-func Interference(o InterferenceOptions) (InterferenceResult, error) {
+func Interference(seed int64, workers int) (InterferenceResult, error) {
 	configs := []struct {
 		name    string
 		weights map[uint8]float64
@@ -155,14 +147,13 @@ func Interference(o InterferenceOptions) (InterferenceResult, error) {
 	var res InterferenceResult
 	specs := make([]runner.Spec[InterferenceRow], len(configs))
 	for i, c := range configs {
-		c := c
 		specs[i] = runner.Spec[InterferenceRow]{
 			Name: "interference/" + c.name,
-			Seed: o.Seed,
-			Run:  func() (InterferenceRow, error) { return interferenceRun(o.Seed, c.weights) },
+			Seed: seed,
+			Run:  func() (InterferenceRow, error) { return interferenceRun(seed, c.weights) },
 		}
 	}
-	rows, err := runner.Run(specs, runner.Options{Workers: o.Workers})
+	rows, err := runner.Run(specs, runner.Options{Workers: workers})
 	if err != nil {
 		return res, err
 	}

@@ -14,7 +14,7 @@ func TestInterferenceIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
-	r, err := Interference(InterferenceOptions{Seed: 1, Workers: 4})
+	r, err := Interference(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestInterferenceDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
 	}
-	serial, err := Interference(InterferenceOptions{Seed: 5, Workers: 1})
+	serial, err := Interference(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Interference(InterferenceOptions{Seed: 5, Workers: 8})
+	parallel, err := Interference(5, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

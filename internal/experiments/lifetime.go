@@ -135,7 +135,6 @@ func Lifetime(seed int64, workers int) (LifetimeResult, error) {
 	}
 	specs := make([]runner.Spec[lifetimePoint], len(cases))
 	for i, c := range cases {
-		c := c
 		specs[i] = runner.Spec[lifetimePoint]{
 			Name: "lifetime/" + c.name,
 			Seed: seed,

@@ -95,7 +95,6 @@ func Schemes(seed int64, workers int) (SchemesResult, error) {
 	schemes := []ftl.Scheme{ftl.PageMapped, ftl.HybridLog, ftl.BlockMapped}
 	specs := make([]runner.Spec[schemesPoint], len(schemes))
 	for i, s := range schemes {
-		s := s
 		specs[i] = runner.Spec[schemesPoint]{
 			Name: "schemes/" + s.String(),
 			Seed: seed,

@@ -30,30 +30,6 @@ func (r SWTFResult) String() string {
 	return t.String()
 }
 
-// SWTFOptions tunes the experiment.
-type SWTFOptions struct {
-	// Ops is the number of requests (default 60000).
-	Ops int
-	// MeanInterarrival controls load (default 110 us: the highest load at
-	// which strict in-order dispatch is still stable on the 8-element
-	// device, which is where the FCFS/SWTF contrast is sharpest without
-	// queue blow-up).
-	MeanInterarrival sim.Time
-	// Seed drives the workload.
-	Seed int64
-	// Workers caps the worker pool (0 = runner default).
-	Workers int
-}
-
-func (o *SWTFOptions) defaults() {
-	if o.Ops == 0 {
-		o.Ops = 60000
-	}
-	if o.MeanInterarrival == 0 {
-		o.MeanInterarrival = 110 * sim.Microsecond
-	}
-}
-
 func swtfDevice(policy sched.Policy) (*core.SSD, error) {
 	d, err := core.Open("S4slc_sim", core.WithScheduler(policy))
 	if err != nil {
@@ -63,9 +39,11 @@ func swtfDevice(policy sched.Policy) (*core.SSD, error) {
 }
 
 // SWTF runs the comparison: identical trace, fresh preconditioned device
-// per scheduler.
-func SWTF(opts SWTFOptions) (SWTFResult, error) {
-	opts.defaults()
+// per scheduler. The 60,000 requests arrive with a mean inter-arrival
+// time of 110 us: the highest load at which strict in-order dispatch is
+// still stable on the 8-element device, which is where the FCFS/SWTF
+// contrast is sharpest without queue blow-up.
+func SWTF(seed int64, workers int) (SWTFResult, error) {
 	var res SWTFResult
 	run := func(policy sched.Policy) (float64, error) {
 		d, err := swtfDevice(policy)
@@ -79,13 +57,13 @@ func SWTF(opts SWTFOptions) (SWTFResult, error) {
 			return 0, err
 		}
 		stream, err := workload.Synthetic(workload.SyntheticConfig{
-			Ops:            opts.Ops,
+			Ops:            60000,
 			AddressSpace:   int64(float64(d.LogicalBytes()) * 0.7),
 			ReadFrac:       2.0 / 3,
 			ReqSize:        4096,
 			InterarrivalLo: 0,
-			InterarrivalHi: 2 * opts.MeanInterarrival,
-			Seed:           opts.Seed,
+			InterarrivalHi: 2 * 110 * sim.Microsecond,
+			Seed:           seed,
 		})
 		if err != nil {
 			return 0, err
@@ -104,12 +82,12 @@ func SWTF(opts SWTFOptions) (SWTFResult, error) {
 		return total / float64(m.ReadResp.N()+m.WriteResp.N()), nil
 	}
 	specs := []runner.Spec[float64]{
-		{Name: "swtf/fcfs", Profile: "S4slc_sim", Seed: opts.Seed,
+		{Name: "swtf/fcfs", Profile: "S4slc_sim", Seed: seed,
 			Run: func() (float64, error) { return run(sched.FCFS) }},
-		{Name: "swtf/swtf", Profile: "S4slc_sim", Seed: opts.Seed,
+		{Name: "swtf/swtf", Profile: "S4slc_sim", Seed: seed,
 			Run: func() (float64, error) { return run(sched.SWTF) }},
 	}
-	means, err := runner.Run(specs, runner.Options{Workers: opts.Workers})
+	means, err := runner.Run(specs, runner.Options{Workers: workers})
 	if err != nil {
 		return res, err
 	}

@@ -44,90 +44,82 @@ func (r Table2Result) Table() *stats.Table {
 
 func (r Table2Result) String() string { return r.Table().String() }
 
-// Table2Options tunes the measurement volume.
-type Table2Options struct {
-	// BytesPerTest bounds each measurement (default 32 MB).
-	BytesPerTest int64
-	// RandBytesPerTest bounds the random tests separately (default 4 MB:
-	// random tests on slow devices dominate wall time).
-	RandBytesPerTest int64
-	// Seed drives the random patterns.
-	Seed int64
-	// Profiles overrides the device set (default core.Profiles()).
-	Profiles []core.Profile
-	// Workers caps the worker pool (0 = runner default).
-	Workers int
+// table2Tests are the four measurements per device, in column order.
+var table2Tests = []struct {
+	label   string
+	kind    trace.Kind
+	pattern core.Pattern
+}{
+	{"seqread", trace.Read, core.Sequential},
+	{"randread", trace.Read, core.Random},
+	{"seqwrite", trace.Write, core.Sequential},
+	{"randwrite", trace.Write, core.Random},
 }
 
-func (o *Table2Options) defaults() {
-	if o.BytesPerTest == 0 {
-		o.BytesPerTest = 32 << 20
-	}
-	if o.RandBytesPerTest == 0 {
-		o.RandBytesPerTest = 4 << 20
-	}
-	if o.Profiles == nil {
-		o.Profiles = core.Profiles()
-	}
+// table2Devices is Table 2's device set in row order, with the request
+// sizes and the per-test queue depths (in table2Tests order) each device
+// is benchmarked at. Real devices are benchmarked at the depth their
+// firmware is designed for (e.g. deep NCQ write queues on high-end
+// parts).
+var table2Devices = []struct {
+	profile         string
+	seqReq, randReq int64
+	depth           [4]int
+}{
+	{"HDD", 1 << 20, 4096, [4]int{1, 1, 1, 1}},
+	{"S1slc", 1 << 20, 4096, [4]int{1, 2, 1, 8}},
+	{"S2slc", 1 << 20, 4096, [4]int{1, 1, 1, 1}},
+	{"S3slc", 256 << 10, 4096, [4]int{1, 2, 1, 1}},
+	{"S4slc_sim", 4096, 4096, [4]int{1, 1, 2, 2}},
+	{"S5mlc", 256 << 10, 4096, [4]int{1, 2, 1, 4}},
 }
 
-// Table2 runs the four measurements per profile, each on a fresh,
-// preconditioned device. Every (profile, test) cell is one spec, so the
-// whole table fans out across the worker pool.
-func Table2(opts Table2Options) (Table2Result, error) {
-	opts.defaults()
+// Table2 runs the four measurements per device, each on a fresh,
+// preconditioned device. A sequential test moves 32 MB; a random one
+// moves 4 MB, since random tests on slow devices dominate wall time.
+// Every (device, test) cell is one spec, so the whole table fans out
+// across the worker pool.
+func Table2(seed int64, workers int) (Table2Result, error) {
 	var res Table2Result
-	type test struct {
-		label   string
-		kind    trace.Kind
-		pattern core.Pattern
-		req     int64
-		depth   int
-		total   int64
-	}
 	var specs []runner.Spec[float64]
-	for _, p := range opts.Profiles {
-		p := p
-		tests := []test{
-			{"seqread", trace.Read, core.Sequential, p.SeqReqBytes, p.SeqReadDepth, opts.BytesPerTest},
-			{"randread", trace.Read, core.Random, p.RandReqBytes, p.RandReadDepth, opts.RandBytesPerTest},
-			{"seqwrite", trace.Write, core.Sequential, p.SeqReqBytes, p.SeqWriteDepth, opts.BytesPerTest},
-			{"randwrite", trace.Write, core.Random, p.RandReqBytes, p.RandWriteDepth, opts.RandBytesPerTest},
+	for _, dev := range table2Devices {
+		p, err := core.ProfileByName(dev.profile)
+		if err != nil {
+			return res, err
 		}
-		for _, tc := range tests {
-			tc := tc
+		for i, tc := range table2Tests {
+			bw := core.BWOptions{
+				Kind:       tc.kind,
+				Pattern:    tc.pattern,
+				ReqBytes:   dev.seqReq,
+				TotalBytes: 32 << 20,
+				Depth:      dev.depth[i],
+				Seed:       seed + 1,
+			}
+			if tc.pattern == core.Random {
+				bw.ReqBytes, bw.TotalBytes = dev.randReq, 4<<20
+			}
 			specs = append(specs, runner.Spec[float64]{
 				Name:    p.Name + "/" + tc.label,
 				Profile: p.Name,
-				Seed:    opts.Seed,
+				Seed:    seed,
 				Run: func() (float64, error) {
 					d, err := preconditioned(p)
 					if err != nil {
 						return 0, err
 					}
-					total := tc.total
-					if total < tc.req {
-						total = tc.req
-					}
-					return core.MeasureBandwidth(d, core.BWOptions{
-						Kind:       tc.kind,
-						Pattern:    tc.pattern,
-						ReqBytes:   tc.req,
-						TotalBytes: total,
-						Depth:      tc.depth,
-						Seed:       opts.Seed + 1,
-					})
+					return core.MeasureBandwidth(d, bw)
 				},
 			})
 		}
 	}
-	bws, err := runner.Run(specs, runner.Options{Workers: opts.Workers})
+	bws, err := runner.Run(specs, runner.Options{Workers: workers})
 	if err != nil {
 		return res, err
 	}
-	for i, p := range opts.Profiles {
+	for i, dev := range table2Devices {
 		row := Table2Row{
-			Device:    p.Name,
+			Device:    dev.profile,
 			SeqRead:   bws[i*4],
 			RandRead:  bws[i*4+1],
 			SeqWrite:  bws[i*4+2],

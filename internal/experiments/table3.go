@@ -63,36 +63,14 @@ func table3Device() (*core.SSD, error) {
 	return d.(*core.SSD), nil
 }
 
-// Table3Options tunes the experiment.
-type Table3Options struct {
-	// Ops is the write count per point (default 12000).
-	Ops int
-	// MeanInterarrival controls load (default 900 us — high utilization,
-	// the regime where alignment shows its full effect without queue
-	// blow-up).
-	MeanInterarrival sim.Time
-	// Seed drives the workloads.
-	Seed int64
-	// Workers caps the worker pool (0 = runner default).
-	Workers int
-}
-
-func (o *Table3Options) defaults() {
-	if o.Ops == 0 {
-		o.Ops = 12000
-	}
-	if o.MeanInterarrival == 0 {
-		o.MeanInterarrival = 900 * sim.Microsecond
-	}
-}
-
 // table3Run replays one write stream on a fresh 60%-preconditioned
-// device and returns the mean write response over the replayed window
-// only (moderate utilization, so cleaning cost reflects a working
-// device, not a pathological full one). mk builds the stream after
-// preconditioning, so the whole pipeline — generation, alignment,
-// replay — runs at constant memory.
-func table3Run(mk func() (trace.Stream, error)) (float64, error) {
+// Table 3 device and returns the mean write response over the replayed
+// window only (moderate utilization, so cleaning cost reflects a working
+// device, not a pathological full one). Tables 3 and 4 both measure
+// through it. mkStream builds the stream after preconditioning, so the
+// whole pipeline — generation, alignment, replay — runs at constant
+// memory.
+func table3Run(mkStream func() (trace.Stream, error)) (float64, error) {
 	d, err := table3Device()
 	if err != nil {
 		return 0, err
@@ -100,30 +78,31 @@ func table3Run(mk func() (trace.Stream, error)) (float64, error) {
 	if err := core.PreconditionFrac(d, 1<<20, 0.6); err != nil {
 		return 0, err
 	}
-	stream, err := mk()
+	stream, err := mkStream()
 	if err != nil {
 		return 0, err
 	}
 	// Measure only the trace's writes: snapshot before.
-	before := d.Raw.Metrics().WriteResp
+	w := d.Raw.Metrics().WriteResp
+	beforeN, beforeTotal := w.N(), w.Mean()*float64(w.N())
 	if err := d.Drive(trace.Shift(stream, d.Engine().Now())); err != nil {
 		return 0, err
 	}
-	after := d.Raw.Metrics().WriteResp
-	// Means over the delta window.
-	n := after.N() - before.N()
+	w = d.Raw.Metrics().WriteResp
+	n := w.N() - beforeN
 	if n == 0 {
 		return 0, nil
 	}
-	total := after.Mean()*float64(after.N()) - before.Mean()*float64(before.N())
-	return total / float64(n), nil
+	return (w.Mean()*float64(w.N()) - beforeTotal) / float64(n), nil
 }
 
-// Table3 runs both schemes at each sequentiality. Each spec regenerates
-// its own workload stream from the seed (streams are single-use), so the
-// two replays of a point stay byte-equal without sharing a slice.
-func Table3(opts Table3Options) (Table3Result, error) {
-	opts.defaults()
+// Table3 runs both schemes at each sequentiality: 12,000 writes per
+// point at a mean inter-arrival time of 900 us — high utilization, the
+// regime where alignment shows its full effect without queue blow-up.
+// Each spec regenerates its own workload stream from the seed (streams
+// are single-use), so the two replays of a point stay byte-equal without
+// sharing a slice.
+func Table3(seed int64, workers int) (Table3Result, error) {
 	res := Table3Result{SeqProbs: []float64{0, 0.2, 0.4, 0.6, 0.8}}
 	probe, err := table3Device()
 	if err != nil {
@@ -133,14 +112,14 @@ func Table3(opts Table3Options) (Table3Result, error) {
 	var specs []runner.Spec[float64]
 	for _, p := range res.SeqProbs {
 		cfg := workload.SyntheticConfig{
-			Ops:            opts.Ops,
+			Ops:            12000,
 			AddressSpace:   space,
 			ReadFrac:       0,
 			SeqProb:        p,
 			ReqSize:        4096,
 			InterarrivalLo: 0,
-			InterarrivalHi: 2 * opts.MeanInterarrival,
-			Seed:           opts.Seed + int64(p*100),
+			InterarrivalHi: 2 * 900 * sim.Microsecond,
+			Seed:           seed + int64(p*100),
 		}
 		for _, v := range []struct {
 			label string
@@ -155,16 +134,15 @@ func Table3(opts Table3Options) (Table3Result, error) {
 				return trace.AlignStream(s, 32<<10, trace.AlignOptions{})
 			}},
 		} {
-			v := v
 			specs = append(specs, runner.Spec[float64]{
 				Name:     fmt.Sprintf("table3/p%.1f/%s", p, v.label),
 				Workload: v.label,
-				Seed:     opts.Seed,
+				Seed:     seed,
 				Run:      func() (float64, error) { return table3Run(v.mk) },
 			})
 		}
 	}
-	means, err := runner.Run(specs, runner.Options{Workers: opts.Workers})
+	means, err := runner.Run(specs, runner.Options{Workers: workers})
 	if err != nil {
 		return res, err
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"ossd/internal/core"
 	"ossd/internal/runner"
 	"ossd/internal/sim"
 	"ossd/internal/stats"
@@ -31,63 +30,45 @@ func (r Table4Result) String() string {
 	return t.String()
 }
 
-// Table4Options tunes the experiment.
-type Table4Options struct {
-	// Scale multiplies workload sizes (default 1).
-	Scale float64
-	// Seed drives the workloads.
-	Seed int64
-	// Workers caps the worker pool (0 = runner default).
-	Workers int
-}
-
-func (o *Table4Options) defaults() {
-	if o.Scale == 0 {
-		o.Scale = 1
-	}
-}
-
 // Table4 generates each macro trace, replays it unaligned and aligned on
 // fresh preconditioned copies of the Table 3 device, and reports mean
 // write response improvement.
-func Table4(opts Table4Options) (Table4Result, error) {
-	opts.defaults()
+func Table4(seed int64, workers int) (Table4Result, error) {
 	var res Table4Result
 	probe, err := table3Device()
 	if err != nil {
 		return res, err
 	}
 	space := int64(float64(probe.LogicalBytes()) * 0.6)
-	n := func(base int) int { return int(float64(base) * opts.Scale) }
 	gens := []struct {
 		name string
 		gen  func() (trace.Stream, error)
 	}{
 		{"Postmark", func() (trace.Stream, error) {
 			return workload.Postmark(workload.PostmarkConfig{
-				Transactions:     n(12000),
+				Transactions:     12000,
 				InitialFiles:     300,
 				CapacityBytes:    space / 2,
 				MeanInterarrival: 1500 * sim.Microsecond,
-				Seed:             opts.Seed + 1,
+				Seed:             seed + 1,
 			})
 		}},
 		{"TPCC", func() (trace.Stream, error) {
 			return workload.TPCC(workload.OLTPConfig{
-				Ops:              n(15000),
+				Ops:              15000,
 				CapacityBytes:    space,
 				LogFrac:          0.05,
 				MeanInterarrival: 1500 * sim.Microsecond,
-				Seed:             opts.Seed + 2,
+				Seed:             seed + 2,
 			})
 		}},
 		{"Exchange", func() (trace.Stream, error) {
 			return workload.Exchange(workload.ExchangeConfig{
-				Ops:              n(15000),
+				Ops:              15000,
 				CapacityBytes:    space,
 				BurstFrac:        0.01,
 				MeanInterarrival: 1500 * sim.Microsecond,
-				Seed:             opts.Seed + 3,
+				Seed:             seed + 3,
 			})
 		}},
 		{"IOzone", func() (trace.Stream, error) {
@@ -95,20 +76,9 @@ func Table4(opts Table4Options) (Table4Result, error) {
 				FileBytes:        int64(float64(space) * 0.6),
 				RecordBytes:      128 << 10,
 				MeanInterarrival: 3500 * sim.Microsecond,
-				Seed:             opts.Seed + 4,
+				Seed:             seed + 4,
 			})
 		}},
-	}
-	mk := func() (core.Device, error) {
-		d, err := table3Device()
-		if err != nil {
-			return nil, err
-		}
-		// 60% fill, like Table 3: a working device, not a full one.
-		if err := core.PreconditionFrac(d, 1<<20, 0.6); err != nil {
-			return nil, err
-		}
-		return d, nil
 	}
 	var specs []runner.Spec[float64]
 	for _, g := range gens {
@@ -132,16 +102,15 @@ func Table4(opts Table4Options) (Table4Result, error) {
 			label string
 			mk    func() (trace.Stream, error)
 		}{{"unaligned", gen}, {"aligned", alignedGen}} {
-			v := v
 			specs = append(specs, runner.Spec[float64]{
 				Name:     g.name + "/" + v.label,
 				Workload: g.name,
-				Seed:     opts.Seed,
-				Run:      func() (float64, error) { return driveMeanWriteShifted(mk, v.mk) },
+				Seed:     seed,
+				Run:      func() (float64, error) { return table3Run(v.mk) },
 			})
 		}
 	}
-	means, err := runner.Run(specs, runner.Options{Workers: opts.Workers})
+	means, err := runner.Run(specs, runner.Options{Workers: workers})
 	if err != nil {
 		return res, err
 	}
@@ -153,37 +122,4 @@ func Table4(opts Table4Options) (Table4Result, error) {
 		res.ImprovementPct = append(res.ImprovementPct, stats.Improvement(u, a))
 	}
 	return res, nil
-}
-
-// driveMeanWriteShifted drives a freshly generated stream (timestamps
-// shifted past the device's current clock) and returns the mean write
-// response over the driven window only.
-func driveMeanWriteShifted(mk func() (core.Device, error), mkStream func() (trace.Stream, error)) (float64, error) {
-	d, err := mk()
-	if err != nil {
-		return 0, err
-	}
-	stream, err := mkStream()
-	if err != nil {
-		return 0, err
-	}
-	sd, isSSD := d.(*core.SSD)
-	var beforeN uint64
-	var beforeTotal float64
-	if isSSD {
-		w := sd.Raw.Metrics().WriteResp
-		beforeN, beforeTotal = w.N(), w.Mean()*float64(w.N())
-	}
-	if err := d.Drive(trace.Shift(stream, d.Engine().Now())); err != nil {
-		return 0, err
-	}
-	if isSSD {
-		w := sd.Raw.Metrics().WriteResp
-		n := w.N() - beforeN
-		if n == 0 {
-			return 0, nil
-		}
-		return (w.Mean()*float64(w.N()) - beforeTotal) / float64(n), nil
-	}
-	return d.Metrics().MeanWriteMs, nil
 }

@@ -41,23 +41,6 @@ func (r Table5Result) String() string {
 	return t.String()
 }
 
-// Table5Options tunes the experiment.
-type Table5Options struct {
-	// Transactions lists the workload sizes (default 5000..8000, the
-	// paper's sweep).
-	Transactions []int
-	// Seed drives the workloads.
-	Seed int64
-	// Workers caps the worker pool (0 = runner default).
-	Workers int
-}
-
-func (o *Table5Options) defaults() {
-	if len(o.Transactions) == 0 {
-		o.Transactions = []int{5000, 6000, 7000, 8000}
-	}
-}
-
 // table5Device builds the scaled 8 GB-class device: interleaved mapping,
 // cleaning watermarks per the paper.
 func table5Device(informed bool) (*core.SSD, error) {
@@ -79,10 +62,12 @@ func table5Device(informed bool) (*core.SSD, error) {
 	return d.(*core.SSD), nil
 }
 
+// table5Transactions are the Postmark workload sizes: the paper's sweep.
+var table5Transactions = []int{5000, 6000, 7000, 8000}
+
 // Table5 replays each Postmark trace on a default and an informed device
 // and compares cleaning work.
-func Table5(opts Table5Options) (Table5Result, error) {
-	opts.defaults()
+func Table5(seed int64, workers int) (Table5Result, error) {
 	var res Table5Result
 	probe, err := table5Device(false)
 	if err != nil {
@@ -90,7 +75,7 @@ func Table5(opts Table5Options) (Table5Result, error) {
 	}
 	space := probe.LogicalBytes()
 	var specs []runner.Spec[ssd.GCStats]
-	for _, tx := range opts.Transactions {
+	for _, tx := range table5Transactions {
 		// Pre-fill the file system to ~70% so churn happens against a
 		// mostly-full device, the regime where cleaning matters; the
 		// paper's 8 GB SSD ran Postmark against a comparably full ext3.
@@ -104,14 +89,13 @@ func Table5(opts Table5Options) (Table5Result, error) {
 			FileSizeMax:      64 << 10,
 			CapacityBytes:    space,
 			MeanInterarrival: 200 * sim.Microsecond,
-			Seed:             opts.Seed + int64(tx),
+			Seed:             seed + int64(tx),
 		}
 		for _, informed := range []bool{false, true} {
-			informed := informed
 			specs = append(specs, runner.Spec[ssd.GCStats]{
 				Name:     fmt.Sprintf("table5/tx%d/informed=%v", tx, informed),
 				Workload: "postmark",
-				Seed:     opts.Seed,
+				Seed:     seed,
 				Run: func() (ssd.GCStats, error) {
 					d, err := table5Device(informed)
 					if err != nil {
@@ -129,11 +113,11 @@ func Table5(opts Table5Options) (Table5Result, error) {
 			})
 		}
 	}
-	gcs, err := runner.Run(specs, runner.Options{Workers: opts.Workers})
+	gcs, err := runner.Run(specs, runner.Options{Workers: workers})
 	if err != nil {
 		return res, err
 	}
-	for i, tx := range opts.Transactions {
+	for i, tx := range table5Transactions {
 		def, inf := gcs[i*2], gcs[i*2+1]
 		res.Transactions = append(res.Transactions, tx)
 		res.DefaultPagesMoved = append(res.DefaultPagesMoved, def.PagesMoved)

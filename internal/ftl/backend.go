@@ -69,6 +69,20 @@ func (s Scheme) String() string {
 	}
 }
 
+// ParseScheme maps a scheme's short name, as the command line and job
+// specs spell it ("page", "block" or "hybrid"), to the Scheme.
+func ParseScheme(name string) (Scheme, error) {
+	switch name {
+	case "page":
+		return PageMapped, nil
+	case "block":
+		return BlockMapped, nil
+	case "hybrid":
+		return HybridLog, nil
+	}
+	return 0, fmt.Errorf("ftl: unknown scheme %q", name)
+}
+
 // NewBackend builds the requested scheme over the given configuration.
 func NewBackend(scheme Scheme, cfg Config) (Backend, error) {
 	switch scheme {

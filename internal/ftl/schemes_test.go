@@ -26,6 +26,19 @@ func TestSchemeStrings(t *testing.T) {
 	}
 }
 
+func TestParseScheme(t *testing.T) {
+	for name, want := range map[string]Scheme{"page": PageMapped, "block": BlockMapped, "hybrid": HybridLog} {
+		if got, err := ParseScheme(name); err != nil || got != want {
+			t.Fatalf("ParseScheme(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "page-mapped", "quantum"} {
+		if _, err := ParseScheme(name); err == nil {
+			t.Fatalf("ParseScheme(%q) accepted", name)
+		}
+	}
+}
+
 func TestNewBackendUnknown(t *testing.T) {
 	if _, err := NewBackend(Scheme(99), schemeConfig()); err == nil {
 		t.Fatal("accepted unknown scheme")

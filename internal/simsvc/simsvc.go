@@ -67,8 +67,6 @@ type ProfileOptions struct {
 	// CapacityBytes scales the device (core.WithCapacity), up to
 	// maxCapacityBytes.
 	CapacityBytes int64 `json:"capacity_bytes,omitempty"`
-	// QueueDepth sets all four benchmark depths (core.WithQueueDepth).
-	QueueDepth int `json:"queue_depth,omitempty"`
 	// Scheme selects the FTL mapping: "page", "block", or "hybrid".
 	Scheme string `json:"scheme,omitempty"`
 	// StripeBytes selects full-stripe layout / RAID stripe unit.
@@ -95,19 +93,12 @@ func (o ProfileOptions) build() ([]core.Option, error) {
 	if o.CapacityBytes > 0 {
 		opts = append(opts, core.WithCapacity(o.CapacityBytes))
 	}
-	if o.QueueDepth > 0 {
-		opts = append(opts, core.WithQueueDepth(o.QueueDepth))
-	}
-	switch o.Scheme {
-	case "":
-	case "page":
-		opts = append(opts, core.WithScheme(ftl.PageMapped))
-	case "block":
-		opts = append(opts, core.WithScheme(ftl.BlockMapped))
-	case "hybrid":
-		opts = append(opts, core.WithScheme(ftl.HybridLog))
-	default:
-		return nil, fmt.Errorf("simsvc: unknown scheme %q", o.Scheme)
+	if o.Scheme != "" {
+		s, err := ftl.ParseScheme(o.Scheme)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, core.WithScheme(s))
 	}
 	if o.StripeBytes > 0 {
 		opts = append(opts, core.WithStripe(o.StripeBytes))

@@ -562,6 +562,31 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestQueueDepthOptionRejected pins that options.queue_depth is gone:
+// it only set Table 2's benchmark depths, never changed a job's result,
+// and split the cache. The strict decoder answers 400 and no simulation
+// starts.
+func TestQueueDepthOptionRejected(t *testing.T) {
+	m := New(Options{Workers: 1})
+	defer m.Close()
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	runs := m.Stats().Run.N
+	body := `{"profile":"ssd","workload":"synthetic","options":{"queue_depth":8},` +
+		`"params":{"ops":100,"capacity_bytes":4194304,"read_frac":0.5,"mean_interarrival_us":50,"seed":1}}`
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /jobs with options.queue_depth = %d, want 400", resp.StatusCode)
+	}
+	if got := m.Stats().Run.N; got != runs {
+		t.Fatalf("a rejected spec ran: %d simulations, want %d", got, runs)
+	}
+}
+
 // TestMaxPendingJob runs an open-loop arrival storm — interarrival far
 // below what the device sustains — under the max_pending admission
 // bound: the job must complete every op (paced, not shed) and stay

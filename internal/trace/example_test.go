@@ -19,7 +19,10 @@ func ExampleAlign() {
 		fmt.Println(err)
 		return
 	}
-	aligned := trace.Collect(s)
+	var aligned []trace.Op
+	for op, ok := s.Next(); ok; op, ok = s.Next() {
+		aligned = append(aligned, op)
+	}
 	fmt.Printf("%d ops in, %d out: %v bytes at offset %d\n",
 		len(ops), len(aligned), aligned[0].Size, aligned[0].Offset)
 	// Output: 8 ops in, 1 out: 32768 bytes at offset 0
@@ -39,7 +42,11 @@ func ExampleStream() {
 		return
 	}
 	var st trace.Stats
-	out := trace.Collect(trace.Tally(s, &st))
+	var out []trace.Op
+	tally := trace.Tally(s, &st)
+	for op, ok := tally.Next(); ok; op, ok = tally.Next() {
+		out = append(out, op)
+	}
 	fmt.Printf("%d ops out, %d bytes written\n", st.Ops, st.WriteBytes)
 	fmt.Printf("first: %v bytes at offset %d\n", out[0].Size, out[0].Offset)
 	// Output:

@@ -5,6 +5,16 @@ import "io"
 // The slice forms of the stream API, kept for the tests: each is a thin
 // adapter the stream combinators replace in non-test code.
 
+// Collect drains a stream into a slice. It materializes the whole
+// stream, so it serves the tests' small traces only.
+func Collect(s Stream) []Op {
+	var ops []Op
+	for op, ok := s.Next(); ok; op, ok = s.Next() {
+		ops = append(ops, op)
+	}
+	return ops
+}
+
 // Align transforms a whole trace with default merge bounds.
 func Align(ops []Op, stripe int64) ([]Op, error) {
 	return AlignWith(ops, stripe, AlignOptions{})

@@ -69,20 +69,6 @@ func (s *sliceStream) Next() (Op, bool) {
 // not be mutated while the stream is live.
 func FromSlice(ops []Op) Stream { return &sliceStream{ops: ops} }
 
-// Collect drains a stream into a slice: the bridge back to the legacy
-// slice-based API. It materializes the whole stream — use it only where
-// the trace is known to be small or a slice is genuinely required.
-func Collect(s Stream) []Op {
-	var ops []Op
-	for {
-		op, ok := s.Next()
-		if !ok {
-			return ops
-		}
-		ops = append(ops, op)
-	}
-}
-
 // limitStream caps a stream at n operations.
 type limitStream struct {
 	src  Stream

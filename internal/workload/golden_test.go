@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"hash/fnv"
-	"reflect"
 	"testing"
 
 	"ossd/internal/sim"
@@ -103,7 +102,7 @@ func TestGeneratorsMatchLegacyGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := trace.Collect(s)
+			got := drain(s)
 			if len(got) != tc.ops {
 				t.Fatalf("stream produced %d ops, legacy produced %d", len(got), tc.ops)
 			}
@@ -114,81 +113,6 @@ func TestGeneratorsMatchLegacyGolden(t *testing.T) {
 	}
 }
 
-// The …Ops adapters must be exactly Collect(stream) for the same config.
-func TestOpsAdaptersEqualCollectedStreams(t *testing.T) {
-	syn := SyntheticConfig{
-		Ops: 1000, AddressSpace: 1 << 22, ReqSize: 4096, ReadFrac: 0.5,
-		SeqProb: 0.4, InterarrivalHi: 50 * sim.Microsecond, Seed: 9,
-	}
-	s1, err := Synthetic(syn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o1, err := SyntheticOps(syn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trace.Collect(s1), o1) {
-		t.Fatal("synthetic adapter diverged from stream")
-	}
-
-	pm := PostmarkConfig{Transactions: 800, InitialFiles: 30, CapacityBytes: 32 << 20, Seed: 9}
-	s2, err := Postmark(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := PostmarkOps(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trace.Collect(s2), o2) {
-		t.Fatal("postmark adapter diverged from stream")
-	}
-
-	oc := OLTPConfig{Ops: 800, CapacityBytes: 64 << 20, Seed: 9}
-	s3, err := TPCC(oc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o3, err := TPCCOps(oc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trace.Collect(s3), o3) {
-		t.Fatal("tpcc adapter diverged from stream")
-	}
-
-	ec := ExchangeConfig{Ops: 800, CapacityBytes: 64 << 20, Seed: 9}
-	s4, err := Exchange(ec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o4, err := ExchangeOps(ec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trace.Collect(s4), o4) {
-		t.Fatal("exchange adapter diverged from stream")
-	}
-
-	ic := IOzoneConfig{FileBytes: 2 << 20, Seed: 9}
-	s5, err := IOzone(ic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o5, err := IOzoneOps(ic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trace.Collect(s5), o5) {
-		t.Fatal("iozone adapter diverged from stream")
-	}
-
-	if !reflect.DeepEqual(trace.Collect(SequentialWrites(40, 1<<20, 8<<20)), SequentialWritesOps(40, 1<<20, 8<<20)) {
-		t.Fatal("seqwrites adapter diverged from stream")
-	}
-}
-
 // Pulling a stream twice must not re-run generation: streams are
 // single-use and exhausted streams stay exhausted.
 func TestStreamsAreSingleUse(t *testing.T) {
@@ -196,10 +120,10 @@ func TestStreamsAreSingleUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := trace.Collect(s); len(got) != 10 {
+	if got := drain(s); len(got) != 10 {
 		t.Fatalf("first drain: %d", len(got))
 	}
-	if got := trace.Collect(s); len(got) != 0 {
+	if got := drain(s); len(got) != 0 {
 		t.Fatalf("second drain yielded %d ops", len(got))
 	}
 }

@@ -201,15 +201,6 @@ func Postmark(cfg PostmarkConfig) (trace.Stream, error) {
 	}}, nil
 }
 
-// PostmarkOps materializes the stream: the legacy slice API.
-func PostmarkOps(cfg PostmarkConfig) ([]trace.Op, error) {
-	s, err := Postmark(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Collect(s), nil
-}
-
 // OLTPConfig parameterizes the TPC-C-style workload: fixed-size page I/O
 // (8 KB) with a Zipf-skewed access pattern over the data region, 2:1
 // read:write, plus a sequential log-write stream of small records.
@@ -289,15 +280,6 @@ func TPCC(cfg OLTPConfig) (trace.Stream, error) {
 	}}, nil
 }
 
-// TPCCOps materializes the stream: the legacy slice API.
-func TPCCOps(cfg OLTPConfig) ([]trace.Op, error) {
-	s, err := TPCC(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Collect(s), nil
-}
-
 // ExchangeConfig parameterizes the Exchange-server-style workload: 8 KB
 // random mailbox-database I/O at roughly 2:1 read:write, with periodic
 // 32 KB sequential bursts (database maintenance and log flushes).
@@ -364,15 +346,6 @@ func Exchange(cfg ExchangeConfig) (trace.Stream, error) {
 	}}, nil
 }
 
-// ExchangeOps materializes the stream: the legacy slice API.
-func ExchangeOps(cfg ExchangeConfig) ([]trace.Op, error) {
-	s, err := Exchange(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Collect(s), nil
-}
-
 // IOzoneConfig parameterizes the IOzone-style workload: phased sequential
 // write / rewrite / read / reread of one large file in fixed-size
 // records. The file rarely starts stripe-aligned, which is why the paper
@@ -429,13 +402,4 @@ func IOzone(cfg IOzoneConfig) (trace.Stream, error) {
 		tick()
 		return op, true
 	}), nil
-}
-
-// IOzoneOps materializes the stream: the legacy slice API.
-func IOzoneOps(cfg IOzoneConfig) ([]trace.Op, error) {
-	s, err := IOzone(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Collect(s), nil
 }

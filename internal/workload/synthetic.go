@@ -107,15 +107,6 @@ func Synthetic(cfg SyntheticConfig) (trace.Stream, error) {
 	}), nil
 }
 
-// SyntheticOps materializes the stream: the legacy slice API.
-func SyntheticOps(cfg SyntheticConfig) ([]trace.Op, error) {
-	s, err := Synthetic(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Collect(s), nil
-}
-
 // SequentialWrites streams n back-to-back writes of the given size
 // walking the address space from offset 0, wrapping at space. Used for
 // the Figure 2 write-amplification sweep.
@@ -134,9 +125,4 @@ func SequentialWrites(n int, size, space int64) trace.Stream {
 		off += size
 		return op, true
 	})
-}
-
-// SequentialWritesOps materializes SequentialWrites.
-func SequentialWritesOps(n int, size, space int64) []trace.Op {
-	return trace.Collect(SequentialWrites(n, size, space))
 }

@@ -18,7 +18,7 @@ func TestSyntheticValidation(t *testing.T) {
 		{Ops: 10, AddressSpace: 1 << 20, ReqSize: 4096, InterarrivalLo: 10, InterarrivalHi: 5},
 	}
 	for i, c := range bad {
-		if _, err := SyntheticOps(c); err == nil {
+		if _, err := collect(Synthetic(c)); err == nil {
 			t.Errorf("case %d: accepted %+v", i, c)
 		}
 	}
@@ -26,16 +26,16 @@ func TestSyntheticValidation(t *testing.T) {
 
 func TestSyntheticDeterminism(t *testing.T) {
 	cfg := SyntheticConfig{Ops: 100, AddressSpace: 1 << 20, ReqSize: 4096, ReadFrac: 0.5, SeqProb: 0.3, Seed: 42}
-	a, err := SyntheticOps(cfg)
+	a, err := collect(Synthetic(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := SyntheticOps(cfg)
+	b, _ := collect(Synthetic(cfg))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different traces")
 	}
 	cfg.Seed = 43
-	c, _ := SyntheticOps(cfg)
+	c, _ := collect(Synthetic(cfg))
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical traces")
 	}
@@ -47,7 +47,7 @@ func TestSyntheticShape(t *testing.T) {
 		ReadFrac: 0.66, SeqProb: 0, PriorityFrac: 0.1,
 		InterarrivalLo: 0, InterarrivalHi: 100 * sim.Microsecond, Seed: 1,
 	}
-	ops, err := SyntheticOps(cfg)
+	ops, err := collect(Synthetic(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSyntheticShape(t *testing.T) {
 func TestSyntheticSequentiality(t *testing.T) {
 	count := func(p float64) int {
 		cfg := SyntheticConfig{Ops: 2000, AddressSpace: 1 << 26, ReqSize: 4096, SeqProb: p, Seed: 5}
-		ops, err := SyntheticOps(cfg)
+		ops, err := collect(Synthetic(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestSyntheticSequentiality(t *testing.T) {
 }
 
 func TestSequentialWrites(t *testing.T) {
-	ops := SequentialWritesOps(10, 1<<20, 4<<20)
+	ops := drain(SequentialWrites(10, 1<<20, 4<<20))
 	if len(ops) != 10 {
 		t.Fatalf("len = %d", len(ops))
 	}
@@ -123,7 +123,7 @@ func TestPostmarkTrace(t *testing.T) {
 		CapacityBytes: 64 << 20,
 		Seed:          7,
 	}
-	ops, err := PostmarkOps(cfg)
+	ops, err := collect(Postmark(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPostmarkTrace(t *testing.T) {
 		}
 	}
 	// Determinism.
-	again, _ := PostmarkOps(cfg)
+	again, _ := collect(Postmark(cfg))
 	if !reflect.DeepEqual(ops, again) {
 		t.Fatal("postmark not deterministic")
 	}
@@ -154,7 +154,7 @@ func TestPostmarkFreesMatchWrites(t *testing.T) {
 	// Freed ranges must previously have been written (the fs only frees
 	// allocated blocks).
 	cfg := PostmarkConfig{Transactions: 1000, InitialFiles: 20, CapacityBytes: 32 << 20, Seed: 11}
-	ops, err := PostmarkOps(cfg)
+	ops, err := collect(Postmark(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,20 +176,20 @@ func TestPostmarkFreesMatchWrites(t *testing.T) {
 }
 
 func TestPostmarkValidation(t *testing.T) {
-	if _, err := PostmarkOps(PostmarkConfig{}); err == nil {
+	if _, err := collect(Postmark(PostmarkConfig{})); err == nil {
 		t.Error("accepted empty config")
 	}
-	if _, err := PostmarkOps(PostmarkConfig{Transactions: 10}); err == nil {
+	if _, err := collect(Postmark(PostmarkConfig{Transactions: 10})); err == nil {
 		t.Error("accepted zero capacity")
 	}
-	if _, err := PostmarkOps(PostmarkConfig{Transactions: 10, CapacityBytes: 1 << 20, FileSizeMin: 4096, FileSizeMax: 512}); err == nil {
+	if _, err := collect(Postmark(PostmarkConfig{Transactions: 10, CapacityBytes: 1 << 20, FileSizeMin: 4096, FileSizeMax: 512})); err == nil {
 		t.Error("accepted max < min")
 	}
 }
 
 func TestTPCCTrace(t *testing.T) {
 	cfg := OLTPConfig{Ops: 3000, CapacityBytes: 256 << 20, Seed: 13, MeanInterarrival: 50 * sim.Microsecond}
-	ops, err := TPCCOps(cfg)
+	ops, err := collect(TPCC(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,16 +234,16 @@ func TestTPCCTrace(t *testing.T) {
 }
 
 func TestTPCCValidation(t *testing.T) {
-	if _, err := TPCCOps(OLTPConfig{}); err == nil {
+	if _, err := collect(TPCC(OLTPConfig{})); err == nil {
 		t.Error("accepted empty config")
 	}
-	if _, err := TPCCOps(OLTPConfig{Ops: 10, CapacityBytes: 8192}); err == nil {
+	if _, err := collect(TPCC(OLTPConfig{Ops: 10, CapacityBytes: 8192})); err == nil {
 		t.Error("accepted tiny capacity")
 	}
 }
 
 func TestExchangeTrace(t *testing.T) {
-	ops, err := ExchangeOps(ExchangeConfig{Ops: 2000, CapacityBytes: 128 << 20, Seed: 17})
+	ops, err := collect(Exchange(ExchangeConfig{Ops: 2000, CapacityBytes: 128 << 20, Seed: 17}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,17 +264,17 @@ func TestExchangeTrace(t *testing.T) {
 }
 
 func TestExchangeValidation(t *testing.T) {
-	if _, err := ExchangeOps(ExchangeConfig{}); err == nil {
+	if _, err := collect(Exchange(ExchangeConfig{})); err == nil {
 		t.Error("accepted empty config")
 	}
-	if _, err := ExchangeOps(ExchangeConfig{Ops: 10, CapacityBytes: 1024}); err == nil {
+	if _, err := collect(Exchange(ExchangeConfig{Ops: 10, CapacityBytes: 1024})); err == nil {
 		t.Error("accepted tiny capacity")
 	}
 }
 
 func TestIOzoneTrace(t *testing.T) {
 	cfg := IOzoneConfig{FileBytes: 4 << 20, RecordBytes: 128 << 10, Seed: 19}
-	ops, err := IOzoneOps(cfg)
+	ops, err := collect(IOzone(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestIOzoneTrace(t *testing.T) {
 }
 
 func TestIOzoneValidation(t *testing.T) {
-	if _, err := IOzoneOps(IOzoneConfig{}); err == nil {
+	if _, err := collect(IOzone(IOzoneConfig{})); err == nil {
 		t.Error("accepted empty config")
 	}
 }
@@ -306,34 +306,34 @@ func TestIOzoneValidation(t *testing.T) {
 func TestMacroGeneratorsDeterministic(t *testing.T) {
 	// Identical seeds must reproduce identical traces for every macro
 	// generator — the property every experiment depends on.
-	p1, _ := PostmarkOps(PostmarkConfig{Transactions: 500, InitialFiles: 20, CapacityBytes: 16 << 20, Seed: 5})
-	p2, _ := PostmarkOps(PostmarkConfig{Transactions: 500, InitialFiles: 20, CapacityBytes: 16 << 20, Seed: 5})
+	p1, _ := collect(Postmark(PostmarkConfig{Transactions: 500, InitialFiles: 20, CapacityBytes: 16 << 20, Seed: 5}))
+	p2, _ := collect(Postmark(PostmarkConfig{Transactions: 500, InitialFiles: 20, CapacityBytes: 16 << 20, Seed: 5}))
 	if !reflect.DeepEqual(p1, p2) {
 		t.Error("postmark not deterministic")
 	}
-	t1, _ := TPCCOps(OLTPConfig{Ops: 500, CapacityBytes: 64 << 20, Seed: 5})
-	t2, _ := TPCCOps(OLTPConfig{Ops: 500, CapacityBytes: 64 << 20, Seed: 5})
+	t1, _ := collect(TPCC(OLTPConfig{Ops: 500, CapacityBytes: 64 << 20, Seed: 5}))
+	t2, _ := collect(TPCC(OLTPConfig{Ops: 500, CapacityBytes: 64 << 20, Seed: 5}))
 	if !reflect.DeepEqual(t1, t2) {
 		t.Error("tpcc not deterministic")
 	}
-	e1, _ := ExchangeOps(ExchangeConfig{Ops: 500, CapacityBytes: 64 << 20, Seed: 5})
-	e2, _ := ExchangeOps(ExchangeConfig{Ops: 500, CapacityBytes: 64 << 20, Seed: 5})
+	e1, _ := collect(Exchange(ExchangeConfig{Ops: 500, CapacityBytes: 64 << 20, Seed: 5}))
+	e2, _ := collect(Exchange(ExchangeConfig{Ops: 500, CapacityBytes: 64 << 20, Seed: 5}))
 	if !reflect.DeepEqual(e1, e2) {
 		t.Error("exchange not deterministic")
 	}
-	i1, _ := IOzoneOps(IOzoneConfig{FileBytes: 1 << 20, Seed: 5})
-	i2, _ := IOzoneOps(IOzoneConfig{FileBytes: 1 << 20, Seed: 5})
+	i1, _ := collect(IOzone(IOzoneConfig{FileBytes: 1 << 20, Seed: 5}))
+	i2, _ := collect(IOzone(IOzoneConfig{FileBytes: 1 << 20, Seed: 5}))
 	if !reflect.DeepEqual(i1, i2) {
 		t.Error("iozone not deterministic")
 	}
 }
 
 func TestPostmarkMetadataStream(t *testing.T) {
-	with, err := PostmarkOps(PostmarkConfig{Transactions: 500, InitialFiles: 20, CapacityBytes: 16 << 20, Seed: 5})
+	with, err := collect(Postmark(PostmarkConfig{Transactions: 500, InitialFiles: 20, CapacityBytes: 16 << 20, Seed: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := PostmarkOps(PostmarkConfig{Transactions: 500, InitialFiles: 20, CapacityBytes: 16 << 20, Seed: 5, NoMetadata: true})
+	without, err := collect(Postmark(PostmarkConfig{Transactions: 500, InitialFiles: 20, CapacityBytes: 16 << 20, Seed: 5, NoMetadata: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestGeneratorRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(trace.Collect(direct), trace.Collect(viaName)) {
+	if !reflect.DeepEqual(drain(direct), drain(viaName)) {
 		t.Fatal("registry synthetic diverged from direct constructor")
 	}
 
@@ -406,7 +406,7 @@ func TestGeneratorRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(trace.Collect(dpm), trace.Collect(npm)) {
+	if !reflect.DeepEqual(drain(dpm), drain(npm)) {
 		t.Fatal("registry postmark diverged from direct constructor")
 	}
 }
@@ -414,6 +414,24 @@ func TestGeneratorRegistry(t *testing.T) {
 // summarize tallies a materialized trace.
 func summarize(ops []trace.Op) trace.Stats {
 	var st trace.Stats
-	trace.Collect(trace.Tally(trace.FromSlice(ops), &st))
+	drain(trace.Tally(trace.FromSlice(ops), &st))
 	return st
+}
+
+// collect drains a generator's stream, passing its construction error
+// through.
+func collect(s trace.Stream, err error) ([]trace.Op, error) {
+	if err != nil {
+		return nil, err
+	}
+	return drain(s), nil
+}
+
+// drain materializes a stream; the tests' traces are small.
+func drain(s trace.Stream) []trace.Op {
+	var ops []trace.Op
+	for op, ok := s.Next(); ok; op, ok = s.Next() {
+		ops = append(ops, op)
+	}
+	return ops
 }

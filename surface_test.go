@@ -34,14 +34,8 @@ var allowedMethods = map[string]string{
 // keyed "pkg.Func" or "pkg.Type.Method" by the declaring directory's
 // base name.
 var allowedFuncs = map[string]string{
-	"sched.Pick":                   "stateless reference scan the indexed Queue is checked and benchmarked against",
-	"sim.Engine.Pending":           "drain oracle: core, osd and root tests check a run leaves no event scheduled",
-	"workload.PostmarkOps":         "slice form the workload golden tests pin against the legacy generator",
-	"workload.TPCCOps":             "slice form the workload golden tests pin against the legacy generator",
-	"workload.ExchangeOps":         "slice form the workload golden tests pin against the legacy generator",
-	"workload.IOzoneOps":           "slice form the workload golden tests pin against the legacy generator",
-	"workload.SyntheticOps":        "slice form the workload golden tests and root benchmarks replay",
-	"workload.SequentialWritesOps": "slice form the workload golden tests pin against the legacy generator",
+	"sched.Pick":         "stateless reference scan the indexed Queue is checked and benchmarked against",
+	"sim.Engine.Pending": "drain oracle: core, osd and root tests check a run leaves no event scheduled",
 }
 
 // TestExportedSurfaceIsUsed fails when an exported function or method in
