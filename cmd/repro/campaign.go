@@ -1,17 +1,17 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"strings"
 	"time"
 
-	"ossd/internal/campaign"
+	"ossd/internal/simsvc"
 )
 
 // campaignFlags carries the -campaign client mode's knobs.
@@ -24,26 +24,26 @@ type campaignFlags struct {
 	asJSON   bool
 }
 
-// getJSON decodes a JSON GET response into v.
-func getJSON(url string, v any) error {
+// get issues a GET and returns the response body, failing on any status
+// but 200.
+func get(url string) (io.ReadCloser, error) {
 	resp, err := http.Get(url)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("GET %s: %s: %s", url, resp.Status, bytes.TrimSpace(b))
+		resp.Body.Close()
+		return nil, fmt.Errorf("GET %s: %s: %s", url, resp.Status, bytes.TrimSpace(b))
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return resp.Body, nil
 }
 
 // runCampaign drives a remote sweep: POST the spec file to simd, poll
-// progress to stderr until the campaign is terminal, then stream every
-// cell result and render either the NDJSON results (-json) or a
-// comparison table across two axes — through campaign.Table, the same
-// renderer behind the server's /table endpoint. It returns whether any
-// cell failed.
+// progress to stderr until the campaign is terminal, then copy the
+// server's answer to out unchanged: the cell results as NDJSON from
+// /stream (-json), or the comparison table across two axes from /table.
+// It returns whether any cell failed.
 func runCampaign(out io.Writer, f campaignFlags) (failed bool, err error) {
 	specBytes, err := os.ReadFile(f.specPath)
 	if err != nil {
@@ -58,7 +58,7 @@ func runCampaign(out io.Writer, f campaignFlags) (failed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	var prog campaign.Progress
+	var prog simsvc.CampaignProgress
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
@@ -72,7 +72,13 @@ func runCampaign(out io.Writer, f campaignFlags) (failed bool, err error) {
 
 	for prog.Status == "running" {
 		time.Sleep(500 * time.Millisecond)
-		if err := getJSON(base+"/campaigns/"+prog.ID, &prog); err != nil {
+		r, err := get(base + "/campaigns/" + prog.ID)
+		if err != nil {
+			return false, err
+		}
+		err = json.NewDecoder(r).Decode(&prog)
+		r.Close()
+		if err != nil {
 			return false, err
 		}
 		shed := ""
@@ -86,48 +92,18 @@ func runCampaign(out io.Writer, f campaignFlags) (failed bool, err error) {
 		fmt.Fprintf(os.Stderr, "%s: server shed %d submit attempts (all retried)\n", prog.ID, prog.Shed)
 	}
 
-	sresp, err := http.Get(base + "/campaigns/" + prog.ID + "/stream")
-	if err != nil {
-		return false, err
-	}
-	defer sresp.Body.Close()
-	if sresp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(sresp.Body)
-		return false, fmt.Errorf("GET /stream: %s: %s", sresp.Status, bytes.TrimSpace(b))
-	}
-	var cells []campaign.CellResult
-	sc := bufio.NewScanner(sresp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		var cr campaign.CellResult
-		if err := json.Unmarshal(sc.Bytes(), &cr); err != nil {
-			return false, err
-		}
-		cells = append(cells, cr)
-	}
-	if err := sc.Err(); err != nil {
-		return false, err
-	}
-
+	target := base + "/campaigns/" + prog.ID + "/table?" +
+		url.Values{"rows": {f.rows}, "cols": {f.cols}, "metric": {f.metric}}.Encode()
 	if f.asJSON {
-		enc := json.NewEncoder(out)
-		for _, cr := range cells {
-			if err := enc.Encode(cr); err != nil {
-				return false, err
-			}
-		}
-		return prog.Failed > 0, nil
+		target = base + "/campaigns/" + prog.ID + "/stream"
 	}
-
-	rows, cols, metric, err := campaign.ResolveTableAxes(prog.Axes, f.rows, f.cols, f.metric)
+	r, err := get(target)
 	if err != nil {
 		return false, err
 	}
-	title := fmt.Sprintf("Campaign %s: %s by %s x %s", prog.ID, metric, rows, cols)
-	grid, err := campaign.Table(title, cells, rows, cols, metric)
-	if err != nil {
+	defer r.Close()
+	if _, err := io.Copy(out, r); err != nil {
 		return false, err
 	}
-	fmt.Fprint(out, grid.String())
 	return prog.Failed > 0, nil
 }

@@ -8,9 +8,9 @@
 //
 // With -campaign it becomes a sweep client instead: the spec file (a
 // JobSpec template plus axes) is POSTed to a running simd, progress is
-// reported until the grid completes, and the results render as a
-// comparison table across two axes — the same renderer the server's
-// /table endpoint uses.
+// reported until the grid completes, and the server's comparison table
+// across two axes (or, with -json, its NDJSON cell results) is printed
+// as served.
 //
 //	repro                  # everything
 //	repro -run table2,figure3
@@ -58,7 +58,7 @@ func main() {
 	// as the process default, picked up by every device built without an
 	// explicit plan.
 	if *faultPath != "" {
-		plan, err := fault.Load(*faultPath)
+		plan, err := loadFault(*faultPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -194,6 +194,20 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// loadFault reads a -fault plan. A power-loss point is refused rather
+// than silently dropped: it truncates a workload at an op count, and
+// experiments drive their workloads to completion.
+func loadFault(path string) (*fault.Plan, error) {
+	plan, err := fault.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	if plan.PowerLossPoint() != nil {
+		return nil, fmt.Errorf("repro: %s has a power_loss point, but experiments cannot truncate their workloads; run the plan as a simd job or with ssdsim -fault", path)
+	}
+	return plan, nil
 }
 
 // writeText renders the report in the paper's text format. It reports

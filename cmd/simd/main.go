@@ -2,10 +2,12 @@
 // simulation jobs (any registered device profile driven by any named
 // workload generator), watch their telemetry stream live, sweep whole
 // parameter grids as campaigns, and rerun any of the paper's
-// experiments remotely. Identical jobs are served from a
-// content-addressed result cache — sound because every simulation is
-// deterministic from its spec — and identical concurrent requests
-// collapse onto one in-flight simulation.
+// experiments remotely. One simsvc.Manager serves all of it. Identical
+// jobs are served from a content-addressed result cache — sound because
+// every simulation is deterministic from its spec — and identical
+// concurrent requests collapse onto one in-flight simulation. A submit
+// past a full backlog is shed with HTTP 429 and counted as jobs_shed in
+// /statsz; -max-cells is the one guard on a campaign's grid size.
 //
 //	simd -addr :8080 -workers 4 -cache 4096
 //	curl -s localhost:8080/profiles
@@ -31,7 +33,6 @@ import (
 	"syscall"
 	"time"
 
-	"ossd/internal/campaign"
 	"ossd/internal/simsvc"
 )
 
@@ -66,11 +67,10 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		workers  = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		backlog  = flag.Int("backlog", 0, "queued-job bound before load shedding (0 = 256)")
+		backlog  = flag.Int("backlog", 0, "queued-job bound; submits past it are shed with HTTP 429 (0 = 256)")
 		cacheN   = flag.Int("cache", 0, "result-cache entries (0 = 1024)")
 		sample   = flag.Int("sample", 0, "telemetry sample cadence in ops (0 = 1000)")
 		maxCells = flag.Int("max-cells", 0, "campaign expansion guard in cells (0 = 4096)")
-		shed     = flag.Bool("shed", false, "reject full-backlog submits with HTTP 429 (counted in /statsz) instead of 503")
 		quotas   = flag.String("tenant-quota", "", "per-tenant in-flight job caps as tenant=max pairs, e.g. 7=2,9=1 (unlisted tenants are uncapped)")
 	)
 	flag.Parse()
@@ -86,20 +86,16 @@ func main() {
 		Backlog:      *backlog,
 		CacheEntries: *cacheN,
 		SampleEvery:  *sample,
-		Shed:         *shed,
+		MaxCells:     *maxCells,
 		TenantQuotas: tenantQuotas,
 	})
-	camp := campaign.New(mgr, campaign.Options{MaxCells: *maxCells})
-	mux := http.NewServeMux()
-	camp.Register(mux)
-	mux.Handle("/", mgr.Handler())
 	// Header and keep-alive idle timeouts bound slow or abandoned
 	// connections. There is no whole-request read or write timeout:
 	// ?wait=1 and /stream responses legitimately stay open for a job's
 	// lifetime.
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           mux,
+		Handler:           mgr.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
@@ -117,11 +113,10 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Graceful shutdown: cancel in-flight jobs first so handlers blocked
-	// on ?wait=1 or /stream complete with responses, then stop accepting
-	// requests and drain the pool.
+	// Graceful shutdown: cancel campaigns and in-flight jobs first so
+	// handlers blocked on ?wait=1 or /stream complete with responses,
+	// then stop accepting requests and drain the pool.
 	fmt.Fprintln(os.Stderr, "simd: shutting down")
-	camp.CancelAll()
 	mgr.CancelAll()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

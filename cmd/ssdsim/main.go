@@ -44,7 +44,7 @@ func main() {
 		scheme   = flag.String("scheme", "", "FTL scheme override: page|block|hybrid")
 		limit    = flag.Int("limit", 0, "replay at most this many ops (0 = no cap)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		faultIn  = flag.String("fault", "", "apply a fault plan (JSON file) to the device")
+		faultIn  = flag.String("fault", "", "apply a fault plan (JSON file) to the device; a power_loss point cuts the run at at_ops and replays recovery")
 	)
 	flag.Parse()
 
@@ -68,9 +68,9 @@ func main() {
 	if *informed {
 		opts = append(opts, core.WithInformed(true))
 	}
+	var plan *fault.Plan
 	if *faultIn != "" {
-		plan, err := fault.Load(*faultIn)
-		if err != nil {
+		if plan, err = fault.Load(*faultIn); err != nil {
 			fail(err)
 		}
 		opts = append(opts, core.WithFault(plan))
@@ -144,6 +144,12 @@ func main() {
 	if *limit > 0 {
 		stream = trace.Limit(stream, *limit)
 	}
+	// A power-loss point truncates the run at its op count; recovery
+	// replays after the drive below.
+	pl := plan.PowerLossPoint()
+	if pl != nil {
+		stream = trace.Limit(stream, int(pl.AtOps))
+	}
 	// Shift trace timestamps past the preconditioning window.
 	stream = trace.Shift(stream, dev.Engine().Now())
 
@@ -151,6 +157,11 @@ func main() {
 	before := dev.Metrics()
 	if err := dev.Drive(stream); err != nil {
 		fail(err)
+	}
+	if pl != nil {
+		if err := core.ReplayRecovery(dev, pl.ReplayFrac); err != nil {
+			fail(err)
+		}
 	}
 	elapsed := (dev.Engine().Now() - start).Seconds()
 	after := dev.Metrics()
@@ -169,6 +180,9 @@ func main() {
 			ts.Tenant, ts.Reads, ts.Writes,
 			float64(ts.BytesRead)/1e6, float64(ts.BytesWritten)/1e6,
 			ts.P99ReadMs, ts.P99WriteMs)
+	}
+	if pl != nil {
+		fmt.Printf("power loss    stream cut at op %d, then recovery replayed (replay_frac %g)\n", pl.AtOps, pl.ReplayFrac)
 	}
 	if after.FaultsInjected > 0 || after.RetiredBlocks > 0 {
 		fmt.Printf("faults        %d injected, %d retried; %d blocks retired, %d pages remapped, %d failed ops\n",

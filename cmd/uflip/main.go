@@ -222,16 +222,10 @@ func mix(p core.Profile, seed int64) error {
 		}); err != nil {
 			return err
 		}
-		// Per-class means over the probe window only, via SSD metrics
-		// when available (HDD profiles report cumulative means).
-		if sd, ok := d.(*core.SSD); ok {
-			m := sd.Raw.Metrics()
-			t.AddRow(fmt.Sprintf("%.0f%%", rf*100), m.ReadResp.Mean(), m.WriteResp.Mean())
-		} else {
-			m := d.Metrics()
-			rms, wms := m.MeanReadMs, m.MeanWriteMs
-			t.AddRow(fmt.Sprintf("%.0f%%", rf*100), rms, wms)
-		}
+		// Per-class means are cumulative over the device's life, so the
+		// preconditioning writes count toward the write mean.
+		m := d.Metrics()
+		t.AddRow(fmt.Sprintf("%.0f%%", rf*100), m.MeanReadMs, m.MeanWriteMs)
 	}
 	fmt.Println(t.String())
 	return nil

@@ -157,13 +157,6 @@ func New(eng *sim.Engine, cfg Config) (*Disk, error) {
 	return d, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Engine returns the driving engine.
 func (d *Disk) Engine() *sim.Engine { return d.eng }
 

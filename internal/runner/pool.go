@@ -21,7 +21,7 @@ type Pool struct {
 var ErrPoolClosed = errors.New("runner: pool closed")
 
 // ErrPoolSaturated is returned by Submit when the backlog is full —
-// callers shed load (e.g. HTTP 503) instead of blocking.
+// callers shed load (simsvc answers HTTP 429) instead of blocking.
 var ErrPoolSaturated = errors.New("runner: pool backlog full")
 
 // NewPool starts workers goroutines draining a backlog-deep task queue.

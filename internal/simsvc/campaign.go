@@ -1,4 +1,4 @@
-package campaign
+package simsvc
 
 import (
 	"context"
@@ -9,17 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ossd/internal/runner"
-	"ossd/internal/simsvc"
 	"ossd/internal/stats"
 )
-
-// Options configures a Manager.
-type Options struct {
-	// MaxCells guards expansion (<= 0: 4096). A Spec.MaxCells can lower
-	// it per campaign but never raise it.
-	MaxCells int
-}
 
 const (
 	// maxInFlight bounds how many of one campaign's cells are
@@ -32,30 +23,22 @@ const (
 	retainCampaigns = 64
 )
 
-// CellResult is one cell's observable outcome, the per-cell payload of
+// cellResult is one cell's observable outcome, the per-cell payload of
 // GET /campaigns/{id}/stream. Result holds the job's payload verbatim
-// (a simsvc.Result), so equal specs yield byte-identical result fields.
-type CellResult struct {
+// (a Result), so equal specs yield byte-identical result fields.
+type cellResult struct {
 	Index  int             `json:"index"`
-	Coords []AxisValue     `json:"coords"`
+	Coords []axisValue     `json:"coords"`
 	JobID  string          `json:"job_id,omitempty"`
-	Status simsvc.Status   `json:"status"`
+	Status Status          `json:"status"`
 	Cached bool            `json:"cached"`
 	Error  string          `json:"error,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// cellState is a Cell plus everything learned while running it.
-type cellState struct {
-	*Cell
-	job     *simsvc.Job // nil until submitted
-	settled bool
-	view    simsvc.JobView // the terminal outcome, once settled
-}
-
-// result snapshots the cell as a CellResult (campaign lock held).
-func (c *cellState) resultView() CellResult {
-	r := CellResult{
+// resultView snapshots the cell as a cellResult (campaign lock held).
+func (c *campaignCell) resultView() cellResult {
+	r := cellResult{
 		Index:  c.Index,
 		Coords: c.Coords,
 		Status: c.view.Status,
@@ -69,27 +52,27 @@ func (c *cellState) resultView() CellResult {
 	return r
 }
 
-// Campaign is one submitted sweep. All mutable state is guarded by mu;
+// campaign is one submitted sweep. All mutable state is guarded by mu;
 // cond broadcasts whenever a cell settles, the campaign finishes, or
 // the handle is evicted, so progress waiters and stream tails wake
 // without spinning.
-type Campaign struct {
+type campaign struct {
 	ID      string
 	axes    []string
 	created time.Time
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	cells     []*cellState
+	cells     []*campaignCell
 	done      int
 	failed    int
 	cacheHits int
 	cancelled bool
 	evicted   bool
 	finished  time.Time
-	// shed counts submit attempts the job manager rejected in shed
-	// mode; the feeder retried them, so cells still complete, but the
-	// count is the campaign's view of service overload.
+	// shed counts submit attempts the job manager shed because its
+	// backlog was full; the feeder retried them, so cells still
+	// complete, but the count is the campaign's view of overload.
 	shed int
 	// runDur accumulates observed wall-clock run durations of the
 	// campaign's simulated (non-cached) cells, feeding the ETA.
@@ -100,11 +83,11 @@ type Campaign struct {
 // settled AND the feeder ran finish(), so the finished timestamp and
 // manager counters are in place before waiters observe the terminal
 // state (mu held).
-func (c *Campaign) terminalLocked() bool { return !c.finished.IsZero() }
+func (c *campaign) terminalLocked() bool { return !c.finished.IsZero() }
 
 // evict marks a terminal campaign's handle evicted and wakes its stream
 // tails; a running campaign is left alone and reports false.
-func (c *Campaign) evict() bool {
+func (c *campaign) evict() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.terminalLocked() {
@@ -116,18 +99,19 @@ func (c *Campaign) evict() bool {
 }
 
 // isCancelled reports whether cancellation was requested.
-func (c *Campaign) isCancelled() bool {
+func (c *campaign) isCancelled() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cancelled
 }
 
-// Progress is a campaign's aggregate state (GET /campaigns/{id}).
-// CacheHits counts done cells served from the result cache (a subset of
-// Done). ETASeconds extrapolates from the mean observed run duration of
-// the campaign's simulated cells across the job manager's workers; it
-// is zero until the first simulated cell completes.
-type Progress struct {
+// CampaignProgress is a campaign's aggregate state (GET
+// /campaigns/{id}). CacheHits counts done cells served from the result
+// cache (a subset of Done). ETASeconds extrapolates from the mean
+// observed run duration of the campaign's simulated cells across the
+// manager's workers; it is zero until the first simulated cell
+// completes.
+type CampaignProgress struct {
 	ID             string   `json:"id"`
 	Status         string   `json:"status"` // running | done | cancelled
 	Axes           []string `json:"axes"`
@@ -142,12 +126,11 @@ type Progress struct {
 	ETASeconds     float64  `json:"eta_seconds,omitempty"`
 }
 
-// Manager owns the campaign table and feeds cells through the job
-// manager.
-type Manager struct {
-	jobs      *simsvc.Manager
-	opts      Options
-	campaigns *simsvc.Handles[*Campaign]
+// campaignManager owns the campaign table and feeds cells through the
+// Manager that owns it.
+type campaignManager struct {
+	jobs  *Manager
+	table *handles[*campaign]
 	// inFlight is the feeder window, maxInFlight outside tests.
 	inFlight int
 
@@ -161,40 +144,21 @@ type Manager struct {
 	cellsShed   atomic.Int64
 }
 
-// New builds a Manager over the job manager and registers its counters
-// under "campaigns" in the job manager's /statsz.
-func New(jobs *simsvc.Manager, opts Options) *Manager {
-	if opts.MaxCells <= 0 {
-		opts.MaxCells = 4096
-	}
-	m := &Manager{
-		jobs:      jobs,
-		opts:      opts,
-		campaigns: simsvc.NewHandles("campaign", retainCampaigns, (*Campaign).evict),
-		inFlight:  maxInFlight,
-	}
-	jobs.SetCampaignStats(func() any { return m.Stats() })
-	return m
-}
-
-// Submit expands the spec and starts the campaign's feeder. Expansion
+// submit expands the spec and starts the campaign's feeder. Expansion
 // errors (bad axis, guard exceeded, invalid cell spec) reject the whole
-// campaign; after Submit returns, cells fail only individually.
-func (m *Manager) Submit(spec Spec) (*Campaign, error) {
-	cells, err := Expand(spec, m.opts.MaxCells)
+// campaign; after submit returns, cells fail only individually.
+func (m *campaignManager) submit(spec campaignSpec) (*campaign, error) {
+	cells, err := expand(spec, m.jobs.opts.MaxCells)
 	if err != nil {
 		return nil, err
 	}
-	c := &Campaign{created: time.Now(), cells: make([]*cellState, len(cells))}
+	c := &campaign{created: time.Now(), cells: cells}
 	c.cond = sync.NewCond(&c.mu)
 	for _, ax := range spec.Axes {
 		c.axes = append(c.axes, ax.Name)
 	}
-	for i, cell := range cells {
-		c.cells[i] = &cellState{Cell: cell}
-	}
 
-	m.campaigns.Add(c, &c.ID)
+	m.table.add(c, &c.ID)
 	m.submitted.Add(1)
 	m.cellsTotal.Add(int64(len(cells)))
 
@@ -209,38 +173,35 @@ func (m *Manager) Submit(spec Spec) (*Campaign, error) {
 // in-flight run, or serves it from the cache once that run settled, so
 // there is one simulation per distinct cell while the feeder keeps the
 // pool busy.
-func (m *Manager) run(c *Campaign) {
+func (m *campaignManager) run(c *campaign) {
 	sem := make(chan struct{}, m.inFlight)
 	var wg sync.WaitGroup
 	for i, cell := range c.cells {
 		if c.isCancelled() {
 			// Cells the feeder never reached settle as failed.
 			for ; i < len(c.cells); i++ {
-				m.settle(c, i, simsvc.JobView{Status: simsvc.StatusFailed, Error: "campaign cancelled"})
+				m.settle(c, i, JobView{Status: StatusFailed, Error: "campaign cancelled"})
 			}
 			break
 		}
 		sem <- struct{}{}
 		job, err := m.jobs.Submit(cell.Spec)
-		for err != nil && (errors.Is(err, runner.ErrPoolSaturated) || errors.Is(err, simsvc.ErrShed)) && !c.isCancelled() {
-			// The shared backlog is full (other clients own the slots):
-			// back off briefly and retry rather than failing the cell.
-			// In shed mode the rejection is explicit (429); the feeder
-			// is an internal batch client, so it counts every shed —
-			// surfaced in progress and /statsz so operators see the
-			// pressure — and keeps backing off.
-			if errors.Is(err, simsvc.ErrShed) {
-				c.mu.Lock()
-				c.shed++
-				c.mu.Unlock()
-				m.cellsShed.Add(1)
-			}
+		for errors.Is(err, ErrShed) && !c.isCancelled() {
+			// The shared backlog is full (other clients own the slots).
+			// The feeder is an internal batch client: it counts every
+			// shed — surfaced in progress and /statsz so operators see
+			// the pressure — backs off briefly and retries rather than
+			// failing the cell.
+			c.mu.Lock()
+			c.shed++
+			c.mu.Unlock()
+			m.cellsShed.Add(1)
 			time.Sleep(5 * time.Millisecond)
 			job, err = m.jobs.Submit(cell.Spec)
 		}
 		if err != nil {
 			<-sem
-			m.settle(c, i, simsvc.JobView{Status: simsvc.StatusFailed, Error: err.Error()})
+			m.settle(c, i, JobView{Status: StatusFailed, Error: err.Error()})
 			continue
 		}
 		c.mu.Lock()
@@ -252,7 +213,7 @@ func (m *Manager) run(c *Campaign) {
 			_, _ = m.jobs.Cancel(job.ID)
 		}
 		wg.Add(1)
-		go func(i int, job *simsvc.Job) {
+		go func(i int, job *Job) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			view, _ := job.Wait(context.Background())
@@ -264,7 +225,7 @@ func (m *Manager) run(c *Campaign) {
 }
 
 // settle records a cell's terminal outcome and wakes waiters.
-func (m *Manager) settle(c *Campaign, i int, view simsvc.JobView) {
+func (m *campaignManager) settle(c *campaign, i int, view JobView) {
 	c.mu.Lock()
 	cell := c.cells[i]
 	if cell.settled {
@@ -274,12 +235,12 @@ func (m *Manager) settle(c *Campaign, i int, view simsvc.JobView) {
 	cell.settled = true
 	cell.view = view
 	switch {
-	case view.Status == simsvc.StatusDone && view.Cached:
+	case view.Status == StatusDone && view.Cached:
 		c.done++
 		c.cacheHits++
 		m.cellsDone.Add(1)
 		m.cellsCached.Add(1)
-	case view.Status == simsvc.StatusDone:
+	case view.Status == StatusDone:
 		c.done++
 		m.cellsDone.Add(1)
 		if view.RunMs > 0 {
@@ -294,7 +255,7 @@ func (m *Manager) settle(c *Campaign, i int, view simsvc.JobView) {
 }
 
 // finish marks the campaign terminal.
-func (m *Manager) finish(c *Campaign) {
+func (m *campaignManager) finish(c *campaign) {
 	c.mu.Lock()
 	c.finished = time.Now()
 	cancelled := c.cancelled
@@ -307,16 +268,16 @@ func (m *Manager) finish(c *Campaign) {
 	}
 }
 
-// Campaign looks a campaign up by ID.
-func (m *Manager) Campaign(id string) (*Campaign, bool) { return m.campaigns.Get(id) }
+// get looks a campaign up by ID.
+func (m *campaignManager) get(id string) (*campaign, bool) { return m.table.get(id) }
 
-// Progress snapshots the campaign's aggregate state. Unsettled cells
+// progress snapshots the campaign's aggregate state. Unsettled cells
 // with a submitted job report that job's live status; cells the feeder
 // has not reached yet count as queued.
-func (m *Manager) Progress(c *Campaign) Progress {
+func (m *campaignManager) progress(c *campaign) CampaignProgress {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p := Progress{
+	p := CampaignProgress{
 		ID:        c.ID,
 		Axes:      append([]string(nil), c.axes...),
 		Total:     len(c.cells),
@@ -329,11 +290,11 @@ func (m *Manager) Progress(c *Campaign) Progress {
 		if cell.settled {
 			continue
 		}
-		status := simsvc.StatusQueued
+		status := StatusQueued
 		if cell.job != nil {
 			status = cell.job.View().Status
 		}
-		if status == simsvc.StatusRunning {
+		if status == StatusRunning {
 			p.Running++
 		} else {
 			p.Queued++
@@ -344,7 +305,7 @@ func (m *Manager) Progress(c *Campaign) Progress {
 	case !c.terminalLocked():
 		p.Status, end = "running", time.Now()
 		if remaining := p.Total - c.done - c.failed; c.runDur.N() > 0 && remaining > 0 {
-			p.ETASeconds = float64(remaining) * c.runDur.Mean() / 1000 / float64(m.jobs.Workers())
+			p.ETASeconds = float64(remaining) * c.runDur.Mean() / 1000 / float64(m.jobs.opts.Workers)
 		}
 	case c.cancelled:
 		p.Status = "cancelled"
@@ -355,12 +316,12 @@ func (m *Manager) Progress(c *Campaign) Progress {
 	return p
 }
 
-// Cancel requests cancellation: the feeder stops submitting new cells
+// cancel requests cancellation: the feeder stops submitting new cells
 // (they settle as failed), and every in-flight cell's job is cancelled
 // through the job manager. Cancelling a terminal campaign is a no-op
 // reporting false.
-func (m *Manager) Cancel(id string) (bool, error) {
-	c, ok := m.Campaign(id)
+func (m *campaignManager) cancel(id string) (bool, error) {
+	c, ok := m.get(id)
 	if !ok {
 		return false, fmt.Errorf("campaign: no campaign %q", id)
 	}
@@ -383,53 +344,46 @@ func (m *Manager) Cancel(id string) (bool, error) {
 	return true, nil
 }
 
-// CancelAll cancels every live campaign (graceful shutdown).
-func (m *Manager) CancelAll() {
-	for _, c := range m.campaigns.All() {
-		_, _ = m.Cancel(c.ID)
-	}
-}
-
-// Wait blocks until the campaign is terminal (or ctx ends) and returns
+// wait blocks until the campaign is terminal (or ctx ends) and returns
 // its progress.
-func (m *Manager) Wait(ctx context.Context, id string) (Progress, error) {
-	c, ok := m.Campaign(id)
+func (m *campaignManager) wait(ctx context.Context, id string) (CampaignProgress, error) {
+	c, ok := m.get(id)
 	if !ok {
-		return Progress{}, fmt.Errorf("campaign: no campaign %q", id)
+		return CampaignProgress{}, fmt.Errorf("campaign: no campaign %q", id)
 	}
 	c.mu.Lock()
-	err := simsvc.WaitUntil(ctx, c.cond, c.terminalLocked)
+	err := waitUntil(ctx, c.cond, c.terminalLocked)
 	c.mu.Unlock()
 	if err != nil {
-		return Progress{}, err
+		return CampaignProgress{}, err
 	}
-	return m.Progress(c), nil
+	return m.progress(c), nil
 }
 
-// ErrCampaignEvicted terminates a result stream whose campaign handle
+// errCampaignEvicted terminates a result stream whose campaign handle
 // was evicted from the table while the stream was attached.
-var ErrCampaignEvicted = errors.New("campaign: campaign evicted while streaming")
+var errCampaignEvicted = errors.New("campaign: campaign evicted while streaming")
 
-// StreamResults delivers cell results in deterministic cell order —
+// streamResults delivers cell results in deterministic cell order —
 // cell i is delivered once settled, after cells 0..i-1 — replaying
 // settled cells first and then tailing the live remainder. It returns
 // nil once every cell is delivered, fn's error if it fails (client
-// gone), ctx's error, or ErrCampaignEvicted.
-func (m *Manager) StreamResults(ctx context.Context, id string, fn func(CellResult) error) error {
-	c, ok := m.Campaign(id)
+// gone), ctx's error, or errCampaignEvicted.
+func (m *campaignManager) streamResults(ctx context.Context, id string, fn func(cellResult) error) error {
+	c, ok := m.get(id)
 	if !ok {
 		return fmt.Errorf("campaign: no campaign %q", id)
 	}
 	for _, cell := range c.cells {
 		c.mu.Lock()
-		err := simsvc.WaitUntil(ctx, c.cond, func() bool { return cell.settled || c.evicted })
+		err := waitUntil(ctx, c.cond, func() bool { return cell.settled || c.evicted })
 		settled, res := cell.settled, cell.resultView()
 		c.mu.Unlock()
 		if err != nil {
 			return err
 		}
 		if !settled { // woken by the eviction alone
-			return ErrCampaignEvicted
+			return errCampaignEvicted
 		}
 		if err := fn(res); err != nil {
 			return err
@@ -438,12 +392,12 @@ func (m *Manager) StreamResults(ctx context.Context, id string, fn func(CellResu
 	return nil
 }
 
-// Results snapshots every settled cell's result in cell order (unsettled
-// cells are skipped) — the input to Table.
-func (c *Campaign) Results() []CellResult {
+// results snapshots every settled cell's result in cell order (unsettled
+// cells are skipped) — the input to campaignTable.
+func (c *campaign) results() []cellResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]CellResult, 0, len(c.cells))
+	out := make([]cellResult, 0, len(c.cells))
 	for _, cell := range c.cells {
 		if cell.settled {
 			out = append(out, cell.resultView())
@@ -452,9 +406,9 @@ func (c *Campaign) Results() []CellResult {
 	return out
 }
 
-// Stats is the subsystem's aggregate state, surfaced under "campaigns"
-// in the job service's /statsz.
-type Stats struct {
+// CampaignStats is the campaign counters, reported under "campaigns" in
+// GET /statsz.
+type CampaignStats struct {
 	Submitted   int64 `json:"submitted"`
 	Completed   int64 `json:"completed"`
 	Cancelled   int64 `json:"cancelled"`
@@ -463,19 +417,18 @@ type Stats struct {
 	CellsDone   int64 `json:"cells_done"`
 	CellsFailed int64 `json:"cells_failed"`
 	CellsCached int64 `json:"cells_cached"`
-	// CellsShed counts feeder submit attempts rejected by shed mode
+	// CellsShed counts feeder submit attempts shed on a full backlog
 	// (each was retried; cells still complete).
 	CellsShed int64 `json:"cells_shed"`
 }
 
-// Stats reports the manager's counters.
-func (m *Manager) Stats() Stats {
-	retained := len(m.campaigns.All())
-	return Stats{
+// stats reports the campaign counters.
+func (m *campaignManager) stats() CampaignStats {
+	return CampaignStats{
 		Submitted:   m.submitted.Load(),
 		Completed:   m.completed.Load(),
 		Cancelled:   m.cancelledCt.Load(),
-		Retained:    retained,
+		Retained:    len(m.table.all()),
 		CellsTotal:  m.cellsTotal.Load(),
 		CellsDone:   m.cellsDone.Load(),
 		CellsFailed: m.cellsFailed.Load(),

@@ -1,4 +1,4 @@
-package campaign
+package simsvc
 
 import (
 	"bufio"
@@ -13,23 +13,22 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"ossd/internal/simsvc"
 )
 
-// newService builds a job manager + campaign manager pair for tests.
-func newService(t *testing.T, workers int, copts Options) (*simsvc.Manager, *Manager) {
+// newService builds a Manager for tests and returns it with its
+// campaign manager.
+func newService(t *testing.T, workers int) (*Manager, *campaignManager) {
 	t.Helper()
-	jobs := simsvc.New(simsvc.Options{Workers: workers, SampleEvery: 1000})
+	jobs := New(Options{Workers: workers, SampleEvery: 1000})
 	t.Cleanup(jobs.Close)
-	return jobs, New(jobs, copts)
+	return jobs, jobs.campaigns
 }
 
 // sweep is the canonical small test campaign: seeds × schedulers.
-func sweep(ops int, seeds ...string) Spec {
-	return Spec{
+func sweep(ops int, seeds ...string) campaignSpec {
+	return campaignSpec{
 		Template: template(ops),
-		Axes: []Axis{
+		Axes: []axis{
 			{Name: "params.seed", Values: vals(seeds...)},
 			{Name: "options.scheduler", Values: vals(`"fcfs"`, `"swtf"`)},
 		},
@@ -37,15 +36,15 @@ func sweep(ops int, seeds ...string) Spec {
 }
 
 // waitDone submits and waits for the campaign, asserting full success.
-func waitDone(t *testing.T, m *Manager, spec Spec) (*Campaign, Progress) {
+func waitDone(t *testing.T, m *campaignManager, spec campaignSpec) (*campaign, CampaignProgress) {
 	t.Helper()
-	c, err := m.Submit(spec)
+	c, err := m.submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	p, err := m.Wait(ctx, c.ID)
+	p, err := m.wait(ctx, c.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func waitDone(t *testing.T, m *Manager, spec Spec) (*Campaign, Progress) {
 // same specs, regardless of worker count — the campaign ran on 4
 // workers, the individual jobs run on 1.
 func TestCampaignByteIdentity(t *testing.T) {
-	_, m := newService(t, 4, Options{})
+	_, m := newService(t, 4)
 	spec := sweep(20000, "1", "2")
 	c, p := waitDone(t, m, spec)
 	if p.Total != 4 {
@@ -68,8 +67,8 @@ func TestCampaignByteIdentity(t *testing.T) {
 	}
 
 	// Stream delivers every cell in deterministic cell order.
-	var streamed []CellResult
-	err := m.StreamResults(context.Background(), c.ID, func(r CellResult) error {
+	var streamed []cellResult
+	err := m.streamResults(context.Background(), c.ID, func(r cellResult) error {
 		streamed = append(streamed, r)
 		return nil
 	})
@@ -79,17 +78,17 @@ func TestCampaignByteIdentity(t *testing.T) {
 	if len(streamed) != 4 {
 		t.Fatalf("streamed %d cells", len(streamed))
 	}
-	cells, err := Expand(spec, 4096)
+	cells, err := expand(spec, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := simsvc.New(simsvc.Options{Workers: 1})
+	single := New(Options{Workers: 1})
 	defer single.Close()
 	for i, r := range streamed {
 		if r.Index != i {
 			t.Fatalf("stream out of order: got index %d at position %d", r.Index, i)
 		}
-		if r.Status != simsvc.StatusDone || len(r.Result) == 0 {
+		if r.Status != StatusDone || len(r.Result) == 0 {
 			t.Fatalf("cell %d: %+v", i, r)
 		}
 		job, err := single.Submit(cells[i].Spec)
@@ -100,7 +99,7 @@ func TestCampaignByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if view.Status != simsvc.StatusDone {
+		if view.Status != StatusDone {
 			t.Fatalf("individual job %d failed: %s", i, view.Error)
 		}
 		if !bytes.Equal(view.Result, r.Result) {
@@ -115,7 +114,7 @@ func TestCampaignByteIdentity(t *testing.T) {
 // cells. Pinned via the job manager's cache-hit / jobs-submitted /
 // simulations-run counters.
 func TestCampaignIncrementalRerun(t *testing.T) {
-	jobs, m := newService(t, 2, Options{})
+	jobs, m := newService(t, 2)
 	waitDone(t, m, sweep(20000, "1", "2")) // 4 cells, all simulated
 
 	s0 := jobs.Stats()
@@ -146,10 +145,10 @@ func TestCampaignIncrementalRerun(t *testing.T) {
 // excluded from the cache key, so the tenant-differing cells must
 // cache-hit — and every cell returns a byte-identical payload.
 func TestCampaignTenantDedup(t *testing.T) {
-	jobs, m := newService(t, 4, Options{})
-	spec := Spec{
+	jobs, m := newService(t, 4)
+	spec := campaignSpec{
 		Template: template(20000),
-		Axes:     []Axis{{Name: "tenant", Values: vals("1", "2", "4")}},
+		Axes:     []axis{{Name: "tenant", Values: vals("1", "2", "4")}},
 	}
 	c, p := waitDone(t, m, spec)
 	if p.Total != 3 || p.CacheHits != 2 {
@@ -159,7 +158,7 @@ func TestCampaignTenantDedup(t *testing.T) {
 	if s.Run.N != 1 {
 		t.Fatalf("simulations run = %d, want 1", s.Run.N)
 	}
-	results := c.Results()
+	results := c.results()
 	if len(results) != 3 {
 		t.Fatalf("results: %d", len(results))
 	}
@@ -178,10 +177,10 @@ func TestCampaignTenantDedup(t *testing.T) {
 // two simulated cells run at the same time, and each tenant duplicate
 // still completes as a cache hit.
 func TestCampaignDupsKeepPoolBusy(t *testing.T) {
-	jobs, m := newService(t, 2, Options{})
-	spec := Spec{
+	jobs, m := newService(t, 2)
+	spec := campaignSpec{
 		Template: template(100000),
-		Axes: []Axis{
+		Axes: []axis{
 			{Name: "params.seed", Values: vals("1", "2")},
 			{Name: "tenant", Values: vals("1", "2")},
 		},
@@ -200,44 +199,40 @@ func TestCampaignDupsKeepPoolBusy(t *testing.T) {
 	}
 }
 
-// TestCampaignStatsInStatsz: campaign counters surface through the job
-// service's /statsz hook.
+// TestCampaignStatsInStatsz: campaign counters surface in the
+// Manager's Stats (/statsz).
 func TestCampaignStatsInStatsz(t *testing.T) {
-	jobs, m := newService(t, 2, Options{})
+	jobs, m := newService(t, 2)
 	waitDone(t, m, sweep(5000, "1"))
-	s := jobs.Stats()
-	cs, ok := s.Campaigns.(Stats)
-	if !ok {
-		t.Fatalf("statsz campaigns: %T", s.Campaigns)
-	}
+	cs := jobs.Stats().Campaigns
 	if cs.Submitted != 1 || cs.Completed != 1 || cs.CellsTotal != 2 || cs.CellsDone != 2 {
 		t.Fatalf("campaign stats: %+v", cs)
 	}
-	if m.Stats() != cs {
-		t.Fatalf("hook and direct stats differ")
+	if m.stats() != cs {
+		t.Fatalf("Stats and direct campaign stats differ")
 	}
 }
 
 // TestCampaignCancel: DELETE stops the remainder — every cell settles,
 // none are left queued, and the campaign reports cancelled.
 func TestCampaignCancel(t *testing.T) {
-	_, m := newService(t, 1, Options{})
+	_, m := newService(t, 1)
 	m.inFlight = 1
 	// Enough slow cells that cancellation lands mid-campaign.
-	spec := Spec{
+	spec := campaignSpec{
 		Template: template(200000),
-		Axes:     []Axis{{Name: "params.seed", Range: &Range{From: 1, To: 8}}},
+		Axes:     []axis{{Name: "params.seed", Range: &axisRange{From: 1, To: 8}}},
 	}
-	c, err := m.Submit(spec)
+	c, err := m.submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Cancel(c.ID); err != nil {
+	if _, err := m.cancel(c.ID); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	p, err := m.Wait(ctx, c.ID)
+	p, err := m.wait(ctx, c.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,18 +246,15 @@ func TestCampaignCancel(t *testing.T) {
 		t.Fatalf("cancellation failed no cells: %+v", p)
 	}
 	// Cancelling a terminal campaign is a no-op.
-	if again, err := m.Cancel(c.ID); err != nil || again {
+	if again, err := m.cancel(c.ID); err != nil || again {
 		t.Fatalf("second cancel: %v %v", again, err)
 	}
 }
 
-// serveHTTP mounts the composed simd surface (jobs + campaigns).
-func serveHTTP(t *testing.T, jobs *simsvc.Manager, m *Manager) *httptest.Server {
+// serveHTTP serves the Manager's whole API (jobs + campaigns).
+func serveHTTP(t *testing.T, jobs *Manager) *httptest.Server {
 	t.Helper()
-	mux := http.NewServeMux()
-	m.Register(mux)
-	mux.Handle("/", jobs.Handler())
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(jobs.Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -270,8 +262,8 @@ func serveHTTP(t *testing.T, jobs *simsvc.Manager, m *Manager) *httptest.Server 
 // TestCampaignOversizedBody pins the request-body cap: a 2 MiB spec
 // answers 413 and creates no campaign.
 func TestCampaignOversizedBody(t *testing.T) {
-	jobs, m := newService(t, 1, Options{})
-	srv := serveHTTP(t, jobs, m)
+	jobs, m := newService(t, 1)
+	srv := serveHTTP(t, jobs)
 	body := `{"template":{"profile":"` + strings.Repeat("x", 2<<20) + `"}}`
 	resp, err := http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -282,7 +274,7 @@ func TestCampaignOversizedBody(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("POST /campaigns with a 2 MiB body: %d: %s", resp.StatusCode, b)
 	}
-	if st := m.Stats(); st.Submitted != 0 || st.Retained != 0 {
+	if st := m.stats(); st.Submitted != 0 || st.Retained != 0 {
 		t.Fatalf("oversized spec created a campaign: %+v", st)
 	}
 	if st := jobs.Stats(); st.JobsSubmitted != 0 {
@@ -290,8 +282,32 @@ func TestCampaignOversizedBody(t *testing.T) {
 	}
 }
 
+// TestCampaignMaxCellsField: the per-campaign guard is gone, so a spec
+// that still sends max_cells answers 400 and enqueues nothing.
+func TestCampaignMaxCellsField(t *testing.T) {
+	jobs, m := newService(t, 1)
+	srv := serveHTTP(t, jobs)
+	body := `{"template":{"profile":"ssd","workload":"synthetic","params":{"ops":100}},"max_cells":2,` +
+		`"axes":[{"name":"params.seed","values":[1,2]}]}`
+	resp, err := http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "max_cells") {
+		t.Fatalf("POST /campaigns with max_cells: %d: %s, want 400 naming the field", resp.StatusCode, b)
+	}
+	if st := m.stats(); st.Submitted != 0 || st.Retained != 0 || st.CellsTotal != 0 {
+		t.Fatalf("max_cells spec created a campaign: %+v", st)
+	}
+	if st := jobs.Stats(); st.JobsSubmitted != 0 {
+		t.Fatalf("max_cells spec submitted %d jobs", st.JobsSubmitted)
+	}
+}
+
 // postCampaign POSTs a campaign spec and decodes its progress view.
-func postCampaign(t *testing.T, srv *httptest.Server, spec Spec) Progress {
+func postCampaign(t *testing.T, srv *httptest.Server, spec campaignSpec) CampaignProgress {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -306,7 +322,7 @@ func postCampaign(t *testing.T, srv *httptest.Server, spec Spec) Progress {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("POST /campaigns: %d: %s", resp.StatusCode, b)
 	}
-	var p Progress
+	var p CampaignProgress
 	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
 		t.Fatal(err)
 	}
@@ -317,8 +333,8 @@ func postCampaign(t *testing.T, srv *httptest.Server, spec Spec) Progress {
 // ?wait=1, tail the NDJSON stream, render the table, re-POST and watch
 // it complete from cache, then DELETE a fresh campaign.
 func TestCampaignHTTP(t *testing.T) {
-	jobs, m := newService(t, 2, Options{})
-	srv := serveHTTP(t, jobs, m)
+	jobs, _ := newService(t, 2)
+	srv := serveHTTP(t, jobs)
 
 	p := postCampaign(t, srv, sweep(20000, "1", "2"))
 	if p.Total != 4 || p.ID == "" {
@@ -347,11 +363,11 @@ func TestCampaignHTTP(t *testing.T) {
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	var n int
 	for sc.Scan() {
-		var cr CellResult
+		var cr cellResult
 		if err := json.Unmarshal(sc.Bytes(), &cr); err != nil {
 			t.Fatal(err)
 		}
-		if cr.Index != n || cr.Status != simsvc.StatusDone {
+		if cr.Index != n || cr.Status != StatusDone {
 			t.Fatalf("stream line %d: %+v", n, cr)
 		}
 		n++
@@ -420,8 +436,8 @@ func TestCampaignHTTP(t *testing.T) {
 // stream tails, and progress polls all interleave across campaigns
 // sharing one job manager and cache.
 func TestCampaignConcurrentPosts(t *testing.T) {
-	jobs, m := newService(t, 4, Options{})
-	srv := serveHTTP(t, jobs, m)
+	jobs, _ := newService(t, 4)
+	srv := serveHTTP(t, jobs)
 
 	const posters = 4
 	var wg sync.WaitGroup
@@ -474,23 +490,23 @@ func TestCampaignConcurrentPosts(t *testing.T) {
 
 // TestCampaignRetention: terminal campaigns are evicted oldest-first
 // once the table exceeds its bound, and an attached stream tail
-// terminates with ErrCampaignEvicted instead of hanging.
+// terminates with errCampaignEvicted instead of hanging.
 func TestCampaignRetention(t *testing.T) {
-	_, m := newService(t, 2, Options{})
-	m.campaigns = simsvc.NewHandles("campaign", 2, (*Campaign).evict)
+	_, m := newService(t, 2)
+	m.table = newHandles("campaign", 2, (*campaign).evict)
 	var ids []string
 	for i := 0; i < 3; i++ {
-		c, _ := waitDone(t, m, Spec{Template: template(5000 + i)})
+		c, _ := waitDone(t, m, campaignSpec{Template: template(5000 + i)})
 		ids = append(ids, c.ID)
 	}
 	// Submitting the third evicted the first (bound 2).
-	if _, ok := m.Campaign(ids[0]); ok {
+	if _, ok := m.get(ids[0]); ok {
 		t.Fatalf("campaign %s should be evicted", ids[0])
 	}
-	if _, ok := m.Campaign(ids[2]); !ok {
+	if _, ok := m.get(ids[2]); !ok {
 		t.Fatalf("campaign %s should be retained", ids[2])
 	}
-	if got := m.Stats().Retained; got != 2 {
+	if got := m.stats().Retained; got != 2 {
 		t.Fatalf("retained %d, want 2", got)
 	}
 }
@@ -498,20 +514,20 @@ func TestCampaignRetention(t *testing.T) {
 // TestCampaignETA: once a simulated cell completes mid-campaign, the
 // progress view extrapolates a nonzero ETA for the remainder.
 func TestCampaignETA(t *testing.T) {
-	_, m := newService(t, 1, Options{})
+	_, m := newService(t, 1)
 	m.inFlight = 1
-	spec := Spec{
+	spec := campaignSpec{
 		Template: template(100000),
-		Axes:     []Axis{{Name: "params.seed", Range: &Range{From: 1, To: 6}}},
+		Axes:     []axis{{Name: "params.seed", Range: &axisRange{From: 1, To: 6}}},
 	}
-	c, err := m.Submit(spec)
+	c, err := m.submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Poll until at least one cell is done but the campaign is not.
 	deadline := time.Now().Add(time.Minute)
 	for {
-		p := m.Progress(c)
+		p := m.progress(c)
 		if p.Status == "done" {
 			t.Skip("campaign finished before a mid-flight progress view; nothing to assert")
 		}
@@ -528,7 +544,7 @@ func TestCampaignETA(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if _, err := m.Wait(ctx, c.ID); err != nil {
+	if _, err := m.wait(ctx, c.ID); err != nil {
 		t.Fatal(err)
 	}
 }

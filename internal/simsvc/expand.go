@@ -1,27 +1,11 @@
-// Package campaign makes parameter sweeps a first-class object of the
-// simulation service. The paper's core results are all grids — every
-// device model crossed with every workload and scheduler — and the
-// production workload of a deterministic what-if engine is the same
-// shape: "every Table-2 device × every workload × 10 seeds × 5 queue
-// depths". A Spec is a simsvc.JobSpec template plus named axes; it
-// expands into a canonically ordered cartesian product of cells, each
-// cell one job submitted through the existing manager. Because jobs are
-// deduplicated by the content-addressed result cache, re-running a
+package simsvc
+
+// Campaign expansion: axes apply to the template's JSON by dotted path,
+// and every cell is validated before anything is enqueued. Because jobs
+// are deduplicated by the content-addressed result cache, re-running a
 // campaign after one axis changes only simulates the new cells, and
 // cells that differ only in the submitting tenant collapse to one
 // simulation.
-//
-// Three parts compose the package:
-//
-//   - expansion (this file): axes applied to the template's JSON by
-//     dotted path, validated per cell before anything is enqueued;
-//   - a campaign manager (manager.go): a feeder submits cells in order
-//     through simsvc.Manager under a bounded in-flight window, tracks
-//     per-cell outcomes, aggregates progress/ETA, streams results in
-//     deterministic cell order, and cancels the remainder on demand;
-//   - rendering (table.go): any two axes and a result metric become a
-//     comparison table through the shared stats.Grid renderer.
-package campaign
 
 import (
 	"bytes"
@@ -30,29 +14,27 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"ossd/internal/simsvc"
 )
 
-// Axis is one swept parameter: a dotted path into the JobSpec JSON
+// axis is one swept parameter: a dotted path into the JobSpec JSON
 // ("params.seed", "options.scheduler", "profile", …) and the values it
 // takes. Exactly one of Values and Range must be set; Range is the
 // integer convenience for seed-style sweeps.
-type Axis struct {
+type axis struct {
 	Name   string            `json:"name"`
 	Values []json.RawMessage `json:"values,omitempty"`
-	Range  *Range            `json:"range,omitempty"`
+	Range  *axisRange        `json:"range,omitempty"`
 }
 
-// Range enumerates From..To inclusive, stepping by Step (default 1).
-type Range struct {
+// axisRange enumerates From..To inclusive, stepping by Step (default 1).
+type axisRange struct {
 	From int64 `json:"from"`
 	To   int64 `json:"to"`
 	Step int64 `json:"step,omitempty"`
 }
 
 // step is the range's stride (default 1).
-func (r *Range) step() int64 {
+func (r *axisRange) step() int64 {
 	if r.Step == 0 {
 		return 1
 	}
@@ -63,7 +45,7 @@ func (r *Range) step() int64 {
 // uint64, where To-From cannot overflow, and saturates rather than
 // wrapping, so a range ending at math.MaxInt64 or spanning all of int64
 // is counted in O(1), never looped over.
-func (r *Range) count() (uint64, error) {
+func (r *axisRange) count() (uint64, error) {
 	if r.step() < 0 {
 		return 0, fmt.Errorf("campaign: range step %d must be positive", r.Step)
 	}
@@ -76,7 +58,7 @@ func (r *Range) count() (uint64, error) {
 // values materializes the first n values as JSON. Each is computed as
 // From + k·Step, which is exact for any in-range value even where the
 // product alone overflows.
-func (r *Range) values(n int) []json.RawMessage {
+func (r *axisRange) values(n int) []json.RawMessage {
 	vals := make([]json.RawMessage, n)
 	for k := range vals {
 		vals[k] = strconv.AppendInt(nil, r.From+int64(k)*r.step(), 10)
@@ -84,30 +66,33 @@ func (r *Range) values(n int) []json.RawMessage {
 	return vals
 }
 
-// Spec is a campaign request: a job template plus the axes to sweep.
-// Zero axes is legal (a one-cell campaign). MaxCells, when set, lowers
-// the manager's expansion guard for this campaign.
-type Spec struct {
-	Template simsvc.JobSpec `json:"template"`
-	Axes     []Axis         `json:"axes,omitempty"`
-	MaxCells int            `json:"max_cells,omitempty"`
+// campaignSpec is a campaign request: a job template plus the axes to
+// sweep. Zero axes is legal (a one-cell campaign).
+type campaignSpec struct {
+	Template JobSpec `json:"template"`
+	Axes     []axis  `json:"axes,omitempty"`
 }
 
-// AxisValue is one coordinate of a cell: the axis name and the label of
+// axisValue is one coordinate of a cell: the axis name and the label of
 // the value the cell took on it. Coordinates are an ordered slice (not
 // a map) so every serialization lists axes in spec order.
-type AxisValue struct {
+type axisValue struct {
 	Name  string `json:"name"`
 	Value string `json:"value"`
 }
 
-// Cell is one expanded grid point: the fully substituted job spec and
-// its coordinates. Cells whose specs share a cache identity (a tenant
-// axis) dedup in the job manager, not here.
-type Cell struct {
+// campaignCell is one expanded grid point — the fully substituted job
+// spec and its coordinates — plus everything learned while running it.
+// Cells whose specs share a cache identity (a tenant axis) dedup in the
+// job manager, not here.
+type campaignCell struct {
 	Index  int
-	Spec   simsvc.JobSpec
-	Coords []AxisValue
+	Spec   JobSpec
+	Coords []axisValue
+
+	job     *Job // nil until submitted
+	settled bool
+	view    JobView // the terminal outcome, once settled
 }
 
 // label renders an axis value for coordinates and table headers:
@@ -130,8 +115,7 @@ func label(raw json.RawMessage) string {
 // "tenants.0.weight" sweeps the first tenant's fair-share weight — but
 // arrays are never created implicitly and never grown: the template
 // must list the elements the axis addresses. Wrong field names are not
-// detectable here — the final decode into JobSpec with
-// DisallowUnknownFields catches them.
+// detectable here — the final strict decode into JobSpec catches them.
 func setPath(m map[string]any, path string, v any) error {
 	segs := strings.Split(path, ".")
 	var cur any = m
@@ -183,17 +167,14 @@ func decodeNumeric(raw []byte, into any) error {
 	return dec.Decode(into)
 }
 
-// Expand materializes the spec's cartesian product in canonical order:
+// expand materializes the spec's cartesian product in canonical order:
 // axes iterate in spec order with the last axis varying fastest, like
 // nested loops — cell index is the row-major rank of its coordinate
-// vector. maxCells guards the expansion (spec.MaxCells lowers it when
-// set) and is checked against each axis's value count before that axis
-// is materialized; every cell's spec is validated before any cell is
-// returned, so a bad axis value rejects the whole campaign.
-func Expand(spec Spec, maxCells int) ([]*Cell, error) {
-	if spec.MaxCells > 0 && spec.MaxCells < maxCells {
-		maxCells = spec.MaxCells
-	}
+// vector. maxCells, the server's guard (Options.MaxCells), is checked
+// against each axis's value count before that axis is materialized;
+// every cell's spec is validated before any cell is returned, so a bad
+// axis value rejects the whole campaign.
+func expand(spec campaignSpec, maxCells int) ([]*campaignCell, error) {
 	axes := make([][]json.RawMessage, len(spec.Axes))
 	seen := map[string]bool{}
 	total := 1
@@ -232,14 +213,14 @@ func Expand(spec Spec, maxCells int) ([]*Cell, error) {
 		return nil, fmt.Errorf("campaign: marshal template: %w", err)
 	}
 
-	cells := make([]*Cell, 0, total)
+	cells := make([]*campaignCell, 0, total)
 	idx := make([]int, len(spec.Axes))
 	for n := 0; n < total; n++ {
 		var tree map[string]any
 		if err := decodeNumeric(template, &tree); err != nil {
 			return nil, fmt.Errorf("campaign: decode template: %w", err)
 		}
-		cell := &Cell{Index: n, Coords: make([]AxisValue, len(spec.Axes))}
+		cell := &campaignCell{Index: n, Coords: make([]axisValue, len(spec.Axes))}
 		for a, ax := range spec.Axes {
 			raw := axes[a][idx[a]]
 			var v any
@@ -249,13 +230,13 @@ func Expand(spec Spec, maxCells int) ([]*Cell, error) {
 			if err := setPath(tree, ax.Name, v); err != nil {
 				return nil, err
 			}
-			cell.Coords[a] = AxisValue{Name: ax.Name, Value: label(raw)}
+			cell.Coords[a] = axisValue{Name: ax.Name, Value: label(raw)}
 		}
 		substituted, err := json.Marshal(tree)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: marshal cell %d: %w", n, err)
 		}
-		if cell.Spec, err = simsvc.DecodeJSON[simsvc.JobSpec](bytes.NewReader(substituted)); err != nil {
+		if cell.Spec, err = decodeJSON[JobSpec](bytes.NewReader(substituted)); err != nil {
 			return nil, fmt.Errorf("campaign: cell %d (%s): %w", n, coordString(cell.Coords), err)
 		}
 		if err := cell.Spec.Validate(); err != nil {
@@ -276,7 +257,7 @@ func Expand(spec Spec, maxCells int) ([]*Cell, error) {
 }
 
 // coordString renders coordinates as "a=1 b=ssd" for error messages.
-func coordString(coords []AxisValue) string {
+func coordString(coords []axisValue) string {
 	parts := make([]string, len(coords))
 	for i, c := range coords {
 		parts[i] = c.Name + "=" + c.Value

@@ -1,4 +1,4 @@
-package campaign
+package simsvc
 
 import (
 	"bytes"
@@ -11,13 +11,12 @@ import (
 	"testing"
 	"time"
 
-	"ossd/internal/simsvc"
 	"ossd/internal/workload"
 )
 
 // template is a small, valid job template for expansion tests.
-func template(ops int) simsvc.JobSpec {
-	return simsvc.JobSpec{
+func template(ops int) JobSpec {
+	return JobSpec{
 		Profile:  "ssd",
 		Workload: "synthetic",
 		Params: workload.GenParams{
@@ -43,14 +42,14 @@ func vals(lits ...string) []json.RawMessage {
 // order with the last axis varying fastest, and coordinates carry the
 // substituted values in axis order.
 func TestExpandCanonicalOrder(t *testing.T) {
-	spec := Spec{
+	spec := campaignSpec{
 		Template: template(100),
-		Axes: []Axis{
+		Axes: []axis{
 			{Name: "params.seed", Values: vals("1", "2", "3")},
 			{Name: "options.scheduler", Values: vals(`"fcfs"`, `"swtf"`)},
 		},
 	}
-	cells, err := Expand(spec, 4096)
+	cells, err := expand(spec, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +79,11 @@ func TestExpandCanonicalOrder(t *testing.T) {
 
 // TestExpandRange pins the integer-range convenience.
 func TestExpandRange(t *testing.T) {
-	spec := Spec{
+	spec := campaignSpec{
 		Template: template(100),
-		Axes:     []Axis{{Name: "params.seed", Range: &Range{From: 1, To: 5, Step: 2}}},
+		Axes:     []axis{{Name: "params.seed", Range: &axisRange{From: 1, To: 5, Step: 2}}},
 	}
-	cells, err := Expand(spec, 4096)
+	cells, err := expand(spec, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,20 +99,20 @@ func TestExpandRange(t *testing.T) {
 // TestExpandRangeBounded pins that a range is counted, not walked,
 // before the cell guard sees it. An oversized range is rejected without
 // materializing its values, and ranges that end at math.MaxInt64
-// terminate instead of wrapping. Expand runs under a deadline so a
+// terminate instead of wrapping. expand runs under a deadline so a
 // regression fails fast instead of hanging.
 func TestExpandRangeBounded(t *testing.T) {
-	spec := func(r Range) Spec {
-		return Spec{Template: template(100), Axes: []Axis{{Name: "params.seed", Range: &r}}}
+	spec := func(r axisRange) campaignSpec {
+		return campaignSpec{Template: template(100), Axes: []axis{{Name: "params.seed", Range: &r}}}
 	}
-	expand := func(r Range) ([]*Cell, error) {
+	expandRange := func(r axisRange) ([]*campaignCell, error) {
 		type result struct {
-			cells []*Cell
+			cells []*campaignCell
 			err   error
 		}
 		done := make(chan result, 1)
 		go func() {
-			cells, err := Expand(spec(r), 4096)
+			cells, err := expand(spec(r), 4096)
 			done <- result{cells, err}
 		}()
 		select {
@@ -126,23 +125,23 @@ func TestExpandRangeBounded(t *testing.T) {
 		}
 	}
 
-	for _, r := range []Range{
+	for _, r := range []axisRange{
 		{From: 1, To: 10_000_000},
 		{From: math.MinInt64, To: math.MaxInt64},
 	} {
-		if _, err := expand(r); err == nil || !strings.Contains(err.Error(), "exceeds 4096 cells") {
+		if _, err := expandRange(r); err == nil || !strings.Contains(err.Error(), "exceeds 4096 cells") {
 			t.Errorf("range %+v: err = %v, want the 4096-cell guard", r, err)
 		}
 	}
 	for _, tc := range []struct {
-		r    Range
+		r    axisRange
 		want []int64
 	}{
-		{Range{From: math.MaxInt64 - 1, To: math.MaxInt64}, []int64{math.MaxInt64 - 1, math.MaxInt64}},
-		{Range{From: 0, To: math.MaxInt64, Step: math.MaxInt64}, []int64{0, math.MaxInt64}},
-		{Range{From: math.MinInt64, To: math.MaxInt64, Step: math.MaxInt64}, []int64{math.MinInt64, -1, math.MaxInt64 - 1}},
+		{axisRange{From: math.MaxInt64 - 1, To: math.MaxInt64}, []int64{math.MaxInt64 - 1, math.MaxInt64}},
+		{axisRange{From: 0, To: math.MaxInt64, Step: math.MaxInt64}, []int64{0, math.MaxInt64}},
+		{axisRange{From: math.MinInt64, To: math.MaxInt64, Step: math.MaxInt64}, []int64{math.MinInt64, -1, math.MaxInt64 - 1}},
 	} {
-		cells, err := expand(tc.r)
+		cells, err := expandRange(tc.r)
 		if err != nil {
 			t.Fatalf("range %+v: %v", tc.r, err)
 		}
@@ -156,15 +155,15 @@ func TestExpandRangeBounded(t *testing.T) {
 	}
 
 	// Rejection costs the same for any range: nothing is built per value.
-	huge := spec(Range{From: 1, To: 10_000_000})
-	if allocs := testing.AllocsPerRun(3, func() { _, _ = Expand(huge, 4096) }); allocs > 20 {
+	huge := spec(axisRange{From: 1, To: 10_000_000})
+	if allocs := testing.AllocsPerRun(3, func() { _, _ = expand(huge, 4096) }); allocs > 20 {
 		t.Errorf("rejecting a 1e7-value range made %v allocations", allocs)
 	}
 }
 
 // TestExpandZeroAxes: a campaign with no axes is the one-cell campaign.
 func TestExpandZeroAxes(t *testing.T) {
-	cells, err := Expand(Spec{Template: template(100)}, 4096)
+	cells, err := expand(campaignSpec{Template: template(100)}, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +176,11 @@ func TestExpandZeroAxes(t *testing.T) {
 // (the submitting tenant is excluded from them); the job manager dedups
 // them (TestCampaignTenantDedup).
 func TestExpandDupKeys(t *testing.T) {
-	spec := Spec{
+	spec := campaignSpec{
 		Template: template(100),
-		Axes:     []Axis{{Name: "tenant", Values: vals("1", "2", "4")}},
+		Axes:     []axis{{Name: "tenant", Values: vals("1", "2", "4")}},
 	}
-	cells, err := Expand(spec, 4096)
+	cells, err := expand(spec, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,44 +198,41 @@ func TestExpandDupKeys(t *testing.T) {
 func TestExpandErrors(t *testing.T) {
 	cases := []struct {
 		name string
-		spec Spec
+		spec campaignSpec
 		max  int
 		want string
 	}{
-		{"unnamed axis", Spec{Template: template(100), Axes: []Axis{{Values: vals("1")}}}, 4096, "has no name"},
-		{"duplicate axis", Spec{Template: template(100), Axes: []Axis{
+		{"unnamed axis", campaignSpec{Template: template(100), Axes: []axis{{Values: vals("1")}}}, 4096, "has no name"},
+		{"duplicate axis", campaignSpec{Template: template(100), Axes: []axis{
 			{Name: "params.seed", Values: vals("1")},
 			{Name: "params.seed", Values: vals("2")},
 		}}, 4096, "duplicate axis"},
-		{"no values", Spec{Template: template(100), Axes: []Axis{{Name: "params.seed"}}}, 4096, "has no values"},
-		{"values and range", Spec{Template: template(100), Axes: []Axis{
-			{Name: "params.seed", Values: vals("1"), Range: &Range{From: 1, To: 2}},
+		{"no values", campaignSpec{Template: template(100), Axes: []axis{{Name: "params.seed"}}}, 4096, "has no values"},
+		{"values and range", campaignSpec{Template: template(100), Axes: []axis{
+			{Name: "params.seed", Values: vals("1"), Range: &axisRange{From: 1, To: 2}},
 		}}, 4096, "both values and range"},
-		{"empty range", Spec{Template: template(100), Axes: []Axis{
-			{Name: "params.seed", Range: &Range{From: 5, To: 1}},
+		{"empty range", campaignSpec{Template: template(100), Axes: []axis{
+			{Name: "params.seed", Range: &axisRange{From: 5, To: 1}},
 		}}, 4096, "empty range"},
-		{"unknown field", Spec{Template: template(100), Axes: []Axis{
+		{"unknown field", campaignSpec{Template: template(100), Axes: []axis{
 			{Name: "params.sed", Values: vals("1")},
 		}}, 4096, "unknown field"},
-		{"non-object segment", Spec{Template: template(100), Axes: []Axis{
+		{"non-object segment", campaignSpec{Template: template(100), Axes: []axis{
 			{Name: "profile.x", Values: vals("1")},
 		}}, 4096, "is not an object"},
-		{"wrong type", Spec{Template: template(100), Axes: []Axis{
+		{"wrong type", campaignSpec{Template: template(100), Axes: []axis{
 			{Name: "profile", Values: vals("3")},
 		}}, 4096, "cannot unmarshal"},
-		{"invalid option", Spec{Template: template(100), Axes: []Axis{
+		{"invalid option", campaignSpec{Template: template(100), Axes: []axis{
 			{Name: "options.scheduler", Values: vals(`"bogus"`)},
 		}}, 4096, "unknown scheduler"},
-		{"guard exceeded", Spec{Template: template(100), Axes: []Axis{
-			{Name: "params.seed", Range: &Range{From: 1, To: 100}},
+		{"guard exceeded", campaignSpec{Template: template(100), Axes: []axis{
+			{Name: "params.seed", Range: &axisRange{From: 1, To: 100}},
 		}}, 10, "exceeds 10 cells"},
-		{"spec guard lowers", Spec{Template: template(100), MaxCells: 3, Axes: []Axis{
-			{Name: "params.seed", Range: &Range{From: 1, To: 10}},
-		}}, 4096, "exceeds 3 cells"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Expand(tc.spec, tc.max)
+			_, err := expand(tc.spec, tc.max)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
@@ -248,16 +244,16 @@ func TestExpandErrors(t *testing.T) {
 // the HTTP endpoint and cmd/repro.
 func TestResolveTableAxes(t *testing.T) {
 	axes := []string{"params.seed", "options.scheduler"}
-	rows, cols, metric, err := ResolveTableAxes(axes, "", "", "")
+	rows, cols, metric, err := resolveTableAxes(axes, "", "", "")
 	if err != nil || rows != "params.seed" || cols != "options.scheduler" || metric != "write_mbps" {
 		t.Fatalf("defaults: %q %q %q %v", rows, cols, metric, err)
 	}
 	// rows pinned to the second axis: cols defaults to the other one.
-	rows, cols, _, err = ResolveTableAxes(axes, "options.scheduler", "", "")
+	rows, cols, _, err = resolveTableAxes(axes, "options.scheduler", "", "")
 	if err != nil || rows != "options.scheduler" || cols != "params.seed" {
 		t.Fatalf("pinned rows: %q %q %v", rows, cols, err)
 	}
-	if _, _, _, err := ResolveTableAxes([]string{"one"}, "", "", ""); err == nil {
+	if _, _, _, err := resolveTableAxes([]string{"one"}, "", "", ""); err == nil {
 		t.Fatal("one-axis campaign should need explicit rows/cols")
 	}
 }
@@ -267,13 +263,13 @@ func TestResolveTableAxes(t *testing.T) {
 // template carries no plan at all, and distinct rates are distinct
 // cache identities.
 func TestExpandFaultAxis(t *testing.T) {
-	spec := Spec{
+	spec := campaignSpec{
 		Template: template(100),
-		Axes: []Axis{
+		Axes: []axis{
 			{Name: "fault.transient.rate", Values: vals("0.0", "0.01", "0.05")},
 		},
 	}
-	cells, err := Expand(spec, 4096)
+	cells, err := expand(spec, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +292,7 @@ func TestExpandFaultAxis(t *testing.T) {
 	}
 	// Out-of-range substituted values still reject the whole campaign.
 	spec.Axes[0].Values = vals("2.0")
-	if _, err := Expand(spec, 4096); err == nil {
+	if _, err := expand(spec, 4096); err == nil {
 		t.Error("out-of-range fault rate accepted")
 	}
 }
@@ -306,17 +302,17 @@ func TestExpandFaultAxis(t *testing.T) {
 // sweepable campaign axes — the interference experiment's grid shape.
 func TestExpandTenantWeightAxis(t *testing.T) {
 	tmpl := template(100)
-	tmpl.Tenants = []simsvc.TenantSpec{
+	tmpl.Tenants = []TenantSpec{
 		{Tenant: 1, Weight: 1},
 		{Tenant: 2, Weight: 1},
 	}
-	spec := Spec{
+	spec := campaignSpec{
 		Template: tmpl,
-		Axes: []Axis{
+		Axes: []axis{
 			{Name: "tenants.1.weight", Values: vals("1", "4", "16")},
 		},
 	}
-	cells, err := Expand(spec, 4096)
+	cells, err := expand(spec, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,12 +336,12 @@ func TestExpandTenantWeightAxis(t *testing.T) {
 	// Arrays are never grown: an index past the template's elements
 	// rejects the campaign rather than silently extending it.
 	spec.Axes[0].Name = "tenants.2.weight"
-	if _, err := Expand(spec, 4096); err == nil {
+	if _, err := expand(spec, 4096); err == nil {
 		t.Error("out-of-range tenant index accepted")
 	}
 	// Non-integer segments against an array are rejected too.
 	spec.Axes[0].Name = "tenants.first.weight"
-	if _, err := Expand(spec, 4096); err == nil {
+	if _, err := expand(spec, 4096); err == nil {
 		t.Error("non-integer array segment accepted")
 	}
 }

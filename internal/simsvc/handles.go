@@ -6,14 +6,14 @@ import (
 	"sync"
 )
 
-// Handles is the table of retained handles behind both /jobs and
+// handles is the table of retained handles behind both /jobs and
 // /campaigns. It names each handle ("job-1", "campaign-1", …), keeps
-// them in submission order, and bounds itself: every Add evicts the
+// them in submission order, and bounds itself: every add evicts the
 // oldest terminal handles while the table holds more than its bound.
 // Live handles are never evicted, so the table can exceed the bound by
 // the number of live ones. An evicted handle stays valid for whoever
 // still holds it; only its ID stops resolving.
-type Handles[H any] struct {
+type handles[H any] struct {
 	prefix string
 	bound  int
 	// evict reports whether h is terminal and, if it is, marks h evicted
@@ -28,15 +28,15 @@ type Handles[H any] struct {
 	order []string // IDs in submission order
 }
 
-// NewHandles builds a table that names its handles prefix-1, prefix-2,
+// newHandles builds a table that names its handles prefix-1, prefix-2,
 // … and keeps at most bound of them, evicting only terminal ones.
-func NewHandles[H any](prefix string, bound int, evict func(H) bool) *Handles[H] {
-	return &Handles[H]{prefix: prefix, bound: bound, evict: evict, byID: map[string]H{}}
+func newHandles[H any](prefix string, bound int, evict func(H) bool) *handles[H] {
+	return &handles[H]{prefix: prefix, bound: bound, evict: evict, byID: map[string]H{}}
 }
 
-// Add names h, storing its ID through id before h becomes visible to
+// add names h, storing its ID through id before h becomes visible to
 // any other caller, inserts it, and evicts past the bound.
-func (t *Handles[H]) Add(h H, id *string) {
+func (t *handles[H]) add(h H, id *string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
@@ -59,16 +59,16 @@ func (t *Handles[H]) Add(h H, id *string) {
 	t.order = kept
 }
 
-// Get looks a handle up by ID.
-func (t *Handles[H]) Get(id string) (H, bool) {
+// get looks a handle up by ID.
+func (t *handles[H]) get(id string) (H, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h, ok := t.byID[id]
 	return h, ok
 }
 
-// All snapshots the retained handles in submission order.
-func (t *Handles[H]) All() []H {
+// all snapshots the retained handles in submission order.
+func (t *handles[H]) all() []H {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]H, len(t.order))
@@ -78,12 +78,12 @@ func (t *Handles[H]) All() []H {
 	return out
 }
 
-// WaitUntil blocks until done holds or ctx ends, and returns ctx's
+// waitUntil blocks until done holds or ctx ends, and returns ctx's
 // error in the latter case. The caller holds c.L, as for c.Wait, and
 // done is evaluated under it. The wait wakes on every c.Broadcast and
 // once more when ctx ends, so a waiter neither spins nor outlives its
 // request.
-func WaitUntil(ctx context.Context, c *sync.Cond, done func() bool) error {
+func waitUntil(ctx context.Context, c *sync.Cond, done func() bool) error {
 	stop := context.AfterFunc(ctx, func() {
 		c.L.Lock()
 		c.Broadcast()

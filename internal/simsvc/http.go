@@ -14,8 +14,8 @@ import (
 	"ossd/internal/workload"
 )
 
-// WriteJSON serves v as a JSON response.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON serves v as a JSON response.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -23,36 +23,53 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// WriteError serves an error as {"error": ...}.
-func WriteError(w http.ResponseWriter, status int, err error) {
-	WriteJSON(w, status, map[string]string{"error": err.Error()})
+// writeError serves an error as {"error": ...}.
+func writeError(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// MaxBodyBytes caps the JSON request body of every POST endpoint that
-// submits work (jobs, experiments, campaigns). Wrap the body with
-// http.MaxBytesReader(w, r.Body, MaxBodyBytes) and answer a decode error
-// with BodyStatus.
-const MaxBodyBytes = 1 << 20
+// maxBodyBytes caps the JSON request body of every POST endpoint that
+// submits work (jobs, experiments, campaigns).
+const maxBodyBytes = 1 << 20
 
-// BodyStatus maps a request-body decode error to its HTTP status: 413
-// when the body overran its MaxBytesReader limit, 400 otherwise.
-func BodyStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
+// decodeJSON reads one T, refusing fields T does not have: the one
+// strict decode behind every body the service accepts, whether posted
+// as a job, an experiment run or a campaign, or expanded from a
+// campaign cell.
+func decodeJSON[T any](r io.Reader) (T, error) {
+	var v T
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&v)
+	return v, err
+}
+
+// decodeBody strictly decodes a request body of at most maxBodyBytes
+// into a T. On failure it has already answered, with 413 when the body
+// overran the cap and 400 otherwise, the error prefixed by what.
+func decodeBody[T any](w http.ResponseWriter, r *http.Request, what string) (T, bool) {
+	v, err := decodeJSON[T](http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("%s: %w", what, err))
+		return v, false
 	}
-	return http.StatusBadRequest
+	return v, true
 }
 
-// StreamHandler serves a GET …/{id}/stream route from stream, which
-// delivers the handle's items in order (Manager.StreamSamples, a
-// campaign's results). Each item goes out as one flushed NDJSON line.
-// Nothing is streamed yet iff the ID was unknown, so only that lookup
-// error can still become a 404. A stream that ends on the handle's
-// eviction (the evicted sentinel) or a departed client just closes the
-// body: items may already be on the wire, and the terminated
-// connection is the signal.
-func StreamHandler[T any](stream func(ctx context.Context, id string, fn func(T) error) error, evicted error) http.HandlerFunc {
+// streamHandler serves a GET …/{id}/stream route from stream, which
+// delivers the handle's items in order (Manager.StreamSamples,
+// campaignManager.streamResults). Each item goes out as one flushed
+// NDJSON line. Nothing is streamed yet iff the ID was unknown, so only
+// that lookup error can still become a 404. A stream that ends on the
+// handle's eviction (the evicted sentinel) or a departed client just
+// closes the body: items may already be on the wire, and the
+// terminated connection is the signal.
+func streamHandler[T any](stream func(ctx context.Context, id string, fn func(T) error) error, evicted error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
@@ -67,31 +84,20 @@ func StreamHandler[T any](stream func(ctx context.Context, id string, fn func(T)
 			return nil
 		})
 		if err != nil && r.Context().Err() == nil && !errors.Is(err, evicted) {
-			WriteError(w, http.StatusNotFound, err)
+			writeError(w, http.StatusNotFound, err)
 		}
 	}
 }
 
-// DecodeJSON reads one T, refusing fields T does not have: the one
-// strict decode behind every spec the service accepts, whether posted
-// as a job or a campaign, or expanded from a campaign cell.
-func DecodeJSON[T any](r io.Reader) (T, error) {
-	var v T
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&v)
-	return v, err
-}
-
 // submitStatus maps a Submit error to its HTTP status: 429 for an
-// explicit rejection (shed mode, a tenant over quota), since a clear
-// "go away" beats queueing the caller behind the overload; 503 for a
-// saturated or closed pool; 400 for a spec that failed validation.
+// explicit rejection (a full backlog, a tenant over quota), since a
+// clear "go away" beats queueing the caller behind the overload; 503
+// for a closed pool; 400 for a spec that failed validation.
 func submitStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrShed), errors.Is(err, ErrTenantQuota):
 		return http.StatusTooManyRequests
-	case errors.Is(err, runner.ErrPoolSaturated), errors.Is(err, runner.ErrPoolClosed):
+	case errors.Is(err, runner.ErrPoolClosed):
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusBadRequest
@@ -129,31 +135,36 @@ func expIdentity(name string, seed int64) []byte {
 
 // Handler returns the service's HTTP API:
 //
-//	POST   /jobs                submit a JobSpec, get {id, status, cached}
-//	GET    /jobs/{id}           job state (+ ?wait=1 to block until terminal)
-//	DELETE /jobs/{id}           cancel a queued or running job
-//	GET    /jobs/{id}/stream    NDJSON telemetry samples until the job ends
-//	GET    /profiles            registered device profiles
-//	GET    /workloads           registered workload generators
-//	GET    /experiments         the paper's experiment catalog
-//	POST   /experiments/{name}  run one experiment (body: {seed, workers})
-//	GET    /healthz             liveness
-//	GET    /statsz              job, cache, tenant and campaign counters
+//	POST   /jobs                     submit a JobSpec, get {id, status, cached}
+//	GET    /jobs/{id}                job state (+ ?wait=1 to block until terminal)
+//	DELETE /jobs/{id}                cancel a queued or running job
+//	GET    /jobs/{id}/stream         NDJSON telemetry samples until the job ends
+//	POST   /campaigns                submit a campaign spec, get its progress view
+//	GET    /campaigns                progress of every retained campaign
+//	GET    /campaigns/{id}           progress (+ ?wait=1 to block until terminal)
+//	DELETE /campaigns/{id}           cancel the remaining cells
+//	GET    /campaigns/{id}/stream    NDJSON cell results in deterministic cell order
+//	GET    /campaigns/{id}/table     text comparison table (?rows=&cols=&metric=)
+//	GET    /profiles                 registered device profiles
+//	GET    /workloads                registered workload generators
+//	GET    /experiments              the paper's experiment catalog
+//	POST   /experiments/{name}       run one experiment (body: {seed, workers})
+//	GET    /healthz                  liveness
+//	GET    /statsz                   job, cache, campaign and tenant counters
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		spec, err := DecodeJSON[JobSpec](http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-		if err != nil {
-			WriteError(w, BodyStatus(err), fmt.Errorf("simsvc: bad job spec: %w", err))
+		spec, ok := decodeBody[JobSpec](w, r, "simsvc: bad job spec")
+		if !ok {
 			return
 		}
 		job, err := m.Submit(spec)
 		if err != nil {
-			WriteError(w, submitStatus(err), err)
+			writeError(w, submitStatus(err), err)
 			return
 		}
-		WriteJSON(w, http.StatusAccepted, job.View())
+		writeJSON(w, http.StatusAccepted, job.View())
 	})
 
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -161,30 +172,105 @@ func (m *Manager) Handler() http.Handler {
 		if r.URL.Query().Get("wait") != "" {
 			view, err := m.Wait(r.Context(), id)
 			if err != nil {
-				WriteError(w, http.StatusNotFound, err)
+				writeError(w, http.StatusNotFound, err)
 				return
 			}
-			WriteJSON(w, http.StatusOK, view)
+			writeJSON(w, http.StatusOK, view)
 			return
 		}
 		job, ok := m.Job(id)
 		if !ok {
-			WriteError(w, http.StatusNotFound, fmt.Errorf("simsvc: no job %q", id))
+			writeError(w, http.StatusNotFound, fmt.Errorf("simsvc: no job %q", id))
 			return
 		}
-		WriteJSON(w, http.StatusOK, job.View())
+		writeJSON(w, http.StatusOK, job.View())
 	})
 
 	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		cancelled, err := m.Cancel(r.PathValue("id"))
 		if err != nil {
-			WriteError(w, http.StatusNotFound, err)
+			writeError(w, http.StatusNotFound, err)
 			return
 		}
-		WriteJSON(w, http.StatusOK, map[string]bool{"cancelled": cancelled})
+		writeJSON(w, http.StatusOK, map[string]bool{"cancelled": cancelled})
 	})
 
-	mux.HandleFunc("GET /jobs/{id}/stream", StreamHandler(m.StreamSamples, ErrJobEvicted))
+	mux.HandleFunc("GET /jobs/{id}/stream", streamHandler(m.StreamSamples, ErrJobEvicted))
+
+	camps := m.campaigns
+	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
+		spec, ok := decodeBody[campaignSpec](w, r, "campaign: bad spec")
+		if !ok {
+			return
+		}
+		c, err := camps.submit(spec)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		writeJSON(w, http.StatusAccepted, camps.progress(c))
+	})
+
+	mux.HandleFunc("GET /campaigns", func(w http.ResponseWriter, r *http.Request) {
+		all := camps.table.all()
+		views := make([]CampaignProgress, 0, len(all))
+		for _, c := range all {
+			views = append(views, camps.progress(c))
+		}
+		writeJSON(w, http.StatusOK, views)
+	})
+
+	mux.HandleFunc("GET /campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if r.URL.Query().Get("wait") != "" {
+			p, err := camps.wait(r.Context(), id)
+			if err != nil {
+				writeError(w, http.StatusNotFound, err)
+				return
+			}
+			writeJSON(w, http.StatusOK, p)
+			return
+		}
+		c, ok := camps.get(id)
+		if !ok {
+			writeError(w, http.StatusNotFound, fmt.Errorf("campaign: no campaign %q", id))
+			return
+		}
+		writeJSON(w, http.StatusOK, camps.progress(c))
+	})
+
+	mux.HandleFunc("DELETE /campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
+		cancelled, err := camps.cancel(r.PathValue("id"))
+		if err != nil {
+			writeError(w, http.StatusNotFound, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]bool{"cancelled": cancelled})
+	})
+
+	mux.HandleFunc("GET /campaigns/{id}/stream", streamHandler(camps.streamResults, errCampaignEvicted))
+
+	mux.HandleFunc("GET /campaigns/{id}/table", func(w http.ResponseWriter, r *http.Request) {
+		c, ok := camps.get(r.PathValue("id"))
+		if !ok {
+			writeError(w, http.StatusNotFound, fmt.Errorf("campaign: no campaign %q", r.PathValue("id")))
+			return
+		}
+		q := r.URL.Query()
+		rows, cols, metric, err := resolveTableAxes(c.axes, q.Get("rows"), q.Get("cols"), q.Get("metric"))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		title := fmt.Sprintf("Campaign %s: %s by %s x %s", c.ID, metric, rows, cols)
+		g, err := campaignTable(title, c.results(), rows, cols, metric)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_, _ = w.Write([]byte(g.String()))
+	})
 
 	mux.HandleFunc("GET /profiles", func(w http.ResponseWriter, r *http.Request) {
 		var infos []profileInfo
@@ -195,11 +281,11 @@ func (m *Manager) Handler() http.Handler {
 			}
 			infos = append(infos, profileInfo{Name: p.Name, Kind: p.Kind.String(), Description: p.Description})
 		}
-		WriteJSON(w, http.StatusOK, infos)
+		writeJSON(w, http.StatusOK, infos)
 	})
 
 	mux.HandleFunc("GET /workloads", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, workload.Generators())
+		writeJSON(w, http.StatusOK, workload.Generators())
 	})
 
 	mux.HandleFunc("GET /experiments", func(w http.ResponseWriter, r *http.Request) {
@@ -207,20 +293,19 @@ func (m *Manager) Handler() http.Handler {
 		for _, e := range experiments.Catalog() {
 			infos = append(infos, experimentInfo{Name: e.ID, Description: e.Description})
 		}
-		WriteJSON(w, http.StatusOK, infos)
+		writeJSON(w, http.StatusOK, infos)
 	})
 
 	mux.HandleFunc("POST /experiments/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
 		entry, ok := experiments.CatalogEntryByID(name)
 		if !ok {
-			WriteError(w, http.StatusNotFound, fmt.Errorf("simsvc: unknown experiment %q", name))
+			writeError(w, http.StatusNotFound, fmt.Errorf("simsvc: unknown experiment %q", name))
 			return
 		}
 		var req experimentRequest
 		if r.ContentLength != 0 {
-			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(&req); err != nil {
-				WriteError(w, BodyStatus(err), fmt.Errorf("simsvc: bad experiment request: %w", err))
+			if req, ok = decodeBody[experimentRequest](w, r, "simsvc: bad experiment request"); !ok {
 				return
 			}
 		}
@@ -246,7 +331,7 @@ func (m *Manager) Handler() http.Handler {
 		case m.expSem <- struct{}{}:
 			defer func() { <-m.expSem }()
 		default:
-			WriteError(w, http.StatusServiceUnavailable,
+			writeError(w, http.StatusServiceUnavailable,
 				fmt.Errorf("simsvc: an experiment is already running; retry later"))
 			return
 		}
@@ -255,13 +340,13 @@ func (m *Manager) Handler() http.Handler {
 		value, err := entry.Run(seed, req.Workers)
 		if err != nil {
 			res.Error = err.Error()
-			WriteJSON(w, http.StatusInternalServerError, res)
+			writeJSON(w, http.StatusInternalServerError, res)
 			return
 		}
 		res.Report = value.String()
 		payload, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
-			WriteError(w, http.StatusInternalServerError, err)
+			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
 		payload = append(payload, '\n')
@@ -271,11 +356,11 @@ func (m *Manager) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 
 	mux.HandleFunc("GET /statsz", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, m.Stats())
+		writeJSON(w, http.StatusOK, m.Stats())
 	})
 
 	return mux

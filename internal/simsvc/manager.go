@@ -21,17 +21,17 @@ import (
 type Options struct {
 	// Workers bounds concurrent simulations (<= 0: runner default).
 	Workers int
-	// Backlog bounds queued jobs; submits past it are shed (<= 0: 256).
+	// Backlog bounds queued jobs (<= 0: 256). A submit past it is shed:
+	// it fails with a counted ErrShed (HTTP 429), a clear "go away"
+	// rather than a queue slot traded for latency.
 	Backlog int
 	// CacheEntries bounds the result cache (<= 0: 1024).
 	CacheEntries int
 	// SampleEvery sets the telemetry cadence in operations (<= 0: 1000).
 	SampleEvery int
-	// Shed switches full-backlog submits from ErrPoolSaturated (HTTP
-	// 503, clients typically retry) to a counted ErrShed (HTTP 429):
-	// under overload the service sheds explicitly instead of letting
-	// callers trade latency for a slot.
-	Shed bool
+	// MaxCells guards campaign expansion: a campaign spec whose grid
+	// exceeds it is rejected before any cell is enqueued (<= 0: 4096).
+	MaxCells int
 	// TenantQuotas caps how many jobs each submitting tenant class
 	// (JobSpec.Tenant) may have occupying the worker pool — queued or
 	// running — at once. A submit past the tenant's quota is rejected
@@ -148,13 +148,15 @@ func (j *Job) addSample(s Sample) {
 	j.mu.Unlock()
 }
 
-// Manager owns the job table, the worker pool, and the result cache.
+// Manager owns the job and campaign tables, the worker pool, and the
+// result cache.
 type Manager struct {
 	opts  Options
 	pool  *runner.Pool
 	cache *cache
 
-	jobs *Handles[*Job]
+	jobs      *handles[*Job]
+	campaigns *campaignManager
 
 	// flightMu guards flights, the single-flight table: one entry per
 	// cache key currently being computed (see flight.go).
@@ -171,7 +173,7 @@ type Manager struct {
 	failed    atomic.Int64
 	running   atomic.Int64
 	coalesced atomic.Uint64 // single-flight waiters collapsed onto a primary
-	shedCt    atomic.Uint64 // submits rejected by shed mode
+	shedCt    atomic.Uint64 // submits shed on a full backlog
 
 	// tenantMu guards tenantCt, the per-tenant job counters surfaced in
 	// /statsz. Only nonzero tenants are tracked: tenant 0 is the legacy
@@ -186,12 +188,6 @@ type Manager struct {
 	aggMu     sync.Mutex
 	queueWait stats.Mean
 	runDur    stats.Mean
-
-	// campaignStats (guarded by mu), when set, is folded into Stats
-	// under "campaigns" — the hook the campaign subsystem uses to
-	// surface its counters in /statsz without simsvc importing it.
-	mu            sync.Mutex
-	campaignStats func() any
 }
 
 // New builds a Manager and starts its worker pool.
@@ -202,20 +198,29 @@ func New(opts Options) *Manager {
 	if opts.Workers <= 0 {
 		opts.Workers = runner.DefaultWorkers()
 	}
-	return &Manager{
+	if opts.MaxCells <= 0 {
+		opts.MaxCells = 4096
+	}
+	m := &Manager{
 		opts:     opts,
 		pool:     runner.NewPool(opts.Workers, opts.Backlog),
 		cache:    newCache(opts.CacheEntries),
-		jobs:     NewHandles("job", retainJobs, (*Job).evict),
+		jobs:     newHandles("job", retainJobs, (*Job).evict),
 		flights:  map[uint64]*flight{},
 		expSem:   make(chan struct{}, 1),
 		tenantCt: map[uint8]*tenantCounter{},
 	}
+	m.campaigns = &campaignManager{
+		jobs:     m,
+		table:    newHandles("campaign", retainCampaigns, (*campaign).evict),
+		inFlight: maxInFlight,
+	}
+	return m
 }
 
-// ErrShed is returned by Submit in shed mode when the pool backlog is
-// full: the service rejects explicitly (HTTP 429) instead of letting
-// the caller queue behind the overload. Counted in /statsz.
+// ErrShed is returned by Submit when the pool backlog is full: the
+// service rejects explicitly (HTTP 429) instead of letting the caller
+// queue behind the overload. Counted in /statsz.
 var ErrShed = errors.New("simsvc: shedding load (pool backlog full)")
 
 // ErrTenantQuota is returned by Submit when the spec's tenant already
@@ -249,7 +254,7 @@ func (m *Manager) tenantAdd(t uint8, f func(*tenantCounter)) {
 // never counted.
 func (m *Manager) tenantInFlight(t uint8) int {
 	n := 0
-	for _, job := range m.jobs.All() {
+	for _, job := range m.jobs.all() {
 		if job.Spec.Tenant != t {
 			continue
 		}
@@ -278,11 +283,11 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		}
 	}
 	identity := spec.Canonical()
-	if len(identity) > MaxBodyBytes {
+	if len(identity) > maxBodyBytes {
 		// Canonical JSON spells out every field, so a small body can
 		// canonicalize past the body cap. The identity is pinned in its
 		// cache entry, so this bounds what one entry can hold.
-		return nil, fmt.Errorf("simsvc: spec identity is %d bytes, over the %d-byte cap", len(identity), MaxBodyBytes)
+		return nil, fmt.Errorf("simsvc: spec identity is %d bytes, over the %d-byte cap", len(identity), maxBodyBytes)
 	}
 	job := &Job{
 		Spec:      spec,
@@ -301,7 +306,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		ctx, cancel := context.WithCancel(context.Background())
 		job.cancel = cancel // the job is not yet visible to Cancel
 		if err := m.pool.Submit(func() { m.run(ctx, job) }); err != nil {
-			if errors.Is(err, runner.ErrPoolSaturated) && m.opts.Shed {
+			if errors.Is(err, runner.ErrPoolSaturated) {
 				m.shedCt.Add(1)
 				err = ErrShed
 			}
@@ -316,7 +321,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	}
 	// Only an accepted job enters the table: the caller of a rejected
 	// submit never learns an ID, so a rejection must not grow it.
-	m.jobs.Add(job, &job.ID)
+	m.jobs.add(job, &job.ID)
 	return job, nil
 }
 
@@ -450,7 +455,7 @@ func (m *Manager) simulate(ctx context.Context, job *Job) (Result, error) {
 }
 
 // Job looks a job up by ID.
-func (m *Manager) Job(id string) (*Job, bool) { return m.jobs.Get(id) }
+func (m *Manager) Job(id string) (*Job, bool) { return m.jobs.get(id) }
 
 // Cancel requests cancellation of a queued or running job. A running
 // job transitions to failed (context.Canceled) at its next op boundary;
@@ -485,7 +490,7 @@ func (m *Manager) Cancel(id string) (bool, error) {
 // job's handle is evicted from the manager's table.
 func (j *Job) Wait(ctx context.Context) (JobView, error) {
 	j.mu.Lock()
-	err := WaitUntil(ctx, j.cond, func() bool { return j.status.terminal() })
+	err := waitUntil(ctx, j.cond, func() bool { return j.status.terminal() })
 	j.mu.Unlock()
 	if err != nil {
 		return JobView{}, err
@@ -521,7 +526,7 @@ func (m *Manager) StreamSamples(ctx context.Context, id string, fn func(Sample) 
 	i := 0
 	for {
 		job.mu.Lock()
-		err := WaitUntil(ctx, job.cond, func() bool {
+		err := waitUntil(ctx, job.cond, func() bool {
 			return i < len(job.samples) || job.status.terminal() || job.evicted
 		})
 		pending := job.samples[i:]
@@ -567,6 +572,7 @@ func durationAgg(m stats.Mean) DurationAgg {
 // Stats is the service's aggregate state (GET /statsz). QueueWait
 // covers every job a worker picked up (submit → start); Run covers
 // completed simulations (start → done); cache hits appear in neither.
+// Campaigns holds the campaign counters.
 type Stats struct {
 	Workers       int   `json:"workers"`
 	SampleEvery   int   `json:"sample_every"`
@@ -574,18 +580,15 @@ type Stats struct {
 	JobsRunning   int64 `json:"jobs_running"`
 	JobsCompleted int64 `json:"jobs_completed"`
 	JobsFailed    int64 `json:"jobs_failed"`
-	// JobsShed counts submits rejected by shed mode (HTTP 429); zero
-	// unless the manager runs with Options.Shed.
+	// JobsShed counts submits shed on a full backlog (HTTP 429).
 	JobsShed uint64 `json:"jobs_shed"`
 	// Coalesced counts single-flight waiters: jobs that attached to an
 	// identical in-flight computation instead of simulating.
-	Coalesced uint64      `json:"coalesced"`
-	QueueWait DurationAgg `json:"queue_wait"`
-	Run       DurationAgg `json:"run"`
-	Cache     CacheStats  `json:"cache"`
-	// Campaigns is the campaign subsystem's counters when one is
-	// attached (SetCampaignStats), absent otherwise.
-	Campaigns any `json:"campaigns,omitempty"`
+	Coalesced uint64        `json:"coalesced"`
+	QueueWait DurationAgg   `json:"queue_wait"`
+	Run       DurationAgg   `json:"run"`
+	Cache     CacheStats    `json:"cache"`
+	Campaigns CampaignStats `json:"campaigns"`
 	// Tenants are the per-tenant job counters, in tenant order, one entry
 	// per nonzero tenant class that has submitted (or been quota-rejected)
 	// since startup. Absent while every job is untenanted, so the legacy
@@ -613,7 +616,7 @@ func (m *Manager) Stats() Stats {
 	m.aggMu.Lock()
 	queueWait, runDur := m.queueWait, m.runDur
 	m.aggMu.Unlock()
-	s := Stats{
+	return Stats{
 		Workers:       m.opts.Workers,
 		SampleEvery:   m.opts.SampleEvery,
 		JobsSubmitted: m.submitted.Load(),
@@ -625,15 +628,9 @@ func (m *Manager) Stats() Stats {
 		QueueWait:     durationAgg(queueWait),
 		Run:           durationAgg(runDur),
 		Cache:         m.cache.stats(),
+		Campaigns:     m.campaigns.stats(),
+		Tenants:       m.tenantStats(),
 	}
-	m.mu.Lock()
-	campaigns := m.campaignStats
-	m.mu.Unlock()
-	if campaigns != nil {
-		s.Campaigns = campaigns()
-	}
-	s.Tenants = m.tenantStats()
-	return s
 }
 
 // tenantStats snapshots the per-tenant counters in tenant order.
@@ -666,24 +663,16 @@ func (m *Manager) tenantStats() []TenantJobStats {
 	return out
 }
 
-// Workers reports the worker-pool size, the fan-out a campaign's ETA
-// divides its remaining work across.
-func (m *Manager) Workers() int { return m.opts.Workers }
-
-// SetCampaignStats attaches the campaign subsystem's counters to
-// /statsz. fn must be safe for concurrent use.
-func (m *Manager) SetCampaignStats(fn func() any) {
-	m.mu.Lock()
-	m.campaignStats = fn
-	m.mu.Unlock()
-}
-
-// CancelAll cancels every queued and running job: each stops at its
-// next op boundary and reports failed, waking its waiters and stream
-// subscribers. Called ahead of HTTP shutdown so blocked ?wait=1 and
-// /stream handlers complete with responses instead of being cut off.
+// CancelAll cancels every live campaign and every queued and running
+// job: each job stops at its next op boundary and reports failed,
+// waking its waiters and stream subscribers. Called ahead of HTTP
+// shutdown so blocked ?wait=1 and /stream handlers complete with
+// responses instead of being cut off.
 func (m *Manager) CancelAll() {
-	for _, job := range m.jobs.All() {
+	for _, c := range m.campaigns.table.all() {
+		_, _ = m.campaigns.cancel(c.ID)
+	}
+	for _, job := range m.jobs.all() {
 		job.mu.Lock()
 		if cancel := job.cancel; cancel != nil && !job.status.terminal() {
 			cancel()
@@ -692,9 +681,9 @@ func (m *Manager) CancelAll() {
 	}
 }
 
-// Close shuts the manager down gracefully: in-flight jobs are cancelled
-// (they stop at their next op boundary and report failed), the queue
-// drains, and the workers exit.
+// Close shuts the manager down gracefully: campaigns and in-flight jobs
+// are cancelled (jobs stop at their next op boundary and report failed),
+// the queue drains, and the workers exit.
 func (m *Manager) Close() {
 	m.CancelAll()
 	m.pool.Close()

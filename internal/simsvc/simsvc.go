@@ -1,11 +1,17 @@
 // Package simsvc is the simulation-as-a-service subsystem: it turns the
 // library's deterministic what-if engine — any registered device profile
 // driven by any named workload generator — into an on-demand job service.
-// Three parts compose it:
+// Four parts compose it:
 //
 //   - a job manager (Manager): submit a JobSpec, get a job ID; jobs fan
 //     out over a bounded worker pool (internal/runner.Pool) with context
 //     cancellation, per-job status, and graceful shutdown;
+//   - campaigns, the paper's grids as first-class objects: a campaign
+//     spec is a JobSpec template plus named axes that expands into a
+//     canonically ordered cartesian product of cells (expand.go); a
+//     feeder submits the cells as jobs through the same Manager and
+//     tracks progress (campaign.go); any two axes and a result metric
+//     render as a comparison table (table.go);
 //   - a content-addressed result cache: the canonical JSON encoding of a
 //     JobSpec is FNV-hashed and completed result payloads are memoized
 //     under an LRU bound, so identical requests are served from memory
@@ -14,7 +20,8 @@
 //     device every N operations and emits core.Snapshot samples, served
 //     as NDJSON over GET /jobs/{id}/stream.
 //
-// cmd/simd wraps the HTTP handler (see Manager.Handler) in a server.
+// One Manager owns all of it; cmd/simd wraps its HTTP handler (see
+// Manager.Handler) in a server.
 package simsvc
 
 import (
@@ -189,7 +196,7 @@ type JobSpec struct {
 
 // Validate checks that the spec names things that exist and that its
 // knobs are in range, so bad requests fail at submit, not on a worker.
-// The campaign subsystem also calls it per expanded cell, so a bad axis
+// Campaign expansion also calls it per expanded cell, so a bad axis
 // value rejects the whole campaign before anything is enqueued.
 func (s *JobSpec) Validate() error {
 	prof, err := core.ProfileByName(s.Profile)

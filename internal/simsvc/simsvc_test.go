@@ -365,8 +365,8 @@ func TestStreamEvictionReleasesWaiter(t *testing.T) {
 	// A second live job keeps the table over its bound, so the next Add
 	// has an excess to shed.
 	job, other := live(), live()
-	m.jobs.Add(job, &job.ID)
-	m.jobs.Add(other, &other.ID)
+	m.jobs.add(job, &job.ID)
+	m.jobs.add(other, &other.ID)
 
 	streamErr := make(chan error, 1)
 	go func() {
@@ -379,7 +379,7 @@ func TestStreamEvictionReleasesWaiter(t *testing.T) {
 	job.status = StatusFailed // terminal, so eviction may take it
 	job.mu.Unlock()
 	third := live()
-	m.jobs.Add(third, &third.ID)
+	m.jobs.add(third, &third.ID)
 	if _, ok := m.Job(job.ID); ok {
 		t.Fatal("job not evicted")
 	}
@@ -791,7 +791,7 @@ func TestJobTimestampsAndAggregates(t *testing.T) {
 }
 
 // oversizedBody is a syntactically valid JSON object whose one string
-// field runs past MaxBodyBytes, so only the size cap can reject it.
+// field runs past maxBodyBytes, so only the size cap can reject it.
 func oversizedBody(field string) *strings.Reader {
 	return strings.NewReader(`{"` + field + `":"` + strings.Repeat("x", 2<<20) + `"}`)
 }
@@ -824,6 +824,75 @@ func TestOversizedBodiesRejected(t *testing.T) {
 	}
 }
 
+// TestExperimentRequests pins POST /experiments/{name}: the body is
+// decoded strictly, an omitted seed runs seed 1, a repeat is served
+// byte-identically from the cache, and an explicit seed 0 is a run of
+// its own.
+func TestExperimentRequests(t *testing.T) {
+	m := New(Options{Workers: 1})
+	defer m.Close()
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	post := func(body string) []byte {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/experiments/swtf", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %d: %s", body, resp.StatusCode, b)
+		}
+		return b
+	}
+	seedOf := func(payload []byte) int64 {
+		t.Helper()
+		var res ExperimentResult
+		if err := json.Unmarshal(payload, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Report == "" || res.Error != "" {
+			t.Fatalf("experiment result: %+v", res)
+		}
+		return res.Seed
+	}
+
+	resp, err := http.Post(srv.URL+"/experiments/swtf", "application/json", strings.NewReader(`{"sed": 7}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "unknown field") {
+		t.Fatalf(`POST {"sed": 7}: %d: %s, want 400 naming the unknown field`, resp.StatusCode, b)
+	}
+	if st := m.Stats().Cache; st.Entries != 0 || st.Misses != 0 {
+		t.Fatalf("a rejected request ran an experiment: cache %+v", st)
+	}
+
+	omitted := post(`{}`)
+	if seed := seedOf(omitted); seed != 1 {
+		t.Fatalf("omitted seed ran seed %d, want 1", seed)
+	}
+	for _, body := range []string{`{}`, `{"seed": 1}`} {
+		if again := post(body); !bytes.Equal(again, omitted) {
+			t.Fatalf("POST %s differs from the first run:\n%s\n%s", body, again, omitted)
+		}
+	}
+	if st := m.Stats().Cache; st.Hits != 2 || st.Entries != 1 {
+		t.Fatalf("repeats not served from the cache: %+v", st)
+	}
+
+	zero := post(`{"seed": 0}`)
+	if seed := seedOf(zero); seed != 0 {
+		t.Fatalf(`{"seed": 0} ran seed %d`, seed)
+	}
+	if st := m.Stats().Cache; st.Entries != 2 || st.Hits != 2 {
+		t.Fatalf("seed 0 shared the omitted seed's entry: %+v", st)
+	}
+}
+
 // TestCapacityCap: a spec asking for more than maxCapacityBytes of
 // device or workload capacity is rejected at submit. Uncapped, each of
 // these bodies builds a 1 PiB FTL or file-system bitmap on a worker and
@@ -839,7 +908,7 @@ func TestCapacityCap(t *testing.T) {
 		fmt.Sprintf(`{"profile":"ssd","workload":"postmark","params":{"transactions":10,"capacity_bytes":4194304},"tenants":[{"tenant":1,"params":{"transactions":10,"capacity_bytes":%d}}]}`, int64(maxCapacityBytes+1)),
 	}
 	for _, body := range over {
-		spec, err := DecodeJSON[JobSpec](strings.NewReader(body))
+		spec, err := decodeJSON[JobSpec](strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("%s: decode: %v", body, err)
 		}
@@ -849,7 +918,7 @@ func TestCapacityCap(t *testing.T) {
 	}
 	atCap := fmt.Sprintf(`{"profile":"ssd","workload":"postmark","params":{"transactions":10,"capacity_bytes":%d},"options":{"capacity_bytes":%d}}`,
 		int64(maxCapacityBytes), int64(maxCapacityBytes))
-	if spec, err := DecodeJSON[JobSpec](strings.NewReader(atCap)); err != nil || spec.Validate() != nil {
+	if spec, err := decodeJSON[JobSpec](strings.NewReader(atCap)); err != nil || spec.Validate() != nil {
 		t.Fatalf("a spec at the cap must be accepted: decode %v, validate %v", err, spec.Validate())
 	}
 
@@ -945,10 +1014,10 @@ func TestSingleFlightCoalesce(t *testing.T) {
 	}
 }
 
-// TestShedMode pins the shed satellite: with Options.Shed, a full
-// backlog rejects with a counted ErrShed (HTTP 429) instead of 503.
+// TestShedMode pins the one overload answer: a submit past a full
+// backlog is shed with a counted ErrShed (HTTP 429).
 func TestShedMode(t *testing.T) {
-	m := New(Options{Workers: 1, Backlog: 1, Shed: true})
+	m := New(Options{Workers: 1, Backlog: 1})
 	defer m.Close()
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
@@ -975,7 +1044,7 @@ func TestShedMode(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("saturated submit in shed mode: %d %s, want 429", resp.StatusCode, b)
+		t.Fatalf("saturated submit: %d %s, want 429", resp.StatusCode, b)
 	}
 	if got := m.Stats().JobsShed; got != 1 {
 		t.Fatalf("jobs_shed = %d, want 1", got)

@@ -1,11 +1,10 @@
-package campaign
+package simsvc
 
 import (
 	"encoding/json"
 	"fmt"
 	"strings"
 
-	"ossd/internal/simsvc"
 	"ossd/internal/stats"
 )
 
@@ -36,7 +35,7 @@ func metricValue(result []byte, path string) (float64, error) {
 }
 
 // coord returns the cell's value on the named axis.
-func coord(cr CellResult, axis string) (string, bool) {
+func coord(cr cellResult, axis string) (string, bool) {
 	for _, c := range cr.Coords {
 		if c.Name == axis {
 			return c.Value, true
@@ -45,19 +44,41 @@ func coord(cr CellResult, axis string) (string, bool) {
 	return "", false
 }
 
-// Table renders a comparison of metric across two axes as a stats.Grid:
-// rows axis values down, cols axis values across, each cell the metric
-// of the done cells at that coordinate pair (averaged when further axes
-// leave more than one cell per pair). Row and column labels appear in
-// first-seen order over cells in deterministic cell order, which is
-// exactly the axes' declared value order. The same function backs
-// GET /campaigns/{id}/table and cmd/repro's client-side rendering, so
-// both surfaces share one implementation; both default rows, cols and
-// metric through ResolveTableAxes first.
-func Table(title string, cells []CellResult, rows, cols, metric string) (*stats.Grid, error) {
+// resolveTableAxes applies GET /campaigns/{id}/table's defaulting:
+// empty rows/cols fall back to the campaign's first two axes, an empty
+// metric to write_mbps.
+func resolveTableAxes(axes []string, rows, cols, metric string) (string, string, string, error) {
 	if rows == "" || cols == "" {
-		return nil, fmt.Errorf("campaign: table needs rows and cols axes")
+		if len(axes) < 2 {
+			return "", "", "", fmt.Errorf("campaign: table needs two axes (campaign has %d); pass rows= and cols=", len(axes))
+		}
+		if rows == "" {
+			rows = axes[0]
+		}
+		if cols == "" {
+			for _, ax := range axes {
+				if ax != rows {
+					cols = ax
+					break
+				}
+			}
+		}
 	}
+	if metric == "" {
+		metric = "write_mbps"
+	}
+	return rows, cols, metric, nil
+}
+
+// campaignTable renders GET /campaigns/{id}/table, a comparison of
+// metric across two axes, as a stats.Grid: rows axis values down, cols
+// axis values across, each cell the metric of the done cells at that
+// coordinate pair (averaged when further axes leave more than one cell
+// per pair). Row and column labels appear in first-seen order over
+// cells in deterministic cell order, which is exactly the axes'
+// declared value order. rows and cols come through resolveTableAxes,
+// so neither is empty.
+func campaignTable(title string, cells []cellResult, rows, cols, metric string) (*stats.Grid, error) {
 	if rows == cols {
 		return nil, fmt.Errorf("campaign: rows and cols are both %q", rows)
 	}
@@ -75,7 +96,7 @@ func Table(title string, cells []CellResult, rows, cols, metric string) (*stats.
 			return nil, fmt.Errorf("campaign: no axis %q (have %s)", missing, coordString(cr.Coords))
 		}
 		switch {
-		case cr.Status == simsvc.StatusDone && len(cr.Result) > 0:
+		case cr.Status == StatusDone && len(cr.Result) > 0:
 			v, err := metricValue(cr.Result, metric)
 			if err != nil {
 				// A metric that resolves on no cell is a caller error;
@@ -86,7 +107,7 @@ func Table(title string, cells []CellResult, rows, cols, metric string) (*stats.
 				continue
 			}
 			g.Add(r, c, v)
-		case cr.Status == simsvc.StatusFailed:
+		case cr.Status == StatusFailed:
 			failed++
 		default:
 			pending++
