@@ -8,6 +8,7 @@ import (
 
 	"ossd/internal/sim"
 	"ossd/internal/trace"
+	"ossd/internal/workload"
 )
 
 // stormStream emits n writes all timestamped zero: the open-loop arrival
@@ -293,14 +294,13 @@ func TestDriveUnboundedUnchanged(t *testing.T) {
 
 // TestClosedLoopAllocs pins what closed-loop replay allocates per op on
 // each kind. Every medium completes in Submit's own (resp, err) shape,
-// so no kind pays an adapter per op: the SSD pools its requests (0);
-// disk and MEMS allocate one request record; the OSD its range list,
-// join record and join callback; RAID its request, one spindle callback,
-// its sub-op plan (three slice growths for a 4-op parity update) and
-// four disk requests.
+// so no kind pays an adapter per op, and every medium pools its per-op
+// records: the SSD, disk and MEMS their requests; RAID its requests
+// (each with its spindle callback bound once) and a per-array sub-op
+// plan; the OSD its join records with their range lists. Replay
+// allocates nothing per op on any kind.
 func TestClosedLoopAllocs(t *testing.T) {
 	const ops = 2000
-	want := map[string]float64{"ssd": 0, "hdd": 1, "mems": 1, "raid": 9, "osd": 3}
 	for _, kind := range []string{"ssd", "hdd", "mems", "raid", "osd"} {
 		d, err := Open(kind)
 		if err != nil {
@@ -323,8 +323,52 @@ func TestClosedLoopAllocs(t *testing.T) {
 		})
 		// The loop's own closures are a fixed cost per run, far below one
 		// per op, so flooring leaves the per-op cost.
-		if got := math.Floor(perRun / ops); got != want[kind] {
-			t.Errorf("%s: %v allocs/op (%.0f per %d-op run), want %v", kind, got, perRun, ops, want[kind])
+		if got := math.Floor(perRun / ops); got != 0 {
+			t.Errorf("%s: %v allocs/op (%.0f per %d-op run), want 0", kind, got, perRun, ops)
 		}
+	}
+}
+
+// TestAlignedDriveAllocs pins the §3.4 aligned replay path — the
+// synthetic generator, AlignStream, Shift and Drive on the base SSD — at
+// zero allocations per op. Every stage reuses its records, so what a run
+// allocates is its fixed setup (generator, aligner, stream wrappers,
+// drive loop, the aligner's output slice growing to its largest refill),
+// which must not grow with the stream: a per-op allocation anywhere on
+// the path costs thousands per run.
+func TestAlignedDriveAllocs(t *testing.T) {
+	const ops, perRunBudget = 4000, 64
+	d, err := Open("ssd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frac = 0.6
+	if err := PreconditionFrac(d, 1<<20, frac); err != nil {
+		t.Fatal(err)
+	}
+	space := int64(float64(d.LogicalBytes())*frac) / 4096 * 4096
+	seed := int64(0)
+	perRun := testing.AllocsPerRun(5, func() {
+		seed++
+		gen, err := workload.NewStream("synthetic", workload.GenParams{
+			Ops: ops, CapacityBytes: space, ReadFrac: 0.3, SeqProb: 0.5,
+			MeanInterarrivalUs: 200, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := trace.AlignStream(gen, 32<<10, trace.AlignOptions{MaxGap: 6 * sim.Millisecond, ReadBarrier: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Drive(trace.Shift(s, d.Engine().Now())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := math.Floor(perRun / ops); got != 0 {
+		t.Errorf("%v allocs/op (%.0f per %d-op run), want 0", got, perRun, ops)
+	}
+	if perRun > perRunBudget {
+		t.Errorf("%.0f allocs per %d-op run, want at most %d (fixed setup only)", perRun, ops, perRunBudget)
 	}
 }

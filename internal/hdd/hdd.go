@@ -105,6 +105,9 @@ type Disk struct {
 	// first drainDoneEvent runs — so this is a (tiny) FIFO, not a single
 	// slot. Steady state reuses the slice's capacity.
 	draining []cacheEntry
+	// freeReqs pools completed requests, so steady-state submission
+	// allocates nothing.
+	freeReqs sched.Pool[request]
 
 	met Metrics
 }
@@ -117,7 +120,8 @@ type request struct {
 	// disk lets the pooled engine callbacks reach the model without a
 	// closure per event.
 	disk *Disk
-	// qn is the request's dispatch-queue record while it waits.
+	// qn is the request's dispatch-queue record while it waits, and its
+	// free-list link once it has completed.
 	qn sched.Node[request]
 }
 
@@ -256,7 +260,11 @@ func (d *Disk) Submit(op trace.Op, onDone func(resp sim.Time, err error)) error 
 	if op.End() > d.cfg.CapacityBytes {
 		return fmt.Errorf("hdd: request [%d, +%d) beyond capacity", op.Offset, op.Size)
 	}
-	req := &request{Op: op, Arrive: d.eng.Now(), onDone: onDone, disk: d}
+	req := d.freeReqs.Get()
+	if req == nil {
+		req = &request{disk: d}
+	}
+	req.Op, req.Arrive, req.onDone = op, d.eng.Now(), onDone
 	switch op.Kind {
 	case trace.Free:
 		d.finish(req)
@@ -301,8 +309,9 @@ func finishEvent(a any) {
 // complete the request and pump the dispatch loop.
 func servedEvent(a any) {
 	req := a.(*request)
-	req.disk.finish(req)
-	req.disk.drv.Pump()
+	d := req.disk // finish pools req
+	d.finish(req)
+	d.drv.Pump()
 }
 
 // drainDoneEvent is the pooled engine callback for a finished cache
@@ -317,12 +326,16 @@ func drainDoneEvent(a any) {
 	d.drv.Pump()
 }
 
+// finish completes a request and pools it: the record dies after
+// onDone, which may already have submitted the next request.
 func (d *Disk) finish(req *request) {
 	resp := d.eng.Now() - req.Arrive
 	d.met.Record(req.Op, resp.Millis())
 	if req.onDone != nil {
 		req.onDone(resp, nil)
 	}
+	req.onDone = nil
+	d.freeReqs.Put(&req.qn, req)
 }
 
 // serve starts one queued media access (the driver dispatches reads and

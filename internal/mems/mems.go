@@ -67,7 +67,8 @@ type request struct {
 	// dev lets the pooled engine callback reach the model without a
 	// closure per event.
 	dev *Device
-	// qn is the request's dispatch-queue record while it waits.
+	// qn is the request's dispatch-queue record while it waits, and its
+	// free-list link once it has completed.
 	qn sched.Node[request]
 }
 
@@ -84,7 +85,10 @@ type Device struct {
 	lastEnd int64 // for sequential detection
 	q       *sched.Queue[request]
 	drv     *sched.Driver[request]
-	met     Metrics
+	// freeReqs pools completed requests, so steady-state submission
+	// allocates nothing.
+	freeReqs sched.Pool[request]
+	met      Metrics
 }
 
 // sled is the element set of every access: the one media sled.
@@ -154,7 +158,11 @@ func (d *Device) Submit(op trace.Op, onDone func(resp sim.Time, err error)) erro
 	if op.End() > d.cfg.CapacityBytes {
 		return fmt.Errorf("mems: request [%d, +%d) beyond capacity", op.Offset, op.Size)
 	}
-	req := &request{Op: op, Arrive: d.eng.Now(), onDone: onDone, dev: d}
+	req := d.freeReqs.Get()
+	if req == nil {
+		req = &request{dev: d}
+	}
+	req.Op, req.Arrive, req.onDone = op, d.eng.Now(), onDone
 	if op.Kind == trace.Free {
 		d.finish(req)
 		return nil
@@ -171,8 +179,9 @@ func (d *Device) QueueDepth() int { return d.q.Len() }
 // complete the request and pump the dispatch loop.
 func servedEvent(a any) {
 	req := a.(*request)
-	req.dev.finish(req)
-	req.dev.drv.Pump()
+	d := req.dev // finish pools req
+	d.finish(req)
+	d.drv.Pump()
 }
 
 // serve starts one access on the sled.
@@ -182,10 +191,14 @@ func (d *Device) serve(req *request, now sim.Time) {
 	d.eng.Call(dur, servedEvent, req)
 }
 
+// finish completes a request and pools it: the record dies after
+// onDone, which may already have submitted the next request.
 func (d *Device) finish(req *request) {
 	resp := d.eng.Now() - req.Arrive
 	d.met.Record(req.Op, resp.Millis())
 	if req.onDone != nil {
 		req.onDone(resp, nil)
 	}
+	req.onDone = nil
+	d.freeReqs.Put(&req.qn, req)
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"ossd/internal/fsmodel"
+	"ossd/internal/sched"
 	"ossd/internal/sim"
 	"ossd/internal/ssd"
 	"ossd/internal/trace"
@@ -93,6 +94,9 @@ type Store struct {
 	objs    map[ObjectID]*object
 	next    ObjectID
 	stats   Stats
+	// freeJoins pools completed join records with their range lists, so
+	// steady-state I/O allocates nothing.
+	freeJoins sched.Pool[pendingRanges]
 }
 
 // New builds a store over a device. The allocation unit is the device's
@@ -233,10 +237,11 @@ func (s *Store) ensure(o *object, end int64) error {
 	return nil
 }
 
-// ranges maps an object byte range to device byte ranges, in order.
-func (o *object) ranges(base, unit, off, size int64) ([][2]int64, error) {
+// ranges maps an object byte range to device byte ranges, in order,
+// reusing out's storage.
+func (o *object) ranges(out [][2]int64, base, unit, off, size int64) ([][2]int64, error) {
 	end := off + size
-	var out [][2]int64
+	out = out[:0]
 	for i, e := range o.extents {
 		eStart := o.starts[i]
 		eLen := e.Count * unit
@@ -264,46 +269,76 @@ func (o *object) ranges(base, unit, off, size int64) ([][2]int64, error) {
 	return out, nil
 }
 
-// submitRanges issues one device op per contiguous device range and
-// calls done once all complete, with the time since the call and the
-// first error.
-func (s *Store) submitRanges(kind trace.Kind, ranges [][2]int64, pri bool, tenant uint8, done func(resp sim.Time, err error)) {
-	if len(ranges) == 0 {
+// mapRanges takes a pooled join record and fills its range list with
+// the device ranges backing object bytes [off, off+size).
+func (s *Store) mapRanges(o *object, off, size int64) (*pendingRanges, error) {
+	p := s.freeJoins.Get()
+	if p == nil {
+		p = &pendingRanges{store: s}
+		p.part = p.onPart
+	}
+	var err error
+	p.ranges, err = o.ranges(p.ranges, s.regions[o.region].base, s.unit, off, size)
+	if err != nil {
+		s.freeJoins.Put(&p.pn, p)
+		return nil, err
+	}
+	return p, nil
+}
+
+// submitRanges issues one device op per range of p and calls done once
+// all complete, with the time since the call and the first error.
+func (s *Store) submitRanges(kind trace.Kind, p *pendingRanges, pri bool, tenant uint8, done func(resp sim.Time, err error)) {
+	if len(p.ranges) == 0 {
+		s.freeJoins.Put(&p.pn, p)
 		if done != nil {
 			done(0, nil)
 		}
 		return
 	}
-	eng := s.dev.Engine()
-	p := &pendingRanges{eng: eng, start: eng.Now(), left: len(ranges), done: done}
-	part := p.part // one callback for every range
-	for _, r := range ranges {
+	p.start, p.left, p.done = s.dev.Engine().Now(), len(p.ranges), done
+	// p stays unpooled until its last range completes, and that happens
+	// at the earliest inside the last Submit, so the list is stable here.
+	for _, r := range p.ranges {
 		op := trace.Op{Kind: kind, Offset: r[0], Size: r[1], Priority: pri, Tenant: tenant}
-		if err := s.dev.Submit(op, part); err != nil {
-			p.part(0, err)
+		if err := s.dev.Submit(op, p.part); err != nil {
+			p.onPart(0, err)
 		}
 	}
 }
 
 // pendingRanges joins the device completions of one multi-range store
-// call into the caller's single completion.
+// call into the caller's single completion. The store pools it with its
+// range list; it dies after done, as a device request dies after its
+// onDone.
 type pendingRanges struct {
-	eng   *sim.Engine
-	start sim.Time
-	left  int
-	err   error
-	done  func(resp sim.Time, err error)
+	store  *Store
+	ranges [][2]int64
+	start  sim.Time
+	left   int
+	err    error
+	done   func(resp sim.Time, err error)
+	// part is onPart bound once, when the record is first allocated: the
+	// one callback for every range.
+	part func(sim.Time, error)
+	pn   sched.Node[pendingRanges]
 }
 
-// part records one range's completion; the last one fires done.
-func (p *pendingRanges) part(_ sim.Time, err error) {
+// onPart records one range's completion; the last one fires done and
+// pools the record.
+func (p *pendingRanges) onPart(_ sim.Time, err error) {
 	if err != nil && p.err == nil {
 		p.err = err
 	}
 	p.left--
-	if p.left == 0 && p.done != nil {
-		p.done(p.eng.Now()-p.start, p.err)
+	if p.left != 0 {
+		return
 	}
+	if p.done != nil {
+		p.done(p.store.dev.Engine().Now()-p.start, p.err)
+	}
+	p.done, p.err = nil, nil
+	p.store.freeJoins.Put(&p.pn, p)
 }
 
 // Reserve grows an object's allocation and logical size to cover
@@ -360,7 +395,7 @@ func (s *Store) WriteAs(id ObjectID, off, size int64, tenant uint8, done func(re
 	if err := s.ensure(o, off+size); err != nil {
 		return err
 	}
-	ranges, err := o.ranges(s.regions[o.region].base, s.unit, off, size)
+	p, err := s.mapRanges(o, off, size)
 	if err != nil {
 		return err
 	}
@@ -368,7 +403,7 @@ func (s *Store) WriteAs(id ObjectID, off, size int64, tenant uint8, done func(re
 		o.size = off + size
 	}
 	s.stats.BytesWritten += size
-	s.submitRanges(trace.Write, ranges, o.attrs.Priority, tenant, done)
+	s.submitRanges(trace.Write, p, o.attrs.Priority, tenant, done)
 	return nil
 }
 
@@ -392,12 +427,12 @@ func (s *Store) ReadAs(id ObjectID, off, size int64, tenant uint8, done func(res
 	if off < 0 || size <= 0 || off+size > o.size {
 		return fmt.Errorf("%w: read [%d, +%d) of %d-byte object", ErrBadRange, off, size, o.size)
 	}
-	ranges, err := o.ranges(s.regions[o.region].base, s.unit, off, size)
+	p, err := s.mapRanges(o, off, size)
 	if err != nil {
 		return err
 	}
 	s.stats.BytesRead += size
-	s.submitRanges(trace.Read, ranges, o.attrs.Priority, tenant, done)
+	s.submitRanges(trace.Read, p, o.attrs.Priority, tenant, done)
 	return nil
 }
 
@@ -414,12 +449,12 @@ func (s *Store) FreeRange(id ObjectID, off, size int64, done func(resp sim.Time,
 	if off < 0 || size <= 0 || off+size > o.size {
 		return fmt.Errorf("%w: free [%d, +%d) of %d-byte object", ErrBadRange, off, size, o.size)
 	}
-	ranges, err := o.ranges(s.regions[o.region].base, s.unit, off, size)
+	p, err := s.mapRanges(o, off, size)
 	if err != nil {
 		return err
 	}
 	s.stats.FreedBytes += size
-	s.submitRanges(trace.Free, ranges, o.attrs.Priority, o.attrs.Tenant, done)
+	s.submitRanges(trace.Free, p, o.attrs.Priority, o.attrs.Tenant, done)
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"ossd/internal/hdd"
+	"ossd/internal/sched"
 	"ossd/internal/sim"
 	"ossd/internal/stats"
 	"ossd/internal/trace"
@@ -50,13 +51,18 @@ type Metrics struct {
 }
 
 // request is one host request in flight: left counts the spindle
-// operations it still waits for.
+// operations it still waits for. Completed requests are pooled.
 type request struct {
 	Op     trace.Op
 	Arrive sim.Time
 	onDone func(resp sim.Time, err error)
 	array  *Array
 	left   int
+	// subDoneFn is subDone bound to this record once, when it is first
+	// allocated, so pooled reuse creates no method value per request.
+	subDoneFn func(sim.Time, error)
+	// qn links the record into the array's pool while idle.
+	qn sched.Node[request]
 }
 
 // subDone is the completion callback of every spindle operation of the
@@ -74,6 +80,13 @@ type Array struct {
 	eng   *sim.Engine
 	disks []*hdd.Disk
 	met   Metrics
+	// freeReqs pools completed requests, so steady-state submission
+	// allocates nothing.
+	freeReqs sched.Pool[request]
+	// subs is the plan scratch: Submit plans into it and hands every
+	// sub-op to its disk before returning, and a disk completes reads and
+	// writes only from engine events, so no plan outlives its Submit.
+	subs []subOp
 }
 
 // New builds the array on one engine.
@@ -146,7 +159,7 @@ func (a *Array) plan(op trace.Op) []subOp {
 	u := a.cfg.StripeUnitBytes
 	n := int64(a.cfg.Disks)
 	end := op.End()
-	var subs []subOp
+	subs := a.subs[:0]
 	// Group touched units by row so full-row writes skip the RMW reads.
 	firstUnit := op.Offset / u
 	lastUnit := (end - 1) / u
@@ -196,6 +209,7 @@ func (a *Array) plan(op trace.Op) []subOp {
 			subs = append(subs, subOp{parity, trace.Op{Kind: trace.Write, Offset: diskOff, Size: u}})
 		}
 	}
+	a.subs = subs
 	return subs
 }
 
@@ -210,7 +224,12 @@ func (a *Array) Submit(op trace.Op, onDone func(resp sim.Time, err error)) error
 	if op.End() > a.LogicalBytes() {
 		return fmt.Errorf("raid: request [%d, +%d) beyond capacity", op.Offset, op.Size)
 	}
-	req := &request{Op: op, Arrive: a.eng.Now(), onDone: onDone, array: a}
+	req := a.freeReqs.Get()
+	if req == nil {
+		req = &request{array: a}
+		req.subDoneFn = req.subDone
+	}
+	req.Op, req.Arrive, req.onDone = op, a.eng.Now(), onDone
 	if op.Kind == trace.Free {
 		a.finish(req)
 		return nil
@@ -227,7 +246,6 @@ func (a *Array) Submit(op trace.Op, onDone func(resp sim.Time, err error)) error
 		subs[i].op.Tenant = op.Tenant
 	}
 	req.left = len(subs)
-	subDone := req.subDone // one callback for every spindle operation
 	for _, s := range subs {
 		switch s.op.Kind {
 		case trace.Read:
@@ -235,19 +253,23 @@ func (a *Array) Submit(op trace.Op, onDone func(resp sim.Time, err error)) error
 		case trace.Write:
 			a.met.DiskBytesWritten += s.op.Size
 		}
-		if err := a.disks[s.disk].Submit(s.op, subDone); err != nil {
+		if err := a.disks[s.disk].Submit(s.op, req.subDoneFn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// finish completes a request and pools it: the record dies after
+// onDone, which may already have submitted the next request.
 func (a *Array) finish(req *request) {
 	resp := a.eng.Now() - req.Arrive
 	a.met.Record(req.Op, resp.Millis())
 	if req.onDone != nil {
 		req.onDone(resp, nil)
 	}
+	req.onDone = nil
+	a.freeReqs.Put(&req.qn, req)
 }
 
 // WriteAmplification reports spindle write bytes per host write byte.

@@ -21,11 +21,14 @@ type Driver[T any] struct {
 	serve func(req *T, now sim.Time)
 	pre   func(now sim.Time) bool
 	post  func(now sim.Time) bool
+	// pumpEv is pumpEvent[T] as a value, taken once: inside generic code
+	// each evaluation of an instantiated function value allocates.
+	pumpEv func(any)
 }
 
 // NewDriver builds a driver pumping q on eng, dispatching through serve.
 func NewDriver[T any](eng *sim.Engine, q *Queue[T], serve func(req *T, now sim.Time)) *Driver[T] {
-	return &Driver[T]{eng: eng, q: q, serve: serve}
+	return &Driver[T]{eng: eng, q: q, serve: serve, pumpEv: pumpEvent[T]}
 }
 
 // SetHooks installs the pre- and post-dispatch hooks (either may be nil).
@@ -43,7 +46,7 @@ func pumpEvent[T any](a any) { a.(*Driver[T]).Pump() }
 // event path. Media models use it wherever device-initiated work (a
 // cleaning pass, a cache drain) ends at a known future time.
 func (d *Driver[T]) PumpAfter(delay sim.Time) {
-	d.eng.Call(delay, pumpEvent[T], d)
+	d.eng.Call(delay, d.pumpEv, d)
 }
 
 // Pump advances the device state machine: pre-dispatch work, then as many

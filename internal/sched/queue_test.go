@@ -451,6 +451,20 @@ func TestQueuePopAllocFree(t *testing.T) {
 	}
 }
 
+// TestDriverPumpAfterAllocFree pins PumpAfter, the way a cleaning pass
+// or a cache drain returns to dispatch, at zero allocations per call.
+func TestDriverPumpAfterAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	drv := NewDriver(eng, newQueue(FCFS, 1), func(*treq, sim.Time) {})
+	allocs := testing.AllocsPerRun(1000, func() {
+		drv.PumpAfter(1)
+		eng.Run()
+	})
+	if allocs > 0 {
+		t.Fatalf("PumpAfter allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 // TestQueueWideClasses covers element sets on a queue wider than 64
 // elements, which intern by bitset bytes instead of a uint64 mask: one
 // set listed in two orders is one class, and elements past 64 park and

@@ -29,6 +29,8 @@ type aligner struct {
 	pendingOff   int64
 	pendingEnd   int64
 
+	// out collects emitted ops until the consumer empties it; a stream
+	// truncates it to [:0] between refills so its capacity is reused.
 	out []Op
 }
 
@@ -160,27 +162,14 @@ func (a *aligner) flush() {
 	a.pendingValid = false
 }
 
-// finish flushes the buffer and returns the transformed trace. The
-// aligner is reusable afterwards.
-func (a *aligner) finish() []Op {
-	a.flush()
-	return a.take()
-}
-
-// take hands the accumulated output to the caller and resets it.
-func (a *aligner) take() []Op {
-	out := a.out
-	a.out = nil
-	return out
-}
-
 // alignStream runs an aligner incrementally over a source stream. The
 // only state beyond the source is the aligner's single pending range and
-// the handful of ops the last push emitted.
+// the handful of ops the last push emitted, which Next hands out from
+// the aligner's output slice before reusing it for the next refill — so
+// steady-state pulls allocate nothing.
 type alignStream struct {
 	src  Stream
 	a    *aligner
-	buf  []Op
 	pos  int
 	err  error
 	done bool
@@ -195,34 +184,35 @@ func (s *alignStream) Err() error {
 
 func (s *alignStream) Next() (Op, bool) {
 	for {
-		if s.pos < len(s.buf) {
-			op := s.buf[s.pos]
+		if out := s.a.out; s.pos < len(out) {
+			op := out[s.pos]
 			s.pos++
 			return op, true
 		}
 		if s.done {
 			return Op{}, false
 		}
+		// Every op of the last refill is consumed: empty the output
+		// before the next push or the end-of-stream flush appends to it.
 		s.pos = 0
+		s.a.out = s.a.out[:0]
 		op, ok := s.src.Next()
 		if !ok {
 			s.done = true
 			if Err(s.src) != nil {
 				// The source failed mid-stream: discard the buffered
 				// writes rather than emitting them as a clean ending.
-				s.buf = nil
 				return Op{}, false
 			}
-			s.buf = s.a.finish()
+			s.a.flush()
 			continue
 		}
 		if err := s.a.push(op); err != nil {
+			// push validates before it emits, so the output is empty.
 			s.err = err
 			s.done = true
-			s.buf = nil
 			return Op{}, false
 		}
-		s.buf = s.a.take()
 	}
 }
 

@@ -32,7 +32,8 @@ func AlignWith(ops []Op, stripe int64, opts AlignOptions) ([]Op, error) {
 			return nil, err
 		}
 	}
-	return a.finish(), nil
+	a.flush()
+	return a.out, nil
 }
 
 // Summarize scans a trace.

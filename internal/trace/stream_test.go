@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -237,6 +238,171 @@ func TestAlignStreamMatchesAlignWith(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("stream align diverged: %d vs %d ops", len(want), len(got))
+	}
+}
+
+// randomAlignInput builds a trace that exercises every aligner path:
+// contiguous write runs (merged), overlapping rewrites and jumps
+// (flushed), sub-page sizes (unaligned heads and tails), priority
+// changes, reads and frees that may or may not touch the buffer, and
+// arrival gaps on both sides of the MaxGap used by the sweep.
+func randomAlignInput(rng *sim.RNG, n int) []Op {
+	ops := make([]Op, 0, n)
+	var at sim.Time
+	next := int64(0)
+	for i := 0; i < n; i++ {
+		at += sim.Time(rng.Intn(20)) * sim.Microsecond
+		off := rng.Int63n(64) * 4096
+		if rng.Bool(0.5) {
+			off = next // continue the previous op
+		}
+		size := 4096 * (rng.Int63n(4) + 1)
+		if rng.Bool(0.25) {
+			size = 512 * (rng.Int63n(8) + 1)
+		}
+		kind := Write
+		switch r := rng.Float64(); {
+		case r < 0.15:
+			kind = Read
+		case r < 0.22:
+			kind = Free
+		}
+		ops = append(ops, Op{At: at, Kind: kind, Offset: off, Size: size, Priority: rng.Bool(0.1)})
+		next = off + size
+	}
+	return ops
+}
+
+// alignPrefix is what a stream over in must emit when it stops right
+// after pushing in[:k] without the end-of-stream flush: a source error
+// or an invalid in[k]. It also reports whether the last push emitted
+// ops and whether the buffer still held data afterwards.
+func alignPrefix(t *testing.T, in []Op, k int, stripe int64, opts AlignOptions) (out []Op, lastEmitted, buffered bool) {
+	t.Helper()
+	a, err := newAligner(stripe, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range in[:k] {
+		before := len(a.out)
+		if err := a.push(o); err != nil {
+			t.Fatal(err)
+		}
+		lastEmitted = i == k-1 && len(a.out) > before
+	}
+	return a.out, lastEmitted, a.pendingValid
+}
+
+// failAfter yields its ops, then ends with err.
+type failAfter struct {
+	ops []Op
+	err error
+}
+
+func (f *failAfter) Next() (Op, bool) {
+	if len(f.ops) == 0 {
+		return Op{}, false
+	}
+	op := f.ops[0]
+	f.ops = f.ops[1:]
+	return op, true
+}
+
+func (f *failAfter) Err() error {
+	if len(f.ops) == 0 {
+		return f.err
+	}
+	return nil
+}
+
+// collectAll drains s and checks that an exhausted stream stays
+// exhausted.
+func collectAll(t *testing.T, s Stream) []Op {
+	t.Helper()
+	got := Collect(s)
+	if _, ok := s.Next(); ok {
+		t.Fatal("exhausted align stream yielded another op")
+	}
+	return got
+}
+
+// sameOps compares traces, treating nil and empty alike.
+func sameOps(a, b []Op) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+func TestAlignStreamMatchesAlignWithRandomized(t *testing.T) {
+	// The stream reuses one output slice across refills; any slip in when
+	// it empties that slice re-emits or drops ops, which only a sweep
+	// over where the trace ends relative to the buffer reliably exposes.
+	errSrc := errors.New("source failed")
+	var lastEmits, lastBuffers, cases int
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := sim.NewRNG(seed)
+		in := randomAlignInput(rng, rng.Intn(300))
+		stripe := []int64{4096, 16 << 10, 32 << 10}[seed%3]
+		for _, opts := range []AlignOptions{
+			{},
+			{MaxGap: 10 * sim.Microsecond},
+			{ReadBarrier: true},
+			{MaxGap: 10 * sim.Microsecond, ReadBarrier: true},
+		} {
+			cases++
+			name := fmt.Sprintf("seed %d, %d ops, stripe %d, %+v", seed, len(in), stripe, opts)
+			want, err := AlignWith(in, stripe, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := AlignStream(FromSlice(in), stripe, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := collectAll(t, s); !sameOps(want, got) {
+				t.Fatalf("%s: stream emitted %d ops, AlignWith %d", name, len(got), len(want))
+			}
+			if err := Err(s); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(in) == 0 {
+				continue
+			}
+			_, emitted, buffered := alignPrefix(t, in, len(in), stripe, opts)
+			if emitted {
+				lastEmits++
+			}
+			if buffered {
+				lastBuffers++
+			}
+
+			// A source error after k ops: the first k pushes' output and
+			// nothing of the buffer.
+			k := rng.Intn(len(in) + 1)
+			wantPrefix, _, _ := alignPrefix(t, in, k, stripe, opts)
+			s, _ = AlignStream(&failAfter{ops: in[:k], err: errSrc}, stripe, opts)
+			if got := collectAll(t, s); !sameOps(wantPrefix, got) {
+				t.Fatalf("%s: source error after %d ops: emitted %d ops, want %d", name, k, len(got), len(wantPrefix))
+			}
+			if !errors.Is(Err(s), errSrc) {
+				t.Fatalf("%s: source error lost: %v", name, Err(s))
+			}
+
+			// An invalid op at k: the same prefix, then a validation error.
+			bad := append(append([]Op(nil), in[:k]...), Op{Kind: Write, Offset: 0, Size: 0})
+			bad = append(bad, in[k:]...)
+			s, _ = AlignStream(FromSlice(bad), stripe, opts)
+			if got := collectAll(t, s); !sameOps(wantPrefix, got) {
+				t.Fatalf("%s: invalid op at %d: emitted %d ops, want %d", name, k, len(got), len(wantPrefix))
+			}
+			if Err(s) == nil {
+				t.Fatalf("%s: validation error lost", name)
+			}
+		}
+	}
+	// The sweep must cover both endings: a last push that emitted ops
+	// (which a stale output slice would re-emit at the final flush) and a
+	// last op still buffered (which only the final flush releases).
+	if lastEmits == 0 || lastBuffers == 0 {
+		t.Fatalf("sweep of %d cases: last push emitted in %d, buffered in %d; want both > 0", cases, lastEmits, lastBuffers)
 	}
 }
 
