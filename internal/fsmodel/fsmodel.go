@@ -8,9 +8,10 @@
 package fsmodel
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // FileID names a file within the model.
@@ -43,6 +44,8 @@ type FS struct {
 	hint      int64 // next-fit cursor
 	files     map[FileID][]Extent
 	nextID    FileID
+	// got is Append's result, reused across calls.
+	got []Extent
 }
 
 // New builds an empty file system over capacity bytes.
@@ -71,18 +74,20 @@ func (fs *FS) Create() FileID {
 	return fs.nextID
 }
 
-// Extents returns a copy of a file's extent list.
+// Extents returns a file's extent list. The slice is the model's own
+// view: read-only, and valid until the file's next Append or Delete.
 func (fs *FS) Extents(id FileID) ([]Extent, error) {
 	ex, ok := fs.files[id]
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return append([]Extent(nil), ex...), nil
+	return ex, nil
 }
 
 // Append allocates n blocks to a file with next-fit placement and
 // returns the newly-allocated extents (possibly several when free space
-// is fragmented).
+// is fragmented). The result is FS-owned scratch, valid until the next
+// Append: copy it out to keep it.
 func (fs *FS) Append(id FileID, n int64) ([]Extent, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: append %d blocks", ErrBadRequest, n)
@@ -94,36 +99,28 @@ func (fs *FS) Append(id FileID, n int64) ([]Extent, error) {
 	if n > fs.free {
 		return nil, ErrNoSpace
 	}
-	var got []Extent
+	// got collects the allocated runs; its last extent is the run being
+	// extended, and a free block not adjacent to it starts a new one.
+	got := fs.got[:0]
 	remaining := n
 	cursor := fs.hint
 	scanned := int64(0)
-	var run Extent
-	flushRun := func() {
-		if run.Count > 0 {
-			got = append(got, run)
-			run = Extent{}
-		}
-	}
 	for remaining > 0 && scanned < fs.nblocks {
 		b := cursor % fs.nblocks
 		if !fs.isSet(b) {
 			fs.set(b)
 			fs.free--
 			remaining--
-			if run.Count > 0 && run.Start+run.Count == b {
-				run.Count++
+			if last := len(got) - 1; last >= 0 && got[last].Start+got[last].Count == b {
+				got[last].Count++
 			} else {
-				flushRun()
-				run = Extent{Start: b, Count: 1}
+				got = append(got, Extent{Start: b, Count: 1})
 			}
-		} else if run.Count > 0 {
-			flushRun()
 		}
 		cursor++
 		scanned++
 	}
-	flushRun()
+	fs.got = got
 	fs.hint = cursor % fs.nblocks
 	if remaining > 0 {
 		// Roll back: free counter said there was room, so this is a bug.
@@ -134,7 +131,8 @@ func (fs *FS) Append(id FileID, n int64) ([]Extent, error) {
 }
 
 // Delete removes a file and returns its extents (now free), merged and
-// sorted, ready to become free notifications.
+// sorted, ready to become free notifications. The result reuses the dead
+// file's own extent list, which now belongs to the caller.
 func (fs *FS) Delete(id FileID) ([]Extent, error) {
 	ex, ok := fs.files[id]
 	if !ok {
@@ -150,18 +148,18 @@ func (fs *FS) Delete(id FileID) ([]Extent, error) {
 			fs.free++
 		}
 	}
-	return MergeExtents(ex), nil
+	return mergeExtents(ex), nil
 }
 
-// MergeExtents sorts and coalesces adjacent or overlapping extents.
-func MergeExtents(ex []Extent) []Extent {
+// mergeExtents sorts and coalesces adjacent or overlapping extents in
+// ex's own storage.
+func mergeExtents(ex []Extent) []Extent {
 	if len(ex) == 0 {
 		return nil
 	}
-	out := append([]Extent(nil), ex...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	merged := out[:1]
-	for _, e := range out[1:] {
+	slices.SortFunc(ex, func(a, b Extent) int { return cmp.Compare(a.Start, b.Start) })
+	merged := ex[:1]
+	for _, e := range ex[1:] {
 		last := &merged[len(merged)-1]
 		if e.Start <= last.Start+last.Count {
 			if end := e.Start + e.Count; end > last.Start+last.Count {

@@ -134,15 +134,15 @@ func TestNextFitRotates(t *testing.T) {
 func TestMergeExtents(t *testing.T) {
 	in := []Extent{{Start: 10, Count: 5}, {Start: 0, Count: 5}, {Start: 5, Count: 5}, {Start: 20, Count: 1}}
 	want := []Extent{{Start: 0, Count: 15}, {Start: 20, Count: 1}}
-	if got := MergeExtents(in); !reflect.DeepEqual(got, want) {
-		t.Fatalf("MergeExtents = %v, want %v", got, want)
+	if got := mergeExtents(in); !reflect.DeepEqual(got, want) {
+		t.Fatalf("mergeExtents = %v, want %v", got, want)
 	}
-	if MergeExtents(nil) != nil {
+	if mergeExtents(nil) != nil {
 		t.Fatal("empty merge not nil")
 	}
 	// Overlapping extents collapse.
 	over := []Extent{{Start: 0, Count: 10}, {Start: 5, Count: 3}}
-	if got := MergeExtents(over); len(got) != 1 || got[0].Count != 10 {
+	if got := mergeExtents(over); len(got) != 1 || got[0].Count != 10 {
 		t.Fatalf("overlap merge = %v", got)
 	}
 }

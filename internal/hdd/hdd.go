@@ -120,8 +120,8 @@ type request struct {
 	// disk lets the pooled engine callbacks reach the model without a
 	// closure per event.
 	disk *Disk
-	// qn is the request's dispatch-queue record while it waits, and its
-	// free-list link once it has completed.
+	// qn is the request's dispatch-queue record while it waits; pooled
+	// reuse keeps its queue id.
 	qn sched.Node[request]
 }
 
@@ -335,7 +335,7 @@ func (d *Disk) finish(req *request) {
 		req.onDone(resp, nil)
 	}
 	req.onDone = nil
-	d.freeReqs.Put(&req.qn, req)
+	d.freeReqs.Put(req)
 }
 
 // serve starts one queued media access (the driver dispatches reads and

@@ -67,8 +67,8 @@ type request struct {
 	// dev lets the pooled engine callback reach the model without a
 	// closure per event.
 	dev *Device
-	// qn is the request's dispatch-queue record while it waits, and its
-	// free-list link once it has completed.
+	// qn is the request's dispatch-queue record while it waits; pooled
+	// reuse keeps its queue id.
 	qn sched.Node[request]
 }
 
@@ -200,5 +200,5 @@ func (d *Device) finish(req *request) {
 		req.onDone(resp, nil)
 	}
 	req.onDone = nil
-	d.freeReqs.Put(&req.qn, req)
+	d.freeReqs.Put(req)
 }

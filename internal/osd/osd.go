@@ -280,7 +280,7 @@ func (s *Store) mapRanges(o *object, off, size int64) (*pendingRanges, error) {
 	var err error
 	p.ranges, err = o.ranges(p.ranges, s.regions[o.region].base, s.unit, off, size)
 	if err != nil {
-		s.freeJoins.Put(&p.pn, p)
+		s.freeJoins.Put(p)
 		return nil, err
 	}
 	return p, nil
@@ -290,7 +290,7 @@ func (s *Store) mapRanges(o *object, off, size int64) (*pendingRanges, error) {
 // all complete, with the time since the call and the first error.
 func (s *Store) submitRanges(kind trace.Kind, p *pendingRanges, pri bool, tenant uint8, done func(resp sim.Time, err error)) {
 	if len(p.ranges) == 0 {
-		s.freeJoins.Put(&p.pn, p)
+		s.freeJoins.Put(p)
 		if done != nil {
 			done(0, nil)
 		}
@@ -321,7 +321,6 @@ type pendingRanges struct {
 	// part is onPart bound once, when the record is first allocated: the
 	// one callback for every range.
 	part func(sim.Time, error)
-	pn   sched.Node[pendingRanges]
 }
 
 // onPart records one range's completion; the last one fires done and
@@ -338,7 +337,7 @@ func (p *pendingRanges) onPart(_ sim.Time, err error) {
 		p.done(p.store.dev.Engine().Now()-p.start, p.err)
 	}
 	p.done, p.err = nil, nil
-	p.store.freeJoins.Put(&p.pn, p)
+	p.store.freeJoins.Put(p)
 }
 
 // Reserve grows an object's allocation and logical size to cover

@@ -61,8 +61,6 @@ type request struct {
 	// subDoneFn is subDone bound to this record once, when it is first
 	// allocated, so pooled reuse creates no method value per request.
 	subDoneFn func(sim.Time, error)
-	// qn links the record into the array's pool while idle.
-	qn sched.Node[request]
 }
 
 // subDone is the completion callback of every spindle operation of the
@@ -269,7 +267,7 @@ func (a *Array) finish(req *request) {
 		req.onDone(resp, nil)
 	}
 	req.onDone = nil
-	a.freeReqs.Put(&req.qn, req)
+	a.freeReqs.Put(req)
 }
 
 // WriteAmplification reports spindle write bytes per host write byte.

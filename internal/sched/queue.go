@@ -39,9 +39,16 @@ import (
 // the scan-era device kept by hand): media models mark elements busy with
 // SetBusy and the queue wakes parked classes as the clock passes their
 // horizons. Each request's queue record is a Node embedded in the
-// caller's own request, linked back to it by a typed pointer, so the
-// queue neither allocates on the dispatch path nor pins completed
-// requests for the garbage collector.
+// caller's own request, so the queue does not allocate on the dispatch
+// path.
+//
+// The index holds no pointers on its hot path. A node carries an int32
+// id that the queue assigns on the record's first Push and maps back to
+// the record through a table written once per record; the class FIFOs
+// link nodes by id, and the candidate heap, the parked lists and the
+// per-element blocked heads hold int32 indices into the lane's class
+// table. Linking, sifting and parking therefore write only integers, and
+// cost the same whether or not a GC cycle has the write barrier on.
 //
 // A Queue optionally layers weighted fair-share dispatch across tenant
 // classes on top of either policy: SetTenantWeight switches it into
@@ -63,8 +70,12 @@ type Queue[T any] struct {
 	// cost <= 0) charges 1.
 	cost func(*T) int64
 
+	// recs maps node id-1 to its record: appended on a record's first
+	// Push, never rewritten.
+	recs chunks[record[T]]
+
 	// lane is the single-tenant sub-queue; it stays empty in fair mode.
-	lane lane[T]
+	lane lane
 	// wakes is a min-heap of (horizon, element) records (SWTF only).
 	wakes []wake
 
@@ -72,7 +83,7 @@ type Queue[T any] struct {
 	// is the tenant ring, sorted by tenant ID; rr is the round-robin
 	// pointer into it.
 	fair bool
-	tens []*tenantQ[T]
+	tens []*tenantQ
 	rr   int
 
 	// words and key are scratch for interning element sets on queues
@@ -83,62 +94,95 @@ type Queue[T any] struct {
 
 // Node is one request's queue record. Callers embed it in their own
 // request type and hand the queue both; the node is in use from Push
-// until the request is popped or drained, and must not be reused before
-// then. While the request is idle its node can link it into a Pool.
+// until the request is popped, and must not be reused before then. A
+// record belongs to the first queue that pushes it: its id is assigned
+// then and must survive the record's reuse, so a caller resetting a
+// pooled record keeps the node. T is the request type, so a queue takes
+// only its own kind of node.
 type Node[T any] struct {
+	id   int32 // 1 + index into the queue's record table; 0 until first Push
+	next int32 // class FIFO link: id of the next node, 0 at the tail
+	seq  uint64
+}
+
+// record is the queue's one pointer-bearing view of a pushed request.
+type record[T any] struct {
+	node  *Node[T]
 	owner *T
-	next  *Node[T] // class FIFO, or Pool link
-	seq   uint64
 }
 
-// Pool is a LIFO of idle records linked through their embedded nodes: a
-// record is queued, in service, or pooled, never two at once, so the
-// node doubles as its free-list link.
-type Pool[T any] struct{ head *Node[T] }
+// Pool is a LIFO of idle records, kept in chunked slices. The slots past
+// its top keep the records last taken from them, so a pool suits records
+// owned by one device for the pool's whole life, as media request records
+// are.
+type Pool[T any] struct{ free chunks[*T] }
 
-// Put pools owner, whose embedded node is n.
-func (p *Pool[T]) Put(n *Node[T], owner *T) {
-	*n = Node[T]{owner: owner, next: p.head}
-	p.head = n
-}
+// Put pools owner.
+func (p *Pool[T]) Put(owner *T) { p.free.push(owner) }
 
 // Get unpools the most recently pooled record, or returns nil when the
 // pool is empty.
 func (p *Pool[T]) Get() *T {
-	n := p.head
-	if n == nil {
+	if p.free.n == 0 {
 		return nil
 	}
-	p.head = n.next
-	owner := n.owner
-	*n = Node[T]{}
-	return owner
+	p.free.n--
+	return *p.free.at(p.free.n)
 }
 
+// chunkBits sizes the chunks of a chunks table: 256 entries.
+const chunkBits = 8
+
+// chunks is a slice stored in fixed-size chunks. Growing it never copies
+// or discards storage, and entries past n stay allocated for reuse. A
+// device's record table and pool fill from empty, so a short replay
+// that grew them by doubling would leave every outgrown array to the
+// collector.
+type chunks[E any] struct {
+	c [][]E
+	n int
+}
+
+// push appends e.
+func (s *chunks[E]) push(e E) {
+	if s.n>>chunkBits == len(s.c) {
+		s.c = append(s.c, make([]E, 1<<chunkBits))
+	}
+	*s.at(s.n) = e
+	s.n++
+}
+
+// at returns entry i.
+func (s *chunks[E]) at(i int) *E { return &s.c[i>>chunkBits][i&(1<<chunkBits-1)] }
+
+// none is the nil class index.
+const none = -1
+
 // class is one interned element set within a lane: the set itself, the
-// lane's queued requests targeting exactly that set in arrival order,
-// and the class's place in the index — in the candidate heap (heapIdx
-// >= 0), on an SWTF parked list (linked through nextParked), or neither
-// when empty. Classes are never freed: a lane holds one per distinct
-// element set it has seen.
-type class[T any] struct {
+// lane's queued requests targeting exactly that set in arrival order
+// (node ids, 0 when empty), and the class's place in the index — in the
+// candidate heap (heapIdx >= 0), on an SWTF parked list (linked through
+// nextParked), or neither when empty. Classes are never freed: a lane
+// holds one per distinct element set it has seen.
+type class struct {
 	elems      []int // ascending
-	head, tail *Node[T]
+	head, tail int32
 	seq        uint64 // head's Seq: the heap key
-	heapIdx    int
-	nextParked *class[T]
+	heapIdx    int32
+	nextParked int32
 }
 
 // lane is one dispatch sub-queue: the whole queue in single-tenant mode,
 // one tenant's share in fair mode. It is a Seq-keyed candidate heap of
 // classes plus, under SWTF, per-element parked lists, and it interns its
 // own classes, keyed by element bitmask (or by the bitset's bytes past
-// 64 elements).
-type lane[T any] struct {
-	ready   []*class[T] // candidate heap
-	blocked []*class[T] // SWTF per-element parked lists
-	byMask  map[uint64]*class[T]
-	byKey   map[string]*class[T]
+// 64 elements). Every cross-reference is an index into classes.
+type lane struct {
+	classes []class
+	ready   []int32 // candidate heap
+	blocked []int32 // SWTF per-element parked list heads
+	byMask  map[uint64]int32
+	byKey   map[string]int32
 }
 
 // drrQuantum is the base deficit refill in bytes; a tenant's refill is
@@ -147,8 +191,8 @@ const drrQuantum = 64 << 10
 
 // tenantQ is one tenant's lane in weighted fair-share mode, with its DRR
 // state.
-type tenantQ[T any] struct {
-	lane[T]
+type tenantQ struct {
+	lane
 	id      uint8
 	weight  float64
 	deficit float64
@@ -181,12 +225,15 @@ func NewQueue[T any](policy Policy, elements int, cost func(*T) int64) *Queue[T]
 	return q
 }
 
-func (q *Queue[T]) initLane(l *lane[T]) {
-	l.blocked = make([]*class[T], len(q.busyUntil))
+func (q *Queue[T]) initLane(l *lane) {
+	l.blocked = make([]int32, len(q.busyUntil))
+	for e := range l.blocked {
+		l.blocked[e] = none
+	}
 	if len(q.busyUntil) <= 64 {
-		l.byMask = map[uint64]*class[T]{}
+		l.byMask = map[uint64]int32{}
 	} else {
-		l.byKey = map[string]*class[T]{}
+		l.byKey = map[string]int32{}
 	}
 }
 
@@ -229,7 +276,7 @@ func (q *Queue[T]) SetTenantWeight(tenant uint8, weight float64) {
 
 // tenantFor returns tenant t's lane, inserting it into the ring in
 // sorted position on first sight.
-func (q *Queue[T]) tenantFor(t uint8) *tenantQ[T] {
+func (q *Queue[T]) tenantFor(t uint8) *tenantQ {
 	i := 0
 	for i < len(q.tens) && q.tens[i].id < t {
 		i++
@@ -237,7 +284,7 @@ func (q *Queue[T]) tenantFor(t uint8) *tenantQ[T] {
 	if i < len(q.tens) && q.tens[i].id == t {
 		return q.tens[i]
 	}
-	tq := &tenantQ[T]{id: t, weight: 1}
+	tq := &tenantQ{id: t, weight: 1}
 	q.initLane(&tq.lane)
 	q.tens = append(q.tens, nil)
 	copy(q.tens[i+1:], q.tens[i:])
@@ -260,35 +307,47 @@ func (q *Queue[T]) Push(n *Node[T], owner *T, elems []int, tenant uint8) uint64 
 		tq.length++
 		l = &tq.lane
 	}
+	id := n.id
+	if id == 0 {
+		q.recs.push(record[T]{node: n, owner: owner})
+		id = int32(q.recs.n)
+		n.id = id
+	} else if int(id) > q.recs.n || q.recs.at(int(id)-1).node != n {
+		panic("sched: node pushed to a queue other than its first")
+	}
 	q.seq++
-	*n = Node[T]{owner: owner, seq: q.seq}
+	n.next, n.seq = 0, q.seq
 	q.length++
 	// Pushes arrive in Seq order, so appending keeps the class FIFO
 	// sorted. A class that was empty enters as a candidate; under SWTF,
 	// Pop parks it lazily if its elements turn out busy.
-	c := q.classFor(l, elems)
-	if c.tail != nil {
-		c.tail.next = n
-		c.tail = n
+	ci := q.classFor(l, elems)
+	c := &l.classes[ci]
+	if c.tail != 0 {
+		q.node(c.tail).next = id
+		c.tail = id
 		return n.seq
 	}
-	c.head, c.tail, c.seq = n, n, n.seq
-	heapPush(&l.ready, c)
+	c.head, c.tail, c.seq = id, id, n.seq
+	l.heapPush(ci)
 	return n.seq
 }
 
-// classFor returns l's class for the element set, interning it on first
-// sight. Sets are keyed by bitmask, so element order and duplicates do
-// not matter.
-func (q *Queue[T]) classFor(l *lane[T], elems []int) *class[T] {
+// node returns the node with the given id.
+func (q *Queue[T]) node(id int32) *Node[T] { return q.recs.at(int(id) - 1).node }
+
+// classFor returns the index of l's class for the element set, interning
+// it on first sight. Sets are keyed by bitmask, so element order and
+// duplicates do not matter.
+func (q *Queue[T]) classFor(l *lane, elems []int) int32 {
 	if l.byMask != nil {
 		var m uint64
 		for _, e := range elems {
 			m |= 1 << uint(e)
 		}
-		c := l.byMask[m]
-		if c == nil {
-			c = newClass[T]([]uint64{m})
+		c, ok := l.byMask[m]
+		if !ok {
+			c = l.newClass([]uint64{m})
 			l.byMask[m] = c
 		}
 		return c
@@ -301,22 +360,25 @@ func (q *Queue[T]) classFor(l *lane[T], elems []int) *class[T] {
 	for _, w := range q.words {
 		q.key = binary.LittleEndian.AppendUint64(q.key, w)
 	}
-	c := l.byKey[string(q.key)]
-	if c == nil {
-		c = newClass[T](q.words)
+	c, ok := l.byKey[string(q.key)]
+	if !ok {
+		c = l.newClass(q.words)
 		l.byKey[string(q.key)] = c
 	}
 	return c
 }
 
-func newClass[T any](set []uint64) *class[T] {
-	c := &class[T]{heapIdx: -1}
+// newClass appends an empty class for the element bitset and returns its
+// index.
+func (l *lane) newClass(set []uint64) int32 {
+	c := class{heapIdx: none, nextParked: none}
 	for i, w := range set {
 		for ; w != 0; w &= w - 1 {
 			c.elems = append(c.elems, i*64+bits.TrailingZeros64(w))
 		}
 	}
-	return c
+	l.classes = append(l.classes, c)
+	return int32(len(l.classes) - 1)
 }
 
 // wait is the legacy Entry.Wait over the queue's own busy horizons.
@@ -340,7 +402,7 @@ func (q *Queue[T]) Pop(now sim.Time) (*T, bool) {
 		return q.popFair(now)
 	}
 	c := q.peek(&q.lane, now)
-	if c == nil {
+	if c == none {
 		return nil, false
 	}
 	return q.take(&q.lane, c), true
@@ -364,10 +426,10 @@ func (q *Queue[T]) popFair(now sim.Time) (*T, bool) {
 			}
 			tq := q.tens[idx]
 			c := q.peek(&tq.lane, now)
-			if c == nil {
+			if c == none {
 				continue
 			}
-			if cost := q.costOf(c.head); tq.deficit >= cost {
+			if cost := q.costOf(tq.classes[c].head); tq.deficit >= cost {
 				tq.deficit -= cost
 				q.rr = idx // keep serving this tenant while its deficit lasts
 				tq.length--
@@ -382,61 +444,61 @@ func (q *Queue[T]) popFair(now sim.Time) (*T, bool) {
 			return nil, false
 		}
 		for _, tq := range q.tens {
-			if q.peek(&tq.lane, now) != nil {
+			if q.peek(&tq.lane, now) != none {
 				tq.deficit += drrQuantum * tq.weight
 			}
 		}
 	}
 }
 
-// costOf is n's DRR dispatch cost.
-func (q *Queue[T]) costOf(n *Node[T]) float64 {
+// costOf is the DRR dispatch cost of the request with node id.
+func (q *Queue[T]) costOf(id int32) float64 {
 	if q.cost == nil {
 		return 1
 	}
-	return float64(max(q.cost(n.owner), 1))
+	return float64(max(q.cost(q.recs.at(int(id)-1).owner), 1))
 }
 
-// peek returns the class whose head dispatches next from l at now, or
-// nil. Under SWTF it parks stale candidate classes until the top one is
-// dispatchable; under FCFS the top class holds the lane's oldest
-// request, which blocks only its own lane.
-func (q *Queue[T]) peek(l *lane[T], now sim.Time) *class[T] {
+// peek returns the index of the class whose head dispatches next from l
+// at now, or none. Under SWTF it parks stale candidate classes until the
+// top one is dispatchable; under FCFS the top class holds the lane's
+// oldest request, which blocks only its own lane.
+func (q *Queue[T]) peek(l *lane, now sim.Time) int32 {
 	for len(l.ready) > 0 {
 		c := l.ready[0]
-		if q.wait(c.elems, now) == 0 {
+		if q.wait(l.classes[c].elems, now) == 0 {
 			return c
 		}
 		if q.policy != SWTF {
-			return nil
+			return none
 		}
-		heapRemove(&l.ready, c)
+		l.heapRemove(c)
 		q.park(l, c, now)
 	}
-	return nil
+	return none
 }
 
-// take detaches the head of c, the class peek just returned, from l and
-// returns its owner.
-func (q *Queue[T]) take(l *lane[T], c *class[T]) *T {
-	n := c.head
-	if n.next == nil {
-		c.head, c.tail = nil, nil
-		heapRemove(&l.ready, c)
+// take detaches the head of class ci, the class peek just returned, from
+// l and returns its owner.
+func (q *Queue[T]) take(l *lane, ci int32) *T {
+	c := &l.classes[ci]
+	r := q.recs.at(int(c.head) - 1)
+	if next := r.node.next; next == 0 {
+		c.head, c.tail = 0, 0
+		l.heapRemove(ci)
 	} else {
 		// The new head arrived later: the class's key only grows.
-		c.head, c.seq = n.next, n.next.seq
-		siftDown(l.ready, c.heapIdx)
+		c.head, c.seq = next, q.node(next).seq
+		l.siftDown(int(c.heapIdx))
 	}
-	owner := n.owner
-	*n = Node[T]{} // release the links to the collector
 	q.length--
-	return owner
+	return r.owner
 }
 
 // park attaches a non-dispatchable class to the busy element it must wait
 // longest for.
-func (q *Queue[T]) park(l *lane[T], c *class[T], now sim.Time) {
+func (q *Queue[T]) park(l *lane, ci int32, now sim.Time) {
+	c := &l.classes[ci]
 	worst, horizon := -1, sim.Time(0)
 	for _, e := range c.elems {
 		if b := q.busyUntil[e]; b > now && b > horizon {
@@ -445,7 +507,7 @@ func (q *Queue[T]) park(l *lane[T], c *class[T], now sim.Time) {
 	}
 	// wait > 0 guaranteed a busy element exists.
 	c.nextParked = l.blocked[worst]
-	l.blocked[worst] = c
+	l.blocked[worst] = ci
 }
 
 // release processes due wake records: every element whose horizon has
@@ -459,74 +521,83 @@ func (q *Queue[T]) release(now sim.Time) {
 			// record carries its current horizon.
 			continue
 		}
-		q.unpark(&q.lane, w.elem)
+		q.lane.unpark(w.elem)
 		for _, tq := range q.tens {
-			q.unpark(&tq.lane, w.elem)
+			tq.unpark(w.elem)
 		}
 	}
 }
 
-func (q *Queue[T]) unpark(l *lane[T], e int) {
-	for c := l.blocked[e]; c != nil; {
-		next := c.nextParked
-		c.nextParked = nil
-		heapPush(&l.ready, c)
+func (l *lane) unpark(e int) {
+	for c := l.blocked[e]; c != none; {
+		next := l.classes[c].nextParked
+		l.classes[c].nextParked = none
+		l.heapPush(c)
 		c = next
 	}
-	l.blocked[e] = nil
+	l.blocked[e] = none
 }
 
 // ---- Seq-keyed candidate heap of classes ----
 
-func heapPush[T any](h *[]*class[T], c *class[T]) {
-	c.heapIdx = len(*h)
-	*h = append(*h, c)
-	siftUp(*h, c.heapIdx)
+func (l *lane) heapPush(c int32) {
+	i := len(l.ready)
+	l.classes[c].heapIdx = int32(i)
+	l.ready = append(l.ready, c)
+	l.siftUp(i)
 }
 
-func heapRemove[T any](h *[]*class[T], c *class[T]) {
-	ready := *h
-	i := c.heapIdx
-	last := len(ready) - 1
-	ready[i] = ready[last]
-	ready[i].heapIdx = i
-	ready[last] = nil
-	*h = ready[:last]
+func (l *lane) heapRemove(c int32) {
+	i := int(l.classes[c].heapIdx)
+	last := len(l.ready) - 1
+	moved := l.ready[last]
+	l.ready[i] = moved
+	l.classes[moved].heapIdx = int32(i)
+	l.ready = l.ready[:last]
 	if i < last {
-		siftDown(ready[:last], i)
-		siftUp(ready[:last], i)
+		l.siftDown(i)
+		l.siftUp(i)
 	}
-	c.heapIdx = -1
+	l.classes[c].heapIdx = none
 }
 
-func siftUp[T any](ready []*class[T], i int) {
+// swap exchanges heap positions i and j, keeping heapIdx in step.
+func (l *lane) swap(i, j int) {
+	ready := l.ready
+	ready[i], ready[j] = ready[j], ready[i]
+	l.classes[ready[i]].heapIdx = int32(i)
+	l.classes[ready[j]].heapIdx = int32(j)
+}
+
+// key is the heap key at position i: its class's head Seq.
+func (l *lane) key(i int) uint64 { return l.classes[l.ready[i]].seq }
+
+func (l *lane) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if ready[p].seq <= ready[i].seq {
+		if l.key(p) <= l.key(i) {
 			return
 		}
-		ready[p], ready[i] = ready[i], ready[p]
-		ready[p].heapIdx, ready[i].heapIdx = p, i
+		l.swap(p, i)
 		i = p
 	}
 }
 
-func siftDown[T any](ready []*class[T], i int) {
-	n := len(ready)
+func (l *lane) siftDown(i int) {
+	n := len(l.ready)
 	for {
-		l, r := 2*i+1, 2*i+2
+		left, right := 2*i+1, 2*i+2
 		min := i
-		if l < n && ready[l].seq < ready[min].seq {
-			min = l
+		if left < n && l.key(left) < l.key(min) {
+			min = left
 		}
-		if r < n && ready[r].seq < ready[min].seq {
-			min = r
+		if right < n && l.key(right) < l.key(min) {
+			min = right
 		}
 		if min == i {
 			return
 		}
-		ready[i], ready[min] = ready[min], ready[i]
-		ready[i].heapIdx, ready[min].heapIdx = i, min
+		l.swap(i, min)
 		i = min
 	}
 }

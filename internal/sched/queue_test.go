@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ossd/internal/sim"
@@ -489,4 +490,70 @@ func TestQueueWideClasses(t *testing.T) {
 	if n := len(q.lane.byKey); n != 2 {
 		t.Fatalf("interned %d classes, want 2", n)
 	}
+}
+
+// TestPoolLIFO covers the pool across its storage chunks: records come
+// back last in, first out, refilling reuses the chunks without
+// allocating, and an empty pool returns nil.
+func TestPoolLIFO(t *testing.T) {
+	var p Pool[treq]
+	reqs := make([]treq, 3<<chunkBits+5)
+	fill := func() {
+		for i := range reqs {
+			p.Put(&reqs[i])
+		}
+	}
+	drain := func() {
+		for i := len(reqs) - 1; i >= 0; i-- {
+			if got := p.Get(); got != &reqs[i] {
+				t.Fatalf("Get returned record %p, want record %d", got, i)
+			}
+		}
+		if got := p.Get(); got != nil {
+			t.Fatalf("empty pool returned %p", got)
+		}
+	}
+	fill()
+	drain()
+	if allocs := testing.AllocsPerRun(10, func() { fill(); drain() }); allocs != 0 {
+		t.Fatalf("refilling a drained pool allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestHotPathPointerFree pins the records the dispatch path writes on
+// every push, pop, park and wake as pointer-free: a pointer field in any
+// of them would put those writes under the collector's write barrier
+// again whenever a GC cycle is running.
+func TestHotPathPointerFree(t *testing.T) {
+	var l lane
+	for name, typ := range map[string]reflect.Type{
+		"Node":          reflect.TypeOf(Node[treq]{}),
+		"wake":          reflect.TypeOf(wake{}),
+		"ready element": reflect.TypeOf(l.ready).Elem(),
+		"blocked head":  reflect.TypeOf(l.blocked).Elem(),
+	} {
+		if path := pointerPath(typ, name); path != "" {
+			t.Errorf("%s carries a pointer; queue writes would pay write barriers", path)
+		}
+	}
+}
+
+// pointerPath returns the path to the first pointer-bearing part of t
+// (pointer, func, interface, slice, map, string or chan), or "".
+func pointerPath(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Func, reflect.Interface,
+		reflect.Slice, reflect.Map, reflect.String, reflect.Chan:
+		return path + " (" + t.Kind().String() + ")"
+	case reflect.Array:
+		return pointerPath(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if p := pointerPath(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }

@@ -43,15 +43,16 @@ func (t Time) String() string {
 	}
 }
 
-// event is a scheduled callback. seq breaks ties so that events scheduled
-// earlier run earlier, giving a stable, deterministic order. The callback
-// is a (call, arg) pair, so a package-level function with a pointer
-// payload schedules with zero allocations per event.
+// event is one heap entry: a time, a tie-breaking sequence number, and
+// the index of the slot holding its callback. seq breaks ties so that
+// events scheduled earlier run earlier, giving a stable, deterministic
+// order. The entry holds no pointers, so the sifts that move it on every
+// schedule and fire are plain copies: the collector's write barrier never
+// sees them, whether or not a GC cycle is running.
 type event struct {
 	at   Time
 	seq  uint64
-	call func(any)
-	arg  any
+	slot int32
 }
 
 // before is the heap order: earliest time first, scheduling order within
@@ -60,22 +61,35 @@ func (e event) before(o event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
+// slot holds a pending event's callback as a (call, arg) pair, so a
+// package-level function with a pointer payload schedules with zero
+// allocations per event. A free slot links to the next free one.
+type slot struct {
+	call     func(any)
+	arg      any
+	nextFree int32
+}
+
 // Engine is a discrete-event simulator. The zero value is ready to use.
 // Engines are not safe for concurrent use; a simulation is a single
 // logical thread of control.
 //
 // The pending set is a four-ary min-heap laid flat in a slice of event
-// values keyed on (at, seq) — no heap.Interface, no per-event boxing.
+// entries keyed on (at, seq) — no heap.Interface, no per-event boxing.
 // Four-way fan-out halves the tree depth of a binary heap, and the
 // shallower sift-down touches cache lines that are adjacent anyway
-// because the children are contiguous. Popped slots are zeroed so the
-// heap never pins dead callbacks or payloads for the collector, and the
-// slice's capacity is reused across events: steady-state scheduling does
-// not allocate.
+// because the children are contiguous. The callbacks live apart from the
+// heap in a slot table whose freed slots are reused LIFO through an
+// int32 free list, so each event costs one pointer write (into its slot)
+// however far it sifts. A freed slot keeps its last callback and payload
+// until reuse; the table never grows past the peak pending count, and
+// steady-state scheduling does not allocate.
 type Engine struct {
 	now    Time
 	seq    uint64
 	events []event
+	slots  []slot
+	free   int32 // 1 + index of the first free slot; 0 when none is free
 	ran    uint64
 }
 
@@ -92,16 +106,26 @@ func (e *Engine) Pending() int { return len(e.events) }
 func (e *Engine) Processed() uint64 { return e.ran }
 
 // CallAt schedules fn(arg) at absolute time t. The callback and its
-// payload travel as plain values in the event node, so a caller passing
-// a package-level function and a pointer payload schedules with zero
-// allocations. Scheduling in the past panics: it indicates a model bug,
-// and silently reordering time would corrupt every statistic downstream.
+// payload travel as plain values in the event's slot, so a caller
+// passing a package-level function and a pointer payload schedules with
+// zero allocations. Scheduling in the past panics: it indicates a model
+// bug, and silently reordering time would corrupt every statistic
+// downstream.
 func (e *Engine) CallAt(t Time, fn func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
+	s := e.free - 1
+	if s >= 0 {
+		sl := &e.slots[s]
+		e.free = sl.nextFree
+		sl.call, sl.arg = fn, arg
+	} else {
+		s = int32(len(e.slots))
+		e.slots = append(e.slots, slot{call: fn, arg: arg})
+	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, call: fn, arg: arg})
+	e.push(event{at: t, seq: e.seq, slot: s})
 }
 
 // Call schedules fn(arg) to run d after the current time; see CallAt.
@@ -119,9 +143,14 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	ev := e.pop()
+	s := &e.slots[ev.slot]
+	call, arg := s.call, s.arg
+	// Free the slot before the call, so an event the callback schedules
+	// reuses it.
+	s.nextFree, e.free = e.free, ev.slot+1
 	e.now = ev.at
 	e.ran++
-	ev.call(ev.arg)
+	call(arg)
 	return true
 }
 
@@ -134,11 +163,11 @@ func (e *Engine) Run() {
 // ---- four-ary event heap ----
 
 // arity is the heap fan-out. Four keeps siblings in one or two cache
-// lines (an event is 40 bytes) and halves the depth of a binary heap.
+// lines (an event is 24 bytes) and halves the depth of a binary heap.
 const arity = 4
 
 // push appends ev and restores the heap order with a hole-based sift-up:
-// the new event is written once, into its final slot.
+// the new event is written once, into its final position.
 func (e *Engine) push(ev event) {
 	i := len(e.events)
 	e.events = append(e.events, event{})
@@ -153,13 +182,11 @@ func (e *Engine) push(ev event) {
 	e.events[i] = ev
 }
 
-// pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the heap drops its references to the callback and payload.
+// pop removes and returns the minimum event.
 func (e *Engine) pop() event {
 	top := e.events[0]
 	n := len(e.events) - 1
 	last := e.events[n]
-	e.events[n] = event{}
 	e.events = e.events[:n]
 	if n > 0 {
 		e.siftDown(last)

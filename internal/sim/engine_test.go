@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -19,13 +20,42 @@ func atFn(e *Engine, t Time, fn func()) { e.CallAt(t, runFn, fn) }
 // afterFn schedules fn d after the current time.
 func afterFn(e *Engine, d Time, fn func()) { e.Call(d, runFn, fn) }
 
-// TestEventSize pins the event record: at, seq, and the (call, arg)
-// pair. The heap moves events by value on every sift, so a field added
-// here costs every schedule and fire.
+// TestEventSize pins the heap entry: at, seq, and the slot index. The
+// heap moves entries by value on every sift, so a field added here costs
+// every schedule and fire.
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 40 {
-		t.Fatalf("event is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Fatalf("event is %d bytes, want 24", got)
 	}
+}
+
+// TestHotPathPointerFree pins the heap entry as pointer-free: a pointer
+// field would put every sift under the collector's write barrier again
+// whenever a GC cycle is running.
+func TestHotPathPointerFree(t *testing.T) {
+	if path := pointerPath(reflect.TypeOf(event{}), "event"); path != "" {
+		t.Fatalf("%s carries a pointer; heap moves would pay write barriers", path)
+	}
+}
+
+// pointerPath returns the path to the first pointer-bearing part of t
+// (pointer, func, interface, slice, map, string or chan), or "".
+func pointerPath(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Func, reflect.Interface,
+		reflect.Slice, reflect.Map, reflect.String, reflect.Chan:
+		return path + " (" + t.Kind().String() + ")"
+	case reflect.Array:
+		return pointerPath(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if p := pointerPath(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }
 
 func TestEngineZeroValue(t *testing.T) {

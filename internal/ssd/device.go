@@ -33,8 +33,8 @@ type request struct {
 	// internal marks buffer-drain requests: they do the media work for an
 	// already-acknowledged buffered write and stay out of host metrics.
 	internal bool
-	// qn is the request's dispatch-queue record while it waits, and its
-	// freelist link while it is pooled.
+	// qn is the request's dispatch-queue record while it waits; pooled
+	// reuse keeps its queue id.
 	qn sched.Node[request]
 }
 
@@ -129,11 +129,12 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		cfg:        cfg,
-		eng:        eng,
-		touched:    make([]bool, cfg.Elements),
-		durScratch: make([]sim.Time, cfg.Elements),
-		cleanSet:   make([]uint64, (cfg.Elements+63)/64),
+		cfg:         cfg,
+		eng:         eng,
+		touched:     make([]bool, cfg.Elements),
+		elemScratch: make([]int, 0, cfg.Elements),
+		durScratch:  make([]sim.Time, cfg.Elements),
+		cleanSet:    make([]uint64, (cfg.Elements+63)/64),
 	}
 	for i := 0; i < cfg.Elements; i++ {
 		el, err := ftl.NewBackend(cfg.Scheme, cfg.ftlConfig(i))
@@ -250,21 +251,24 @@ func (d *Device) WriteAmplification() float64 {
 }
 
 // takeReq pops a pooled request (or allocates the pool's next one) and
-// resets it.
+// resets it; callers fill in Op, Arrive and dev, and onDone if any. The
+// reset goes field by field: the record keeps its queue node, whose id
+// must survive reuse, and its pointer words are left to putReq, so a
+// reused record costs no bulk pointer write.
 func (d *Device) takeReq() *request {
-	if r := d.freeReqs.Get(); r != nil {
-		*r = request{}
-		return r
+	r := d.freeReqs.Get()
+	if r == nil {
+		return &request{}
 	}
-	return &request{}
+	r.Start, r.Done, r.remaining, r.internal = 0, 0, 0, false
+	return r
 }
 
-// putReq recycles a completed request. Only the callback reference is
-// dropped eagerly (for the collector); the remaining fields are cleared
-// on take, which keeps stale pointers readable for debugging.
+// putReq recycles a completed request, dropping its callback and error
+// references for the collector.
 func (d *Device) putReq(r *request) {
-	r.onDone = nil
-	d.freeReqs.Put(&r.qn, r)
+	r.onDone, r.Err = nil, nil
+	d.freeReqs.Put(r)
 }
 
 // Submit enqueues an operation at the current simulated time. onDone, if

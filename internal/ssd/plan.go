@@ -46,7 +46,9 @@ func (d *Device) elemsFor(op trace.Op) []int {
 			out = append(out, e)
 		}
 	}
-	d.elemScratch = out
+	// The scratch is made with room for every element, so out never
+	// outgrows it and the header is never stored back: that store would
+	// be a pointer write on every enqueue.
 	return out
 }
 

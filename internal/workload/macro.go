@@ -88,7 +88,7 @@ func Postmark(cfg PostmarkConfig) (trace.Stream, error) {
 	}
 	rng := sim.NewRNG(cfg.Seed)
 	var at sim.Time
-	// emit is rebound to the stream's buffer on every step.
+	// emit is the stream's buffer appender, bound on the first step.
 	var emit func(trace.Op)
 	tick := func() {
 		if cfg.MeanInterarrival > 0 {
@@ -175,7 +175,9 @@ func Postmark(cfg PostmarkConfig) (trace.Stream, error) {
 
 	created, txDone := 0, 0
 	return &stepStream{step: func(e func(trace.Op)) bool {
-		emit = e
+		if emit == nil {
+			emit = e
+		}
 		if created < cfg.InitialFiles {
 			created++
 			create()

@@ -12,6 +12,9 @@ type stepStream struct {
 	buf  []trace.Op
 	pos  int
 	step func(emit func(trace.Op)) bool
+	// emit appends to buf; it is bound on the first step and handed to
+	// every step after, so stepping allocates no closure.
+	emit func(trace.Op)
 }
 
 func (s *stepStream) Next() (trace.Op, bool) {
@@ -19,9 +22,12 @@ func (s *stepStream) Next() (trace.Op, bool) {
 		if s.step == nil {
 			return trace.Op{}, false
 		}
+		if s.emit == nil {
+			s.emit = func(o trace.Op) { s.buf = append(s.buf, o) }
+		}
 		s.buf = s.buf[:0]
 		s.pos = 0
-		if !s.step(func(o trace.Op) { s.buf = append(s.buf, o) }) {
+		if !s.step(s.emit) {
 			s.step = nil
 		}
 	}

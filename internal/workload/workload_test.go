@@ -150,6 +150,38 @@ func TestPostmarkTrace(t *testing.T) {
 	}
 }
 
+// TestPostmarkStreamAllocs pins the generator's allocation budget on the
+// Table 5 shape: pulling a Postmark stream allocates only what the file
+// set itself grows (a new file's extent list, a longer one on append,
+// map growth), well under one object per transaction. A closure or a
+// copied extent list per step, per read or per delete would each add
+// more than the whole budget's headroom.
+func TestPostmarkStreamAllocs(t *testing.T) {
+	const transactions = 20000
+	cfg := PostmarkConfig{
+		Transactions:  transactions,
+		InitialFiles:  1150,
+		FileSizeMin:   4 << 10,
+		FileSizeMax:   64 << 10,
+		CapacityBytes: 512 << 20,
+		Seed:          1,
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		st, err := Postmark(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, ok := st.Next(); !ok {
+				break
+			}
+		}
+	})
+	if perTx := allocs / transactions; perTx > 0.5 {
+		t.Fatalf("postmark stream allocates %.3f objects per transaction, want <= 0.5", perTx)
+	}
+}
+
 func TestPostmarkFreesMatchWrites(t *testing.T) {
 	// Freed ranges must previously have been written (the fs only frees
 	// allocated blocks).
