@@ -298,16 +298,26 @@ func TestDriveUnboundedUnchanged(t *testing.T) {
 // records: the SSD, disk and MEMS their requests; RAID its requests
 // (each with its spindle callback bound once) and a per-array sub-op
 // plan; the OSD its join records with their range lists. Replay
-// allocates nothing per op on any kind.
+// allocates nothing per op on any kind, and the disk nothing per write
+// that waits for write-cache space.
 func TestClosedLoopAllocs(t *testing.T) {
-	const ops = 2000
-	for _, kind := range []string{"ssd", "hdd", "mems", "raid", "osd"} {
-		d, err := Open(kind)
+	const ops, perRunBudget = 2000, 16
+	for _, tc := range []struct {
+		kind string
+		size int64
+	}{
+		{"ssd", 4096}, {"hdd", 4096}, {"mems", 4096}, {"raid", 4096}, {"osd", 4096},
+		// 64 KiB writes outrun the disk's write-back drain: the cache
+		// fills and writes queue for space.
+		{"hdd", 64 << 10},
+	} {
+		d, err := Open(tc.kind)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := sim.NewRNG(1)
 		pages := d.LogicalBytes() / 2 / 4096
+		full := false
 		perRun := testing.AllocsPerRun(5, func() {
 			n := 0
 			err := ClosedLoop(d, 4, func(int) (trace.Op, bool) {
@@ -315,16 +325,21 @@ func TestClosedLoopAllocs(t *testing.T) {
 					return trace.Op{}, false
 				}
 				n++
-				return trace.Op{Kind: trace.Write, Offset: rng.Int63n(pages) * 4096, Size: 4096}, true
+				full = full || d.QueueDepth() > 0
+				return trace.Op{Kind: trace.Write, Offset: rng.Int63n(pages) * 4096, Size: tc.size}, true
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
-		// The loop's own closures are a fixed cost per run, far below one
-		// per op, so flooring leaves the per-op cost.
-		if got := math.Floor(perRun / ops); got != 0 {
-			t.Errorf("%s: %v allocs/op (%.0f per %d-op run), want 0", kind, got, perRun, ops)
+		if tc.size > 4096 && !full {
+			t.Errorf("%s: %d-byte writes never waited for cache space", tc.kind, tc.size)
+		}
+		// The loop's own closures are a fixed cost per run; an allocation
+		// on even one op in ten would cost hundreds.
+		if perRun > perRunBudget {
+			t.Errorf("%s/%d: %.0f allocs per %d-op run, want at most %d (%.3f/op)",
+				tc.kind, tc.size, perRun, ops, perRunBudget, perRun/ops)
 		}
 	}
 }

@@ -62,6 +62,23 @@ func table5Device(informed bool) (*core.SSD, error) {
 	return d.(*core.SSD), nil
 }
 
+// table5Postmark is the Postmark run of one Table 5 row on a device of
+// the given capacity. It pre-fills the file system to ~70% so churn
+// happens against a mostly-full device, the regime where cleaning
+// matters; the paper's 8 GB SSD ran Postmark against a comparably full
+// ext3.
+func table5Postmark(tx int, seed, space int64) workload.PostmarkConfig {
+	return workload.PostmarkConfig{
+		Transactions:     tx,
+		InitialFiles:     1150,
+		FileSizeMin:      4 << 10,
+		FileSizeMax:      64 << 10,
+		CapacityBytes:    space,
+		MeanInterarrival: 200 * sim.Microsecond,
+		Seed:             seed + int64(tx),
+	}
+}
+
 // table5Transactions are the Postmark workload sizes: the paper's sweep.
 var table5Transactions = []int{5000, 6000, 7000, 8000}
 
@@ -76,21 +93,10 @@ func Table5(seed int64, workers int) (Table5Result, error) {
 	space := probe.LogicalBytes()
 	var specs []runner.Spec[ssd.GCStats]
 	for _, tx := range table5Transactions {
-		// Pre-fill the file system to ~70% so churn happens against a
-		// mostly-full device, the regime where cleaning matters; the
-		// paper's 8 GB SSD ran Postmark against a comparably full ext3.
 		// Each spec streams its own Postmark run from the shared seed, so
 		// the default and informed devices replay identical traces
 		// without ever materializing them.
-		cfg := workload.PostmarkConfig{
-			Transactions:     tx,
-			InitialFiles:     1150,
-			FileSizeMin:      4 << 10,
-			FileSizeMax:      64 << 10,
-			CapacityBytes:    space,
-			MeanInterarrival: 200 * sim.Microsecond,
-			Seed:             seed + int64(tx),
-		}
+		cfg := table5Postmark(tx, seed, space)
 		for _, informed := range []bool{false, true} {
 			specs = append(specs, runner.Spec[ssd.GCStats]{
 				Name:     fmt.Sprintf("table5/tx%d/informed=%v", tx, informed),

@@ -48,8 +48,9 @@ type FS struct {
 	got []Extent
 }
 
-// New builds an empty file system over capacity bytes.
-func New(capacity, blockSize int64) (*FS, error) {
+// New builds an empty file system over capacity bytes, sized for about
+// files live files (0 when unknown; the table grows as needed).
+func New(capacity, blockSize int64, files int) (*FS, error) {
 	if blockSize <= 0 || capacity < blockSize {
 		return nil, fmt.Errorf("%w: capacity %d blockSize %d", ErrBadRequest, capacity, blockSize)
 	}
@@ -59,7 +60,7 @@ func New(capacity, blockSize int64) (*FS, error) {
 		nblocks:   n,
 		bitmap:    make([]uint64, (n+63)/64),
 		free:      n,
-		files:     make(map[FileID][]Extent),
+		files:     make(map[FileID][]Extent, files),
 	}, nil
 }
 

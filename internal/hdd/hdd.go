@@ -401,10 +401,12 @@ func (d *Disk) drained(e cacheEntry) {
 		if d.cacheUsed+req.Op.Size > d.cfg.CacheBytes {
 			break
 		}
-		// Nil the vacated slot so the advancing slice window does not pin
-		// the admitted request for the collector.
-		d.waitWr[0] = nil
-		d.waitWr = d.waitWr[1:]
+		// Shift down in place, as draining does: advancing the slice
+		// window would leave the next Submit's append no capacity. Nil
+		// the vacated tail slot so it does not pin a request.
+		n := copy(d.waitWr, d.waitWr[1:])
+		d.waitWr[n] = nil
+		d.waitWr = d.waitWr[:n]
 		d.cacheInsert(req.Op.Offset, req.Op.Size)
 		d.finish(req)
 	}

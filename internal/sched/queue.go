@@ -29,8 +29,10 @@ import (
 // class's head is the only one that can win. Classes sit in a min-heap
 // keyed by their head's Seq, whose top holds the oldest request: FCFS
 // dispatches it or nothing. Under SWTF, Pop lazily parks a stale top
-// class on the element it must wait longest for, and the wake record for
-// that element's horizon brings it back. An element release therefore
+// class on the element it must wait longest for. The wake record for
+// that element's horizon releases it: back into the heap if all its
+// elements are idle, or straight onto the parked list of the busy
+// element it now waits longest for. An element release therefore
 // costs O(distinct element sets parked on it) — at most 2^E-1 and, for
 // interleaved striping over E elements, far fewer — instead of
 // O(requests parked on it).
@@ -466,14 +468,16 @@ func (q *Queue[T]) costOf(id int32) float64 {
 func (q *Queue[T]) peek(l *lane, now sim.Time) int32 {
 	for len(l.ready) > 0 {
 		c := l.ready[0]
-		if q.wait(l.classes[c].elems, now) == 0 {
-			return c
-		}
 		if q.policy != SWTF {
+			if q.wait(l.classes[c].elems, now) == 0 {
+				return c
+			}
 			return none
 		}
+		if !q.park(l, c, now) {
+			return c
+		}
 		l.heapRemove(c)
-		q.park(l, c, now)
 	}
 	return none
 }
@@ -495,9 +499,10 @@ func (q *Queue[T]) take(l *lane, ci int32) *T {
 	return r.owner
 }
 
-// park attaches a non-dispatchable class to the busy element it must wait
-// longest for.
-func (q *Queue[T]) park(l *lane, ci int32, now sim.Time) {
+// park parks class ci on the busy element it must wait longest for and
+// reports true, or reports false, leaving it alone, when all its
+// elements are idle at now.
+func (q *Queue[T]) park(l *lane, ci int32, now sim.Time) bool {
 	c := &l.classes[ci]
 	worst, horizon := -1, sim.Time(0)
 	for _, e := range c.elems {
@@ -505,14 +510,16 @@ func (q *Queue[T]) park(l *lane, ci int32, now sim.Time) {
 			worst, horizon = e, b
 		}
 	}
-	// wait > 0 guaranteed a busy element exists.
+	if worst < 0 {
+		return false
+	}
 	c.nextParked = l.blocked[worst]
 	l.blocked[worst] = ci
+	return true
 }
 
 // release processes due wake records: every element whose horizon has
-// passed gets its parked classes, in every lane, promoted back to
-// candidates.
+// passed gets its parked classes, in every lane, released.
 func (q *Queue[T]) release(now sim.Time) {
 	for len(q.wakes) > 0 && q.wakes[0].at <= now {
 		w := q.popWake()
@@ -521,21 +528,30 @@ func (q *Queue[T]) release(now sim.Time) {
 			// record carries its current horizon.
 			continue
 		}
-		q.lane.unpark(w.elem)
+		q.unpark(&q.lane, w.elem, now)
 		for _, tq := range q.tens {
-			tq.unpark(w.elem)
+			q.unpark(&tq.lane, w.elem, now)
 		}
 	}
 }
 
-func (l *lane) unpark(e int) {
-	for c := l.blocked[e]; c != none; {
+// unpark releases the classes parked on idle element e. A class that
+// still waits on another busy element parks there at once; only classes
+// dispatchable at now become candidates, so peek never pops a released
+// class straight back out. Every dispatchable class is still a
+// candidate, and the lowest-Seq one still wins: dispatch order is the
+// same as promoting every released class and letting peek re-park it.
+func (q *Queue[T]) unpark(l *lane, e int, now sim.Time) {
+	c := l.blocked[e]
+	l.blocked[e] = none
+	for c != none {
 		next := l.classes[c].nextParked
 		l.classes[c].nextParked = none
-		l.heapPush(c)
+		if !q.park(l, c, now) {
+			l.heapPush(c)
+		}
 		c = next
 	}
-	l.blocked[e] = none
 }
 
 // ---- Seq-keyed candidate heap of classes ----

@@ -126,6 +126,36 @@ func TestQueueMultiElementParking(t *testing.T) {
 	}
 }
 
+// TestQueueReleaseReparks pins the direct re-park: when an element's
+// wake record fires, a class that still waits on another busy element
+// moves to that element's parked list without passing through the
+// candidate heap.
+func TestQueueReleaseReparks(t *testing.T) {
+	const striped = 1
+	q := newQueue(SWTF, 2)
+	q.SetBusy(0, 30)
+	push(q, []int{0, 1}, striped, 0, 1)
+	// Element 0 is the only busy one: striped parks there.
+	if _, ok := q.Pop(0); ok {
+		t.Fatal("striped dispatched with element 0 busy")
+	}
+	q.SetBusy(1, 60)
+	q.release(30)
+	l := &q.lane
+	if len(l.ready) != 0 || l.classes[0].heapIdx != none {
+		t.Fatalf("released class is a candidate: ready %v", l.ready)
+	}
+	if l.blocked[0] != none || l.blocked[1] != 0 {
+		t.Fatalf("parked lists = %v, want the class on element 1 only", l.blocked)
+	}
+	if _, ok := q.Pop(30); ok {
+		t.Fatal("striped dispatched with element 1 busy")
+	}
+	if id, ok := popID(q, 60); !ok || id != striped {
+		t.Fatalf("Pop = %d, %v, want striped", id, ok)
+	}
+}
+
 // legacyQueue replays the scan-era dispatch machinery exactly: a pending
 // slice re-scanned with Pick and compacted by index on every dispatch.
 // With tenants registered it layers the same weighted deficit round

@@ -3,6 +3,7 @@ package ssd
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"ossd/internal/ftl"
 	"ossd/internal/sched"
@@ -25,8 +26,9 @@ type request struct {
 
 	onDone func(resp sim.Time, err error)
 	// dev and remaining carry the completion state through the engine's
-	// pooled events: remaining counts the busy elements (plus the host
-	// link) still owed to this request, and dev lets the package-level
+	// pooled events: remaining counts the completion events still owed
+	// to this request, one per distinct instant at which busy elements
+	// finish plus one for the host link, and dev lets the package-level
 	// event callbacks reach the device without a closure per event.
 	dev       *Device
 	remaining int32
@@ -440,6 +442,23 @@ func partDoneEvent(a any) {
 	d.drv.Pump()
 }
 
+// partsDoneEvent is the pooled completion callback for an instant at
+// which two or more elements finish a request's media work. It stands
+// for that many partDoneEvents fired back to back: nothing changes
+// between them but the count, so only the first of their pumps can
+// dispatch anything. It therefore pumps once before completing the
+// request, if this is its last instant, and once after.
+func partsDoneEvent(a any) {
+	req := a.(*request)
+	d := req.dev
+	req.remaining--
+	if req.remaining == 0 {
+		d.drv.Pump()
+		d.complete(req)
+	}
+	d.drv.Pump()
+}
+
 // completeEvent is the pooled callback for completions with no media
 // part, e.g. the host-visible acknowledgement of a buffered write.
 func completeEvent(a any) {
@@ -451,6 +470,11 @@ func completeEvent(a any) {
 // request against the FTLs, marks the touched elements busy, models the
 // host link, and schedules the completion events — all through the
 // engine's pooled event path, so dispatching allocates nothing.
+//
+// Elements that finish at the same instant share one completion event.
+// The events of one serve take consecutive engine sequence numbers, so
+// no other event can fire between the parts of one instant, and one
+// partsDoneEvent replays exactly what their separate events did.
 func (d *Device) serve(req *request, now sim.Time) {
 	req.Start = now
 	durs := d.exec(req)
@@ -468,12 +492,15 @@ func (d *Device) serve(req *request, now sim.Time) {
 		}
 	}
 	req.remaining = 0
+	// Mark the busy elements and compact their durations to the front of
+	// durs, which exec rewrites on every dispatch.
+	parts := durs[:0]
 	for e, dur := range durs {
 		if dur == 0 {
 			continue
 		}
-		req.remaining++
 		d.q.SetBusy(e, now+dur+d.cfg.CtrlOverhead)
+		parts = append(parts, dur)
 	}
 	// The host link moves the request's data serially (but overlapped
 	// with flash work via DMA): it is one more completion constraint.
@@ -487,15 +514,24 @@ func (d *Device) serve(req *request, now sim.Time) {
 		req.remaining++
 		d.eng.Call(d.linkBusy-now, partDoneEvent, req)
 	}
+	// One event per distinct duration: usually every busy element takes
+	// the same time, and the sort leaves a single run.
+	slices.Sort(parts)
+	for i := 0; i < len(parts); {
+		j := i + 1
+		for j < len(parts) && parts[j] == parts[i] {
+			j++
+		}
+		ev := partDoneEvent
+		if j-i > 1 {
+			ev = partsDoneEvent
+		}
+		req.remaining++
+		d.eng.Call(parts[i]+d.cfg.CtrlOverhead, ev, req)
+		i = j
+	}
 	if req.remaining == 0 {
 		d.complete(req)
-		return
-	}
-	for _, dur := range durs {
-		if dur == 0 {
-			continue
-		}
-		d.eng.Call(dur+d.cfg.CtrlOverhead, partDoneEvent, req)
 	}
 }
 

@@ -172,6 +172,39 @@ func TestMultiPageRequestSpansElements(t *testing.T) {
 	}
 }
 
+// TestCompletionEventsPerInstant pins serve's completion events, counted
+// by the engine: elements that finish a request at the same instant
+// share one event, each further instant costs one more, and the host
+// link keeps its own.
+func TestCompletionEventsPerInstant(t *testing.T) {
+	linked := testConfig()
+	linked.InterfaceMBps = 300
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		size   int64
+		events uint64
+	}{
+		{"one page per element", testConfig(), 4 * 4096, 1},
+		{"two pages on element 0", testConfig(), 5 * 4096, 2},
+		{"host link", linked, 4 * 4096, 2},
+	} {
+		eng, d := newDevice(t, tc.cfg)
+		var r completion
+		if err := d.Submit(trace.Op{Kind: trace.Write, Size: tc.size}, capture(eng, &r)); err != nil {
+			t.Fatal(err)
+		}
+		before := eng.Processed()
+		eng.Run()
+		if !r.fired || r.err != nil {
+			t.Fatalf("%s: completion %+v", tc.name, r)
+		}
+		if got := eng.Processed() - before; got != tc.events {
+			t.Errorf("%s: %d completion events, want %d", tc.name, got, tc.events)
+		}
+	}
+}
+
 func TestReadAfterWrite(t *testing.T) {
 	eng, d := newDevice(t, testConfig())
 	d.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 8192}, nil)

@@ -63,8 +63,25 @@ func (h Histogram) N() uint64 { return h.acc.N() }
 func (h Histogram) Mean() float64 { return h.acc.Mean() }
 
 // bucketFor maps a positive value to a bucket index. Values are bucketed
-// by log base 2^(1/8): 8 sub-buckets per octave.
+// by log base 2^(1/8): 8 sub-buckets per octave, exactly as logBucket
+// computes it, but without a logarithm: the exponent bits place x in its
+// octave, and the precomputed thresholds place it within.
 func bucketFor(x float64) int {
+	if x < 1 {
+		return 0
+	}
+	if !(x < 1<<63) {
+		return logBucket(x) // NaN, +Inf and the top octaves
+	}
+	b := 8 * (int(math.Float64bits(x)>>52) - 1023)
+	for b < 511 && x >= bucketLow[b+1] {
+		b++
+	}
+	return b
+}
+
+// logBucket is the defining formula behind bucketFor.
+func logBucket(x float64) int {
 	if x < 1 {
 		return 0
 	}
@@ -77,6 +94,25 @@ func bucketFor(x float64) int {
 	}
 	return b
 }
+
+// bucketLow[b] is the least x >= 1 that logBucket puts in bucket b or
+// above. The search starts from 2^(b/8) and steps one float at a time,
+// up while x falls short of b and down while the float below still
+// reaches it. 2^(b/8) lies within 22 floats of every threshold.
+var bucketLow = func() (t [512]float64) {
+	t[0] = 1
+	for b := 1; b < len(t); b++ {
+		x := math.Exp2(float64(b) / 8)
+		for logBucket(x) < b {
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		for logBucket(math.Nextafter(x, 0)) >= b {
+			x = math.Nextafter(x, 0)
+		}
+		t[b] = x
+	}
+	return t
+}()
 
 // bucketValue returns the representative (geometric mid) value of bucket b.
 func bucketValue(b int) float64 {

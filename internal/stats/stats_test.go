@@ -122,6 +122,55 @@ func TestHistogramMonotoneProperty(t *testing.T) {
 	}
 }
 
+// refBucket is the histogram's bucket formula as it was defined before
+// bucketFor went table-driven, kept here as the reference it must match.
+func refBucket(x float64) int {
+	if x < 1 {
+		return 0
+	}
+	b := int(math.Log2(x) * 8)
+	if b < 0 {
+		b = 0
+	}
+	if b > 511 {
+		b = 511
+	}
+	return b
+}
+
+// TestBucketForExact pins the table-driven bucketFor to the logarithm
+// formula: around every bucket threshold, on log-uniform random inputs,
+// and on the special values.
+func TestBucketForExact(t *testing.T) {
+	check := func(x float64) {
+		if got, want := bucketFor(x), refBucket(x); got != want {
+			t.Fatalf("bucketFor(%v [%#x]) = %d, want %d", x, math.Float64bits(x), got, want)
+		}
+	}
+	for b, low := range bucketLow {
+		if b > 0 && (refBucket(low) != b || refBucket(math.Nextafter(low, 0)) != b-1) {
+			t.Fatalf("threshold %d at %v is not where the formula steps from %d to %d", b, low, b-1, b)
+		}
+		bits := math.Float64bits(low)
+		for d := uint64(0); d <= 200; d++ {
+			check(math.Float64frombits(bits + d))
+			check(math.Float64frombits(bits - d))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10_000_000; i++ {
+		// Exponents from 2^-8 to 2^72 cover the clamp at either end.
+		check(math.Exp2(rng.Float64()*80 - 8))
+	}
+	for _, x := range []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -1, -1e300,
+		math.SmallestNonzeroFloat64, 0x1p-1022, 1, math.Nextafter(1, 2), math.Nextafter(1, 0),
+		0x1p63, math.Nextafter(0x1p63, 0), 0x1p64, math.MaxFloat64,
+	} {
+		check(x)
+	}
+}
+
 func TestBandwidth(t *testing.T) {
 	if bw := Bandwidth(100e6, 2); bw != 50 {
 		t.Fatalf("Bandwidth = %v, want 50", bw)

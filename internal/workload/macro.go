@@ -82,7 +82,7 @@ func Postmark(cfg PostmarkConfig) (trace.Stream, error) {
 		metaBase = cfg.CapacityBytes - metaRegion
 		metaBlocks = metaRegion / cfg.BlockSize
 	}
-	fs, err := fsmodel.New(metaBase, cfg.BlockSize)
+	fs, err := fsmodel.New(metaBase, cfg.BlockSize, cfg.InitialFiles)
 	if err != nil {
 		return nil, err
 	}
