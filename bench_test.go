@@ -623,9 +623,12 @@ type dispatchPayload struct {
 
 // BenchmarkDispatchSWTF measures one steady-state SWTF dispatch decision
 // on the indexed sched.Queue — pop the winner, mark its element busy,
-// push a replacement — at fixed pending depths. The depth barely moves
-// the cost (heap operations are O(log n)) and the pick path must not
-// allocate: this is the tentpole contract of the indexed scheduler.
+// push a replacement — at fixed pending depths. A decision scans the
+// queued element-set classes, here 64 single-element ones, against the
+// busy bitset, so the depth barely moves the cost, and the pick path
+// must not allocate. This is the widest shape the scan meets: every
+// decision tests 64 classes and, with 1-tick horizons, rebuilds the
+// 64-element busy bitset.
 func BenchmarkDispatchSWTF(b *testing.B) {
 	benchDispatch(b, nil)
 }
@@ -690,13 +693,12 @@ func benchDispatch(b *testing.B, weights []float64) {
 // deep postmark backlog on the 4-element interleaved gang: every request
 // covers a contiguous (wrapping) run of elements, as a 4–64 KiB file
 // access striped page by page does, and service takes many ticks, so
-// most of the backlog stays parked on busy elements and every element
-// release wakes a share of it. Each iteration dispatches one request —
-// jumping the clock to the next busy horizon when nothing is ready — and
-// pushes a replacement. Because parked requests are grouped by element
-// set, a release moves a handful of classes however deep the backlog
-// is: the cost must stay flat from 1k to 16k (CI gates 16k at most 3x
-// 1k) and the cycle must not allocate.
+// most of the backlog waits on busy elements. Each iteration dispatches
+// one request — jumping the clock to the next busy horizon when nothing
+// is ready — and pushes a replacement. Requests are grouped by element
+// set and a decision scans the sets, at most 15 here, however deep the
+// backlog is: the cost must stay flat from 1k to 16k (CI gates 16k at
+// most 3x 1k) and the cycle must not allocate.
 func BenchmarkDispatchSWTFBacklog(b *testing.B) {
 	const elements = 4
 	// sets[i] is the element run of the i-th access: a start page and a
@@ -741,8 +743,7 @@ func BenchmarkDispatchSWTFBacklog(b *testing.B) {
 				}
 				push(r)
 			}
-			// Warm up until the class and wake heaps reach their steady
-			// capacity.
+			// Warm up until the live lists reach their steady capacity.
 			for i := 0; i < 2*depth; i++ {
 				cycle()
 			}

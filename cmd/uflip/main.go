@@ -103,14 +103,15 @@ func granularity(p core.Profile, seed int64) error {
 // straddle two stripes and pay read-modify-write on both.
 func alignment(p core.Profile, seed int64) error {
 	if p.Kind != core.KindSSD {
-		return fmt.Errorf("alignment probe needs an SSD profile")
+		fmt.Printf("Probe: alignment skipped: %s is not an SSD profile, so it has no stripe to shift.\n\n", p.Name)
+		return nil
 	}
 	stripe := p.SSD.StripeBytes
 	if stripe == 0 {
 		stripe = int64(p.SSD.Geom.PageSize) // interleaved: page granularity
 	}
 	t := stats.NewTable(
-		fmt.Sprintf("Probe: alignment (stripe-sized %d KiB writes, mean ms by shift)", stripe>>10),
+		fmt.Sprintf("Probe: alignment (stripe-sized %s writes, mean ms by shift)", bytesLabel(stripe)),
 		"Shift", "Mean(ms)")
 	for _, frac := range []int64{0, 8, 4, 2} {
 		shift := int64(0)
@@ -138,10 +139,19 @@ func alignment(p core.Profile, seed int64) error {
 			return err
 		}
 		m := sd.Raw.Metrics()
-		t.AddRow(fmt.Sprintf("+%d/%dKiB", shift>>10, stripe>>10), m.WriteResp.Mean())
+		t.AddRow(fmt.Sprintf("+%s/%s", bytesLabel(shift), bytesLabel(stripe)), m.WriteResp.Mean())
 	}
 	fmt.Println(t.String())
 	return nil
+}
+
+// bytesLabel prints a size in KiB when it is a whole number of KiB and
+// in bytes otherwise, so a 512 B shift does not read as +0KiB.
+func bytesLabel(n int64) string {
+	if n%1024 == 0 {
+		return fmt.Sprintf("%dKiB", n>>10)
+	}
+	return fmt.Sprintf("%dB", n)
 }
 
 // locality confines random writes to shrinking working sets: small hot

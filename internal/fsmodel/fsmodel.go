@@ -11,6 +11,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -65,8 +66,52 @@ func New(capacity, blockSize int64, files int) (*FS, error) {
 }
 
 func (fs *FS) isSet(b int64) bool { return fs.bitmap[b/64]&(1<<(uint(b)%64)) != 0 }
-func (fs *FS) set(b int64)        { fs.bitmap[b/64] |= 1 << (uint(b) % 64) }
-func (fs *FS) clear(b int64)      { fs.bitmap[b/64] &^= 1 << (uint(b) % 64) }
+
+// nextFree returns the first free block at or after b, wrapping past the
+// end of the device. Full words are skipped whole; the bits past the
+// last block read as free and wrap.
+func (fs *FS) nextFree(b int64) int64 {
+	for laps := 0; laps < 2; {
+		if x := ^fs.bitmap[b>>6] >> (b & 63); x != 0 {
+			if f := b + int64(bits.TrailingZeros64(x)); f < fs.nblocks {
+				return f
+			}
+		} else if b = (b>>6 + 1) << 6; b < fs.nblocks {
+			continue
+		}
+		b = 0
+		laps++
+	}
+	// Append checked the free count, so this is a bug.
+	panic("fsmodel: free-count/bitmap mismatch")
+}
+
+// freeRun returns how many consecutive blocks from b are free, counting
+// no further than limit blocks or the end of the device.
+func (fs *FS) freeRun(b, limit int64) int64 {
+	end := min(fs.nblocks, b+limit)
+	e := b
+	for e < end {
+		off := e & 63
+		if x := fs.bitmap[e>>6] >> off; x != 0 {
+			e += int64(bits.TrailingZeros64(x))
+			break
+		}
+		e += 64 - off
+	}
+	return min(e, end) - b
+}
+
+// runMasks calls f with the index of each bitmap word covering blocks
+// [b, b+n) and the mask of those blocks within it.
+func (fs *FS) runMasks(b, n int64, f func(w int64, mask uint64)) {
+	for n > 0 {
+		off := b & 63
+		k := min(n, 64-off)
+		f(b>>6, ^uint64(0)>>(64-k)<<off)
+		b, n = b+k, n-k
+	}
+}
 
 // Create registers a new empty file and returns its ID.
 func (fs *FS) Create() FileID {
@@ -100,33 +145,24 @@ func (fs *FS) Append(id FileID, n int64) ([]Extent, error) {
 	if n > fs.free {
 		return nil, ErrNoSpace
 	}
-	// got collects the allocated runs; its last extent is the run being
-	// extended, and a free block not adjacent to it starts a new one.
+	// got collects the allocated runs. Each run is maximal (it ends at an
+	// allocated block, the end of the device or the request), so the
+	// next run never extends it.
 	got := fs.got[:0]
-	remaining := n
-	cursor := fs.hint
-	scanned := int64(0)
-	for remaining > 0 && scanned < fs.nblocks {
-		b := cursor % fs.nblocks
-		if !fs.isSet(b) {
-			fs.set(b)
-			fs.free--
-			remaining--
-			if last := len(got) - 1; last >= 0 && got[last].Start+got[last].Count == b {
-				got[last].Count++
-			} else {
-				got = append(got, Extent{Start: b, Count: 1})
-			}
+	b := fs.hint
+	for remaining := n; remaining > 0; {
+		b = fs.nextFree(b)
+		k := fs.freeRun(b, remaining)
+		fs.runMasks(b, k, func(w int64, mask uint64) { fs.bitmap[w] |= mask })
+		got = append(got, Extent{Start: b, Count: k})
+		remaining -= k
+		if b += k; b == fs.nblocks {
+			b = 0
 		}
-		cursor++
-		scanned++
 	}
+	fs.free -= n
 	fs.got = got
-	fs.hint = cursor % fs.nblocks
-	if remaining > 0 {
-		// Roll back: free counter said there was room, so this is a bug.
-		panic("fsmodel: free-count/bitmap mismatch")
-	}
+	fs.hint = b
 	fs.files[id] = append(ex, got...)
 	return got, nil
 }
@@ -141,13 +177,13 @@ func (fs *FS) Delete(id FileID) ([]Extent, error) {
 	}
 	delete(fs.files, id)
 	for _, e := range ex {
-		for b := e.Start; b < e.Start+e.Count; b++ {
-			if !fs.isSet(b) {
-				panic(fmt.Sprintf("fsmodel: double free of block %d", b))
+		fs.runMasks(e.Start, e.Count, func(w int64, mask uint64) {
+			if lost := mask &^ fs.bitmap[w]; lost != 0 {
+				panic(fmt.Sprintf("fsmodel: double free of block %d", w*64+int64(bits.TrailingZeros64(lost))))
 			}
-			fs.clear(b)
-			fs.free++
-		}
+			fs.bitmap[w] &^= mask
+		})
+		fs.free += e.Count
 	}
 	return mergeExtents(ex), nil
 }

@@ -234,3 +234,143 @@ func TestAppendExactProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refFS is the block-at-a-time reference allocator: next-fit over one
+// bool per block, extending the last extent when the next free block is
+// adjacent to it.
+type refFS struct {
+	used  []bool
+	free  int64
+	hint  int64
+	files map[FileID][]Extent
+}
+
+func (r *refFS) append(id FileID, n int64) ([]Extent, error) {
+	if n > r.free {
+		return nil, ErrNoSpace
+	}
+	var got []Extent
+	nb := int64(len(r.used))
+	cursor := r.hint
+	for remaining := n; remaining > 0; cursor++ {
+		b := cursor % nb
+		if r.used[b] {
+			continue
+		}
+		r.used[b] = true
+		r.free--
+		remaining--
+		if last := len(got) - 1; last >= 0 && got[last].Start+got[last].Count == b {
+			got[last].Count++
+		} else {
+			got = append(got, Extent{Start: b, Count: 1})
+		}
+	}
+	r.hint = cursor % nb
+	r.files[id] = append(r.files[id], got...)
+	return got, nil
+}
+
+func (r *refFS) delete(id FileID) []Extent {
+	ex := r.files[id]
+	delete(r.files, id)
+	for _, e := range ex {
+		for b := e.Start; b < e.Start+e.Count; b++ {
+			r.used[b] = false
+			r.free++
+		}
+	}
+	return mergeExtents(append([]Extent(nil), ex...))
+}
+
+// TestAllocatorMatchesReference drives FS and the block-at-a-time
+// reference through the same random creates, appends and deletes on
+// devices whose block counts straddle word boundaries. Appends wrap past
+// the end of the device, fill it exactly and overflow it; every result,
+// extent list, free count and bitmap bit must match.
+func TestAllocatorMatchesReference(t *testing.T) {
+	for _, blocks := range []int64{1, 2, 63, 64, 65, 127, 130, 1000} {
+		rng := rand.New(rand.NewSource(blocks))
+		fs := newFS(t, blocks)
+		ref := &refFS{used: make([]bool, blocks), free: blocks, files: map[FileID][]Extent{}}
+		var live []FileID
+		fills, wraps := 0, 0
+		for step := 0; step < 4000; step++ {
+			var id FileID
+			switch r := rng.Intn(10); {
+			case r < 2 || len(live) == 0:
+				id = fs.Create()
+				ref.files[id] = nil
+				live = append(live, id)
+			case r < 4:
+				i := rng.Intn(len(live))
+				id = live[i]
+				live = append(live[:i], live[i+1:]...)
+				got, err := fs.Delete(id)
+				if want := ref.delete(id); err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("blocks %d step %d: Delete = %v, %v; want %v", blocks, step, got, err, want)
+				}
+			default:
+				id = live[rng.Intn(len(live))]
+				n := 1 + rng.Int63n(max(1, blocks/8))
+				switch rng.Intn(8) {
+				case 0:
+					n = max(1, ref.free) // fill the device exactly
+				case 1:
+					n = ref.free + 1 // one block too many
+				}
+				hint := ref.hint
+				got, err := fs.Append(id, n)
+				want, werr := ref.append(id, n)
+				if werr == nil && ref.free == 0 {
+					fills++
+				}
+				for i, e := range want {
+					if i == 0 && e.Start < hint || i > 0 && e.Start < want[i-1].Start {
+						wraps++
+					}
+				}
+				if !errors.Is(err, werr) && err != werr {
+					t.Fatalf("blocks %d step %d: Append(%d) err = %v, want %v", blocks, step, n, err, werr)
+				}
+				if err == nil && !reflect.DeepEqual(got, want) {
+					t.Fatalf("blocks %d step %d: Append(%d) = %v, want %v", blocks, step, n, got, want)
+				}
+			}
+			if got, _ := fs.Extents(id); len(got) != 0 || len(ref.files[id]) != 0 {
+				if !reflect.DeepEqual(got, ref.files[id]) {
+					t.Fatalf("blocks %d step %d: Extents(%d) = %v, want %v", blocks, step, id, got, ref.files[id])
+				}
+			}
+			if fs.free != ref.free || fs.hint != ref.hint {
+				t.Fatalf("blocks %d step %d: free %d hint %d, want %d %d", blocks, step, fs.free, fs.hint, ref.free, ref.hint)
+			}
+			for b, used := range ref.used {
+				if fs.isSet(int64(b)) != used {
+					t.Fatalf("blocks %d step %d: block %d allocated = %v, want %v", blocks, step, b, !used, used)
+				}
+			}
+		}
+		if fills == 0 || wraps == 0 && blocks > 1 {
+			t.Fatalf("blocks %d: %d appends filled the device and %d wrapped, want both", blocks, fills, wraps)
+		}
+	}
+}
+
+// TestDeleteDoubleFreePanics pins the panic on freeing a block the
+// bitmap does not hold: it names the first such block.
+func TestDeleteDoubleFreePanics(t *testing.T) {
+	fs := newFS(t, 200)
+	id := fs.Create()
+	if _, err := fs.Append(id, 150); err != nil {
+		t.Fatal(err)
+	}
+	fs.bitmap[1] &^= 1 << 7 // block 71
+	fs.bitmap[2] &^= 1 << 1 // block 129
+	defer func() {
+		if got, want := recover(), "fsmodel: double free of block 71"; got != want {
+			t.Fatalf("panic = %v, want %q", got, want)
+		}
+	}()
+	fs.Delete(id)
+}

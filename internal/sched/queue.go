@@ -2,7 +2,7 @@ package sched
 
 import (
 	"encoding/binary"
-	"math/bits"
+	"math"
 
 	"ossd/internal/sim"
 )
@@ -26,30 +26,33 @@ import (
 // The index groups requests by element set. Requests with the same set
 // share one interned class, which holds them in an arrival-order FIFO;
 // within a class they are dispatchable together or not at all, so the
-// class's head is the only one that can win. Classes sit in a min-heap
-// keyed by their head's Seq, whose top holds the oldest request: FCFS
-// dispatches it or nothing. Under SWTF, Pop lazily parks a stale top
-// class on the element it must wait longest for. The wake record for
-// that element's horizon releases it: back into the heap if all its
-// elements are idle, or straight onto the parked list of the busy
-// element it now waits longest for. An element release therefore
-// costs O(distinct element sets parked on it) — at most 2^E-1 and, for
-// interleaved striping over E elements, far fewer — instead of
-// O(requests parked on it).
+// class's head is the only one that can win. Each class keeps its set as
+// a row of bitset words, and a lane lists its non-empty classes densely.
+// A decision is one pass over that list against a bitset of the busy
+// elements: SWTF takes the lowest head Seq among the classes whose set
+// misses every busy element; FCFS takes the lowest head Seq overall and
+// dispatches it only if its set is idle. A decision therefore costs
+// O(distinct element sets queued) word tests — at most 2^E-1, and for
+// interleaved striping over E elements far fewer (15 on a 4-element
+// gang) — however deep the backlog, and an element going idle moves
+// nothing.
 //
 // A Queue owns the busy horizons of its elements (the busyUntil vector
 // the scan-era device kept by hand): media models mark elements busy with
-// SetBusy and the queue wakes parked classes as the clock passes their
-// horizons. Each request's queue record is a Node embedded in the
-// caller's own request, so the queue does not allocate on the dispatch
-// path.
+// SetBusy. The busy bitset caches them: SetBusy sets the element's bit
+// and lowers freeAt, a bound at or before the earliest horizon in the
+// bitset, and Pop rebuilds bitset and bound from the horizons only once
+// the clock reaches freeAt. Under SWTF a decision with every element busy
+// returns at once. Pop assumes now never decreases between calls, as the
+// sim.Engine that drives a queue guarantees.
 //
-// The index holds no pointers on its hot path. A node carries an int32
-// id that the queue assigns on the record's first Push and maps back to
-// the record through a table written once per record; the class FIFOs
-// link nodes by id, and the candidate heap, the parked lists and the
-// per-element blocked heads hold int32 indices into the lane's class
-// table. Linking, sifting and parking therefore write only integers, and
+// Each request's queue record is a Node embedded in the caller's own
+// request, so the queue does not allocate on the dispatch path. The
+// index holds no pointers on its hot path. A node carries an int32 id
+// that the queue assigns on the record's first Push and maps back to the
+// record through a table written once per record; the class FIFOs link
+// nodes by id, and the live lists hold int32 indices into the lane's
+// class table. Linking and unlinking therefore write only integers, and
 // cost the same whether or not a GC cycle has the write barrier on.
 //
 // A Queue optionally layers weighted fair-share dispatch across tenant
@@ -66,8 +69,15 @@ import (
 type Queue[T any] struct {
 	policy    Policy
 	busyUntil []sim.Time
-	seq       uint64
-	length    int
+	// busy is the bitset of elements busy at the last rebuild plus those
+	// marked by SetBusy since, and nbusy counts its bits. freeAt is at or
+	// before the earliest horizon among them (math.MaxInt64 when none):
+	// while the clock is short of it, busy is exact.
+	busy   []uint64
+	nbusy  int
+	freeAt sim.Time
+	seq    uint64
+	length int
 	// cost reports a request's DRR dispatch cost in bytes; nil (or a
 	// cost <= 0) charges 1.
 	cost func(*T) int64
@@ -78,8 +88,6 @@ type Queue[T any] struct {
 
 	// lane is the single-tenant sub-queue; it stays empty in fair mode.
 	lane lane
-	// wakes is a min-heap of (horizon, element) records (SWTF only).
-	wakes []wake
 
 	// Weighted fair-share (DRR) state; engaged by SetTenantWeight. tens
 	// is the tenant ring, sorted by tenant ID; rr is the round-robin
@@ -88,8 +96,8 @@ type Queue[T any] struct {
 	tens []*tenantQ
 	rr   int
 
-	// words and key are scratch for interning element sets on queues
-	// wider than 64 elements.
+	// words and key are scratch for interning element sets; key is used
+	// only on queues wider than 64 elements.
 	words []uint64
 	key   []byte
 }
@@ -160,29 +168,30 @@ func (s *chunks[E]) at(i int) *E { return &s.c[i>>chunkBits][i&(1<<chunkBits-1)]
 // none is the nil class index.
 const none = -1
 
-// class is one interned element set within a lane: the set itself, the
-// lane's queued requests targeting exactly that set in arrival order
-// (node ids, 0 when empty), and the class's place in the index — in the
-// candidate heap (heapIdx >= 0), on an SWTF parked list (linked through
-// nextParked), or neither when empty. Classes are never freed: a lane
-// holds one per distinct element set it has seen.
+// class is one interned element set within a lane: the lane's queued
+// requests targeting exactly that set in arrival order (node ids, 0 when
+// empty), the head's Seq, and, while the class is non-empty, its
+// position in the lane's live list. The set itself is the class's row of
+// the lane's sets table. Classes are never freed: a lane holds one per
+// distinct element set it has seen.
 type class struct {
-	elems      []int // ascending
 	head, tail int32
-	seq        uint64 // head's Seq: the heap key
-	heapIdx    int32
-	nextParked int32
+	live       int32
+	seq        uint64
 }
 
 // lane is one dispatch sub-queue: the whole queue in single-tenant mode,
-// one tenant's share in fair mode. It is a Seq-keyed candidate heap of
-// classes plus, under SWTF, per-element parked lists, and it interns its
-// own classes, keyed by element bitmask (or by the bitset's bytes past
-// 64 elements). Every cross-reference is an index into classes.
+// one tenant's share in fair mode. It interns its own classes, keyed by
+// element bitmask (or by the bitset's bytes past 64 elements), keeps
+// their sets as rows of len(Queue.busy) words in sets, and lists the
+// non-empty ones, in no particular order, in live. empty is the class of
+// the empty element set, or none: that class dispatches even when every
+// element is busy. Every cross-reference is an index into classes.
 type lane struct {
 	classes []class
-	ready   []int32 // candidate heap
-	blocked []int32 // SWTF per-element parked list heads
+	sets    []uint64
+	live    []int32
+	empty   int32
 	byMask  map[uint64]int32
 	byKey   map[string]int32
 }
@@ -201,38 +210,27 @@ type tenantQ struct {
 	length  int
 }
 
-// wake records that an element's busy horizon ends at `at`; processing it
-// then releases the element's parked classes. Horizons only move while
-// an element is idle, so the record matching the current horizon is
-// always present (stale records are skipped, never trusted).
-type wake struct {
-	at   sim.Time
-	elem int
-}
-
 // NewQueue returns an empty queue dispatching under policy over the given
 // number of parallel elements, all idle. cost, consulted only in
 // weighted fair-share mode, reports a request's dispatch cost in bytes
 // (a cost <= 0, or a nil cost, counts as 1).
 func NewQueue[T any](policy Policy, elements int, cost func(*T) int64) *Queue[T] {
+	words := max(1, (elements+63)/64)
 	q := &Queue[T]{
 		policy:    policy,
 		busyUntil: make([]sim.Time, elements),
+		busy:      make([]uint64, words),
+		freeAt:    math.MaxInt64,
 		cost:      cost,
+		words:     make([]uint64, words),
 	}
 	q.initLane(&q.lane)
-	if elements > 64 {
-		q.words = make([]uint64, (elements+63)/64)
-	}
 	return q
 }
 
 func (q *Queue[T]) initLane(l *lane) {
-	l.blocked = make([]int32, len(q.busyUntil))
-	for e := range l.blocked {
-		l.blocked[e] = none
-	}
-	if len(q.busyUntil) <= 64 {
+	l.empty = none
+	if len(q.words) == 1 {
 		l.byMask = map[uint64]int32{}
 	} else {
 		l.byKey = map[string]int32{}
@@ -251,15 +249,18 @@ func (q *Queue[T]) Idle(e int, now sim.Time) bool { return q.busyUntil[e] <= now
 
 // SetBusy marks element e busy until the given horizon. Horizons only
 // grow: marking an element busy until a time before its current horizon
-// is a no-op.
+// is a no-op. A horizon already past when Pop next runs leaves the
+// element idle.
 func (q *Queue[T]) SetBusy(e int, until sim.Time) {
 	if until <= q.busyUntil[e] {
 		return
 	}
 	q.busyUntil[e] = until
-	if q.policy == SWTF {
-		q.pushWake(wake{at: until, elem: e})
+	if w, b := e>>6, uint64(1)<<(e&63); q.busy[w]&b == 0 {
+		q.busy[w] |= b
+		q.nbusy++
 	}
+	q.freeAt = min(q.freeAt, until)
 }
 
 // SetTenantWeight switches the queue into weighted fair-share mode and
@@ -321,8 +322,7 @@ func (q *Queue[T]) Push(n *Node[T], owner *T, elems []int, tenant uint8) uint64 
 	n.next, n.seq = 0, q.seq
 	q.length++
 	// Pushes arrive in Seq order, so appending keeps the class FIFO
-	// sorted. A class that was empty enters as a candidate; under SWTF,
-	// Pop parks it lazily if its elements turn out busy.
+	// sorted. A class that was empty joins the live list.
 	ci := q.classFor(l, elems)
 	c := &l.classes[ci]
 	if c.tail != 0 {
@@ -331,7 +331,8 @@ func (q *Queue[T]) Push(n *Node[T], owner *T, elems []int, tenant uint8) uint64 
 		return n.seq
 	}
 	c.head, c.tail, c.seq = id, id, n.seq
-	l.heapPush(ci)
+	c.live = int32(len(l.live))
+	l.live = append(l.live, ci)
 	return n.seq
 }
 
@@ -339,24 +340,20 @@ func (q *Queue[T]) Push(n *Node[T], owner *T, elems []int, tenant uint8) uint64 
 func (q *Queue[T]) node(id int32) *Node[T] { return q.recs.at(int(id) - 1).node }
 
 // classFor returns the index of l's class for the element set, interning
-// it on first sight. Sets are keyed by bitmask, so element order and
+// it on first sight. Sets are keyed by bitset, so element order and
 // duplicates do not matter.
 func (q *Queue[T]) classFor(l *lane, elems []int) int32 {
-	if l.byMask != nil {
-		var m uint64
-		for _, e := range elems {
-			m |= 1 << uint(e)
-		}
-		c, ok := l.byMask[m]
-		if !ok {
-			c = l.newClass([]uint64{m})
-			l.byMask[m] = c
-		}
-		return c
-	}
 	clear(q.words)
 	for _, e := range elems {
-		q.words[e/64] |= 1 << uint(e%64)
+		q.words[e>>6] |= 1 << (e & 63)
+	}
+	if l.byMask != nil {
+		c, ok := l.byMask[q.words[0]]
+		if !ok {
+			c = l.newClass(q.words)
+			l.byMask[q.words[0]] = c
+		}
+		return c
 	}
 	q.key = q.key[:0]
 	for _, w := range q.words {
@@ -373,41 +370,46 @@ func (q *Queue[T]) classFor(l *lane, elems []int) int32 {
 // newClass appends an empty class for the element bitset and returns its
 // index.
 func (l *lane) newClass(set []uint64) int32 {
-	c := class{heapIdx: none, nextParked: none}
-	for i, w := range set {
-		for ; w != 0; w &= w - 1 {
-			c.elems = append(c.elems, i*64+bits.TrailingZeros64(w))
-		}
+	ci := int32(len(l.classes))
+	l.classes = append(l.classes, class{})
+	l.sets = append(l.sets, set...)
+	var or uint64
+	for _, w := range set {
+		or |= w
 	}
-	l.classes = append(l.classes, c)
-	return int32(len(l.classes) - 1)
-}
-
-// wait is the legacy Entry.Wait over the queue's own busy horizons.
-func (q *Queue[T]) wait(elems []int, now sim.Time) sim.Time {
-	var w sim.Time
-	for _, e := range elems {
-		if b := q.busyUntil[e] - now; b > w {
-			w = b
-		}
+	if or == 0 {
+		l.empty = ci
 	}
-	return w
+	return ci
 }
 
 // Pop removes and returns the next dispatchable request, or (nil, false)
 // if nothing may dispatch at now. It never allocates.
 func (q *Queue[T]) Pop(now sim.Time) (*T, bool) {
-	if q.policy == SWTF {
-		q.release(now)
+	if now >= q.freeAt {
+		q.refresh(now)
 	}
 	if q.fair {
-		return q.popFair(now)
+		return q.popFair()
 	}
-	c := q.peek(&q.lane, now)
+	c := q.peek(&q.lane)
 	if c == none {
 		return nil, false
 	}
 	return q.take(&q.lane, c), true
+}
+
+// refresh rebuilds the busy bitset and freeAt from the horizons at now.
+func (q *Queue[T]) refresh(now sim.Time) {
+	clear(q.busy)
+	q.nbusy, q.freeAt = 0, math.MaxInt64
+	for e, until := range q.busyUntil {
+		if until > now {
+			q.busy[e>>6] |= 1 << (e & 63)
+			q.nbusy++
+			q.freeAt = min(q.freeAt, until)
+		}
+	}
 }
 
 // popFair is the weighted deficit-round-robin dispatch: visit tenants in
@@ -417,7 +419,7 @@ func (q *Queue[T]) Pop(now sim.Time) (*T, bool) {
 // quantum x weight and rescan. The refill loop terminates because
 // weights are positive, and it returns false only when no tenant has a
 // dispatchable head — the Driver contract. Never allocates.
-func (q *Queue[T]) popFair(now sim.Time) (*T, bool) {
+func (q *Queue[T]) popFair() (*T, bool) {
 	n := len(q.tens)
 	for {
 		blockedOnDeficit := false
@@ -427,7 +429,7 @@ func (q *Queue[T]) popFair(now sim.Time) (*T, bool) {
 				idx -= n
 			}
 			tq := q.tens[idx]
-			c := q.peek(&tq.lane, now)
+			c := q.peek(&tq.lane)
 			if c == none {
 				continue
 			}
@@ -446,7 +448,7 @@ func (q *Queue[T]) popFair(now sim.Time) (*T, bool) {
 			return nil, false
 		}
 		for _, tq := range q.tens {
-			if q.peek(&tq.lane, now) != none {
+			if q.peek(&tq.lane) != none {
 				tq.deficit += drrQuantum * tq.weight
 			}
 		}
@@ -462,197 +464,64 @@ func (q *Queue[T]) costOf(id int32) float64 {
 }
 
 // peek returns the index of the class whose head dispatches next from l
-// at now, or none. Under SWTF it parks stale candidate classes until the
-// top one is dispatchable; under FCFS the top class holds the lane's
-// oldest request, which blocks only its own lane.
-func (q *Queue[T]) peek(l *lane, now sim.Time) int32 {
-	for len(l.ready) > 0 {
-		c := l.ready[0]
-		if q.policy != SWTF {
-			if q.wait(l.classes[c].elems, now) == 0 {
-				return c
+// against the busy bitset, or none. Under SWTF that is the lowest-Seq
+// head among the classes whose set is idle; under FCFS it is the
+// lowest-Seq head overall, if its set is idle, which blocks only its own
+// lane.
+func (q *Queue[T]) peek(l *lane) int32 {
+	if len(l.live) == 0 {
+		return none
+	}
+	if q.policy != SWTF {
+		best := l.live[0]
+		for _, ci := range l.live[1:] {
+			if l.classes[ci].seq < l.classes[best].seq {
+				best = ci
 			}
-			return none
 		}
-		if !q.park(l, c, now) {
-			return c
+		if q.idle(l, best) {
+			return best
 		}
-		l.heapRemove(c)
+		return none
 	}
-	return none
+	if q.nbusy == len(q.busyUntil) && (l.empty == none || l.classes[l.empty].head == 0) {
+		return none
+	}
+	best, seq := int32(none), uint64(math.MaxUint64)
+	for _, ci := range l.live {
+		if s := l.classes[ci].seq; s < seq && q.idle(l, ci) {
+			best, seq = ci, s
+		}
+	}
+	return best
 }
 
-// take detaches the head of class ci, the class peek just returned, from
-// l and returns its owner.
-func (q *Queue[T]) take(l *lane, ci int32) *T {
-	c := &l.classes[ci]
-	r := q.recs.at(int(c.head) - 1)
-	if next := r.node.next; next == 0 {
-		c.head, c.tail = 0, 0
-		l.heapRemove(ci)
-	} else {
-		// The new head arrived later: the class's key only grows.
-		c.head, c.seq = next, q.node(next).seq
-		l.siftDown(int(c.heapIdx))
-	}
-	q.length--
-	return r.owner
-}
-
-// park parks class ci on the busy element it must wait longest for and
-// reports true, or reports false, leaving it alone, when all its
-// elements are idle at now.
-func (q *Queue[T]) park(l *lane, ci int32, now sim.Time) bool {
-	c := &l.classes[ci]
-	worst, horizon := -1, sim.Time(0)
-	for _, e := range c.elems {
-		if b := q.busyUntil[e]; b > now && b > horizon {
-			worst, horizon = e, b
+// idle reports whether class ci of l targets no busy element.
+func (q *Queue[T]) idle(l *lane, ci int32) bool {
+	n := len(q.busy)
+	for i, w := range l.sets[int(ci)*n : int(ci)*n+n] {
+		if w&q.busy[i] != 0 {
+			return false
 		}
 	}
-	if worst < 0 {
-		return false
-	}
-	c.nextParked = l.blocked[worst]
-	l.blocked[worst] = ci
 	return true
 }
 
-// release processes due wake records: every element whose horizon has
-// passed gets its parked classes, in every lane, released.
-func (q *Queue[T]) release(now sim.Time) {
-	for len(q.wakes) > 0 && q.wakes[0].at <= now {
-		w := q.popWake()
-		if q.busyUntil[w.elem] > now {
-			// Stale record: the element was re-marked busy; the newer
-			// record carries its current horizon.
-			continue
-		}
-		q.unpark(&q.lane, w.elem, now)
-		for _, tq := range q.tens {
-			q.unpark(&tq.lane, w.elem, now)
-		}
+// take detaches the head of class ci, the class peek just returned, from
+// l and returns its owner. A class left empty leaves the live list by
+// swapping the last entry into its place.
+func (q *Queue[T]) take(l *lane, ci int32) *T {
+	c := &l.classes[ci]
+	r := q.recs.at(int(c.head) - 1)
+	if next := r.node.next; next != 0 {
+		c.head, c.seq = next, q.node(next).seq
+	} else {
+		c.head, c.tail = 0, 0
+		last := l.live[len(l.live)-1]
+		l.live[c.live] = last
+		l.classes[last].live = c.live
+		l.live = l.live[:len(l.live)-1]
 	}
-}
-
-// unpark releases the classes parked on idle element e. A class that
-// still waits on another busy element parks there at once; only classes
-// dispatchable at now become candidates, so peek never pops a released
-// class straight back out. Every dispatchable class is still a
-// candidate, and the lowest-Seq one still wins: dispatch order is the
-// same as promoting every released class and letting peek re-park it.
-func (q *Queue[T]) unpark(l *lane, e int, now sim.Time) {
-	c := l.blocked[e]
-	l.blocked[e] = none
-	for c != none {
-		next := l.classes[c].nextParked
-		l.classes[c].nextParked = none
-		if !q.park(l, c, now) {
-			l.heapPush(c)
-		}
-		c = next
-	}
-}
-
-// ---- Seq-keyed candidate heap of classes ----
-
-func (l *lane) heapPush(c int32) {
-	i := len(l.ready)
-	l.classes[c].heapIdx = int32(i)
-	l.ready = append(l.ready, c)
-	l.siftUp(i)
-}
-
-func (l *lane) heapRemove(c int32) {
-	i := int(l.classes[c].heapIdx)
-	last := len(l.ready) - 1
-	moved := l.ready[last]
-	l.ready[i] = moved
-	l.classes[moved].heapIdx = int32(i)
-	l.ready = l.ready[:last]
-	if i < last {
-		l.siftDown(i)
-		l.siftUp(i)
-	}
-	l.classes[c].heapIdx = none
-}
-
-// swap exchanges heap positions i and j, keeping heapIdx in step.
-func (l *lane) swap(i, j int) {
-	ready := l.ready
-	ready[i], ready[j] = ready[j], ready[i]
-	l.classes[ready[i]].heapIdx = int32(i)
-	l.classes[ready[j]].heapIdx = int32(j)
-}
-
-// key is the heap key at position i: its class's head Seq.
-func (l *lane) key(i int) uint64 { return l.classes[l.ready[i]].seq }
-
-func (l *lane) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if l.key(p) <= l.key(i) {
-			return
-		}
-		l.swap(p, i)
-		i = p
-	}
-}
-
-func (l *lane) siftDown(i int) {
-	n := len(l.ready)
-	for {
-		left, right := 2*i+1, 2*i+2
-		min := i
-		if left < n && l.key(left) < l.key(min) {
-			min = left
-		}
-		if right < n && l.key(right) < l.key(min) {
-			min = right
-		}
-		if min == i {
-			return
-		}
-		l.swap(i, min)
-		i = min
-	}
-}
-
-// ---- (horizon, element) wake heap ----
-
-func (q *Queue[T]) pushWake(w wake) {
-	q.wakes = append(q.wakes, w)
-	i := len(q.wakes) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if q.wakes[p].at <= q.wakes[i].at {
-			break
-		}
-		q.wakes[p], q.wakes[i] = q.wakes[i], q.wakes[p]
-		i = p
-	}
-}
-
-func (q *Queue[T]) popWake() wake {
-	w := q.wakes[0]
-	last := len(q.wakes) - 1
-	q.wakes[0] = q.wakes[last]
-	q.wakes = q.wakes[:last]
-	i, n := 0, last
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && q.wakes[l].at < q.wakes[min].at {
-			min = l
-		}
-		if r < n && q.wakes[r].at < q.wakes[min].at {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		q.wakes[i], q.wakes[min] = q.wakes[min], q.wakes[i]
-		i = min
-	}
-	return w
+	q.length--
+	return r.owner
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -78,7 +79,7 @@ func TestQueueSWTFBypassAndTieBreak(t *testing.T) {
 	if _, ok := q.Pop(10); ok {
 		t.Fatal("dispatched onto a busy element")
 	}
-	// Element 0 clears; the parked request dispatches.
+	// Element 0 clears; the waiting request dispatches.
 	if id, ok := popID(q, 100); !ok || id != blocked {
 		t.Fatalf("Pop = %d, %v, want blocked", id, ok)
 	}
@@ -117,7 +118,7 @@ func TestQueueMultiElementParking(t *testing.T) {
 	}
 	// Pop does not mark elements busy; serve the single on element 2.
 	q.SetBusy(2, 60)
-	// At 30 element 1 clears but 2 is busy: striped re-parks.
+	// At 30 element 1 clears but 2 is busy: striped still waits.
 	if _, ok := q.Pop(30); ok {
 		t.Fatal("striped dispatched with element 2 busy")
 	}
@@ -126,33 +127,68 @@ func TestQueueMultiElementParking(t *testing.T) {
 	}
 }
 
-// TestQueueReleaseReparks pins the direct re-park: when an element's
-// wake record fires, a class that still waits on another busy element
-// moves to that element's parked list without passing through the
-// candidate heap.
-func TestQueueReleaseReparks(t *testing.T) {
-	const striped = 1
+// TestQueueBusyMask pins the busy bitset that decisions read against
+// the horizons it caches: a horizon already past leaves its element idle,
+// an extended horizon holds dispatch until the new one, a decision at
+// exactly the horizon dispatches, tenant lanes read the same bitset, and
+// an empty element set dispatches with every element busy.
+func TestQueueBusyMask(t *testing.T) {
+	for _, policy := range []Policy{FCFS, SWTF} {
+		q := newQueue(policy, 2)
+		if _, ok := q.Pop(100); ok {
+			t.Fatalf("%v: empty queue dispatched", policy)
+		}
+		// A horizon behind the clock marks nothing busy.
+		q.SetBusy(0, 50)
+		push(q, []int{0}, 1, 0, 1)
+		if id, ok := popID(q, 100); !ok || id != 1 {
+			t.Fatalf("%v: Pop = %d, %v, want 1 on an element idle since 50", policy, id, ok)
+		}
+		// Extending a horizon delays dispatch to the new one.
+		q.SetBusy(1, 200)
+		push(q, []int{1}, 2, 0, 1)
+		if _, ok := q.Pop(150); ok {
+			t.Fatalf("%v: dispatched onto element 1 busy until 200", policy)
+		}
+		q.SetBusy(1, 300)
+		for _, now := range []sim.Time{200, 299} {
+			if _, ok := q.Pop(now); ok {
+				t.Fatalf("%v: dispatched at %d onto element 1 busy until 300", policy, now)
+			}
+		}
+		if id, ok := popID(q, 300); !ok || id != 2 {
+			t.Fatalf("%v: Pop = %d, %v at the horizon, want 2", policy, id, ok)
+		}
+		// An empty element set waits on no element.
+		q.SetBusy(0, 400)
+		q.SetBusy(1, 400)
+		push(q, nil, 3, 0, 1)
+		if id, ok := popID(q, 300); !ok || id != 3 {
+			t.Fatalf("%v: Pop = %d, %v with every element busy, want the empty set 3", policy, id, ok)
+		}
+	}
+
+	// Two tenant lanes read one bitset: tenant 1 waits on element 1
+	// while tenant 2's request on element 0 goes, and a horizon past in
+	// one lane's decision is past in the other's.
 	q := newQueue(SWTF, 2)
-	q.SetBusy(0, 30)
-	push(q, []int{0, 1}, striped, 0, 1)
-	// Element 0 is the only busy one: striped parks there.
-	if _, ok := q.Pop(0); ok {
-		t.Fatal("striped dispatched with element 0 busy")
+	q.SetTenantWeight(1, 1)
+	q.SetTenantWeight(2, 1)
+	q.SetBusy(0, 40)
+	q.SetBusy(1, 80)
+	push(q, []int{1}, 1, 1, 1)
+	push(q, []int{0}, 2, 2, 1)
+	if _, ok := q.Pop(39); ok {
+		t.Fatal("fair: dispatched with both elements busy")
 	}
-	q.SetBusy(1, 60)
-	q.release(30)
-	l := &q.lane
-	if len(l.ready) != 0 || l.classes[0].heapIdx != none {
-		t.Fatalf("released class is a candidate: ready %v", l.ready)
+	if id, ok := popID(q, 40); !ok || id != 2 {
+		t.Fatalf("fair: Pop = %d, %v at 40, want tenant 2's request", id, ok)
 	}
-	if l.blocked[0] != none || l.blocked[1] != 0 {
-		t.Fatalf("parked lists = %v, want the class on element 1 only", l.blocked)
+	if _, ok := q.Pop(79); ok {
+		t.Fatal("fair: dispatched tenant 1's request onto busy element 1")
 	}
-	if _, ok := q.Pop(30); ok {
-		t.Fatal("striped dispatched with element 1 busy")
-	}
-	if id, ok := popID(q, 60); !ok || id != striped {
-		t.Fatalf("Pop = %d, %v, want striped", id, ok)
+	if id, ok := popID(q, 80); !ok || id != 1 {
+		t.Fatalf("fair: Pop = %d, %v at 80, want tenant 1's request", id, ok)
 	}
 }
 
@@ -357,6 +393,24 @@ func TestQueueEquivalence(t *testing.T) {
 	}
 }
 
+// TestQueueEquivalenceWide runs saturated backlogs on 16, 63 and 64
+// elements, and on 65, the first width with two bitset words, against
+// the legacy scan under both policies. Striped sets reach the full
+// element set, so at 64 elements a class's bitset word and the busy
+// bitset are all ones.
+func TestQueueEquivalenceWide(t *testing.T) {
+	slow := func(id, elem int) sim.Time { return sim.Time(20 + (id*31+elem*7)%40) }
+	for _, policy := range []Policy{FCFS, SWTF} {
+		for _, elements := range []int{16, 63, 64, 65} {
+			c := equivCase{policy: policy, elements: elements, steps: 200,
+				arrivals: stripedSets(elements), service: slow, minDepth: 500}
+			t.Run(fmt.Sprintf("%v-%d", policy, elements), func(t *testing.T) {
+				runEquivalence(t, c, int64(elements))
+			})
+		}
+	}
+}
+
 func runEquivalence(t *testing.T, c equivCase, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -436,7 +490,9 @@ func runEquivalence(t *testing.T, c equivCase, seed int64) {
 		t.Fatalf("seed %d: backlog peaked at %d and ended at %d, want >= %d", seed, depth, q.Len(), c.minDepth)
 	}
 	// Serve the backlog dry with no further arrivals: every parked
-	// request must still dispatch in the oracle's order.
+	// request must still dispatch in the oracle's order. The last clock
+	// step may have passed every horizon, so dispatch at now first.
+	dispatch(c.steps)
 	for step := c.steps; q.Len() > 0; step++ {
 		next := nextHorizon()
 		if next == now {
@@ -475,8 +531,8 @@ func TestQueuePopAllocFree(t *testing.T) {
 		q.Push(&r.qn, r, elems[r.id], 0)
 		now++
 	})
-	// The class heap and wake heap reach a steady size during warmup;
-	// after that the cycle must be allocation-free.
+	// The live list reaches its steady size during warmup; after that
+	// the cycle must be allocation-free.
 	if allocs > 0 {
 		t.Fatalf("dispatch cycle allocates %.1f times per op, want 0", allocs)
 	}
@@ -498,8 +554,8 @@ func TestDriverPumpAfterAllocFree(t *testing.T) {
 
 // TestQueueWideClasses covers element sets on a queue wider than 64
 // elements, which intern by bitset bytes instead of a uint64 mask: one
-// set listed in two orders is one class, and elements past 64 park and
-// wake like any other.
+// set listed in two orders is one class, and elements past 64 block and
+// free like any other.
 func TestQueueWideClasses(t *testing.T) {
 	q := newQueue(SWTF, 130)
 	q.SetBusy(129, 50)
@@ -551,16 +607,16 @@ func TestPoolLIFO(t *testing.T) {
 }
 
 // TestHotPathPointerFree pins the records the dispatch path writes on
-// every push, pop, park and wake as pointer-free: a pointer field in any
-// of them would put those writes under the collector's write barrier
-// again whenever a GC cycle is running.
+// every push and pop as pointer-free: a pointer field in any of them
+// would put those writes under the collector's write barrier again
+// whenever a GC cycle is running.
 func TestHotPathPointerFree(t *testing.T) {
 	var l lane
 	for name, typ := range map[string]reflect.Type{
-		"Node":          reflect.TypeOf(Node[treq]{}),
-		"wake":          reflect.TypeOf(wake{}),
-		"ready element": reflect.TypeOf(l.ready).Elem(),
-		"blocked head":  reflect.TypeOf(l.blocked).Elem(),
+		"Node":         reflect.TypeOf(Node[treq]{}),
+		"class":        reflect.TypeOf(class{}),
+		"live element": reflect.TypeOf(l.live).Elem(),
+		"set word":     reflect.TypeOf(l.sets).Elem(),
 	} {
 		if path := pointerPath(typ, name); path != "" {
 			t.Errorf("%s carries a pointer; queue writes would pay write barriers", path)
