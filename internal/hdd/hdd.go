@@ -186,9 +186,8 @@ func (d *Disk) zoneOf(off int64) int {
 	return z
 }
 
-// cylOf maps a byte offset to a cylinder.
-func (d *Disk) cylOf(off int64) int {
-	z := d.zoneOf(off)
+// cylOf maps a byte offset in zone z (zoneOf(off)) to a cylinder.
+func (d *Disk) cylOf(off int64, z int) int {
 	zBytes := d.zoneStart[z+1] - d.zoneStart[z]
 	within := float64(off-d.zoneStart[z]) / float64(zBytes)
 	return z*d.zoneCyls + int(within*float64(d.zoneCyls))
@@ -211,15 +210,16 @@ func (d *Disk) seekTime(fromCyl, toCyl int) sim.Time {
 	return sim.Time(t)
 }
 
-// rotTime returns the rotational delay to reach the target offset's
-// angular position given the current time.
-func (d *Disk) rotTime(off int64, at sim.Time) sim.Time {
+// rotTime returns the rotational delay to reach the angular position of
+// the target offset, in zone z, given the current time.
+func (d *Disk) rotTime(off int64, z int, at sim.Time) sim.Time {
 	// Angular position of the target sector: proportional to its byte
-	// position within its (approximate) track.
-	z := d.zoneOf(off)
+	// position within its (approximate) track. The head's angle is taken
+	// in integer nanoseconds, which equals the float remainder exactly
+	// while at < 2^53 ns.
 	trackBytes := d.zoneRate[z] * d.revTime.Seconds()
 	target := math.Mod(float64(off), trackBytes) / trackBytes
-	head := math.Mod(float64(at), float64(d.revTime)) / float64(d.revTime)
+	head := float64(at%d.revTime) / float64(d.revTime)
 	delta := target - head
 	if delta < 0 {
 		delta++
@@ -227,26 +227,29 @@ func (d *Disk) rotTime(off int64, at sim.Time) sim.Time {
 	return sim.Time(delta * float64(d.revTime))
 }
 
-// xferTime is the media transfer time for size bytes at the offset's zone
-// rate.
-func (d *Disk) xferTime(off, size int64) sim.Time {
-	return sim.Time(float64(size) / d.zoneRate[d.zoneOf(off)] * 1e9)
+// xferTime is the media transfer time for size bytes at zone z's rate.
+func (d *Disk) xferTime(z int, size int64) sim.Time {
+	return sim.Time(float64(size) / d.zoneRate[z] * 1e9)
 }
 
 // serviceTime computes one media access: sequential continuation skips
-// the mechanical delays entirely.
+// the mechanical delays entirely. The offset's zone is looked up once
+// and shared by the cylinder, rotation and transfer models.
 func (d *Disk) serviceTime(off, size int64) sim.Time {
+	z := d.zoneOf(off)
 	if off == d.lastEnd {
-		d.lastEnd = off + size
-		d.headCyl = d.cylOf(off + size)
-		return d.xferTime(off, size)
+		end := off + size
+		d.lastEnd = end
+		d.headCyl = d.cylOf(end, d.zoneOf(end))
+		return d.xferTime(z, size)
 	}
-	seek := d.seekTime(d.headCyl, d.cylOf(off))
+	cyl := d.cylOf(off, z)
+	seek := d.seekTime(d.headCyl, cyl)
 	d.met.Seeks++
-	rot := d.rotTime(off, d.eng.Now()+seek)
-	d.headCyl = d.cylOf(off)
+	rot := d.rotTime(off, z, d.eng.Now()+seek)
+	d.headCyl = cyl
 	d.lastEnd = off + size
-	return seek + rot + d.xferTime(off, size)
+	return seek + rot + d.xferTime(z, size)
 }
 
 // Submit enqueues an operation at the current simulated time; onDone

@@ -47,7 +47,7 @@ func TestZoneMapping(t *testing.T) {
 	// Cylinder mapping is monotone.
 	prev := -1
 	for off := int64(0); off < d.cfg.CapacityBytes; off += d.cfg.CapacityBytes / 64 {
-		c := d.cylOf(off)
+		c := d.cylOf(off, d.zoneOf(off))
 		if c < prev {
 			t.Fatalf("cylinder mapping not monotone at %d", off)
 		}

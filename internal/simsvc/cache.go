@@ -10,8 +10,9 @@ import (
 // cache is the content-addressed result cache: completed result payloads
 // keyed by the FNV-1a hash of their canonical identity bytes (a job
 // spec's canonical JSON, an experiment's key string), bounded by LRU
-// eviction. Payloads are stored as the exact marshaled bytes served to
-// clients, so a hit is byte-identical to the run that populated it.
+// eviction. Payloads are stored as the exact bytes served to clients (a
+// job's rendered result, an experiment's whole body), so a hit is
+// byte-identical to the run that populated it.
 //
 // The 64-bit key alone is NOT the identity: two distinct specs can
 // collide. Every entry therefore carries its identity bytes, get

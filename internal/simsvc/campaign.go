@@ -25,7 +25,8 @@ const (
 
 // cellResult is one cell's observable outcome, the per-cell payload of
 // GET /campaigns/{id}/stream. Result holds the job's payload verbatim
-// (a Result), so equal specs yield byte-identical result fields.
+// (a Result, rendered indented; the stream's encoder compacts it), so
+// equal specs yield byte-identical result fields.
 type cellResult struct {
 	Index  int             `json:"index"`
 	Coords []axisValue     `json:"coords"`

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 
 	"ossd/internal/core"
 	"ossd/internal/experiments"
@@ -21,6 +22,37 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// resultMember and viewTail frame the stored result in a view body:
+// what a two-space-indented encoding of a JobView puts before and after
+// its last member, "result".
+var (
+	resultMember = []byte(",\n  \"result\": ")
+	viewTail     = []byte("\n}\n")
+)
+
+// writeView serves a job view (POST /jobs, GET /jobs/{id}). With v.Result
+// the stored rendition (renderResult), the body is byte-identical to
+// writeJSON(w, status, v), but the result is not re-encoded: the view is
+// encoded without it, and the rendition, already at the indentation it
+// sits at, is spliced in as the closing member.
+func writeView(w http.ResponseWriter, status int, v JobView) {
+	result := v.Result
+	v.Result = nil
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	if len(result) == 0 {
+		body = append(body, '\n')
+	} else {
+		body = slices.Concat(body[:len(body)-len("\n}")], resultMember, result, viewTail)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 // writeError serves an error as {"error": ...}.
@@ -164,7 +196,7 @@ func (m *Manager) Handler() http.Handler {
 			writeError(w, submitStatus(err), err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, job.View())
+		writeView(w, http.StatusAccepted, job.View())
 	})
 
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -175,7 +207,7 @@ func (m *Manager) Handler() http.Handler {
 				writeError(w, http.StatusNotFound, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, view)
+			writeView(w, http.StatusOK, view)
 			return
 		}
 		job, ok := m.Job(id)
@@ -183,7 +215,7 @@ func (m *Manager) Handler() http.Handler {
 			writeError(w, http.StatusNotFound, fmt.Errorf("simsvc: no job %q", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, job.View())
+		writeView(w, http.StatusOK, job.View())
 	})
 
 	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {

@@ -61,7 +61,7 @@ type Job struct {
 	// cache at submit) or "coalesced" (a single-flight waiter).
 	cacheSource string
 	errMsg      string
-	result      []byte // marshaled Result, set when status == StatusDone
+	result      []byte // rendered Result (renderResult), set when status == StatusDone
 	samples     []Sample
 	cancel      context.CancelFunc
 	// Lifecycle timestamps (wall clock): submitted is set at Submit,
@@ -95,11 +95,15 @@ func (j *Job) evict() bool {
 }
 
 // JobView is a job's serialized state (GET /jobs/{id}). Result holds the
-// cached payload verbatim, so identical specs yield byte-identical
-// result fields. The lifecycle timestamps are wall clock (not simulated
-// time): StartedAt is zero for cache hits, which complete without ever
-// running; QueueWaitMs and RunMs are derived conveniences (zero until
-// the phase they measure has completed).
+// cached payload verbatim: the Result rendered once at completion,
+// indented one level deep (prefix and indent "  ") as it sits in a view
+// body, so identical specs yield byte-identical result fields. Result
+// must stay the last field: writeView encodes the rest of the view and
+// appends the stored bytes as its closing member. The lifecycle
+// timestamps are wall clock (not simulated time): StartedAt is zero for
+// cache hits, which complete without ever running; QueueWaitMs and
+// RunMs are derived conveniences (zero until the phase they measure has
+// completed).
 type JobView struct {
 	ID          string          `json:"id"`
 	Status      Status          `json:"status"`
@@ -352,7 +356,7 @@ func (m *Manager) run(ctx context.Context, job *Job) {
 	res, err := m.simulate(ctx, job)
 	var payload []byte
 	if err == nil {
-		payload, err = json.Marshal(res)
+		payload, err = renderResult(res)
 	}
 	if err != nil {
 		m.failJob(job, err.Error())
@@ -373,6 +377,23 @@ func (m *Manager) run(ctx context.Context, job *Job) {
 	m.countDone(job)
 	job.cond.Broadcast()
 	job.mu.Unlock()
+}
+
+// renderResult renders a job's Result once, as the exact bytes every
+// view of the job carries: indented one level deep (prefix and indent
+// "  "), as the "result" member of a view encoded with a two-space
+// indent. The cache, the job, its coalesced waiters and later cache
+// hits all share this one rendition, and writeView splices it into
+// each view instead of re-encoding it. It is stored exact-size, since
+// MarshalIndent's buffer keeps up to twice the slack.
+func renderResult(res Result) ([]byte, error) {
+	b, err := json.MarshalIndent(res, "  ", "  ")
+	if err != nil {
+		return nil, err
+	}
+	payload := make([]byte, len(b))
+	copy(payload, b)
+	return payload, nil
 }
 
 // simulate is the deterministic part of run: everything that feeds the

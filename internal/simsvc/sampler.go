@@ -10,14 +10,17 @@ import (
 // sampledStream wraps a workload stream so the device is observed while
 // it is driven: every `every` operations pulled, it snapshots the
 // device's metrics and clock and hands the Sample to emit. It is also
-// the cancellation point — ctx is checked on every pull, so a cancelled
-// job stops with per-op granularity without touching the engine.
+// the cancellation point — ctx's Done channel is polled on every pull,
+// so a cancelled job stops with per-op granularity without touching the
+// engine. The channel is captured once: a non-blocking receive on it
+// takes no lock, where ctx.Err takes the context's mutex on every call.
 //
 // Next runs on the engine's goroutine (core's drive loop pulls one op at
 // a time), so reading Metrics here is race-free; emit must do its own
 // synchronization if it publishes elsewhere.
 type sampledStream struct {
 	ctx   context.Context
+	done  <-chan struct{} // ctx.Done(); nil (never ready) if ctx cannot end
 	dev   core.Device
 	src   trace.Stream
 	every int64
@@ -30,9 +33,11 @@ func (s *sampledStream) Next() (trace.Op, bool) {
 	if s.err != nil {
 		return trace.Op{}, false
 	}
-	if err := s.ctx.Err(); err != nil {
-		s.err = err
+	select {
+	case <-s.done:
+		s.err = s.ctx.Err()
 		return trace.Op{}, false
+	default:
 	}
 	op, ok := s.src.Next()
 	if !ok {
@@ -69,7 +74,7 @@ func (s *sampledStream) Err() error {
 // one observation. It returns ctx's error if the job was cancelled
 // mid-stream, and the number of ops pulled either way.
 func DriveSampled(ctx context.Context, d core.Device, src trace.Stream, every int, emit func(Sample)) (int64, error) {
-	ss := &sampledStream{ctx: ctx, dev: d, src: src, every: int64(every), emit: emit}
+	ss := &sampledStream{ctx: ctx, done: ctx.Done(), dev: d, src: src, every: int64(every), emit: emit}
 	err := d.Drive(ss)
 	ss.sample()
 	return ss.n, err
