@@ -465,6 +465,40 @@ func BenchmarkFTLWritePath(b *testing.B) {
 	}
 }
 
+// BenchmarkDeviceOpen measures building a device from its profile: the
+// set-up every cold simd job and every Table 5 replay pays before its
+// first op. A fresh FTL is valid as allocated (its maps read zero as
+// unmapped), so an open costs its allocations and no per-page work, and
+// allocs/op does not grow with the page count.
+func BenchmarkDeviceOpen(b *testing.B) {
+	table5 := ssd.Config{
+		Elements:      4,
+		Geom:          flash.Geometry{PageSize: 4096, PagesPerBlock: 64, BlocksPerPackage: 64},
+		Overprovision: 0.12,
+		Layout:        ssd.Interleaved,
+		Scheduler:     sched.SWTF,
+		CtrlOverhead:  10 * sim.Microsecond,
+		GCLow:         0.05, GCCritical: 0.02,
+	}
+	for _, tc := range []struct {
+		name, profile string
+		opts          []core.Option
+	}{
+		{"ssd", "ssd", nil},
+		{"osd", "osd", nil},
+		{"table5", "ssd", []core.Option{core.WithSSD(table5), core.WithInformed(true)}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Open(tc.profile, tc.opts...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDeviceRandomWrites measures end-to-end simulated random writes
 // per wall-clock second (events through the full device stack).
 func BenchmarkDeviceRandomWrites(b *testing.B) {

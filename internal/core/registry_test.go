@@ -194,3 +194,32 @@ func TestOpenThenDrive(t *testing.T) {
 		t.Fatal("drive left events pending")
 	}
 }
+
+// TestOpenAllocsFlat is the allocation gate on building a flash device.
+// Every FTL array starts at its pristine value, zero, and is carved from
+// one backing per element, so an open allocates a fixed number of
+// objects whatever the page count: the base ssd and osd profiles at 64
+// and at 256 blocks per package allocate exactly the pinned counts.
+func TestOpenAllocsFlat(t *testing.T) {
+	for _, tc := range []struct {
+		kind string
+		want float64
+	}{
+		{"ssd", 75},
+		{"osd", 88},
+	} {
+		for _, blocks := range []int{64, 256} {
+			cfg := BaseSSDConfig()
+			cfg.Geom = geom(blocks)
+			opt := WithSSD(cfg)
+			got := testing.AllocsPerRun(10, func() {
+				if _, err := Open(tc.kind, opt); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != tc.want {
+				t.Errorf("Open(%q) at %d blocks per package: %v allocs, want %v", tc.kind, blocks, got, tc.want)
+			}
+		}
+	}
+}

@@ -117,15 +117,22 @@ type Package struct {
 	timing      Timing
 	eraseBudget int
 
-	// writePtr[b] is the next programmable page index in block b;
-	// a block with writePtr == PagesPerBlock is full.
-	writePtr []int32
-	erases   []int32
-	// retired[b] marks blocks taken out of circulation by the FTL's
-	// wear-ceiling retirement; they keep their erase counts but no
-	// longer participate in wear statistics.
-	retired    []bool
+	// blocks holds each block's state in one allocation; the zero value
+	// is a fresh, fully erased block.
+	blocks     []block
 	retiredCnt int
+}
+
+// block is one erase block's state.
+type block struct {
+	// writePtr is the next programmable page index; a block with
+	// writePtr == PagesPerBlock is full.
+	writePtr int32
+	erases   int32
+	// retired marks a block taken out of circulation by the FTL's
+	// wear-ceiling retirement; it keeps its erase count but no longer
+	// participates in wear statistics.
+	retired bool
 }
 
 // NewPackage builds a fully-erased package.
@@ -140,9 +147,7 @@ func NewPackage(geom Geometry, timing Timing, eraseBudget int) (*Package, error)
 		geom:        geom,
 		timing:      timing,
 		eraseBudget: eraseBudget,
-		writePtr:    make([]int32, geom.BlocksPerPackage),
-		erases:      make([]int32, geom.BlocksPerPackage),
-		retired:     make([]bool, geom.BlocksPerPackage),
+		blocks:      make([]block, geom.BlocksPerPackage),
 	}, nil
 }
 
@@ -175,7 +180,7 @@ func (p *Package) ReadPage(block, page int) (sim.Time, error) {
 	if err := p.checkPage(block, page); err != nil {
 		return 0, err
 	}
-	if int32(page) >= p.writePtr[block] {
+	if int32(page) >= p.blocks[block].writePtr {
 		return 0, fmt.Errorf("%w: block %d page %d", ErrReadUnwritten, block, page)
 	}
 	return p.timing.PageRead + p.busTime(p.geom.PageSize), nil
@@ -188,14 +193,15 @@ func (p *Package) ProgramPage(block, page int) (sim.Time, error) {
 	if err := p.checkPage(block, page); err != nil {
 		return 0, err
 	}
-	wp := p.writePtr[block]
+	b := &p.blocks[block]
+	wp := b.writePtr
 	if int32(page) < wp {
 		return 0, fmt.Errorf("%w: block %d page %d already programmed", ErrNotErased, block, page)
 	}
 	if int32(page) > wp {
 		return 0, fmt.Errorf("%w: block %d page %d, expected %d", ErrOutOfOrder, block, page, wp)
 	}
-	p.writePtr[block] = wp + 1
+	b.writePtr = wp + 1
 	return p.timing.PageProgram + p.busTime(p.geom.PageSize), nil
 }
 
@@ -206,11 +212,12 @@ func (p *Package) EraseBlock(block int) (sim.Time, error) {
 	if err := p.checkBlock(block); err != nil {
 		return 0, err
 	}
-	if int(p.erases[block]) >= p.eraseBudget {
-		return 0, fmt.Errorf("%w: block %d at %d cycles", ErrWornOut, block, p.erases[block])
+	b := &p.blocks[block]
+	if int(b.erases) >= p.eraseBudget {
+		return 0, fmt.Errorf("%w: block %d at %d cycles", ErrWornOut, block, b.erases)
 	}
-	p.erases[block]++
-	p.writePtr[block] = 0
+	b.erases++
+	b.writePtr = 0
 	return p.timing.BlockErase, nil
 }
 
@@ -221,8 +228,8 @@ func (p *Package) RetireBlock(block int) error {
 	if err := p.checkBlock(block); err != nil {
 		return err
 	}
-	if !p.retired[block] {
-		p.retired[block] = true
+	if b := &p.blocks[block]; !b.retired {
+		b.retired = true
 		p.retiredCnt++
 	}
 	return nil
@@ -232,10 +239,10 @@ func (p *Package) RetireBlock(block int) error {
 func (p *Package) Retired() int { return p.retiredCnt }
 
 // WritePointer reports the next programmable page index of a block.
-func (p *Package) WritePointer(block int) int { return int(p.writePtr[block]) }
+func (p *Package) WritePointer(block int) int { return int(p.blocks[block].writePtr) }
 
 // EraseCount reports the erase cycles consumed by a block.
-func (p *Package) EraseCount(block int) int { return int(p.erases[block]) }
+func (p *Package) EraseCount(block int) int { return int(p.blocks[block].erases) }
 
 // WearStats summarizes wear across blocks: min/max/total erase counts.
 type WearStats struct {
@@ -249,12 +256,12 @@ type WearStats struct {
 func (p *Package) Wear() WearStats {
 	ws := WearStats{Min: int(^uint(0) >> 1)}
 	live := 0
-	for b, e := range p.erases {
-		if p.retired[b] {
+	for _, b := range p.blocks {
+		if b.retired {
 			continue
 		}
 		live++
-		v := int(e)
+		v := int(b.erases)
 		if v < ws.Min {
 			ws.Min = v
 		}

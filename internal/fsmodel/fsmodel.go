@@ -43,14 +43,21 @@ type FS struct {
 	bitmap    []uint64
 	free      int64
 	hint      int64 // next-fit cursor
-	files     map[FileID][]Extent
-	nextID    FileID
+	// files[id-1] is file id: IDs are dense, handed out in order by
+	// Create, and a deleted file keeps its slot, marked dead.
+	files []file
 	// got is Append's result, reused across calls.
 	got []Extent
 }
 
+// file is one file's slot in the table.
+type file struct {
+	extents []Extent
+	dead    bool
+}
+
 // New builds an empty file system over capacity bytes, sized for about
-// files live files (0 when unknown; the table grows as needed).
+// files creates (0 when unknown; the table grows as needed).
 func New(capacity, blockSize int64, files int) (*FS, error) {
 	if blockSize <= 0 || capacity < blockSize {
 		return nil, fmt.Errorf("%w: capacity %d blockSize %d", ErrBadRequest, capacity, blockSize)
@@ -61,7 +68,7 @@ func New(capacity, blockSize int64, files int) (*FS, error) {
 		nblocks:   n,
 		bitmap:    make([]uint64, (n+63)/64),
 		free:      n,
-		files:     make(map[FileID][]Extent, files),
+		files:     make([]file, 0, files),
 	}, nil
 }
 
@@ -115,19 +122,29 @@ func (fs *FS) runMasks(b, n int64, f func(w int64, mask uint64)) {
 
 // Create registers a new empty file and returns its ID.
 func (fs *FS) Create() FileID {
-	fs.nextID++
-	fs.files[fs.nextID] = nil
-	return fs.nextID
+	fs.files = append(fs.files, file{})
+	return FileID(len(fs.files))
+}
+
+// lookup returns the slot of a live file, or nil.
+func (fs *FS) lookup(id FileID) *file {
+	if id < 1 || id > FileID(len(fs.files)) {
+		return nil
+	}
+	if f := &fs.files[id-1]; !f.dead {
+		return f
+	}
+	return nil
 }
 
 // Extents returns a file's extent list. The slice is the model's own
 // view: read-only, and valid until the file's next Append or Delete.
 func (fs *FS) Extents(id FileID) ([]Extent, error) {
-	ex, ok := fs.files[id]
-	if !ok {
+	f := fs.lookup(id)
+	if f == nil {
 		return nil, ErrNotFound
 	}
-	return ex, nil
+	return f.extents, nil
 }
 
 // Append allocates n blocks to a file with next-fit placement and
@@ -138,8 +155,8 @@ func (fs *FS) Append(id FileID, n int64) ([]Extent, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: append %d blocks", ErrBadRequest, n)
 	}
-	ex, ok := fs.files[id]
-	if !ok {
+	f := fs.lookup(id)
+	if f == nil {
 		return nil, ErrNotFound
 	}
 	if n > fs.free {
@@ -163,7 +180,7 @@ func (fs *FS) Append(id FileID, n int64) ([]Extent, error) {
 	fs.free -= n
 	fs.got = got
 	fs.hint = b
-	fs.files[id] = append(ex, got...)
+	f.extents = append(f.extents, got...)
 	return got, nil
 }
 
@@ -171,11 +188,12 @@ func (fs *FS) Append(id FileID, n int64) ([]Extent, error) {
 // sorted, ready to become free notifications. The result reuses the dead
 // file's own extent list, which now belongs to the caller.
 func (fs *FS) Delete(id FileID) ([]Extent, error) {
-	ex, ok := fs.files[id]
-	if !ok {
+	f := fs.lookup(id)
+	if f == nil {
 		return nil, ErrNotFound
 	}
-	delete(fs.files, id)
+	ex := f.extents
+	*f = file{dead: true}
 	for _, e := range ex {
 		fs.runMasks(e.Start, e.Count, func(w int64, mask uint64) {
 			if lost := mask &^ fs.bitmap[w]; lost != 0 {
@@ -212,8 +230,12 @@ func mergeExtents(ex []Extent) []Extent {
 // CheckInvariants validates bitmap/extent consistency.
 func (fs *FS) CheckInvariants() error {
 	used := make(map[int64]FileID)
-	for id, ex := range fs.files {
-		for _, e := range ex {
+	for i, f := range fs.files {
+		if f.dead {
+			continue
+		}
+		id := FileID(i + 1)
+		for _, e := range f.extents {
 			if e.Start < 0 || e.Count <= 0 || e.Start+e.Count > fs.nblocks {
 				return fmt.Errorf("file %d: extent %+v out of range", id, e)
 			}

@@ -287,13 +287,16 @@ func (r *refFS) delete(id FileID) []Extent {
 // reference through the same random creates, appends and deletes on
 // devices whose block counts straddle word boundaries. Appends wrap past
 // the end of the device, fill it exactly and overflow it; every result,
-// extent list, free count and bitmap bit must match.
+// extent list, free count and bitmap bit must match. Every step also
+// looks up a deleted, live or never-issued ID: Extents, Append and
+// Delete on any ID the reference does not hold answer ErrNotFound and
+// change nothing.
 func TestAllocatorMatchesReference(t *testing.T) {
 	for _, blocks := range []int64{1, 2, 63, 64, 65, 127, 130, 1000} {
 		rng := rand.New(rand.NewSource(blocks))
 		fs := newFS(t, blocks)
 		ref := &refFS{used: make([]bool, blocks), free: blocks, files: map[FileID][]Extent{}}
-		var live []FileID
+		var live, dead []FileID
 		fills, wraps := 0, 0
 		for step := 0; step < 4000; step++ {
 			var id FileID
@@ -310,6 +313,7 @@ func TestAllocatorMatchesReference(t *testing.T) {
 				if want := ref.delete(id); err != nil || !reflect.DeepEqual(got, want) {
 					t.Fatalf("blocks %d step %d: Delete = %v, %v; want %v", blocks, step, got, err, want)
 				}
+				dead = append(dead, id)
 			default:
 				id = live[rng.Intn(len(live))]
 				n := 1 + rng.Int63n(max(1, blocks/8))
@@ -341,6 +345,23 @@ func TestAllocatorMatchesReference(t *testing.T) {
 				if !reflect.DeepEqual(got, ref.files[id]) {
 					t.Fatalf("blocks %d step %d: Extents(%d) = %v, want %v", blocks, step, id, got, ref.files[id])
 				}
+			}
+			probe := FileID(rng.Intn(len(live)+len(dead)+3)) - 1 // -1, 0, any issued ID, one past
+			if len(dead) > 0 && rng.Intn(2) == 0 {
+				probe = dead[rng.Intn(len(dead))]
+			}
+			if _, held := ref.files[probe]; !held {
+				if _, err := fs.Extents(probe); err != ErrNotFound {
+					t.Fatalf("blocks %d step %d: Extents(%d) of an unheld file: err %v", blocks, step, probe, err)
+				}
+				if _, err := fs.Append(probe, 1); err != ErrNotFound {
+					t.Fatalf("blocks %d step %d: Append(%d) to an unheld file: err %v", blocks, step, probe, err)
+				}
+				if _, err := fs.Delete(probe); err != ErrNotFound {
+					t.Fatalf("blocks %d step %d: Delete(%d) of an unheld file: err %v", blocks, step, probe, err)
+				}
+			} else if got, err := fs.Extents(probe); err != nil || len(got)+len(ref.files[probe]) > 0 && !reflect.DeepEqual(got, ref.files[probe]) {
+				t.Fatalf("blocks %d step %d: Extents(%d) = %v, %v; want %v", blocks, step, probe, got, err, ref.files[probe])
 			}
 			if fs.free != ref.free || fs.hint != ref.hint {
 				t.Fatalf("blocks %d step %d: free %d hint %d, want %d %d", blocks, step, fs.free, fs.hint, ref.free, ref.hint)

@@ -150,6 +150,30 @@ func (c *core) zeroRead() sim.Time {
 	return sim.Time(c.cfg.Geom.PageSize) * c.cfg.Timing.BusPerByte
 }
 
+// unmapped is the page or block number a pageMap reads for an entry
+// that holds nothing.
+const unmapped = int32(-1)
+
+// pageMap maps page or block numbers to page or block numbers. It stores
+// every entry complemented, so a freshly allocated map, all zeros, reads
+// unmapped everywhere: building a backend costs its allocations and no
+// pass over its pages. get and set are the only way in or out.
+type pageMap []int32
+
+// get returns entry i, or unmapped.
+func (m pageMap) get(i int) int32 { return ^m[i] }
+
+// set stores v (unmapped clears the entry) at i.
+func (m pageMap) set(i int, v int32) { m[i] = ^v }
+
+// carve cuts the next n entries off *backing. The slice is capped at n,
+// so appending to it never writes into the next one carved.
+func carve[E any](backing *[]E, n int) []E {
+	s := (*backing)[:n:n]
+	*backing = (*backing)[n:]
+	return s
+}
+
 // Compile-time interface checks.
 var (
 	_ Backend = (*Element)(nil)

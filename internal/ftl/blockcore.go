@@ -15,10 +15,14 @@ import (
 type blockCore struct {
 	core
 
-	dataMap []int32 // lbn -> physical data block, -1 unmapped
+	// dataMap maps lbn -> physical data block, each block number stored
+	// complemented (see pageMap): a zero entry is unmapped, so a fresh
+	// map has no data blocks.
+	dataMap pageMap
 	// written marks logical pages the host has stored (rebuilds program
 	// padding pages to keep blocks in order; those must not read back
-	// as live data). dead marks informed-freed pages.
+	// as live data). dead marks informed-freed pages. Both start all
+	// false, carved from one backing.
 	written, dead []bool
 	freeBlocks    []int
 
@@ -40,17 +44,17 @@ func newBlockCore(cfg Config, minBlocks, logicalBlocks int) (blockCore, error) {
 		return blockCore{}, fmt.Errorf("ftl: geometry too small for overprovisioning")
 	}
 	c.logical = logicalBlocks * c.ppb
+	flags := make([]bool, 2*c.logical)
 	bc := blockCore{
-		core:    c,
-		dataMap: make([]int32, logicalBlocks),
-		written: make([]bool, c.logical),
-		dead:    make([]bool, c.logical),
+		core:       c,
+		dataMap:    make(pageMap, logicalBlocks),
+		written:    carve(&flags, c.logical),
+		dead:       carve(&flags, c.logical),
+		freeBlocks: make([]int, cfg.Geom.BlocksPerPackage),
 	}
-	for i := range bc.dataMap {
-		bc.dataMap[i] = -1
-	}
-	for pb := cfg.Geom.BlocksPerPackage - 1; pb >= 0; pb-- {
-		bc.freeBlocks = append(bc.freeBlocks, pb)
+	// Every block queues free, in descending order.
+	for i := range bc.freeBlocks {
+		bc.freeBlocks[i] = len(bc.freeBlocks) - 1 - i
 	}
 	return bc, nil
 }
@@ -149,14 +153,14 @@ func (c *blockCore) rebuild(lbn, dst, from, top int, src func(k int) (block, pag
 			return total, err
 		}
 	}
-	if old := c.dataMap[lbn]; old != -1 {
+	if old := c.dataMap.get(lbn); old != unmapped {
 		d, err := c.release(int(old))
 		total += d
 		if err != nil {
 			return total, err
 		}
 	}
-	c.dataMap[lbn] = int32(dst)
+	c.dataMap.set(lbn, int32(dst))
 	return total, nil
 }
 
@@ -184,8 +188,9 @@ func (c *blockCore) checkBlocks(pool []int) error {
 			return err
 		}
 	}
-	for lbn, pb := range c.dataMap {
-		if pb == -1 {
+	for lbn := range c.dataMap {
+		pb := c.dataMap.get(lbn)
+		if pb == unmapped {
 			continue
 		}
 		if err := claim(int(pb), fmt.Sprintf("data(%d)", lbn)); err != nil {

@@ -66,7 +66,7 @@ func (b *Block) newest(lpn int) (int, int) {
 	if rp, ok := b.repl[lbn]; ok && off < b.pkg.WritePointer(int(rp)) {
 		return int(rp), off
 	}
-	return int(b.dataMap[lbn]), off
+	return int(b.dataMap.get(lbn)), off
 }
 
 // WritePage implements Backend. Sequential extension programs in place;
@@ -99,13 +99,13 @@ func (b *Block) WritePage(lpn int) (sim.Time, error) {
 		d2, err := b.WritePage(lpn)
 		return d + d2, err
 	}
-	pb := b.dataMap[lbn]
-	if pb != -1 && b.pkg.WritePointer(int(pb)) == off {
+	pb := b.dataMap.get(lbn)
+	if pb != unmapped && b.pkg.WritePointer(int(pb)) == off {
 		return b.pkg.ProgramPage(int(pb), off)
 	}
 	// A rewrite starting at page 0 of a mapped block opens a replacement
 	// block: sequential overwrites then cost one program per page.
-	if pb != -1 && off == 0 {
+	if pb != unmapped && off == 0 {
 		d, err := b.openReplacement(lbn)
 		if err != nil {
 			return d, err
@@ -118,7 +118,7 @@ func (b *Block) WritePage(lpn int) (sim.Time, error) {
 		d2, err := b.merge(lbn, 0)
 		return d + d2, err
 	}
-	if pb == -1 {
+	if pb == unmapped {
 		// First write: a fresh block, with any gap before off padded
 		// (the controller writes zeros to satisfy in-order programming).
 		npb, d0, err := b.allocBlock()
@@ -190,7 +190,7 @@ func (b *Block) closeReplacement(lbn int) (sim.Time, error) {
 	if !ok {
 		return 0, nil
 	}
-	old := int(b.dataMap[lbn])
+	old := int(b.dataMap.get(lbn))
 	total, err := b.rebuild(lbn, int(rp), b.pkg.WritePointer(int(rp)), b.pkg.WritePointer(old),
 		func(k int) (int, int) { return old, k })
 	if err != nil {
@@ -205,7 +205,7 @@ func (b *Block) closeReplacement(lbn int) (sim.Time, error) {
 // `off` replaced by new data, then erases the old block. The extra page
 // copies and the erase are charged as cleaning work.
 func (b *Block) merge(lbn, off int) (sim.Time, error) {
-	old := int(b.dataMap[lbn])
+	old := int(b.dataMap.get(lbn))
 	oldWP := b.pkg.WritePointer(old)
 	top := max(oldWP, off+1)
 	npb, d0, err := b.allocBlock()
@@ -246,11 +246,11 @@ func (b *Block) Free(lpn int) error {
 			return err
 		}
 	}
-	if old := b.dataMap[lbn]; old != -1 {
+	if old := b.dataMap.get(lbn); old != unmapped {
 		if _, err := b.release(int(old)); err != nil {
 			return err
 		}
-		b.dataMap[lbn] = -1
+		b.dataMap.set(lbn, unmapped)
 		for k := 0; k < b.ppb; k++ {
 			b.written[lbn*b.ppb+k] = false
 			b.dead[lbn*b.ppb+k] = false
@@ -264,7 +264,7 @@ func (b *Block) CheckInvariants() error {
 	pool := make([]int, 0, len(b.replOrder))
 	for _, lbn := range b.replOrder {
 		rp, ok := b.repl[lbn]
-		if !ok || b.dataMap[lbn] == -1 {
+		if !ok || b.dataMap.get(lbn) == unmapped {
 			return fmt.Errorf("lbn %d: replacement open without one or without a data block", lbn)
 		}
 		pool = append(pool, int(rp))

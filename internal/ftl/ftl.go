@@ -108,8 +108,6 @@ var (
 	ErrOutOfRange = errors.New("ftl: logical page out of range")
 )
 
-const unmapped = int32(-1)
-
 // Element is the FTL for one flash package. It is single-threaded by
 // design: the device model serializes each element on the simulated clock.
 type Element struct {
@@ -117,10 +115,15 @@ type Element struct {
 
 	physPage int // total physical pages
 
-	l2p       []int32 // logical -> physical page, unmapped if -1
-	p2l       []int32 // physical -> logical page, unmapped if -1
-	pageState []byte
-	blkState  []byte
+	// Every per-page and per-block array is zero in a fully erased
+	// package, so a freshly allocated element is already valid. The
+	// int32 arrays are carved from one backing, the byte arrays from
+	// another. The two maps store each page number complemented (see
+	// pageMap): a zero entry is unmapped.
+	l2p       pageMap // logical -> physical page; unmapped until written
+	p2l       pageMap // physical -> logical page; unmapped unless pageValid
+	pageState []byte  // pageFree, pageValid or pageInvalid
+	blkState  []byte  // blockFree, blockActive, blockUsed or blockRetired
 	validCnt  []int32 // per-block valid page count
 	invalCnt  []int32 // per-block invalid page count
 
@@ -164,26 +167,26 @@ func NewElement(cfg Config) (*Element, error) {
 		return nil, fmt.Errorf("ftl: geometry too small for overprovisioning")
 	}
 	c.logical = logical
+	blocks := cfg.Geom.BlocksPerPackage
+	words := make([]int32, logical+phys+2*blocks)
+	bytes := make([]byte, phys+blocks)
 	el := &Element{
 		core:       c,
 		physPage:   phys,
-		l2p:        make([]int32, logical),
-		p2l:        make([]int32, phys),
-		pageState:  make([]byte, phys),
-		blkState:   make([]byte, cfg.Geom.BlocksPerPackage),
-		validCnt:   make([]int32, cfg.Geom.BlocksPerPackage),
-		invalCnt:   make([]int32, cfg.Geom.BlocksPerPackage),
-		blockTouch: make([]int64, cfg.Geom.BlocksPerPackage),
+		l2p:        carve(&words, logical),
+		p2l:        carve(&words, phys),
+		validCnt:   carve(&words, blocks),
+		invalCnt:   carve(&words, blocks),
+		pageState:  carve(&bytes, phys),
+		blkState:   carve(&bytes, blocks),
+		blockTouch: make([]int64, blocks),
+		freeBlocks: make([]int, blocks-1),
 		freePages:  phys,
 	}
-	for i := range el.l2p {
-		el.l2p[i] = unmapped
-	}
-	for i := range el.p2l {
-		el.p2l[i] = unmapped
-	}
-	for b := cfg.Geom.BlocksPerPackage - 1; b >= 1; b-- {
-		el.freeBlocks = append(el.freeBlocks, b)
+	// Block 0 is the first active block; the rest queue in descending
+	// order.
+	for i := range el.freeBlocks {
+		el.freeBlocks[i] = blocks - 1 - i
 	}
 	el.active = 0
 	el.blkState[0] = blockActive
@@ -203,7 +206,7 @@ func (el *Element) FreeFraction() float64 {
 
 // Mapped reports whether a logical page currently has a physical copy.
 func (el *Element) Mapped(lpn int) bool {
-	return lpn >= 0 && lpn < el.logical && el.l2p[lpn] != unmapped
+	return lpn >= 0 && lpn < el.logical && el.l2p.get(lpn) != unmapped
 }
 
 func (el *Element) ppn(block, page int) int32 { return int32(block*el.ppb + page) }
@@ -222,7 +225,7 @@ func (el *Element) invalidate(ppn int32) {
 		el.reclaimable++
 	}
 	el.blockTouch[b] = el.opSeq
-	el.p2l[ppn] = unmapped
+	el.p2l.set(int(ppn), unmapped)
 }
 
 // advanceActive makes room for one more program in the active block,
@@ -291,11 +294,11 @@ func (el *Element) WritePage(lpn int) (sim.Time, error) {
 	}
 	total += d
 	el.opSeq++
-	if old := el.l2p[lpn]; old != unmapped {
+	if old := el.l2p.get(lpn); old != unmapped {
 		el.invalidate(old)
 	}
-	el.l2p[lpn] = ppn
-	el.p2l[ppn] = int32(lpn)
+	el.l2p.set(lpn, ppn)
+	el.p2l.set(int(ppn), int32(lpn))
 	el.pageState[ppn] = pageValid
 	el.validCnt[int(ppn)/el.ppb]++
 	el.stats.HostWrites++
@@ -310,7 +313,7 @@ func (el *Element) ReadPage(lpn int) (sim.Time, error) {
 		return 0, err
 	}
 	el.stats.HostReads++
-	ppn := el.l2p[lpn]
+	ppn := el.l2p.get(lpn)
 	if ppn == unmapped {
 		return el.zeroRead(), nil
 	}
@@ -329,9 +332,9 @@ func (el *Element) Free(lpn int) error {
 	if !el.cfg.Informed {
 		return nil
 	}
-	if ppn := el.l2p[lpn]; ppn != unmapped {
+	if ppn := el.l2p.get(lpn); ppn != unmapped {
 		el.invalidate(ppn)
-		el.l2p[lpn] = unmapped
+		el.l2p.set(lpn, unmapped)
 		el.stats.FreesApplied++
 	}
 	return nil
@@ -391,7 +394,7 @@ func (el *Element) pickVictimCostBenefit() int {
 // relocate copies one valid physical page to the log tail, preserving the
 // logical mapping, and returns the time spent.
 func (el *Element) relocate(ppn int32) (sim.Time, error) {
-	lpn := el.p2l[ppn]
+	lpn := el.p2l.get(int(ppn))
 	if lpn == unmapped || el.pageState[ppn] != pageValid {
 		panic("ftl: relocating a non-valid page")
 	}
@@ -404,8 +407,8 @@ func (el *Element) relocate(ppn int32) (sim.Time, error) {
 		return rd, err
 	}
 	el.invalidate(ppn)
-	el.l2p[lpn] = dst
-	el.p2l[dst] = lpn
+	el.l2p.set(int(lpn), dst)
+	el.p2l.set(int(dst), lpn)
 	el.pageState[dst] = pageValid
 	el.validCnt[int(dst)/el.ppb]++
 	el.stats.PagesMoved++
@@ -442,10 +445,7 @@ func (el *Element) reclaim(b int) (sim.Time, error) {
 	if err != nil {
 		return total, err
 	}
-	for p := int32(0); p < int32(el.ppb); p++ {
-		el.pageState[base+p] = pageFree
-		el.p2l[base+p] = unmapped
-	}
+	clear(el.pageState[base : base+int32(el.ppb)]) // every page pageFree
 	el.freePages += reclaimed
 	if el.invalCnt[b] > 0 {
 		el.reclaimable--
@@ -567,7 +567,7 @@ func (el *Element) maybeMigrate() (sim.Time, bool, error) {
 	base := int32(coldest * el.ppb)
 	for p := int32(0); p < int32(el.ppb); p++ {
 		src := base + p
-		lpn := el.p2l[src]
+		lpn := el.p2l.get(int(src))
 		rd, err := el.pkg.ReadPage(coldest, int(p))
 		total += rd
 		if err != nil {
@@ -581,8 +581,8 @@ func (el *Element) maybeMigrate() (sim.Time, bool, error) {
 		el.freePages--
 		newPPN := el.ppn(dst, int(p))
 		el.invalidate(src)
-		el.l2p[lpn] = newPPN
-		el.p2l[newPPN] = lpn
+		el.l2p.set(int(lpn), newPPN)
+		el.p2l.set(int(newPPN), lpn)
 		el.pageState[newPPN] = pageValid
 		el.validCnt[dst]++
 		el.stats.PagesMoved++
@@ -608,11 +608,14 @@ func (el *Element) CheckInvariants() error {
 		base := b * el.ppb
 		wp := el.pkg.WritePointer(b)
 		for p := 0; p < el.ppb; p++ {
+			if el.pageState[base+p] != pageValid && el.p2l.get(base+p) != unmapped {
+				return fmt.Errorf("block %d page %d: not valid but linked to lpn %d", b, p, el.p2l.get(base+p))
+			}
 			switch el.pageState[base+p] {
 			case pageValid:
 				valid++
-				lpn := el.p2l[base+p]
-				if lpn == unmapped || el.l2p[lpn] != int32(base+p) {
+				lpn := el.p2l.get(base + p)
+				if lpn == unmapped || el.l2p.get(int(lpn)) != int32(base+p) {
 					return fmt.Errorf("block %d page %d: broken l2p/p2l link", b, p)
 				}
 				if p >= wp {
@@ -653,12 +656,13 @@ func (el *Element) CheckInvariants() error {
 		return fmt.Errorf("reclaimable %d, counted %d", el.reclaimable, reclaimable)
 	}
 	mapped := 0
-	for lpn, ppn := range el.l2p {
+	for lpn := range el.l2p {
+		ppn := el.l2p.get(lpn)
 		if ppn == unmapped {
 			continue
 		}
 		mapped++
-		if el.p2l[ppn] != int32(lpn) {
+		if el.p2l.get(int(ppn)) != int32(lpn) {
 			return fmt.Errorf("lpn %d: p2l mismatch", lpn)
 		}
 	}

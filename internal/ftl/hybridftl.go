@@ -20,9 +20,10 @@ type Hybrid struct {
 	// logMap holds the newest out-of-place copy per lpn.
 	logMap map[int]logLoc
 	// logBlocks is the allocation order of live log blocks (oldest
-	// first); owners[i][page] records which lpn each slot holds.
+	// first); owners[block] maps each page slot of a log block to the
+	// lpn it holds, zero (unmapped) until programmed.
 	logBlocks []int
-	owners    map[int][]int32
+	owners    map[int]pageMap
 
 	maxLog int
 }
@@ -43,7 +44,7 @@ func NewHybrid(cfg Config) (*Hybrid, error) {
 	h := &Hybrid{
 		blockCore: bc,
 		logMap:    make(map[int]logLoc),
-		owners:    make(map[int][]int32),
+		owners:    make(map[int]pageMap),
 		maxLog:    maxLog,
 	}
 	h.locate = h.newest
@@ -79,7 +80,7 @@ func (h *Hybrid) newest(lpn int) (int, int) {
 	if loc, ok := h.logMap[lpn]; ok {
 		return loc.block, loc.page
 	}
-	return int(h.dataMap[lpn/h.ppb]), lpn % h.ppb
+	return int(h.dataMap.get(lpn / h.ppb)), lpn % h.ppb
 }
 
 // WritePage implements Backend.
@@ -88,14 +89,14 @@ func (h *Hybrid) WritePage(lpn int) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	pb := h.dataMap[lbn]
+	pb := h.dataMap.get(lbn)
 	// In-place sequential extension of the data block, but only when no
 	// newer log copy would be shadowed.
 	if _, logged := h.logMap[lpn]; !logged {
-		if pb != -1 && h.pkg.WritePointer(int(pb)) == off {
+		if pb != unmapped && h.pkg.WritePointer(int(pb)) == off {
 			return h.pkg.ProgramPage(int(pb), off)
 		}
-		if pb == -1 && off == 0 {
+		if pb == unmapped && off == 0 {
 			npb, d0, err := h.allocBlock()
 			if err != nil {
 				return d0, err
@@ -131,11 +132,7 @@ func (h *Hybrid) logWrite(lpn int) (sim.Time, error) {
 			return total, err
 		}
 		h.logBlocks = append(h.logBlocks, npb)
-		own := make([]int32, h.ppb)
-		for i := range own {
-			own[i] = -1
-		}
-		h.owners[npb] = own
+		h.owners[npb] = make(pageMap, h.ppb)
 		cur = npb
 	}
 	page := h.pkg.WritePointer(cur)
@@ -146,7 +143,7 @@ func (h *Hybrid) logWrite(lpn int) (sim.Time, error) {
 	}
 	// Supersede any older log copy.
 	h.logMap[lpn] = logLoc{block: cur, page: page}
-	h.owners[cur][page] = int32(lpn)
+	h.owners[cur].set(page, int32(lpn))
 	return total, nil
 }
 
@@ -157,8 +154,10 @@ func (h *Hybrid) evictOldest() (sim.Time, error) {
 	victim := h.logBlocks[0]
 	var total sim.Time
 	lbns := map[int]bool{}
-	for page, lpn := range h.owners[victim] {
-		if lpn == -1 {
+	own := h.owners[victim]
+	for page := range own {
+		lpn := own.get(page)
+		if lpn == unmapped {
 			continue
 		}
 		// Only pages whose mapping still points here are live.
@@ -195,9 +194,9 @@ func (h *Hybrid) evictOldest() (sim.Time, error) {
 // mergeLBN rebuilds one logical block from its data block and all log
 // copies into a fresh physical block.
 func (h *Hybrid) mergeLBN(lbn int) (sim.Time, error) {
-	old := h.dataMap[lbn]
+	old := h.dataMap.get(lbn)
 	oldWP := 0
-	if old != -1 {
+	if old != unmapped {
 		oldWP = h.pkg.WritePointer(int(old))
 	}
 	// Highest page that holds data from either source.
@@ -254,8 +253,8 @@ func (h *Hybrid) CheckInvariants() error {
 		if own == nil {
 			return fmt.Errorf("lpn %d maps to non-log block %d", lpn, loc.block)
 		}
-		if own[loc.page] != int32(lpn) {
-			return fmt.Errorf("lpn %d log slot owned by %d", lpn, own[loc.page])
+		if got := own.get(loc.page); got != int32(lpn) {
+			return fmt.Errorf("lpn %d log slot owned by %d", lpn, got)
 		}
 		if loc.page >= h.pkg.WritePointer(loc.block) {
 			return fmt.Errorf("lpn %d log copy beyond write pointer", lpn)

@@ -22,10 +22,16 @@ type handles[H any] struct {
 	// not call back into the table.
 	evict func(H) bool
 
-	mu    sync.Mutex
-	seq   int64
-	byID  map[string]H
-	order []string // IDs in submission order
+	mu   sync.Mutex
+	seq  int64
+	byID map[string]H
+	// order holds the retained IDs in submission order, from head on.
+	// An evicted ID is blanked where it stands; head steps over a blank
+	// prefix, and the slice is compacted once it holds more blanks than
+	// IDs, so an eviction costs O(1) amortized.
+	order  []string
+	head   int
+	blanks int
 }
 
 // newHandles builds a table that names its handles prefix-1, prefix-2,
@@ -43,20 +49,27 @@ func (t *handles[H]) add(h H, id *string) {
 	*id = fmt.Sprintf("%s-%d", t.prefix, t.seq)
 	t.byID[*id] = h
 	t.order = append(t.order, *id)
-	excess := len(t.byID) - t.bound
-	if excess <= 0 {
-		return
-	}
-	kept := t.order[:0]
-	for _, old := range t.order {
-		if excess > 0 && t.evict(t.byID[old]) {
+	for i, excess := t.head, len(t.byID)-t.bound; excess > 0 && i < len(t.order); i++ {
+		if old := t.order[i]; old != "" && t.evict(t.byID[old]) {
 			delete(t.byID, old)
+			t.order[i] = ""
+			t.blanks++
 			excess--
-			continue
 		}
-		kept = append(kept, old)
 	}
-	t.order = kept
+	for t.head < len(t.order) && t.order[t.head] == "" {
+		t.head++
+	}
+	if t.blanks > len(t.byID) {
+		live := t.order[:0]
+		for _, id := range t.order[t.head:] {
+			if id != "" {
+				live = append(live, id)
+			}
+		}
+		clear(t.order[len(live):])
+		t.order, t.head, t.blanks = live, 0, 0
+	}
 }
 
 // get looks a handle up by ID.
@@ -71,9 +84,11 @@ func (t *handles[H]) get(id string) (H, bool) {
 func (t *handles[H]) all() []H {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]H, len(t.order))
-	for i, id := range t.order {
-		out[i] = t.byID[id]
+	out := make([]H, 0, len(t.byID))
+	for _, id := range t.order[t.head:] {
+		if id != "" {
+			out = append(out, t.byID[id])
+		}
 	}
 	return out
 }

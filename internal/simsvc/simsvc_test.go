@@ -531,7 +531,7 @@ func TestJobRetention(t *testing.T) {
 	}
 
 	m.jobs.mu.Lock()
-	n, o := len(m.jobs.byID), len(m.jobs.order)
+	n, o := len(m.jobs.byID), len(m.jobs.order[m.jobs.head:])
 	m.jobs.mu.Unlock()
 	if n != 2 || o != 2 {
 		t.Fatalf("job table %d entries, order %d, want 2", n, o)

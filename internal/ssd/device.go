@@ -109,8 +109,12 @@ type Device struct {
 	bufOccupancy int64
 
 	// freeReqs is the request freelist. Steady-state submission reuses
-	// completed requests, so the host path allocates nothing.
+	// completed requests, so the host path allocates nothing. The list
+	// grows from reqChunk, which takeReq refills reqChunkLen records at
+	// a time, so a deep backlog costs one allocation per chunk, not one
+	// per request.
 	freeReqs sched.Pool[request]
+	reqChunk []request
 
 	// cleanSet is a bitset over element numbers: bit e is set iff e's FTL
 	// is below the low watermark with something to reclaim. The
@@ -133,6 +137,7 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 	d := &Device{
 		cfg:         cfg,
 		eng:         eng,
+		elems:       make([]ftl.Backend, 0, cfg.Elements),
 		touched:     make([]bool, cfg.Elements),
 		elemScratch: make([]int, 0, cfg.Elements),
 		durScratch:  make([]sim.Time, cfg.Elements),
@@ -252,15 +257,22 @@ func (d *Device) WriteAmplification() float64 {
 	return float64(g.HostPageWrites+g.PagesMoved) / hostPages
 }
 
-// takeReq pops a pooled request (or allocates the pool's next one) and
-// resets it; callers fill in Op, Arrive and dev, and onDone if any. The
-// reset goes field by field: the record keeps its queue node, whose id
-// must survive reuse, and its pointer words are left to putReq, so a
-// reused record costs no bulk pointer write.
+// reqChunkLen is how many request records one pool growth allocates.
+const reqChunkLen = 256
+
+// takeReq pops a pooled request (or takes a fresh one from the current
+// chunk) and resets it; callers fill in Op, Arrive and dev, and onDone
+// if any. The reset goes field by field: the record keeps its queue
+// node, whose id must survive reuse, and its pointer words are left to
+// putReq, so a reused record costs no bulk pointer write.
 func (d *Device) takeReq() *request {
 	r := d.freeReqs.Get()
 	if r == nil {
-		return &request{}
+		if len(d.reqChunk) == 0 {
+			d.reqChunk = make([]request, reqChunkLen)
+		}
+		r, d.reqChunk = &d.reqChunk[0], d.reqChunk[1:]
+		return r
 	}
 	r.Start, r.Done, r.remaining, r.internal = 0, 0, 0, false
 	return r
