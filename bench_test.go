@@ -452,14 +452,14 @@ func BenchmarkFTLWritePath(b *testing.B) {
 	}
 	n := el.LogicalPages()
 	for lpn := 0; lpn < n; lpn++ {
-		if _, err := el.WritePage(lpn); err != nil {
+		if _, err := el.WritePages(lpn, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 	rng := sim.NewRNG(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := el.WritePage(rng.Intn(n)); err != nil {
+		if _, err := el.WritePages(rng.Intn(n), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -492,6 +492,37 @@ func BenchmarkDeviceOpen(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Open(tc.profile, tc.opts...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPrecondition measures filling a freshly opened device in
+// 1 MiB writes, the set-up every preconditioned run pays before its
+// first op: the base ssd to 60% (the set-up of perfbench's
+// randrw-aligned) and the full-stripe S2slc in full. Each request is one
+// run per element, so the cost follows requests and segments, not
+// pages. Opening the device is outside the timer.
+func BenchmarkPrecondition(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		frac float64
+	}{
+		{"ssd", 0.6},
+		{"S2slc", 1},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d, err := core.Open(tc.name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := core.PreconditionFrac(d, 1<<20, tc.frac); err != nil {
 					b.Fatal(err)
 				}
 			}

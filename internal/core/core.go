@@ -447,6 +447,14 @@ func Precondition(d Device, chunk int64) error {
 // utilization are ~u full, so cleaning one block reclaims ~(1-u) of it);
 // experiments choose the utilization their workload represents instead of
 // always paying the worst case.
+//
+// The fill is ordinary simulated writes of chunk bytes each. On an SSD
+// each write is planned as at most one run per element, and each FTL
+// programs its run a block segment at a time, so the set-up costs per
+// request and segment, not per page. A write that fails on one element
+// (wear-out) still writes its other elements' runs and completes with
+// the first error in element order; the fill goes on, and the device
+// counts the error in its metrics.
 func PreconditionFrac(d Device, chunk int64, frac float64) error {
 	if chunk <= 0 {
 		chunk = 1 << 20

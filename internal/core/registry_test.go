@@ -205,8 +205,8 @@ func TestOpenAllocsFlat(t *testing.T) {
 		kind string
 		want float64
 	}{
-		{"ssd", 75},
-		{"osd", 88},
+		{"ssd", 67},
+		{"osd", 80},
 	} {
 		for _, blocks := range []int{64, 256} {
 			cfg := BaseSSDConfig()

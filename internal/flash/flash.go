@@ -186,12 +186,17 @@ func (p *Package) ReadPage(block, page int) (sim.Time, error) {
 	return p.timing.PageRead + p.busTime(p.geom.PageSize), nil
 }
 
-// ProgramPage programs the next page of a block and returns its service
-// time including bus transfer. NAND constraint: the page index must be
-// exactly the block's write pointer.
-func (p *Package) ProgramPage(block, page int) (sim.Time, error) {
+// ProgramPages programs n pages of a block, starting at page, and
+// returns their service time including bus transfer. NAND constraint:
+// pages program in order, so page must be exactly the block's write
+// pointer, and the run must fit in the block. A run that breaks either
+// rule programs nothing.
+func (p *Package) ProgramPages(block, page, n int) (sim.Time, error) {
 	if err := p.checkPage(block, page); err != nil {
 		return 0, err
+	}
+	if n < 1 || page+n > p.geom.PagesPerBlock {
+		return 0, fmt.Errorf("%w: %d pages from block %d page %d", ErrOutOfRange, n, block, page)
 	}
 	b := &p.blocks[block]
 	wp := b.writePtr
@@ -201,8 +206,8 @@ func (p *Package) ProgramPage(block, page int) (sim.Time, error) {
 	if int32(page) > wp {
 		return 0, fmt.Errorf("%w: block %d page %d, expected %d", ErrOutOfOrder, block, page, wp)
 	}
-	b.writePtr = wp + 1
-	return p.timing.PageProgram + p.busTime(p.geom.PageSize), nil
+	b.writePtr = wp + int32(n)
+	return sim.Time(n) * (p.timing.PageProgram + p.busTime(p.geom.PageSize)), nil
 }
 
 // EraseBlock erases a block and returns its service time. Erasing beyond

@@ -75,7 +75,7 @@ func TestTimingProfiles(t *testing.T) {
 
 func TestProgramReadCycle(t *testing.T) {
 	p := newTestPackage(t)
-	d, err := p.ProgramPage(0, 0)
+	d, err := p.ProgramPages(0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestReadUnwritten(t *testing.T) {
 
 func mustProgram(t *testing.T, p *Package, block, page int) {
 	t.Helper()
-	if _, err := p.ProgramPage(block, page); err != nil {
+	if _, err := p.ProgramPages(block, page, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,10 +115,10 @@ func mustProgram(t *testing.T, p *Package, block, page int) {
 func TestInOrderProgramming(t *testing.T) {
 	p := newTestPackage(t)
 	mustProgram(t, p, 0, 0)
-	if _, err := p.ProgramPage(0, 2); !errors.Is(err, ErrOutOfOrder) {
+	if _, err := p.ProgramPages(0, 2, 1); !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("skip-ahead program: err = %v, want ErrOutOfOrder", err)
 	}
-	if _, err := p.ProgramPage(0, 0); !errors.Is(err, ErrNotErased) {
+	if _, err := p.ProgramPages(0, 0, 1); !errors.Is(err, ErrNotErased) {
 		t.Fatalf("overwrite program: err = %v, want ErrNotErased", err)
 	}
 	mustProgram(t, p, 0, 1)
@@ -127,12 +127,39 @@ func TestInOrderProgramming(t *testing.T) {
 	}
 }
 
+// TestProgramPagesRun: a run programs consecutive pages from the write
+// pointer at the per-page cost, and a run that would break the
+// in-order rule or leave the block programs nothing.
+func TestProgramPagesRun(t *testing.T) {
+	p := newTestPackage(t)
+	d, err := p.ProgramPages(0, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 3 * (200*sim.Microsecond + 4096*25*sim.Nanosecond); d != want {
+		t.Fatalf("run time = %v, want %v", d, want)
+	}
+	ppb := p.geom.PagesPerBlock
+	for _, bad := range [][2]int{{3, ppb - 2}, {3, 0}, {4, 1}, {2, 1}} {
+		if _, err := p.ProgramPages(0, bad[0], bad[1]); err == nil {
+			t.Fatalf("ProgramPages(0, %d, %d) accepted", bad[0], bad[1])
+		}
+	}
+	if wp := p.WritePointer(0); wp != 3 {
+		t.Fatalf("write pointer = %d after rejected runs, want 3", wp)
+	}
+	mustProgram(t, p, 0, 3)
+	if _, err := p.ProgramPages(0, 4, ppb-4); err != nil || p.WritePointer(0) != ppb {
+		t.Fatalf("filling the block: %v, write pointer %d", err, p.WritePointer(0))
+	}
+}
+
 func TestEraseResetsBlock(t *testing.T) {
 	p := newTestPackage(t)
 	for i := 0; i < 64; i++ {
 		mustProgram(t, p, 3, i)
 	}
-	if _, err := p.ProgramPage(3, 0); err == nil {
+	if _, err := p.ProgramPages(3, 0, 1); err == nil {
 		t.Fatal("programmed into full block")
 	}
 	d, err := p.EraseBlock(3)
@@ -172,8 +199,8 @@ func TestOutOfRange(t *testing.T) {
 	cases := []func() error{
 		func() error { _, err := p.ReadPage(-1, 0); return err },
 		func() error { _, err := p.ReadPage(32, 0); return err },
-		func() error { _, err := p.ProgramPage(0, 64); return err },
-		func() error { _, err := p.ProgramPage(0, -1); return err },
+		func() error { _, err := p.ProgramPages(0, 64, 1); return err },
+		func() error { _, err := p.ProgramPages(0, -1, 1); return err },
 		func() error { _, err := p.EraseBlock(99); return err },
 	}
 	for i, f := range cases {
@@ -213,7 +240,7 @@ func TestPackageInvariantProperty(t *testing.T) {
 			case 0: // program at write pointer (may fail when full; fine)
 				wp := p.WritePointer(b)
 				if wp < 8 {
-					if _, err := p.ProgramPage(b, wp); err != nil {
+					if _, err := p.ProgramPages(b, wp, 1); err != nil {
 						return false
 					}
 				}

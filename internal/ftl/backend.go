@@ -22,8 +22,12 @@ import (
 // designs bracket the random-write behaviours seen across the paper's
 // engineering samples.
 type Backend interface {
-	// WritePage services a host write of one logical page.
-	WritePage(lpn int) (sim.Time, error)
+	// WritePages services a host write of the n >= 1 logical pages from
+	// lpn, one element's run of a device request, in address order. A
+	// run that does not fit the logical space fails before writing
+	// anything. Otherwise it writes until it finishes or hits its first
+	// error, and returns the time of what it did.
+	WritePages(lpn, n int) (sim.Time, error)
 	// ReadPage services a host read of one logical page.
 	ReadPage(lpn int) (sim.Time, error)
 	// Free is the deallocation notification for one logical page.
@@ -140,6 +144,14 @@ func (c *core) Wear() flash.WearStats { return c.pkg.Wear() }
 func (c *core) checkLPN(lpn int) error {
 	if lpn < 0 || lpn >= c.logical {
 		return fmt.Errorf("%w: lpn %d of %d", ErrOutOfRange, lpn, c.logical)
+	}
+	return nil
+}
+
+// checkRun checks a WritePages run: at least one page, all in range.
+func (c *core) checkRun(lpn, n int) error {
+	if lpn < 0 || n < 1 || lpn+n > c.logical {
+		return fmt.Errorf("%w: %d pages from lpn %d of %d", ErrOutOfRange, n, lpn, c.logical)
 	}
 	return nil
 }

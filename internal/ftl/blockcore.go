@@ -76,16 +76,31 @@ func (c *blockCore) ReadPage(lpn int) (sim.Time, error) {
 	return c.pkg.ReadPage(c.locate(lpn))
 }
 
+// writePages is WritePages for a scheme that writes page by page:
+// write is the scheme's body for one page, whose run is already
+// checked.
+func (c *blockCore) writePages(lpn, n int, write func(lpn int) (sim.Time, error)) (sim.Time, error) {
+	if err := c.checkRun(lpn, n); err != nil {
+		return 0, err
+	}
+	var total sim.Time
+	for end := lpn + n; lpn < end; lpn++ {
+		d, err := write(lpn)
+		total += d
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
 // hostWrite counts a host write of lpn and marks the page live,
 // returning its logical block and offset.
-func (c *blockCore) hostWrite(lpn int) (lbn, off int, err error) {
-	if err := c.checkLPN(lpn); err != nil {
-		return 0, 0, err
-	}
+func (c *blockCore) hostWrite(lpn int) (lbn, off int) {
 	c.stats.HostWrites++
 	c.written[lpn] = true
 	c.dead[lpn] = false
-	return lpn / c.ppb, lpn % c.ppb, nil
+	return lpn / c.ppb, lpn % c.ppb
 }
 
 // kill counts a free notification and, in informed mode, marks a live
@@ -147,7 +162,7 @@ func (c *blockCore) rebuild(lbn, dst, from, top int, src func(k int) (block, pag
 			}
 			c.stats.PagesMoved++
 		}
-		d, err := c.pkg.ProgramPage(dst, k)
+		d, err := c.pkg.ProgramPages(dst, k, 1)
 		total += d
 		if err != nil {
 			return total, err

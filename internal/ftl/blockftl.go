@@ -69,17 +69,19 @@ func (b *Block) newest(lpn int) (int, int) {
 	return int(b.dataMap.get(lbn)), off
 }
 
-// WritePage implements Backend. Sequential extension programs in place;
+// WritePages implements Backend, one page at a time.
+func (b *Block) WritePages(lpn, n int) (sim.Time, error) {
+	return b.writePages(lpn, n, b.writePage)
+}
+
+// writePage writes one page. Sequential extension programs in place;
 // anything else is a full-block read-merge-write into a fresh block.
-func (b *Block) WritePage(lpn int) (sim.Time, error) {
-	lbn, off, err := b.hostWrite(lpn)
-	if err != nil {
-		return 0, err
-	}
+func (b *Block) writePage(lpn int) (sim.Time, error) {
+	lbn, off := b.hostWrite(lpn)
 	// Append to an open replacement block when the write continues it.
 	if rp, ok := b.repl[lbn]; ok {
 		if b.pkg.WritePointer(int(rp)) == off {
-			d, err := b.pkg.ProgramPage(int(rp), off)
+			d, err := b.pkg.ProgramPages(int(rp), off, 1)
 			if err != nil {
 				return d, err
 			}
@@ -96,12 +98,12 @@ func (b *Block) WritePage(lpn int) (sim.Time, error) {
 			return d, err
 		}
 		b.stats.HostWrites-- // the recursive call re-counts
-		d2, err := b.WritePage(lpn)
+		d2, err := b.writePage(lpn)
 		return d + d2, err
 	}
 	pb := b.dataMap.get(lbn)
 	if pb != unmapped && b.pkg.WritePointer(int(pb)) == off {
-		return b.pkg.ProgramPage(int(pb), off)
+		return b.pkg.ProgramPages(int(pb), off, 1)
 	}
 	// A rewrite starting at page 0 of a mapped block opens a replacement
 	// block: sequential overwrites then cost one program per page.
@@ -111,7 +113,7 @@ func (b *Block) WritePage(lpn int) (sim.Time, error) {
 			return d, err
 		}
 		if rp, ok := b.repl[lbn]; ok {
-			d2, err := b.pkg.ProgramPage(int(rp), 0)
+			d2, err := b.pkg.ProgramPages(int(rp), 0, 1)
 			return d + d2, err
 		}
 		// No block to spare for a replacement: merge instead.

@@ -65,7 +65,7 @@ func fingerprint(t *testing.T, s Scheme, informed bool) string {
 		var d sim.Time
 		switch r := rng.Intn(20); {
 		case r < 10:
-			d, err = b.WritePage(lpn)
+			d, err = b.WritePages(lpn, 1)
 		case r < 15:
 			d, err = b.ReadPage(lpn)
 		case r < 18:

@@ -78,7 +78,7 @@ func TestLogicalCapacityClamped(t *testing.T) {
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	el := newElement(t, smallConfig())
-	if _, err := el.WritePage(5); err != nil {
+	if _, err := el.WritePages(5, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !el.Mapped(5) {
@@ -102,7 +102,7 @@ func TestReadUnmappedIsCheap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := el.WritePage(3); err != nil {
+	if _, err := el.WritePages(3, 1); err != nil {
 		t.Fatal(err)
 	}
 	dMapped, err := el.ReadPage(3)
@@ -116,7 +116,7 @@ func TestReadUnmappedIsCheap(t *testing.T) {
 
 func TestOutOfRange(t *testing.T) {
 	el := newElement(t, smallConfig())
-	if _, err := el.WritePage(el.LogicalPages()); !errors.Is(err, ErrOutOfRange) {
+	if _, err := el.WritePages(el.LogicalPages(), 1); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("write: %v", err)
 	}
 	if _, err := el.ReadPage(-1); !errors.Is(err, ErrOutOfRange) {
@@ -130,7 +130,7 @@ func TestOutOfRange(t *testing.T) {
 func TestOverwriteInvalidatesOldCopy(t *testing.T) {
 	el := newElement(t, smallConfig())
 	for i := 0; i < 4; i++ {
-		if _, err := el.WritePage(7); err != nil {
+		if _, err := el.WritePages(7, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestOverwriteInvalidatesOldCopy(t *testing.T) {
 func fill(t *testing.T, el *Element) {
 	t.Helper()
 	for lpn := 0; lpn < el.LogicalPages(); lpn++ {
-		if _, err := el.WritePage(lpn); err != nil {
+		if _, err := el.WritePages(lpn, 1); err != nil {
 			t.Fatalf("fill lpn %d: %v", lpn, err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestSustainedOverwriteTriggersCleaning(t *testing.T) {
 	fill(t, el)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 4*el.LogicalPages(); i++ {
-		if _, err := el.WritePage(rng.Intn(el.LogicalPages())); err != nil {
+		if _, err := el.WritePages(rng.Intn(el.LogicalPages()), 1); err != nil {
 			t.Fatalf("overwrite %d: %v", i, err)
 		}
 	}
@@ -192,7 +192,7 @@ func TestInformedFreeInvalidates(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Informed = true
 	el := newElement(t, cfg)
-	if _, err := el.WritePage(2); err != nil {
+	if _, err := el.WritePages(2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := el.Free(2); err != nil {
@@ -219,7 +219,7 @@ func TestInformedFreeInvalidates(t *testing.T) {
 
 func TestDefaultIgnoresFrees(t *testing.T) {
 	el := newElement(t, smallConfig())
-	if _, err := el.WritePage(2); err != nil {
+	if _, err := el.WritePages(2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := el.Free(2); err != nil {
@@ -260,7 +260,7 @@ func TestInformedCleaningMovesFewerPages(t *testing.T) {
 				live[lpn] = false
 				continue
 			}
-			if _, err := el.WritePage(lpn); err != nil {
+			if _, err := el.WritePages(lpn, 1); err != nil {
 				t.Fatal(err)
 			}
 			live[lpn] = true
@@ -298,7 +298,7 @@ func TestWearLevelingBoundsSpread(t *testing.T) {
 		hot = 1
 	}
 	for i := 0; i < 40*el.LogicalPages(); i++ {
-		if _, err := el.WritePage(rng.Intn(hot)); err != nil {
+		if _, err := el.WritePages(rng.Intn(hot), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +328,7 @@ func TestWearSpreadWithoutLeveling(t *testing.T) {
 		hot = 1
 	}
 	for i := 0; i < 40*el.LogicalPages(); i++ {
-		if _, err := el.WritePage(rng.Intn(hot)); err != nil {
+		if _, err := el.WritePages(rng.Intn(hot), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,7 +349,7 @@ func TestFreeFractionDecreasesWithWrites(t *testing.T) {
 	el := newElement(t, smallConfig())
 	before := el.FreeFraction()
 	for i := 0; i < 10; i++ {
-		if _, err := el.WritePage(i); err != nil {
+		if _, err := el.WritePages(i, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -395,7 +395,7 @@ func TestElementInvariantProperty(t *testing.T) {
 				lpn := int(op>>2) % n
 				switch op % 4 {
 				case 0, 1:
-					_, err = el.WritePage(lpn)
+					_, err = el.WritePages(lpn, 1)
 				case 2:
 					err = el.Free(lpn)
 				case 3:
@@ -451,7 +451,7 @@ func TestLogicalViewProperty(t *testing.T) {
 		for _, op := range ops {
 			lpn := int(op>>1) % n
 			if op%2 == 0 {
-				if _, err := el.WritePage(lpn); err != nil {
+				if _, err := el.WritePages(lpn, 1); err != nil {
 					return false
 				}
 				model[lpn] = true
@@ -482,7 +482,7 @@ func TestWearOutSurfacesError(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var sawWearOut bool
 	for i := 0; i < 100*el.LogicalPages(); i++ {
-		if _, err := el.WritePage(rng.Intn(el.LogicalPages())); err != nil {
+		if _, err := el.WritePages(rng.Intn(el.LogicalPages()), 1); err != nil {
 			if errors.Is(err, flash.ErrWornOut) {
 				sawWearOut = true
 				break
@@ -498,7 +498,7 @@ func TestWearOutSurfacesError(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	el := newElement(t, smallConfig())
 	for i := 0; i < 5; i++ {
-		if _, err := el.WritePage(i); err != nil {
+		if _, err := el.WritePages(i, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -511,10 +511,12 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-// TestCostBenefitBeatsGreedyOnSkew is the classic LFS result: with hot
-// and cold data mixed, cost-benefit victim selection moves fewer pages
-// than greedy because it waits for hot blocks to fill with garbage.
-func TestCostBenefitBeatsGreedyOnSkew(t *testing.T) {
+// TestCostBenefitWithinFivePercentOfGreedyOnSkew bounds cost-benefit
+// victim selection against greedy on 90/10 hot/cold traffic: it may
+// move at most 5% more pages. The classic LFS result has cost-benefit
+// moving fewer; on this geometry it moves a few percent more, so the
+// test shows no win, only that the policy is not far off.
+func TestCostBenefitWithinFivePercentOfGreedyOnSkew(t *testing.T) {
 	run := func(costBenefit bool) Stats {
 		cfg := smallConfig()
 		cfg.Geom.BlocksPerPackage = 64
@@ -524,7 +526,7 @@ func TestCostBenefitBeatsGreedyOnSkew(t *testing.T) {
 			t.Fatal(err)
 		}
 		for lpn := 0; lpn < el.LogicalPages(); lpn++ {
-			if _, err := el.WritePage(lpn); err != nil {
+			if _, err := el.WritePages(lpn, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -535,7 +537,7 @@ func TestCostBenefitBeatsGreedyOnSkew(t *testing.T) {
 			if rng.Intn(10) == 0 {
 				lpn = rng.Intn(el.LogicalPages())
 			}
-			if _, err := el.WritePage(lpn); err != nil {
+			if _, err := el.WritePages(lpn, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -550,8 +552,7 @@ func TestCostBenefitBeatsGreedyOnSkew(t *testing.T) {
 		t.Fatal("no cleaning; workload too small")
 	}
 	// Cost-benefit should not do significantly more relocation work than
-	// greedy on this skewed workload (classically it does less; allow a
-	// small margin for the small geometry).
+	// greedy on this skewed workload.
 	if float64(cb.PagesMoved) > 1.05*float64(greedy.PagesMoved) {
 		t.Fatalf("cost-benefit moved %d pages vs greedy %d", cb.PagesMoved, greedy.PagesMoved)
 	}

@@ -12,24 +12,25 @@ const fuzzMaxOps = 2000
 // fuzzInput encodes a FuzzBackend input: the five header bytes pick the
 // scheme, pages per block (2–8), blocks (3–17), overprovisioning (0–30%)
 // and informed mode; each op is a kind byte (low two bits: write, read,
-// free, clean; the rest: high bits of the page) and a low page byte.
-func fuzzInput(s Scheme, ppb, blocks, opPct int, informed bool, ops ...[2]int) []byte {
+// free, clean; the rest: high bits of the page), a low page byte and a
+// count byte (a write covers 1–16 pages, cut at the last page).
+func fuzzInput(s Scheme, ppb, blocks, opPct int, informed bool, ops ...[3]int) []byte {
 	inf := byte(0)
 	if informed {
 		inf = 1
 	}
 	data := []byte{byte(s), byte(ppb - 2), byte(blocks - 3), byte(opPct), inf}
 	for _, op := range ops {
-		kind, lpn := op[0], op[1]
-		data = append(data, byte(kind|lpn>>8<<2), byte(lpn))
+		kind, lpn, n := op[0], op[1], op[2]
+		data = append(data, byte(kind|lpn>>8<<2), byte(lpn), byte(n-1))
 	}
 	return data
 }
 
-func fuzzWrites(lpns ...int) [][2]int {
-	ops := make([][2]int, len(lpns))
+func fuzzWrites(lpns ...int) [][3]int {
+	ops := make([][3]int, len(lpns))
 	for i, lpn := range lpns {
-		ops[i] = [2]int{0, lpn}
+		ops[i] = [3]int{0, lpn, 1}
 	}
 	return ops
 }
@@ -45,9 +46,9 @@ func FuzzBackend(f *testing.F) {
 	f.Add(fuzzInput(BlockMapped, 4, 8, 0, false, fuzzWrites(append(seqLPNs(0, 28), 0, 8, 9)...)...))
 	f.Add(fuzzInput(BlockMapped, 4, 8, 0, false, fuzzWrites(append(seqLPNs(0, 20), 0, 4, 20, 24, 13)...)...))
 	for s := PageMapped; s <= HybridLog; s++ {
-		var mix [][2]int
+		var mix [][3]int
 		for i := 0; i < 300; i++ {
-			mix = append(mix, [2]int{i * 7 % 4, i * 13 % 97})
+			mix = append(mix, [3]int{i * 7 % 4, i * 13 % 97, 1 + i*5%11})
 		}
 		f.Add(fuzzInput(s, 8, 16, 15, true, mix...))
 		f.Add(fuzzInput(s, 2, 6, 0, false, mix...))
@@ -74,13 +75,17 @@ func FuzzBackend(f *testing.F) {
 		n := b.LogicalPages()
 		live := make([]bool, n)
 		ops := data[5:]
-		for i := 0; i+1 < len(ops) && i/2 < fuzzMaxOps; i += 2 {
+		for i := 0; i+2 < len(ops) && i/3 < fuzzMaxOps; i += 3 {
 			kind := ops[i] & 3
 			lpn := (int(ops[i]>>2)<<8 | int(ops[i+1])) % n
+			pages := 1
 			switch kind {
 			case 0:
-				_, err = b.WritePage(lpn)
-				live[lpn] = true
+				pages = min(1+int(ops[i+2]%16), n-lpn)
+				_, err = b.WritePages(lpn, pages)
+				for p := lpn; p < lpn+pages; p++ {
+					live[p] = true
+				}
 			case 1:
 				_, err = b.ReadPage(lpn)
 			case 2:
@@ -94,13 +99,15 @@ func FuzzBackend(f *testing.F) {
 				}
 			}
 			if err != nil {
-				t.Fatalf("%v %+v: op %d (kind %d, lpn %d): %v", s, cfg, i/2, kind, lpn, err)
+				t.Fatalf("%v %+v: op %d (kind %d, lpn %d, %d pages): %v", s, cfg, i/3, kind, lpn, pages, err)
 			}
 			if err := b.CheckInvariants(); err != nil {
-				t.Fatalf("%v %+v: after op %d (kind %d, lpn %d): %v", s, cfg, i/2, kind, lpn, err)
+				t.Fatalf("%v %+v: after op %d (kind %d, lpn %d, %d pages): %v", s, cfg, i/3, kind, lpn, pages, err)
 			}
-			if b.Mapped(lpn) != live[lpn] {
-				t.Fatalf("%v %+v: after op %d (kind %d): lpn %d mapped %v, want %v", s, cfg, i/2, kind, lpn, b.Mapped(lpn), live[lpn])
+			for p := lpn; p < lpn+pages; p++ {
+				if b.Mapped(p) != live[p] {
+					t.Fatalf("%v %+v: after op %d (kind %d): lpn %d mapped %v, want %v", s, cfg, i/3, kind, p, b.Mapped(p), live[p])
+				}
 			}
 		}
 	})

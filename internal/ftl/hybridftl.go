@@ -83,18 +83,21 @@ func (h *Hybrid) newest(lpn int) (int, int) {
 	return int(h.dataMap.get(lpn / h.ppb)), lpn % h.ppb
 }
 
-// WritePage implements Backend.
-func (h *Hybrid) WritePage(lpn int) (sim.Time, error) {
-	lbn, off, err := h.hostWrite(lpn)
-	if err != nil {
-		return 0, err
-	}
+// WritePages implements Backend, one page at a time.
+func (h *Hybrid) WritePages(lpn, n int) (sim.Time, error) {
+	return h.writePages(lpn, n, h.writePage)
+}
+
+// writePage writes one page: in place when it extends its data block,
+// else to the log.
+func (h *Hybrid) writePage(lpn int) (sim.Time, error) {
+	lbn, off := h.hostWrite(lpn)
 	pb := h.dataMap.get(lbn)
 	// In-place sequential extension of the data block, but only when no
 	// newer log copy would be shadowed.
 	if _, logged := h.logMap[lpn]; !logged {
 		if pb != unmapped && h.pkg.WritePointer(int(pb)) == off {
-			return h.pkg.ProgramPage(int(pb), off)
+			return h.pkg.ProgramPages(int(pb), off, 1)
 		}
 		if pb == unmapped && off == 0 {
 			npb, d0, err := h.allocBlock()
@@ -136,7 +139,7 @@ func (h *Hybrid) logWrite(lpn int) (sim.Time, error) {
 		cur = npb
 	}
 	page := h.pkg.WritePointer(cur)
-	d, err := h.pkg.ProgramPage(cur, page)
+	d, err := h.pkg.ProgramPages(cur, page, 1)
 	total += d
 	if err != nil {
 		return total, err

@@ -11,7 +11,7 @@ import (
 // or n writes complete, returning the first error.
 func hammer(el *Element, n int) error {
 	for i := 0; i < n; i++ {
-		if _, err := el.WritePage(i % el.LogicalPages()); err != nil {
+		if _, err := el.WritePages(i%el.LogicalPages(), 1); err != nil {
 			return err
 		}
 	}

@@ -73,7 +73,7 @@ func TestBackendValidationErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.WritePage(-1); !errors.Is(err, ErrOutOfRange) {
+		if _, err := b.WritePages(-1, 1); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("%v write -1: %v", s, err)
 		}
 		if _, err := b.ReadPage(b.LogicalPages()); !errors.Is(err, ErrOutOfRange) {
@@ -98,7 +98,7 @@ func TestBackendSemanticsUniform(t *testing.T) {
 		if b.Mapped(3) {
 			t.Errorf("%v: fresh page mapped", s)
 		}
-		if _, err := b.WritePage(3); err != nil {
+		if _, err := b.WritePages(3, 1); err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
 		if !b.Mapped(3) {
@@ -132,7 +132,7 @@ func TestBackendSequentialFill(t *testing.T) {
 			t.Fatal(err)
 		}
 		for lpn := 0; lpn < b.LogicalPages(); lpn++ {
-			if _, err := b.WritePage(lpn); err != nil {
+			if _, err := b.WritePages(lpn, 1); err != nil {
 				t.Fatalf("%v: fill lpn %d: %v", s, lpn, err)
 			}
 		}
@@ -157,14 +157,14 @@ func TestBackendRandomOverwriteCostOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		for lpn := 0; lpn < b.LogicalPages(); lpn++ {
-			if _, err := b.WritePage(lpn); err != nil {
+			if _, err := b.WritePages(lpn, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
 		rng := rand.New(rand.NewSource(77))
 		var total sim.Time
 		for i := 0; i < 3*b.LogicalPages(); i++ {
-			d, err := b.WritePage(rng.Intn(b.LogicalPages()))
+			d, err := b.WritePages(rng.Intn(b.LogicalPages()), 1)
 			if err != nil {
 				t.Fatalf("%v: overwrite %d: %v", s, i, err)
 			}
@@ -197,11 +197,11 @@ func TestBlockMergeCounts(t *testing.T) {
 	// Fill one logical block, then rewrite a middle page: the merge
 	// copies the other 7 pages.
 	for k := 0; k < 8; k++ {
-		if _, err := b.WritePage(k); err != nil {
+		if _, err := b.WritePages(k, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := b.WritePage(3); err != nil {
+	if _, err := b.WritePages(3, 1); err != nil {
 		t.Fatal(err)
 	}
 	st := b.Stats()
@@ -221,12 +221,12 @@ func TestBlockSwitchMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 8; k++ {
-		if _, err := b.WritePage(k); err != nil {
+		if _, err := b.WritePages(k, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for k := 0; k < 8; k++ {
-		if _, err := b.WritePage(k); err != nil {
+		if _, err := b.WritePages(k, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,13 +255,13 @@ func TestBlockReplacementOutOfOrderCloses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 8; k++ {
-		b.WritePage(k)
+		b.WritePages(k, 1)
 	}
-	b.WritePage(0) // opens replacement
+	b.WritePages(0, 1) // opens replacement
 	if len(b.repl) != 1 {
 		t.Fatal("replacement not opened")
 	}
-	if _, err := b.WritePage(5); err != nil {
+	if _, err := b.WritePages(5, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.repl) != 0 {
@@ -283,7 +283,7 @@ func TestBlockMidBlockFirstWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First write to page 5 of an unmapped block pads pages 0..5.
-	if _, err := b.WritePage(5); err != nil {
+	if _, err := b.WritePages(5, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !b.Mapped(5) {
@@ -302,7 +302,7 @@ func TestBlockInformedWholeBlockFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 8; k++ {
-		if _, err := b.WritePage(k); err != nil {
+		if _, err := b.WritePages(k, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,13 +326,13 @@ func TestHybridLogAbsorbsRandomWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 8; k++ {
-		if _, err := h.WritePage(k); err != nil {
+		if _, err := h.WritePages(k, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A few random overwrites go to the log without any merge.
 	for _, lpn := range []int{0, 3, 0, 5} {
-		if _, err := h.WritePage(lpn); err != nil {
+		if _, err := h.WritePages(lpn, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -355,13 +355,13 @@ func TestHybridEvictionMerges(t *testing.T) {
 	}
 	n := h.LogicalPages()
 	for lpn := 0; lpn < n; lpn++ {
-		if _, err := h.WritePage(lpn); err != nil {
+		if _, err := h.WritePages(lpn, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 4*n; i++ {
-		if _, err := h.WritePage(rng.Intn(n)); err != nil {
+		if _, err := h.WritePages(rng.Intn(n), 1); err != nil {
 			t.Fatalf("overwrite %d: %v", i, err)
 		}
 	}
@@ -384,9 +384,9 @@ func TestHybridCleanOnce(t *testing.T) {
 	}
 	// Create log content, then clean explicitly.
 	for k := 0; k < 8; k++ {
-		h.WritePage(k)
+		h.WritePages(k, 1)
 	}
-	h.WritePage(0) // log copy
+	h.WritePages(0, 1) // log copy
 	if _, err := h.CleanOnce(); err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestSchemeModelProperty(t *testing.T) {
 			for _, op := range ops {
 				lpn := int(op>>1) % n
 				if op%2 == 0 {
-					if _, err := b.WritePage(lpn); err != nil {
+					if _, err := b.WritePages(lpn, 1); err != nil {
 						return false
 					}
 					model[lpn] = true
@@ -457,7 +457,7 @@ func TestHybridInvariantProperty(t *testing.T) {
 			lpn := int(op>>2) % n
 			switch op % 4 {
 			case 0, 1:
-				if _, err := h.WritePage(lpn); err != nil {
+				if _, err := h.WritePages(lpn, 1); err != nil {
 					return false
 				}
 			case 2:
@@ -508,7 +508,7 @@ func TestBlockNoSpuriousNoSpace(t *testing.T) {
 				t.Fatalf("%d logical pages, want 7 blocks of 4", b.LogicalPages())
 			}
 			for i, lpn := range tc.writes {
-				if _, err := b.WritePage(lpn); err != nil {
+				if _, err := b.WritePages(lpn, 1); err != nil {
 					t.Fatalf("write %d (lpn %d): %v", i, lpn, err)
 				}
 				if err := b.CheckInvariants(); err != nil {

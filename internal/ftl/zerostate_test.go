@@ -60,7 +60,7 @@ func TestZeroStateRoundTrip(t *testing.T) {
 		}
 		n := b.LogicalPages()
 		for lpn := 0; lpn < n; lpn++ {
-			if _, err := b.WritePage(lpn); err != nil {
+			if _, err := b.WritePages(lpn, 1); err != nil {
 				t.Fatalf("%v: write %d: %v", s, lpn, err)
 			}
 			check("write", lpn)
@@ -82,7 +82,7 @@ func TestZeroStateRoundTrip(t *testing.T) {
 		}
 		for pass := 0; pass < 3; pass++ {
 			for lpn := 1; lpn < n; lpn += 2 {
-				if _, err := b.WritePage(lpn); err != nil {
+				if _, err := b.WritePages(lpn, 1); err != nil {
 					t.Fatalf("%v: overwrite %d: %v", s, lpn, err)
 				}
 				check("overwrite", lpn)

@@ -90,6 +90,7 @@ type Device struct {
 	chunkBytes    int64 // FullStripe: contiguous bytes per element per stripe
 	pagesPerChunk int
 	logicalBytes  int64
+	slcPages      int64 // heterogeneous: pages in the SLC region
 
 	// q indexes the pending requests and owns the per-element busy
 	// horizons; drv runs the shared dispatch loop with the cleaning
@@ -97,9 +98,9 @@ type Device struct {
 	q        *sched.Queue[request]
 	drv      *sched.Driver[request]
 	linkBusy sim.Time // host-interface link occupancy (InterfaceMBps)
-	// touched/elemScratch are reused by elemsFor, and durScratch by
+	// runs is reused by plan, elemScratch by elemsFor and durScratch by
 	// exec, so neither enqueueing nor dispatching allocates per request.
-	touched     []bool
+	runs        []run
 	elemScratch []int
 	durScratch  []sim.Time
 	// outstandingPri counts priority requests queued or in service; the
@@ -138,7 +139,7 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		cfg:         cfg,
 		eng:         eng,
 		elems:       make([]ftl.Backend, 0, cfg.Elements),
-		touched:     make([]bool, cfg.Elements),
+		runs:        make([]run, 0, cfg.Elements),
 		elemScratch: make([]int, 0, cfg.Elements),
 		durScratch:  make([]sim.Time, cfg.Elements),
 		cleanSet:    make([]uint64, (cfg.Elements+63)/64),
@@ -171,6 +172,7 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		d.logicalBytes = int64(stripes) * cfg.StripeBytes
 	case Interleaved:
 		d.logicalBytes = int64(perElemPages) * pageSize * int64(cfg.Elements)
+		d.slcPages = int64(perElemPages) * int64(cfg.Elements-cfg.MLCElements)
 	}
 	if d.logicalBytes <= 0 {
 		return nil, fmt.Errorf("ssd: configuration exports no capacity")
@@ -217,9 +219,7 @@ func (d *Device) RegionBoundary() int64 {
 	if d.cfg.MLCElements == 0 {
 		return 0
 	}
-	slcElems := d.cfg.Elements - d.cfg.MLCElements
-	perElem := int64(d.elems[0].LogicalPages()) * int64(d.cfg.Geom.PageSize)
-	return perElem * int64(slcElems)
+	return d.slcPages * int64(d.cfg.Geom.PageSize)
 }
 
 // Elements exposes the per-element FTLs for inspection.

@@ -1,111 +1,180 @@
 package ssd
 
 import (
+	"ossd/internal/ftl"
 	"ossd/internal/sim"
 	"ossd/internal/trace"
 )
 
-// This file maps byte-range operations onto per-element page operations
-// for the two layouts. All write amplification in the simulator arises
-// here: FullStripe writes rewrite every page of each touched stripe (the
-// mapping granularity is the stripe), reading back old data for the
-// pages the host did not cover.
+// This file maps byte-range operations onto the elements for the two
+// layouts. A request is planned as at most one run per element: the
+// element-local pages it touches there, which are always consecutive,
+// and the leading and trailing pages it covers only in part. Each FTL
+// then services its run in one call. All write amplification in the
+// simulator arises here: FullStripe writes rewrite every page of each
+// touched stripe (the mapping granularity is the stripe), reading back
+// old data for the pages the host did not cover.
+//
+// Failure rule: every element of a request runs its part until it
+// finishes or hits its own first error, and the request reports the
+// first error in element order.
+
+// run is one element's share of a request: n element-local pages from
+// first, in address order. The first head and the last tail of them are
+// pages the request does not cover completely, which a write reads back
+// when they hold data (read-modify-write); head+tail <= n.
+type run struct {
+	elem, first, n int
+	head, tail     int
+}
+
+// plan returns the runs of the byte range [off, end), in no particular
+// element order. whole plans every page of every stripe the range
+// touches (FullStripe writes); otherwise a run holds the pages the
+// range intersects. It costs O(min(pages, elements)) on the Interleaved
+// layout and O(elements) on FullStripe, with no per-page walk. The
+// returned slice is device-owned scratch, valid until the next call.
+func (d *Device) plan(off, end int64, whole bool) []run {
+	runs := d.runs[:0]
+	if d.cfg.Layout == FullStripe {
+		return d.planStripes(runs, off, end, whole)
+	}
+	ps := int64(d.cfg.Geom.PageSize)
+	// Most requests fit in one page: spare them the second division.
+	g0, g1 := off/ps, off/ps+1
+	if end > g1*ps {
+		g1 = (end + ps - 1) / ps
+	}
+	if d.cfg.MLCElements == 0 {
+		return planPages(runs, g0, g1, 0, d.cfg.Elements, partial(off, end, g0, ps), partial(off, end, g1-1, ps))
+	}
+	// A heterogeneous range splits at the page-aligned SLC/MLC boundary
+	// and each part is planned over its own element group (§3.3).
+	slc, b := d.cfg.Elements-d.cfg.MLCElements, d.slcPages
+	if g0 < b {
+		top := min(g1, b)
+		runs = planPages(runs, g0, top, 0, slc, partial(off, end, g0, ps), partial(off, end, top-1, ps))
+	}
+	if g1 > b {
+		from := max(g0, b)
+		runs = planPages(runs, from-b, g1-b, slc, d.cfg.MLCElements, partial(off, end, from, ps), partial(off, end, g1-1, ps))
+	}
+	return runs
+}
+
+// partial reports whether [off, end) covers page g (of ps bytes) only in
+// part.
+func partial(off, end, g, ps int64) bool { return off > g*ps || end < (g+1)*ps }
+
+// planPages appends the runs of pages [g0, g1) interleaved round-robin
+// over elems elements numbered from base: page g lives on element
+// base+g%elems at element-local page g/elems. It locates g0 once and
+// steps from there. head and tail report whether the first and last
+// page are partial.
+func planPages(runs []run, g0, g1 int64, base, elems int, head, tail bool) []run {
+	pages := int(g1 - g0)
+	e, q := int(g0%int64(elems)), int(g0/int64(elems))
+	// The first extra runs of the rotation hold per+1 pages, the rest
+	// per. The last page belongs to run last.
+	per, extra, last := 1, 0, pages-1
+	if pages > elems {
+		per, extra = pages/elems, pages%elems
+		last = extra - 1
+		if extra == 0 {
+			last = elems - 1
+		}
+	}
+	start := len(runs)
+	// Runs are filled in place, field by field: a composite literal is
+	// built on the stack and copied in with wide moves that stall on
+	// the narrow stores just made.
+	runs = runs[:start+min(pages, elems)]
+	for i := start; i < len(runs); i++ {
+		r := &runs[i]
+		r.elem, r.first, r.n, r.head, r.tail = base+e, q, per, 0, 0
+		if i-start < extra {
+			r.n++
+		}
+		if e++; e == elems {
+			e, q = 0, q+1
+		}
+	}
+	if head {
+		runs[start].head = 1
+	}
+	// A one-page range's single page is its head.
+	if r := &runs[start+last]; tail && r.head < r.n {
+		r.tail = 1
+	}
+	return runs
+}
+
+// stripePos is a page number as a stripe and a page within it, so that
+// counting one element's pages before it is a clamp, not a division.
+type stripePos struct{ s, k int64 }
+
+// before returns how many pages of element e (ppc pages per stripe
+// chunk) precede p: the element-local number of its first page at or
+// after p.
+func (p stripePos) before(e, ppc int64) int {
+	return int(p.s*ppc + min(max(p.k-e*ppc, 0), ppc))
+}
+
+// planStripes is plan for the FullStripe layout, where stripe s holds
+// chunk s of every element in element order. An element's pages in a
+// range of stripes are consecutive, so even a multi-stripe request is
+// one run per element.
+func (d *Device) planStripes(runs []run, off, end int64, whole bool) []run {
+	ps := int64(d.cfg.Geom.PageSize)
+	ppc := int64(d.pagesPerChunk)
+	pps := ppc * int64(d.cfg.Elements)
+	at := func(g int64) stripePos { return stripePos{g / pps, g % pps} }
+	lo, hi := off/ps, (end+ps-1)/ps
+	if whole {
+		lo, hi = lo/pps*pps, (hi+pps-1)/pps*pps
+	}
+	from, to := at(lo), at(hi)
+	full0, full1 := at((off+ps-1)/ps), at(end/ps)
+	for e := range int64(d.cfg.Elements) {
+		first, last := from.before(e, ppc), to.before(e, ppc)
+		if last == first {
+			continue
+		}
+		r := run{elem: int(e), first: first, n: last - first}
+		// The pages the range covers completely are consecutive too;
+		// the rest sit at the run's ends.
+		if f0, f1 := full0.before(e, ppc), full1.before(e, ppc); f1 > f0 {
+			r.head, r.tail = f0-first, last-f1
+		} else {
+			r.head = r.n
+		}
+		runs = append(runs, r)
+	}
+	return runs
+}
 
 // elemsFor computes the set of elements a queued operation will occupy,
 // used by the dispatch scheduler. It is conservative with respect to
 // mapping state (which may change while the request queues): it depends
 // only on the byte range. The returned slice is device-owned scratch,
-// valid until the next call — sched.Queue.Push interns the set.
+// valid until the next call — sched.Queue.Push interns the set, in any
+// order.
 func (d *Device) elemsFor(op trace.Op) []int {
-	touched := d.touched
-	for e := range touched {
-		touched[e] = false
-	}
-	switch d.cfg.Layout {
-	case FullStripe:
-		if op.Kind == trace.Write {
-			// Whole stripes are rewritten: every element participates.
-			for e := range touched {
-				touched[e] = true
-			}
-		} else {
-			d.forEachStripePage(op.Offset, op.Size, func(e, elpn int, covered bool) {
-				if covered {
-					touched[e] = true
-				}
-			})
-		}
-	case Interleaved:
-		d.forEachPage(op.Offset, op.Size, func(e, elpn int, full bool) {
-			touched[e] = true
-		})
-	}
-	out := d.elemScratch[:0]
-	for e, t := range touched {
-		if t {
-			out = append(out, e)
-		}
-	}
 	// The scratch is made with room for every element, so out never
 	// outgrows it and the header is never stored back: that store would
 	// be a pointer write on every enqueue.
+	out := d.elemScratch[:0]
+	runs := d.plan(op.Offset, op.End(), d.wholeStripes(op))
+	for i := range runs {
+		out = append(out, runs[i].elem)
+	}
 	return out
 }
 
-// pageHome maps a flash-page-sized logical page to its element and
-// element-local page. Homogeneous devices round-robin over the whole
-// gang; heterogeneous ones (§3.3) split the space into an SLC region
-// interleaved over the SLC elements followed by an MLC region over the
-// MLC elements.
-func (d *Device) pageHome(l int64) (e, elpn int) {
-	if d.cfg.MLCElements == 0 {
-		return int(l) % d.cfg.Elements, int(l) / d.cfg.Elements
-	}
-	slcElems := int64(d.cfg.Elements - d.cfg.MLCElements)
-	slcPages := int64(d.elems[0].LogicalPages()) * slcElems
-	if l < slcPages {
-		return int(l % slcElems), int(l / slcElems)
-	}
-	m := l - slcPages
-	mlc := int64(d.cfg.MLCElements)
-	return int(slcElems) + int(m%mlc), int(m / mlc)
-}
-
-// forEachPage visits every flash-page-sized logical page intersecting
-// [off, off+size) under the Interleaved layout. full reports whether the
-// operation covers the page completely.
-func (d *Device) forEachPage(off, size int64, fn func(e, elpn int, full bool)) {
-	ps := int64(d.cfg.Geom.PageSize)
-	end := off + size
-	for l := off / ps; l*ps < end; l++ {
-		pStart, pEnd := l*ps, (l+1)*ps
-		full := off <= pStart && pEnd <= end
-		e, elpn := d.pageHome(l)
-		fn(e, elpn, full)
-	}
-}
-
-// forEachStripePage visits every page of every stripe intersecting
-// [off, off+size) under the FullStripe layout. covered reports whether
-// the operation's byte range intersects that page at all; the write path
-// visits all pages of touched stripes, the read path only covered ones.
-func (d *Device) forEachStripePage(off, size int64, fn func(e, elpn int, covered bool)) {
-	ps := int64(d.cfg.Geom.PageSize)
-	stripe := d.cfg.StripeBytes
-	end := off + size
-	for s := off / stripe; s*stripe < end; s++ {
-		sBase := s * stripe
-		for e := 0; e < d.cfg.Elements; e++ {
-			chunkBase := sBase + int64(e)*d.chunkBytes
-			for k := 0; k < d.pagesPerChunk; k++ {
-				pStart := chunkBase + int64(k)*ps
-				pEnd := pStart + ps
-				covered := pStart < end && off < pEnd
-				elpn := int(s)*d.pagesPerChunk + k
-				fn(e, elpn, covered)
-			}
-		}
-	}
+// wholeStripes reports whether op rewrites every page of the stripes it
+// touches: a FullStripe write.
+func (d *Device) wholeStripes(op trace.Op) bool {
+	return d.cfg.Layout == FullStripe && op.Kind == trace.Write
 }
 
 // exec executes a dispatched request against the FTLs, mutating mapping
@@ -115,9 +184,7 @@ func (d *Device) forEachStripePage(off, size int64, fn func(e, elpn int, covered
 // reentrant dispatch can run.
 func (d *Device) exec(req *request) []sim.Time {
 	durs := d.durScratch
-	for e := range durs {
-		durs[e] = 0
-	}
+	clear(durs)
 	op := req.Op
 	if op.Kind == trace.Free {
 		// Deallocation is a mapping-table update: zero medium time.
@@ -130,128 +197,93 @@ func (d *Device) exec(req *request) []sim.Time {
 	if d.flt != nil && d.injectFaults(req, durs) {
 		return durs
 	}
-	fail := func(err error) { req.Err = err }
-	switch d.cfg.Layout {
-	case FullStripe:
-		d.execFullStripe(op, durs, fail)
-	case Interleaved:
-		d.execInterleaved(op, durs, fail)
+	failed := len(d.elems) // the element whose error the request reports
+	runs := d.plan(op.Offset, op.End(), d.wholeStripes(op))
+	for i := range runs {
+		r := &runs[i]
+		el := d.elems[r.elem]
+		var dur sim.Time
+		var err error
+		if op.Kind == trace.Write {
+			dur, err = writeRun(el, r)
+		} else {
+			dur, err = readRun(el, r)
+		}
+		durs[r.elem] += dur
+		if err != nil && r.elem < failed {
+			req.Err, failed = err, r.elem
+		}
 	}
 	return durs
 }
 
-func (d *Device) execFullStripe(op trace.Op, durs []sim.Time, fail func(error)) {
-	ps := int64(d.cfg.Geom.PageSize)
-	stripe := d.cfg.StripeBytes
-	end := op.End()
-	for s := op.Offset / stripe; s*stripe < end; s++ {
-		sBase := s * stripe
-		fullStripe := op.Offset <= sBase && sBase+stripe <= end
-		for e := 0; e < d.cfg.Elements; e++ {
-			el := d.elems[e]
-			chunkBase := sBase + int64(e)*d.chunkBytes
-			for k := 0; k < d.pagesPerChunk; k++ {
-				pStart := chunkBase + int64(k)*ps
-				pEnd := pStart + ps
-				covered := pStart < end && op.Offset < pEnd
-				elpn := int(s)*d.pagesPerChunk + k
-				switch op.Kind {
-				case trace.Read:
-					if !covered {
-						continue
-					}
-					dur, err := el.ReadPage(elpn)
-					durs[e] += dur
-					if err != nil {
-						fail(err)
-						return
-					}
-				case trace.Write:
-					// Partial stripe: read back every page the host did
-					// not fully overwrite (read-modify-write, §3.4).
-					fullPage := op.Offset <= pStart && pEnd <= end
-					if !fullStripe && !fullPage && el.Mapped(elpn) {
-						dur, err := el.ReadPage(elpn)
-						durs[e] += dur
-						if err != nil {
-							fail(err)
-							return
-						}
-					}
-					// The stripe is the mapping unit: rewrite every page.
-					dur, err := el.WritePage(elpn)
-					durs[e] += dur
-					if err != nil {
-						fail(err)
-						return
-					}
-				}
-			}
+// readRun reads a run page by page, stopping at the first error.
+func readRun(el ftl.Backend, r *run) (sim.Time, error) {
+	var total sim.Time
+	for p := r.first; p < r.first+r.n; p++ {
+		d, err := el.ReadPage(p)
+		total += d
+		if err != nil {
+			return total, err
 		}
 	}
+	return total, nil
 }
 
-func (d *Device) execInterleaved(op trace.Op, durs []sim.Time, fail func(error)) {
-	ps := int64(d.cfg.Geom.PageSize)
-	end := op.End()
-	for l := op.Offset / ps; l*ps < end; l++ {
-		e, elpn := d.pageHome(l)
-		el := d.elems[e]
-		pStart, pEnd := l*ps, (l+1)*ps
-		switch op.Kind {
-		case trace.Read:
-			dur, err := el.ReadPage(elpn)
-			durs[e] += dur
-			if err != nil {
-				fail(err)
-				return
-			}
-		case trace.Write:
-			full := op.Offset <= pStart && pEnd <= end
-			if !full && el.Mapped(elpn) {
-				// Sub-page write: read-modify-write of the single page.
-				dur, err := el.ReadPage(elpn)
-				durs[e] += dur
-				if err != nil {
-					fail(err)
-					return
-				}
-			}
-			dur, err := el.WritePage(elpn)
-			durs[e] += dur
-			if err != nil {
-				fail(err)
-				return
+// writeRun writes a run, stopping at the first error. A partly covered
+// page at either end that holds data is read back first
+// (read-modify-write, §3.4), and the write splits around each such
+// read, so every page is still read and written in address order.
+func writeRun(el ftl.Backend, r *run) (sim.Time, error) {
+	var total sim.Time
+	from, end := r.first, r.first+r.n
+	for p := r.first; p < end; p++ {
+		if p == r.first+r.head {
+			// Skip the pages the request covers completely.
+			if p = end - r.tail; p == end {
+				break
 			}
 		}
+		if !el.Mapped(p) {
+			continue
+		}
+		if p > from {
+			d, err := el.WritePages(from, p-from)
+			total += d
+			if err != nil {
+				return total, err
+			}
+			from = p
+		}
+		d, err := el.ReadPage(p)
+		total += d
+		if err != nil {
+			return total, err
+		}
 	}
+	d, err := el.WritePages(from, end-from)
+	return total + d, err
 }
 
 // applyFree processes a deallocation notification: every logical mapping
 // unit (page or stripe) fully covered by the range is freed. Partially
 // covered units stay live — the device cannot know the rest is dead.
 func (d *Device) applyFree(op trace.Op) {
-	end := op.End()
-	switch d.cfg.Layout {
-	case FullStripe:
-		stripe := d.cfg.StripeBytes
-		first := (op.Offset + stripe - 1) / stripe
-		last := end/stripe - 1
-		for s := first; s <= last; s++ {
-			for e := 0; e < d.cfg.Elements; e++ {
-				for k := 0; k < d.pagesPerChunk; k++ {
-					// Free errors cannot happen for in-range stripes.
-					_ = d.elems[e].Free(int(s)*d.pagesPerChunk + k)
-				}
-			}
-		}
-	case Interleaved:
-		ps := int64(d.cfg.Geom.PageSize)
-		first := (op.Offset + ps - 1) / ps
-		last := end/ps - 1
-		for l := first; l <= last; l++ {
-			e, elpn := d.pageHome(l)
-			_ = d.elems[e].Free(elpn)
+	unit := int64(d.cfg.Geom.PageSize)
+	if d.cfg.Layout == FullStripe {
+		unit = d.cfg.StripeBytes
+	}
+	lo, hi := (op.Offset+unit-1)/unit*unit, op.End()/unit*unit
+	if lo >= hi {
+		return
+	}
+	runs := d.plan(lo, hi, false)
+	for i := range runs {
+		r := &runs[i]
+		el := d.elems[r.elem]
+		for p := r.first; p < r.first+r.n; p++ {
+			// Free errors cannot happen for in-range units.
+			_ = el.Free(p)
 		}
 	}
 }
