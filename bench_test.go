@@ -471,15 +471,7 @@ func BenchmarkFTLWritePath(b *testing.B) {
 // unmapped), so an open costs its allocations and no per-page work, and
 // allocs/op does not grow with the page count.
 func BenchmarkDeviceOpen(b *testing.B) {
-	table5 := ssd.Config{
-		Elements:      4,
-		Geom:          flash.Geometry{PageSize: 4096, PagesPerBlock: 64, BlocksPerPackage: 64},
-		Overprovision: 0.12,
-		Layout:        ssd.Interleaved,
-		Scheduler:     sched.SWTF,
-		CtrlOverhead:  10 * sim.Microsecond,
-		GCLow:         0.05, GCCritical: 0.02,
-	}
+	table5 := table5SSD()
 	for _, tc := range []struct {
 		name, profile string
 		opts          []core.Option
@@ -492,6 +484,72 @@ func BenchmarkDeviceOpen(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Open(tc.profile, tc.opts...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// table5SSD is the 4-element SWTF SSD that Table 5 and perfbench's
+// postmark-backlog replay Postmark on.
+func table5SSD() ssd.Config {
+	return ssd.Config{
+		Elements:      4,
+		Geom:          flash.Geometry{PageSize: 4096, PagesPerBlock: 64, BlocksPerPackage: 64},
+		Overprovision: 0.12,
+		Layout:        ssd.Interleaved,
+		Scheduler:     sched.SWTF,
+		CtrlOverhead:  10 * sim.Microsecond,
+		GCLow:         0.05, GCCritical: 0.02,
+	}
+}
+
+// BenchmarkStreamBuild measures building a workload stream, the set-up
+// every replay pays before its first op: synthetic is the generator of
+// perfbench's randrw-aligned (30% reads over 60% of the base ssd), and
+// postmark is Table 5's Postmark on its SSD. Nothing is pulled, so the
+// cost is seeding the generator and sizing the stream's state; the
+// Postmark file table grows only as files are created.
+func BenchmarkStreamBuild(b *testing.B) {
+	base, err := core.Open("ssd")
+	if err != nil {
+		b.Fatal(err)
+	}
+	table5, err := core.Open("ssd", core.WithSSD(table5SSD()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(seed int64) (trace.Stream, error)
+	}{
+		{"synthetic", func(seed int64) (trace.Stream, error) {
+			return workload.NewStream("synthetic", workload.GenParams{
+				Ops:                1_000_000,
+				CapacityBytes:      int64(float64(base.LogicalBytes())*0.6) / 4096 * 4096,
+				ReadFrac:           0.3,
+				SeqProb:            0.5,
+				MeanInterarrivalUs: 200,
+				Seed:               seed,
+			})
+		}},
+		{"postmark", func(seed int64) (trace.Stream, error) {
+			return workload.Postmark(workload.PostmarkConfig{
+				Transactions:     5000,
+				InitialFiles:     1150,
+				FileSizeMin:      4 << 10,
+				FileSizeMax:      64 << 10,
+				CapacityBytes:    table5.LogicalBytes(),
+				MeanInterarrival: 200 * sim.Microsecond,
+				Seed:             seed,
+			})
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.build(int64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}

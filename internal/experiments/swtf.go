@@ -78,7 +78,7 @@ func SWTF(seed int64, workers int) (SWTFResult, error) {
 		// the same histogram, so weigh them out by sampling only the
 		// trace's volume — the precondition ops are sequential 1 MB
 		// writes; their count is small relative to Ops).
-		total := float64(m.ReadResp.N())*m.ReadResp.Mean() + float64(m.WriteResp.N())*m.WriteResp.Mean()
+		total := float64(float64(m.ReadResp.N())*m.ReadResp.Mean()) + float64(float64(m.WriteResp.N())*m.WriteResp.Mean())
 		return total / float64(m.ReadResp.N()+m.WriteResp.N()), nil
 	}
 	specs := []runner.Spec[float64]{

@@ -84,7 +84,7 @@ func table3Run(mkStream func() (trace.Stream, error)) (float64, error) {
 	}
 	// Measure only the trace's writes: snapshot before.
 	w := d.Raw.Metrics().WriteResp
-	beforeN, beforeTotal := w.N(), w.Mean()*float64(w.N())
+	beforeN, beforeTotal := w.N(), float64(w.Mean()*float64(w.N()))
 	if err := d.Drive(trace.Shift(stream, d.Engine().Now())); err != nil {
 		return 0, err
 	}
@@ -93,7 +93,7 @@ func table3Run(mkStream func() (trace.Stream, error)) (float64, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	return (w.Mean()*float64(w.N()) - beforeTotal) / float64(n), nil
+	return (float64(w.Mean()*float64(w.N())) - beforeTotal) / float64(n), nil
 }
 
 // Table3 runs both schemes at each sequentiality: 12,000 writes per

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+
+	"ossd/internal/chunks"
 )
 
 // FileID names a file within the model.
@@ -43,9 +45,12 @@ type FS struct {
 	bitmap    []uint64
 	free      int64
 	hint      int64 // next-fit cursor
-	// files[id-1] is file id: IDs are dense, handed out in order by
-	// Create, and a deleted file keeps its slot, marked dead.
-	files []file
+	// Entry id-1 of files is file id: IDs are dense, handed out in
+	// order by Create, and a deleted file keeps its slot, marked dead.
+	// The table grows a 256-entry chunk at a time as IDs are issued, so
+	// building a model costs nothing per file and growing it never
+	// copies the table.
+	files chunks.Slice[file]
 	// got is Append's result, reused across calls.
 	got []Extent
 }
@@ -56,9 +61,8 @@ type file struct {
 	dead    bool
 }
 
-// New builds an empty file system over capacity bytes, sized for about
-// files creates (0 when unknown; the table grows as needed).
-func New(capacity, blockSize int64, files int) (*FS, error) {
+// New builds an empty file system over capacity bytes.
+func New(capacity, blockSize int64) (*FS, error) {
 	if blockSize <= 0 || capacity < blockSize {
 		return nil, fmt.Errorf("%w: capacity %d blockSize %d", ErrBadRequest, capacity, blockSize)
 	}
@@ -68,7 +72,6 @@ func New(capacity, blockSize int64, files int) (*FS, error) {
 		nblocks:   n,
 		bitmap:    make([]uint64, (n+63)/64),
 		free:      n,
-		files:     make([]file, 0, files),
 	}, nil
 }
 
@@ -122,16 +125,16 @@ func (fs *FS) runMasks(b, n int64, f func(w int64, mask uint64)) {
 
 // Create registers a new empty file and returns its ID.
 func (fs *FS) Create() FileID {
-	fs.files = append(fs.files, file{})
-	return FileID(len(fs.files))
+	fs.files.Push(file{})
+	return FileID(fs.files.Len())
 }
 
 // lookup returns the slot of a live file, or nil.
 func (fs *FS) lookup(id FileID) *file {
-	if id < 1 || id > FileID(len(fs.files)) {
+	if id < 1 || id > FileID(fs.files.Len()) {
 		return nil
 	}
-	if f := &fs.files[id-1]; !f.dead {
+	if f := fs.files.At(int(id - 1)); !f.dead {
 		return f
 	}
 	return nil
@@ -230,7 +233,8 @@ func mergeExtents(ex []Extent) []Extent {
 // CheckInvariants validates bitmap/extent consistency.
 func (fs *FS) CheckInvariants() error {
 	used := make(map[int64]FileID)
-	for i, f := range fs.files {
+	for i := range fs.files.Len() {
+		f := fs.files.At(i)
 		if f.dead {
 			continue
 		}

@@ -10,7 +10,7 @@ import (
 
 func newFS(t *testing.T, blocks int64) *FS {
 	t.Helper()
-	fs, err := New(blocks*4096, 4096, 0)
+	fs, err := New(blocks*4096, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,10 +18,10 @@ func newFS(t *testing.T, blocks int64) *FS {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 4096, 0); err == nil {
+	if _, err := New(0, 4096); err == nil {
 		t.Error("accepted zero capacity")
 	}
-	if _, err := New(4096, 0, 0); err == nil {
+	if _, err := New(4096, 0); err == nil {
 		t.Error("accepted zero block size")
 	}
 	fs := newFS(t, 100)
@@ -158,7 +158,7 @@ func TestExtentBytes(t *testing.T) {
 // count, and extent ownership consistent, and blocks are never shared.
 func TestFSInvariantProperty(t *testing.T) {
 	prop := func(ops []uint16) bool {
-		fs, err := New(256*4096, 4096, 0)
+		fs, err := New(256*4096, 4096)
 		if err != nil {
 			return false
 		}
@@ -199,7 +199,7 @@ func TestFSInvariantProperty(t *testing.T) {
 // they are disjoint from all other live extents.
 func TestAppendExactProperty(t *testing.T) {
 	prop := func(sizes []uint8) bool {
-		fs, err := New(1024*4096, 4096, 0)
+		fs, err := New(1024*4096, 4096)
 		if err != nil {
 			return false
 		}

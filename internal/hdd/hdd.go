@@ -205,8 +205,8 @@ func (d *Disk) seekTime(fromCyl, toCyl int) sim.Time {
 	}
 	frac := float64(dist) / float64(d.cfg.Cylinders)
 	t := float64(d.cfg.TrackToTrack) +
-		0.25*float64(d.cfg.FullStroke)*math.Sqrt(frac) +
-		0.70*float64(d.cfg.FullStroke)*frac
+		float64(0.25*float64(d.cfg.FullStroke)*math.Sqrt(frac)) +
+		float64(0.70*float64(d.cfg.FullStroke)*frac)
 	return sim.Time(t)
 }
 

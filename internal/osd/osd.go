@@ -119,7 +119,7 @@ func New(dev *ssd.Device) (*Store, error) {
 		bounds = []int64{0, b, dev.LogicalBytes()}
 	}
 	for i := 0; i+1 < len(bounds); i++ {
-		fs, err := fsmodel.New(bounds[i+1]-bounds[i], unit, 0)
+		fs, err := fsmodel.New(bounds[i+1]-bounds[i], unit)
 		if err != nil {
 			return nil, err
 		}

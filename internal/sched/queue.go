@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 
+	"ossd/internal/chunks"
 	"ossd/internal/sim"
 )
 
@@ -84,7 +85,7 @@ type Queue[T any] struct {
 
 	// recs maps node id-1 to its record: appended on a record's first
 	// Push, never rewritten.
-	recs chunks[record[T]]
+	recs chunks.Slice[record[T]]
 
 	// lane is the single-tenant sub-queue; it stays empty in fair mode.
 	lane lane
@@ -125,45 +126,19 @@ type record[T any] struct {
 // its top keep the records last taken from them, so a pool suits records
 // owned by one device for the pool's whole life, as media request records
 // are.
-type Pool[T any] struct{ free chunks[*T] }
+type Pool[T any] struct{ free chunks.Slice[*T] }
 
 // Put pools owner.
-func (p *Pool[T]) Put(owner *T) { p.free.push(owner) }
+func (p *Pool[T]) Put(owner *T) { p.free.Push(owner) }
 
 // Get unpools the most recently pooled record, or returns nil when the
 // pool is empty.
 func (p *Pool[T]) Get() *T {
-	if p.free.n == 0 {
+	if p.free.Len() == 0 {
 		return nil
 	}
-	p.free.n--
-	return *p.free.at(p.free.n)
+	return p.free.Pop()
 }
-
-// chunkBits sizes the chunks of a chunks table: 256 entries.
-const chunkBits = 8
-
-// chunks is a slice stored in fixed-size chunks. Growing it never copies
-// or discards storage, and entries past n stay allocated for reuse. A
-// device's record table and pool fill from empty, so a short replay
-// that grew them by doubling would leave every outgrown array to the
-// collector.
-type chunks[E any] struct {
-	c [][]E
-	n int
-}
-
-// push appends e.
-func (s *chunks[E]) push(e E) {
-	if s.n>>chunkBits == len(s.c) {
-		s.c = append(s.c, make([]E, 1<<chunkBits))
-	}
-	*s.at(s.n) = e
-	s.n++
-}
-
-// at returns entry i.
-func (s *chunks[E]) at(i int) *E { return &s.c[i>>chunkBits][i&(1<<chunkBits-1)] }
 
 // none is the nil class index.
 const none = -1
@@ -312,10 +287,10 @@ func (q *Queue[T]) Push(n *Node[T], owner *T, elems []int, tenant uint8) uint64 
 	}
 	id := n.id
 	if id == 0 {
-		q.recs.push(record[T]{node: n, owner: owner})
-		id = int32(q.recs.n)
+		q.recs.Push(record[T]{node: n, owner: owner})
+		id = int32(q.recs.Len())
 		n.id = id
-	} else if int(id) > q.recs.n || q.recs.at(int(id)-1).node != n {
+	} else if int(id) > q.recs.Len() || q.recs.At(int(id)-1).node != n {
 		panic("sched: node pushed to a queue other than its first")
 	}
 	q.seq++
@@ -337,7 +312,7 @@ func (q *Queue[T]) Push(n *Node[T], owner *T, elems []int, tenant uint8) uint64 
 }
 
 // node returns the node with the given id.
-func (q *Queue[T]) node(id int32) *Node[T] { return q.recs.at(int(id) - 1).node }
+func (q *Queue[T]) node(id int32) *Node[T] { return q.recs.At(int(id) - 1).node }
 
 // classFor returns the index of l's class for the element set, interning
 // it on first sight. Sets are keyed by bitset, so element order and
@@ -449,7 +424,7 @@ func (q *Queue[T]) popFair() (*T, bool) {
 		}
 		for _, tq := range q.tens {
 			if q.peek(&tq.lane) != none {
-				tq.deficit += drrQuantum * tq.weight
+				tq.deficit += float64(drrQuantum * tq.weight)
 			}
 		}
 	}
@@ -460,7 +435,7 @@ func (q *Queue[T]) costOf(id int32) float64 {
 	if q.cost == nil {
 		return 1
 	}
-	return float64(max(q.cost(q.recs.at(int(id)-1).owner), 1))
+	return float64(max(q.cost(q.recs.At(int(id)-1).owner), 1))
 }
 
 // peek returns the index of the class whose head dispatches next from l
@@ -512,7 +487,7 @@ func (q *Queue[T]) idle(l *lane, ci int32) bool {
 // swapping the last entry into its place.
 func (q *Queue[T]) take(l *lane, ci int32) *T {
 	c := &l.classes[ci]
-	r := q.recs.at(int(c.head) - 1)
+	r := q.recs.At(int(c.head) - 1)
 	if next := r.node.next; next != 0 {
 		c.head, c.seq = next, q.node(next).seq
 	} else {

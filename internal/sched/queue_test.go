@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ossd/internal/chunks"
 	"ossd/internal/sim"
 )
 
@@ -583,7 +584,7 @@ func TestQueueWideClasses(t *testing.T) {
 // allocating, and an empty pool returns nil.
 func TestPoolLIFO(t *testing.T) {
 	var p Pool[treq]
-	reqs := make([]treq, 3<<chunkBits+5)
+	reqs := make([]treq, 3*chunks.Size+5)
 	fill := func() {
 		for i := range reqs {
 			p.Put(&reqs[i])

@@ -2,16 +2,23 @@ package sim
 
 import "math/rand"
 
-// RNG wraps a seeded math/rand source with the distributions the workload
+// RNG wraps a seeded generator with the distributions the workload
 // generators need. Every experiment threads an explicit RNG so that runs
 // are reproducible from the seed alone.
+//
+// The source is the package's own copy of math/rand's lagged-Fibonacci
+// generator (rng.go). It seeds to the state rand.NewSource(seed) builds,
+// through a shorter dependency chain, and every variate is drawn by a
+// rand.Rand over it, so each draw is bit for bit math/rand's.
 type RNG struct {
 	r *rand.Rand
 }
 
 // NewRNG returns a deterministic generator for the given seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	src := new(source)
+	src.Seed(seed)
+	return &RNG{r: rand.New(src)}
 }
 
 // Float64 returns a uniform float in [0, 1).

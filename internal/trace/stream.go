@@ -277,7 +277,7 @@ func (m Modulation) profile() ([]float64, sim.Time) {
 		slots := make([]float64, 16)
 		for i := range slots {
 			c := (1 + math.Cos(2*math.Pi*float64(i)/16)) / 2 // 1 at 0, 0 at half period
-			slots[i] = floor + (1-floor)*c
+			slots[i] = floor + float64((1-floor)*c)
 		}
 		return slots, period
 	default:
@@ -305,7 +305,7 @@ func newWarp(m Modulation) warp {
 	if slots != nil {
 		w.perSlot = float64(period) / float64(len(slots))
 		for _, s := range slots {
-			w.cap += s * w.perSlot
+			w.cap += float64(s * w.perSlot)
 		}
 	}
 	w.phase = sim.Time(m.Phase * float64(period))
@@ -323,14 +323,14 @@ func (w warp) apply(t sim.Time) sim.Time {
 	if w.cap > 0 {
 		periods = float64(int64(v / w.cap))
 	}
-	rem := v - periods*w.cap
+	rem := v - float64(periods*w.cap)
 	wall := periods * float64(w.period)
 	for _, s := range w.slots {
 		if s <= 0 {
 			wall += w.perSlot
 			continue
 		}
-		slotCap := s * w.perSlot
+		slotCap := float64(s * w.perSlot)
 		if rem < slotCap {
 			wall += rem / s
 			rem = 0

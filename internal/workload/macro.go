@@ -82,7 +82,7 @@ func Postmark(cfg PostmarkConfig) (trace.Stream, error) {
 		metaBase = cfg.CapacityBytes - metaRegion
 		metaBlocks = metaRegion / cfg.BlockSize
 	}
-	fs, err := fsmodel.New(metaBase, cfg.BlockSize, cfg.InitialFiles)
+	fs, err := fsmodel.New(metaBase, cfg.BlockSize)
 	if err != nil {
 		return nil, err
 	}

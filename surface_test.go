@@ -28,6 +28,7 @@ var allowedMethods = map[string]string{
 	"Swap":   "sort.Interface / heap.Interface",
 	"Push":   "heap.Interface",
 	"Pop":    "heap.Interface",
+	"Int63":  "math/rand.Source64, called by rand.Rand",
 }
 
 // allowedFuncs are exported functions kept without a non-test caller,
