@@ -20,14 +20,12 @@ type OSD struct {
 	Raw   *ssd.Device
 	Store *osd.Store
 	driveConfig
-	vol   osd.ObjectID
-	bytes int64
+	vol osd.ObjectID
 }
 
 // newOSD builds a flash device on a fresh engine, fronts it with an
-// object store, and reserves one volume object spanning the store's
-// first region (the whole device on homogeneous media, the SLC region on
-// heterogeneous ones).
+// object store, and reserves one volume object spanning the whole
+// device.
 func newOSD(cfg ssd.Config) (*OSD, error) {
 	dev, err := ssd.New(sim.NewEngine(), cfg)
 	if err != nil {
@@ -37,21 +35,13 @@ func newOSD(cfg ssd.Config) (*OSD, error) {
 	if err != nil {
 		return nil, err
 	}
-	space := dev.LogicalBytes()
-	if b := dev.RegionBoundary(); b > 0 {
-		space = b
+	// The volume carries no attributes, so block I/O is not
+	// priority-tagged.
+	vol := st.Create(osd.Attributes{})
+	if err := st.Reserve(vol, dev.LogicalBytes()); err != nil {
+		return nil, fmt.Errorf("core: reserve %d-byte volume: %w", dev.LogicalBytes(), err)
 	}
-	// Create with Priority so heterogeneous stores place the volume in
-	// region 0 (SLC) — the span reserved below — then drop the attribute
-	// so block I/O is not priority-tagged. Placement is fixed at create.
-	vol := st.Create(osd.Attributes{Priority: true})
-	if err := st.SetAttributes(vol, osd.Attributes{}); err != nil {
-		return nil, err
-	}
-	if err := st.Reserve(vol, space); err != nil {
-		return nil, fmt.Errorf("core: reserve %d-byte volume: %w", space, err)
-	}
-	return &OSD{Raw: dev, Store: st, vol: vol, bytes: space}, nil
+	return &OSD{Raw: dev, Store: st, vol: vol}, nil
 }
 
 // Submit implements Device: reads, writes, and frees all go through the
@@ -61,8 +51,8 @@ func (o *OSD) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 	if err := op.Validate(); err != nil {
 		return err
 	}
-	if op.End() > o.bytes {
-		return fmt.Errorf("core: osd request [%d, +%d) beyond %d-byte volume", op.Offset, op.Size, o.bytes)
+	if op.End() > o.LogicalBytes() {
+		return fmt.Errorf("core: osd request [%d, +%d) beyond %d-byte volume", op.Offset, op.Size, o.LogicalBytes())
 	}
 	switch op.Kind {
 	case trace.Read:
@@ -80,9 +70,8 @@ func (o *OSD) Drive(st trace.Stream) error { return drive(o, st, o.MaxPending) }
 // Engine implements Device.
 func (o *OSD) Engine() *sim.Engine { return o.Raw.Engine() }
 
-// LogicalBytes implements Device: the volume's span, not the raw
-// device's (they differ on heterogeneous media).
-func (o *OSD) LogicalBytes() int64 { return o.bytes }
+// LogicalBytes implements Device: the volume spans the raw device.
+func (o *OSD) LogicalBytes() int64 { return o.Raw.LogicalBytes() }
 
 // QueueDepth implements Device.
 func (o *OSD) QueueDepth() int { return o.Raw.QueueDepth() }

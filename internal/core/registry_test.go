@@ -62,8 +62,21 @@ func TestOpenKindBases(t *testing.T) {
 				t.Fatalf("raid built %T", d)
 			}
 		case "osd":
-			if _, ok := d.(*OSD); !ok {
+			o, ok := d.(*OSD)
+			if !ok {
 				t.Fatalf("osd built %T", d)
+			}
+			// The volume spans the raw device, and block I/O through it
+			// is background, not priority, traffic.
+			if o.LogicalBytes() != o.Raw.LogicalBytes() {
+				t.Fatalf("osd volume %d bytes, device %d", o.LogicalBytes(), o.Raw.LogicalBytes())
+			}
+			if err := o.Submit(trace.Op{Kind: trace.Write, Offset: 0, Size: 4096}, nil); err != nil {
+				t.Fatal(err)
+			}
+			o.Engine().Run()
+			if m := o.Raw.Metrics(); m.BgResp.N() != 1 || m.PriResp.N() != 0 {
+				t.Fatalf("osd block write: %d background, %d priority responses; want 1, 0", m.BgResp.N(), m.PriResp.N())
 			}
 		}
 	}
@@ -206,9 +219,9 @@ func TestOpenAllocsFlat(t *testing.T) {
 		want float64
 	}{
 		{"ssd", 67},
-		// The osd's volume object takes the first slot of its region's
+		// The osd's volume object takes the first slot of the store's
 		// file table: the table's chunk index and one 256-entry chunk.
-		{"osd", 81},
+		{"osd", 79},
 	} {
 		for _, blocks := range []int{64, 256} {
 			cfg := BaseSSDConfig()

@@ -45,7 +45,6 @@ func (r ContractResult) String() string {
 		t.AddRow(row.Term, tf(row.Disk), tf(row.RAID), tf(row.MEMS), tf(row.SSD), row.Evidence)
 	}
 	t.AddNote("paper: Disk T/T/F/T/T/T, RAID T/F/F/F/T/T, MEMS all T, SSD all F")
-	t.AddNote("(term 3 on today's homogeneous SSDs measures T; it fails once SLC+MLC mix)")
 	return t.String()
 }
 

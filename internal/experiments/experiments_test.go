@@ -233,8 +233,9 @@ func TestContractVerdicts(t *testing.T) {
 	if len(r.Rows) != 6 {
 		t.Fatalf("want 6 contract terms, got %d", len(r.Rows))
 	}
-	// Paper's Table 1 columns (Disk, RAID, MEMS, SSD). SSD term 3 is T
-	// for today's homogeneous devices, failing only once SLC+MLC mix.
+	// Paper's Table 1 columns (Disk, RAID, MEMS, SSD). The simulated
+	// SSD's gang is uniform, so its address space is interchangeable
+	// and term 3 measures T.
 	wantDisk := []bool{true, true, false, true, true, true}
 	wantRAID := []bool{true, false, false, false, true, true}
 	wantMEMS := []bool{true, true, true, true, true, true}

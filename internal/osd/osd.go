@@ -1,7 +1,7 @@
 // Package osd implements the paper's proposal (§3.7): an object-based
 // storage interface in front of the SSD, so the device — not the file
 // system — performs block management. Objects are byte-addressable,
-// carry attributes (priority, read-only/cold), and are backed by
+// carry attributes (priority, owning tenant), and are backed by
 // stripe-aligned extents allocated inside the device:
 //
 //   - Allocation granularity is the device's logical page (the full
@@ -37,15 +37,11 @@ type Attributes struct {
 	// block-compatible volume front overrides it per op via the *As
 	// variants, since one shared volume carries every tenant's I/O.
 	Tenant uint8
-	// ReadOnly marks the object immutable: writes are rejected, and the
-	// device may treat its data as cold during wear-leveling.
-	ReadOnly bool
 }
 
 // Errors returned by the store.
 var (
 	ErrNotFound = errors.New("osd: no such object")
-	ErrReadOnly = errors.New("osd: object is read-only")
 	ErrNoSpace  = errors.New("osd: out of space")
 	ErrBadRange = errors.New("osd: invalid range")
 )
@@ -54,10 +50,7 @@ type object struct {
 	id    ObjectID
 	attrs Attributes
 	size  int64 // logical byte size (highest byte written + 1)
-	// region indexes the store's allocation regions (0 = SLC / only
-	// region; 1 = MLC on heterogeneous devices).
-	region int
-	fsid   fsmodel.FileID
+	fsid  fsmodel.FileID
 	// extents caches the allocation, in object-logical order; extent i
 	// covers object bytes [starts[i], starts[i]+extents[i].Count*unit).
 	extents []fsmodel.Extent
@@ -75,25 +68,15 @@ type Stats struct {
 	FreedBytes     int64
 }
 
-// region is one allocation domain: a byte range of the device with its
-// own allocator. Homogeneous devices have one; heterogeneous devices
-// (§3.3) have an SLC region and an MLC region, so the store can
-// "co-locate all the data belonging to a root object in SLC memory for
-// faster access".
-type region struct {
-	base int64
-	fs   *fsmodel.FS
-}
-
 // Store is the object store. Like the device it fronts, it is
 // single-threaded and driven by the device's simulation engine.
 type Store struct {
-	dev     *ssd.Device
-	regions []*region
-	unit    int64 // allocation unit in bytes (stripe or page)
-	objs    map[ObjectID]*object
-	next    ObjectID
-	stats   Stats
+	dev   *ssd.Device
+	fs    *fsmodel.FS // allocates the device's address space in units
+	unit  int64       // allocation unit in bytes (stripe or page)
+	objs  map[ObjectID]*object
+	next  ObjectID
+	stats Stats
 	// freeJoins pools completed join records with their range lists, so
 	// steady-state I/O allocates nothing.
 	freeJoins sched.Pool[pendingRanges]
@@ -101,35 +84,19 @@ type Store struct {
 
 // New builds a store over a device. The allocation unit is the device's
 // logical page: the stripe for FullStripe layouts, the flash page for
-// Interleaved. On heterogeneous devices the store manages the SLC and
-// MLC regions separately.
+// Interleaved.
 func New(dev *ssd.Device) (*Store, error) {
 	cfg := dev.Config()
 	unit := int64(cfg.Geom.PageSize)
 	if cfg.Layout == ssd.FullStripe {
 		unit = cfg.StripeBytes
 	}
-	s := &Store{
-		dev:  dev,
-		unit: unit,
-		objs: make(map[ObjectID]*object),
+	fs, err := fsmodel.New(dev.LogicalBytes(), unit)
+	if err != nil {
+		return nil, err
 	}
-	bounds := []int64{0, dev.LogicalBytes()}
-	if b := dev.RegionBoundary(); b > 0 {
-		bounds = []int64{0, b, dev.LogicalBytes()}
-	}
-	for i := 0; i+1 < len(bounds); i++ {
-		fs, err := fsmodel.New(bounds[i+1]-bounds[i], unit)
-		if err != nil {
-			return nil, err
-		}
-		s.regions = append(s.regions, &region{base: bounds[i], fs: fs})
-	}
-	return s, nil
+	return &Store{dev: dev, fs: fs, unit: unit, objs: make(map[ObjectID]*object)}, nil
 }
-
-// Heterogeneous reports whether the store manages SLC and MLC regions.
-func (s *Store) Heterogeneous() bool { return len(s.regions) > 1 }
 
 // Device exposes the underlying device.
 func (s *Store) Device() *ssd.Device { return s.dev }
@@ -144,28 +111,13 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Create registers an empty object. On heterogeneous media, priority
-// (hot) objects are placed in the SLC region and everything else in MLC.
+// Create registers an empty object.
 func (s *Store) Create(attrs Attributes) ObjectID {
 	s.next++
 	id := s.next
-	reg := 0
-	if s.Heterogeneous() && !attrs.Priority {
-		reg = 1
-	}
-	s.objs[id] = &object{id: id, attrs: attrs, region: reg, fsid: s.regions[reg].fs.Create()}
+	s.objs[id] = &object{id: id, attrs: attrs, fsid: s.fs.Create()}
 	s.stats.Created++
 	return id
-}
-
-// Region reports which allocation region an object lives in (0 = SLC or
-// the only region, 1 = MLC).
-func (s *Store) Region(id ObjectID) (int, error) {
-	o, ok := s.objs[id]
-	if !ok {
-		return 0, ErrNotFound
-	}
-	return o.region, nil
 }
 
 // Attributes returns an object's attributes.
@@ -175,16 +127,6 @@ func (s *Store) Attributes(id ObjectID) (Attributes, error) {
 		return Attributes{}, ErrNotFound
 	}
 	return o.attrs, nil
-}
-
-// SetAttributes replaces an object's attributes.
-func (s *Store) SetAttributes(id ObjectID, attrs Attributes) error {
-	o, ok := s.objs[id]
-	if !ok {
-		return ErrNotFound
-	}
-	o.attrs = attrs
-	return nil
 }
 
 // Size returns the object's logical size in bytes.
@@ -221,7 +163,7 @@ func (s *Store) ensure(o *object, end int64) error {
 		return nil
 	}
 	need := (end - have + s.unit - 1) / s.unit
-	got, err := s.regions[o.region].fs.Append(o.fsid, need)
+	got, err := s.fs.Append(o.fsid, need)
 	if err != nil {
 		if errors.Is(err, fsmodel.ErrNoSpace) {
 			return ErrNoSpace
@@ -239,7 +181,7 @@ func (s *Store) ensure(o *object, end int64) error {
 
 // ranges maps an object byte range to device byte ranges, in order,
 // reusing out's storage.
-func (o *object) ranges(out [][2]int64, base, unit, off, size int64) ([][2]int64, error) {
+func (o *object) ranges(out [][2]int64, unit, off, size int64) ([][2]int64, error) {
 	end := off + size
 	out = out[:0]
 	for i, e := range o.extents {
@@ -256,7 +198,7 @@ func (o *object) ranges(out [][2]int64, base, unit, off, size int64) ([][2]int64
 		if hi > eEnd {
 			hi = eEnd
 		}
-		devOff := base + e.Start*unit + (lo - eStart)
+		devOff := e.Start*unit + (lo - eStart)
 		out = append(out, [2]int64{devOff, hi - lo})
 	}
 	var covered int64
@@ -278,7 +220,7 @@ func (s *Store) mapRanges(o *object, off, size int64) (*pendingRanges, error) {
 		p.part = p.onPart
 	}
 	var err error
-	p.ranges, err = o.ranges(p.ranges, s.regions[o.region].base, s.unit, off, size)
+	p.ranges, err = o.ranges(p.ranges, s.unit, off, size)
 	if err != nil {
 		s.freeJoins.Put(p)
 		return nil, err
@@ -350,9 +292,6 @@ func (s *Store) Reserve(id ObjectID, size int64) error {
 	if !ok {
 		return ErrNotFound
 	}
-	if o.attrs.ReadOnly {
-		return ErrReadOnly
-	}
 	if size < 0 {
 		return fmt.Errorf("%w: reserve %d bytes", ErrBadRange, size)
 	}
@@ -384,9 +323,6 @@ func (s *Store) WriteAs(id ObjectID, off, size int64, tenant uint8, done func(re
 	o, ok := s.objs[id]
 	if !ok {
 		return ErrNotFound
-	}
-	if o.attrs.ReadOnly {
-		return ErrReadOnly
 	}
 	if off < 0 || size <= 0 {
 		return fmt.Errorf("%w: write [%d, +%d)", ErrBadRange, off, size)
@@ -465,8 +401,7 @@ func (s *Store) Delete(id ObjectID) error {
 		return ErrNotFound
 	}
 	delete(s.objs, id)
-	reg := s.regions[o.region]
-	freed, err := reg.fs.Delete(o.fsid)
+	freed, err := s.fs.Delete(o.fsid)
 	if err != nil {
 		return err
 	}
@@ -474,7 +409,7 @@ func (s *Store) Delete(id ObjectID) error {
 	for _, e := range freed {
 		off, size := e.Bytes(s.unit)
 		s.stats.FreedBytes += size
-		if err := s.dev.Submit(trace.Op{Kind: trace.Free, Offset: reg.base + off, Size: size}, nil); err != nil {
+		if err := s.dev.Submit(trace.Op{Kind: trace.Free, Offset: off, Size: size}, nil); err != nil {
 			return err
 		}
 	}

@@ -122,26 +122,6 @@ func TestObjectWritesAreStripeAligned(t *testing.T) {
 	}
 }
 
-func TestReadOnlyRejectsWrites(t *testing.T) {
-	eng, st := newStore(t, ssd.Interleaved, false)
-	id := st.Create(Attributes{})
-	if err := st.Write(id, 0, 4096, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if err := st.SetAttributes(id, Attributes{ReadOnly: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Write(id, 0, 4096, nil); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("write to read-only object: %v", err)
-	}
-	// Reads still fine.
-	if err := st.Read(id, 0, 4096, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-}
-
 func TestAttributesRoundTrip(t *testing.T) {
 	_, st := newStore(t, ssd.Interleaved, false)
 	id := st.Create(Attributes{Priority: true})
@@ -151,9 +131,6 @@ func TestAttributesRoundTrip(t *testing.T) {
 	}
 	if _, err := st.Attributes(999); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing object attrs: %v", err)
-	}
-	if err := st.SetAttributes(999, Attributes{}); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing object setattrs: %v", err)
 	}
 }
 
@@ -350,74 +327,6 @@ func TestStoreModelProperty(t *testing.T) {
 	}
 }
 
-func TestHeterogeneousPlacement(t *testing.T) {
-	eng := sim.NewEngine()
-	dev, err := ssd.New(eng, ssd.Config{
-		Elements:      4,
-		MLCElements:   2,
-		Geom:          flash.Geometry{PageSize: 4096, PagesPerBlock: 8, BlocksPerPackage: 64},
-		Overprovision: 0.15,
-		Layout:        ssd.Interleaved,
-		GCLow:         0.12, GCCritical: 0.03,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := New(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Heterogeneous() {
-		t.Fatal("store does not see the heterogeneous media")
-	}
-	hot := st.Create(Attributes{Priority: true})
-	cold := st.Create(Attributes{})
-	if r, _ := st.Region(hot); r != 0 {
-		t.Fatalf("hot object in region %d, want SLC (0)", r)
-	}
-	if r, _ := st.Region(cold); r != 1 {
-		t.Fatalf("cold object in region %d, want MLC (1)", r)
-	}
-	if _, err := st.Region(999); err == nil {
-		t.Error("missing object region lookup succeeded")
-	}
-	// Writes to the hot object land below the boundary; cold above.
-	if err := st.Write(hot, 0, 8192, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Write(cold, 0, 8192, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	boundary := dev.RegionBoundary()
-	// Verify via element traffic: SLC elements (0,1) got the hot writes.
-	slcWrites := dev.Elements()[0].Stats().HostWrites + dev.Elements()[1].Stats().HostWrites
-	mlcWrites := dev.Elements()[2].Stats().HostWrites + dev.Elements()[3].Stats().HostWrites
-	if slcWrites != 2 || mlcWrites != 2 {
-		t.Fatalf("write placement: slc=%d mlc=%d, want 2/2 (boundary %d)", slcWrites, mlcWrites, boundary)
-	}
-	// Deleting the cold object frees into the MLC region.
-	if err := st.Delete(cold); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	mlcFrees := dev.Elements()[2].Stats().FreesSeen + dev.Elements()[3].Stats().FreesSeen
-	if mlcFrees != 2 {
-		t.Fatalf("cold delete freed %d MLC pages, want 2", mlcFrees)
-	}
-}
-
-func TestHomogeneousSingleRegion(t *testing.T) {
-	_, st := newStore(t, ssd.Interleaved, false)
-	if st.Heterogeneous() {
-		t.Fatal("homogeneous store claims regions")
-	}
-	id := st.Create(Attributes{})
-	if r, _ := st.Region(id); r != 0 {
-		t.Fatalf("region = %d", r)
-	}
-}
-
 func TestStat(t *testing.T) {
 	eng, st := newStore(t, ssd.Interleaved, false)
 	id := st.Create(Attributes{Priority: true})
@@ -436,12 +345,8 @@ func TestStat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	region, err := st.Region(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(o.extents) < 1 || !attrs.Priority || region != 0 {
-		t.Fatalf("object details: extents %d, attrs %+v, region %d", len(o.extents), attrs, region)
+	if len(o.extents) < 1 || !attrs.Priority {
+		t.Fatalf("object details: extents %d, attrs %+v", len(o.extents), attrs)
 	}
 	if _, err := st.Size(999); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing object size: %v", err)
@@ -475,15 +380,9 @@ func TestReserveAllocatesWithoutIO(t *testing.T) {
 	if sz, _ := st.Size(id); sz != 64<<10 {
 		t.Fatalf("shrunk to %d", sz)
 	}
-	// Validation: negative sizes, read-only and missing objects fail.
+	// Validation: negative sizes and missing objects fail.
 	if err := st.Reserve(id, -1); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("negative reserve: %v", err)
-	}
-	if err := st.SetAttributes(id, Attributes{ReadOnly: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Reserve(id, 128<<10); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("read-only reserve: %v", err)
 	}
 	if err := st.Reserve(ObjectID(9999), 4096); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing object reserve: %v", err)

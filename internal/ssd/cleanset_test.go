@@ -88,7 +88,6 @@ func TestCleanSetOracle(t *testing.T) {
 		}},
 		{"priority-aware", func(c *ssd.Config) { c.PriorityAware = true }},
 		{"write-buffer", func(c *ssd.Config) { c.WriteBufferBytes = 64 << 10 }},
-		{"mlc", func(c *ssd.Config) { c.MLCElements = 2 }},
 		{"fault-death", func(c *ssd.Config) {
 			c.Fault = &fault.Plan{
 				Seed:      3,

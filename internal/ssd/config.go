@@ -44,12 +44,6 @@ func (l Layout) String() string {
 type Config struct {
 	// Elements is the number of parallel flash packages in the gang.
 	Elements int
-	// MLCElements makes the last N elements MLC parts (§3.3's future
-	// heterogeneous device): their pages are slower and less durable, and
-	// the logical address space splits into an SLC region followed by an
-	// MLC region, so the space is no longer interchangeable. Requires the
-	// Interleaved layout.
-	MLCElements int
 	// Geom is the per-package geometry.
 	Geom flash.Geometry
 	// Timing is the per-package timing; zero value selects SLC defaults.
@@ -139,14 +133,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("ssd: stripe %d not a multiple of elements*page %d", c.StripeBytes, min)
 		}
 	}
-	if c.MLCElements < 0 || c.MLCElements >= c.Elements {
-		if c.MLCElements != 0 {
-			return fmt.Errorf("ssd: MLCElements %d out of range [0, %d)", c.MLCElements, c.Elements)
-		}
-	}
-	if c.MLCElements > 0 && c.Layout != Interleaved {
-		return fmt.Errorf("ssd: heterogeneous media requires the Interleaved layout")
-	}
 	if c.GCLow < 0 || c.GCLow >= 1 || c.GCCritical < 0 || c.GCCritical >= 1 {
 		return fmt.Errorf("ssd: watermarks out of range: low %v critical %v", c.GCLow, c.GCCritical)
 	}
@@ -159,9 +145,8 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// ftlConfig derives the FTL configuration for element e, selecting MLC
-// timing and endurance for the MLC tail of a heterogeneous gang.
-func (c *Config) ftlConfig(e int) ftl.Config {
+// ftlConfig derives the FTL configuration every element runs.
+func (c *Config) ftlConfig() ftl.Config {
 	cfg := ftl.Config{
 		Geom:          c.Geom,
 		Timing:        c.Timing,
@@ -171,10 +156,6 @@ func (c *Config) ftlConfig(e int) ftl.Config {
 		WearAware:     c.WearAware,
 		WearDelta:     c.WearDelta,
 		CostBenefit:   c.CostBenefit,
-	}
-	if c.MLCElements > 0 && e >= c.Elements-c.MLCElements {
-		cfg.Timing = flash.TimingFor(flash.MLC)
-		cfg.EraseBudget = flash.EraseBudgetFor(flash.MLC)
 	}
 	if f := c.Fault; f != nil && f.WearCeiling > 0 {
 		cfg.WearCeiling = f.WearCeiling

@@ -90,7 +90,6 @@ type Device struct {
 	chunkBytes    int64 // FullStripe: contiguous bytes per element per stripe
 	pagesPerChunk int
 	logicalBytes  int64
-	slcPages      int64 // heterogeneous: pages in the SLC region
 
 	// q indexes the pending requests and owns the per-element busy
 	// horizons; drv runs the shared dispatch loop with the cleaning
@@ -144,8 +143,9 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		durScratch:  make([]sim.Time, cfg.Elements),
 		cleanSet:    make([]uint64, (cfg.Elements+63)/64),
 	}
+	fcfg := cfg.ftlConfig()
 	for i := 0; i < cfg.Elements; i++ {
-		el, err := ftl.NewBackend(cfg.Scheme, cfg.ftlConfig(i))
+		el, err := ftl.NewBackend(cfg.Scheme, fcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +172,6 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		d.logicalBytes = int64(stripes) * cfg.StripeBytes
 	case Interleaved:
 		d.logicalBytes = int64(perElemPages) * pageSize * int64(cfg.Elements)
-		d.slcPages = int64(perElemPages) * int64(cfg.Elements-cfg.MLCElements)
 	}
 	if d.logicalBytes <= 0 {
 		return nil, fmt.Errorf("ssd: configuration exports no capacity")
@@ -211,16 +210,6 @@ func (d *Device) Metrics() Metrics {
 
 // QueueDepth reports the number of requests waiting for dispatch.
 func (d *Device) QueueDepth() int { return d.q.Len() }
-
-// RegionBoundary reports the byte offset where the MLC region begins on
-// a heterogeneous device, or 0 when the media is homogeneous. Bytes in
-// [0, boundary) live on SLC elements, [boundary, LogicalBytes()) on MLC.
-func (d *Device) RegionBoundary() int64 {
-	if d.cfg.MLCElements == 0 {
-		return 0
-	}
-	return d.slcPages * int64(d.cfg.Geom.PageSize)
-}
 
 // Elements exposes the per-element FTLs for inspection.
 func (d *Device) Elements() []ftl.Backend { return d.elems }

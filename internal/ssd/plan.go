@@ -45,21 +45,7 @@ func (d *Device) plan(off, end int64, whole bool) []run {
 	if end > g1*ps {
 		g1 = (end + ps - 1) / ps
 	}
-	if d.cfg.MLCElements == 0 {
-		return planPages(runs, g0, g1, 0, d.cfg.Elements, partial(off, end, g0, ps), partial(off, end, g1-1, ps))
-	}
-	// A heterogeneous range splits at the page-aligned SLC/MLC boundary
-	// and each part is planned over its own element group (§3.3).
-	slc, b := d.cfg.Elements-d.cfg.MLCElements, d.slcPages
-	if g0 < b {
-		top := min(g1, b)
-		runs = planPages(runs, g0, top, 0, slc, partial(off, end, g0, ps), partial(off, end, top-1, ps))
-	}
-	if g1 > b {
-		from := max(g0, b)
-		runs = planPages(runs, from-b, g1-b, slc, d.cfg.MLCElements, partial(off, end, from, ps), partial(off, end, g1-1, ps))
-	}
-	return runs
+	return planPages(runs, g0, g1, d.cfg.Elements, partial(off, end, g0, ps), partial(off, end, g1-1, ps))
 }
 
 // partial reports whether [off, end) covers page g (of ps bytes) only in
@@ -67,11 +53,10 @@ func (d *Device) plan(off, end int64, whole bool) []run {
 func partial(off, end, g, ps int64) bool { return off > g*ps || end < (g+1)*ps }
 
 // planPages appends the runs of pages [g0, g1) interleaved round-robin
-// over elems elements numbered from base: page g lives on element
-// base+g%elems at element-local page g/elems. It locates g0 once and
-// steps from there. head and tail report whether the first and last
-// page are partial.
-func planPages(runs []run, g0, g1 int64, base, elems int, head, tail bool) []run {
+// over elems elements: page g lives on element g%elems at element-local
+// page g/elems. It locates g0 once and steps from there. head and tail
+// report whether the first and last page are partial.
+func planPages(runs []run, g0, g1 int64, elems int, head, tail bool) []run {
 	pages := int(g1 - g0)
 	e, q := int(g0%int64(elems)), int(g0/int64(elems))
 	// The first extra runs of the rotation hold per+1 pages, the rest
@@ -91,7 +76,7 @@ func planPages(runs []run, g0, g1 int64, base, elems int, head, tail bool) []run
 	runs = runs[:start+min(pages, elems)]
 	for i := start; i < len(runs); i++ {
 		r := &runs[i]
-		r.elem, r.first, r.n, r.head, r.tail = base+e, q, per, 0, 0
+		r.elem, r.first, r.n, r.head, r.tail = e, q, per, 0, 0
 		if i-start < extra {
 			r.n++
 		}

@@ -24,22 +24,10 @@ func (d *Device) pageHome(l int64) (e, elpn int) {
 	return r.elem, r.first
 }
 
-// refPageHome is the closed form of the Interleaved layout.
-// Homogeneous devices round-robin over the whole gang; heterogeneous
-// ones (§3.3) split the space into an SLC region interleaved over the
-// SLC elements followed by an MLC region over the MLC elements.
+// refPageHome is the closed form of the Interleaved layout: pages
+// round-robin over the whole gang.
 func refPageHome(d *Device, l int64) (e, elpn int) {
-	if d.cfg.MLCElements == 0 {
-		return int(l) % d.cfg.Elements, int(l) / d.cfg.Elements
-	}
-	slcElems := int64(d.cfg.Elements - d.cfg.MLCElements)
-	slcPages := int64(d.elems[0].LogicalPages()) * slcElems
-	if l < slcPages {
-		return int(l % slcElems), int(l / slcElems)
-	}
-	m := l - slcPages
-	mlc := int64(d.cfg.MLCElements)
-	return int(slcElems) + int(m%mlc), int(m / mlc)
+	return int(l) % d.cfg.Elements, int(l) / d.cfg.Elements
 }
 
 // refVisit calls fn for every page a request visits, in the reference
@@ -130,7 +118,7 @@ func refFree(d *Device, op trace.Op) {
 }
 
 // planConfigs are the layouts the planner must agree with the reference
-// on: homogeneous and heterogeneous interleaving, a one-page-per-element
+// on: interleaving over an even and an odd gang, a one-page-per-element
 // stripe, and a 3-page chunk stripe under each FTL scheme.
 func planConfigs() map[string]Config {
 	wide := stripeConfig()
@@ -142,7 +130,6 @@ func planConfigs() map[string]Config {
 	return map[string]Config{
 		"interleaved":         testConfig(),
 		"interleaved-3":       odd,
-		"heterogeneous":       hetConfig(),
 		"stripe":              stripeConfig(),
 		"stripe-3page":        wide,
 		"stripe-3page-block":  block,
@@ -250,16 +237,35 @@ func TestPlanMatchesPageReference(t *testing.T) {
 func (d *Device) pagesPerChunkOrOne() int { return max(d.pagesPerChunk, 1) }
 
 // TestPageHomeMatchesClosedForm: every page's one-page plan lands where
-// the closed-form layout puts it, on homogeneous and heterogeneous
-// devices, including odd gang widths.
+// the closed-form layout puts it, including on odd gang widths.
 func TestPageHomeMatchesClosedForm(t *testing.T) {
-	for _, name := range []string{"interleaved", "interleaved-3", "heterogeneous"} {
+	for _, name := range []string{"interleaved", "interleaved-3"} {
 		_, d := newDevice(t, planConfigs()[name])
 		for l := int64(0); l < d.LogicalBytes()/4096; l++ {
 			e, elpn := d.pageHome(l)
 			if we, welpn := refPageHome(d, l); e != we || elpn != welpn {
 				t.Fatalf("%s page %d: home (%d, %d), want (%d, %d)", name, l, e, elpn, we, welpn)
 			}
+		}
+	}
+}
+
+// TestPageHomeBijective: no two logical pages share a home, and every
+// home is an element-local page its element has.
+func TestPageHomeBijective(t *testing.T) {
+	for _, name := range []string{"interleaved", "interleaved-3"} {
+		_, d := newDevice(t, planConfigs()[name])
+		seen := make(map[[2]int]bool)
+		for l := int64(0); l < d.LogicalBytes()/4096; l++ {
+			e, elpn := d.pageHome(l)
+			if elpn < 0 || elpn >= d.elems[e].LogicalPages() {
+				t.Fatalf("%s page %d: elpn %d of %d", name, l, elpn, d.elems[e].LogicalPages())
+			}
+			key := [2]int{e, elpn}
+			if seen[key] {
+				t.Fatalf("%s page %d collides at element %d page %d", name, l, e, elpn)
+			}
+			seen[key] = true
 		}
 	}
 }
