@@ -46,21 +46,17 @@ func TestDeviceConformance(t *testing.T) {
 		{"RAID", func() (Device, error) { return Build(Profile{Kind: KindRAID, RAID: DefaultRAID()}) }},
 		{"OSD", func() (Device, error) { return Build(Profile{Kind: KindOSD, SSD: smallSSDConfig()}) }},
 		{"Fault", func() (Device, error) {
-			d, err := Open("hdd")
-			if err != nil {
-				return nil, err
-			}
 			// A death that never fires: the injector sits on every op's
 			// path without changing any outcome.
 			plan := &fault.Plan{Deaths: []fault.Death{{Element: 0, AfterOps: 1 << 40}}}
-			if err := plan.Validate(); err != nil {
+			d, err := Open("hdd", WithFault(plan))
+			if err != nil {
 				return nil, err
 			}
-			fd, ok := WrapFault(d, plan).(*FaultDevice)
-			if !ok {
-				return nil, fmt.Errorf("WrapFault returned the device unwrapped")
+			if d.(*HDD).flt == nil {
+				return nil, fmt.Errorf("the plan attached no injector")
 			}
-			return fd, nil
+			return d, nil
 		}},
 	}
 	for _, tc := range devices {
@@ -229,7 +225,7 @@ func TestDeviceConformance(t *testing.T) {
 // TestOSDDeviceObjectPath checks the OSD-specific plumbing: block ops
 // land in the store's volume object and frees reach the informed FTL.
 func TestOSDDeviceObjectPath(t *testing.T) {
-	d, err := newOSD(smallSSDConfig())
+	d, err := newOSD(smallSSDConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

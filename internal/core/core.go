@@ -195,17 +195,6 @@ func latencyMs(v float64) float64 {
 	return v
 }
 
-// driveConfig carries the Drive-time knobs every wrapper embeds; the
-// shared setter is how Profile.NewDevice applies WithMaxPending to any
-// wrapper without per-type plumbing.
-type driveConfig struct {
-	// MaxPending bounds the requests outstanding during Drive; 0 means
-	// unbounded (see WithMaxPending).
-	MaxPending int
-}
-
-func (c *driveConfig) setMaxPending(n int) { c.MaxPending = n }
-
 // ---- shared workload loops ----
 //
 // Open-loop replay (drive) and closed-loop replay (ClosedLoop) are
@@ -387,17 +376,18 @@ func ClosedLoop(d Device, depth int, gen func(i int) (trace.Op, bool)) error {
 // SSD wraps the flash device as a core.Device while keeping the rich
 // internal API reachable via Raw.
 type SSD struct {
-	Raw *ssd.Device
-	driveConfig
+	Raw        *ssd.Device
+	maxPending int // Drive's admission bound; 0 is unbounded
 }
 
-// newSSD builds a flash device on a fresh engine.
-func newSSD(cfg ssd.Config) (*SSD, error) {
+// newSSD builds a flash device on a fresh engine. maxPending is Drive's
+// admission bound.
+func newSSD(cfg ssd.Config, maxPending int) (*SSD, error) {
 	dev, err := ssd.New(sim.NewEngine(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &SSD{Raw: dev}, nil
+	return &SSD{Raw: dev, maxPending: maxPending}, nil
 }
 
 // Submit implements Device.
@@ -406,7 +396,7 @@ func (s *SSD) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 }
 
 // Drive implements Device.
-func (s *SSD) Drive(st trace.Stream) error { return drive(s, st, s.MaxPending) }
+func (s *SSD) Drive(st trace.Stream) error { return drive(s, st, s.maxPending) }
 
 // Engine implements Device.
 func (s *SSD) Engine() *sim.Engine { return s.Raw.Engine() }

@@ -17,7 +17,7 @@ func smallSSD(t *testing.T) *SSD {
 		Geom:          flash.Geometry{PageSize: 4096, PagesPerBlock: 8, BlocksPerPackage: 32},
 		Overprovision: 0.15,
 		Layout:        ssd.Interleaved,
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

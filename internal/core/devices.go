@@ -1,6 +1,7 @@
 package core
 
 import (
+	"ossd/internal/fault"
 	"ossd/internal/hdd"
 	"ossd/internal/mems"
 	"ossd/internal/raid"
@@ -22,10 +23,23 @@ type medium interface {
 // Media wraps a model without block management — the disk, MEMS and
 // RAID columns of Table 1 — as a core.Device, keeping the model
 // reachable via Raw. None of them has TRIM: a free completes as a
-// metadata no-op (still counted in Snapshot.Frees).
+// metadata no-op (still counted in Snapshot.Frees). A fault plan is a
+// field of the wrapper, not a layer around it, so a faulted disk is
+// still a *HDD.
 type Media[M medium] struct {
-	Raw M
-	driveConfig
+	Raw        M
+	maxPending int          // Drive's admission bound; 0 is unbounded
+	flt        *mediaFaults // nil unless the fault plan injects
+}
+
+// newMedia wraps raw with Drive's admission bound and, when the plan
+// injects, the per-op fault injector. The plan must be validated.
+func newMedia[M medium](raw M, maxPending int, plan *fault.Plan) *Media[M] {
+	m := &Media[M]{Raw: raw, maxPending: maxPending}
+	if plan.Injects() {
+		m.flt = &mediaFaults{raw: raw, plan: plan}
+	}
+	return m
 }
 
 // The three media wrappers, named for type assertions such as
@@ -36,13 +50,17 @@ type (
 	RAID = Media[*raid.Array]
 )
 
-// Submit implements Device.
+// Submit implements Device. Reads and writes pass through the fault
+// injector when there is one; frees never do.
 func (m *Media[M]) Submit(op trace.Op, onDone func(sim.Time, error)) error {
+	if m.flt != nil && op.Kind != trace.Free {
+		return m.flt.submit(op, onDone)
+	}
 	return m.Raw.Submit(op, onDone)
 }
 
 // Drive implements Device.
-func (m *Media[M]) Drive(st trace.Stream) error { return drive(m, st, m.MaxPending) }
+func (m *Media[M]) Drive(st trace.Stream) error { return drive(m, st, m.maxPending) }
 
 // Engine implements Device.
 func (m *Media[M]) Engine() *sim.Engine { return m.Raw.Engine() }
@@ -53,8 +71,15 @@ func (m *Media[M]) LogicalBytes() int64 { return m.Raw.LogicalBytes() }
 // QueueDepth implements Device.
 func (m *Media[M]) QueueDepth() int { return m.Raw.QueueDepth() }
 
-// Metrics implements Device.
-func (m *Media[M]) Metrics() Snapshot { return hostSnapshot(m.Raw.HostMetrics()) }
+// Metrics implements Device: the medium's snapshot, reconciled with the
+// fault injector's counters when there is one.
+func (m *Media[M]) Metrics() Snapshot {
+	s := hostSnapshot(m.Raw.HostMetrics())
+	if m.flt != nil {
+		m.flt.reconcile(&s)
+	}
+	return s
+}
 
 // DefaultRAID is the Table 1 array: five Barracuda-class spindles,
 // 64 KiB stripe units.

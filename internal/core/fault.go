@@ -9,19 +9,18 @@ import (
 	"ossd/internal/trace"
 )
 
-// FaultDevice is the generic per-op fault injector: it wraps any Device
-// whose medium has no native fault hooks (disk, MEMS, RAID) and applies
-// a fault.Plan at the submission boundary. The wrapped device is treated
-// as one element — element 0 of the plan — with a sequence number that
+// mediaFaults is the generic per-op fault injector of the media without
+// native fault hooks (disk, MEMS, RAID): Media applies a fault.Plan at
+// its submission boundary through it. The medium is treated as one
+// element — element 0 of the plan — with a sequence number that
 // advances once per read or write submitted, so injections are a pure
 // function of (plan seed, op sequence) and replay identically for a
 // given workload regardless of wall clock or completion interleaving.
-// Flash devices do not use this wrapper: the SSD injects per-element
-// faults inside its dispatch path instead.
-type FaultDevice struct {
-	inner Device
-	plan  *fault.Plan
-	driveConfig
+// Flash devices do not use it: the SSD injects per-element faults inside
+// its dispatch path instead.
+type mediaFaults struct {
+	raw  medium
+	plan *fault.Plan
 
 	seq      int64 // read/write ops submitted (the fault clock)
 	injected int64
@@ -31,12 +30,12 @@ type FaultDevice struct {
 	// snapshot so host byte counters keep their meaning.
 	retryBytesRead    int64
 	retryBytesWritten int64
-	// host is the wrapper-eye record of each host op, taken exactly once
-	// at completion. Its latency and per-tenant views replace the inner
-	// device's in the snapshot: a retried op's true response spans both
-	// services plus the pause, which the inner device records as two
-	// ordinary ops, and dead ops never reach the inner device at all. So
-	// per-tenant entries always sum to the reconciled host totals.
+	// host is the injector-eye record of each host op, taken exactly
+	// once at completion. Its latency and per-tenant views replace the
+	// medium's in the snapshot: a retried op's true response spans both
+	// services plus the pause, which the medium records as two ordinary
+	// ops, and dead ops never reach the medium at all. So per-tenant
+	// entries always sum to the reconciled host totals.
 	host stats.Host
 }
 
@@ -44,39 +43,26 @@ type FaultDevice struct {
 // zero response, like an errored flash request). serviced is false for
 // dead ops, which moved no media bytes: the op still counts for its
 // tenant, but contributes zero bytes, matching the top-level counters.
-func (f *FaultDevice) record(op trace.Op, resp sim.Time, serviced bool) {
+func (f *mediaFaults) record(op trace.Op, resp sim.Time, serviced bool) {
 	if !serviced {
 		op.Size = 0
 	}
 	f.host.Record(op, resp.Millis())
 }
 
-// WrapFault applies a fault plan to an existing device. The plan must
-// already be validated; a nil or inert plan returns the device unwrapped.
-func WrapFault(d Device, plan *fault.Plan) Device {
-	if !plan.Injects() {
-		return d
-	}
-	return &FaultDevice{inner: d, plan: plan}
-}
-
-// Submit implements Device. Frees pass through untouched (they are
-// mapping metadata, matching the flash path). A dead device fails the
-// op immediately — no media time — while a transient fault services the
-// op, waits out the retry cost, and services it again, so the retry is
-// visible as both latency and extra media traffic.
-func (f *FaultDevice) Submit(op trace.Op, onDone func(sim.Time, error)) error {
-	if op.Kind == trace.Free {
-		return f.inner.Submit(op, onDone)
-	}
-	seq := f.seq
+// submit injects into one read or write (frees are mapping metadata and
+// bypass the injector, matching the flash path). A dead device fails
+// the op immediately — no media time — while a transient fault services
+// the op, waits out the retry cost, and services it again, so the retry
+// is visible as both latency and extra media traffic.
+func (f *mediaFaults) submit(op trace.Op, onDone func(sim.Time, error)) error {
+	seq, eng := f.seq, f.raw.Engine()
 	f.seq++
 	if f.plan.DeadAt(0, seq) {
 		f.injected++
 		f.deadOps++
 		// Complete as an event, not synchronously: callers (ClosedLoop,
 		// driveBounded) resubmit from their completion callbacks.
-		eng := f.inner.Engine()
 		eng.CallAt(eng.Now(), faultDead, &faultOp{f: f, op: op, onDone: onDone})
 		return nil
 	}
@@ -89,16 +75,15 @@ func (f *FaultDevice) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 		case trace.Write:
 			f.retryBytesWritten += op.Size
 		}
-		eng := f.inner.Engine()
 		fo := &faultOp{f: f, op: op, onDone: onDone, start: eng.Now()}
-		return f.inner.Submit(op, func(sim.Time, error) {
+		return f.raw.Submit(op, func(sim.Time, error) {
 			// First service hit the fault: pause for the retry window,
 			// then reissue. The caller sees one completion spanning both
 			// services plus the pause.
 			eng.CallAt(eng.Now()+f.plan.RetryCost(), faultRetry, fo)
 		})
 	}
-	return f.inner.Submit(op, func(resp sim.Time, err error) {
+	return f.raw.Submit(op, func(resp sim.Time, err error) {
 		f.record(op, resp, true)
 		if onDone != nil {
 			onDone(resp, err)
@@ -109,7 +94,7 @@ func (f *FaultDevice) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 // faultOp is the payload of a dead op's completion event and of a
 // transient fault's retry event.
 type faultOp struct {
-	f      *FaultDevice
+	f      *mediaFaults
 	op     trace.Op
 	onDone func(sim.Time, error)
 	start  sim.Time // first submission, for the retried op's response
@@ -127,8 +112,8 @@ func faultDead(a any) {
 // faultRetry reissues an op after its retry pause.
 func faultRetry(a any) {
 	fo := a.(*faultOp)
-	f, eng := fo.f, fo.f.inner.Engine()
-	err := f.inner.Submit(fo.op, func(sim.Time, error) {
+	f, eng := fo.f, fo.f.raw.Engine()
+	err := f.raw.Submit(fo.op, func(sim.Time, error) {
 		f.record(fo.op, eng.Now()-fo.start, true)
 		if fo.onDone != nil {
 			fo.onDone(eng.Now()-fo.start, nil)
@@ -139,41 +124,27 @@ func faultRetry(a any) {
 	}
 }
 
-// Drive implements Device.
-func (f *FaultDevice) Drive(st trace.Stream) error { return drive(f, st, f.MaxPending) }
-
-// Engine implements Device.
-func (f *FaultDevice) Engine() *sim.Engine { return f.inner.Engine() }
-
-// LogicalBytes implements Device.
-func (f *FaultDevice) LogicalBytes() int64 { return f.inner.LogicalBytes() }
-
-// QueueDepth implements Device.
-func (f *FaultDevice) QueueDepth() int { return f.inner.QueueDepth() }
-
-// Metrics implements Device: the inner snapshot plus the injector's
-// counters. Dead ops completed as errors without reaching the medium, so
-// they are added to Completed and Errors here (matching the flash
-// semantics: an errored request still counts as completed). Retries
-// doubled the inner device's per-op accounting; the duplicate completion
-// and bytes are subtracted so host-facing counters stay host-facing.
-func (f *FaultDevice) Metrics() Snapshot {
-	s := f.inner.Metrics()
+// reconcile adds the injector's counters to the medium's snapshot. Dead
+// ops completed as errors without reaching the medium, so they are added
+// to Completed and Errors here (matching the flash semantics: an errored
+// request still counts as completed). Retries doubled the medium's
+// per-op accounting; the duplicate completion and bytes are subtracted
+// so host-facing counters stay host-facing.
+func (f *mediaFaults) reconcile(s *Snapshot) {
 	s.Completed += f.deadOps - f.retried
 	s.Errors += f.deadOps
 	s.BytesRead -= f.retryBytesRead
 	s.BytesWritten -= f.retryBytesWritten
 	s.FaultsInjected = f.injected
 	s.FaultRetries = f.retried
-	// Latency comes from the wrapper's histograms, which see each op's
+	// Latency comes from the injector's histograms, which see each op's
 	// true host-visible response (retry spans included). The per-tenant
-	// view is replaced wholesale for the same reason: the inner set
+	// view is replaced wholesale for the same reason: the medium's set
 	// counted every retry twice and never saw dead ops, while the
-	// wrapper's set records each host op exactly once, so per-tenant
+	// injector's set records each host op exactly once, so per-tenant
 	// entries sum to the reconciled totals above.
 	s.Tenants = tenantSnapshots(f.host.Tenants)
 	s.fillLatency(f.host.ReadResp, f.host.WriteResp)
-	return s
 }
 
 // ReplayRecovery models the post-power-loss mount: a sequential
@@ -208,6 +179,3 @@ func ReplayRecovery(d Device, frac float64) error {
 		return op, true
 	})
 }
-
-// Compile-time interface check.
-var _ Device = (*FaultDevice)(nil)

@@ -100,8 +100,8 @@ func TestFaultDeviceTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := faulty.(*FaultDevice); !ok {
-		t.Fatalf("faulted hdd is %T, want *FaultDevice", faulty)
+	if h, ok := faulty.(*HDD); !ok || h.flt == nil {
+		t.Fatalf("faulted hdd is %T, want *HDD with an injector", faulty)
 	}
 	faultLoopWrites(t, faulty, n)
 	cm, fm := clean.Metrics(), faulty.Metrics()
@@ -123,19 +123,39 @@ func TestFaultDeviceTransient(t *testing.T) {
 	}
 }
 
-// An inert plan (no transients, no deaths) leaves the device unwrapped:
-// wear ceilings mean nothing to media without an FTL.
+// An inert plan (no transients, no deaths) attaches no injector: wear
+// ceilings mean nothing to media without an FTL.
 func TestFaultDeviceInertPlanUnwrapped(t *testing.T) {
 	d, err := Open("hdd", WithFault(&fault.Plan{WearCeiling: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d.(*FaultDevice); ok {
-		t.Fatal("inert plan still wrapped the device")
+	if d.(*HDD).flt != nil {
+		t.Fatal("inert plan attached an injector")
 	}
 }
 
-// Past its death point the wrapped device fails every read and write
+// A fault plan is a field of the device, not a layer around it: every
+// kind opened with an injecting plan has the concrete type it has
+// without one, so type assertions such as dev.(*HDD) keep working.
+func TestFaultKeepsConcreteType(t *testing.T) {
+	plan := &fault.Plan{Seed: 3, Transient: &fault.Transient{Rate: 0.01}}
+	for _, kind := range []string{"ssd", "hdd", "mems", "raid", "osd"} {
+		clean, err := Open(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulty, err := Open(kind, WithFault(plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := reflect.TypeOf(clean), reflect.TypeOf(faulty); a != b {
+			t.Errorf("%s: faulted device is %v, fault-free %v", kind, b, a)
+		}
+	}
+}
+
+// Past its death point a faulted device fails every read and write
 // deterministically — and keeps failing them without media time.
 func TestFaultDeviceDeath(t *testing.T) {
 	plan := &fault.Plan{Deaths: []fault.Death{{Element: 0, AfterOps: 10}}}

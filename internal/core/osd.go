@@ -17,16 +17,16 @@ import (
 // cleaning signal. The store and device stay reachable via Store and Raw
 // for object-level use (Create/Delete/attributes).
 type OSD struct {
-	Raw   *ssd.Device
-	Store *osd.Store
-	driveConfig
-	vol osd.ObjectID
+	Raw        *ssd.Device
+	Store      *osd.Store
+	maxPending int // Drive's admission bound; 0 is unbounded
+	vol        osd.ObjectID
 }
 
 // newOSD builds a flash device on a fresh engine, fronts it with an
 // object store, and reserves one volume object spanning the whole
-// device.
-func newOSD(cfg ssd.Config) (*OSD, error) {
+// device. maxPending is Drive's admission bound.
+func newOSD(cfg ssd.Config, maxPending int) (*OSD, error) {
 	dev, err := ssd.New(sim.NewEngine(), cfg)
 	if err != nil {
 		return nil, err
@@ -41,7 +41,7 @@ func newOSD(cfg ssd.Config) (*OSD, error) {
 	if err := st.Reserve(vol, dev.LogicalBytes()); err != nil {
 		return nil, fmt.Errorf("core: reserve %d-byte volume: %w", dev.LogicalBytes(), err)
 	}
-	return &OSD{Raw: dev, Store: st, vol: vol}, nil
+	return &OSD{Raw: dev, Store: st, maxPending: maxPending, vol: vol}, nil
 }
 
 // Submit implements Device: reads, writes, and frees all go through the
@@ -65,7 +65,7 @@ func (o *OSD) Submit(op trace.Op, onDone func(sim.Time, error)) error {
 }
 
 // Drive implements Device.
-func (o *OSD) Drive(st trace.Stream) error { return drive(o, st, o.MaxPending) }
+func (o *OSD) Drive(st trace.Stream) error { return drive(o, st, o.maxPending) }
 
 // Engine implements Device.
 func (o *OSD) Engine() *sim.Engine { return o.Raw.Engine() }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"ossd/internal/fault"
@@ -71,9 +70,9 @@ type Profile struct {
 	// Fault is the device's fault plan (see internal/fault): deterministic
 	// transient errors, element deaths, and wear ceilings, applied to any
 	// media kind. Flash devices inject per-element inside their dispatch
-	// path; other media are wrapped by the generic per-op injector. nil
-	// falls back to the process default (SetDefaultFault); leaving both
-	// unset runs fault-free.
+	// path; the other media carry a per-op injector in their Media
+	// wrapper. nil falls back to the process default (SetDefaultFault);
+	// leaving both unset runs fault-free.
 	Fault *fault.Plan
 }
 
@@ -107,42 +106,27 @@ func (p *Profile) NewDevice() (Device, error) {
 	case KindHDD:
 		var raw *hdd.Disk
 		raw, err = hdd.New(sim.NewEngine(), p.HDD)
-		d = &HDD{Raw: raw}
+		d = newMedia(raw, p.MaxPending, plan)
 	case KindMEMS:
 		var raw *mems.Device
 		raw, err = mems.New(sim.NewEngine(), p.MEMS)
-		d = &MEMS{Raw: raw}
+		d = newMedia(raw, p.MaxPending, plan)
 	case KindRAID:
 		var raw *raid.Array
 		raw, err = raid.New(sim.NewEngine(), p.RAID)
-		d = &RAID{Raw: raw}
+		d = newMedia(raw, p.MaxPending, plan)
 	case KindOSD:
 		cfg := p.SSD
 		cfg.Fault = plan
-		d, err = newOSD(cfg)
+		d, err = newOSD(cfg, p.MaxPending)
 	default:
 		cfg := p.SSD
 		cfg.Fault = plan
-		d, err = newSSD(cfg)
+		d, err = newSSD(cfg, p.MaxPending)
 	}
 	if err != nil {
+		// Never a typed nil: d may hold a wrapper of a nil model.
 		return nil, err
-	}
-	// Non-flash media get the generic per-op injector; the wrapper embeds
-	// driveConfig, so the MaxPending hook below lands on the outermost
-	// layer (admission control sees the faulted device).
-	if p.Kind == KindHDD || p.Kind == KindMEMS || p.Kind == KindRAID {
-		d = WrapFault(d, plan)
-	}
-	if p.MaxPending > 0 {
-		mp, ok := d.(interface{ setMaxPending(int) })
-		if !ok {
-			// Fail loudly (like every other inapplicable option) instead
-			// of silently dropping the bound on a wrapper that does not
-			// embed driveConfig.
-			return nil, fmt.Errorf("core: %s device does not support MaxPending", p.Kind)
-		}
-		mp.setMaxPending(p.MaxPending)
 	}
 	return d, nil
 }

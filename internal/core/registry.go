@@ -130,8 +130,9 @@ func WithMaxPending(n int) Option {
 // WithFault attaches a fault plan (see internal/fault) to the profile:
 // deterministic transient errors, element deaths, wear ceilings, and
 // power-loss points. It applies to every media kind — flash devices
-// inject per-element inside their dispatch path, other media are wrapped
-// by the generic per-op injector. nil restores the process default
+// inject per-element inside their dispatch path, the other media carry a
+// per-op injector in their Media wrapper — and leaves the device's
+// concrete type unchanged. nil restores the process default
 // (SetDefaultFault).
 func WithFault(plan *fault.Plan) Option {
 	return func(p *Profile) error {

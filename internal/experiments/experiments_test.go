@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ossd/internal/core"
+	"ossd/internal/fault"
 	"ossd/internal/sim"
 )
 
@@ -253,6 +254,20 @@ func TestContractVerdicts(t *testing.T) {
 		if row.SSD != wantSSD[i] {
 			t.Errorf("term %d ssd = %v, want %v (%s)", i+1, row.SSD, wantSSD[i], row.Evidence)
 		}
+	}
+}
+
+// The contract experiment asserts each class's concrete device type to
+// reach its model; a process-wide fault plan (repro -fault) must not
+// change that type. Not parallel: the default plan is process-wide.
+func TestContractUnderDefaultFault(t *testing.T) {
+	defer core.SetDefaultFault(core.SetDefaultFault(&fault.Plan{Seed: 1, Transient: &fault.Transient{Rate: 0.01}}))
+	r, err := Contract(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 6 {
+		t.Fatalf("want 6 contract terms, got %d", len(r.Rows))
 	}
 }
 

@@ -45,9 +45,10 @@ type Config struct {
 	// CostBenefit selects cost-benefit victim selection (LFS/eNVy style:
 	// maximize age*(1-u)/(1+u)) instead of pure greedy (most invalid
 	// pages). The classic argument is that it lets hot blocks gather
-	// more garbage before paying to clean them; this repository has not
-	// shown a workload where it moves fewer pages than greedy (on the
-	// skewed test workload it moves a few percent more).
+	// more garbage before paying to clean them. It wins only in a narrow
+	// regime: with 8-page blocks, 7% spare and 90/10 or 95/5 hot/cold
+	// overwrites it moves 0.75–0.84× greedy's pages; at 15% spare or
+	// larger blocks it shows no clear win and often moves more.
 	CostBenefit bool
 	// WearDelta is the max tolerated erase-count spread (default 32).
 	WearDelta int

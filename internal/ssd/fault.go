@@ -27,21 +27,22 @@ func newFaultState(plan *fault.Plan, elements int) *faultState {
 }
 
 // injectFaults advances the fault clocks of the elements a dispatched
-// request touches and applies the plan: any dead element fails the whole
-// request with no media work; a transient fault charges the element an
-// in-device retry. Reports whether the request failed.
-func (d *Device) injectFaults(req *request, durs []sim.Time) bool {
+// request's runs touch, in run order, and applies the plan: any dead
+// element fails the whole request with no media work; a transient fault
+// charges the element an in-device retry. Reports whether the request
+// failed.
+func (d *Device) injectFaults(req *request, runs []run, durs []sim.Time) bool {
 	f := d.flt
-	elems := d.elemsFor(req.Op)
 	failed := false
-	for _, e := range elems {
-		if f.plan.DeadAt(e, f.seq[e]) {
+	for i := range runs {
+		if e := runs[i].elem; f.plan.DeadAt(e, f.seq[e]) {
 			failed = true
 			break
 		}
 	}
 	write := req.Op.Kind == trace.Write
-	for _, e := range elems {
+	for i := range runs {
+		e := runs[i].elem
 		seq := f.seq[e]
 		f.seq[e]++
 		if failed {

@@ -176,14 +176,14 @@ func (d *Device) exec(req *request) []sim.Time {
 		d.applyFree(op)
 		return durs
 	}
+	runs := d.plan(op.Offset, op.End(), d.wholeStripes(op))
 	// Fault injection: a dead element fails the request outright (zero
 	// durations, so it completes immediately as an error); transient
 	// faults add their retry cost to the element durations below.
-	if d.flt != nil && d.injectFaults(req, durs) {
+	if d.flt != nil && d.injectFaults(req, runs, durs) {
 		return durs
 	}
 	failed := len(d.elems) // the element whose error the request reports
-	runs := d.plan(op.Offset, op.End(), d.wholeStripes(op))
 	for i := range runs {
 		r := &runs[i]
 		el := d.elems[r.elem]
