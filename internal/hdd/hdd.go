@@ -343,11 +343,13 @@ func (d *Disk) finish(req *request) {
 
 // serve starts one queued media access (the driver dispatches reads and
 // write-through writes ahead of the drain hook, preserving read
-// priority over background cache flushes).
-func (d *Disk) serve(req *request, now sim.Time) {
+// priority over background cache flushes). An access of zero duration
+// leaves the actuator idle with its head moved, so it reports a change.
+func (d *Disk) serve(req *request, now sim.Time) bool {
 	dur := d.serviceTime(req.Op.Offset, req.Op.Size)
 	d.q.SetBusy(0, now+dur)
 	d.eng.Call(dur, servedEvent, req)
+	return dur == 0
 }
 
 // drain is the driver's post-dispatch hook: when the actuator is idle

@@ -184,11 +184,13 @@ func servedEvent(a any) {
 	d.drv.Pump()
 }
 
-// serve starts one access on the sled.
-func (d *Device) serve(req *request, now sim.Time) {
+// serve starts one access on the sled; an access of zero duration
+// leaves the sled idle, so it reports a change.
+func (d *Device) serve(req *request, now sim.Time) bool {
 	dur := d.serviceTime(req.Op)
 	d.q.SetBusy(0, now+dur)
 	d.eng.Call(dur, servedEvent, req)
+	return dur == 0
 }
 
 // finish completes a request and pools it: the record dies after

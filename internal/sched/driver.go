@@ -11,14 +11,20 @@ import "ossd/internal/sim"
 //
 // Serve is called once per dispatched request with the request and the
 // current simulated time; it must start service (marking elements busy
-// via Queue.SetBusy) and arrange for Pump to run again on completion.
+// via Queue.SetBusy) and arrange for Pump to run again on completion. It
+// reports whether it changed state that the hooks read on elements it
+// did not make busy: a model whose hooks look only at idle elements
+// reports a change that it made elsewhere, or that it cannot bound, such
+// as a request completed on the spot (whose callback may submit more).
 // Pre and Post run before and after the dispatch pass of each round and
-// report whether they made progress; the loop repeats until a full round
-// makes none.
+// report whether they made progress. A round repeats only when a hook
+// made progress or a serve reported a change: otherwise nothing the
+// round's hooks or Pops read has changed since they ran, and a repeat
+// would find nothing to do.
 type Driver[T any] struct {
 	eng   *sim.Engine
 	q     *Queue[T]
-	serve func(req *T, now sim.Time)
+	serve func(req *T, now sim.Time) bool
 	pre   func(now sim.Time) bool
 	post  func(now sim.Time) bool
 	// pumpEv is pumpEvent[T] as a value, taken once: inside generic code
@@ -27,7 +33,7 @@ type Driver[T any] struct {
 }
 
 // NewDriver builds a driver pumping q on eng, dispatching through serve.
-func NewDriver[T any](eng *sim.Engine, q *Queue[T], serve func(req *T, now sim.Time)) *Driver[T] {
+func NewDriver[T any](eng *sim.Engine, q *Queue[T], serve func(req *T, now sim.Time) bool) *Driver[T] {
 	return &Driver[T]{eng: eng, q: q, serve: serve, pumpEv: pumpEvent[T]}
 }
 
@@ -51,27 +57,25 @@ func (d *Driver[T]) PumpAfter(delay sim.Time) {
 
 // Pump advances the device state machine: pre-dispatch work, then as many
 // dispatches as the queue allows, then post-dispatch work, repeating
-// until a whole round makes no progress. Call it on every arrival and on
-// every completion.
+// while a hook makes progress or a serve reports a change. Call it on
+// every arrival and on every completion.
 func (d *Driver[T]) Pump() {
 	now := d.eng.Now()
 	for {
-		progress := false
-		if d.pre != nil && d.pre(now) {
-			progress = true
-		}
+		again := d.pre != nil && d.pre(now)
 		for {
 			req, ok := d.q.Pop(now)
 			if !ok {
 				break
 			}
-			d.serve(req, now)
-			progress = true
+			if d.serve(req, now) {
+				again = true
+			}
 		}
 		if d.post != nil && d.post(now) {
-			progress = true
+			again = true
 		}
-		if !progress {
+		if !again {
 			return
 		}
 	}

@@ -3,6 +3,7 @@ package sched
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"ossd/internal/chunks"
 	"ossd/internal/sim"
@@ -27,12 +28,14 @@ import (
 // The index groups requests by element set. Requests with the same set
 // share one interned class, which holds them in an arrival-order FIFO;
 // within a class they are dispatchable together or not at all, so the
-// class's head is the only one that can win. Each class keeps its set as
-// a row of bitset words, and a lane lists its non-empty classes densely.
-// A decision is one pass over that list against a bitset of the busy
-// elements: SWTF takes the lowest head Seq among the classes whose set
-// misses every busy element; FCFS takes the lowest head Seq overall and
-// dispatches it only if its set is idle. A decision therefore costs
+// class's head is the only one that can win. On a queue of at most 64
+// elements a class keeps its set as one mask word, interned through an
+// open-addressed mask table; wider queues keep a row of bitset words per
+// class. A lane lists its non-empty classes densely. A decision is one
+// pass over that list against a bitset of the busy elements: SWTF takes
+// the lowest head Seq among the classes whose set misses every busy
+// element; FCFS takes the lowest head Seq overall and dispatches it only
+// if its set is idle. A decision therefore costs
 // O(distinct element sets queued) word tests — at most 2^E-1, and for
 // interleaved striping over E elements far fewer (15 on a 4-element
 // gang) — however deep the backlog, and an element going idle moves
@@ -43,9 +46,16 @@ import (
 // SetBusy. The busy bitset caches them: SetBusy sets the element's bit
 // and lowers freeAt, a bound at or before the earliest horizon in the
 // bitset, and Pop rebuilds bitset and bound from the horizons only once
-// the clock reaches freeAt. Under SWTF a decision with every element busy
-// returns at once. Pop assumes now never decreases between calls, as the
-// sim.Engine that drives a queue guarantees.
+// the clock reaches freeAt, visiting only the elements marked busy.
+// Under SWTF a decision with every element busy returns at once. Pop
+// assumes now never decreases between calls, as the sim.Engine that
+// drives a queue guarantees.
+//
+// Pop memoizes failure: once a decision finds nothing dispatchable, the
+// queue answers every later Pop at once until a Push arrives or a
+// rebuild finds an element idle. Those are the only changes that can
+// make a head dispatchable: SetBusy only grows horizons, and a failed
+// decision leaves every deficit and the DRR pointer as they were.
 //
 // Each request's queue record is a Node embedded in the caller's own
 // request, so the queue does not allocate on the dispatch path. The
@@ -77,8 +87,11 @@ type Queue[T any] struct {
 	busy   []uint64
 	nbusy  int
 	freeAt sim.Time
-	seq    uint64
-	length int
+	// stalled records that the last decision found nothing dispatchable
+	// and nothing has changed since that could make a head dispatchable.
+	stalled bool
+	seq     uint64
+	length  int
 	// cost reports a request's DRR dispatch cost in bytes; nil (or a
 	// cost <= 0) charges 1.
 	cost func(*T) int64
@@ -97,8 +110,8 @@ type Queue[T any] struct {
 	tens []*tenantQ
 	rr   int
 
-	// words and key are scratch for interning element sets; key is used
-	// only on queues wider than 64 elements.
+	// words and key are scratch for interning element sets on queues
+	// wider than 64 elements; words is nil on narrower ones.
 	words []uint64
 	key   []byte
 }
@@ -146,28 +159,36 @@ const none = -1
 // class is one interned element set within a lane: the lane's queued
 // requests targeting exactly that set in arrival order (node ids, 0 when
 // empty), the head's Seq, and, while the class is non-empty, its
-// position in the lane's live list. The set itself is the class's row of
-// the lane's sets table. Classes are never freed: a lane holds one per
-// distinct element set it has seen.
+// position in the lane's live list. On a queue of at most 64 elements
+// mask is the set; wider queues keep it as the class's row of the lane's
+// sets table. Classes are never freed: a lane holds one per distinct
+// element set it has seen.
 type class struct {
 	head, tail int32
 	live       int32
 	seq        uint64
+	mask       uint64
 }
 
 // lane is one dispatch sub-queue: the whole queue in single-tenant mode,
-// one tenant's share in fair mode. It interns its own classes, keyed by
-// element bitmask (or by the bitset's bytes past 64 elements), keeps
-// their sets as rows of len(Queue.busy) words in sets, and lists the
-// non-empty ones, in no particular order, in live. empty is the class of
-// the empty element set, or none: that class dispatches even when every
-// element is busy. Every cross-reference is an index into classes.
+// one tenant's share in fair mode. It interns its own classes and lists
+// the non-empty ones, in no particular order, in live. empty is the
+// class of the empty element set, or none: that class dispatches even
+// when every element is busy. Every cross-reference is an index into
+// classes.
+//
+// A lane of at most 64 elements interns by mask in byMask, an
+// open-addressed table of class index+1 (0 marks a free slot) with
+// linear probing, a power of two long and at most half full; it never
+// deletes, because classes are never freed. A wider lane keeps each
+// class's set as a row of len(Queue.busy) words in sets and interns by
+// the bitset's bytes in byKey.
 type lane struct {
 	classes []class
-	sets    []uint64
 	live    []int32
 	empty   int32
-	byMask  map[uint64]int32
+	byMask  []int32
+	sets    []uint64
 	byKey   map[string]int32
 }
 
@@ -197,19 +218,12 @@ func NewQueue[T any](policy Policy, elements int, cost func(*T) int64) *Queue[T]
 		busy:      make([]uint64, words),
 		freeAt:    math.MaxInt64,
 		cost:      cost,
-		words:     make([]uint64, words),
 	}
-	q.initLane(&q.lane)
+	if words > 1 {
+		q.words = make([]uint64, words)
+	}
+	q.lane.empty = none
 	return q
-}
-
-func (q *Queue[T]) initLane(l *lane) {
-	l.empty = none
-	if len(q.words) == 1 {
-		l.byMask = map[uint64]int32{}
-	} else {
-		l.byKey = map[string]int32{}
-	}
 }
 
 // Len reports the number of queued (not yet dispatched) requests.
@@ -263,7 +277,7 @@ func (q *Queue[T]) tenantFor(t uint8) *tenantQ {
 		return q.tens[i]
 	}
 	tq := &tenantQ{id: t, weight: 1}
-	q.initLane(&tq.lane)
+	tq.empty = none
 	q.tens = append(q.tens, nil)
 	copy(q.tens[i+1:], q.tens[i:])
 	q.tens[i] = tq
@@ -296,6 +310,7 @@ func (q *Queue[T]) Push(n *Node[T], owner *T, elems []int, tenant uint8) uint64 
 	q.seq++
 	n.next, n.seq = 0, q.seq
 	q.length++
+	q.stalled = false
 	// Pushes arrive in Seq order, so appending keeps the class FIFO
 	// sorted. A class that was empty joins the live list.
 	ci := q.classFor(l, elems)
@@ -318,43 +333,81 @@ func (q *Queue[T]) node(id int32) *Node[T] { return q.recs.At(int(id) - 1).node 
 // it on first sight. Sets are keyed by bitset, so element order and
 // duplicates do not matter.
 func (q *Queue[T]) classFor(l *lane, elems []int) int32 {
+	if q.words == nil {
+		var m uint64
+		for _, e := range elems {
+			m |= 1 << e
+		}
+		return l.classForMask(m)
+	}
 	clear(q.words)
 	for _, e := range elems {
 		q.words[e>>6] |= 1 << (e & 63)
 	}
-	if l.byMask != nil {
-		c, ok := l.byMask[q.words[0]]
-		if !ok {
-			c = l.newClass(q.words)
-			l.byMask[q.words[0]] = c
-		}
-		return c
-	}
 	q.key = q.key[:0]
+	var or uint64
 	for _, w := range q.words {
 		q.key = binary.LittleEndian.AppendUint64(q.key, w)
+		or |= w
 	}
 	c, ok := l.byKey[string(q.key)]
 	if !ok {
-		c = l.newClass(q.words)
+		if l.byKey == nil {
+			l.byKey = map[string]int32{}
+		}
+		c = l.newClass(0)
+		l.sets = append(l.sets, q.words...)
+		if or == 0 {
+			l.empty = c
+		}
 		l.byKey[string(q.key)] = c
 	}
 	return c
 }
 
-// newClass appends an empty class for the element bitset and returns its
+// classForMask is classFor on a lane of at most 64 elements.
+func (l *lane) classForMask(m uint64) int32 {
+	if len(l.byMask) == 0 {
+		l.byMask = make([]int32, 16)
+	}
+	i := l.maskSlot(m)
+	if slot := l.byMask[i]; slot != 0 {
+		return slot - 1
+	}
+	c := l.newClass(m)
+	if m == 0 {
+		l.empty = c
+	}
+	l.byMask[i] = c + 1
+	if 2*len(l.classes) > len(l.byMask) {
+		l.byMask = make([]int32, 2*len(l.byMask))
+		for ci := range l.classes {
+			l.byMask[l.maskSlot(l.classes[ci].mask)] = int32(ci) + 1
+		}
+	}
+	return c
+}
+
+// maskSlot returns the index of the byMask slot holding mask m's class,
+// or of the free slot where it would go.
+func (l *lane) maskSlot(m uint64) uint64 {
+	last := uint64(len(l.byMask) - 1)
+	i := maskHash(m) & last
+	for l.byMask[i] != 0 && l.classes[l.byMask[i]-1].mask != m {
+		i = (i + 1) & last
+	}
+	return i
+}
+
+// maskHash spreads an element mask over the table's low bits
+// (Fibonacci hashing).
+func maskHash(m uint64) uint64 { return (m * 0x9e3779b97f4a7c15) >> 32 }
+
+// newClass appends an empty class with the given mask and returns its
 // index.
-func (l *lane) newClass(set []uint64) int32 {
+func (l *lane) newClass(mask uint64) int32 {
 	ci := int32(len(l.classes))
-	l.classes = append(l.classes, class{})
-	l.sets = append(l.sets, set...)
-	var or uint64
-	for _, w := range set {
-		or |= w
-	}
-	if or == 0 {
-		l.empty = ci
-	}
+	l.classes = append(l.classes, class{mask: mask})
 	return ci
 }
 
@@ -364,25 +417,40 @@ func (q *Queue[T]) Pop(now sim.Time) (*T, bool) {
 	if now >= q.freeAt {
 		q.refresh(now)
 	}
+	if q.stalled {
+		return nil, false
+	}
 	if q.fair {
-		return q.popFair()
+		r, ok := q.popFair()
+		q.stalled = !ok
+		return r, ok
 	}
 	c := q.peek(&q.lane)
 	if c == none {
+		q.stalled = true
 		return nil, false
 	}
 	return q.take(&q.lane, c), true
 }
 
-// refresh rebuilds the busy bitset and freeAt from the horizons at now.
+// refresh clears from the busy bitset the elements whose horizons have
+// passed at now and recomputes freeAt from the rest. An element outside
+// the bitset has a horizon already past (SetBusy sets the bit of every
+// horizon it raises), so only the set bits need a look. Idling an
+// element ends a stall.
 func (q *Queue[T]) refresh(now sim.Time) {
-	clear(q.busy)
-	q.nbusy, q.freeAt = 0, math.MaxInt64
-	for e, until := range q.busyUntil {
-		if until > now {
-			q.busy[e>>6] |= 1 << (e & 63)
-			q.nbusy++
-			q.freeAt = min(q.freeAt, until)
+	q.freeAt = math.MaxInt64
+	for w, word := range q.busy {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			if until := q.busyUntil[w<<6|b]; until > now {
+				q.freeAt = min(q.freeAt, until)
+			} else {
+				q.busy[w] &^= 1 << b
+				q.nbusy--
+				q.stalled = false
+			}
 		}
 	}
 }
@@ -463,6 +531,15 @@ func (q *Queue[T]) peek(l *lane) int32 {
 		return none
 	}
 	best, seq := int32(none), uint64(math.MaxUint64)
+	if len(q.busy) == 1 {
+		busy := q.busy[0]
+		for _, ci := range l.live {
+			if c := &l.classes[ci]; c.seq < seq && c.mask&busy == 0 {
+				best, seq = ci, c.seq
+			}
+		}
+		return best
+	}
 	for _, ci := range l.live {
 		if s := l.classes[ci].seq; s < seq && q.idle(l, ci) {
 			best, seq = ci, s
@@ -473,6 +550,9 @@ func (q *Queue[T]) peek(l *lane) int32 {
 
 // idle reports whether class ci of l targets no busy element.
 func (q *Queue[T]) idle(l *lane, ci int32) bool {
+	if len(q.busy) == 1 {
+		return l.classes[ci].mask&q.busy[0] == 0
+	}
 	n := len(q.busy)
 	for i, w := range l.sets[int(ci)*n : int(ci)*n+n] {
 		if w&q.busy[i] != 0 {

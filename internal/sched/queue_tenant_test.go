@@ -157,3 +157,59 @@ func TestQueuePopAllocFreeFair(t *testing.T) {
 		t.Fatalf("fair dispatch cycle allocates %.1f times per op, want 0", allocs)
 	}
 }
+
+// TestQueueZeroTenantWeight: a zero weight is no weight and counts as 1,
+// so a zero-weighted tenant still earns deficit and shares the element
+// evenly with a tenant of weight 1.
+func TestQueueZeroTenantWeight(t *testing.T) {
+	q := newQueue(SWTF, 1)
+	q.SetTenantWeight(1, 0)
+	q.SetTenantWeight(2, 1)
+	if w := q.tens[0].weight; w != 1 {
+		t.Fatalf("tenant 1 weight = %v after SetTenantWeight(1, 0), want 1", w)
+	}
+	elems := []int{0}
+	for i := 0; i < 64; i++ {
+		push(q, elems, 1, 1, 8<<10)
+		push(q, elems, 2, 2, 8<<10)
+	}
+	counts := map[int]int{}
+	for i := 0; i < 64; i++ {
+		id, ok := popID(q, 0)
+		if !ok {
+			t.Fatalf("pop %d: backlogged queue stalled", i)
+		}
+		counts[id]++
+	}
+	// Equal weights split within one quantum (8 requests) of even.
+	if d := counts[1] - counts[2]; d < -8 || d > 8 {
+		t.Fatalf("dispatched %v of 64, want an even split", counts)
+	}
+}
+
+// TestQueueNewTenantKeepsPointer: a tenant first seen mid-run that sorts
+// in at the DRR pointer's position must not take over the pointer, which
+// stays on the tenant it was serving; after the next refill that tenant
+// goes first.
+func TestQueueNewTenantKeepsPointer(t *testing.T) {
+	const first, second, newcomer = 1, 2, 3
+	q := newQueue(SWTF, 1)
+	q.SetTenantWeight(1, 1)
+	q.SetTenantWeight(5, 1)
+	elems := []int{0}
+	// Tenant 5 spends its whole first refill on one request, so the
+	// pointer rests on it with a zero deficit and one request left.
+	push(q, elems, first, 5, drrQuantum)
+	push(q, elems, second, 5, 4096)
+	if id, ok := popID(q, 0); !ok || id != first {
+		t.Fatalf("Pop = %d, %v, want tenant 5's first request", id, ok)
+	}
+	// Tenant 3 sorts in between 1 and 5, at the pointer's index.
+	push(q, elems, newcomer, 3, 4096)
+	if id, ok := popID(q, 0); !ok || id != second {
+		t.Fatalf("Pop = %d, %v, want tenant 5's second request before the newcomer", id, ok)
+	}
+	if id, ok := popID(q, 0); !ok || id != newcomer {
+		t.Fatalf("Pop = %d, %v, want the newcomer", id, ok)
+	}
+}

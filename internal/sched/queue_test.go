@@ -107,6 +107,55 @@ func TestQueueSetBusyMonotone(t *testing.T) {
 	}
 }
 
+// TestQueuePopAfterStall covers the memoized failure: once a Pop finds
+// nothing, a later Pop still dispatches as soon as a Push or an expired
+// horizon makes a head idle, under both policies and in fair mode.
+func TestQueuePopAfterStall(t *testing.T) {
+	for _, policy := range []Policy{FCFS, SWTF} {
+		for _, fair := range []bool{false, true} {
+			q := newQueue(policy, 2)
+			if fair {
+				q.SetTenantWeight(1, 1)
+			}
+			where := fmt.Sprintf("%v fair=%v", policy, fair)
+			// An empty queue stalls until a push.
+			for _, now := range []sim.Time{0, 5} {
+				if _, ok := q.Pop(now); ok {
+					t.Fatalf("%s: empty queue dispatched at %d", where, now)
+				}
+			}
+			push(q, []int{1}, 1, 1, 1)
+			if id, ok := popID(q, 5); !ok || id != 1 {
+				t.Fatalf("%s: Pop = %d, %v after a push, want 1", where, id, ok)
+			}
+			// A head on a busy element stalls until its horizon.
+			q.SetBusy(0, 100)
+			push(q, []int{0}, 2, 1, 1)
+			for _, now := range []sim.Time{10, 99} {
+				if _, ok := q.Pop(now); ok {
+					t.Fatalf("%s: dispatched onto element 0 busy until 100 at %d", where, now)
+				}
+			}
+			if id, ok := popID(q, 100); !ok || id != 2 {
+				t.Fatalf("%s: Pop = %d, %v at the horizon, want 2", where, id, ok)
+			}
+			if policy == FCFS {
+				continue
+			}
+			// Under SWTF a push on an idle element ends a stall on a busy one.
+			q.SetBusy(0, 200)
+			push(q, []int{0}, 3, 1, 1)
+			if _, ok := q.Pop(150); ok {
+				t.Fatalf("%s: dispatched onto element 0 busy until 200", where)
+			}
+			push(q, []int{1}, 4, 1, 1)
+			if id, ok := popID(q, 150); !ok || id != 4 {
+				t.Fatalf("%s: Pop = %d, %v after a push on an idle element, want 4", where, id, ok)
+			}
+		}
+	}
+}
+
 func TestQueueMultiElementParking(t *testing.T) {
 	const striped, single = 1, 2
 	q := newQueue(SWTF, 3)
@@ -543,7 +592,7 @@ func TestQueuePopAllocFree(t *testing.T) {
 // or a cache drain returns to dispatch, at zero allocations per call.
 func TestDriverPumpAfterAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
-	drv := NewDriver(eng, newQueue(FCFS, 1), func(*treq, sim.Time) {})
+	drv := NewDriver(eng, newQueue(FCFS, 1), func(*treq, sim.Time) bool { return false })
 	allocs := testing.AllocsPerRun(1000, func() {
 		drv.PumpAfter(1)
 		eng.Run()
@@ -618,6 +667,7 @@ func TestHotPathPointerFree(t *testing.T) {
 		"class":        reflect.TypeOf(class{}),
 		"live element": reflect.TypeOf(l.live).Elem(),
 		"set word":     reflect.TypeOf(l.sets).Elem(),
+		"mask slot":    reflect.TypeOf(l.byMask).Elem(),
 	} {
 		if path := pointerPath(typ, name); path != "" {
 			t.Errorf("%s carries a pointer; queue writes would pay write barriers", path)

@@ -138,11 +138,11 @@ func TestCleanSetOracle(t *testing.T) {
 	}
 }
 
-// A free changes no free-page count, but on an informed device it can
-// give a below-watermark element its first reclaimable block: the
-// element must join the cleaning set and be cleaned at once.
-func TestFreeJoinsCleaningSet(t *testing.T) {
-	cfg := oracleConfig()
+// filledBelowLow builds a one-element informed device with its low
+// watermark above the overprovisioned 15% and fills it once in order,
+// so it ends below low with nothing reclaimable and no clean run.
+func filledBelowLow(t *testing.T, cfg ssd.Config) *ssd.Device {
+	t.Helper()
 	cfg.Elements = 1
 	cfg.GCLow = 0.2 // above the overprovisioned 15%: full is below low
 	d, err := ssd.New(sim.NewEngine(), cfg)
@@ -161,10 +161,18 @@ func TestFreeJoinsCleaningSet(t *testing.T) {
 	issue(0, nil)
 	d.Engine().Run()
 	el := d.Elements()[0]
-	if el.FreeFraction() >= cfg.GCLow || el.CanClean() || d.Metrics().BackgroundCleans != 0 {
+	if el.FreeFraction() >= d.Config().GCLow || el.CanClean() || d.Metrics().BackgroundCleans != 0 {
 		t.Fatalf("after the fill: free %.3f, can clean %v, cleans %d; want below low, nothing reclaimable, none",
 			el.FreeFraction(), el.CanClean(), d.Metrics().BackgroundCleans)
 	}
+	return d
+}
+
+// A free changes no free-page count, but on an informed device it can
+// give a below-watermark element its first reclaimable block: the
+// element must join the cleaning set and be cleaned at once.
+func TestFreeJoinsCleaningSet(t *testing.T) {
+	d := filledBelowLow(t, oracleConfig())
 	if err := d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 4096}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -174,5 +182,25 @@ func TestFreeJoinsCleaningSet(t *testing.T) {
 	}
 	if d.Metrics().BackgroundCleans == 0 {
 		t.Fatal("the freed element was never cleaned")
+	}
+}
+
+// TestFreeCleansInSamePump: a free dispatched while its element is idle
+// makes that element reclaimable, and the same Pump must start its
+// clean. The host link keeps the free from completing on the spot, so
+// only serve's report of the free can buy the driver the round that
+// starts it.
+func TestFreeCleansInSamePump(t *testing.T) {
+	cfg := oracleConfig()
+	cfg.InterfaceMBps = 100
+	d := filledBelowLow(t, cfg)
+	if err := d.Submit(trace.Op{Kind: trace.Free, Offset: 0, Size: 4096}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if d.Metrics().Completed == d.Metrics().Requests {
+		t.Fatal("the free completed on the spot; the test needs it in flight")
+	}
+	if n := d.Metrics().BackgroundCleans; n != 1 {
+		t.Fatalf("%d cleans started by the free's pump, want 1", n)
 	}
 }

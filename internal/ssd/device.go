@@ -98,7 +98,7 @@ type Device struct {
 	drv      *sched.Driver[request]
 	linkBusy sim.Time // host-interface link occupancy (InterfaceMBps)
 	// runs is reused by plan, elemScratch by elemsFor and durScratch by
-	// exec, so neither enqueueing nor dispatching allocates per request.
+	// serve, so neither enqueueing nor dispatching allocates per request.
 	runs        []run
 	elemScratch []int
 	durScratch  []sim.Time
@@ -140,7 +140,7 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		elems:       make([]ftl.Backend, 0, cfg.Elements),
 		runs:        make([]run, 0, cfg.Elements),
 		elemScratch: make([]int, 0, cfg.Elements),
-		durScratch:  make([]sim.Time, cfg.Elements),
+		durScratch:  make([]sim.Time, 0, cfg.Elements),
 		cleanSet:    make([]uint64, (cfg.Elements+63)/64),
 	}
 	fcfg := cfg.ftlConfig()
@@ -161,7 +161,13 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		d.q.SetTenantWeight(t, w)
 	}
 	d.drv = sched.NewDriver(eng, d.q, d.serve)
-	d.drv.SetHooks(d.mandatoryClean, d.opportunisticClean)
+	// Opportunistic cleaning exists only on a priority-aware device with
+	// a low watermark; elsewhere the post hook is absent.
+	var post func(sim.Time) bool
+	if cfg.PriorityAware && cfg.GCLow > 0 {
+		post = d.opportunisticClean
+	}
+	d.drv.SetHooks(d.mandatoryClean, post)
 	perElemPages := d.elems[0].LogicalPages()
 	pageSize := int64(cfg.Geom.PageSize)
 	switch cfg.Layout {
@@ -348,13 +354,10 @@ func (d *Device) mandatoryClean(now sim.Time) bool {
 	return d.cleanPass(now, d.mustClean)
 }
 
-// opportunisticClean is the driver's post-dispatch hook (priority-aware
-// only): clean at the low watermark when no priority request is
-// outstanding.
+// opportunisticClean is the driver's post-dispatch hook, installed only
+// on a priority-aware device with a low watermark: clean at the low
+// watermark when no priority request is outstanding.
 func (d *Device) opportunisticClean(now sim.Time) bool {
-	if !d.cfg.PriorityAware || d.cfg.GCLow == 0 {
-		return false
-	}
 	return d.cleanPass(now, d.wantClean)
 }
 
@@ -468,40 +471,44 @@ func completeEvent(a any) {
 }
 
 // serve starts media service for a dispatched request: it executes the
-// request against the FTLs, marks the touched elements busy, models the
-// host link, and schedules the completion events — all through the
+// request against the FTLs, marks the elements of its runs busy, models
+// the host link, and schedules the completion events — all through the
 // engine's pooled event path, so dispatching allocates nothing.
 //
 // Elements that finish at the same instant share one completion event.
 // The events of one serve take consecutive engine sequence numbers, so
 // no other event can fire between the parts of one instant, and one
 // partsDoneEvent replays exactly what their separate events did.
-func (d *Device) serve(req *request, now sim.Time) {
+//
+// serve reports a change to the driver (sched.Driver) where the
+// cleaning hooks could find new work on an idle element: after a free
+// or a failed request, which may have changed any element's FTL state,
+// and when the request completes on the spot. A write changes only the
+// elements it makes busy, which the hooks skip.
+func (d *Device) serve(req *request, now sim.Time) bool {
 	req.Start = now
-	durs := d.exec(req)
-	switch {
-	case req.Err != nil || req.Op.Kind == trace.Free:
-		// A failed request may have stopped anywhere, and a free's
-		// durations are all zero: resync every element.
+	runs := d.exec(req)
+	// A failed request may have stopped anywhere, and a free did no
+	// media work: resync every element.
+	changed := req.Err != nil || req.Op.Kind == trace.Free
+	if changed {
 		d.resyncCleanSet()
-	case req.Op.Kind == trace.Write:
-		// Reads change no mapping state.
-		for e, dur := range durs {
-			if dur != 0 {
-				d.syncCleanSet(e)
-			}
-		}
 	}
+	// Reads change no mapping state.
+	write := !changed && req.Op.Kind == trace.Write
 	req.remaining = 0
-	// Mark the busy elements and compact their durations to the front of
-	// durs, which exec rewrites on every dispatch.
-	parts := durs[:0]
-	for e, dur := range durs {
-		if dur == 0 {
+	// Mark the busy elements and gather their durations.
+	parts := d.durScratch[:0]
+	for i := range runs {
+		r := &runs[i]
+		if r.dur == 0 {
 			continue
 		}
-		d.q.SetBusy(e, now+dur+d.cfg.CtrlOverhead)
-		parts = append(parts, dur)
+		if write {
+			d.syncCleanSet(r.elem)
+		}
+		d.q.SetBusy(r.elem, now+r.dur+d.cfg.CtrlOverhead)
+		parts = append(parts, r.dur)
 	}
 	// The host link moves the request's data serially (but overlapped
 	// with flash work via DMA): it is one more completion constraint.
@@ -533,7 +540,9 @@ func (d *Device) serve(req *request, now sim.Time) {
 	}
 	if req.remaining == 0 {
 		d.complete(req)
+		return true
 	}
+	return changed
 }
 
 func (d *Device) addClassResp(req *request, ms float64) {
@@ -553,40 +562,22 @@ func (d *Device) complete(req *request) {
 		d.putReq(req)
 		return
 	}
-	d.met.Completed++
 	if req.Op.Priority {
 		d.outstandingPri--
 	}
 	resp := req.Done - req.Arrive
 	if req.Err != nil {
+		d.met.Completed++
 		d.met.Errors++
 	} else {
 		ms := resp.Millis()
-		switch req.Op.Kind {
-		case trace.Read:
-			d.met.BytesRead += req.Op.Size
-			d.recordResp(req, ms)
-		case trace.Write:
-			d.met.BytesWritten += req.Op.Size
-			d.recordResp(req, ms)
-		case trace.Free:
-			d.met.Frees++
+		d.met.Record(req.Op, ms)
+		if req.Op.Kind != trace.Free {
+			d.addClassResp(req, ms)
 		}
 	}
 	if req.onDone != nil {
 		req.onDone(resp, req.Err)
 	}
 	d.putReq(req)
-}
-
-// recordResp folds a host completion into the response-time histograms.
-func (d *Device) recordResp(req *request, ms float64) {
-	switch req.Op.Kind {
-	case trace.Read:
-		d.met.ReadResp.Add(ms)
-	case trace.Write:
-		d.met.WriteResp.Add(ms)
-	}
-	d.addClassResp(req, ms)
-	d.met.Tenants.Record(req.Op.Tenant, req.Op.Kind == trace.Write, req.Op.Size, ms)
 }

@@ -2,7 +2,6 @@ package ssd
 
 import (
 	"ossd/internal/fault"
-	"ossd/internal/sim"
 	"ossd/internal/trace"
 )
 
@@ -31,7 +30,7 @@ func newFaultState(plan *fault.Plan, elements int) *faultState {
 // element fails the whole request with no media work; a transient fault
 // charges the element an in-device retry. Reports whether the request
 // failed.
-func (d *Device) injectFaults(req *request, runs []run, durs []sim.Time) bool {
+func (d *Device) injectFaults(req *request, runs []run) bool {
 	f := d.flt
 	failed := false
 	for i := range runs {
@@ -42,7 +41,8 @@ func (d *Device) injectFaults(req *request, runs []run, durs []sim.Time) bool {
 	}
 	write := req.Op.Kind == trace.Write
 	for i := range runs {
-		e := runs[i].elem
+		r := &runs[i]
+		e := r.elem
 		seq := f.seq[e]
 		f.seq[e]++
 		if failed {
@@ -54,7 +54,7 @@ func (d *Device) injectFaults(req *request, runs []run, durs []sim.Time) bool {
 		if f.plan.TransientAt(e, seq, write) {
 			f.injected[e]++
 			f.retried[e]++
-			durs[e] += f.plan.RetryCost()
+			r.dur += f.plan.RetryCost()
 		}
 	}
 	if failed {

@@ -22,10 +22,13 @@ import (
 // run is one element's share of a request: n element-local pages from
 // first, in address order. The first head and the last tail of them are
 // pages the request does not cover completely, which a write reads back
-// when they hold data (read-modify-write); head+tail <= n.
+// when they hold data (read-modify-write); head+tail <= n. dur is the
+// element's service time for the run, which exec fills in; the planner
+// leaves it zero.
 type run struct {
 	elem, first, n int
 	head, tail     int
+	dur            sim.Time
 }
 
 // plan returns the runs of the byte range [off, end), in no particular
@@ -76,7 +79,7 @@ func planPages(runs []run, g0, g1 int64, elems int, head, tail bool) []run {
 	runs = runs[:start+min(pages, elems)]
 	for i := start; i < len(runs); i++ {
 		r := &runs[i]
-		r.elem, r.first, r.n, r.head, r.tail = e, q, per, 0, 0
+		r.elem, r.first, r.n, r.head, r.tail, r.dur = e, q, per, 0, 0, 0
 		if i-start < extra {
 			r.n++
 		}
@@ -163,25 +166,24 @@ func (d *Device) wholeStripes(op trace.Op) bool {
 }
 
 // exec executes a dispatched request against the FTLs, mutating mapping
-// state, and returns the per-element service durations. Elements with a
-// zero duration were not touched. The returned slice is device-owned
-// scratch, valid until the next dispatch — serve consumes it before any
-// reentrant dispatch can run.
-func (d *Device) exec(req *request) []sim.Time {
-	durs := d.durScratch
-	clear(durs)
+// state, and returns its runs with their service durations filled in.
+// A run with a zero duration did no media work, and a free returns no
+// runs. The returned slice is device-owned scratch, valid until the
+// next dispatch — serve consumes it before any reentrant dispatch can
+// run.
+func (d *Device) exec(req *request) []run {
 	op := req.Op
 	if op.Kind == trace.Free {
 		// Deallocation is a mapping-table update: zero medium time.
 		d.applyFree(op)
-		return durs
+		return nil
 	}
 	runs := d.plan(op.Offset, op.End(), d.wholeStripes(op))
 	// Fault injection: a dead element fails the request outright (zero
 	// durations, so it completes immediately as an error); transient
-	// faults add their retry cost to the element durations below.
-	if d.flt != nil && d.injectFaults(req, runs, durs) {
-		return durs
+	// faults add their retry cost to the run durations below.
+	if d.flt != nil && d.injectFaults(req, runs) {
+		return runs
 	}
 	failed := len(d.elems) // the element whose error the request reports
 	for i := range runs {
@@ -194,12 +196,12 @@ func (d *Device) exec(req *request) []sim.Time {
 		} else {
 			dur, err = readRun(el, r)
 		}
-		durs[r.elem] += dur
+		r.dur += dur
 		if err != nil && r.elem < failed {
 			req.Err, failed = err, r.elem
 		}
 	}
-	return durs
+	return runs
 }
 
 // readRun reads a run page by page, stopping at the first error.

@@ -201,7 +201,10 @@ func TestPlanMatchesPageReference(t *testing.T) {
 					t.Fatalf("op %d %+v: elements %v, want %v", i, op, got, want)
 				}
 				req := &request{Op: op}
-				durs := slices.Clone(d.exec(req))
+				durs := make([]sim.Time, cfg.Elements)
+				for _, r := range d.exec(req) {
+					durs[r.elem] += r.dur
+				}
 				var want []sim.Time
 				var err error
 				if op.Kind == trace.Free {
